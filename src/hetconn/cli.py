@@ -2,8 +2,10 @@
 
 Every run writes a manifest.json carrying the embedded config, library
 versions, every tolerance used, headline results, and sha256 checksums of
-the emitted artifacts; CSV/TSV artifacts are plain text with %.17g floats
-so reruns with the same config and seed are bit-identical.  Exit codes:
+the emitted artifacts; CSV/TSV artifacts are plain text with %.17g floats.
+The pipeline draws no random numbers, so reruns of the same config are
+bit-identical.  ``verify`` recomputes the equipartition defect from the
+artifacts with the same routines the run uses.  Exit codes:
 0 success, 2 solver stall, 3 config error, 4 checksum or schema failure
 (verify), 5 failing equipartition (verify).
 """
@@ -24,7 +26,6 @@ from . import __version__
 from .counterexample import (
     CounterexampleWeight,
     DivergentTailError,
-    crossing_lower_bound,
     nonexistence_report,
 )
 from .double_connection import (
@@ -35,9 +36,11 @@ from .double_connection import (
     sin_example_space,
     solve_asymmetric,
     solve_symmetric,
+    x2_defect,
 )
 from .geodesic import SolverOptions, minimize_k_length, remove_sigma_loops
-from .heteroclinic import reparam_equipartition, verify_connection
+from .heteroclinic import equipartition, reparam_equipartition, verify_connection
+from .metric import SampledCurve, midpoints
 from .potentials import (
     check_sti,
     double_well,
@@ -164,7 +167,7 @@ def _read_table(path, delimiter=","):
 # connect
 
 
-def cmd_connect(cfg: dict, out_dir: str, seed: int, verbose: bool) -> int:
+def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
     p = _build_potential(_require(cfg, "potential"))
     wells_raw = _require(cfg, "wells")
@@ -204,7 +207,7 @@ def cmd_connect(cfg: dict, out_dir: str, seed: int, verbose: bool) -> int:
         resample=int(rep_cfg.get("resample", 4 * opts.n_nodes)),
         resample_eps=float(rep_cfg.get("resample_eps", 1e-9)),
     )
-    report = verify_connection(conn, potential_like=p, wspace=wspace)
+    report = verify_connection(conn, potential=p, wspace=wspace)
     sd = second_difference_bound(conn.curve, p.hessian_lower_bound)
     bounds = uniform_bounds_audit(conn.curve, wspace)
     warnings = []
@@ -246,7 +249,6 @@ def cmd_connect(cfg: dict, out_dir: str, seed: int, verbose: bool) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "connect",
         "config": cfg,
-        "seed": seed,
         "versions": _versions(),
         "tolerances": {
             "grad_tol": opts.grad_tol,
@@ -303,8 +305,7 @@ def _build_double_space(cfg: dict):
     raise ConfigError(f"unknown double example '{example}'")
 
 
-def cmd_double(cfg: dict, out_dir: str, seed: int, mode: str | None,
-               verbose: bool) -> int:
+def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     t_start = time.time()
     mode = mode or cfg.get("mode", "sym")
     if mode not in ("sym", "asym"):
@@ -392,7 +393,6 @@ def cmd_double(cfg: dict, out_dir: str, seed: int, mode: str | None,
         "kind": "double",
         "config": cfg,
         "mode": mode,
-        "seed": seed,
         "versions": _versions(),
         "tolerances": {
             "defect_tol": float(cfg.get("defect_tol", 5e-2)),
@@ -418,7 +418,7 @@ def cmd_double(cfg: dict, out_dir: str, seed: int, mode: str | None,
 # counterexample
 
 
-def cmd_counterexample(cfg: dict, out_dir: str, seed: int, verbose: bool) -> int:
+def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
     gcfg = cfg.get("g", {"type": "power", "p": 2.0})
     if not isinstance(gcfg, dict) or gcfg.get("type") != "power":
@@ -453,7 +453,6 @@ def cmd_counterexample(cfg: dict, out_dir: str, seed: int, verbose: bool) -> int
         "schema_version": SCHEMA_VERSION,
         "kind": "counterexample",
         "config": cfg,
-        "seed": seed,
         "versions": _versions(),
         "tolerances": {
             "bound_slack": 1e-6,
@@ -493,23 +492,15 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
     comments, header, data = _read_table(os.path.join(run_dir, "curve.csv"))
     p = _build_potential(manifest["config"]["potential"])
     wspace = make_weight(p)
-    times = data[:, 0]
-    nodes = data[:, 1:]
-    dts = np.diff(times)
-    diffs = np.diff(nodes, axis=0)
-    lens = np.sqrt(np.sum(wspace.space.coord_weights * diffs * diffs, axis=1))
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    kv = wspace.weight_at(mids)
-    defect = float(np.max(np.abs(0.5 * (lens / dts) ** 2 - 0.5 * kv * kv)))
+    curve = SampledCurve(times=data[:, 0], nodes=data[:, 1:])
+    kv = wspace.weight_at(midpoints(curve))
+    defect = float(np.max(equipartition(curve, wspace.space, 0.5 * kv * kv)[1]))
     tol = manifest["tolerances"]["defect_tol"]
     if verbose or defect > tol:
         print(f"equipartition defect {defect:.6g} (tolerance {tol:g})")
     if defect > tol:
         return EXIT_EQUIPARTITION
-    lam = p.hessian_lower_bound
-    from .metric import SampledCurve
-
-    sd = second_difference_bound(SampledCurve(times=times, nodes=nodes), lam)
+    sd = second_difference_bound(curve, p.hessian_lower_bound)
     if verbose:
         print(f"second-difference audit: lhs {sd.lhs:.6g} <= rhs {sd.rhs:.6g}: "
               f"{'ok' if sd.passed else 'FAIL'}")
@@ -521,18 +512,8 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
     space = _build_double_space(manifest["config"])
     x1 = np.unique(data[:, 0])
     x2 = np.unique(data[:, 1])
-    n = data.shape[1] - 2
-    u = data[:, 2:].reshape(x1.size, x2.size, n)
-    dt = float(x2[1] - x2[0])
-    h = space.h
-    w1 = np.full(x1.size, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    defect = 0.0
-    for k in range(x2.size - 1):
-        mid = 0.5 * (u[:, k, :] + u[:, k + 1, :])
-        kinetic = 0.5 * np.sum(w1[:, None] * ((u[:, k + 1, :] - u[:, k, :]) / dt) ** 2)
-        defect = max(defect, abs(kinetic - space.effective_potential(mid)))
+    u = data[:, 2:].reshape(x1.size, x2.size, -1)
+    defect = x2_defect(space, u, float(x2[1] - x2[0]))
     tol = manifest["tolerances"]["defect_tol"]
     if verbose or defect > tol:
         print(f"x2 equipartition defect {defect:.6g} (tolerance {tol:g})")
@@ -603,8 +584,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config")
     common.add_argument("--out", help="run directory for artifacts")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--mode", choices=("sym", "asym"),
                         help="double-connection mode (overrides config)")
     common.add_argument("--verbose", action="store_true")
@@ -619,9 +598,6 @@ def main(argv=None) -> int:
                             help="re-check a run directory")
     verify.add_argument("run_dir", nargs="?", help="run directory to verify")
     args = parser.parse_args(argv)
-    os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", str(args.threads))
-    np.random.seed(args.seed)
     try:
         if args.command == "verify":
             run_dir = args.run_dir or args.out
@@ -636,11 +612,11 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out_dir = args.out or f"run_{args.command}"
         if args.command == "connect":
-            return cmd_connect(cfg, out_dir, args.seed, args.verbose)
+            return cmd_connect(cfg, out_dir, args.verbose)
         if args.command == "double":
-            return cmd_double(cfg, out_dir, args.seed, args.mode, args.verbose)
+            return cmd_double(cfg, out_dir, args.mode, args.verbose)
         if args.command == "counterexample":
-            return cmd_counterexample(cfg, out_dir, args.seed, args.verbose)
+            return cmd_counterexample(cfg, out_dir, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -172,18 +172,14 @@ class CounterexampleWeight:
         return fx, fy
 
     def k(self, pts):
+        """K on a (k, 2) batch of points, shape (k,)."""
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
         fx, fy = self.grad_f(pts[:, 0], pts[:, 1])
-        out = np.hypot(fx, fy)
-        return float(out[0]) if single else out
+        return np.hypot(fx, fy)
 
     def k_grad(self, pts):
-        """Gradient of K where K > 0 (zero vector on the zero set)."""
+        """Gradient of K where K > 0 (zero vector on the zero set), shape (k, 2)."""
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
         x, y = pts[:, 0], pts[:, 1]
         h = self.bump(y)
         hp = self.bump_deriv(y)
@@ -202,18 +198,15 @@ class CounterexampleWeight:
         with np.errstate(invalid="ignore", divide="ignore"):
             kx = np.where(k > 0.0, (fx * dfx_dx + fy * dfy_dx) / k, 0.0)
             ky = np.where(k > 0.0, (fx * dfx_dy + fy * dfy_dy) / k, 0.0)
-        out = np.stack([kx, ky], axis=1)
-        return out[0] if single else out
+        return np.stack([kx, ky], axis=1)
 
     def weighted_space(self) -> WeightedSpace:
         return WeightedSpace(
             space=EuclideanSpace(2),
-            weight=lambda p: self.k(p),
+            weight=self.k,
             zero_set=(np.array([0.0, -1.0]), np.array([0.0, 0.0]),
                       np.array([0.0, 1.0])),
-            weight_grad=lambda p: self.k_grad(p),
-            weight_batch=lambda p: self.k(p),
-            weight_grad_batch=lambda p: self.k_grad(p),
+            weight_grad=self.k_grad,
         )
 
 
@@ -234,7 +227,7 @@ def _leg_quad(w: CounterexampleWeight, a: np.ndarray, b: np.ndarray) -> float:
     span = float(np.linalg.norm(b - a))
 
     def integrand(t):
-        return w.k(a + t * (b - a)) * span
+        return w.k((a + t * (b - a))[None])[0] * span
 
     val, _ = integrate.quad(integrand, 0.0, 1.0, limit=400,
                             points=_quad_breaks(a, b))

@@ -33,7 +33,7 @@ from .function_space import (
 )
 from .geodesic import SolverOptions, minimize_k_length
 from .heteroclinic import ConnectionResult, reparam_equipartition
-from .metric import SampledCurve, k_length
+from .metric import SampledCurve, k_length, trapezoid_weights
 from .potentials import check_a4, make_weight, planar_two_well
 
 
@@ -56,7 +56,6 @@ class DoubleOptions:
     polish: bool = True
     polish_gtol: float = 1e-7
     polish_maxiter: int = 4000
-    seed: int = 0
 
 
 @dataclass
@@ -167,13 +166,6 @@ def _blend_seed(space: EffectivePotentialSpace, p_nodes: int) -> np.ndarray:
 def _polish_field(space, u0, dt, symmetrize, gtol, maxiter):
     """L-BFGS on the discrete 2D energy; end columns and x1 edges stay pinned."""
     m, p, n = u0.shape
-    h = space.h
-    w1 = np.full(m, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    wt = np.full(p, dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
     col0, col1 = u0[:, 0, :].copy(), u0[:, -1, :].copy()
     row0, row1 = u0[0, :, :].copy(), u0[-1, :, :].copy()
 
@@ -187,19 +179,7 @@ def _polish_field(space, u0, dt, symmetrize, gtol, maxiter):
         return u
 
     def fun(x):
-        u = pack(x)
-        d2 = np.diff(u, axis=1) / dt
-        kin = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
-        pot = 0.0
-        gpot = np.empty_like(u)
-        for k in range(p):
-            pot += wt[k] * (space.energy_1d(u[:, k, :]) - space.ref_value)
-            gpot[:, k, :] = wt[k] * space.energy_1d_grad(u[:, k, :])
-        e = float(kin + pot)
-        g = gpot
-        flux = w1[:, None, None] * d2
-        g[:, :-1, :] -= flux
-        g[:, 1:, :] += flux
+        e, g = _path_energy(space, pack(x), dt, grad=True)
         if symmetrize:
             for k in range(p):
                 g[:, k, :] = space.symmetrize(g[:, k, :])
@@ -216,20 +196,44 @@ def _polish_field(space, u0, dt, symmetrize, gtol, maxiter):
     return pack(res.x), int(res.nit)
 
 
-def _path_energy(space, u, dt):
-    """Sum of x2-kinetic and effective-potential terms (trapezoid in x2)."""
+def _path_energy(space, u, dt, grad=False):
+    """Sum of x2-kinetic and effective-potential terms (trapezoid in x2).
+
+    With grad=True also returns the coordinate gradient, shape of u.
+    """
     m, p, n = u.shape
-    h = space.h
-    w1 = np.full(m, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    wt = np.full(p, dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
+    w1 = trapezoid_weights(m, space.h)
+    wt = trapezoid_weights(p, dt)
     d2 = np.diff(u, axis=1) / dt
     kin = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
-    pot = sum(wt[k] * (space.energy_1d(u[:, k, :]) - space.ref_value) for k in range(p))
-    return float(kin + pot)
+    pot = 0.0
+    for k in range(p):
+        pot += wt[k] * (space.energy_1d(u[:, k, :]) - space.ref_value)
+    if not grad:
+        return float(kin + pot)
+    g = np.empty_like(u)
+    for k in range(p):
+        g[:, k, :] = wt[k] * space.energy_1d_grad(u[:, k, :])
+    flux = w1[:, None, None] * d2
+    g[:, :-1, :] -= flux
+    g[:, 1:, :] += flux
+    return float(kin + pot), g
+
+
+def x2_defect(space, u: np.ndarray, dt: float) -> float:
+    """Max over x2 segments of |x2 kinetic term - effective potential|.
+
+    u has shape (M, P, n).  The kinetic term is half the squared trapezoid
+    L2 norm (in x1) of the x2 difference quotient; the effective potential
+    is taken at the segment midpoint.  Run and verify both use this.
+    """
+    w1 = trapezoid_weights(u.shape[0], space.h)
+    defect = 0.0
+    for k in range(u.shape[1] - 1):
+        mid = 0.5 * (u[:, k, :] + u[:, k + 1, :])
+        kinetic = 0.5 * np.sum(w1[:, None] * ((u[:, k + 1, :] - u[:, k, :]) / dt) ** 2)
+        defect = max(defect, abs(kinetic - space.effective_potential(mid)))
+    return float(defect)
 
 
 def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
@@ -289,9 +293,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         resample_eps=opts.resample_eps,
     )
     p_out = conn.curve.n_nodes
-    u = np.empty((space.m, p_out, space.n_components))
-    for k in range(p_out):
-        u[:, k, :] = conn.curve.nodes[k].reshape(space.m, space.n_components)
+    u = conn.curve.nodes.reshape(p_out, space.m, space.n_components).transpose(1, 0, 2).copy()
     u[:, 0, :] = space.z_minus.values
     u[:, -1, :] = space.z_plus.values
     if symmetrize:
@@ -450,12 +452,8 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     )
     # energy two ways
     energy_path = _path_energy(space, u, dt)
-    w1 = np.full(m, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    wt = np.full(p, dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
+    w1 = trapezoid_weights(m, h)
+    wt = trapezoid_weights(p, dt)
     d1 = np.diff(u, axis=0) / h
     d2 = np.diff(u, axis=1) / dt
     kin1 = 0.5 * h * np.sum(wt[None, :, None] * d1 * d1)
@@ -465,13 +463,7 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
         dens[:, k] = space._density_values(u[:, k, :])
     pot = np.sum(w1[:, None] * wt[None, :] * dens) - space.ref_value * np.sum(wt)
     energy_direct = float(kin1 + kin2 + pot)
-    # x2 equipartition defect at segment midpoints
-    defect = 0.0
-    for k in range(p - 1):
-        mid = 0.5 * (u[:, k, :] + u[:, k + 1, :])
-        kinetic = 0.5 * np.sum(w1[:, None] * ((u[:, k + 1, :] - u[:, k, :]) / dt) ** 2)
-        weff = space.effective_potential(mid)
-        defect = max(defect, abs(kinetic - weff))
+    defect = x2_defect(space, u, dt)
     zm, zp = space.z_minus, space.z_plus
     if result.mode == "asym":
         zm = zm.translate(result.c_minus)
@@ -500,7 +492,7 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     return DoubleReport(
         residual_max=residual_max,
         residual_l2=residual_l2,
-        equip_defect=float(defect),
+        equip_defect=defect,
         energy_direct=energy_direct,
         energy_path=energy_path,
         x2_gap_minus_l2=float(gap_m_l2),

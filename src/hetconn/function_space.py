@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .metric import GridL2Space, WeightedSpace
+from .metric import GridL2Space, WeightedSpace, interp_columns, trapezoid_weights
 from .potentials import Potential
 
 
@@ -101,28 +101,23 @@ class GridFunction:
         return replace(self, values=values)
 
     def quad_weights(self) -> np.ndarray:
-        w = np.full(self.m, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return trapezoid_weights(self.m, self.h)
 
     def norm_l2(self) -> float:
         w = self.quad_weights()
         return float(np.sqrt(np.sum(w * np.sum(self.values**2, axis=1))))
 
-    def inner(self, other: "GridFunction | np.ndarray") -> float:
+    def _values_of(self, other: "GridFunction | np.ndarray") -> np.ndarray:
         ov = other.values if isinstance(other, GridFunction) else np.asarray(other)
-        if ov.ndim == 1:
-            ov = ov.reshape(self.m, self.n_components)
+        return ov.reshape(self.m, self.n_components) if ov.ndim == 1 else ov
+
+    def inner(self, other: "GridFunction | np.ndarray") -> float:
         w = self.quad_weights()
-        return float(np.sum(w * np.sum(self.values * ov, axis=1)))
+        return float(np.sum(w * np.sum(self.values * self._values_of(other), axis=1)))
 
     def distance_l2(self, other: "GridFunction | np.ndarray") -> float:
-        ov = other.values if isinstance(other, GridFunction) else np.asarray(other)
-        if ov.ndim == 1:
-            ov = ov.reshape(self.m, self.n_components)
         w = self.quad_weights()
-        d = self.values - ov
+        d = self.values - self._values_of(other)
         return float(np.sqrt(np.sum(w * np.sum(d * d, axis=1))))
 
     def derivative(self) -> np.ndarray:
@@ -136,13 +131,9 @@ class GridFunction:
 
     def translate(self, shift: float) -> "GridFunction":
         """Values of v(. - shift) on the same grid, tail-extended."""
-        q = self.s - shift
-        out = np.empty_like(self.values)
-        for c in range(self.n_components):
-            out[:, c] = np.interp(
-                q, self.s, self.values[:, c],
-                left=float(self.tail_left[c]), right=float(self.tail_right[c]),
-            )
+        out = interp_columns(
+            self.s - shift, self.s, self.values, left=self.tail_left, right=self.tail_right
+        )
         return replace(self, values=out)
 
     def to_csv(self, path) -> None:
@@ -320,20 +311,11 @@ def translation_objective(v: GridFunction, z: GridFunction, shift: float):
     F''(m) = 2 |z'(. - m)|^2 - 2 (z''(. - m), v - z(. - m)).
     """
     w = v.quad_weights()
-    zm = z.translate(shift)
-    diff = v.values - zm.values
+    diff = v.values - z.translate(shift).values
     F = float(np.sum(w * np.sum(diff * diff, axis=1)))
-    dz = z.derivative()
-    ddz = z.second_difference()
-
-    def translated(arr):
-        out = np.empty_like(arr)
-        for c in range(arr.shape[1]):
-            out[:, c] = np.interp(v.s - shift, z.s, arr[:, c], left=0.0, right=0.0)
-        return out
-
-    dzm = translated(dz)
-    ddzm = translated(ddz)
+    zero = np.zeros(z.n_components)
+    dzm = interp_columns(v.s - shift, z.s, z.derivative(), left=zero, right=zero)
+    ddzm = interp_columns(v.s - shift, z.s, z.second_difference(), left=zero, right=zero)
     dF = 2.0 * float(np.sum(w * np.sum(dzm * diff, axis=1)))
     d2F = 2.0 * float(np.sum(w * np.sum(dzm * dzm, axis=1))) - 2.0 * float(
         np.sum(w * np.sum(ddzm * diff, axis=1))
@@ -477,8 +459,6 @@ class EffectivePotentialSpace:
     quotient: str = "none"
     z_minus: GridFunction | None = None
     z_plus: GridFunction | None = None
-    funnel_minus: FunnelProfile | None = None
-    funnel_plus: FunnelProfile | None = None
     lam: float = 0.0
 
     def __post_init__(self):
@@ -530,10 +510,7 @@ class EffectivePotentialSpace:
         h = self.h
         dv = np.diff(values, axis=0)
         kinetic = 0.5 * np.sum(dv * dv) / h
-        w = np.full(self.m, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        potential = float(np.sum(w * self._density_values(values)))
+        potential = float(np.sum(trapezoid_weights(self.m, h) * self._density_values(values)))
         return float(kinetic) + potential
 
     def energy_1d_grad(self, values: np.ndarray) -> np.ndarray:
@@ -544,10 +521,7 @@ class EffectivePotentialSpace:
         dv = np.diff(values, axis=0) / h
         grad[:-1] -= dv
         grad[1:] += dv
-        w = np.full(self.m, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        grad += w[:, None] * self._density_grads(values)
+        grad += trapezoid_weights(self.m, h)[:, None] * self._density_grads(values)
         grad[0] = 0.0
         grad[-1] = 0.0
         return grad
@@ -576,36 +550,25 @@ class EffectivePotentialSpace:
         Zero weight is reached exactly on the stored minimal connections, so
         the zero set lists their flattened coordinates.
         """
-        floor = 0.0
+        def weight(pts):
+            return np.array([
+                math.sqrt(2.0 * max(self.effective_potential(p), 0.0)) for p in pts
+            ])
 
-        def weight(flat):
-            return math.sqrt(2.0 * max(self.effective_potential(flat) - floor, 0.0))
+        def weight_grad(pts):
+            out = np.zeros_like(pts)
+            for i, p in enumerate(pts):
+                w = self.effective_potential(p)
+                if w <= 1e-16:
+                    continue
+                out[i] = self.energy_1d_grad(p).ravel() / math.sqrt(2.0 * w)
+            return out
 
-        def weight_batch(pts):
-            return np.array([weight(p) for p in np.atleast_2d(pts)])
-
-        def weight_grad(flat):
-            w = self.effective_potential(flat)
-            if w <= 1e-16:
-                return np.zeros(self.m * self.n_components)
-            g = self.energy_1d_grad(flat).ravel()
-            return g / math.sqrt(2.0 * w)
-
-        def weight_grad_batch(pts):
-            return np.array([weight_grad(p) for p in np.atleast_2d(pts)])
-
-        zero = []
-        if self.z_minus is not None:
-            zero.append(self.z_minus.flatten())
-        if self.z_plus is not None:
-            zero.append(self.z_plus.flatten())
         return WeightedSpace(
             space=self.ambient(),
             weight=weight,
-            zero_set=tuple(zero),
+            zero_set=tuple(z.flatten() for z in (self.z_minus, self.z_plus) if z is not None),
             weight_grad=weight_grad,
-            weight_batch=weight_batch,
-            weight_grad_batch=weight_grad_batch,
         )
 
     def relax_profile(self, values: np.ndarray, max_iters: int = 2000, gtol: float = 1e-10):

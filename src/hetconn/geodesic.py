@@ -11,7 +11,7 @@ weighted length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import math
@@ -22,9 +22,9 @@ from .metric import (
     SampledCurve,
     WeightedSpace,
     ZeroLengthCurveError,
+    interp_columns,
     k_length,
     reparametrize_constant_speed,
-    segment_lengths,
 )
 
 
@@ -57,24 +57,6 @@ class SolveTrace:
         return bool(np.all(np.diff(e) <= 1e-12 * np.maximum(1.0, np.abs(e[:-1]))))
 
 
-def _grad_on(wspace: WeightedSpace, pts: np.ndarray) -> np.ndarray:
-    if wspace.weight_grad_batch is not None:
-        return np.asarray(wspace.weight_grad_batch(pts), dtype=float)
-    if wspace.weight_grad is not None:
-        return np.array([wspace.weight_grad(p) for p in pts], dtype=float)
-    # Central finite differences, adequate for low ambient dimension.
-    dim = pts.shape[1]
-    out = np.empty_like(pts)
-    h = 1e-6
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        fp = wspace.weight_at(pts + e)
-        fm = wspace.weight_at(pts - e)
-        out[:, j] = (fp - fm) / (2 * h)
-    return out
-
-
 def _energy_grad(nodes: np.ndarray, wspace: WeightedSpace, floor: float, want_grad: bool):
     w = wspace.space.coord_weights
     diffs = nodes[1:] - nodes[:-1]
@@ -90,7 +72,7 @@ def _energy_grad(nodes: np.ndarray, wspace: WeightedSpace, floor: float, want_gr
     active = (kvals >= floor) & (lens > 0.0)
     if np.any(active):
         gk = np.zeros_like(diffs)
-        gk[active] = _grad_on(wspace, mids[active])
+        gk[active] = wspace.weight_grad_at(mids[active])
         half = 0.5 * gk * lens[:, None]
         pull = np.zeros_like(diffs)
         pull[active] = (kvals[active] / lens[active])[:, None] * (w * diffs[active])
@@ -118,10 +100,7 @@ def _seed_nodes(x_minus, x_plus, opts: SolverOptions) -> np.ndarray:
     if chord[-1] == 0.0:
         chord = np.arange(way.shape[0], dtype=float)
     tau = np.linspace(0.0, chord[-1], opts.n_nodes)
-    nodes = np.empty((opts.n_nodes, way.shape[1]))
-    for j in range(way.shape[1]):
-        nodes[:, j] = np.interp(tau, chord, way[:, j])
-    return nodes
+    return interp_columns(tau, chord, way)
 
 
 def minimize_k_length(

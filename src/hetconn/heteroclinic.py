@@ -22,29 +22,34 @@ from .metric import (
     EuclideanSpace,
     SampledCurve,
     WeightedSpace,
-    k_length,
+    drop_tied_nodes,
+    interp_columns,
+    midpoints,
     segment_lengths,
 )
+from .potentials import Potential
 
 
 class InteriorZeroError(RuntimeError):
     """The weight vanishes strictly between the endpoints of a geodesic."""
 
 
-def _values_at(potential_like, pts: np.ndarray) -> np.ndarray:
-    if hasattr(potential_like, "values_at"):
-        return np.asarray(potential_like.values_at(pts), dtype=float)
-    return np.array([float(potential_like(p)) for p in pts])
+def equipartition(curve: SampledCurve, space: AmbientSpace, w_mid: np.ndarray):
+    """Midpoint-rule action and per-segment equipartition defect.
+
+    ``w_mid`` holds the potential at the segment midpoints.  Returns
+    (sum (|speed|^2 / 2 + W) dt, | |speed|^2 / 2 - W | per segment), the
+    speed being the metric segment length over the time step.
+    """
+    dts = np.diff(curve.times)
+    kinetic = 0.5 * (segment_lengths(curve, space) / dts) ** 2
+    return float(np.sum((kinetic + w_mid) * dts)), np.abs(kinetic - w_mid)
 
 
-def action_ew(curve: SampledCurve, potential_like, space: AmbientSpace | None = None) -> float:
+def action_ew(curve: SampledCurve, potential: Potential, space: AmbientSpace | None = None) -> float:
     """Midpoint-rule action: sum (|segment speed|^2 / 2 + W(midpoint)) * dt."""
     space = space or EuclideanSpace(curve.nodes.shape[1])
-    dts = np.diff(curve.times)
-    lens = segment_lengths(curve, space)
-    mids = 0.5 * (curve.nodes[:-1] + curve.nodes[1:])
-    wvals = _values_at(potential_like, mids)
-    return float(np.sum((0.5 * (lens / dts) ** 2 + wvals) * dts))
+    return equipartition(curve, space, potential.values_at(midpoints(curve)))[0]
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,8 @@ class ConnectionResult:
 
 
 def _arc_length_form(geodesic: SampledCurve, space: AmbientSpace):
-    lens = segment_lengths(geodesic, space)
-    keep = [0] + [i + 1 for i, L in enumerate(lens) if L > 0.0]
-    nodes = geodesic.nodes[keep]
-    s = np.concatenate([[0.0], np.cumsum(lens[lens > 0.0])])
-    return s, nodes
+    s = np.concatenate([[0.0], np.cumsum(segment_lengths(geodesic, space))])
+    return drop_tied_nodes(s, geodesic.nodes)
 
 
 def _graded_resample(s: np.ndarray, nodes: np.ndarray, n_base: int, eps_rel: float):
@@ -81,10 +83,7 @@ def _graded_resample(s: np.ndarray, nodes: np.ndarray, n_base: int, eps_rel: flo
     levels = int(np.ceil(np.log2(1.0 / eps_rel))) if eps_rel < 1.0 else 0
     tail = total * 0.25 * 0.5 ** np.arange(1, levels + 1)
     s_new = np.unique(np.concatenate([base, tail, total - tail, [0.0, total]]))
-    out = np.empty((s_new.size, nodes.shape[1]))
-    for j in range(nodes.shape[1]):
-        out[:, j] = np.interp(s_new, s, nodes[:, j])
-    return s_new, out
+    return s_new, interp_columns(s_new, s, nodes)
 
 
 def reparam_equipartition(
@@ -123,7 +122,8 @@ def reparam_equipartition(
             "the endpoints are not adjacent wells for this curve"
         )
     # Center where the accumulated weighted length reaches half its total.
-    cum_k = np.concatenate([[0.0], np.cumsum(0.5 * (F[:-1] + F[1:]) * np.diff(s))])
+    seg_k = 0.5 * (F[:-1] + F[1:]) * np.diff(s)
+    cum_k = np.concatenate([[0.0], np.cumsum(seg_k)])
     j_mid = int(np.argmin(np.abs(cum_k - 0.5 * cum_k[-1])))
     j_mid = min(max(j_mid, 1), s.size - 2)
     inv = 1.0 / F[1:-1]
@@ -140,21 +140,13 @@ def reparam_equipartition(
         raise ValueError("clamped time window is empty")
     times = np.linspace(-T, T, n_samples)
     phi = np.interp(times, G, s[1:-1])
-    out_nodes = np.empty((n_samples, nodes.shape[1]))
-    for j in range(nodes.shape[1]):
-        out_nodes[:, j] = np.interp(phi, s, nodes[:, j])
-    curve = SampledCurve(times=times, nodes=out_nodes)
+    curve = SampledCurve(times=times, nodes=interp_columns(phi, s, nodes))
 
-    dts = np.diff(times)
-    lens = segment_lengths(curve, wspace.space)
-    mids = 0.5 * (out_nodes[:-1] + out_nodes[1:])
-    k_mid = wspace.weight_at(mids)
-    w_mid = 0.5 * k_mid * k_mid
-    kinetic = 0.5 * (lens / dts) ** 2
-    defect = float(np.max(np.abs(kinetic - w_mid)))
-    action = float(np.sum((kinetic + w_mid) * dts))
-    dk = float(np.sum(0.5 * (F[:-1] + F[1:]) * np.diff(s)))
-    h_t = float(dts[0])
+    k_mid = wspace.weight_at(midpoints(curve))
+    action, defects = equipartition(curve, wspace.space, 0.5 * k_mid * k_mid)
+    defect = float(np.max(defects))
+    dk = float(np.sum(seg_k))
+    h_t = float(times[1] - times[0])
     diagnostics = {
         "clamp_f_lo": float(F[1]),
         "clamp_f_hi": float(F[-2]),
@@ -184,40 +176,39 @@ class ConnectionReport(NamedTuple):
 
 def verify_connection(
     result: ConnectionResult,
-    potential_like=None,
+    potential: Potential | None = None,
     wspace: WeightedSpace | None = None,
 ) -> ConnectionReport:
     """Independent checks on a connection: action gap, defect, ends, residual.
 
-    The Euler-Lagrange residual max |gamma'' - grad W(gamma)| is evaluated by
-    second differences on the uniform time grid when the potential exposes a
-    gradient; otherwise it is None.
+    W comes from the potential when one is given, else from the weight as
+    K^2 / 2.  The Euler-Lagrange residual max |gamma'' - grad W(gamma)| is
+    evaluated by second differences on the uniform time grid when a
+    potential is given; otherwise it is None.
     """
     curve = result.curve
     space = wspace.space if wspace is not None else EuclideanSpace(curve.nodes.shape[1])
-    dts = np.diff(curve.times)
-    lens = segment_lengths(curve, space)
-    mids = 0.5 * (curve.nodes[:-1] + curve.nodes[1:])
-    if potential_like is not None:
-        wv = _values_at(potential_like, mids)
+    mids = midpoints(curve)
+    if potential is not None:
+        wv = potential.values_at(mids)
     elif wspace is not None:
         kv = wspace.weight_at(mids)
         wv = 0.5 * kv * kv
     else:
         raise ValueError("need a potential or a weighted space")
-    kinetic = 0.5 * (lens / dts) ** 2
-    action = float(np.sum((kinetic + wv) * dts))
-    defect = float(np.max(np.abs(kinetic - wv)))
+    action, defects = equipartition(curve, space, wv)
+    defect = float(np.max(defects))
     gap_minus = space.distance(curve.nodes[0], result.x_minus)
     gap_plus = space.distance(curve.nodes[-1], result.x_plus)
     residual = None
-    if potential_like is not None and hasattr(potential_like, "gradients_at"):
+    if potential is not None:
+        dts = np.diff(curve.times)
         h = float(dts[0])
         if np.allclose(dts, h, rtol=1e-9) and curve.n_nodes >= 3:
             second = (
                 curve.nodes[2:] - 2.0 * curve.nodes[1:-1] + curve.nodes[:-2]
             ) / h**2
-            gradw = potential_like.gradients_at(curve.nodes[1:-1])
+            gradw = potential.gradients_at(curve.nodes[1:-1])
             residual = float(np.max(np.linalg.norm(second - gradw, axis=1)))
     return ConnectionReport(
         action_gap=action - result.dk_value,

@@ -6,6 +6,12 @@ grid of vector values compared in a trapezoid-rule L2 norm; both expose the
 same interface (a flat coordinate vector per point plus per-coordinate
 quadrature weights), so every functional below is written once.
 
+A weight is evaluated in batches only: ``weight`` maps points of shape
+(k, dim) to values of shape (k,) and ``weight_grad`` maps them to gradients
+of shape (k, dim); a single point is a batch of one.  ``trapezoid_weights``
+and ``interp_columns`` are the package's one trapezoid rule and one
+per-column linear interpolation.
+
 The weighted length of a polyline against a weight K >= 0 is evaluated
 either by the midpoint rule, sum K(midpoint) * d(endpoints) per segment, or
 by the min-endpoint rule, sum min(K at endpoints) * d(endpoints).  The
@@ -17,21 +23,69 @@ sum (even across zero-length segments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import math
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class ZeroLengthCurveError(ValueError):
     """Raised when an operation needs a curve of positive length."""
 
 
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights on n uniform nodes of spacing h."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def interp_columns(x, xp, fp, left=None, right=None) -> np.ndarray:
+    """np.interp of every column of fp (shape (len(xp), c)) at 1D x, shape (len(x), c).
+
+    ``left``/``right`` hold one out-of-range fill value per column; None
+    extends the end values as np.interp does.
+    """
+    cols = fp.shape[1]
+    lo = (None,) * cols if left is None else left
+    hi = (None,) * cols if right is None else right
+    out = np.empty((x.size, cols))
+    for j in range(cols):
+        out[:, j] = np.interp(x, xp, fp[:, j], left=lo[j], right=hi[j])
+    return out
+
+
+def drop_tied_nodes(pos: np.ndarray, nodes: np.ndarray):
+    """Keep a node only where the nondecreasing position strictly increases.
+
+    Segments too short to move the cumulative position (zero length, or
+    below its rounding) would tie consecutive times; their end nodes are
+    dropped.  The last node stays the curve's endpoint: a tied tail
+    collapses onto it.  Returns (positions, nodes) of the kept nodes.
+    """
+    keep = np.concatenate([[True], pos[1:] > pos[:-1]])
+    out = nodes[keep]
+    out[-1] = nodes[-1]
+    return pos[keep], out
+
+
+class _WeightedNorm:
+    """Norm sqrt(sum coord_weights * v^2) and the distance it induces."""
+
+    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
+        # same reduction as segment_lengths so chordal gaps agree bitwise
+        return self.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+
+    def norm(self, v: np.ndarray) -> float:
+        v = np.asarray(v, dtype=float)
+        return float(np.sqrt(np.sum(self.coord_weights * v * v)))
+
+
 @dataclass(frozen=True)
-class EuclideanSpace:
+class EuclideanSpace(_WeightedNorm):
     """Flat R^n with the standard norm."""
 
     dim: int
@@ -40,18 +94,9 @@ class EuclideanSpace:
     def coord_weights(self) -> np.ndarray:
         return np.ones(self.dim)
 
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        # same reduction as segment_lengths so chordal gaps agree bitwise
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return float(np.sqrt(np.sum(self.coord_weights * d * d)))
-
-    def norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(np.sum(self.coord_weights * v * v)))
-
 
 @dataclass(frozen=True)
-class GridL2Space:
+class GridL2Space(_WeightedNorm):
     """Vector-valued functions on a uniform grid, compared in trapezoid L2.
 
     Points are flat vectors of length ``n_points * n_components`` (grid-major
@@ -70,18 +115,7 @@ class GridL2Space:
 
     @property
     def coord_weights(self) -> np.ndarray:
-        w = np.full(self.n_points, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return np.repeat(w, self.n_components)
-
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        d = np.asarray(x) - np.asarray(y)
-        return float(np.sqrt(np.sum(self.coord_weights * d * d)))
-
-    def norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v)
-        return float(np.sqrt(np.sum(self.coord_weights * v * v)))
+        return np.repeat(trapezoid_weights(self.n_points, self.spacing), self.n_components)
 
 
 AmbientSpace = EuclideanSpace | GridL2Space
@@ -117,18 +151,8 @@ class SampledCurve:
 
     def eval(self, t: float | np.ndarray) -> np.ndarray:
         """Piecewise-affine evaluation; clamps outside the time window."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t.size, self.nodes.shape[1]))
-        for j in range(self.nodes.shape[1]):
-            out[:, j] = np.interp(t, self.times, self.nodes[:, j])
+        out = interp_columns(np.atleast_1d(np.asarray(t, dtype=float)), self.times, self.nodes)
         return out if out.shape[0] > 1 else out[0]
-
-
-def _weight_on(wspace: "WeightedSpace", pts: np.ndarray) -> np.ndarray:
-    """Evaluate the weight at a batch of points, shape (k, dim) -> (k,)."""
-    if wspace.weight_batch is not None:
-        return np.asarray(wspace.weight_batch(pts), dtype=float)
-    return np.array([wspace.weight(p) for p in pts], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -137,27 +161,33 @@ class WeightedSpace:
 
     The zero set is the finite list of points where the weight vanishes;
     operations that excise loops or check strict triangle inequalities
-    iterate over it.  ``weight_batch``/``weight_grad_batch`` are optional
-    vectorized forms used on hot paths.
+    iterate over it.  ``weight`` maps (k, dim) points to (k,) values and
+    ``weight_grad`` to (k, dim) gradients; only the descent solver needs
+    the gradient.
     """
 
     space: AmbientSpace
-    weight: Callable[[np.ndarray], float]
+    weight: Callable[[np.ndarray], np.ndarray]
     zero_set: tuple = ()
     weight_grad: Callable[[np.ndarray], np.ndarray] | None = None
-    weight_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    weight_grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def weight_at(self, pts: np.ndarray) -> np.ndarray:
-        return _weight_on(self, np.atleast_2d(pts))
+        return np.asarray(self.weight(np.atleast_2d(pts)), dtype=float)
+
+    def weight_grad_at(self, pts: np.ndarray) -> np.ndarray:
+        if self.weight_grad is None:
+            raise ValueError("this weighted space declares no weight gradient")
+        return np.asarray(self.weight_grad(np.atleast_2d(pts)), dtype=float)
+
+
+def midpoints(curve: SampledCurve) -> np.ndarray:
+    """Segment midpoints of a polyline, shape (N-1, dim)."""
+    return 0.5 * (curve.nodes[:-1] + curve.nodes[1:])
 
 
 def metric_derivative(curve: SampledCurve, space: AmbientSpace) -> np.ndarray:
     """Per-segment metric speed d(x_{i+1}, x_i) / dt_i, length N-1."""
-    diffs = np.diff(curve.nodes, axis=0)
-    w = space.coord_weights
-    seg = np.sqrt(np.sum(w * diffs * diffs, axis=1))
-    return seg / np.diff(curve.times)
+    return segment_lengths(curve, space) / np.diff(curve.times)
 
 
 def segment_lengths(curve: SampledCurve, space: AmbientSpace) -> np.ndarray:
@@ -181,10 +211,9 @@ def k_length(curve: SampledCurve, wspace: WeightedSpace, rule: str = "midpoint")
     """
     lens = segment_lengths(curve, wspace.space)
     if rule == "midpoint":
-        mids = 0.5 * (curve.nodes[:-1] + curve.nodes[1:])
-        kvals = _weight_on(wspace, mids)
+        kvals = wspace.weight_at(midpoints(curve))
     elif rule == "min-endpoint":
-        knode = _weight_on(wspace, curve.nodes)
+        knode = wspace.weight_at(curve.nodes)
         kvals = np.minimum(knode[:-1], knode[1:])
     else:
         raise ValueError(f"unknown rule {rule!r}")
@@ -211,7 +240,7 @@ def a_k_functional(
         raise ValueError("subdivision indices must be strictly increasing")
     if arr[0] < 0 or arr[-1] >= curve.n_nodes:
         raise ValueError("subdivision indices out of range")
-    knode = _weight_on(wspace, curve.nodes)
+    knode = wspace.weight_at(curve.nodes)
     if np.any(np.isinf(knode[arr[0] : arr[-1] + 1])):
         return math.inf
     terms = np.empty(arr.size - 1)
@@ -233,31 +262,22 @@ def reparametrize_constant_speed(
 
     metric_choice "d" uses ambient segment lengths; "k_wedge_1" uses
     min(K(midpoint), 1) * ambient length, which reduces to "d" when K >= 1
-    along the curve.  Consecutive duplicate nodes (zero length in the chosen
-    metric) are dropped; a curve of zero total length is an error.
+    along the curve.  Nodes that do not advance the normalized time
+    (duplicates, or segments below its rounding) are dropped; a curve of
+    zero total length is an error.
     """
     lens = segment_lengths(curve, space)
-    if metric_choice == "d":
-        pass
-    elif metric_choice == "k_wedge_1":
+    if metric_choice == "k_wedge_1":
         if wspace is None:
             raise ValueError("k_wedge_1 reparametrization needs a weighted space")
-        mids = 0.5 * (curve.nodes[:-1] + curve.nodes[1:])
-        kvals = np.minimum(_weight_on(wspace, mids), 1.0)
-        lens = kvals * lens
-    else:
+        lens = np.minimum(wspace.weight_at(midpoints(curve)), 1.0) * lens
+    elif metric_choice != "d":
         raise ValueError(f"unknown metric choice {metric_choice!r}")
     total = float(np.sum(lens))
     if total <= 0.0:
         raise ZeroLengthCurveError("curve has zero length in the chosen metric")
-    keep = [0]
-    for i, seg in enumerate(lens):
-        if seg > 0.0:
-            keep.append(i + 1)
-    nodes = curve.nodes[keep]
-    cum = np.concatenate([[0.0], np.cumsum(lens[lens > 0.0])])
-    times = cum / cum[-1]
-    times[-1] = 1.0
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    times, nodes = drop_tied_nodes(cum / cum[-1], curve.nodes)
     return SampledCurve(times=times, nodes=nodes)
 
 
@@ -284,6 +304,8 @@ def dk_lower_bound(
     r = wspace.space.distance(x, y)
     if r == 0.0:
         return DkLowerBound(0.0, 0.0, 0.0)
+    from scipy.stats import qmc
+
     dim = x.size
     sampler = qmc.Halton(d=dim, scramble=False)
     u = sampler.random(r_samples)
@@ -311,7 +333,7 @@ def dk_lower_bound(
             fixed.append((x + e)[None, :])
             fixed.append((x - e)[None, :])
     allpts = np.concatenate(fixed + [pts], axis=0)
-    kvals = _weight_on(wspace, allpts)
+    kvals = wspace.weight_at(allpts)
     n_fixed = sum(f.shape[0] for f in fixed)
     k_half = float(np.min(kvals[: n_fixed + r_samples // 2]))
     k_full = float(np.min(kvals))

@@ -7,6 +7,11 @@ test surface: a scalar double well, a scalar triple well whose middle well
 breaks the strict triangle inequality, and a planar two-well family whose
 minimizing connections come in symmetric pairs.
 
+Evaluation is batched only: a Potential carries values, gradients and
+Hessians of points stacked as (k, dim), and every built-in declares all
+three in closed form.  make_weight turns one into the weighted space
+K = sqrt(2 W), with weight and weight gradient batched the same way.
+
 The check_* helpers audit, on sampled grids, the structural hypotheses the
 method relies on: a radial lower envelope with divergent integral, the
 radial growth exponent at a well, and the strict triangle inequality between
@@ -15,7 +20,7 @@ well distances.  They report margins; they are estimates, not proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,75 +34,53 @@ class WellRefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Pointwise potential data: evaluation, gradient, wells, convexity bound.
+    """Pointwise potential data: batched evaluation, wells, convexity bound.
 
-    ``hessian_lower_bound`` is a number lam with Hess W >= lam * Id on the
-    region of interest (user-declared; the built-ins compute or state it).
-    Batch callables are optional vectorized forms, shape (k, dim).
+    ``values``, ``gradients`` and ``hessians`` map points of shape (k, dim)
+    to arrays of shape (k,), (k, dim) and (k, dim, dim); the ``*_at`` entry
+    points take a single point as a batch of one.  ``hessian_lower_bound``
+    is a number lam with Hess W >= lam * Id on the region of interest
+    (user-declared; the built-ins compute or state it).
     """
 
     dim: int
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray], np.ndarray]
+    gradients: Callable[[np.ndarray], np.ndarray]
+    hessians: Callable[[np.ndarray], np.ndarray]
     wells: tuple
     hessian_lower_bound: float
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    value_many: Callable[[np.ndarray], np.ndarray] | None = None
-    gradient_many: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "potential"
 
     def values_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.value_many is not None:
-            return np.asarray(self.value_many(pts), dtype=float)
-        return np.array([self.value(p) for p in pts], dtype=float)
+        return np.asarray(self.values(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=float)
 
     def gradients_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.gradient_many is not None:
-            return np.asarray(self.gradient_many(pts), dtype=float)
-        return np.array([self.gradient(p) for p in pts], dtype=float)
+        return np.asarray(self.gradients(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=float)
 
-    def hessian_at(self, x: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
-        if self.hessian is not None:
-            return np.asarray(self.hessian(x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        h = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = fd_step
-            h[:, j] = (self.gradient(x + e) - self.gradient(x - e)) / (2 * fd_step)
-        return 0.5 * (h + h.T)
+    def hessians_at(self, pts: np.ndarray) -> np.ndarray:
+        return np.asarray(self.hessians(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=float)
 
 
 def double_well() -> Potential:
     """W(u) = (1 - u^2)^2 / 2 with wells at -1 and 1."""
 
-    def value(u):
-        q = 1.0 - u[0] * u[0]
-        return 0.5 * q * q
-
-    def grad(u):
-        return np.array([2.0 * u[0] * (u[0] * u[0] - 1.0)])
-
-    def hess(u):
-        return np.array([[6.0 * u[0] * u[0] - 2.0]])
-
-    def value_many(pts):
+    def values(pts):
         q = 1.0 - pts[:, 0] ** 2
         return 0.5 * q * q
 
-    def grad_many(pts):
+    def gradients(pts):
         u = pts[:, 0]
         return (2.0 * u * (u * u - 1.0))[:, None]
 
+    def hessians(pts):
+        u = pts[:, 0]
+        return (6.0 * u * u - 2.0)[:, None, None]
+
     return Potential(
         dim=1,
-        value=value,
-        gradient=grad,
-        hessian=hess,
-        value_many=value_many,
-        gradient_many=grad_many,
+        values=values,
+        gradients=gradients,
+        hessians=hessians,
         wells=(np.array([-1.0]), np.array([1.0])),
         hessian_lower_bound=-2.0,
         name="double_well",
@@ -112,34 +95,24 @@ def triple_well() -> Potential:
     inequality.
     """
 
-    def value(u):
-        q = 1.0 - u[0] * u[0]
-        return 0.5 * u[0] * u[0] * q * q
-
-    def grad(u):
-        x = u[0]
-        return np.array([x * (1.0 - x * x) * (1.0 - 3.0 * x * x)])
-
-    def hess(u):
-        x2 = u[0] * u[0]
-        return np.array([[1.0 - 12.0 * x2 + 15.0 * x2 * x2]])
-
-    def value_many(pts):
+    def values(pts):
         x = pts[:, 0]
         q = 1.0 - x * x
         return 0.5 * x * x * q * q
 
-    def grad_many(pts):
+    def gradients(pts):
         x = pts[:, 0]
         return (x * (1.0 - x * x) * (1.0 - 3.0 * x * x))[:, None]
 
+    def hessians(pts):
+        x2 = pts[:, 0] * pts[:, 0]
+        return (1.0 - 12.0 * x2 + 15.0 * x2 * x2)[:, None, None]
+
     return Potential(
         dim=1,
-        value=value,
-        gradient=grad,
-        hessian=hess,
-        value_many=value_many,
-        gradient_many=grad_many,
+        values=values,
+        gradients=gradients,
+        hessians=hessians,
         wells=(np.array([-1.0]), np.array([0.0]), np.array([1.0])),
         hessian_lower_bound=-1.4,
         name="triple_well",
@@ -156,35 +129,12 @@ def planar_two_well(beta: float = 1.0, kappa: float = 1.0) -> Potential:
     The wells are quartically flat in the u2 direction.
     """
 
-    def aux(u):
-        return u[1] * u[1] - kappa * (1.0 - u[0] * u[0])
-
-    def value(u):
-        q = u[0] * u[0] - 1.0
-        return q * q + beta * aux(u) ** 2
-
-    def grad(u):
-        a = aux(u)
-        return np.array(
-            [
-                4.0 * u[0] * (u[0] * u[0] - 1.0) + 4.0 * beta * kappa * u[0] * a,
-                4.0 * beta * u[1] * a,
-            ]
-        )
-
-    def hess(u):
-        a = aux(u)
-        h11 = 12.0 * u[0] * u[0] - 4.0 + 4.0 * beta * kappa * a + 8.0 * beta * kappa**2 * u[0] * u[0]
-        h12 = 8.0 * beta * kappa * u[0] * u[1]
-        h22 = 4.0 * beta * a + 8.0 * beta * u[1] * u[1]
-        return np.array([[h11, h12], [h12, h22]])
-
-    def value_many(pts):
+    def values(pts):
         q = pts[:, 0] ** 2 - 1.0
         a = pts[:, 1] ** 2 - kappa * (1.0 - pts[:, 0] ** 2)
         return q * q + beta * a * a
 
-    def grad_many(pts):
+    def gradients(pts):
         u1, u2 = pts[:, 0], pts[:, 1]
         a = u2 * u2 - kappa * (1.0 - u1 * u1)
         g = np.empty_like(pts)
@@ -192,22 +142,26 @@ def planar_two_well(beta: float = 1.0, kappa: float = 1.0) -> Potential:
         g[:, 1] = 4.0 * beta * u2 * a
         return g
 
+    def hessians(pts):
+        u1, u2 = pts[:, 0], pts[:, 1]
+        a = u2 * u2 - kappa * (1.0 - u1 * u1)
+        h = np.empty((pts.shape[0], 2, 2))
+        h[:, 0, 0] = 12.0 * u1 * u1 - 4.0 + 4.0 * beta * kappa * a + 8.0 * beta * kappa**2 * u1 * u1
+        h[:, 0, 1] = h[:, 1, 0] = 8.0 * beta * kappa * u1 * u2
+        h[:, 1, 1] = 4.0 * beta * a + 8.0 * beta * u2 * u2
+        return h
+
     # Sampled convexity bound over the working box; the Hessian is polynomial
     # so a moderate grid is adequate for a declared bound.
     xs = np.linspace(-1.6, 1.6, 33)
-    lam = np.inf
-    for u1 in xs:
-        for u2 in xs:
-            ev = np.linalg.eigvalsh(hess(np.array([u1, u2])))
-            lam = min(lam, ev[0])
+    box = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    lam = np.min(np.linalg.eigvalsh(hessians(box))[:, 0])
 
     return Potential(
         dim=2,
-        value=value,
-        gradient=grad,
-        hessian=hess,
-        value_many=value_many,
-        gradient_many=grad_many,
+        values=values,
+        gradients=gradients,
+        hessians=hessians,
         wells=(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
         hessian_lower_bound=float(lam),
         name="planar_two_well",
@@ -222,34 +176,18 @@ def make_weight(p: Potential, grad_floor: float = 1e-12) -> WeightedSpace:
     is below the floor; the descent solver skips such segments anyway.
     """
 
-    def _vals(pts):
+    def weight(pts):
         v = p.values_at(pts)
-        bad = v < -1e-12
-        if np.any(bad):
+        if np.any(v < -1e-12):
             i = int(np.argmin(v))
             raise ValueError(
                 f"potential {p.name} is negative ({v[i]:.3e}) at {pts[i]}"
             )
-        return np.maximum(v, 0.0)
+        return np.sqrt(2.0 * np.maximum(v, 0.0))
 
-    def weight(x):
-        return float(np.sqrt(2.0 * _vals(np.atleast_2d(x))[0]))
-
-    def weight_batch(pts):
-        return np.sqrt(2.0 * _vals(pts))
-
-    def weight_grad(x):
-        x = np.asarray(x, dtype=float)
-        k = weight(x)
-        if k < grad_floor:
-            return np.zeros(p.dim)
-        return p.gradient(x) / k
-
-    def weight_grad_batch(pts):
-        k = weight_batch(pts)
-        g = p.gradients_at(pts)
-        safe = np.maximum(k, grad_floor)
-        out = g / safe[:, None]
+    def weight_grad(pts):
+        k = weight(pts)
+        out = p.gradients_at(pts) / np.maximum(k, grad_floor)[:, None]
         out[k < grad_floor] = 0.0
         return out
 
@@ -258,8 +196,6 @@ def make_weight(p: Potential, grad_floor: float = 1e-12) -> WeightedSpace:
         weight=weight,
         zero_set=tuple(np.asarray(w, dtype=float) for w in p.wells),
         weight_grad=weight_grad,
-        weight_batch=weight_batch,
-        weight_grad_batch=weight_grad_batch,
     )
 
 
@@ -280,11 +216,11 @@ def refine_wells(
         x = np.asarray(guess, dtype=float).copy()
         ok = False
         for _ in range(max_iters):
-            g = p.gradient(x)
-            if np.linalg.norm(g) < tol and p.value(x) < tol * tol:
+            g = p.gradients_at(x)[0]
+            if np.linalg.norm(g) < tol and p.values_at(x)[0] < tol * tol:
                 ok = True
                 break
-            h = p.hessian_at(x)
+            h = p.hessians_at(x)[0]
             try:
                 step = np.linalg.solve(h, -g)
             except np.linalg.LinAlgError:
@@ -292,13 +228,13 @@ def refine_wells(
             t = 1.0
             gn = np.linalg.norm(g)
             for _ in range(30):
-                if np.linalg.norm(p.gradient(x + t * step)) < gn:
+                if np.linalg.norm(p.gradients_at(x + t * step)[0]) < gn:
                     break
                 t *= 0.5
             x = x + t * step
         else:
-            g = p.gradient(x)
-            if np.linalg.norm(g) < tol and p.value(x) < tol * tol:
+            g = p.gradients_at(x)[0]
+            if np.linalg.norm(g) < tol and p.values_at(x)[0] < tol * tol:
                 ok = True
         if not ok:
             raise WellRefinementError(

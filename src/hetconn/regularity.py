@@ -16,7 +16,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .function_space import GridFunction
-from .metric import SampledCurve, WeightedSpace
+from .heteroclinic import equipartition
+from .metric import SampledCurve, WeightedSpace, metric_derivative, midpoints
 from .potentials import Potential
 
 
@@ -81,15 +82,10 @@ def uniform_bounds_audit(curve: SampledCurve, wspace: WeightedSpace) -> UniformB
     interior maximum, which catches window-truncation artifacts and
     injected spikes.
     """
-    dts = np.diff(curve.times)
-    diffs = curve.nodes[1:] - curve.nodes[:-1]
-    w = wspace.space.coord_weights
-    lens = np.sqrt(np.sum(w * diffs * diffs, axis=1))
-    speeds = lens / dts
-    mids = 0.5 * (curve.nodes[:-1] + curve.nodes[1:])
-    kv = wspace.weight_at(mids)
+    speeds = metric_derivative(curve, wspace.space)
+    kv = wspace.weight_at(midpoints(curve))
     wv = 0.5 * kv * kv
-    profile = np.abs(0.5 * speeds**2 - wv)
+    _, profile = equipartition(curve, wspace.space, wv)
     n = speeds.size
     decile = max(1, n // 10)
     flag_lo = flag_hi = False
@@ -135,8 +131,8 @@ def _second_variation_matrix(z: GridFunction, p: Potential) -> sparse.csr_matrix
     off = np.full(mi - 1, -1.0 / h**2)
     d2 = sparse.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
     kinetic = sparse.kron(d2, sparse.eye(n, format="csr"), format="csr")
-    blocks = [np.atleast_2d(p.hessian_at(vals[j])) for j in range(1, z.m - 1)]
-    return (kinetic + sparse.block_diag(blocks, format="csr")).tocsr()
+    blocks = sparse.block_diag(list(p.hessians_at(vals[1:-1])), format="csr")
+    return (kinetic + blocks).tocsr()
 
 
 def spectral_audit(

@@ -1,0 +1,91 @@
+"""Every potential and weight is evaluated on (k, dim) batches only.
+
+A batch of k points must give exactly (bitwise) what k batches of one give,
+with the declared output shapes, and each built-in Hessian must match
+central differences of its gradient.
+"""
+
+import numpy as np
+import pytest
+
+from hetconn import (
+    CounterexampleWeight,
+    EffectivePotentialSpace,
+    double_well,
+    make_weight,
+    planar_two_well,
+    triple_well,
+)
+
+POTENTIALS = {
+    "double_well": double_well,
+    "triple_well": triple_well,
+    "planar_two_well": lambda: planar_two_well(beta=1.5, kappa=0.7),
+}
+
+
+def _points(dim, k=7, seed=0):
+    return np.random.default_rng(seed).uniform(-1.6, 1.6, (k, dim))
+
+
+def _assert_batch_is_stack_of_singles(fn, pts, shape):
+    batch = fn(pts)
+    assert batch.shape == shape
+    singles = np.stack([fn(p[None])[0] for p in pts])
+    assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_potential_batch_contract(name):
+    p = POTENTIALS[name]()
+    pts = _points(p.dim)
+    k = pts.shape[0]
+    _assert_batch_is_stack_of_singles(p.values_at, pts, (k,))
+    _assert_batch_is_stack_of_singles(p.gradients_at, pts, (k, p.dim))
+    _assert_batch_is_stack_of_singles(p.hessians_at, pts, (k, p.dim, p.dim))
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_hessians_match_central_differences_of_gradients(name):
+    p = POTENTIALS[name]()
+    pts = _points(p.dim, seed=1)
+    eps = 1e-6
+    fd = np.empty((pts.shape[0], p.dim, p.dim))
+    for j in range(p.dim):
+        e = np.zeros(p.dim)
+        e[j] = eps
+        fd[:, :, j] = (p.gradients_at(pts + e) - p.gradients_at(pts - e)) / (2 * eps)
+    assert np.allclose(p.hessians_at(pts), fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_make_weight_batch_contract(name):
+    p = POTENTIALS[name]()
+    ws = make_weight(p)
+    pts = np.concatenate([_points(p.dim, seed=2), np.stack(p.wells)])
+    k = pts.shape[0]
+    _assert_batch_is_stack_of_singles(ws.weight_at, pts, (k,))
+    _assert_batch_is_stack_of_singles(ws.weight_grad_at, pts, (k, p.dim))
+
+
+def test_profile_space_weight_batch_contract():
+    s = np.linspace(-6.0, 6.0, 41)
+    eps = EffectivePotentialSpace(
+        grid=s, n_components=1, bc="tails", potential=double_well(),
+        tail_left=np.array([-1.0]), tail_right=np.array([1.0]),
+    )
+    eps.ref_value = eps.energy_1d(np.tanh(s))
+    ws = eps.weighted_space()
+    rng = np.random.default_rng(3)
+    pts = np.tanh(s)[None, :] + 0.2 * rng.standard_normal((4, s.size))
+    pts = np.concatenate([pts, np.tanh(s)[None, :]])
+    _assert_batch_is_stack_of_singles(ws.weight_at, pts, (5,))
+    _assert_batch_is_stack_of_singles(ws.weight_grad_at, pts, (5, s.size))
+
+
+def test_counterexample_weight_batch_contract():
+    ws = CounterexampleWeight().weighted_space()
+    pts = np.concatenate([_points(2, seed=4) * 3.0, np.stack(ws.zero_set)])
+    k = pts.shape[0]
+    _assert_batch_is_stack_of_singles(ws.weight_at, pts, (k,))
+    _assert_batch_is_stack_of_singles(ws.weight_grad_at, pts, (k, 2))

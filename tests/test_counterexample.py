@@ -43,9 +43,9 @@ def test_weight_zero_set():
     ws = W.weighted_space()
     assert len(ws.zero_set) == 3
     for z in ws.zero_set:
-        assert W.k(z) == 0.0
-        assert np.all(W.k_grad(z) == 0.0)
-    assert W.k(np.array([0.5, 0.5])) > 0.0
+        assert W.k(z[None])[0] == 0.0
+        assert np.all(W.k_grad(z[None])[0] == 0.0)
+    assert W.k(np.array([[0.5, 0.5]]))[0] > 0.0
 
 
 def test_bump_is_c1_at_the_edges():

@@ -376,11 +376,11 @@ def test_weighted_space_vanishes_on_stored_connections():
     eps.ref_value = eps.energy_1d(z)
     ws = eps.weighted_space()
     assert len(ws.zero_set) == 2
-    assert ws.weight(ws.zero_set[0]) == 0.0
-    assert np.all(ws.weight_grad(ws.zero_set[0]) == 0.0)
+    assert ws.weight_at(ws.zero_set[0])[0] == 0.0
+    assert np.all(ws.weight_grad_at(ws.zero_set[0])[0] == 0.0)
     shoved = z.ravel() + 0.3 * np.abs(np.sin(S))
-    assert ws.weight(shoved) > 0.1
-    assert ws.weight(shoved) == pytest.approx(
+    assert ws.weight_at(shoved)[0] > 0.1
+    assert ws.weight_at(shoved)[0] == pytest.approx(
         math.sqrt(2.0) * eps.kappa(shoved), rel=1e-14
     )
 
@@ -390,7 +390,7 @@ def test_weight_grad_matches_finite_differences():
     eps.ref_value = 4.0 / 3.0
     ws = eps.weighted_space()
     flat = (np.tanh(S) + 0.2 * np.exp(-(S**2)))[:, None].ravel()
-    g = ws.weight_grad(flat)
+    g = ws.weight_grad_at(flat)[0]
     # directional derivatives; per-coordinate probes drown in the roundoff
     # of the energy sums
     rng = np.random.default_rng(2)
@@ -398,5 +398,5 @@ def test_weight_grad_matches_finite_differences():
     for _ in range(3):
         d = rng.standard_normal(flat.size)
         d[0] = d[-1] = 0.0
-        fd = (ws.weight(flat + hh * d) - ws.weight(flat - hh * d)) / (2 * hh)
+        fd = (ws.weight_at(flat + hh * d)[0] - ws.weight_at(flat - hh * d)[0]) / (2 * hh)
         assert float(g @ d) == pytest.approx(fd, rel=1e-6)

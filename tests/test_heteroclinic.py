@@ -65,6 +65,18 @@ def test_young_inequality_random_curves(seed):
     assert action_ew(c, p) >= k_length(c, ws, rule="midpoint") - 1e-10
 
 
+def test_arc_length_form_is_strictly_increasing():
+    from hetconn import EuclideanSpace
+    from hetconn.heteroclinic import _arc_length_form
+
+    c = SampledCurve(times=np.array([0.0, 1.0, 2.0]),
+                     nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-17]]))
+    s, nodes = _arc_length_form(c, EuclideanSpace(2))
+    assert np.all(np.diff(s) > 0.0)
+    assert s.size == nodes.shape[0]
+    assert np.array_equal(nodes[-1], c.nodes[-1])
+
+
 def test_reparam_equipartition_interior_zero():
     ws = make_weight(triple_well())
     # a straight path parks a node exactly on the middle well
@@ -82,7 +94,7 @@ def test_reparam_requested_window_honored(golden):
 
 
 def test_verify_connection_report(golden):
-    rep = verify_connection(golden.conn, potential_like=golden.potential,
+    rep = verify_connection(golden.conn, potential=golden.potential,
                             wspace=golden.wspace)
     assert rep.action_gap < 1e-3
     assert rep.el_residual < 1e-3

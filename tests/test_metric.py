@@ -167,6 +167,18 @@ def test_reparametrize_constant_speed_balances():
     assert np.max(speeds) / np.min(speeds) < 1.0 + 1e-6
 
 
+def test_reparametrize_drops_segments_below_rounding():
+    # the last segment is too short to move the cumulative length, which
+    # used to leave two equal times behind
+    c = SampledCurve(times=np.array([0.0, 1.0, 2.0]),
+                     nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-17]]))
+    out = reparametrize_constant_speed(c, EuclideanSpace(2))
+    assert np.all(np.diff(out.times) > 0.0)
+    assert out.times[0] == 0.0 and out.times[-1] == 1.0
+    assert np.array_equal(out.nodes[0], c.nodes[0])
+    assert np.array_equal(out.nodes[-1], c.nodes[-1])
+
+
 def test_reparametrize_zero_length_curve():
     c = SampledCurve(times=np.array([0.0, 1.0]), nodes=np.zeros((2, 2)))
     with pytest.raises(ZeroLengthCurveError):

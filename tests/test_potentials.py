@@ -20,9 +20,9 @@ coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 def test_double_well_values():
     p = double_well()
     assert p.dim == 1
-    assert p.value(np.array([1.0])) == pytest.approx(0.0)
-    assert p.value(np.array([-1.0])) == pytest.approx(0.0)
-    assert p.value(np.array([0.0])) == pytest.approx(0.5)
+    assert p.values_at(np.array([1.0]))[0] == pytest.approx(0.0)
+    assert p.values_at(np.array([-1.0]))[0] == pytest.approx(0.0)
+    assert p.values_at(np.array([0.0]))[0] == pytest.approx(0.5)
     assert p.hessian_lower_bound == pytest.approx(-2.0)
     assert [w[0] for w in p.wells] == [-1.0, 1.0]
 
@@ -30,7 +30,7 @@ def test_double_well_values():
 def test_triple_well_values():
     p = triple_well()
     for w in (-1.0, 0.0, 1.0):
-        assert p.value(np.array([w])) == pytest.approx(0.0)
+        assert p.values_at(np.array([w]))[0] == pytest.approx(0.0)
     assert len(p.wells) == 3
     assert p.hessian_lower_bound == pytest.approx(-1.4)
 
@@ -38,11 +38,11 @@ def test_triple_well_values():
 def test_planar_two_well_values():
     p = planar_two_well(beta=2.0, kappa=0.5)
     for w in p.wells:
-        assert p.value(w) == pytest.approx(0.0)
-        assert np.allclose(p.gradient(w), 0.0, atol=1e-14)
+        assert p.values_at(w)[0] == pytest.approx(0.0)
+        assert np.allclose(p.gradients_at(w)[0], 0.0, atol=1e-14)
     # the degenerate channel: u2^2 = kappa (1 - u1^2) kills the second term
     u = np.array([0.5, np.sqrt(0.5 * (1 - 0.25))])
-    assert p.value(u) == pytest.approx((0.25 - 1.0) ** 2)
+    assert p.values_at(u)[0] == pytest.approx((0.25 - 1.0) ** 2)
 
 
 @given(coord)
@@ -50,8 +50,8 @@ def test_planar_two_well_values():
 def test_double_well_gradient_matches_fd(x):
     p = double_well()
     eps = 1e-6
-    fd = (p.value(np.array([x + eps])) - p.value(np.array([x - eps]))) / (2 * eps)
-    assert p.gradient(np.array([x]))[0] == pytest.approx(fd, abs=1e-7)
+    fd = (p.values_at(np.array([x + eps]))[0] - p.values_at(np.array([x - eps]))[0]) / (2 * eps)
+    assert p.gradients_at(np.array([x]))[0][0] == pytest.approx(fd, abs=1e-7)
 
 
 @given(coord, coord)
@@ -59,11 +59,11 @@ def test_double_well_gradient_matches_fd(x):
 def test_planar_gradient_matches_fd(x, y):
     p = planar_two_well()
     u = np.array([x, y])
-    g = p.gradient(u)
+    g = p.gradients_at(u)[0]
     for j in range(2):
         e = np.zeros(2)
         e[j] = 1e-6
-        fd = (p.value(u + e) - p.value(u - e)) / 2e-6
+        fd = (p.values_at(u + e)[0] - p.values_at(u - e)[0]) / 2e-6
         assert g[j] == pytest.approx(fd, abs=1e-5)
 
 
@@ -71,7 +71,7 @@ def test_planar_gradient_matches_fd(x, y):
 @settings(max_examples=50, deadline=None)
 def test_planar_hessian_lower_bound_holds(x, y):
     p = planar_two_well()
-    h = p.hessian_at(np.array([x, y]))
+    h = p.hessians_at(np.array([x, y]))[0]
     lo = np.min(np.linalg.eigvalsh(h))
     assert lo >= p.hessian_lower_bound - 1e-8
 
@@ -80,7 +80,7 @@ def test_make_weight_is_sqrt_2w():
     p = double_well()
     ws = make_weight(p)
     x = np.array([0.3])
-    assert ws.weight_at(x) == pytest.approx(np.sqrt(2.0 * p.value(x)))
+    assert ws.weight_at(x) == pytest.approx(np.sqrt(2.0 * p.values_at(x)[0]))
     assert ws.weight_at(np.array([1.0])) == pytest.approx(0.0)
     assert len(ws.zero_set) == 2
 
@@ -97,8 +97,8 @@ def test_refine_wells_degenerate_direction():
     # gradient, and the position error stays within the flat tolerance
     p = planar_two_well()
     refined = refine_wells(p, [p.wells[0] + np.array([1e-3, 1e-3])])
-    assert p.value(refined[0]) < 1e-15
-    assert np.linalg.norm(p.gradient(refined[0])) < 1e-10
+    assert p.values_at(refined[0])[0] < 1e-15
+    assert np.linalg.norm(p.gradients_at(refined[0])[0]) < 1e-10
     assert np.linalg.norm(refined[0] - p.wells[0]) < 1e-4
 
 
