@@ -130,17 +130,14 @@ def _fit_funnels(space: EffectivePotentialSpace, node_values: np.ndarray, opts: 
     return fm, fp
 
 
-def _symmetrize_path(space: EffectivePotentialSpace):
-    """Node-wise reflection projection for the descent solver."""
-    m, n = space.m, space.n_components
+def _columns(u: np.ndarray) -> np.ndarray:
+    """The x2 columns of a field (M, P, n) as a C-ordered profile stack (P, M, n)."""
+    return np.ascontiguousarray(u.transpose(1, 0, 2))
 
-    def proj(nodes: np.ndarray) -> np.ndarray:
-        out = nodes.copy()
-        for k in range(out.shape[0]):
-            out[k] = space.symmetrize(out[k].reshape(m, n)).ravel()
-        return out
 
-    return proj
+def _symmetrize_columns(space: EffectivePotentialSpace, u: np.ndarray) -> None:
+    """Reflection projection of every x2 column of a field, in place."""
+    u[:] = space.symmetrize(u.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 def _clamp_path(space: EffectivePotentialSpace, nodes: np.ndarray, funnels) -> np.ndarray:
@@ -174,15 +171,13 @@ def _polish_field(space, u0, dt, symmetrize, gtol, maxiter):
         u[:, 0, :], u[:, -1, :] = col0, col1
         u[0, :, :], u[-1, :, :] = row0, row1
         if symmetrize:
-            for k in range(p):
-                u[:, k, :] = space.symmetrize(u[:, k, :])
+            _symmetrize_columns(space, u)
         return u
 
     def fun(x):
         e, g = _path_energy(space, pack(x), dt, grad=True)
         if symmetrize:
-            for k in range(p):
-                g[:, k, :] = space.symmetrize(g[:, k, :])
+            _symmetrize_columns(space, g)
         g[:, 0, :] = 0.0
         g[:, -1, :] = 0.0
         g[0, :, :] = 0.0
@@ -206,14 +201,13 @@ def _path_energy(space, u, dt, grad=False):
     wt = trapezoid_weights(p, dt)
     d2 = np.diff(u, axis=1) / dt
     kin = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
-    pot = 0.0
-    for k in range(p):
-        pot += wt[k] * (space.energy_1d(u[:, k, :]) - space.ref_value)
+    cols = _columns(u)
+    # a left-to-right sum over x2, not a pairwise one: the polish iterates
+    # depend on its rounding
+    pot = np.cumsum(wt * (space.energy_1d(cols) - space.ref_value))[-1]
     if not grad:
         return float(kin + pot)
-    g = np.empty_like(u)
-    for k in range(p):
-        g[:, k, :] = wt[k] * space.energy_1d_grad(u[:, k, :])
+    g = (wt[:, None, None] * space.energy_1d_grad(cols)).transpose(1, 0, 2).copy()
     flux = w1[:, None, None] * d2
     g[:, :-1, :] -= flux
     g[:, 1:, :] += flux
@@ -228,12 +222,10 @@ def x2_defect(space, u: np.ndarray, dt: float) -> float:
     is taken at the segment midpoint.  Run and verify both use this.
     """
     w1 = trapezoid_weights(u.shape[0], space.h)
-    defect = 0.0
-    for k in range(u.shape[1] - 1):
-        mid = 0.5 * (u[:, k, :] + u[:, k + 1, :])
-        kinetic = 0.5 * np.sum(w1[:, None] * ((u[:, k + 1, :] - u[:, k, :]) / dt) ** 2)
-        defect = max(defect, abs(kinetic - space.effective_potential(mid)))
-    return float(defect)
+    cols = _columns(u)
+    mids = 0.5 * (cols[:-1] + cols[1:])
+    kinetic = 0.5 * np.sum(w1[:, None] * ((cols[1:] - cols[:-1]) / dt) ** 2, axis=(1, 2))
+    return float(np.max(np.abs(kinetic - space.effective_potential(mids))))
 
 
 def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
@@ -245,16 +237,12 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     symmetrize = mode == "sym" and space.symmetry == "odd_first"
     wspace = space.weighted_space()
     nodes = _blend_seed(space, opts.path_nodes)
-    proj = _symmetrize_path(space) if symmetrize else None
+    proj = space.symmetrize if symmetrize else None
     if proj is not None:
         nodes = proj(nodes)
     funnels = None
     m_track = None
     use_funnels = opts.use_funnels and space.bc == "tails"
-
-    def keff(gf):
-        return math.sqrt(2.0 * max(space.effective_potential(gf.values), 0.0))
-
     zm_flat = space.z_minus.flatten()
     zp_flat = space.z_plus.flatten()
     outer_lk = []
@@ -271,7 +259,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         nodes = curve.nodes
         if mode == "asym":
             gfs = [space.grid_function(v) for v in nodes]
-            gfs, _ = gauge_fix_translations(gfs, keff)
+            gfs, _ = gauge_fix_translations(gfs, wspace.weight_at)
             nodes = np.stack([g.flatten() for g in gfs])
             nodes[0], nodes[-1] = zm_flat, zp_flat
         if use_funnels:
@@ -299,8 +287,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     if symmetrize:
         # interpolation weights in the reparametrization are accumulated left
         # to right, which can break antisymmetry in the last bit; project back
-        for k in range(p_out):
-            u[:, k, :] = space.symmetrize(u[:, k, :])
+        _symmetrize_columns(space, u)
     dt = float(np.diff(conn.curve.times)[0])
     polish_iters = 0
     if opts.polish:
@@ -390,15 +377,12 @@ def audit_translation_speed(
     if result.m_track is None:
         raise ValueError("no shift track; run the asymmetric solver")
     space = result.space
-    u = result.u
-    p = u.shape[1]
+    cols = _columns(result.u)
     dm = np.abs(np.diff(result.m_track))
-    budget = np.empty(p - 1)
-    for k in range(p - 1):
-        mid = 0.5 * (u[:, k, :] + u[:, k + 1, :])
-        kap = space.kappa(mid)
-        d = space.grid_function(u[:, k + 1, :]).distance_l2(u[:, k, :])
-        budget[k] = kap * d
+    step = cols[1:] - cols[:-1]
+    w1 = trapezoid_weights(space.m, space.h)
+    dist = np.sqrt(np.sum(w1 * np.sum(step * step, axis=2), axis=1))
+    budget = space.kappa(0.5 * (cols[:-1] + cols[1:])) * dist
     floor = floor_frac * max(float(np.max(budget)), 1e-300)
     used = budget > floor
     if not np.any(used):
@@ -438,13 +422,13 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     m, p, n = u.shape
     h = space.h
     dt = float(np.diff(result.x2)[0])
-    lap = np.zeros_like(u)
-    lap[1:-1, :, :] += (u[2:, :, :] - 2 * u[1:-1, :, :] + u[:-2, :, :]) / h**2
-    lap[:, 1:-1, :] += (u[:, 2:, :] - 2 * u[:, 1:-1, :] + u[:, :-2, :]) / dt**2
-    gw = np.empty_like(u)
-    for k in range(p):
-        gw[:, k, :] = space._density_grads(u[:, k, :])
-    res = lap - gw
+    cols = _columns(u)
+    # 5-point Laplacian minus the density gradient, built in place so the
+    # residual keeps the field's memory order
+    res = np.zeros_like(u)
+    res[1:-1, :, :] += (u[2:, :, :] - 2 * u[1:-1, :, :] + u[:-2, :, :]) / h**2
+    res[:, 1:-1, :] += (u[:, 2:, :] - 2 * u[:, 1:-1, :] + u[:, :-2, :]) / dt**2
+    res -= space._density_grads(cols).transpose(1, 0, 2)
     inner = res[margin:-margin, margin:-margin, :]
     residual_max = float(np.max(np.linalg.norm(inner, axis=2)))
     residual_l2 = float(
@@ -458,9 +442,7 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     d2 = np.diff(u, axis=1) / dt
     kin1 = 0.5 * h * np.sum(wt[None, :, None] * d1 * d1)
     kin2 = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
-    dens = np.empty((m, p))
-    for k in range(p):
-        dens[:, k] = space._density_values(u[:, k, :])
+    dens = np.ascontiguousarray(space._density_values(cols).T)
     pot = np.sum(w1[:, None] * wt[None, :] * dens) - space.ref_value * np.sum(wt)
     energy_direct = float(kin1 + kin2 + pot)
     defect = x2_defect(space, u, dt)
@@ -477,18 +459,14 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     violation = 0.0
     if result.funnels:
         fm, fp = result.funnels
-        a_minus = np.asarray(space.tail_left, dtype=float)
-        a_plus = np.asarray(space.tail_right, dtype=float)
-        for k in range(p):
-            vals = u[:, k, :]
-            rm = np.linalg.norm(vals - a_minus[None, :], axis=1)
-            rp = np.linalg.norm(vals - a_plus[None, :], axis=1)
-            left = space.grid <= fm.s0
-            right = space.grid >= fp.s0
-            if np.any(left):
-                violation = max(violation, float(np.max(rm[left] - fm.envelope(space.grid[left]))))
-            if np.any(right):
-                violation = max(violation, float(np.max(rp[right] - fp.envelope(space.grid[right]))))
+        for prof, well, side in (
+            (fm, space.tail_left, space.grid <= fm.s0),
+            (fp, space.tail_right, space.grid >= fp.s0),
+        ):
+            if np.any(side):
+                r = np.linalg.norm(u[side] - np.asarray(well, dtype=float), axis=2)
+                excess = r - prof.envelope(space.grid[side])[:, None]
+                violation = max(violation, float(np.max(excess)))
     return DoubleReport(
         residual_max=residual_max,
         residual_l2=residual_l2,
@@ -569,16 +547,16 @@ def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpa
     is just the discrete well energy.
     """
     grid = np.linspace(0.0, math.pi, m)
+    sin2 = np.sin(grid) ** 2
 
+    # both act on (k, m, 1) stacks on this grid; s is the grid itself
     def density(s, vals):
-        u = vals[:, 0]
-        sin2 = np.sin(s) ** 2
+        u = vals[..., 0]
         return -0.5 * u * u + (u * u - sin2) ** 2
 
     def density_grad(s, vals):
-        u = vals[:, 0]
-        sin2 = np.sin(s) ** 2
-        return (-u + 4.0 * u * (u * u - sin2))[:, None]
+        u = vals[..., 0]
+        return (-u + 4.0 * u * (u * u - sin2))[..., None]
 
     space = EffectivePotentialSpace(
         grid=grid,
@@ -594,7 +572,7 @@ def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpa
     if relax:
         z_plus_vals, e_plus = space.relax_profile(vals)
     else:
-        z_plus_vals, e_plus = vals, space.energy_1d(vals)
+        z_plus_vals, e_plus = vals, float(space.energy_1d(vals)[0])
     space.ref_value = e_plus
     space.z_plus = space.grid_function(z_plus_vals)
     space.z_minus = space.grid_function(-z_plus_vals)

@@ -131,10 +131,7 @@ class GridFunction:
 
     def translate(self, shift: float) -> "GridFunction":
         """Values of v(. - shift) on the same grid, tail-extended."""
-        out = interp_columns(
-            self.s - shift, self.s, self.values, left=self.tail_left, right=self.tail_right
-        )
-        return replace(self, values=out)
+        return replace(self, values=_translate_values(self, np.array([shift]))[0])
 
     def to_csv(self, path) -> None:
         header = "s," + ",".join(f"v{c+1}" for c in range(self.n_components))
@@ -304,6 +301,23 @@ def mollify(v: GridFunction, delta: float) -> GridFunction:
 # Translation fitting
 
 
+def _translate_values(z: GridFunction, shifts: np.ndarray) -> np.ndarray:
+    """Values of z(. - m) on z's grid for every shift m, shape (len(shifts), m, n).
+
+    One interpolation per component over all shifted abscissae, filled off
+    the window with z's tails.
+    """
+    x = (z.s[None, :] - shifts[:, None]).ravel()
+    out = interp_columns(x, z.s, z.values, left=z.tail_left, right=z.tail_right)
+    return out.reshape(shifts.size, z.m, z.n_components)
+
+
+def translation_misfits(v: GridFunction, z: GridFunction, shifts) -> np.ndarray:
+    """Squared L2 misfits |v - z(. - m)|^2 for every shift m, shape (len(shifts),)."""
+    diff = v.values - _translate_values(z, np.asarray(shifts, dtype=float).reshape(-1))
+    return np.sum(v.quad_weights() * np.sum(diff * diff, axis=2), axis=1)
+
+
 def translation_objective(v: GridFunction, z: GridFunction, shift: float):
     """Squared L2 misfit against a translate and its two m-derivatives.
 
@@ -311,7 +325,7 @@ def translation_objective(v: GridFunction, z: GridFunction, shift: float):
     F''(m) = 2 |z'(. - m)|^2 - 2 (z''(. - m), v - z(. - m)).
     """
     w = v.quad_weights()
-    diff = v.values - z.translate(shift).values
+    diff = v.values - _translate_values(z, np.array([shift]))[0]
     F = float(np.sum(w * np.sum(diff * diff, axis=1)))
     zero = np.zeros(z.n_components)
     dzm = interp_columns(v.s - shift, z.s, z.derivative(), left=zero, right=zero)
@@ -330,15 +344,9 @@ class TranslationFit(NamedTuple):
     unique: bool
 
 
-def _misfit_only(v: GridFunction, z: GridFunction, shift: float) -> float:
-    w = v.quad_weights()
-    diff = v.values - z.translate(shift).values
-    return float(np.sum(w * np.sum(diff * diff, axis=1)))
-
-
 def _scan_and_polish(v: GridFunction, z: GridFunction, m_grid: np.ndarray,
                      newton_iters: int = 12):
-    vals = np.array([_misfit_only(v, z, m) for m in m_grid])
+    vals = translation_misfits(v, z, m_grid)
     i = int(np.argmin(vals))
     m = float(m_grid[i])
     halfstep = float(m_grid[1] - m_grid[0])
@@ -353,8 +361,9 @@ def _scan_and_polish(v: GridFunction, z: GridFunction, m_grid: np.ndarray,
         m += step
     F, _, _ = translation_objective(v, z, m)
     # interior local minima of the scan, for the uniqueness verdict
-    loc = [j for j in range(1, vals.size - 1) if vals[j] <= vals[j - 1] and vals[j] <= vals[j + 1]]
-    second = min((vals[j] for j in loc if abs(m_grid[j] - m_grid[i]) > 2 * halfstep), default=np.inf)
+    loc = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
+    far = loc[np.abs(m_grid[loc] - m_grid[i]) > 2 * halfstep]
+    second = np.min(vals[far], initial=np.inf)
     return m, F, float(second)
 
 
@@ -390,14 +399,17 @@ def optimal_translation(
     return TranslationFit(shift=m, which=which, misfit=f, unique=unique)
 
 
-def gauge_fix_translations(nodes: list[GridFunction], keff: Callable[[GridFunction], float] | None = None):
+def gauge_fix_translations(nodes: list[GridFunction],
+                           keff: Callable[[np.ndarray], np.ndarray] | None = None):
     """Remove translation drift along a path of profiles, pair by pair.
 
     Each node is shifted to minimize the L2 gap to its already-fixed
     predecessor (scan around the previous shift plus Newton).  A shift is
     kept only if it does not increase the local weighted-length
-    contribution, so the path's weighted length never increases.  Returns
-    (new nodes, cumulative shifts).
+    contribution, so the path's weighted length never increases.  ``keff``
+    maps flattened profiles, shape (k, m*n), to their weights, shape (k,);
+    each node's midpoints go to it in one call.  Without it the plain L2
+    gap to the predecessor decides.  Returns (new nodes, cumulative shifts).
     """
     fixed = [nodes[0]]
     shifts = [0.0]
@@ -409,15 +421,12 @@ def gauge_fix_translations(nodes: list[GridFunction], keff: Callable[[GridFuncti
         m, _, _ = _scan_and_polish(prev, z, local)
         candidate = z.translate(m)
         if keff is not None:
-            def contrib(a, b):
-                mid = a.with_values(0.5 * (a.values + b.values))
-                return keff(mid) * a.distance_l2(b)
-            old = contrib(prev, z)
-            if i + 1 < len(nodes):
-                old += contrib(z, nodes[i + 1])
-            new = contrib(prev, candidate)
-            if i + 1 < len(nodes):
-                new += contrib(candidate, nodes[i + 1])
+            # segments to the neighbours, before and after the shift
+            nbrs = [prev] + nodes[i + 1:i + 2]
+            pairs = [(z, b) for b in nbrs] + [(candidate, b) for b in nbrs]
+            mids = np.stack([0.5 * (a.values + b.values) for a, b in pairs])
+            gaps = np.array([a.distance_l2(b) for a, b in pairs])
+            old, new = (keff(mids.reshape(len(pairs), -1)) * gaps).reshape(2, -1).sum(axis=1)
             if new > old + 1e-12:
                 candidate, m = z, 0.0
         else:
@@ -444,6 +453,11 @@ class EffectivePotentialSpace:
     sqrt(2 max(effective potential, 0)); reparametrizing optimal profile
     paths to its equipartition makes the assembled 2D field satisfy the
     Euler-Lagrange system of the summed energy.
+
+    Profiles are evaluated in stacks: ``energy_1d`` and its gradient take
+    values reshapeable to (k, m, n) and return shapes (k,) and (k, m, n).
+    An explicit ``density(grid, stack)`` must return (k, m) and
+    ``density_grad(grid, stack)`` (k, m, n) for a (k, m, n) stack.
     """
 
     grid: np.ndarray
@@ -494,55 +508,73 @@ class EffectivePotentialSpace:
     def ambient(self) -> GridL2Space:
         return GridL2Space(self.m, self.n_components, self.h)
 
-    def _density_values(self, values: np.ndarray) -> np.ndarray:
-        if self.potential is not None:
-            return self.potential.values_at(values)
-        return np.asarray(self.density(self.grid, values), dtype=float)
+    def _stack(self, values: np.ndarray) -> np.ndarray:
+        # C order fixes the summation order, so a profile gives the same bits
+        # alone as inside any stack
+        return np.ascontiguousarray(values, dtype=float).reshape(-1, self.m, self.n_components)
 
-    def _density_grads(self, values: np.ndarray) -> np.ndarray:
+    def _density_values(self, stack: np.ndarray) -> np.ndarray:
+        """Density at every node of a (k, m, n) stack, shape (k, m)."""
         if self.potential is not None:
-            return self.potential.gradients_at(values)
-        return np.asarray(self.density_grad(self.grid, values), dtype=float)
+            flat = stack.reshape(-1, self.n_components)
+            return self.potential.values_at(flat).reshape(stack.shape[:2])
+        return np.asarray(self.density(self.grid, stack), dtype=float)
 
-    def energy_1d(self, values: np.ndarray) -> float:
-        """Discrete 1D action: exact polyline kinetic term plus trapezoid density."""
-        values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
+    def _density_grads(self, stack: np.ndarray) -> np.ndarray:
+        """Density gradient at every node of a (k, m, n) stack, same shape."""
+        if self.potential is not None:
+            flat = stack.reshape(-1, self.n_components)
+            return self.potential.gradients_at(flat).reshape(stack.shape)
+        return np.asarray(self.density_grad(self.grid, stack), dtype=float)
+
+    def energy_1d(self, values: np.ndarray) -> np.ndarray:
+        """Discrete 1D action: exact polyline kinetic term plus trapezoid density.
+
+        ``values`` is a stack of profiles reshapeable to (k, m, n); returns
+        one action per profile, shape (k,).  A single profile is a stack of
+        one.
+        """
+        v = self._stack(values)
         h = self.h
-        dv = np.diff(values, axis=0)
-        kinetic = 0.5 * np.sum(dv * dv) / h
-        potential = float(np.sum(trapezoid_weights(self.m, h) * self._density_values(values)))
-        return float(kinetic) + potential
+        dv = np.diff(v, axis=1)
+        kinetic = 0.5 * np.sum(dv * dv, axis=(1, 2)) / h
+        potential = np.sum(trapezoid_weights(self.m, h) * self._density_values(v), axis=1)
+        return kinetic + potential
 
     def energy_1d_grad(self, values: np.ndarray) -> np.ndarray:
-        """Coordinate gradient of energy_1d; edge rows are pinned to zero."""
-        values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
+        """Coordinate gradient of energy_1d, shape (k, m, n); edge rows are pinned to zero."""
+        v = self._stack(values)
         h = self.h
-        grad = np.zeros_like(values)
-        dv = np.diff(values, axis=0) / h
-        grad[:-1] -= dv
-        grad[1:] += dv
-        grad += trapezoid_weights(self.m, h)[:, None] * self._density_grads(values)
-        grad[0] = 0.0
-        grad[-1] = 0.0
+        grad = np.zeros_like(v)
+        dv = np.diff(v, axis=1) / h
+        grad[:, :-1] -= dv
+        grad[:, 1:] += dv
+        grad += trapezoid_weights(self.m, h)[:, None] * self._density_grads(v)
+        grad[:, 0] = 0.0
+        grad[:, -1] = 0.0
         return grad
 
-    def effective_potential(self, values: np.ndarray) -> float:
-        """1D action minus the reference distance (zero on minimal connections)."""
+    def effective_potential(self, values: np.ndarray) -> np.ndarray:
+        """1D action minus the reference distance (zero on minimal connections), shape (k,)."""
         return self.energy_1d(values) - self.ref_value
 
-    def kappa(self, values: np.ndarray) -> float:
-        """sqrt of the nonnegative part of the effective potential."""
-        return math.sqrt(max(self.effective_potential(values), 0.0))
+    def kappa(self, values: np.ndarray) -> np.ndarray:
+        """sqrt of the nonnegative part of the effective potential, shape (k,)."""
+        return np.sqrt(np.maximum(self.effective_potential(values), 0.0))
 
     def symmetrize(self, values: np.ndarray) -> np.ndarray:
-        """Project onto the odd-first-component subspace (exact reflection)."""
-        values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
-        flipped = values[::-1].copy()
-        out = np.empty_like(values)
-        out[:, 0] = 0.5 * (values[:, 0] - flipped[:, 0])
-        if self.n_components > 1:
-            out[:, 1:] = 0.5 * (values[:, 1:] + flipped[:, 1:])
-        return out
+        """Project onto the odd-first-component subspace (exact reflection).
+
+        Acts on every profile of an array reshapeable to (..., m, n) and
+        returns the input's shape.
+        """
+        values = np.asarray(values, dtype=float)
+        v = values.reshape(-1, self.m, self.n_components)
+        flipped = v[:, ::-1]
+        out = np.empty_like(v)
+        out[..., 0] = 0.5 * (v[..., 0] - flipped[..., 0])
+        out[..., 1:] = 0.5 * (v[..., 1:] + flipped[..., 1:])
+        return out.reshape(values.shape)
 
     def weighted_space(self) -> WeightedSpace:
         """The geodesic problem on profiles: weight sqrt(2 max(E - ref, 0)).
@@ -551,17 +583,14 @@ class EffectivePotentialSpace:
         the zero set lists their flattened coordinates.
         """
         def weight(pts):
-            return np.array([
-                math.sqrt(2.0 * max(self.effective_potential(p), 0.0)) for p in pts
-            ])
+            return np.sqrt(2.0 * np.maximum(self.effective_potential(pts), 0.0))
 
         def weight_grad(pts):
+            w = self.effective_potential(pts)
+            live = w > 1e-16
             out = np.zeros_like(pts)
-            for i, p in enumerate(pts):
-                w = self.effective_potential(p)
-                if w <= 1e-16:
-                    continue
-                out[i] = self.energy_1d_grad(p).ravel() / math.sqrt(2.0 * w)
+            grads = self.energy_1d_grad(pts[live]).reshape(-1, out.shape[1])
+            out[live] = grads / np.sqrt(2.0 * w[live])[:, None]
             return out
 
         return WeightedSpace(
@@ -592,8 +621,8 @@ class EffectivePotentialSpace:
 
         def fun(x):
             full = pack(x)
-            e = self.energy_1d(full)
-            g = self.energy_1d_grad(full)
+            e = self.energy_1d(full)[0]
+            g = self.energy_1d_grad(full)[0]
             if self.symmetry == "odd_first":
                 g = self.symmetrize(g)
             return e, g.ravel()
@@ -603,4 +632,4 @@ class EffectivePotentialSpace:
             options={"maxiter": max_iters, "gtol": gtol, "ftol": 1e-18},
         )
         out = pack(res.x)
-        return out, float(self.energy_1d(out))
+        return out, float(self.energy_1d(out)[0])

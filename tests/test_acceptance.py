@@ -179,9 +179,9 @@ def test_criterion_4_funnel_projection_and_envelopes(planar_space):
     worst_gain = -np.inf
     for _ in range(100):
         v = _perturbed(space, rng, 0.1)
-        before = space.energy_1d(v)
+        before = space.energy_1d(v)[0]
         out = funnel_project(funnel_project(space.grid_function(v), fm, wl), fp, wr)
-        worst_gain = max(worst_gain, space.energy_1d(out.values) - before)
+        worst_gain = max(worst_gain, space.energy_1d(out.values)[0] - before)
 
     # the envelope solves E'' = c E^(p0-1); differencing the closed-form
     # slope keeps the check at the 1e-10 level (one FD of an exact function)
@@ -224,10 +224,10 @@ def test_criterion_5_mollifier_energy_bound(planar_space):
     margin = np.inf
     for _ in range(50):
         v = space.grid_function(_perturbed(space, rng, 0.08))
-        wv = space.effective_potential(v.values)
+        wv = space.effective_potential(v.values)[0]
         for mult in (4, 8, 16):
             delta = mult * h
-            wm = space.effective_potential(mollify(v, delta).values)
+            wm = space.effective_potential(mollify(v, delta).values)[0]
             bound = wv + 8.0 * delta**2 * lam * (wv + dk) + 10.0 * h
             margin = min(margin, bound - wm)
             if wm > bound:

@@ -2,7 +2,8 @@
 
 A batch of k points must give exactly (bitwise) what k batches of one give,
 with the declared output shapes, and each built-in Hessian must match
-central differences of its gradient.
+central differences of its gradient.  The profile-space kernels follow the
+same contract on (k, m, n) stacks of profiles.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hetconn import (
     double_well,
     make_weight,
     planar_two_well,
+    sin_example_space,
     triple_well,
 )
 
@@ -89,3 +91,36 @@ def test_counterexample_weight_batch_contract():
     k = pts.shape[0]
     _assert_batch_is_stack_of_singles(ws.weight_at, pts, (k,))
     _assert_batch_is_stack_of_singles(ws.weight_grad_at, pts, (k, 2))
+
+
+def _planar_profile_space():
+    p = planar_two_well(beta=1.5, kappa=0.7)
+    return EffectivePotentialSpace(
+        grid=np.linspace(-4.0, 4.0, 21), n_components=2, bc="tails", potential=p,
+        tail_left=p.wells[0], tail_right=p.wells[1], symmetry="odd_first",
+    )
+
+
+PROFILE_SPACES = {
+    "planar_potential": _planar_profile_space,
+    "sin_density": lambda: sin_example_space(m=17, relax=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_SPACES))
+def test_profile_kernels_on_a_stack_equal_single_profiles(name):
+    space = PROFILE_SPACES[name]()
+    k, m, n = 6, space.m, space.n_components
+    stack = np.random.default_rng(5).uniform(-1.2, 1.2, (k, m, n))
+    energies = space.energy_1d(stack)
+    grads = space.energy_1d_grad(stack)
+    assert energies.shape == (k,)
+    assert grads.shape == (k, m, n)
+    # a single profile is a stack of one
+    assert np.array_equal(energies, np.concatenate([space.energy_1d(v) for v in stack]))
+    assert np.array_equal(grads, np.concatenate([space.energy_1d_grad(v) for v in stack]))
+    assert np.array_equal(space.symmetrize(stack), np.stack([space.symmetrize(v) for v in stack]))
+    # the columns of a field, a strided view, give the same bits
+    columns = stack.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+    assert np.array_equal(space.energy_1d(columns), energies)
+    assert np.array_equal(space.energy_1d_grad(columns), grads)

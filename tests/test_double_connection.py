@@ -3,14 +3,18 @@ import pytest
 
 from hetconn import (
     DoubleOptions,
+    EffectivePotentialSpace,
     ScanWindowError,
     assemble_and_verify,
     audit_translation_speed,
+    optimal_translation,
     s0_scan,
     sin_example_space,
     solve_asymmetric,
     solve_symmetric,
 )
+from hetconn.double_connection import _path_energy, x2_defect
+from hetconn.metric import trapezoid_weights
 
 SMALL = DoubleOptions(
     path_nodes=17, outer_iters=2, inner_iters=300, n_out=33, t_max=4.0, polish=False
@@ -134,3 +138,95 @@ def test_sin_small_solve_assembles():
     assert report.x2_gap_minus_l2 <= 1e-12
     assert report.x2_gap_plus_l2 <= 1e-12
     assert np.isfinite(report.residual_max)
+
+
+def test_optimal_translation_recovers_shift_of_a_planar_well(planar_space):
+    zm, zp = planar_space.z_minus, planar_space.z_plus
+    fit = optimal_translation(zp.translate(-0.4137), zm, zp)
+    assert fit.which == 1
+    assert fit.shift == pytest.approx(-0.4137, abs=1e-3)
+    assert fit.unique
+
+
+# ---------------------------------------------------------------------------
+# the path energy of a field, the polish objective
+
+
+@pytest.fixture(params=["sin_density", "planar_potential"])
+def field_space(request):
+    if request.param == "planar_potential":
+        return request.getfixturevalue("planar_space")
+    return sin_example_space(m=33, relax=False)
+
+
+def _noisy_blend(space, p=9, seed=0):
+    tau = np.linspace(0.0, 1.0, p)[None, :, None]
+    zm = space.z_minus.values[:, None, :]
+    zp = space.z_plus.values[:, None, :]
+    u = (1.0 - tau) * zm + tau * zp
+    return u + 0.05 * np.random.default_rng(seed).standard_normal(u.shape)
+
+
+def _path_energy_by_columns(space, u, dt):
+    """The per-column loop the batched path energy replaces."""
+    m, p, _ = u.shape
+    w1 = trapezoid_weights(m, space.h)
+    wt = trapezoid_weights(p, dt)
+    d2 = np.diff(u, axis=1) / dt
+    kin = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
+    pot = 0.0
+    g = np.empty_like(u)
+    for k in range(p):
+        pot += wt[k] * (space.energy_1d(u[:, k, :])[0] - space.ref_value)
+        g[:, k, :] = wt[k] * space.energy_1d_grad(u[:, k, :])[0]
+    flux = w1[:, None, None] * d2
+    g[:, :-1, :] -= flux
+    g[:, 1:, :] += flux
+    return float(kin + pot), g
+
+
+def test_path_energy_equals_the_per_column_sum_bitwise(field_space):
+    u = _noisy_blend(field_space)
+    energy, grad = _path_energy(field_space, u, 0.1, grad=True)
+    ref_energy, ref_grad = _path_energy_by_columns(field_space, u, 0.1)
+    assert energy == ref_energy
+    assert _path_energy(field_space, u, 0.1) == ref_energy
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_path_energy_grad_matches_central_differences(field_space):
+    u = _noisy_blend(field_space, seed=1)
+    dt = 0.1
+    _, g = _path_energy(field_space, u, dt, grad=True)
+    rng = np.random.default_rng(3)
+    hh = 1e-6
+    for _ in range(3):
+        d = rng.standard_normal(u.shape)
+        # the profile gradient pins the x1 edge rows, as the polish does
+        d[0] = d[-1] = 0.0
+        fd = (_path_energy(field_space, u + hh * d, dt)
+              - _path_energy(field_space, u - hh * d, dt)) / (2 * hh)
+        assert float(np.sum(g * d)) == pytest.approx(fd, rel=1e-6)
+
+
+def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
+    space = sin_example_space(m=33, relax=False)
+    u = _noisy_blend(space)
+    calls = []
+    kernel = EffectivePotentialSpace.energy_1d
+
+    def counted(self, values):
+        calls.append(np.shape(values))
+        return kernel(self, values)
+
+    monkeypatch.setattr(EffectivePotentialSpace, "energy_1d", counted)
+    _path_energy(space, u, 0.1, grad=True)
+    assert len(calls) == 1
+    calls.clear()
+    x2_defect(space, u, 0.1)
+    assert len(calls) == 1
+    calls.clear()
+    k = u.shape[1]
+    weights = space.weighted_space().weight_at(u.transpose(1, 0, 2).reshape(k, -1))
+    assert weights.shape == (k,)
+    assert len(calls) == 1

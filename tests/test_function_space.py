@@ -15,6 +15,7 @@ from hetconn import (
     gauge_fix_translations,
     mollify,
     optimal_translation,
+    translation_misfits,
     translation_objective,
 )
 
@@ -244,6 +245,33 @@ def test_optimal_translation_flags_tie():
     assert not fit.unique
 
 
+def _misfit_by_translate(v, z, shift):
+    # the per-shift reference: one tail-filled interpolation per shift and component
+    shifted = np.column_stack([
+        np.interp(z.s - shift, z.s, z.values[:, c], left=z.tail_left[c], right=z.tail_right[c])
+        for c in range(z.n_components)
+    ])
+    assert np.array_equal(z.translate(shift).values, shifted)
+    diff = v.values - shifted
+    return float(np.sum(v.quad_weights() * np.sum(diff * diff, axis=1)))
+
+
+@pytest.mark.parametrize("n_components", [1, 2])
+def test_batched_misfits_equal_per_shift_translates(n_components):
+    rng = np.random.default_rng(12)
+    base = np.stack([np.tanh(S), 0.5 / np.cosh(S)], axis=1)[:, :n_components]
+    z = GridFunction(s=S, values=base, tail_left=np.array([-1.0, 0.0])[:n_components],
+                     tail_right=np.array([1.0, 0.0])[:n_components])
+    v = z.with_values(base + 0.05 * rng.standard_normal(base.shape))
+    span = S[-1] - S[0]
+    # shifts up to 1.5 spans push the template past the window, so the
+    # misfit comes from the tail fills
+    shifts = np.concatenate([np.linspace(-1.5 * span, 1.5 * span, 37), rng.uniform(-2.0, 2.0, 5)])
+    misfits = translation_misfits(v, z, shifts)
+    assert misfits.shape == shifts.shape
+    assert np.array_equal(misfits, [_misfit_by_translate(v, z, m) for m in shifts])
+
+
 def test_translation_objective_derivatives():
     z = tanh_gf()
     v = z.translate(0.3).with_values(z.translate(0.3).values + 0.05 * np.sin(S)[:, None])
@@ -292,7 +320,9 @@ def test_gauge_fix_never_lengthens_weighted_path():
             out += keff(mid) * a.distance_l2(b)
         return out
 
-    fixed, _ = gauge_fix_translations(nodes, keff=keff)
+    fixed, _ = gauge_fix_translations(
+        nodes, keff=lambda flat: np.array([keff(z.with_values(v)) for v in flat])
+    )
     assert length(fixed) <= length(nodes) + 1e-10
 
 
@@ -327,13 +357,13 @@ def test_energy_grad_matches_finite_differences():
     eps = dw_space()
     rng = np.random.default_rng(5)
     vals = np.tanh(S)[:, None] + 0.05 * rng.standard_normal((S.size, 1))
-    g = eps.energy_1d_grad(vals)
+    g = eps.energy_1d_grad(vals)[0]
     assert np.all(g[0] == 0.0) and np.all(g[-1] == 0.0)
     hh = 1e-6
     for j in (1, 40, 80, 159):
         bump = np.zeros_like(vals)
         bump[j, 0] = hh
-        fd = (eps.energy_1d(vals + bump) - eps.energy_1d(vals - bump)) / (2 * hh)
+        fd = (eps.energy_1d(vals + bump)[0] - eps.energy_1d(vals - bump)[0]) / (2 * hh)
         assert g[j, 0] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
