@@ -24,7 +24,7 @@ def run(out="runs/sin_example"):
     print(f"residual max  {results['residual_max']:.3e}")
     print(f"end-column gaps  {results['x2_gap_minus_l2']:.2e} / "
           f"{results['x2_gap_plus_l2']:.2e}")
-    print(f"artifacts     {out}  (field.csv, boundary_convergence.tsv)")
+    print(f"artifacts     {out}  (u.csv, boundary_convergence.tsv)")
     return main(["verify", out])
 
 

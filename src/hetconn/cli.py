@@ -38,7 +38,7 @@ from .double_connection import (
     solve_symmetric,
     x2_defect,
 )
-from .geodesic import SolverOptions, minimize_k_length, remove_sigma_loops
+from .geodesic import WEIGHT_FLOOR, SolverOptions, minimize_k_length, remove_sigma_loops
 from .heteroclinic import equipartition, reparam_equipartition, verify_connection
 from .metric import SampledCurve, midpoints
 from .potentials import (
@@ -252,7 +252,7 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         "versions": _versions(),
         "tolerances": {
             "grad_tol": opts.grad_tol,
-            "weight_floor": opts.weight_floor,
+            "weight_floor": WEIGHT_FLOOR,
             "defect_tol": float(cfg.get("defect_tol", 1e-3)),
             "sti_margin_tol": 1e-3,
             "second_difference_constant": sd.c_constant,
@@ -496,9 +496,10 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
     kv = wspace.weight_at(midpoints(curve))
     defect = float(np.max(equipartition(curve, wspace.space, 0.5 * kv * kv)[1]))
     tol = manifest["tolerances"]["defect_tol"]
-    if verbose or defect > tol:
+    # a NaN defect fails the gate too
+    if verbose or not defect <= tol:
         print(f"equipartition defect {defect:.6g} (tolerance {tol:g})")
-    if defect > tol:
+    if not defect <= tol:
         return EXIT_EQUIPARTITION
     sd = second_difference_bound(curve, p.hessian_lower_bound)
     if verbose:
@@ -515,9 +516,9 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
     u = data[:, 2:].reshape(x1.size, x2.size, -1)
     defect = x2_defect(space, u, float(x2[1] - x2[0]))
     tol = manifest["tolerances"]["defect_tol"]
-    if verbose or defect > tol:
+    if verbose or not defect <= tol:
         print(f"x2 equipartition defect {defect:.6g} (tolerance {tol:g})")
-    if defect > tol:
+    if not defect <= tol:
         return EXIT_EQUIPARTITION
     return EXIT_OK
 

@@ -28,6 +28,8 @@ from .metric import EuclideanSpace, WeightedSpace
 
 P_MINUS = np.array([0.0, -1.0])
 P_PLUS = np.array([0.0, 1.0])
+# a custom g is tabulated on [0, _TABLE_CUT]; beyond it, quadrature
+_TABLE_CUT = 1e4
 
 
 class DivergentTailError(ValueError):
@@ -44,8 +46,7 @@ class CounterexampleWeight:
     by stalling partial sums.
     """
 
-    def __init__(self, power: float = 2.0, g: Callable | None = None,
-                 table_cut: float = 1e4):
+    def __init__(self, power: float = 2.0, g: Callable | None = None):
         self.power = float(power)
         self.g_custom = g
         if g is None:
@@ -58,7 +59,7 @@ class CounterexampleWeight:
         else:
             s_pts = np.unique(np.concatenate([
                 np.linspace(0.0, 1.0, 257),
-                np.geomspace(1.0, table_cut, 1024),
+                np.geomspace(1.0, _TABLE_CUT, 1024),
             ]))
             vals = np.asarray([float(g(s)) for s in s_pts])
             if np.any(vals < 0.0):
@@ -67,7 +68,7 @@ class CounterexampleWeight:
                 [0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(s_pts))
             ])
             tail, increments = 0.0, []
-            lo = table_cut
+            lo = _TABLE_CUT
             for _ in range(24):
                 inc = integrate.quad(g, lo, 2.0 * lo, limit=200)[0]
                 tail += inc
@@ -177,8 +178,8 @@ class CounterexampleWeight:
         fx, fy = self.grad_f(pts[:, 0], pts[:, 1])
         return np.hypot(fx, fy)
 
-    def k_grad(self, pts):
-        """Gradient of K where K > 0 (zero vector on the zero set), shape (k, 2)."""
+    def k_and_grad(self, pts):
+        """K (bitwise ``k``) and its gradient, zero on the zero set; shapes (k,), (k, 2)."""
         pts = np.asarray(pts, dtype=float)
         x, y = pts[:, 0], pts[:, 1]
         h = self.bump(y)
@@ -198,15 +199,14 @@ class CounterexampleWeight:
         with np.errstate(invalid="ignore", divide="ignore"):
             kx = np.where(k > 0.0, (fx * dfx_dx + fy * dfy_dx) / k, 0.0)
             ky = np.where(k > 0.0, (fx * dfx_dy + fy * dfy_dy) / k, 0.0)
-        return np.stack([kx, ky], axis=1)
+        return k, np.stack([kx, ky], axis=1)
 
     def weighted_space(self) -> WeightedSpace:
         return WeightedSpace(
             space=EuclideanSpace(2),
-            weight=self.k,
+            weight=lambda pts, grad=False: self.k_and_grad(pts) if grad else self.k(pts),
             zero_set=(np.array([0.0, -1.0]), np.array([0.0, 0.0]),
                       np.array([0.0, 1.0])),
-            weight_grad=self.k_grad,
         )
 
 

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import math
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .function_space import (
     EffectivePotentialSpace,
@@ -30,6 +29,7 @@ from .function_space import (
     funnel_project,
     gauge_fix_translations,
     optimal_translation,
+    pinned_lbfgs,
 )
 from .geodesic import SolverOptions, minimize_k_length
 from .heteroclinic import ConnectionResult, reparam_equipartition
@@ -49,7 +49,6 @@ class DoubleOptions:
     inner_tol: float = 1e-6
     eps0: float = 0.1
     c_frac: float = 0.5
-    use_funnels: bool = True
     n_out: int = 257
     t_max: float = 6.0
     resample_eps: float = 1e-4
@@ -135,9 +134,9 @@ def _columns(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u.transpose(1, 0, 2))
 
 
-def _symmetrize_columns(space: EffectivePotentialSpace, u: np.ndarray) -> None:
-    """Reflection projection of every x2 column of a field, in place."""
-    u[:] = space.symmetrize(u.transpose(1, 0, 2)).transpose(1, 0, 2)
+def _symmetrize_columns(space: EffectivePotentialSpace, u: np.ndarray) -> np.ndarray:
+    """Reflection projection of every x2 column of a field (M, P, n), C-ordered."""
+    return np.ascontiguousarray(space.symmetrize(u.transpose(1, 0, 2)).transpose(1, 0, 2))
 
 
 def _clamp_path(space: EffectivePotentialSpace, nodes: np.ndarray, funnels) -> np.ndarray:
@@ -162,33 +161,15 @@ def _blend_seed(space: EffectivePotentialSpace, p_nodes: int) -> np.ndarray:
 
 def _polish_field(space, u0, dt, symmetrize, gtol, maxiter):
     """L-BFGS on the discrete 2D energy; end columns and x1 edges stay pinned."""
-    m, p, n = u0.shape
-    col0, col1 = u0[:, 0, :].copy(), u0[:, -1, :].copy()
-    row0, row1 = u0[0, :, :].copy(), u0[-1, :, :].copy()
-
-    def pack(x):
-        u = x.reshape(m, p, n).copy()
-        u[:, 0, :], u[:, -1, :] = col0, col1
-        u[0, :, :], u[-1, :, :] = row0, row1
-        if symmetrize:
-            _symmetrize_columns(space, u)
-        return u
-
-    def fun(x):
-        e, g = _path_energy(space, pack(x), dt, grad=True)
-        if symmetrize:
-            _symmetrize_columns(space, g)
-        g[:, 0, :] = 0.0
-        g[:, -1, :] = 0.0
-        g[0, :, :] = 0.0
-        g[-1, :, :] = 0.0
-        return e, g.ravel()
-
-    res = _scipy_minimize(
-        fun, u0.ravel(), jac=True, method="L-BFGS-B",
-        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-18, "maxcor": 20},
+    pinned = np.zeros(u0.shape, dtype=bool)
+    pinned[:, [0, -1]] = True
+    pinned[[0, -1]] = True
+    u, res = pinned_lbfgs(
+        lambda u: _path_energy(space, u, dt, grad=True), u0, pinned,
+        project=(lambda u: _symmetrize_columns(space, u)) if symmetrize else None,
+        gtol=gtol, maxiter=maxiter, maxcor=20,
     )
-    return pack(res.x), int(res.nit)
+    return u, int(res.nit)
 
 
 def _path_energy(space, u, dt, grad=False):
@@ -242,7 +223,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         nodes = proj(nodes)
     funnels = None
     m_track = None
-    use_funnels = opts.use_funnels and space.bc == "tails"
+    use_funnels = space.bc == "tails"
     zm_flat = space.z_minus.flatten()
     zp_flat = space.z_plus.flatten()
     outer_lk = []
@@ -287,7 +268,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     if symmetrize:
         # interpolation weights in the reparametrization are accumulated left
         # to right, which can break antisymmetry in the last bit; project back
-        _symmetrize_columns(space, u)
+        u = _symmetrize_columns(space, u)
     dt = float(np.diff(conn.curve.times)[0])
     polish_iters = 0
     if opts.polish:

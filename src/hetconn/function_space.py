@@ -88,9 +88,6 @@ class GridFunction:
     def n_components(self) -> int:
         return self.values.shape[1]
 
-    def space(self) -> GridL2Space:
-        return GridL2Space(self.m, self.n_components, self.h)
-
     def flatten(self) -> np.ndarray:
         return self.values.ravel().copy()
 
@@ -582,54 +579,69 @@ class EffectivePotentialSpace:
         Zero weight is reached exactly on the stored minimal connections, so
         the zero set lists their flattened coordinates.
         """
-        def weight(pts):
-            return np.sqrt(2.0 * np.maximum(self.effective_potential(pts), 0.0))
-
-        def weight_grad(pts):
+        def weight(pts, grad=False):
             w = self.effective_potential(pts)
+            k = np.sqrt(2.0 * np.maximum(w, 0.0))
+            if not grad:
+                return k
+            # grad K = grad E / K, evaluated only where E - ref is positive
             live = w > 1e-16
-            out = np.zeros_like(pts)
-            grads = self.energy_1d_grad(pts[live]).reshape(-1, out.shape[1])
-            out[live] = grads / np.sqrt(2.0 * w[live])[:, None]
-            return out
+            g = np.zeros_like(pts)
+            g[live] = self.energy_1d_grad(pts[live]).reshape(-1, g.shape[1]) / k[live][:, None]
+            return k, g
 
         return WeightedSpace(
             space=self.ambient(),
             weight=weight,
             zero_set=tuple(z.flatten() for z in (self.z_minus, self.z_plus) if z is not None),
-            weight_grad=weight_grad,
         )
 
     def relax_profile(self, values: np.ndarray, max_iters: int = 2000, gtol: float = 1e-10):
         """Descend the 1D action from a seed profile (edges stay pinned).
 
         Used to turn sampled connection guesses into discrete minimizers;
-        returns (values, energy).  Plain L-BFGS on the flattened interior.
+        returns (values, energy).  Plain L-BFGS, see ``pinned_lbfgs``.
         """
-        from scipy.optimize import minimize as _minimize
-
         values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
-        shape = values.shape
-        v0, v_end = values[0].copy(), values[-1].copy()
-
-        def pack(x):
-            full = x.reshape(shape).copy()
-            full[0], full[-1] = v0, v_end
-            if self.symmetry == "odd_first":
-                full = self.symmetrize(full)
-            return full
-
-        def fun(x):
-            full = pack(x)
-            e = self.energy_1d(full)[0]
-            g = self.energy_1d_grad(full)[0]
-            if self.symmetry == "odd_first":
-                g = self.symmetrize(g)
-            return e, g.ravel()
-
-        res = _minimize(
-            fun, values.ravel(), jac=True, method="L-BFGS-B",
-            options={"maxiter": max_iters, "gtol": gtol, "ftol": 1e-18},
+        pinned = np.zeros(values.shape, dtype=bool)
+        pinned[[0, -1]] = True
+        out, _ = pinned_lbfgs(
+            lambda v: (self.energy_1d(v)[0], self.energy_1d_grad(v)[0]),
+            values, pinned,
+            project=self.symmetrize if self.symmetry == "odd_first" else None,
+            gtol=gtol, maxiter=max_iters, maxcor=10,
         )
-        out = pack(res.x)
         return out, float(self.energy_1d(out)[0])
+
+
+def pinned_lbfgs(fun, x0, pinned, project=None, *, gtol, maxiter, maxcor):
+    """L-BFGS-B on ``fun`` with the ``pinned`` entries of ``x0`` held fixed.
+
+    ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
+    shape); ``pinned`` is a boolean mask of that shape.  The optional linear
+    ``project`` is applied to every iterate after the pins are restored and
+    to every gradient before its pinned entries are zeroed.  ftol is 1e-18,
+    so ``gtol`` or ``maxiter`` ends the run.  Returns (minimizer, result).
+    """
+    from scipy.optimize import minimize
+
+    x0 = np.asarray(x0, dtype=float)
+    fixed = x0[pinned]
+
+    def pack(x):
+        full = x.reshape(x0.shape).copy()
+        full[pinned] = fixed
+        return full if project is None else project(full)
+
+    def value_and_grad(x):
+        e, g = fun(pack(x))
+        if project is not None:
+            g = project(g)
+        g[pinned] = 0.0
+        return e, g.ravel()
+
+    res = minimize(
+        value_and_grad, x0.ravel(), jac=True, method="L-BFGS-B",
+        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-18, "maxcor": maxcor},
+    )
+    return pack(res.x), res

@@ -28,16 +28,21 @@ from .metric import (
 )
 
 
+# Backtracking line search: first trial step, Armijo sufficient-decrease
+# constant, step shrink factor and the most shrinks before a stall.
+STEP0 = 1.0
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+# Segments whose midpoint weight is below this contribute no gradient.
+WEIGHT_FLOOR = 1e-8
+
+
 @dataclass
 class SolverOptions:
     n_nodes: int = 101
     max_iters: int = 500
     grad_tol: float = 1e-8
-    step0: float = 1.0
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    weight_floor: float = 1e-8
     via_points: tuple = ()
     init_nodes: np.ndarray | None = None
     project: Callable[[np.ndarray], np.ndarray] | None = None
@@ -57,22 +62,23 @@ class SolveTrace:
         return bool(np.all(np.diff(e) <= 1e-12 * np.maximum(1.0, np.abs(e[:-1]))))
 
 
-def _energy_grad(nodes: np.ndarray, wspace: WeightedSpace, floor: float, want_grad: bool):
+def _energy_grad(nodes: np.ndarray, wspace: WeightedSpace, want_grad: bool):
     w = wspace.space.coord_weights
     diffs = nodes[1:] - nodes[:-1]
     lens = np.sqrt(np.sum(w * diffs * diffs, axis=1))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    kvals = wspace.weight_at(mids)
+    if want_grad:
+        kvals, gk = wspace.weight_and_grad_at(mids)
+    else:
+        kvals = wspace.weight_at(mids)
     if np.any(np.isinf(kvals)):
         return math.inf, None
     energy = float(np.sum(kvals * lens))
     if not want_grad:
         return energy, None
     grad = np.zeros_like(nodes)
-    active = (kvals >= floor) & (lens > 0.0)
+    active = (kvals >= WEIGHT_FLOOR) & (lens > 0.0)
     if np.any(active):
-        gk = np.zeros_like(diffs)
-        gk[active] = wspace.weight_grad_at(mids[active])
         half = 0.5 * gk * lens[:, None]
         pull = np.zeros_like(diffs)
         pull[active] = (kvals[active] / lens[active])[:, None] * (w * diffs[active])
@@ -129,13 +135,13 @@ def minimize_k_length(
     if opts.project is not None:
         nodes = opts.project(nodes)
         nodes[0], nodes[-1] = x_minus, x_plus
-    energy, grad = _energy_grad(nodes, wspace, opts.weight_floor, True)
+    energy, grad = _energy_grad(nodes, wspace, True)
     if not np.isfinite(energy):
         raise ValueError("weighted length is not finite at the initial polyline")
     energies = [energy]
     inv_w = 1.0 / wspace.space.coord_weights
     status = "max_iters"
-    step = opts.step0
+    step = STEP0
     gnorm = math.inf
     it = 0
     for it in range(1, opts.max_iters + 1):
@@ -147,24 +153,24 @@ def minimize_k_length(
             break
         accepted = False
         t = step
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = nodes - t * direction
             if opts.project is not None:
                 trial = opts.project(trial)
                 trial[0], trial[-1] = x_minus, x_plus
-            e_new, _ = _energy_grad(trial, wspace, opts.weight_floor, False)
-            if e_new <= energy - opts.armijo * t * slope:
+            e_new, _ = _energy_grad(trial, wspace, False)
+            if e_new <= energy - ARMIJO * t * slope:
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= BACKTRACK
         if not accepted:
             status = "stall"
             break
         nodes = trial
         energy = e_new
         energies.append(energy)
-        step = min(t * 2.0, opts.step0 * 1e3)
-        _, grad = _energy_grad(nodes, wspace, opts.weight_floor, True)
+        step = min(t * 2.0, STEP0 * 1e3)
+        _, grad = _energy_grad(nodes, wspace, True)
     trace = SolveTrace(energies=energies, status=status, n_iters=it, grad_norm=gnorm)
     curve = SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes)
     if opts.reparam is not None:

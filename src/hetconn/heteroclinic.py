@@ -93,7 +93,6 @@ def reparam_equipartition(
     t_max: float = 10.0,
     resample: int | None = None,
     resample_eps: float = 1e-9,
-    require_t: float | None = None,
 ) -> ConnectionResult:
     """Reparametrize a geodesic so kinetic and potential energy balance.
 
@@ -131,11 +130,6 @@ def reparam_equipartition(
     G -= G[j_mid - 1]
     t_lo, t_hi = float(G[0]), float(G[-1])
     T = min(-t_lo, t_hi, t_max)
-    if require_t is not None and T < require_t:
-        raise ValueError(
-            f"clamped time window {T:.4g} is below the required {require_t:.4g}; "
-            "refine the geodesic near its endpoints"
-        )
     if T <= 0.0:
         raise ValueError("clamped time window is empty")
     times = np.linspace(-T, T, n_samples)

@@ -6,9 +6,10 @@ grid of vector values compared in a trapezoid-rule L2 norm; both expose the
 same interface (a flat coordinate vector per point plus per-coordinate
 quadrature weights), so every functional below is written once.
 
-A weight is evaluated in batches only: ``weight`` maps points of shape
-(k, dim) to values of shape (k,) and ``weight_grad`` maps them to gradients
-of shape (k, dim); a single point is a batch of one.  ``trapezoid_weights``
+A weight is evaluated in batches only: ``weight(pts)`` maps points of shape
+(k, dim) to values of shape (k,), and ``weight(pts, grad=True)`` returns the
+values together with their gradients, shape (k, dim), from one evaluation; a
+single point is a batch of one.  ``trapezoid_weights``
 and ``interp_columns`` are the package's one trapezoid rule and one
 per-column linear interpolation.
 
@@ -161,23 +162,23 @@ class WeightedSpace:
 
     The zero set is the finite list of points where the weight vanishes;
     operations that excise loops or check strict triangle inequalities
-    iterate over it.  ``weight`` maps (k, dim) points to (k,) values and
-    ``weight_grad`` to (k, dim) gradients; only the descent solver needs
-    the gradient.
+    iterate over it.  ``weight(pts, grad=False)`` maps (k, dim) points to
+    (k,) values K; with grad=True it returns the pair (K, grad K) of shapes
+    ((k,), (k, dim)) from one evaluation, K bitwise the same as without.
+    Only the descent solver asks for the gradient, so a weight that is
+    never descended may take ``pts`` alone.
     """
 
     space: AmbientSpace
-    weight: Callable[[np.ndarray], np.ndarray]
+    weight: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]
     zero_set: tuple = ()
-    weight_grad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def weight_at(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.weight(np.atleast_2d(pts)), dtype=float)
 
-    def weight_grad_at(self, pts: np.ndarray) -> np.ndarray:
-        if self.weight_grad is None:
-            raise ValueError("this weighted space declares no weight gradient")
-        return np.asarray(self.weight_grad(np.atleast_2d(pts)), dtype=float)
+    def weight_and_grad_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k, g = self.weight(np.atleast_2d(pts), grad=True)
+        return np.asarray(k, dtype=float), np.asarray(g, dtype=float)
 
 
 def midpoints(curve: SampledCurve) -> np.ndarray:

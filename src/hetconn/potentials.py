@@ -168,34 +168,32 @@ def planar_two_well(beta: float = 1.0, kappa: float = 1.0) -> Potential:
     )
 
 
-def make_weight(p: Potential, grad_floor: float = 1e-12) -> WeightedSpace:
-    """Weighted space with weight sqrt(2 W) over flat R^dim.
+def make_weight(p: Potential) -> WeightedSpace:
+    """Weighted space with weight K = sqrt(2 W) over flat R^dim.
 
     Raises if the potential evaluates negative (beyond roundoff) anywhere it
-    is sampled.  The weight gradient is grad W / sqrt(2 W), zeroed where W
-    is below the floor; the descent solver skips such segments anyway.
+    is sampled.  The weight gradient is grad W / K, zeroed where K is below
+    1e-12; the descent solver skips such segments anyway.
     """
 
-    def weight(pts):
+    def weight(pts, grad=False):
         v = p.values_at(pts)
         if np.any(v < -1e-12):
             i = int(np.argmin(v))
             raise ValueError(
                 f"potential {p.name} is negative ({v[i]:.3e}) at {pts[i]}"
             )
-        return np.sqrt(2.0 * np.maximum(v, 0.0))
-
-    def weight_grad(pts):
-        k = weight(pts)
-        out = p.gradients_at(pts) / np.maximum(k, grad_floor)[:, None]
-        out[k < grad_floor] = 0.0
-        return out
+        k = np.sqrt(2.0 * np.maximum(v, 0.0))
+        if not grad:
+            return k
+        g = p.gradients_at(pts) / np.maximum(k, 1e-12)[:, None]
+        g[k < 1e-12] = 0.0
+        return k, g
 
     return WeightedSpace(
         space=EuclideanSpace(p.dim),
         weight=weight,
         zero_set=tuple(np.asarray(w, dtype=float) for w in p.wells),
-        weight_grad=weight_grad,
     )
 
 

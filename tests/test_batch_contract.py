@@ -37,6 +37,16 @@ def _assert_batch_is_stack_of_singles(fn, pts, shape):
     assert np.array_equal(batch, singles)
 
 
+def _assert_weight_contract(ws, pts, dim):
+    """weight_at and the gradient part of weight_and_grad_at follow the batch
+    contract, and the weight returned with the gradient is weight_at's, bitwise."""
+    k = pts.shape[0]
+    _assert_batch_is_stack_of_singles(ws.weight_at, pts, (k,))
+    _assert_batch_is_stack_of_singles(lambda x: ws.weight_and_grad_at(x)[1], pts, (k, dim))
+    weights, _ = ws.weight_and_grad_at(pts)
+    assert np.array_equal(weights, ws.weight_at(pts))
+
+
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
 def test_potential_batch_contract(name):
     p = POTENTIALS[name]()
@@ -65,9 +75,7 @@ def test_make_weight_batch_contract(name):
     p = POTENTIALS[name]()
     ws = make_weight(p)
     pts = np.concatenate([_points(p.dim, seed=2), np.stack(p.wells)])
-    k = pts.shape[0]
-    _assert_batch_is_stack_of_singles(ws.weight_at, pts, (k,))
-    _assert_batch_is_stack_of_singles(ws.weight_grad_at, pts, (k, p.dim))
+    _assert_weight_contract(ws, pts, p.dim)
 
 
 def test_profile_space_weight_batch_contract():
@@ -81,16 +89,13 @@ def test_profile_space_weight_batch_contract():
     rng = np.random.default_rng(3)
     pts = np.tanh(s)[None, :] + 0.2 * rng.standard_normal((4, s.size))
     pts = np.concatenate([pts, np.tanh(s)[None, :]])
-    _assert_batch_is_stack_of_singles(ws.weight_at, pts, (5,))
-    _assert_batch_is_stack_of_singles(ws.weight_grad_at, pts, (5, s.size))
+    _assert_weight_contract(ws, pts, s.size)
 
 
 def test_counterexample_weight_batch_contract():
     ws = CounterexampleWeight().weighted_space()
     pts = np.concatenate([_points(2, seed=4) * 3.0, np.stack(ws.zero_set)])
-    k = pts.shape[0]
-    _assert_batch_is_stack_of_singles(ws.weight_at, pts, (k,))
-    _assert_batch_is_stack_of_singles(ws.weight_grad_at, pts, (k, 2))
+    _assert_weight_contract(ws, pts, 2)
 
 
 def _planar_profile_space():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -75,6 +76,39 @@ def test_verify_rechecks_the_defect(tmp_path):
     manifest = json.loads(mpath.read_text())
     manifest["tolerances"]["defect_tol"] = 1e-12
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    assert main(["verify", out]) == 5
+
+
+def _poison_one_value(run_dir, artifact):
+    """Replace one interior field value of an artifact by nan and re-sign it."""
+    path = run_dir / artifact
+    lines = path.read_text().splitlines()
+    # data rows follow the comment lines and the column-name row
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")][1:]
+    i = rows[len(rows) // 2]
+    cells = lines[i].split(",")
+    cells[-1] = "nan"
+    lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    mpath = run_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["artifacts"][artifact] = hashlib.sha256(path.read_bytes()).hexdigest()
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def test_verify_rejects_a_nan_in_the_connect_curve(tmp_path):
+    cfg = write_cfg(tmp_path, CONNECT_CFG)
+    out = str(tmp_path / "run")
+    assert main(["connect", "--config", cfg, "--out", out]) == 0
+    _poison_one_value(tmp_path / "run", "curve.csv")
+    assert main(["verify", out]) == 5
+
+
+def test_verify_rejects_a_nan_in_the_double_field(tmp_path):
+    cfg = write_cfg(tmp_path, SIN_CFG)
+    out = str(tmp_path / "dbl")
+    assert main(["double", "--config", cfg, "--out", out]) == 0
+    _poison_one_value(tmp_path / "dbl", "u.csv")
     assert main(["verify", out]) == 5
 
 

@@ -44,7 +44,7 @@ def test_weight_zero_set():
     assert len(ws.zero_set) == 3
     for z in ws.zero_set:
         assert W.k(z[None])[0] == 0.0
-        assert np.all(W.k_grad(z[None])[0] == 0.0)
+        assert np.all(W.k_and_grad(z[None])[1][0] == 0.0)
     assert W.k(np.array([[0.5, 0.5]]))[0] > 0.0
 
 

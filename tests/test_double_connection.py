@@ -14,6 +14,7 @@ from hetconn import (
     solve_symmetric,
 )
 from hetconn.double_connection import _path_energy, x2_defect
+from hetconn.geodesic import _energy_grad
 from hetconn.metric import trapezoid_weights
 
 SMALL = DoubleOptions(
@@ -219,7 +220,15 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
         calls.append(np.shape(values))
         return kernel(self, values)
 
+    grad_calls = []
+    grad_kernel = EffectivePotentialSpace.energy_1d_grad
+
+    def counted_grad(self, values):
+        grad_calls.append(np.shape(values))
+        return grad_kernel(self, values)
+
     monkeypatch.setattr(EffectivePotentialSpace, "energy_1d", counted)
+    monkeypatch.setattr(EffectivePotentialSpace, "energy_1d_grad", counted_grad)
     _path_energy(space, u, 0.1, grad=True)
     assert len(calls) == 1
     calls.clear()
@@ -227,6 +236,16 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     k = u.shape[1]
-    weights = space.weighted_space().weight_at(u.transpose(1, 0, 2).reshape(k, -1))
+    nodes = u.transpose(1, 0, 2).reshape(k, -1)
+    wspace = space.weighted_space()
+    weights = wspace.weight_at(nodes)
     assert weights.shape == (k,)
     assert len(calls) == 1
+    # one descent gradient: the weight and its gradient at all k - 1
+    # midpoints come from one energy and one gradient kernel call
+    calls.clear()
+    grad_calls.clear()
+    energy, grad = _energy_grad(nodes, wspace, want_grad=True)
+    assert np.isfinite(energy) and np.any(grad != 0.0)
+    assert len(calls) == 1
+    assert len(grad_calls) == 1

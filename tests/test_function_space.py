@@ -407,7 +407,7 @@ def test_weighted_space_vanishes_on_stored_connections():
     ws = eps.weighted_space()
     assert len(ws.zero_set) == 2
     assert ws.weight_at(ws.zero_set[0])[0] == 0.0
-    assert np.all(ws.weight_grad_at(ws.zero_set[0])[0] == 0.0)
+    assert np.all(ws.weight_and_grad_at(ws.zero_set[0])[1][0] == 0.0)
     shoved = z.ravel() + 0.3 * np.abs(np.sin(S))
     assert ws.weight_at(shoved)[0] > 0.1
     assert ws.weight_at(shoved)[0] == pytest.approx(
@@ -420,7 +420,7 @@ def test_weight_grad_matches_finite_differences():
     eps.ref_value = 4.0 / 3.0
     ws = eps.weighted_space()
     flat = (np.tanh(S) + 0.2 * np.exp(-(S**2)))[:, None].ravel()
-    g = ws.weight_grad_at(flat)[0]
+    g = ws.weight_and_grad_at(flat)[1][0]
     # directional derivatives; per-coordinate probes drown in the roundoff
     # of the energy sums
     rng = np.random.default_rng(2)
