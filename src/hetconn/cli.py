@@ -5,9 +5,14 @@ versions, every tolerance used, headline results, and sha256 checksums of
 the emitted artifacts; CSV/TSV artifacts are plain text with %.17g floats.
 The pipeline draws no random numbers, so reruns of the same config are
 bit-identical.  ``verify`` recomputes the equipartition defect from the
-artifacts with the same routines the run uses.  Exit codes:
-0 success, 2 solver stall, 3 config error, 4 checksum or schema failure
-(verify), 5 failing equipartition (verify).
+artifacts with the same routines the run uses.  For a double run it builds
+no fixture: the effective space comes from the config on the grid of the
+field's x1 column, and the reference is the 1D action of the field's last
+column, the z+ well profile, which must equal the ``ref_value`` the run
+recorded bit for bit.  Exit codes: 0 success, 2 solver stall, 3 config
+error, 4 checksum or schema failure (verify), 5 failing check (verify): the
+equipartition defect over its tolerance, a double run's reference action
+not matching the recorded one, or a broken counterexample invariant.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from .double_connection import (
     assemble_and_verify,
     audit_translation_speed,
     planar_effective_space,
+    planar_shell,
     sin_example_space,
+    sin_shell,
     solve_asymmetric,
     solve_symmetric,
     x2_defect,
@@ -62,10 +69,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
 
 
 def _load_config(path) -> dict:
@@ -107,11 +110,22 @@ def _build_potential(spec) -> object:
     raise ConfigError(f"unknown potential '{name}'")
 
 
-def _write_text(path, lines) -> None:
+# rows formatted per write: bounds the Python floats and text held at once
+ROWS_PER_WRITE = 4096
+
+
+def _write_table(path, head, table, delimiter=",") -> None:
+    """The ``head`` lines, then one line of %.17g floats per row of ``table``.
+
+    Blocks of rows are formatted with one format string each.
+    """
+    table = np.asarray(table, dtype=float)
+    row = delimiter.join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(line + "\n" for line in head)
+        for start in range(0, table.shape[0], ROWS_PER_WRITE):
+            block = table[start:start + ROWS_PER_WRITE]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _sha256(path) -> str:
@@ -145,22 +159,24 @@ def _finish_manifest(out_dir, manifest, artifacts, t_start) -> None:
 
 
 def _read_table(path, delimiter=","):
-    """(comments, column names, data array) from one of our CSV/TSV files."""
-    comments, header, rows = [], None, []
+    """(comments, column names, data array) from one of our CSV/TSV files.
+
+    Comment lines precede the column-name row; the rows after it are parsed
+    by ``np.loadtxt`` into an array of shape (rows, columns).
+    """
+    comments = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("#"):
                 comments.append(line)
-            elif header is None:
+            elif line:
                 header = line.split(delimiter)
-            else:
-                rows.append([float(v) for v in line.split(delimiter)])
-    if header is None:
-        raise ValueError(f"{path} has no header row")
-    return comments, header, np.asarray(rows, dtype=float)
+                break
+        else:
+            raise ValueError(f"{path} has no header row")
+        data = np.loadtxt(fh, delimiter=delimiter, ndmin=2)
+    return comments, header, data
 
 
 # ---------------------------------------------------------------------------
@@ -222,28 +238,18 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
     n_comp = conn.curve.nodes.shape[1]
     comp_names = ",".join(f"u{j + 1}" for j in range(n_comp))
-    head = [
-        f"# action={_fmt(conn.action)} dK={_fmt(conn.dk_value)} "
-        f"defect={_fmt(conn.equipartition_defect)} window={_fmt(conn.window)}",
-        "t," + comp_names,
-    ]
-    rows = [
-        _fmt(t) + "," + ",".join(_fmt(v) for v in node)
-        for t, node in zip(conn.curve.times, conn.curve.nodes)
-    ]
-    _write_text(os.path.join(out_dir, "curve.csv"), head + rows)
-    _write_text(
+    head = "# action=%.17g dK=%.17g defect=%.17g window=%.17g" % (
+        conn.action, conn.dk_value, conn.equipartition_defect, conn.window)
+    curve_table = np.column_stack([conn.curve.times, conn.curve.nodes])
+    _write_table(os.path.join(out_dir, "curve.csv"), [head, "t," + comp_names], curve_table)
+    _write_table(
         os.path.join(out_dir, "plot_components.tsv"),
-        ["t\t" + comp_names.replace(",", "\t")]
-        + ["\t".join([_fmt(t)] + [_fmt(v) for v in node])
-           for t, node in zip(conn.curve.times, conn.curve.nodes)],
+        ["t\t" + comp_names.replace(",", "\t")], curve_table, "\t",
     )
     mids = 0.5 * (conn.curve.times[:-1] + conn.curve.times[1:])
-    _write_text(
-        os.path.join(out_dir, "plot_defect.tsv"),
-        ["t\tequipartition_defect"]
-        + ["\t".join([_fmt(t), _fmt(d)])
-           for t, d in zip(mids, bounds.equip_profile)],
+    _write_table(
+        os.path.join(out_dir, "plot_defect.tsv"), ["t\tequipartition_defect"],
+        np.column_stack([mids, bounds.equip_profile]), "\t",
     )
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -305,6 +311,18 @@ def _build_double_space(cfg: dict):
     raise ConfigError(f"unknown double example '{example}'")
 
 
+def _double_shell(cfg: dict, grid: np.ndarray):
+    """The effective space of a double config on ``grid``, without its wells."""
+    example = _require(cfg, "example")
+    if example == "sin":
+        return sin_shell(grid)
+    if example == "planar":
+        return planar_shell(
+            grid, beta=float(cfg.get("beta", 1.0)), kappa=float(cfg.get("kappa", 1.0))
+        )
+    raise ConfigError(f"unknown double example '{example}'")
+
+
 def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     t_start = time.time()
     mode = mode or cfg.get("mode", "sym")
@@ -335,35 +353,28 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
     m, p_out, n = result.u.shape
     comp_names = ",".join(f"u{j + 1}" for j in range(n))
-    head = [
-        f"# energy={_fmt(result.energy)} residual_max={_fmt(report.residual_max)} "
-        f"c_minus={_fmt(result.c_minus)} c_plus={_fmt(result.c_plus)}",
-        "x1,x2," + comp_names,
-    ]
-    rows = []
-    for i in range(m):
-        for k in range(p_out):
-            rows.append(
-                _fmt(result.x1[i]) + "," + _fmt(result.x2[k]) + ","
-                + ",".join(_fmt(v) for v in result.u[i, k])
-            )
-    _write_text(os.path.join(out_dir, "u.csv"), head + rows)
+    head = "# energy=%.17g residual_max=%.17g c_minus=%.17g c_plus=%.17g" % (
+        result.energy, report.residual_max, result.c_minus, result.c_plus)
+    _write_table(
+        os.path.join(out_dir, "u.csv"), [head, "x1,x2," + comp_names],
+        np.column_stack([np.repeat(result.x1, p_out), np.tile(result.x2, m),
+                         result.u.reshape(m * p_out, n)]),
+    )
     artifacts = ["u.csv", "boundary_convergence.tsv"]
-    gaps = []
-    for k in range(p_out):
-        col = space.grid_function(result.u[:, k, :])
-        gaps.append((result.x2[k],
-                     col.distance_l2(space.z_minus),
-                     col.distance_l2(space.z_plus)))
-    _write_text(
+    cols = result.u.transpose(1, 0, 2)
+    _write_table(
         os.path.join(out_dir, "boundary_convergence.tsv"),
-        ["x2\tgap_minus_l2\tgap_plus_l2"]
-        + ["\t".join(_fmt(v) for v in row) for row in gaps],
+        ["x2\tgap_minus_l2\tgap_plus_l2"],
+        np.column_stack([result.x2,
+                         space.l2_norms(cols - space.z_minus.values),
+                         space.l2_norms(cols - space.z_plus.values)]),
+        "\t",
     )
     results = {
         "energy": result.energy,
         "energy_direct": report.energy_direct,
         "energy_path": report.energy_path,
+        "ref_value": space.ref_value,
         "residual_max": report.residual_max,
         "residual_l2": report.residual_l2,
         "equip_defect": report.equip_defect,
@@ -381,12 +392,8 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         results["m_total_variation"] = result.diagnostics["m_total_variation"]
         results["translation_speed_c_fit"] = speed.c_fit
         results["translation_speed_max_ratio"] = speed.max_ratio
-        _write_text(
-            os.path.join(out_dir, "m_track.csv"),
-            ["x2,m"]
-            + [_fmt(t) + "," + _fmt(mv)
-               for t, mv in zip(result.x2, result.m_track)],
-        )
+        _write_table(os.path.join(out_dir, "m_track.csv"), ["x2,m"],
+                     np.column_stack([result.x2, result.m_track]))
         artifacts.append("m_track.csv")
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -436,18 +443,15 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
         n_candidates=int(cfg.get("n_max", 12)),
     )
     os.makedirs(out_dir, exist_ok=True)
-    _write_text(
-        os.path.join(out_dir, "candidates.tsv"),
-        ["n\tx_n\tcandidate_length"]
-        + ["\t".join([str(int(n)), _fmt(2.0 ** int(n)), _fmt(val)])
-           for n, val in zip(report.candidate_ns, report.candidate_lengths)],
+    ns = np.asarray(report.candidate_ns, dtype=float)
+    # %.17g prints an integer-valued n as str(int(n)) does
+    _write_table(
+        os.path.join(out_dir, "candidates.tsv"), ["n\tx_n\tcandidate_length"],
+        np.column_stack([ns, 2.0 ** ns, report.candidate_lengths]), "\t",
     )
-    _write_text(
-        os.path.join(out_dir, "boxed.tsv"),
-        ["radius\tbest_length\tcrossing_bound"]
-        + ["\t".join([_fmt(r), _fmt(length), _fmt(bound)])
-           for r, length, bound in zip(report.radii, report.best_lengths,
-                                       report.bounds)],
+    _write_table(
+        os.path.join(out_dir, "boxed.tsv"), ["radius\tbest_length\tcrossing_bound"],
+        np.column_stack([report.radii, report.best_lengths, report.bounds]), "\t",
     )
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -510,10 +514,17 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
 
 def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
     comments, header, data = _read_table(os.path.join(run_dir, "u.csv"))
-    space = _build_double_space(manifest["config"])
     x1 = np.unique(data[:, 0])
     x2 = np.unique(data[:, 1])
     u = data[:, 2:].reshape(x1.size, x2.size, -1)
+    space = _double_shell(manifest["config"], x1)
+    # the last column is the z+ well profile, and its action the reference
+    space.ref_value = float(space.energy_1d(u[:, -1])[0])
+    recorded = manifest["results"].get("ref_value")
+    if verbose or space.ref_value != recorded:
+        print(f"reference action {space.ref_value!r} (recorded {recorded!r})")
+    if space.ref_value != recorded:
+        return EXIT_EQUIPARTITION
     defect = x2_defect(space, u, float(x2[1] - x2[0]))
     tol = manifest["tolerances"]["defect_tol"]
     if verbose or not defect <= tol:

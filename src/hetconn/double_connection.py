@@ -287,17 +287,15 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     c_minus = c_plus = 0.0
     if mode == "asym":
         span = float(space.grid[-1] - space.grid[0])
-        gfs = [space.grid_function(u[:, k, :]) for k in range(p_out)]
-        fits = [
-            optimal_translation(g, space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129)
-            for g in gfs
-        ]
-        m_track = np.array([f.shift for f in fits])
+        fits = optimal_translation(
+            _columns(u), space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
+        )
+        m_track = fits.shift
         tail = max(1, p_out // 10)
         c_minus = float(np.mean(m_track[:tail]))
         c_plus = float(np.mean(m_track[-tail:]))
         diagnostics["m_total_variation"] = float(np.sum(np.abs(np.diff(m_track))))
-        diagnostics["m_which"] = np.array([f.which for f in fits])
+        diagnostics["m_which"] = fits.which
     return DoubleConnectionResult(
         space=space,
         mode=mode,
@@ -360,9 +358,7 @@ def audit_translation_speed(
     space = result.space
     cols = _columns(result.u)
     dm = np.abs(np.diff(result.m_track))
-    step = cols[1:] - cols[:-1]
-    w1 = trapezoid_weights(space.m, space.h)
-    dist = np.sqrt(np.sum(w1 * np.sum(step * step, axis=2), axis=1))
+    dist = space.l2_norms(cols[1:] - cols[:-1])
     budget = space.kappa(0.5 * (cols[:-1] + cols[1:])) * dist
     floor = floor_frac * max(float(np.max(budget)), 1e-300)
     used = budget > floor
@@ -494,17 +490,7 @@ def planar_effective_space(
         curve, wsp, n_samples=m, t_max=s_max, resample=4 * n_geodesic, resample_eps=1e-9
     )
     grid = conn.curve.times.copy()
-    space = EffectivePotentialSpace(
-        grid=grid,
-        n_components=2,
-        bc="tails",
-        potential=p,
-        tail_left=p.wells[0],
-        tail_right=p.wells[1],
-        symmetry=symmetry,
-        quotient=quotient,
-        lam=p.hessian_lower_bound,
-    )
+    space = planar_shell(grid, beta=beta, kappa=kappa, symmetry=symmetry, quotient=quotient)
     vals = conn.curve.nodes.reshape(grid.size, 2)
     vals = space.symmetrize(vals)
     vals[0], vals[-1] = p.wells[0], p.wells[1]
@@ -520,6 +506,32 @@ def planar_effective_space(
     return space
 
 
+def planar_shell(
+    grid: np.ndarray,
+    beta: float = 1.0,
+    kappa: float = 1.0,
+    symmetry: str = "none",
+    quotient: str = "none",
+) -> EffectivePotentialSpace:
+    """The planar two-well effective space on ``grid``, without well profiles.
+
+    Its reference is zero until the wells are known; ``planar_effective_space``
+    completes it, and ``hetconn verify`` rebuilds it from a run's grid.
+    """
+    p = planar_two_well(beta=beta, kappa=kappa)
+    return EffectivePotentialSpace(
+        grid=grid,
+        n_components=2,
+        bc="tails",
+        potential=p,
+        tail_left=p.wells[0],
+        tail_right=p.wells[1],
+        symmetry=symmetry,
+        quotient=quotient,
+        lam=p.hessian_lower_bound,
+    )
+
+
 def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpace:
     """Scalar strip fixture: density -u^2/2 + (u^2 - sin^2 y)^2 on [0, pi].
 
@@ -528,6 +540,24 @@ def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpa
     is just the discrete well energy.
     """
     grid = np.linspace(0.0, math.pi, m)
+    space = sin_shell(grid)
+    vals = np.sin(grid)[:, None]
+    if relax:
+        z_plus_vals, e_plus = space.relax_profile(vals)
+    else:
+        z_plus_vals, e_plus = vals, float(space.energy_1d(vals)[0])
+    space.ref_value = e_plus
+    space.z_plus = space.grid_function(z_plus_vals)
+    space.z_minus = space.grid_function(-z_plus_vals)
+    return space
+
+
+def sin_shell(grid: np.ndarray) -> EffectivePotentialSpace:
+    """The sine strip's effective space on ``grid``, without well profiles.
+
+    ``sin_example_space`` completes it; ``hetconn verify`` rebuilds it from
+    a run's grid.
+    """
     sin2 = np.sin(grid) ** 2
 
     # both act on (k, m, 1) stacks on this grid; s is the grid itself
@@ -539,7 +569,7 @@ def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpa
         u = vals[..., 0]
         return (-u + 4.0 * u * (u * u - sin2))[..., None]
 
-    space = EffectivePotentialSpace(
+    return EffectivePotentialSpace(
         grid=grid,
         n_components=1,
         bc="fixed",
@@ -549,12 +579,3 @@ def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpa
         quotient="none",
         lam=-5.0,
     )
-    vals = np.sin(grid)[:, None]
-    if relax:
-        z_plus_vals, e_plus = space.relax_profile(vals)
-    else:
-        z_plus_vals, e_plus = vals, float(space.energy_1d(vals)[0])
-    space.ref_value = e_plus
-    space.z_plus = space.grid_function(z_plus_vals)
-    space.z_minus = space.grid_function(-z_plus_vals)
-    return space

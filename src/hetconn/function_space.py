@@ -309,91 +309,144 @@ def _translate_values(z: GridFunction, shifts: np.ndarray) -> np.ndarray:
     return out.reshape(shifts.size, z.m, z.n_components)
 
 
-def translation_misfits(v: GridFunction, z: GridFunction, shifts) -> np.ndarray:
-    """Squared L2 misfits |v - z(. - m)|^2 for every shift m, shape (len(shifts),)."""
-    diff = v.values - _translate_values(z, np.asarray(shifts, dtype=float).reshape(-1))
-    return np.sum(v.quad_weights() * np.sum(diff * diff, axis=2), axis=1)
+def _profile_stack(values, z: GridFunction) -> np.ndarray:
+    return np.asarray(values, dtype=float).reshape(-1, z.m, z.n_components)
 
 
-def translation_objective(v: GridFunction, z: GridFunction, shift: float):
+def _weighted_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j w_j sum_c a[..., j, c] b[..., j, c] over the last two axes.
+
+    The components are added left to right, as np.sum adds fewer than eight
+    terms, so a misfit keeps the bits of GridFunction.distance_l2 squared;
+    np.sum over so short an axis is several times slower than this loop.
+    """
+    prod = a * b
+    total = prod[..., 0]
+    for c in range(1, prod.shape[-1]):
+        total = total + prod[..., c]
+    return np.sum(w * total, axis=-1)
+
+
+def translation_misfits(values, z: GridFunction, shifts) -> np.ndarray:
+    """Squared L2 misfits |v - z(. - m)|^2, shape (k, len(shifts)).
+
+    ``values`` is a stack of profiles on z's grid, reshapeable to (k, m, n);
+    row i holds the misfits of profile i against every shift m.  The
+    translates are interpolated once for the whole stack.
+    """
+    shifted = _translate_values(z, np.asarray(shifts, dtype=float).reshape(-1))
+    w = z.quad_weights()
+    # one profile at a time: the (k, shifts, m, n) difference is too large
+    misfits = []
+    for v in _profile_stack(values, z):
+        diff = v - shifted
+        misfits.append(_weighted_dot(w, diff, diff))
+    return np.array(misfits)
+
+
+def translation_objective(values, z: GridFunction, shifts):
     """Squared L2 misfit against a translate and its two m-derivatives.
 
     F(m) = |v - z(. - m)|^2, F'(m) = 2 (z'(. - m), v - z(. - m)),
     F''(m) = 2 |z'(. - m)|^2 - 2 (z''(. - m), v - z(. - m)).
+    Profile i of the stack ``values`` (reshapeable to (k, m, n), on z's
+    grid) is taken at shift ``shifts[i]``; returns (F, F', F''), each of
+    shape (k,).
     """
-    w = v.quad_weights()
-    diff = v.values - _translate_values(z, np.array([shift]))[0]
-    F = float(np.sum(w * np.sum(diff * diff, axis=1)))
+    v = _profile_stack(values, z)
+    shifts = np.asarray(shifts, dtype=float).reshape(-1)
+    w = z.quad_weights()
+    x = (z.s[None, :] - shifts[:, None]).ravel()
     zero = np.zeros(z.n_components)
-    dzm = interp_columns(v.s - shift, z.s, z.derivative(), left=zero, right=zero)
-    ddzm = interp_columns(v.s - shift, z.s, z.second_difference(), left=zero, right=zero)
-    dF = 2.0 * float(np.sum(w * np.sum(dzm * diff, axis=1)))
-    d2F = 2.0 * float(np.sum(w * np.sum(dzm * dzm, axis=1))) - 2.0 * float(
-        np.sum(w * np.sum(ddzm * diff, axis=1))
-    )
+    diff = v - _translate_values(z, shifts)
+    dzm = interp_columns(x, z.s, z.derivative(), left=zero, right=zero).reshape(v.shape)
+    ddzm = interp_columns(x, z.s, z.second_difference(), left=zero, right=zero).reshape(v.shape)
+    F = _weighted_dot(w, diff, diff)
+    dF = 2.0 * _weighted_dot(w, dzm, diff)
+    d2F = 2.0 * _weighted_dot(w, dzm, dzm) - 2.0 * _weighted_dot(w, ddzm, diff)
     return F, dF, d2F
 
 
 class TranslationFit(NamedTuple):
-    shift: float
-    which: int            # -1 for the first template, +1 for the second
-    misfit: float         # squared L2 distance at the optimum
-    unique: bool
+    """Per-profile fits of a stack; every field has shape (k,)."""
+
+    shift: np.ndarray
+    which: np.ndarray     # -1 for the first template, +1 for the second
+    misfit: np.ndarray    # squared L2 distance at the optimum
+    unique: np.ndarray
 
 
-def _scan_and_polish(v: GridFunction, z: GridFunction, m_grid: np.ndarray,
+def _scan_and_polish(values: np.ndarray, z: GridFunction, m_grid: np.ndarray,
                      newton_iters: int = 12):
-    vals = translation_misfits(v, z, m_grid)
-    i = int(np.argmin(vals))
-    m = float(m_grid[i])
+    """Best shift of template z for every profile of a (k, m, n) stack.
+
+    Scan the shift grid, then clipped Newton steps on every profile whose
+    curvature is positive and whose step is still above 1e-14, all such
+    profiles together.  Returns (shifts, misfits, second-best interior scan
+    minimum at least two grid steps away), each of shape (k,).
+    """
+    vals = translation_misfits(values, z, m_grid)
+    i = np.argmin(vals, axis=1)
+    m = m_grid[i]
     halfstep = float(m_grid[1] - m_grid[0])
+    live = np.ones(m.size, dtype=bool)
     for _ in range(newton_iters):
-        F, dF, d2F = translation_objective(v, z, m)
-        if d2F <= 0.0:
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        step = -dF / d2F
-        step = float(np.clip(step, -2.0 * halfstep, 2.0 * halfstep))
-        if abs(step) < 1e-14:
-            break
-        m += step
-    F, _, _ = translation_objective(v, z, m)
+        _, dF, d2F = translation_objective(values[idx], z, m[idx])
+        go = ~(d2F <= 0.0)
+        step = np.divide(-dF, d2F, out=np.zeros_like(dF), where=go)
+        step = np.clip(step, -2.0 * halfstep, 2.0 * halfstep)
+        go &= ~(np.abs(step) < 1e-14)
+        m[idx[go]] += step[go]
+        live[idx[~go]] = False
+    F = translation_objective(values, z, m)[0]
     # interior local minima of the scan, for the uniqueness verdict
-    loc = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
-    far = loc[np.abs(m_grid[loc] - m_grid[i]) > 2 * halfstep]
-    second = np.min(vals[far], initial=np.inf)
-    return m, F, float(second)
+    inner = vals[:, 1:-1]
+    loc = (inner <= vals[:, :-2]) & (inner <= vals[:, 2:])
+    far = loc & (np.abs(m_grid[None, 1:-1] - m_grid[i][:, None]) > 2 * halfstep)
+    second = np.min(np.where(far, inner, np.inf), axis=1, initial=np.inf)
+    return m, F, second
 
 
 def optimal_translation(
-    v: GridFunction,
+    values,
     z_minus: GridFunction,
     z_plus: GridFunction,
     m_max: float | None = None,
     n_scan: int = 0,
     unique_margin: float = 1e-6,
 ) -> TranslationFit:
-    """Best translate of either template in L2: coarse scan plus Newton.
+    """Best translate of either template in L2 for every profile of a stack.
 
-    The scan bracket defaults to the grid span (the misfit is coercive in
-    the shift, growing like the well gap times sqrt |m|, so optima beyond
-    the span are not competitive for profiles supported in the window).
-    ``unique`` is False when a second scan minimum comes within
-    ``unique_margin`` of the best, or when the two templates tie.
+    ``values`` is reshapeable to (k, m, n) on the templates' grid; a single
+    profile is a stack of one.  Coarse scan plus Newton, each template's
+    scan translates interpolated once for the whole stack.  The scan
+    bracket defaults to the grid span (the misfit is coercive in the shift,
+    growing like the well gap times sqrt |m|, so optima beyond the span are
+    not competitive for profiles supported in the window).  ``unique`` is
+    False when a second scan minimum comes within ``unique_margin`` of the
+    best, or when the two templates tie.
     """
-    span = float(v.s[-1] - v.s[0])
+    v = _profile_stack(values, z_minus)
+    span = float(z_minus.s[-1] - z_minus.s[0])
     if m_max is None:
         m_max = span
     if n_scan <= 0:
-        n_scan = max(2 * v.m + 1, 129)
+        n_scan = max(2 * z_minus.m + 1, 129)
     m_grid = np.linspace(-m_max, m_max, n_scan)
     m_m, f_m, second_m = _scan_and_polish(v, z_minus, m_grid)
     m_p, f_p, second_p = _scan_and_polish(v, z_plus, m_grid)
-    if f_m <= f_p:
-        which, m, f, second = -1, m_m, f_m, min(second_m, f_p)
-    else:
-        which, m, f, second = 1, m_p, f_p, min(second_p, f_m)
-    unique = bool(second - f > unique_margin * max(1.0, f))
-    return TranslationFit(shift=m, which=which, misfit=f, unique=unique)
+    first = f_m <= f_p
+    f = np.where(first, f_m, f_p)
+    second = np.where(first, np.minimum(second_m, f_p), np.minimum(second_p, f_m))
+    return TranslationFit(
+        shift=np.where(first, m_m, m_p),
+        which=np.where(first, -1, 1),
+        misfit=f,
+        unique=second - f > unique_margin * np.maximum(1.0, f),
+    )
 
 
 def gauge_fix_translations(nodes: list[GridFunction],
@@ -415,7 +468,7 @@ def gauge_fix_translations(nodes: list[GridFunction],
         z = nodes[i]
         prev = fixed[-1]
         local = np.linspace(-10 * h, 10 * h, 41) + shifts[-1]
-        m, _, _ = _scan_and_polish(prev, z, local)
+        m = float(_scan_and_polish(prev.values[None], z, local)[0][0])
         candidate = z.translate(m)
         if keff is not None:
             # segments to the neighbours, before and after the shift
@@ -551,6 +604,16 @@ class EffectivePotentialSpace:
         grad[:, -1] = 0.0
         return grad
 
+    def l2_norms(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoid L2 norm of every profile of a stack (k, m, n), shape (k,).
+
+        The reduction of ``GridFunction.distance_l2``, so a profile gives
+        the same bits here as there.
+        """
+        v = self._stack(values)
+        w = trapezoid_weights(self.m, self.h)
+        return np.sqrt(np.sum(w * np.sum(v * v, axis=2), axis=1))
+
     def effective_potential(self, values: np.ndarray) -> np.ndarray:
         """1D action minus the reference distance (zero on minimal connections), shape (k,)."""
         return self.energy_1d(values) - self.ref_value
@@ -584,11 +647,10 @@ class EffectivePotentialSpace:
             k = np.sqrt(2.0 * np.maximum(w, 0.0))
             if not grad:
                 return k
-            # grad K = grad E / K, evaluated only where E - ref is positive
-            live = w > 1e-16
-            g = np.zeros_like(pts)
-            g[live] = self.energy_1d_grad(pts[live]).reshape(-1, g.shape[1]) / k[live][:, None]
-            return k, g
+            # grad K = grad E / K where E - ref is positive, zero elsewhere
+            live = (w > 1e-16)[:, None]
+            g = self.energy_1d_grad(pts).reshape(pts.shape)
+            return k, np.divide(g, k[:, None], out=np.zeros_like(g), where=live)
 
         return WeightedSpace(
             space=self.ambient(),

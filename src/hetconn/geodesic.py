@@ -76,15 +76,14 @@ def _energy_grad(nodes: np.ndarray, wspace: WeightedSpace, want_grad: bool):
     energy = float(np.sum(kvals * lens))
     if not want_grad:
         return energy, None
-    grad = np.zeros_like(nodes)
+    # computed on every segment; inactive ones contribute zero
     active = (kvals >= WEIGHT_FLOOR) & (lens > 0.0)
-    if np.any(active):
-        half = 0.5 * gk * lens[:, None]
-        pull = np.zeros_like(diffs)
-        pull[active] = (kvals[active] / lens[active])[:, None] * (w * diffs[active])
-        half[~active] = 0.0
-        grad[:-1] += half - pull
-        grad[1:] += half + pull
+    ratio = np.divide(kvals, lens, out=np.zeros_like(kvals), where=active)
+    half = np.where(active[:, None], 0.5 * gk * lens[:, None], 0.0)
+    pull = np.where(active[:, None], ratio[:, None] * (w * diffs), 0.0)
+    grad = np.zeros_like(nodes)
+    grad[:-1] += half - pull
+    grad[1:] += half + pull
     grad[0] = 0.0
     grad[-1] = 0.0
     return energy, grad

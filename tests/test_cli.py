@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from hetconn.cli import main
+import hetconn
+import hetconn.cli
+import hetconn.double_connection
+from hetconn.cli import _read_table, _write_table, main
 
 CONNECT_CFG = {
     "schema_version": 1,
@@ -90,6 +93,11 @@ def _poison_one_value(run_dir, artifact):
     cells[-1] = "nan"
     lines[i] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+    _resign(run_dir, artifact)
+
+
+def _resign(run_dir, artifact):
+    path = run_dir / artifact
     mpath = run_dir / "manifest.json"
     manifest = json.loads(mpath.read_text())
     manifest["artifacts"][artifact] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -110,6 +118,108 @@ def test_verify_rejects_a_nan_in_the_double_field(tmp_path):
     assert main(["double", "--config", cfg, "--out", out]) == 0
     _poison_one_value(tmp_path / "dbl", "u.csv")
     assert main(["verify", out]) == 5
+
+
+def test_verify_of_a_double_run_builds_no_fixture(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, SIN_CFG)
+    out = str(tmp_path / "dbl")
+    assert main(["double", "--config", cfg, "--out", out]) == 0
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("verify rebuilt the fixture")
+
+    for module in (hetconn, hetconn.cli, hetconn.double_connection):
+        for name in ("planar_effective_space", "sin_example_space"):
+            monkeypatch.setattr(module, name, rebuild)
+    assert main(["verify", out]) == 0
+
+
+def test_verify_rejects_a_changed_well_column(tmp_path):
+    cfg = write_cfg(tmp_path, SIN_CFG)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "u.csv").read_text().splitlines()
+    x2_end = max(float(line.split(",")[1]) for line in lines[2:])
+    # one interior node of the last x2 column, the z+ well profile; the
+    # defect tolerance of SIN_CFG is loose, so only the reference can fail
+    i = [j for j in range(2, len(lines)) if float(lines[j].split(",")[1]) == x2_end][8]
+    cells = lines[i].split(",")
+    cells[-1] = repr(float(cells[-1]) + 1e-3)
+    lines[i] = ",".join(cells)
+    (out / "u.csv").write_text("\n".join(lines) + "\n")
+    _resign(out, "u.csv")
+    assert main(["verify", str(out)]) == 5
+
+
+def _old_fmt(x):
+    return "%.17g" % float(x)
+
+
+def _old_read_table(path, delimiter=","):
+    # the pure-Python parser that np.loadtxt replaced, kept as the reference
+    comments, header, rows = [], None, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                comments.append(line)
+            elif header is None:
+                header = line.split(delimiter)
+            else:
+                rows.append([float(v) for v in line.split(delimiter)])
+    return comments, header, np.asarray(rows, dtype=float)
+
+
+ARTIFACT_RUNS = {
+    "connect": (CONNECT_CFG, {"curve.csv": ",", "plot_components.tsv": "\t",
+                              "plot_defect.tsv": "\t"}),
+    "double": (SIN_CFG, {"u.csv": ",", "boundary_convergence.tsv": "\t"}),
+    "counterexample": (COUNTER_CFG, {"candidates.tsv": "\t", "boxed.tsv": "\t"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_RUNS))
+def test_artifacts_read_and_write_as_the_per_value_formatter(tmp_path, command):
+    cfg, artifacts = ARTIFACT_RUNS[command]
+    out = tmp_path / "run"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    for name, delimiter in artifacts.items():
+        comments, header, data = _read_table(out / name, delimiter)
+        ref_comments, ref_header, ref_data = _old_read_table(out / name, delimiter)
+        assert (comments, header) == (ref_comments, ref_header)
+        assert data.shape == ref_data.shape and data.shape[0] > 1
+        assert data.tobytes() == ref_data.tobytes()
+        # every data line is the per-value %.17g join of the values it holds
+        body = (out / name).read_text().splitlines()[len(comments) + 1:]
+        assert body == [delimiter.join(_old_fmt(v) for v in row) for row in ref_data]
+    head = (out / next(iter(artifacts))).read_text().splitlines()[0]
+    keys = {"connect": ("action", "dK", "defect", "window"),
+            "double": ("energy", "residual_max", "c_minus", "c_plus")}.get(command, ())
+    fields = {"dK": "dk_value", "defect": "equipartition_defect"}
+    assert head.startswith("#") == bool(keys)
+    if keys:
+        assert head == "# " + " ".join(
+            f"{key}={_old_fmt(results[fields.get(key, key)])}" for key in keys)
+
+
+def test_row_writer_equals_the_per_value_formatter_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(hetconn.cli, "ROWS_PER_WRITE", 3)
+    table = np.array([
+        [-0.0, 0.0, 1.0 / 3.0], [np.nan, np.inf, -np.inf], [5e-324, 1e300, -2.5e-310],
+        [3.0, 2.0 ** 60, 0.1], [1e-17, -7.0, 123456789.125], [np.pi, -np.e, 1e22],
+        [2.0, 4.0, 8.0],
+    ])
+    path = tmp_path / "t.tsv"
+    _write_table(path, ["# note", "a\tb\tc"], table, "\t")
+    lines = path.read_text().splitlines()
+    assert lines == ["# note", "a\tb\tc"] + ["\t".join(_old_fmt(v) for v in row) for row in table]
+    comments, header, data = _read_table(path, "\t")
+    assert (comments, header) == (["# note"], ["a", "b", "c"])
+    assert data.tobytes() == _old_read_table(path, "\t")[2].tobytes()
+    assert np.array_equal(data, table, equal_nan=True)
 
 
 def test_connect_is_deterministic(tmp_path):

@@ -143,10 +143,82 @@ def test_sin_small_solve_assembles():
 
 def test_optimal_translation_recovers_shift_of_a_planar_well(planar_space):
     zm, zp = planar_space.z_minus, planar_space.z_plus
-    fit = optimal_translation(zp.translate(-0.4137), zm, zp)
+    fit = optimal_translation(zp.translate(-0.4137).values, zm, zp)
     assert fit.which == 1
     assert fit.shift == pytest.approx(-0.4137, abs=1e-3)
     assert fit.unique
+
+
+def _per_profile_fit(v, zm, zp, m_max, n_scan, unique_margin=1e-6):
+    # one profile at a time, one translate per scan shift and per Newton
+    # step: the per-profile scan that the stack kernel replaced, kept as the
+    # bitwise reference
+    w = trapezoid_weights(zm.m, zm.h)
+    zero = np.zeros(zm.n_components)
+
+    def misfit(z, m):
+        diff = v - z.translate(m).values
+        return float(np.sum(w * np.sum(diff * diff, axis=1)))
+
+    def slopes(z, m):
+        diff = v - z.translate(m).values
+        dz, ddz = (
+            np.column_stack([np.interp(z.s - m, z.s, f[:, c], left=zero[c], right=zero[c])
+                             for c in range(z.n_components)])
+            for f in (z.derivative(), z.second_difference())
+        )
+        dF = 2.0 * float(np.sum(w * np.sum(dz * diff, axis=1)))
+        d2F = 2.0 * float(np.sum(w * np.sum(dz * dz, axis=1))) - 2.0 * float(
+            np.sum(w * np.sum(ddz * diff, axis=1)))
+        return dF, d2F
+
+    def scan_and_polish(z, m_grid):
+        vals = np.array([misfit(z, m) for m in m_grid])
+        i = int(np.argmin(vals))
+        m = float(m_grid[i])
+        halfstep = float(m_grid[1] - m_grid[0])
+        for _ in range(12):
+            dF, d2F = slopes(z, m)
+            if d2F <= 0.0:
+                break
+            step = float(np.clip(-dF / d2F, -2.0 * halfstep, 2.0 * halfstep))
+            if abs(step) < 1e-14:
+                break
+            m += step
+        loc = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
+        far = loc[np.abs(m_grid[loc] - m_grid[i]) > 2 * halfstep]
+        return m, misfit(z, m), float(np.min(vals[far], initial=np.inf))
+
+    m_grid = np.linspace(-m_max, m_max, n_scan)
+    m_m, f_m, second_m = scan_and_polish(zm, m_grid)
+    m_p, f_p, second_p = scan_and_polish(zp, m_grid)
+    if f_m <= f_p:
+        which, m, f, second = -1, m_m, f_m, min(second_m, f_p)
+    else:
+        which, m, f, second = 1, m_p, f_p, min(second_p, f_m)
+    return m, which, f, bool(second - f > unique_margin * max(1.0, f))
+
+
+def test_stacked_optimal_translation_equals_per_profile_fits(planar_space):
+    zm, zp = planar_space.z_minus, planar_space.z_plus
+    quarter = 0.25 * float(planar_space.grid[-1] - planar_space.grid[0])
+    rng = np.random.default_rng(8)
+    taus = np.linspace(0.0, 1.0, 7)
+    shifts = np.linspace(-quarter, quarter, 7)
+    # columns of a translated blend path between the wells, one exact
+    # template translate and the mirror-symmetric midpoint, where the two
+    # templates tie
+    columns = [(1.0 - t) * zm.translate(s).values + t * zp.translate(s).values
+               + 0.01 * rng.standard_normal(zm.values.shape) for t, s in zip(taus, shifts)]
+    columns += [zp.translate(0.3 * quarter).values, 0.5 * (zm.values + zp.values)]
+    stack = np.stack(columns)
+    fits = optimal_translation(stack, zm, zp, m_max=quarter, n_scan=129)
+    assert all(np.shape(f) == (len(columns),) for f in fits)
+    for i, column in enumerate(columns):
+        one = optimal_translation(column, zm, zp, m_max=quarter, n_scan=129)
+        ref = _per_profile_fit(column, zm, zp, quarter, 129)
+        assert tuple(f[i] for f in fits) == tuple(f[0] for f in one) == ref
+    assert not fits.unique[-1] and np.all(fits.unique[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_optimal_translation_recovers_shift():
     z_minus = tanh_gf()
     z_plus = z_minus.with_values(-z_minus.values)
     v = z_minus.translate(0.7374)
-    fit = optimal_translation(v, z_minus, z_plus)
+    fit = optimal_translation(v.values, z_minus, z_plus)
     assert fit.which == -1
     assert fit.shift == pytest.approx(0.7374, abs=1e-3)
     assert fit.misfit < 1e-4
@@ -241,7 +241,7 @@ def test_optimal_translation_flags_tie():
     z_minus = tanh_gf()
     z_plus = z_minus.with_values(-z_minus.values)
     flat = z_minus.with_values(np.zeros_like(z_minus.values))
-    fit = optimal_translation(flat, z_minus, z_plus)
+    fit = optimal_translation(flat.values, z_minus, z_plus)
     assert not fit.unique
 
 
@@ -267,7 +267,7 @@ def test_batched_misfits_equal_per_shift_translates(n_components):
     # shifts up to 1.5 spans push the template past the window, so the
     # misfit comes from the tail fills
     shifts = np.concatenate([np.linspace(-1.5 * span, 1.5 * span, 37), rng.uniform(-2.0, 2.0, 5)])
-    misfits = translation_misfits(v, z, shifts)
+    misfits = translation_misfits(v.values, z, shifts)[0]
     assert misfits.shape == shifts.shape
     assert np.array_equal(misfits, [_misfit_by_translate(v, z, m) for m in shifts])
 
@@ -279,9 +279,9 @@ def test_translation_objective_derivatives():
     # misfit has slope kinks in the shift
     hh = 1e-6
     for m in (-0.373, 0.131, 0.519):
-        f0, df, d2f = translation_objective(v, z, m)
-        fp, _, _ = translation_objective(v, z, m + hh)
-        fm, _, _ = translation_objective(v, z, m - hh)
+        f0, df, d2f = (x[0] for x in translation_objective(v.values, z, m))
+        fp = translation_objective(v.values, z, m + hh)[0][0]
+        fm = translation_objective(v.values, z, m - hh)[0][0]
         # dF and d2F smooth the interpolation kinks, so agreement with the
         # exact piecewise derivative is only O(h^2); plenty for a clipped
         # Newton polish
