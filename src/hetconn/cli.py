@@ -387,6 +387,20 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         "solver_status": result.diagnostics["solver_status"],
         "window": result.diagnostics["window"],
     }
+    tolerances = {
+        "defect_tol": float(cfg.get("defect_tol", 5e-2)),
+        "residual_tol": float(cfg.get("residual_tol", 5e-2)),
+        "eps0": opts.eps0,
+        "c_frac": opts.c_frac,
+        "inner_tol": opts.inner_tol,
+        "residual_margin_cells": report.interior_margin,
+        "energy_two_ways_rel": 1e-6,
+    }
+    if opts.polish:
+        # the polish enforces its gradient tolerance; a run without it does not
+        for key in ("polish_steps", "polish_gmax", "polish_status"):
+            results[key] = result.diagnostics[key]
+        tolerances["polish_gtol"] = opts.polish_gtol
     if mode == "asym":
         speed = audit_translation_speed(result)
         results["m_total_variation"] = result.diagnostics["m_total_variation"]
@@ -401,16 +415,7 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         "config": cfg,
         "mode": mode,
         "versions": _versions(),
-        "tolerances": {
-            "defect_tol": float(cfg.get("defect_tol", 5e-2)),
-            "residual_tol": float(cfg.get("residual_tol", 5e-2)),
-            "eps0": opts.eps0,
-            "c_frac": opts.c_frac,
-            "inner_tol": opts.inner_tol,
-            "polish_gtol": opts.polish_gtol,
-            "residual_margin_cells": report.interior_margin,
-            "energy_two_ways_rel": 1e-6,
-        },
+        "tolerances": tolerances,
         "results": results,
         "warnings": [],
     }

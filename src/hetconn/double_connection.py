@@ -29,12 +29,16 @@ from .function_space import (
     funnel_project,
     gauge_fix_translations,
     optimal_translation,
-    pinned_lbfgs,
+    pinned_newton_cg,
 )
 from .geodesic import SolverOptions, minimize_k_length
 from .heteroclinic import ConnectionResult, reparam_equipartition
 from .metric import SampledCurve, k_length, trapezoid_weights
 from .potentials import check_a4, make_weight, planar_two_well
+
+
+# Newton steps of the field polish before it reports max_iters.
+POLISH_STEPS = 50
 
 
 class ScanWindowError(RuntimeError):
@@ -54,7 +58,6 @@ class DoubleOptions:
     resample_eps: float = 1e-4
     polish: bool = True
     polish_gtol: float = 1e-7
-    polish_maxiter: int = 4000
 
 
 @dataclass
@@ -159,17 +162,20 @@ def _blend_seed(space: EffectivePotentialSpace, p_nodes: int) -> np.ndarray:
     return (1.0 - tau)[:, None] * za[None, :] + tau[:, None] * zb[None, :]
 
 
-def _polish_field(space, u0, dt, symmetrize, gtol, maxiter):
-    """L-BFGS on the discrete 2D energy; end columns and x1 edges stay pinned."""
+def _polish_field(space, u0, dt, symmetrize, gtol):
+    """Truncated Newton-CG on the discrete 2D energy; end columns and x1 edges stay pinned.
+
+    Returns (field, NewtonResult).
+    """
     pinned = np.zeros(u0.shape, dtype=bool)
     pinned[:, [0, -1]] = True
     pinned[[0, -1]] = True
-    u, res = pinned_lbfgs(
-        lambda u: _path_energy(space, u, dt, grad=True), u0, pinned,
+    return pinned_newton_cg(
+        lambda u: _path_energy(space, u, dt, grad=True),
+        lambda u: _path_energy_hessp(space, u, dt), u0, pinned,
         project=(lambda u: _symmetrize_columns(space, u)) if symmetrize else None,
-        gtol=gtol, maxiter=maxiter, maxcor=20,
+        gtol=gtol, max_steps=POLISH_STEPS,
     )
-    return u, int(res.nit)
 
 
 def _path_energy(space, u, dt, grad=False):
@@ -193,6 +199,36 @@ def _path_energy(space, u, dt, grad=False):
     g[:, :-1, :] -= flux
     g[:, 1:, :] += flux
     return float(kin + pot), g
+
+
+def _path_energy_hessp(space, u, dt):
+    """Hessian-vector product of ``_path_energy`` at u, as a function of the direction.
+
+    The pointwise block w1 * wt * D^2(density) is built once here; each
+    product is then stencil arithmetic on the (M, P, n) direction.  Like the
+    gradient, the profile part of a product vanishes on the x1 edge rows.
+    """
+    m, p, _ = u.shape
+    h = space.h
+    w1 = trapezoid_weights(m, h)
+    wt = trapezoid_weights(p, dt)
+    block = np.ascontiguousarray(space._density_hessians(_columns(u)).transpose(1, 0, 2, 3))
+    block *= (w1[:, None] * wt[None, :])[:, :, None, None]
+    wt1 = wt[None, :, None] / h
+    w2 = w1[:, None, None] / dt
+
+    def hessp(d):
+        out = np.einsum("mpij,mpj->mpi", block, d)
+        flux = wt1 * np.diff(d, axis=0)
+        out[:-1] -= flux
+        out[1:] += flux
+        out[[0, -1]] = 0.0
+        flux = w2 * np.diff(d, axis=1)
+        out[:, :-1] -= flux
+        out[:, 1:] += flux
+        return out
+
+    return hessp
 
 
 def x2_defect(space, u: np.ndarray, dt: float) -> float:
@@ -270,20 +306,18 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         # to right, which can break antisymmetry in the last bit; project back
         u = _symmetrize_columns(space, u)
     dt = float(np.diff(conn.curve.times)[0])
-    polish_iters = 0
-    if opts.polish:
-        u, polish_iters = _polish_field(
-            space, u, dt, symmetrize, opts.polish_gtol, opts.polish_maxiter
-        )
-    energy = _path_energy(space, u, dt)
     diagnostics = {
         "k_length_value": value,
         "solver_status": trace.status,
         "outer_lk": outer_lk,
         "equipartition_defect_reparam": conn.equipartition_defect,
         "window": conn.window,
-        "polish_iters": polish_iters,
     }
+    if opts.polish:
+        u, polish = _polish_field(space, u, dt, symmetrize, opts.polish_gtol)
+        diagnostics.update(polish_steps=polish.steps, polish_gmax=polish.gmax,
+                           polish_status=polish.status)
+    energy = _path_energy(space, u, dt)
     c_minus = c_plus = 0.0
     if mode == "asym":
         span = float(space.grid[-1] - space.grid[0])
@@ -569,12 +603,17 @@ def sin_shell(grid: np.ndarray) -> EffectivePotentialSpace:
         u = vals[..., 0]
         return (-u + 4.0 * u * (u * u - sin2))[..., None]
 
+    def density_hess(s, vals):
+        u = vals[..., 0]
+        return (-1.0 + 12.0 * u * u - 4.0 * sin2)[..., None, None]
+
     return EffectivePotentialSpace(
         grid=grid,
         n_components=1,
         bc="fixed",
         density=density,
         density_grad=density_grad,
+        density_hess=density_hess,
         symmetry="none",
         quotient="none",
         lam=-5.0,

@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .geodesic import ARMIJO, BACKTRACK, MAX_BACKTRACKS
 from .metric import GridL2Space, WeightedSpace, interp_columns, trapezoid_weights
 from .potentials import Potential
 
@@ -506,8 +507,11 @@ class EffectivePotentialSpace:
 
     Profiles are evaluated in stacks: ``energy_1d`` and its gradient take
     values reshapeable to (k, m, n) and return shapes (k,) and (k, m, n).
-    An explicit ``density(grid, stack)`` must return (k, m) and
-    ``density_grad(grid, stack)`` (k, m, n) for a (k, m, n) stack.
+    An explicit ``density(grid, stack)`` must return (k, m),
+    ``density_grad(grid, stack)`` (k, m, n) and ``density_hess(grid, stack)``
+    (k, m, n, n) for a (k, m, n) stack; in potential mode the same three come
+    from one ``values_at``, ``gradients_at`` or ``hessians_at`` call on all
+    k*m nodes.  ``density_hess`` is needed only by the field polish.
     """
 
     grid: np.ndarray
@@ -516,6 +520,7 @@ class EffectivePotentialSpace:
     potential: Potential | None = None
     density: Callable | None = None
     density_grad: Callable | None = None
+    density_hess: Callable | None = None
     tail_left: np.ndarray | None = None
     tail_right: np.ndarray | None = None
     ref_value: float = 0.0
@@ -576,6 +581,15 @@ class EffectivePotentialSpace:
             flat = stack.reshape(-1, self.n_components)
             return self.potential.gradients_at(flat).reshape(stack.shape)
         return np.asarray(self.density_grad(self.grid, stack), dtype=float)
+
+    def _density_hessians(self, stack: np.ndarray) -> np.ndarray:
+        """Density Hessian at every node of a (k, m, n) stack, shape (k, m, n, n)."""
+        if self.potential is not None:
+            flat = stack.reshape(-1, self.n_components)
+            return self.potential.hessians_at(flat).reshape(stack.shape + (self.n_components,))
+        if self.density_hess is None:
+            raise ValueError("the explicit density carries no density_hess")
+        return np.asarray(self.density_hess(self.grid, stack), dtype=float)
 
     def energy_1d(self, values: np.ndarray) -> np.ndarray:
         """Discrete 1D action: exact polyline kinetic term plus trapezoid density.
@@ -707,3 +721,107 @@ def pinned_lbfgs(fun, x0, pinned, project=None, *, gtol, maxiter, maxcor):
         options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-18, "maxcor": maxcor},
     )
     return pack(res.x), res
+
+
+# Most CG products per Newton step; the Armijo backtracking constants are the
+# geodesic descent's.
+CG_MAXITER = 2000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean inner product of two arrays of one shape.
+
+    Not np.vdot: BLAS splits long dot products across its threads, so their
+    bits, and with them every Newton-CG iterate, would depend on the thread
+    count.
+    """
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+class NewtonResult(NamedTuple):
+    steps: int
+    gmax: float           # max-norm of the free gradient at the returned point
+    status: str           # "converged", "max_iters" or "stalled"
+
+
+def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER):
+    """Inexact Newton direction: CG on H p = -g from p = 0 (Nocedal-Wright Alg. 7.1).
+
+    Stops once the residual norm is at most ``tol`` or after ``maxiter``
+    products.  On a direction of nonpositive curvature it stops at once and
+    returns the iterate so far, or -g if there is none yet.  Every returned
+    step is a descent direction.  Returns (step, negative curvature met,
+    products).
+    """
+    z = np.zeros_like(g)
+    r = g.copy()
+    d = -r
+    rr = _dot(r, r)
+    for j in range(maxiter):
+        bd = hessp(d)
+        curv = _dot(d, bd)
+        if curv <= 0.0:
+            return (-g if j == 0 else z), True, j + 1
+        alpha = rr / curv
+        z += alpha * d
+        r += alpha * bd
+        rr_next = _dot(r, r)
+        if math.sqrt(rr_next) <= tol:
+            return z, False, j + 1
+        d *= rr_next / rr
+        d -= r
+        rr = rr_next
+    return z, False, maxiter
+
+
+def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps):
+    """Truncated Newton-CG on ``fun`` with the ``pinned`` entries of ``x0`` held fixed.
+
+    ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
+    shape), and ``hessp_at(x)`` returns the Hessian-vector product at x as a
+    function of a direction; it is called once per Newton step.  The pin and
+    project contract is ``pinned_lbfgs``'s: gradients and Hessian products
+    are projected and then zeroed on the pins, and so is every step, so
+    iterates keep the pinned values and stay in the projected subspace that
+    ``x0`` must lie in.  The CG forcing term is min(0.5, sqrt |g|), and
+    Armijo backtracking guards each step.  Stops when the max-norm of the
+    free gradient is at most ``gtol`` (L-BFGS-B's pgtol rule), after
+    ``max_steps`` steps, or when backtracking finds no decrease.  Returns
+    (minimizer, NewtonResult).
+    """
+    free = (~np.asarray(pinned, dtype=bool)).astype(float)
+
+    def reduce(v):
+        return (v if project is None else project(v)) * free
+
+    x = np.asarray(x0, dtype=float).copy()
+    e, g = fun(x)
+    g = reduce(g)
+    steps = 0
+    while True:
+        gmax = float(np.max(np.abs(g)))
+        if gmax <= gtol:
+            status = "converged"
+            break
+        if steps == max_steps:
+            status = "max_iters"
+            break
+        gnorm = math.sqrt(_dot(g, g))
+        hessp = hessp_at(x)
+        p = reduce(truncated_cg(
+            lambda d: reduce(hessp(d)), g, min(0.5, math.sqrt(gnorm)) * gnorm
+        )[0])
+        slope = _dot(g, p)
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            x_try = x + t * p
+            e_try, g_try = fun(x_try)
+            if e_try <= e + ARMIJO * t * slope:
+                break
+            t *= BACKTRACK
+        else:
+            status = "stalled"
+            break
+        x, e, g = x_try, e_try, reduce(g_try)
+        steps += 1
+    return x, NewtonResult(steps, gmax, status)

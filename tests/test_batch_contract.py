@@ -129,3 +129,22 @@ def test_profile_kernels_on_a_stack_equal_single_profiles(name):
     columns = stack.transpose(1, 0, 2).copy().transpose(1, 0, 2)
     assert np.array_equal(space.energy_1d(columns), energies)
     assert np.array_equal(space.energy_1d_grad(columns), grads)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_SPACES))
+def test_density_hessians_on_a_stack_equal_single_profiles_and_differences(name):
+    space = PROFILE_SPACES[name]()
+    k, m, n = 5, space.m, space.n_components
+    stack = np.random.default_rng(6).uniform(-1.2, 1.2, (k, m, n))
+    hess = space._density_hessians(stack)
+    assert hess.shape == (k, m, n, n)
+    assert np.array_equal(hess, np.concatenate([space._density_hessians(v[None]) for v in stack]))
+    # the density is pointwise, so moving one component at every node at once
+    # gives one column of every node's Hessian
+    eps = 1e-6
+    fd = np.empty_like(hess)
+    for c in range(n):
+        e = np.zeros(n)
+        e[c] = eps
+        fd[..., c] = (space._density_grads(stack + e) - space._density_grads(stack - e)) / (2 * eps)
+    assert np.allclose(hess, fd, rtol=1e-6, atol=1e-6)

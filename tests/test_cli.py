@@ -284,6 +284,25 @@ def test_double_sin_run_and_verify(tmp_path):
     assert main(["verify", out]) == 0
 
 
+def test_double_manifest_records_the_polish_only_when_it_ran(tmp_path):
+    keys = {"polish_steps", "polish_gmax", "polish_status"}
+    off = str(tmp_path / "off")
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", off]) == 0
+    manifest = json.loads((tmp_path / "off" / "manifest.json").read_text())
+    assert not keys & set(manifest["results"])
+    assert "polish_gtol" not in manifest["tolerances"]
+    cfg = json.loads(json.dumps(SIN_CFG))
+    cfg["opts"]["polish"] = True
+    on = str(tmp_path / "on")
+    assert main(["double", "--config", write_cfg(tmp_path, cfg, "on.json"), "--out", on]) == 0
+    manifest = json.loads((tmp_path / "on" / "manifest.json").read_text())
+    results = manifest["results"]
+    assert keys <= set(results)
+    assert results["polish_status"] == "converged" and results["polish_steps"] > 0
+    assert results["polish_gmax"] <= manifest["tolerances"]["polish_gtol"]
+    assert main(["verify", on]) == 0
+
+
 def test_double_asym_needs_quotient(tmp_path):
     bad = dict(SIN_CFG)
     assert main(["double", "--config", write_cfg(tmp_path, bad), "--mode", "asym"]) == 3

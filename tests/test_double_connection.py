@@ -13,7 +13,15 @@ from hetconn import (
     solve_asymmetric,
     solve_symmetric,
 )
-from hetconn.double_connection import _path_energy, x2_defect
+from hetconn import double_connection
+from hetconn.double_connection import (
+    _path_energy,
+    _path_energy_hessp,
+    _polish_field,
+    _symmetrize_columns,
+    x2_defect,
+)
+from hetconn.function_space import truncated_cg
 from hetconn.geodesic import _energy_grad
 from hetconn.metric import trapezoid_weights
 
@@ -128,7 +136,7 @@ def test_sin_small_solve_assembles():
     space = sin_example_space(m=33)
     opts = DoubleOptions(
         path_nodes=9, outer_iters=1, inner_iters=150, n_out=17, t_max=3.0,
-        polish=True, polish_maxiter=500,
+        polish=True,
     )
     result = solve_symmetric(space, opts)
     assert result.u.shape == (33, 17, 1)
@@ -321,3 +329,89 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
     assert np.isfinite(energy) and np.any(grad != 0.0)
     assert len(calls) == 1
     assert len(grad_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the field polish: Hessian-vector products and the truncated Newton-CG
+
+
+def _field_pins(shape):
+    pinned = np.zeros(shape, dtype=bool)
+    pinned[:, [0, -1]] = True
+    pinned[[0, -1]] = True
+    return pinned
+
+
+def test_path_energy_hessp_matches_central_differences_of_the_gradient(field_space):
+    u = _noisy_blend(field_space, seed=2)
+    dt = 0.1
+    hessp = _path_energy_hessp(field_space, u, dt)
+    rng = np.random.default_rng(4)
+    hh = 1e-6
+    for _ in range(3):
+        d = rng.standard_normal(u.shape)
+        d[_field_pins(u.shape)] = 0.0
+        fd = (_path_energy(field_space, u + hh * d, dt, grad=True)[1]
+              - _path_energy(field_space, u - hh * d, dt, grad=True)[1]) / (2 * hh)
+        hd = hessp(d)
+        assert hd.shape == u.shape
+        assert np.max(np.abs(hd - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.fixture(scope="module")
+def planar_sym_field(planar_space):
+    """The unpolished small planar sym field and its x2 step."""
+    result = solve_symmetric(planar_space, SMALL)
+    return result.u, float(np.diff(result.x2)[0])
+
+
+def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
+                                                                   planar_sym_field):
+    u0, dt = planar_sym_field
+    gtol = DoubleOptions().polish_gtol
+    u, info = _polish_field(planar_space, u0, dt, True, gtol)
+    assert np.array_equal(u, _symmetrize_columns(planar_space, u))
+    pinned = _field_pins(u.shape)
+    assert np.array_equal(u[pinned], u0[pinned])
+    assert _path_energy(planar_space, u, dt) < _path_energy(planar_space, u0, dt)
+    assert info.status == "converged" and 0 < info.steps
+    # the free gradient, recomputed here, meets the tolerance the run reports
+    g = _symmetrize_columns(planar_space, _path_energy(planar_space, u, dt, grad=True)[1])
+    g[pinned] = 0.0
+    assert float(np.max(np.abs(g))) == info.gmax <= gtol
+
+
+def test_polish_at_the_step_cap_says_so(planar_space, planar_sym_field, monkeypatch):
+    u0, dt = planar_sym_field
+    monkeypatch.setattr(double_connection, "POLISH_STEPS", 1)
+    gtol = DoubleOptions().polish_gtol
+    u, info = _polish_field(planar_space, u0, dt, True, gtol)
+    assert info.status == "max_iters" and info.steps == 1
+    assert info.gmax > gtol
+    assert _path_energy(planar_space, u, dt) < _path_energy(planar_space, u0, dt)
+
+
+def test_truncated_cg_stops_at_negative_curvature_with_a_descent_step(planar_space,
+                                                                      planar_sym_field):
+    u, dt = planar_sym_field
+    free = (~_field_pins(u.shape)).astype(float)
+
+    def reduce(v):
+        return _symmetrize_columns(planar_space, v) * free
+
+    hessp = _path_energy_hessp(planar_space, u, dt)
+    g = reduce(_path_energy(planar_space, u, dt, grad=True)[1])
+    # zero tolerance: CG runs on until it meets the indefinite direction
+    p, negative, products = truncated_cg(lambda d: reduce(hessp(d)), g, 0.0)
+    assert negative and products > 1
+    assert float(np.vdot(g, p)) < 0.0
+    # the returned iterate is not the fallback; its own curvature is positive
+    assert not np.array_equal(p, -g)
+    assert float(np.vdot(p, reduce(hessp(p)))) > 0.0
+
+
+def test_truncated_cg_falls_back_to_the_negative_gradient():
+    g = np.array([1.0, -2.0, 0.5])
+    p, negative, products = truncated_cg(lambda d: -d, g, 1e-12)
+    assert negative and products == 1
+    assert np.array_equal(p, -g)
