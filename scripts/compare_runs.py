@@ -6,12 +6,19 @@ Compares the manifest sections ``results``, ``tolerances``, ``config`` and
 ``warnings`` and the artifact sha256 checksums; ``runtime_seconds`` and the
 library versions are not compared.  Every value is compared by its JSON
 text, so floats must agree bit for bit and NaN equals NaN.  Prints one line
-per difference and exits 1 if there is any, 0 otherwise.
+per difference and exits 1 if there is any, 0 otherwise.  When the checksum
+of a CSV or TSV artifact differs, its line also gives the largest absolute
+and relative difference between the two numeric tables, or says that their
+shapes differ.
 """
 
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from hetconn.cli import _read_table
 
 SECTIONS = ("results", "tolerances", "config", "warnings", "artifacts")
 MISSING = "<missing>"
@@ -30,17 +37,44 @@ def _leaves(value, path):
         yield path, json.dumps(value)
 
 
+def table_difference(path_a, path_b) -> str:
+    """Largest absolute and relative difference of two CSV/TSV tables.
+
+    Entries that compare equal, and NaN against NaN, count as no difference;
+    the relative difference divides by the larger magnitude of the pair.
+    """
+    delimiter = "\t" if Path(path_a).suffix == ".tsv" else ","
+    try:
+        a, b = (_read_table(p, delimiter)[2] for p in (path_a, path_b))
+    except (OSError, ValueError) as exc:
+        return f"tables not compared: {exc}"
+    if a.shape != b.shape:
+        return f"table shapes {a.shape} != {b.shape}"
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        gap = np.where(same, 0.0, np.abs(a - b))
+        rel = np.where(same, 0.0, gap / np.maximum(np.abs(a), np.abs(b)))
+    return (f"max abs difference {np.max(gap, initial=0.0):.3g}, "
+            f"max rel difference {np.max(rel, initial=0.0):.3g}")
+
+
 def differences(run_a, run_b) -> list[str]:
     manifests = [json.loads((Path(d) / "manifest.json").read_text()) for d in (run_a, run_b)]
     leaves = [
         dict(leaf for name in SECTIONS for leaf in _leaves(m.get(name, {}), name))
         for m in manifests
     ]
-    return [
-        f"{path}: {leaves[0].get(path, MISSING)} != {leaves[1].get(path, MISSING)}"
-        for path in sorted(set(leaves[0]) | set(leaves[1]))
-        if leaves[0].get(path, MISSING) != leaves[1].get(path, MISSING)
-    ]
+    lines = []
+    for path in sorted(set(leaves[0]) | set(leaves[1])):
+        a, b = leaves[0].get(path, MISSING), leaves[1].get(path, MISSING)
+        if a == b:
+            continue
+        line = f"{path}: {a} != {b}"
+        name = path.removeprefix("artifacts.")
+        if name != path and MISSING not in (a, b) and Path(name).suffix in (".csv", ".tsv"):
+            line += f" ({table_difference(Path(run_a) / name, Path(run_b) / name)})"
+        lines.append(line)
+    return lines
 
 
 def main(argv) -> int:

@@ -10,9 +10,13 @@ no fixture: the effective space comes from the config on the grid of the
 field's x1 column, and the reference is the 1D action of the field's last
 column, the z+ well profile, which must equal the ``ref_value`` the run
 recorded bit for bit.  Exit codes: 0 success, 2 solver stall, 3 config
-error, 4 checksum or schema failure (verify), 5 failing check (verify): the
+error, 4 checksum or schema failure (verify), 5 failing check: the
 equipartition defect over its tolerance, a double run's reference action
-not matching the recorded one, or a broken counterexample invariant.
+not matching the recorded one, a polished double run whose gradient
+missed its tolerance (the run writes its artifacts and manifest, then exits
+5, and so does ``verify``), or a broken counterexample invariant.  A
+counterexample ``verify`` recomputes every candidate length from the config
+and every crossing bound, and requires the recorded ones bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from . import __version__
 from .counterexample import (
     CounterexampleWeight,
     DivergentTailError,
+    candidate_length,
+    crossing_lower_bound,
     nonexistence_report,
 )
 from .double_connection import (
@@ -423,26 +429,52 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     if verbose:
         print(f"wrote {out_dir}: energy {result.energy:.9g}, "
               f"residual {report.residual_max:.3g}")
+    if not _polish_within_tolerance(manifest, verbose):
+        return EXIT_EQUIPARTITION
     return EXIT_OK
+
+
+def _polish_within_tolerance(manifest: dict, verbose: bool) -> bool:
+    """Whether a polished double run met its gradient tolerance (NaN fails).
+
+    True for a run without the polish, which records no ``polish_gtol``.
+    """
+    gtol = manifest["tolerances"].get("polish_gtol")
+    if gtol is None:
+        return True
+    gmax = manifest["results"].get("polish_gmax", float("nan"))
+    ok = gmax <= gtol
+    if verbose or not ok:
+        print(f"polish {manifest['results'].get('polish_status')}: max free "
+              f"gradient {gmax:.6g} (tolerance {gtol:g})",
+              file=sys.stdout if ok else sys.stderr)
+    return ok
 
 
 # ---------------------------------------------------------------------------
 # counterexample
 
 
-def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
-    t_start = time.time()
+def _counterexample_weight(cfg: dict) -> CounterexampleWeight:
     gcfg = cfg.get("g", {"type": "power", "p": 2.0})
     if not isinstance(gcfg, dict) or gcfg.get("type") != "power":
         raise ConfigError("config field 'g' supports {'type': 'power', 'p': >1}")
     try:
-        w = CounterexampleWeight(power=float(gcfg.get("p", 2.0)))
+        return CounterexampleWeight(power=float(gcfg.get("p", 2.0)))
     except DivergentTailError as exc:
         raise ConfigError(str(exc)) from exc
-    radii = tuple(float(r) for r in cfg.get("radii", (4.0, 8.0, 16.0, 32.0, 64.0)))
+
+
+def _counterexample_radii(cfg: dict) -> tuple:
+    return tuple(float(r) for r in cfg.get("radii", (4.0, 8.0, 16.0, 32.0, 64.0)))
+
+
+def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
+    t_start = time.time()
+    w = _counterexample_weight(cfg)
     report = nonexistence_report(
         w,
-        radii=radii,
+        radii=_counterexample_radii(cfg),
         n_leg=int(cfg.get("n_leg", 48)),
         max_iters=int(cfg.get("max_iters", 300)),
         n_candidates=int(cfg.get("n_max", 12)),
@@ -458,15 +490,13 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
         os.path.join(out_dir, "boxed.tsv"), ["radius\tbest_length\tcrossing_bound"],
         np.column_stack([report.radii, report.best_lengths, report.bounds]), "\t",
     )
+    tolerances = {"bound_slack": 1e-6, "candidate_tail_tol": 1e-2}
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "counterexample",
         "config": cfg,
         "versions": _versions(),
-        "tolerances": {
-            "bound_slack": 1e-6,
-            "candidate_tail_tol": 1e-2,
-        },
+        "tolerances": tolerances,
         "results": {
             "g_infinity": w.g_infinity,
             "infimum": report.infimum,
@@ -476,7 +506,7 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
             ),
             "boxed_strictly_decreasing": report.strictly_decreasing,
             "boxed_above_bound": bool(
-                np.all(report.best_lengths >= report.bounds - 1e-6)
+                np.all(report.best_lengths >= report.bounds - tolerances["bound_slack"])
             ),
             "statuses": report.statuses,
             "conclusion": report.conclusion,
@@ -518,6 +548,8 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
 
 
 def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
+    if not _polish_within_tolerance(manifest, verbose):
+        return EXIT_EQUIPARTITION
     comments, header, data = _read_table(os.path.join(run_dir, "u.csv"))
     x1 = np.unique(data[:, 0])
     x2 = np.unique(data[:, 1])
@@ -542,11 +574,32 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
 def _verify_counterexample(run_dir: str, manifest: dict, verbose: bool) -> int:
     _, _, cand = _read_table(os.path.join(run_dir, "candidates.tsv"), "\t")
     _, _, boxed = _read_table(os.path.join(run_dir, "boxed.tsv"), "\t")
-    ok = bool(np.all(np.diff(cand[:, 2]) < 0.0))
-    ok &= bool(np.all(boxed[:, 1] >= boxed[:, 2] - 1e-6))
-    if verbose or not ok:
-        print(f"counterexample invariants {'hold' if ok else 'VIOLATED'}")
-    return EXIT_OK if ok else EXIT_EQUIPARTITION
+    cfg, tol = manifest["config"], manifest["tolerances"]
+    w = _counterexample_weight(cfg)
+    ns, lengths = cand[:, 0], cand[:, 2]
+    recomputed = np.array([candidate_length(n, w) for n in ns])
+    checks = {
+        "n = 1..n_max and x_n = 2^n": bool(
+            np.array_equal(ns, np.arange(1, int(cfg.get("n_max", 12)) + 1))
+            and np.array_equal(cand[:, 1], 2.0 ** ns)
+        ),
+        "candidate lengths recomputed bit for bit": np.array_equal(recomputed, lengths),
+        "radii as configured and crossing bounds recomputed bit for bit": bool(
+            np.array_equal(boxed[:, 0], _counterexample_radii(cfg))
+            and np.array_equal(boxed[:, 2], [crossing_lower_bound(r, w) for r in boxed[:, 0]])
+        ),
+        "candidates strictly decreasing": bool(np.all(np.diff(lengths) < 0.0)),
+        "final candidate within candidate_tail_tol of the infimum": bool(
+            lengths[-1] - w.infimum <= tol["candidate_tail_tol"]
+        ),
+        "boxed lengths above the crossing bound": bool(
+            np.all(boxed[:, 1] >= boxed[:, 2] - tol["bound_slack"])
+        ),
+    }
+    for name, ok in checks.items():
+        if verbose or not ok:
+            print(f"{name}: {'ok' if ok else 'VIOLATED'}")
+    return EXIT_OK if all(checks.values()) else EXIT_EQUIPARTITION
 
 
 def cmd_verify(run_dir: str, verbose: bool) -> int:

@@ -13,6 +13,11 @@ infimum as x_n grows, so no minimizer exists.
 The default g(s) = s^(-2) beyond 1 (extended linearly below) keeps every
 reference value in closed form: G(t) = t^2/2 then 3/2 - 1/t, G(inf) = 3/2,
 infimum 3.  Custom g are integrated numerically with a quadrature tail.
+
+Weighted lengths of straight segments (the candidate legs, the polylines
+of the boxed runs) come from one batched, adaptive 21-point Gauss-Kronrod
+rule with QUADPACK's nodes, weights and error estimate, split at the kinks
+of K: each refinement round evaluates K once on every active panel.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .geodesic import SolverOptions, minimize_k_length
 from .metric import EuclideanSpace, WeightedSpace
@@ -67,6 +71,8 @@ class CounterexampleWeight:
             cumulative = np.concatenate([
                 [0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(s_pts))
             ])
+            from scipy import integrate
+
             tail, increments = 0.0, []
             lo = _TABLE_CUT
             for _ in range(24):
@@ -101,6 +107,8 @@ class CounterexampleWeight:
             s_pts, cumulative = self._table
             inside = np.interp(t, s_pts, cumulative)
             # beyond the table: fall back on quadrature (rare, small tail)
+            from scipy import integrate
+
             out = np.atleast_1d(inside).copy()
             far = np.atleast_1d(t) > s_pts[-1]
             for i in np.flatnonzero(far):
@@ -220,18 +228,112 @@ def crossing_lower_bound(x0: float, w: CounterexampleWeight) -> float:
     return 2.0 * (2.0 * w.g_infinity - w.big_g(abs(x0)))
 
 
-def _leg_quad(w: CounterexampleWeight, a: np.ndarray, b: np.ndarray) -> float:
-    """Adaptive quadrature of K along the straight segment from a to b."""
+# QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
+# centre last) with their weights, and the weights of the embedded 10-point
+# Gauss rule, whose nodes are the odd-indexed abscissae
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208850201301, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173952828133546,
+])
+# the rule on [-1, 1] in ascending node order
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:20:2] = np.concatenate([_WG, _WG[::-1]])
+# scipy.integrate.quad's default epsabs = epsrel, and a subinterval limit
+_QUAD_TOL = 1.49e-8
+_QUAD_LIMIT = 400
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _qk21(f, half):
+    """QUADPACK qk21 on a batch of panels: (value, error estimate).
+
+    ``f`` holds the integrand at ``_GK_NODES`` of each panel, shape (p, 21),
+    and ``half`` the panel half-widths.  The error is the Gauss-Kronrod
+    difference scaled by resasc as in QUADPACK, with its roundoff floor.
+    """
+    resk = f @ _GK_KRONROD
+    resg = f @ _GK_GAUSS
+    resabs = np.abs(f) @ _GK_KRONROD * half
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_KRONROD * half
+    err = np.abs((resk - resg) * half)
+    # QUADPACK scales a nonzero error only; a zero one scales to zero anyway
+    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=resasc != 0.0)
+    err = np.where(resasc != 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS),
+                   np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def _segment_lengths(w: CounterexampleWeight, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K-lengths of the straight segments from a[i] to b[i], shape (s,).
+
+    a and b are (s, 2) arrays of segment ends.  Each segment is split at
+    its ``_quad_breaks`` in the parameter t in [0, 1], and the panels are
+    refined together: every round evaluates the 21-point Gauss-Kronrod rule
+    on all active panels with one ``w.k`` call, accepts a panel whose error
+    is at most tol times its t-width, with tol = max(1.49e-8, 1.49e-8
+    |segment estimate|) (quad's default epsabs and epsrel), and bisects the
+    rest.  A segment needing more than 400 subintervals raises RuntimeError.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    span = float(np.linalg.norm(b - a))
-
-    def integrand(t):
-        return w.k((a + t * (b - a))[None])[0] * span
-
-    val, _ = integrate.quad(integrand, 0.0, 1.0, limit=400,
-                            points=_quad_breaks(a, b))
-    return val
+    d = b - a
+    span = np.sqrt(np.einsum("ij,ij->i", d, d))
+    seg, lo, hi = [], [], []
+    for i in range(len(a)):
+        edges = [0.0, *_quad_breaks(a[i], b[i]), 1.0]
+        seg += [i] * (len(edges) - 1)
+        lo += edges[:-1]
+        hi += edges[1:]
+    seg, lo, hi = np.array(seg, dtype=int), np.array(lo), np.array(hi)
+    n_seg = len(a)
+    total = np.zeros(n_seg)
+    count = np.bincount(seg, minlength=n_seg)
+    while seg.size:
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        t = mid[:, None] + half[:, None] * _GK_NODES
+        pts = a[seg, None, :] + t[:, :, None] * d[seg, None, :]
+        f = w.k(pts.reshape(-1, 2)).reshape(t.shape) * span[seg, None]
+        value, err = _qk21(f, half)
+        estimate = total + np.bincount(seg, weights=value, minlength=n_seg)
+        tol = np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(estimate))
+        done = err <= tol[seg] * (hi - lo)
+        total += np.bincount(seg[done], weights=value[done], minlength=n_seg)
+        split = np.flatnonzero(~done)
+        seg, lo, hi, mid = seg[split], lo[split], hi[split], mid[split]
+        count += np.bincount(seg, minlength=n_seg)
+        if count.max() > _QUAD_LIMIT:
+            bad = int(np.argmax(count))
+            raise RuntimeError(
+                f"K-length of the segment {a[bad]} -> {b[bad]} needs more "
+                f"than {_QUAD_LIMIT} subintervals"
+            )
+        # each split panel becomes its two halves, in place
+        seg = np.repeat(seg, 2)
+        lo, hi = np.repeat(lo, 2), np.repeat(hi, 2)
+        lo[1::2] = hi[0::2] = mid
+    return total
 
 
 def _quad_breaks(a, b):
@@ -250,7 +352,7 @@ def _quad_breaks(a, b):
             t = (target - a[coord]) / d
             if 1e-12 < t < 1.0 - 1e-12:
                 breaks.append(t)
-    return sorted(breaks) or None
+    return sorted(breaks)
 
 
 def candidate_length(n_index: int, w: CounterexampleWeight,
@@ -258,14 +360,14 @@ def candidate_length(n_index: int, w: CounterexampleWeight,
     """Weighted length of the three-leg candidate through x = 2**n_index.
 
     Top horizontal P+ to (x_n, 1), vertical drop to (x_n, -1), bottom
-    horizontal back to P-; each leg integrated adaptively.  With legs=True
-    the per-leg breakdown is returned alongside the total.
+    horizontal back to P-; the three legs are integrated together by the
+    batched Gauss-Kronrod rule of ``_segment_lengths``.  With legs=True the
+    per-leg breakdown is returned alongside the total.
     """
     if x_n is None:
         x_n = 2.0 ** n_index
-    top = _leg_quad(w, P_PLUS, np.array([x_n, 1.0]))
-    vertical = _leg_quad(w, np.array([x_n, 1.0]), np.array([x_n, -1.0]))
-    bottom = _leg_quad(w, np.array([x_n, -1.0]), P_MINUS)
+    corners = np.array([P_PLUS, [x_n, 1.0], [x_n, -1.0], P_MINUS])
+    top, vertical, bottom = _segment_lengths(w, corners[:-1], corners[1:]).tolist()
     total = top + vertical + bottom
     if legs:
         return total, {"top": top, "vertical": vertical, "bottom": bottom,
@@ -276,17 +378,16 @@ def candidate_length(n_index: int, w: CounterexampleWeight,
 def dense_polyline_length(nodes: np.ndarray, w: CounterexampleWeight) -> float:
     """Adaptive-quadrature weighted length of a polyline.
 
-    Each straight segment is integrated with the kink-aware rule, so the
-    value is the continuous K-length of the polyline itself (no node-rule
-    bias); lower bounds derived from the variation of f apply to it.
+    Every straight segment of nonzero length is integrated with the
+    kink-aware Gauss-Kronrod rule of ``_segment_lengths``, all of them in
+    one batch, so the value is the continuous K-length of the polyline
+    itself (no node-rule bias); lower bounds derived from the variation of
+    f apply to it.
     """
     nodes = np.asarray(nodes, dtype=float)
-    total = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if float(np.linalg.norm(b - a)) == 0.0:
-            continue
-        total += _leg_quad(w, a, b)
-    return total
+    a, b = nodes[:-1], nodes[1:]
+    moves = np.linalg.norm(b - a, axis=1) != 0.0
+    return float(np.sum(_segment_lengths(w, a[moves], b[moves])))
 
 
 def crossing_abscissas(nodes: np.ndarray, tol: float = 1e-12) -> list[float]:

@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ COUNTER_CFG = {
     "radii": [4.0, 8.0],
     "n_leg": 12,
     "max_iters": 30,
-    "n_max": 4,
+    "n_max": 8,
 }
 
 
@@ -266,6 +269,88 @@ def test_counterexample_run_and_verify(tmp_path):
     assert main(["verify", out]) == 0
 
 
+def _counterexample_run(tmp_path):
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--config", write_cfg(tmp_path, COUNTER_CFG),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_counterexample_verify_recomputes_the_candidates(tmp_path):
+    out = _counterexample_run(tmp_path)
+    path = out / "candidates.tsv"
+    lines = path.read_text().splitlines()
+    cells = lines[4].split("\t")
+    cells[2] = "%.17g" % np.nextafter(float(cells[2]), np.inf)
+    lines[4] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    _resign(out, "candidates.tsv")
+    assert main(["verify", str(out)]) == 5
+
+
+def test_counterexample_verify_enforces_the_tail_tolerance(tmp_path):
+    out = _counterexample_run(tmp_path)
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    assert manifest["tolerances"]["candidate_tail_tol"] == 1e-2
+    manifest["tolerances"]["candidate_tail_tol"] = 1e-5
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    assert main(["verify", str(out)]) == 5
+
+
+def test_counterexample_verify_recomputes_the_crossing_bounds(tmp_path):
+    out = _counterexample_run(tmp_path)
+    path = out / "boxed.tsv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split("\t")
+    # a lower bound still passes the boxed-above-bound check
+    cells[2] = "%.17g" % (float(cells[2]) - 0.25)
+    lines[2] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    _resign(out, "boxed.tsv")
+    assert main(["verify", str(out)]) == 5
+
+
+def test_counterexample_verify_reads_the_bound_slack(tmp_path):
+    out = _counterexample_run(tmp_path)
+    _, _, boxed = _read_table(out / "boxed.tsv", "\t")
+    gap = float(np.min(boxed[:, 1] - boxed[:, 2]))
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    # a negative slack demands the boxed lengths clear the bound by more
+    # than they do
+    manifest["tolerances"]["bound_slack"] = -2.0 * gap
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    assert main(["verify", str(out)]) == 5
+
+
+def test_compare_runs_reports_the_numeric_artifact_difference(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "compare_runs", Path(__file__).resolve().parent.parent / "scripts" / "compare_runs.py")
+    compare_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_runs)
+    run_a = _counterexample_run(tmp_path)
+    run_b = tmp_path / "ce_b"
+    shutil.copytree(run_a, run_b)
+    assert compare_runs.main([str(run_a), str(run_b)]) == 0
+    path = run_b / "boxed.tsv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split("\t")
+    old = float(cells[1])
+    new = old + 3e-12
+    cells[1] = "%.17g" % new
+    lines[2] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    _resign(run_b, "boxed.tsv")
+    capsys.readouterr()
+    assert compare_runs.main([str(run_a), str(run_b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("artifacts.boxed.tsv: ")
+    assert out[0].endswith(f"(max abs difference {new - old:.3g}, "
+                           f"max rel difference {(new - old) / max(old, new):.3g})")
+    assert out[1].startswith("1 difference(s)")
+
+
 def test_counterexample_rejects_divergent_g(tmp_path):
     bad = dict(COUNTER_CFG)
     bad["g"] = {"type": "power", "p": 0.5}
@@ -301,6 +386,19 @@ def test_double_manifest_records_the_polish_only_when_it_ran(tmp_path):
     assert results["polish_status"] == "converged" and results["polish_steps"] > 0
     assert results["polish_gmax"] <= manifest["tolerances"]["polish_gtol"]
     assert main(["verify", on]) == 0
+
+
+def test_polish_over_its_tolerance_fails_run_and_verify(tmp_path, monkeypatch):
+    monkeypatch.setattr(hetconn.double_connection, "POLISH_STEPS", 1)
+    cfg = json.loads(json.dumps(SIN_CFG))
+    cfg["opts"]["polish"] = True
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["results"]["polish_status"] == "max_iters"
+    assert manifest["results"]["polish_gmax"] > manifest["tolerances"]["polish_gtol"]
+    assert set(manifest["artifacts"]) == {"u.csv", "boundary_convergence.tsv"}
+    assert main(["verify", str(out)]) == 5
 
 
 def test_double_asym_needs_quotient(tmp_path):

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from hetconn import (
     CounterexampleWeight,
@@ -14,8 +18,19 @@ from hetconn import (
     dense_polyline_length,
     nonexistence_report,
 )
+from hetconn.counterexample import (
+    _GK_NODES,
+    _boxed_seed,
+    _qk21,
+    _quad_breaks,
+    _segment_lengths,
+)
 
 W = CounterexampleWeight()
+
+
+def same_g(s):
+    return s if s <= 1.0 else s**-2.0
 
 
 def test_cumulative_g_oracles():
@@ -130,9 +145,6 @@ def test_divergent_tails_are_rejected():
 
 
 def test_custom_table_matches_closed_form():
-    def same_g(s):
-        return s if s <= 1.0 else s**-2.0
-
     wt = CounterexampleWeight(g=same_g)
     assert wt.g_infinity == pytest.approx(1.5, rel=1e-4)
     for t in (0.3, 1.0, 2.0, 50.0, 2e4):
@@ -160,3 +172,125 @@ def test_small_boxed_report():
     assert all(len(c) >= 1 for c in report.crossings)
     assert "demonstrated" in report.conclusion
     assert len(report.statuses) == 2
+
+
+# -- the batched Gauss-Kronrod leg rule against scipy's quad -----------------
+
+
+def _quad_leg(w, a, b, tol=1.49e-8, limit=400):
+    # the per-segment scipy quad rule that the batched rule replaced, kept as
+    # the reference; a smaller tol and a larger limit give a tighter one
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    span = float(np.linalg.norm(b - a))
+
+    def integrand(t):
+        return w.k((a + t * (b - a))[None])[0] * span
+
+    val, _ = integrate.quad(integrand, 0.0, 1.0, limit=limit,
+                            points=_quad_breaks(a, b) or None, epsabs=tol, epsrel=tol)
+    return val
+
+
+def _quad_polyline(w, nodes):
+    return sum(_quad_leg(w, a, b) for a, b in zip(nodes[:-1], nodes[1:])
+               if np.linalg.norm(b - a) != 0.0)
+
+
+class CountingWeight(CounterexampleWeight):
+    calls = 0
+
+    def k(self, pts):
+        self.calls += 1
+        return super().k(pts)
+
+
+@pytest.mark.parametrize("f", [np.exp, lambda x: 1.0 / (x + 0.3), lambda x: np.sqrt(x + 0.1)])
+def test_one_panel_equals_quadpack_qk21(f):
+    # quad accepts these integrands after its first 21-point evaluation, so
+    # its value and error estimate are qk21's on the whole interval: for exp
+    # the roundoff floor, for the other two the resasc-scaled difference
+    value, err = _qk21(f(0.5 + 0.5 * _GK_NODES)[None], np.array([0.5]))
+    ref_value, ref_err, info = integrate.quad(f, 0.0, 1.0, full_output=1)
+    assert info["last"] == 1
+    assert value[0] == pytest.approx(ref_value, rel=1e-15, abs=0.0)
+    assert err[0] == pytest.approx(ref_err, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("radius", [4.0, 8.0, 16.0, 32.0, 64.0])
+def test_boxed_seed_lengths_match_quad(radius):
+    seed = _boxed_seed(radius, 48)
+    assert abs(dense_polyline_length(seed, W) - _quad_polyline(W, seed)) <= 1e-10
+
+
+def test_candidate_lengths_match_quad():
+    for n in range(1, 13):
+        x = 2.0**n
+        corners = ([0.0, 1.0], [x, 1.0], [x, -1.0], [0.0, -1.0])
+        ref = sum(_quad_leg(W, a, b) for a, b in zip(corners[:-1], corners[1:]))
+        assert abs(candidate_length(n, W) - ref) <= 1e-10
+
+
+def test_segments_across_the_kinks_match_quad():
+    rng = np.random.default_rng(20261018)
+    # each segment crosses x = -1 and x = 1 and every level y in
+    # {-1, -1/2, 0, 1/2, 1}, in either direction
+    a = np.stack([rng.uniform(-3.0, -1.05, 40), rng.uniform(-1.8, -1.05, 40)], axis=1)
+    b = np.stack([rng.uniform(1.05, 3.0, 40), rng.uniform(1.05, 1.8, 40)], axis=1)
+    flip = rng.random(40) < 0.5
+    a[flip], b[flip] = b[flip].copy(), a[flip].copy()
+    # and segments with one end on a kink line or at a zero of K
+    a = np.concatenate([a, [[1.0, 0.3], [0.0, 1.0], [-2.0, 0.5], [0.0, 0.0]]])
+    b = np.concatenate([b, [[3.0, -0.7], [2.0, -1.0], [-2.0, -0.5], [1.5, 1.0]]])
+    lengths = _segment_lengths(W, a, b)
+    ref = np.array([_quad_leg(W, p, q) for p, q in zip(a, b)])
+    tight = np.array([_quad_leg(W, p, q, tol=1e-13, limit=4000) for p, q in zip(a, b)])
+    assert np.max(np.abs(lengths - tight)) <= 1e-10
+    # quad's global error estimate accepts a few segments early (the 10th
+    # here by 3.5e-9); everywhere else it agrees with the batched rule
+    quad_off = np.abs(ref - tight) > 1e-10
+    assert np.count_nonzero(quad_off) <= 2
+    assert np.max(np.abs(lengths - ref)[~quad_off]) <= 1e-10
+
+
+def test_polyline_with_a_repeated_node_matches_quad():
+    nodes = np.array([[0.0, -1.0], [1.5, -0.8], [1.5, -0.8], [2.5, 0.4],
+                      [0.7, 1.2], [0.0, 1.0]])
+    value = dense_polyline_length(nodes, W)
+    assert abs(value - _quad_polyline(W, nodes)) <= 1e-10
+    assert value == dense_polyline_length(np.delete(nodes, 2, axis=0), W)
+
+
+def test_custom_g_lengths_match_quad():
+    wt = CounterexampleWeight(g=same_g)
+    nodes = np.array([[0.0, -1.0], [3.0, -1.0], [3.0, 1.0], [0.0, 1.0]])
+    assert abs(dense_polyline_length(nodes, wt) - _quad_polyline(wt, nodes)) <= 1e-10
+    ref = _quad_polyline(wt, np.array([[0.0, 1.0], [16.0, 1.0], [16.0, -1.0], [0.0, -1.0]]))
+    assert abs(candidate_length(4, wt) - ref) <= 1e-10
+
+
+def test_leg_rule_evaluates_the_weight_once_per_round():
+    wc = CountingWeight()
+    dense_polyline_length(_boxed_seed(64.0, 48), wc)
+    assert 1 <= wc.calls <= 5
+    wc.calls = 0
+    candidate_length(12, wc)
+    assert 1 <= wc.calls <= 20
+
+
+def test_leg_rule_raises_past_the_subinterval_limit():
+    class NanWeight(CounterexampleWeight):
+        def k(self, pts):
+            return np.full(len(pts), np.nan)
+
+    with pytest.raises(RuntimeError, match="400 subintervals"):
+        dense_polyline_length(np.array([[0.0, -1.0], [2.0, 1.0]]), NanWeight())
+
+
+def test_importing_the_cli_leaves_scipy_integrate_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hetconn.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
