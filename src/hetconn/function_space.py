@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .geodesic import ARMIJO, BACKTRACK, MAX_BACKTRACKS
-from .metric import GridL2Space, WeightedSpace, interp_columns, trapezoid_weights
+from .metric import GridL2Space, LastBatch, WeightedSpace, interp_columns, trapezoid_weights
 from .potentials import Potential
 
 
@@ -600,7 +600,7 @@ class EffectivePotentialSpace:
         """
         v = self._stack(values)
         h = self.h
-        dv = np.diff(v, axis=1)
+        dv = v[:, 1:] - v[:, :-1]
         kinetic = 0.5 * np.sum(dv * dv, axis=(1, 2)) / h
         potential = np.sum(trapezoid_weights(self.m, h) * self._density_values(v), axis=1)
         return kinetic + potential
@@ -609,11 +609,18 @@ class EffectivePotentialSpace:
         """Coordinate gradient of energy_1d, shape (k, m, n); edge rows are pinned to zero."""
         v = self._stack(values)
         h = self.h
-        grad = np.zeros_like(v)
-        dv = np.diff(v, axis=1) / h
-        grad[:, :-1] -= dv
-        grad[:, 1:] += dv
-        grad += trapezoid_weights(self.m, h)[:, None] * self._density_grads(v)
+        dv = v[:, 1:] - v[:, :-1]
+        dv /= h
+        # trapezoid weight per (node, component): a contiguous (m, n) factor
+        # broadcasts over the stack much faster than an (m, 1) column
+        row_w = np.repeat(trapezoid_weights(self.m, h), self.n_components)
+        grad = row_w.reshape(self.m, self.n_components) * self._density_grads(v)
+        # interior rows dv_(i-1) - dv_i + w_i grad W_i; the + 0.0 turns a -0
+        # difference into +0, as accumulating both terms into zeros does
+        inner = dv[:, :-1] - dv[:, 1:]
+        inner += 0.0
+        inner += grad[:, 1:-1]
+        grad[:, 1:-1] = inner
         grad[:, 0] = 0.0
         grad[:, -1] = 0.0
         return grad
@@ -654,17 +661,24 @@ class EffectivePotentialSpace:
         """The geodesic problem on profiles: weight sqrt(2 max(E - ref, 0)).
 
         Zero weight is reached exactly on the stored minimal connections, so
-        the zero set lists their flattened coordinates.
+        the zero set lists their flattened coordinates.  E - ref of the last
+        frozen batch is kept (``LastBatch``), so the gradient call on the
+        solver's accepted midpoints does not evaluate ``energy_1d`` again.
         """
+        last = LastBatch()
+
         def weight(pts, grad=False):
-            w = self.effective_potential(pts)
+            w = last(self.effective_potential, pts)
             k = np.sqrt(2.0 * np.maximum(w, 0.0))
             if not grad:
                 return k
             # grad K = grad E / K where E - ref is positive, zero elsewhere
-            live = (w > 1e-16)[:, None]
+            live = w > 1e-16
             g = self.energy_1d_grad(pts).reshape(pts.shape)
-            return k, np.divide(g, k[:, None], out=np.zeros_like(g), where=live)
+            if live.all():
+                g /= k[:, None]
+                return k, g
+            return k, np.divide(g, k[:, None], out=np.zeros_like(g), where=live[:, None])
 
         return WeightedSpace(
             space=self.ambient(),

@@ -2,17 +2,18 @@
 
 The discrete objective is the midpoint-rule weighted length
 sum K((x_i + x_{i+1})/2) * d(x_i, x_{i+1}); its exact coordinate gradient
-drives a backtracking descent.  Segments whose midpoint weight sits below a
-floor are treated as already on the zero set and contribute no gradient.
-Loop removal excises everything between the first and last pass near a
-zero-set point, and node refinement splits the segments that carry the most
-weighted length.
+drives a backtracking descent.  Each trial polyline is evaluated once: the
+accepted one's weights, lengths and midpoints also assemble its gradient.
+Segments whose midpoint weight sits below a floor are treated as already on
+the zero set and contribute no gradient.  Loop removal excises everything
+between the first and last pass near a zero-set point, and node refinement
+splits the segments that carry the most weighted length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import math
 
@@ -62,31 +63,53 @@ class SolveTrace:
         return bool(np.all(np.diff(e) <= 1e-12 * np.maximum(1.0, np.abs(e[:-1]))))
 
 
-def _energy_grad(nodes: np.ndarray, wspace: WeightedSpace, want_grad: bool):
-    w = wspace.space.coord_weights
+class _Evaluation(NamedTuple):
+    """One polyline's energy and the per-segment terms its gradient reuses."""
+
+    energy: float
+    kvals: np.ndarray
+    wdiffs: np.ndarray
+    lens: np.ndarray
+    mids: np.ndarray
+
+
+def _evaluate(nodes: np.ndarray, wspace: WeightedSpace, w: np.ndarray) -> _Evaluation:
     diffs = nodes[1:] - nodes[:-1]
-    lens = np.sqrt(np.sum(w * diffs * diffs, axis=1))
+    wdiffs = w * diffs
+    lens = np.sqrt(np.sum(wdiffs * diffs, axis=1))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    if want_grad:
-        kvals, gk = wspace.weight_and_grad_at(mids)
-    else:
-        kvals = wspace.weight_at(mids)
-    if np.any(np.isinf(kvals)):
-        return math.inf, None
-    energy = float(np.sum(kvals * lens))
-    if not want_grad:
-        return energy, None
+    # frozen, so a weight may keep K for the gradient call on this batch
+    mids.flags.writeable = False
+    kvals = wspace.weight_at(mids)
+    energy = math.inf if np.any(np.isinf(kvals)) else float(np.sum(kvals * lens))
+    return _Evaluation(energy, kvals, wdiffs, lens, mids)
+
+
+def _gradient(ev: _Evaluation, wspace: WeightedSpace) -> np.ndarray:
+    _, gk = wspace.weight_and_grad_at(ev.mids)
+    kvals, lens = ev.kvals, ev.lens
     # computed on every segment; inactive ones contribute zero
     active = (kvals >= WEIGHT_FLOOR) & (lens > 0.0)
-    ratio = np.divide(kvals, lens, out=np.zeros_like(kvals), where=active)
-    half = np.where(active[:, None], 0.5 * gk * lens[:, None], 0.0)
-    pull = np.where(active[:, None], ratio[:, None] * (w * diffs), 0.0)
-    grad = np.zeros_like(nodes)
+    if active.all():
+        half = 0.5 * gk * lens[:, None]
+        pull = (kvals / lens)[:, None] * ev.wdiffs
+    else:
+        ratio = np.divide(kvals, lens, out=np.zeros_like(kvals), where=active)
+        half = np.where(active[:, None], 0.5 * gk * lens[:, None], 0.0)
+        pull = np.where(active[:, None], ratio[:, None] * ev.wdiffs, 0.0)
+    grad = np.zeros((lens.size + 1, gk.shape[1]))
     grad[:-1] += half - pull
     grad[1:] += half + pull
     grad[0] = 0.0
     grad[-1] = 0.0
-    return energy, grad
+    return grad
+
+
+def _energy_grad(nodes: np.ndarray, wspace: WeightedSpace, want_grad: bool):
+    ev = _evaluate(nodes, wspace, wspace.space.coord_weights)
+    if not want_grad or ev.energy == math.inf:
+        return ev.energy, None
+    return ev.energy, _gradient(ev, wspace)
 
 
 def _seed_nodes(x_minus, x_plus, opts: SolverOptions) -> np.ndarray:
@@ -138,7 +161,8 @@ def minimize_k_length(
     if not np.isfinite(energy):
         raise ValueError("weighted length is not finite at the initial polyline")
     energies = [energy]
-    inv_w = 1.0 / wspace.space.coord_weights
+    w = wspace.space.coord_weights
+    inv_w = 1.0 / w
     status = "max_iters"
     step = STEP0
     gnorm = math.inf
@@ -157,19 +181,23 @@ def minimize_k_length(
             if opts.project is not None:
                 trial = opts.project(trial)
                 trial[0], trial[-1] = x_minus, x_plus
-            e_new, _ = _energy_grad(trial, wspace, False)
-            if e_new <= energy - ARMIJO * t * slope:
+            ev = _evaluate(trial, wspace, w)
+            if ev.energy <= energy - ARMIJO * t * slope:
                 accepted = True
                 break
+            # records are dropped once used, so that two are never alive at
+            # once (peak memory)
+            ev = None
             t *= BACKTRACK
         if not accepted:
             status = "stall"
             break
         nodes = trial
-        energy = e_new
+        energy = ev.energy
         energies.append(energy)
         step = min(t * 2.0, STEP0 * 1e3)
-        _, grad = _energy_grad(nodes, wspace, True)
+        grad = _gradient(ev, wspace)
+        ev = None
     trace = SolveTrace(energies=energies, status=status, n_iters=it, grad_norm=gnorm)
     curve = SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes)
     if opts.reparam is not None:

@@ -25,6 +25,7 @@ sum (even across zero-length segments).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import math
@@ -73,6 +74,37 @@ def drop_tied_nodes(pos: np.ndarray, nodes: np.ndarray):
     return pos[keep], out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class LastBatch:
+    """One-entry memo of ``fn(pts)`` for a frozen batch.
+
+    A batch that owns its data and is read-only is kept with its result,
+    and the next call on that same array returns the result without calling
+    ``fn``.  The descent solver freezes the segment midpoints it evaluates
+    and, once a step is accepted, asks for the weight gradient on that same
+    array, so a weight that derives K from a potential evaluates the
+    potential once per line-search trial and not again for the gradient.
+    Any other batch is evaluated afresh and leaves the memo as it was.
+    """
+
+    __slots__ = ("pts", "out")
+
+    def __init__(self):
+        self.pts = self.out = None
+
+    def __call__(self, fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray):
+        if pts is self.pts:
+            return self.out
+        out = fn(pts)
+        if isinstance(pts, np.ndarray) and pts.flags.owndata and not pts.flags.writeable:
+            self.pts, self.out = pts, out
+        return out
+
+
 class _WeightedNorm:
     """Norm sqrt(sum coord_weights * v^2) and the distance it induces."""
 
@@ -91,9 +123,9 @@ class EuclideanSpace(_WeightedNorm):
 
     dim: int
 
-    @property
+    @cached_property
     def coord_weights(self) -> np.ndarray:
-        return np.ones(self.dim)
+        return _frozen(np.ones(self.dim))
 
 
 @dataclass(frozen=True)
@@ -114,9 +146,11 @@ class GridL2Space(_WeightedNorm):
     def dim(self) -> int:
         return self.n_points * self.n_components
 
-    @property
+    @cached_property
     def coord_weights(self) -> np.ndarray:
-        return np.repeat(trapezoid_weights(self.n_points, self.spacing), self.n_components)
+        return _frozen(
+            np.repeat(trapezoid_weights(self.n_points, self.spacing), self.n_components)
+        )
 
 
 AmbientSpace = EuclideanSpace | GridL2Space
@@ -166,7 +200,9 @@ class WeightedSpace:
     (k,) values K; with grad=True it returns the pair (K, grad K) of shapes
     ((k,), (k, dim)) from one evaluation, K bitwise the same as without.
     Only the descent solver asks for the gradient, so a weight that is
-    never descended may take ``pts`` alone.
+    never descended may take ``pts`` alone.  The solver passes its segment
+    midpoints read-only and asks for the gradient only on a batch it has
+    just evaluated; a weight may keep that batch's values (``LastBatch``).
     """
 
     space: AmbientSpace

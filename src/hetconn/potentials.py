@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .metric import EuclideanSpace, WeightedSpace
+from .metric import EuclideanSpace, LastBatch, WeightedSpace
 
 
 class WellRefinementError(RuntimeError):
@@ -173,11 +173,14 @@ def make_weight(p: Potential) -> WeightedSpace:
 
     Raises if the potential evaluates negative (beyond roundoff) anywhere it
     is sampled.  The weight gradient is grad W / K, zeroed where K is below
-    1e-12; the descent solver skips such segments anyway.
+    1e-12; the descent solver skips such segments anyway.  W of the last
+    frozen batch is kept (``LastBatch``), so the gradient call on the
+    solver's accepted midpoints does not evaluate W again.
     """
+    last = LastBatch()
 
     def weight(pts, grad=False):
-        v = p.values_at(pts)
+        v = last(p.values_at, pts)
         if np.any(v < -1e-12):
             i = int(np.argmin(v))
             raise ValueError(

@@ -12,8 +12,6 @@ from typing import NamedTuple
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .function_space import GridFunction
 from .heteroclinic import equipartition
@@ -121,8 +119,12 @@ class SpectralReport(NamedTuple):
     kernel_residual: float
 
 
-def _second_variation_matrix(z: GridFunction, p: Potential) -> sparse.csr_matrix:
-    """-d^2/ds^2 + Hessian of W along z, Dirichlet, on interior nodes."""
+def _second_variation_matrix(z: GridFunction, p: Potential):
+    """-d^2/ds^2 + Hessian of W along z, Dirichlet, on interior nodes (CSR)."""
+    # imported here: scipy.sparse is most of the package's import time, and
+    # no CLI command reaches this audit
+    from scipy import sparse
+
     h = z.h
     vals = z.values
     mi = z.m - 2
@@ -198,6 +200,8 @@ def spectral_audit(
             best = (q, v / norm)
     c0 = float(min(quotients))
     if refine and best is not None:
+        from scipy.sparse.linalg import splu
+
         try:
             lu = splu(a_mat.tocsc())
         except RuntimeError:

@@ -18,6 +18,7 @@ from hetconn import (
     translation_misfits,
     translation_objective,
 )
+from hetconn.metric import trapezoid_weights
 
 S = np.linspace(-8.0, 8.0, 161)
 TAILS = dict(tail_left=np.array([-1.0]), tail_right=np.array([1.0]))
@@ -365,6 +366,41 @@ def test_energy_grad_matches_finite_differences():
         bump[j, 0] = hh
         fd = (eps.energy_1d(vals + bump)[0] - eps.energy_1d(vals - bump)[0]) / (2 * hh)
         assert g[j, 0] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def _all_rows_energy_grad(space, values):
+    # the gradient accumulated over whole rows before the edge rows were
+    # zeroed, kept as the bitwise reference
+    v = np.ascontiguousarray(values, dtype=float).reshape(-1, space.m, space.n_components)
+    grad = np.zeros_like(v)
+    dv = np.diff(v, axis=1) / space.h
+    grad[:, :-1] -= dv
+    grad[:, 1:] += dv
+    grad += trapezoid_weights(space.m, space.h)[:, None] * space._density_grads(v)
+    grad[:, 0] = 0.0
+    grad[:, -1] = 0.0
+    return grad
+
+
+def test_energy_grad_equals_the_all_rows_accumulation_bitwise():
+    s = np.linspace(-1.0, 1.0, 6)
+    # density u^2 / 2: its gradient keeps the sign of a zero
+    eps = EffectivePotentialSpace(
+        grid=s, n_components=1, bc="fixed",
+        density=lambda grid, vals: 0.5 * vals[..., 0] ** 2,
+        density_grad=lambda grid, vals: vals.copy(),
+    )
+    rng = np.random.default_rng(11)
+    stack = np.concatenate([
+        np.array([[1.0, 0.0, -0.0, 0.0, -0.0, 1.0],
+                  [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]])[..., None],
+        rng.standard_normal((3, 6, 1)),
+    ])
+    got = eps.energy_1d_grad(stack)
+    assert got.tobytes() == _all_rows_energy_grad(eps, stack).tobytes()
+    dw = dw_space()
+    vals = np.tanh(S)[None, :, None] + 0.05 * rng.standard_normal((4, S.size, 1))
+    assert dw.energy_1d_grad(vals).tobytes() == _all_rows_energy_grad(dw, vals).tobytes()
 
 
 def test_relax_profile_reaches_the_connection():

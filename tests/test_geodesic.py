@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,17 @@ from hetconn import (
     remove_sigma_loops,
     sin_example_space,
 )
-from hetconn.geodesic import WEIGHT_FLOOR, _energy_grad
+from hetconn.counterexample import P_MINUS, P_PLUS, CounterexampleWeight, _boxed_seed
+from hetconn.function_space import EffectivePotentialSpace
+from hetconn.geodesic import (
+    ARMIJO,
+    BACKTRACK,
+    MAX_BACKTRACKS,
+    STEP0,
+    WEIGHT_FLOOR,
+    _energy_grad,
+    _seed_nodes,
+)
 from hetconn.potentials import double_well, make_weight, planar_two_well, triple_well
 
 
@@ -196,3 +209,204 @@ def test_energy_grad_equals_the_masked_assembly_bitwise(name):
     else:
         assert grad.tobytes() == ref_grad.tobytes()
         assert np.any(grad != 0.0)
+
+
+def _two_pass_energy_grad(nodes, wspace, want_grad):
+    # the evaluation that recomputed diffs, lengths, midpoints and K for the
+    # gradient of an accepted trial, kept as the bitwise reference
+    w = wspace.space.coord_weights
+    diffs = nodes[1:] - nodes[:-1]
+    lens = np.sqrt(np.sum(w * diffs * diffs, axis=1))
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    if want_grad:
+        kvals, gk = wspace.weight_and_grad_at(mids)
+    else:
+        kvals = wspace.weight_at(mids)
+    if np.any(np.isinf(kvals)):
+        return math.inf, None
+    energy = float(np.sum(kvals * lens))
+    if not want_grad:
+        return energy, None
+    active = (kvals >= WEIGHT_FLOOR) & (lens > 0.0)
+    ratio = np.divide(kvals, lens, out=np.zeros_like(kvals), where=active)
+    half = np.where(active[:, None], 0.5 * gk * lens[:, None], 0.0)
+    pull = np.where(active[:, None], ratio[:, None] * (w * diffs), 0.0)
+    grad = np.zeros_like(nodes)
+    grad[:-1] += half - pull
+    grad[1:] += half + pull
+    grad[0] = 0.0
+    grad[-1] = 0.0
+    return energy, grad
+
+
+def _two_pass_descent(wspace, x_minus, x_plus, opts):
+    # the descent loop that evaluated each accepted trial twice; returns the
+    # raw nodes, energies, status, iterations and line-search trials
+    nodes = _seed_nodes(x_minus, x_plus, opts)
+    if opts.project is not None:
+        nodes = opts.project(nodes)
+        nodes[0], nodes[-1] = x_minus, x_plus
+    energy, grad = _two_pass_energy_grad(nodes, wspace, True)
+    energies = [energy]
+    inv_w = 1.0 / wspace.space.coord_weights
+    status, step, it, trials = "max_iters", STEP0, 0, 0
+    for it in range(1, opts.max_iters + 1):
+        direction = grad * inv_w
+        slope = float(np.sum(grad * direction))
+        if math.sqrt(max(slope, 0.0)) < opts.grad_tol:
+            status = "converged"
+            break
+        accepted = False
+        t = step
+        for _ in range(MAX_BACKTRACKS):
+            trial = nodes - t * direction
+            if opts.project is not None:
+                trial = opts.project(trial)
+                trial[0], trial[-1] = x_minus, x_plus
+            trials += 1
+            e_new, _ = _two_pass_energy_grad(trial, wspace, False)
+            if e_new <= energy - ARMIJO * t * slope:
+                accepted = True
+                break
+            t *= BACKTRACK
+        if not accepted:
+            status = "stall"
+            break
+        nodes = trial
+        energy = e_new
+        energies.append(energy)
+        step = min(t * 2.0, STEP0 * 1e3)
+        _, grad = _two_pass_energy_grad(nodes, wspace, True)
+    return nodes, energies, status, it, trials
+
+
+def _box(nodes, r=4.0):
+    out = nodes.copy()
+    out[:, 0] = np.clip(out[:, 0], -r, r)
+    out[:, 1] = np.clip(out[:, 1], -2.0, 2.0)
+    return out
+
+
+def _descent_case(name, planar_space):
+    """(weighted space, x_minus, x_plus, options) of a 40-iteration descent."""
+    if name == "double_well":
+        seed = np.linspace(-1.0, 1.0, 21)[:, None] ** 3
+        return (make_weight(double_well()), np.array([-1.0]), np.array([1.0]),
+                SolverOptions(init_nodes=seed, max_iters=40, reparam=None))
+    if name == "planar":
+        p = planar_two_well()
+        return (make_weight(p), p.wells[0], p.wells[1],
+                SolverOptions(n_nodes=21, max_iters=40, via_points=(np.array([0.0, 1.0]),),
+                              reparam=None))
+    if name == "sin_profiles":
+        # unprojected: symmetrize maps the sine strip's even profiles to zero
+        space = sin_example_space(m=17, relax=False)
+        return (space.weighted_space(), space.z_minus.flatten(), space.z_plus.flatten(),
+                SolverOptions(n_nodes=9, max_iters=40, reparam=None))
+    if name == "planar_profiles":
+        space = planar_space
+        return (space.weighted_space(), space.z_minus.flatten(), space.z_plus.flatten(),
+                SolverOptions(n_nodes=9, max_iters=40, project=space.symmetrize, reparam=None))
+    return (CounterexampleWeight().weighted_space(), P_MINUS, P_PLUS,
+            SolverOptions(init_nodes=_boxed_seed(4.0, 4), project=_box, max_iters=40,
+                          grad_tol=1e-10, reparam=None))
+
+
+DESCENT_CASES = ["double_well", "planar", "sin_profiles", "planar_profiles", "counterexample"]
+
+
+@pytest.mark.parametrize("name", DESCENT_CASES)
+def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space):
+    wspace, x_minus, x_plus, opts = _descent_case(name, planar_space)
+    ref_nodes, ref_energies, ref_status, ref_iters, trials = _two_pass_descent(
+        wspace, x_minus, x_plus, opts
+    )
+    curve, value, trace = minimize_k_length(wspace, x_minus, x_plus, opts)
+    assert curve.nodes.tobytes() == ref_nodes.tobytes()
+    ref_curve = SampledCurve(times=np.linspace(0.0, 1.0, ref_nodes.shape[0]), nodes=ref_nodes)
+    assert value == k_length(ref_curve, wspace)
+    assert trace.energies == ref_energies
+    assert (trace.status, trace.n_iters) == (ref_status, ref_iters) == ("max_iters", 40)
+    # some first trial was rejected, so a backtracked step was accepted too
+    assert trials > trace.n_iters
+
+
+def _counting_potential(p):
+    calls = []
+
+    def values(pts):
+        calls.append(pts.shape[0])
+        return p.values(pts)
+
+    return dataclasses.replace(p, values=values), calls
+
+
+def test_make_weight_evaluates_w_once_per_trial():
+    p = planar_two_well()
+    counted, calls = _counting_potential(p)
+    opts = SolverOptions(n_nodes=21, max_iters=40, via_points=(np.array([0.0, 1.0]),),
+                         reparam=None)
+    *_, trials = _two_pass_descent(make_weight(p), p.wells[0], p.wells[1], opts)
+    _, _, trace = minimize_k_length(make_weight(counted), p.wells[0], p.wells[1], opts)
+    accepted = len(trace.energies) - 1
+    assert accepted == 40
+    # the seed, every line-search trial and the returned value's k_length;
+    # no second evaluation at an accepted trial's midpoints
+    assert len(calls) == 1 + trials + 1
+
+
+def test_weight_memo_recomputes_w_on_any_other_batch():
+    p = planar_two_well()
+    counted, calls = _counting_potential(p)
+    ws, fresh = make_weight(counted), make_weight(p)
+    a = np.array([[0.3, 0.2], [-0.5, 0.7]])
+    a.flags.writeable = False
+    ws.weight_at(a)
+    k_a, g_a = ws.weight_and_grad_at(a)
+    assert len(calls) == 1
+    # a new array with different values, frozen or not, is evaluated afresh
+    b = a + 0.25
+    k_b, g_b = ws.weight_and_grad_at(b)
+    assert len(calls) == 2
+    ref_k, ref_g = fresh.weight_and_grad_at(b)
+    assert k_b.tobytes() == ref_k.tobytes() and g_b.tobytes() == ref_g.tobytes()
+    assert not np.array_equal(k_a, k_b)
+    ws.weight_at(b)
+    ws.weight_and_grad_at(b)
+    assert len(calls) == 4
+    c = np.array([[0.9, -0.1], [0.1, 0.4]])
+    c.flags.writeable = False
+    k_c, _ = ws.weight_and_grad_at(c)
+    assert len(calls) == 5
+    assert k_c.tobytes() == fresh.weight_at(c).tobytes()
+    # the frozen batch still held gives back its own values
+    k_again, g_again = ws.weight_and_grad_at(c)
+    assert len(calls) == 5
+    assert k_again.tobytes() == k_c.tobytes()
+
+
+def test_profile_weight_evaluates_energy_once_per_frozen_batch(monkeypatch):
+    space = sin_example_space(m=17, relax=False)
+    calls = []
+    energy_1d = EffectivePotentialSpace.energy_1d
+
+    def counted(self, values):
+        calls.append(1)
+        return energy_1d(self, values)
+
+    zp = space.z_plus.flatten()
+    a = np.stack([0.5 * zp, 0.9 * zp])
+    a.flags.writeable = False
+    b = np.stack([0.4 * zp, 0.8 * zp])
+    ref_a = space.weighted_space().weight(a, grad=True)
+    ref_b = space.weighted_space().weight(b, grad=True)
+    monkeypatch.setattr(EffectivePotentialSpace, "energy_1d", counted)
+    ws = space.weighted_space()
+    k = ws.weight_at(a)
+    k_a, g_a = ws.weight_and_grad_at(a)
+    assert len(calls) == 1
+    assert k.tobytes() == k_a.tobytes() == ref_a[0].tobytes()
+    assert g_a.tobytes() == ref_a[1].tobytes()
+    k_b, g_b = ws.weight_and_grad_at(b)
+    assert len(calls) == 2
+    assert k_b.tobytes() == ref_b[0].tobytes() and g_b.tobytes() == ref_b[1].tobytes()

@@ -18,6 +18,7 @@ from hetconn import (
     reparametrize_constant_speed,
     segment_lengths,
 )
+from hetconn.metric import trapezoid_weights
 from hetconn.potentials import double_well, make_weight
 
 
@@ -194,3 +195,18 @@ def test_dk_lower_bound_double_well():
     # between the wells the ball swallows a zero and the bound collapses
     degenerate = dk_lower_bound(np.array([-1.0]), np.array([1.0]), ws)
     assert degenerate.value == 0.0
+
+
+def test_coord_weights_are_built_once_and_read_only():
+    cases = (
+        (EuclideanSpace(3), np.ones(3)),
+        (GridL2Space(5, 2, 0.1), np.repeat(trapezoid_weights(5, 0.1), 2)),
+    )
+    for space, expected in cases:
+        w = space.coord_weights
+        assert w is space.coord_weights
+        assert not w.flags.writeable
+        assert w.tobytes() == expected.tobytes()
+    # equal spaces stay equal and hash alike once their weights are cached
+    assert GridL2Space(5, 2, 0.1) == cases[1][0]
+    assert hash(GridL2Space(5, 2, 0.1)) == hash(cases[1][0])

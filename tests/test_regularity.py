@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,3 +113,12 @@ def test_spectral_audit_constant_profile():
     assert rep.kernel_residual == 0.0
     # around a well the Hessian is 4, and the flat direction is gone
     assert 3.8 < rep.c0_est < 4.3
+
+
+def test_importing_the_cli_leaves_scipy_sparse_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hetconn.cli; "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
