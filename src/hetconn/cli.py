@@ -277,6 +277,7 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
             "k_length_value": value,
             "solver_status": trace.status,
             "solver_iters": trace.n_iters,
+            "solver_evals": trace.n_evals,
             "action_gap": report.action_gap,
             "el_residual": report.el_residual,
             "second_difference_lhs": sd.lhs,
@@ -391,6 +392,7 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         "c_plus": result.c_plus,
         "outer_lk": list(result.diagnostics["outer_lk"]),
         "solver_status": result.diagnostics["solver_status"],
+        "solver_evals": result.diagnostics["solver_evals"],
         "window": result.diagnostics["window"],
     }
     tolerances = {

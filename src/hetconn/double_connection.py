@@ -39,6 +39,8 @@ from .potentials import check_a4, make_weight, planar_two_well
 
 # Newton steps of the field polish before it reports max_iters.
 POLISH_STEPS = 50
+# Path descent statuses from best to worst; a solve reports its worst round's.
+_STATUS_RANK = ("converged", "max_iters", "stall")
 
 
 class ScanWindowError(RuntimeError):
@@ -263,6 +265,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     zm_flat = space.z_minus.flatten()
     zp_flat = space.z_plus.flatten()
     outer_lk = []
+    statuses, n_evals = [], 0
     for _outer in range(opts.outer_iters):
         inner = SolverOptions(
             n_nodes=opts.path_nodes,
@@ -273,6 +276,8 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
             reparam=None,
         )
         curve, value, trace = minimize_k_length(wspace, zm_flat, zp_flat, inner)
+        statuses.append(trace.status)
+        n_evals += trace.n_evals
         nodes = curve.nodes
         if mode == "asym":
             gfs = [space.grid_function(v) for v in nodes]
@@ -308,7 +313,8 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     dt = float(np.diff(conn.curve.times)[0])
     diagnostics = {
         "k_length_value": value,
-        "solver_status": trace.status,
+        "solver_status": max(statuses, key=_STATUS_RANK.index),
+        "solver_evals": n_evals,
         "outer_lk": outer_lk,
         "equipartition_defect_reparam": conn.equipartition_defect,
         "window": conn.window,

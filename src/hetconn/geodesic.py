@@ -4,6 +4,10 @@ The discrete objective is the midpoint-rule weighted length
 sum K((x_i + x_{i+1})/2) * d(x_i, x_{i+1}); its exact coordinate gradient
 drives a backtracking descent.  Each trial polyline is evaluated once: the
 accepted one's weights, lengths and midpoints also assemble its gradient.
+The first trial of each step after the first keeps the first-order decrease
+of the last accepted step (Nocedal and Wright, Numerical Optimization,
+eq. 3.60): t_prev * slope_prev / slope, capped at twice the last accepted
+step, so one trial per step is the usual case.
 Segments whose midpoint weight sits below a floor are treated as already on
 the zero set and contribute no gradient.  Loop removal excises everything
 between the first and last pass near a zero-set point, and node refinement
@@ -29,8 +33,11 @@ from .metric import (
 )
 
 
-# Backtracking line search: first trial step, Armijo sufficient-decrease
-# constant, step shrink factor and the most shrinks before a stall.
+# Backtracking line search: the first step's first trial, Armijo
+# sufficient-decrease constant, step shrink factor and the most shrinks
+# before a stall.  Later steps first try min(2 t_prev, 1e3 STEP0,
+# t_prev * slope_prev / slope), t_prev the last accepted step and slope the
+# squared preconditioned gradient norm.
 STEP0 = 1.0
 ARMIJO = 1e-4
 BACKTRACK = 0.5
@@ -56,6 +63,7 @@ class SolveTrace:
     status: str
     n_iters: int
     grad_norm: float
+    n_evals: int  # line-search trial evaluations
 
     @property
     def monotone(self) -> bool:
@@ -152,7 +160,7 @@ def minimize_k_length(
     x_plus = np.asarray(x_plus, dtype=float)
     if np.array_equal(x_minus, x_plus):
         curve = SampledCurve(times=np.array([0.0, 1.0]), nodes=np.stack([x_minus, x_plus]))
-        return curve, 0.0, SolveTrace([0.0], "degenerate", 0, 0.0)
+        return curve, 0.0, SolveTrace([0.0], "degenerate", 0, 0.0, 0)
     nodes = _seed_nodes(x_minus, x_plus, opts)
     if opts.project is not None:
         nodes = opts.project(nodes)
@@ -164,9 +172,11 @@ def minimize_k_length(
     w = wspace.space.coord_weights
     inv_w = 1.0 / w
     status = "max_iters"
-    step = STEP0
+    max_step = STEP0
+    decrease = math.inf  # t * slope of the last accepted step
     gnorm = math.inf
     it = 0
+    n_evals = 0
     for it in range(1, opts.max_iters + 1):
         direction = grad * inv_w
         slope = float(np.sum(grad * direction))
@@ -175,13 +185,15 @@ def minimize_k_length(
             status = "converged"
             break
         accepted = False
-        t = step
+        # slope is 0 here only when grad_tol is 0
+        t = min(max_step, decrease / slope) if slope > 0.0 else max_step
         for _ in range(MAX_BACKTRACKS):
             trial = nodes - t * direction
             if opts.project is not None:
                 trial = opts.project(trial)
                 trial[0], trial[-1] = x_minus, x_plus
             ev = _evaluate(trial, wspace, w)
+            n_evals += 1
             if ev.energy <= energy - ARMIJO * t * slope:
                 accepted = True
                 break
@@ -195,10 +207,12 @@ def minimize_k_length(
         nodes = trial
         energy = ev.energy
         energies.append(energy)
-        step = min(t * 2.0, STEP0 * 1e3)
+        max_step = min(t * 2.0, STEP0 * 1e3)
+        decrease = t * slope
         grad = _gradient(ev, wspace)
         ev = None
-    trace = SolveTrace(energies=energies, status=status, n_iters=it, grad_norm=gnorm)
+    trace = SolveTrace(energies=energies, status=status, n_iters=it, grad_norm=gnorm,
+                       n_evals=n_evals)
     curve = SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes)
     if opts.reparam is not None:
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -367,6 +368,54 @@ def test_double_sin_run_and_verify(tmp_path):
     assert manifest["kind"] == "double"
     assert manifest["results"]["c_minus"] == 0.0
     assert main(["verify", out]) == 0
+
+
+def _recorded_descents(monkeypatch, module, stall_round=None):
+    """Record the trace of every descent ``module`` runs; report one as a stall."""
+    descend = module.minimize_k_length
+    traces = []
+
+    def recorded(*args, **kwargs):
+        curve, value, trace = descend(*args, **kwargs)
+        traces.append(trace)
+        if len(traces) == stall_round:
+            trace = dataclasses.replace(trace, status="stall")
+        return curve, value, trace
+
+    monkeypatch.setattr(module, "minimize_k_length", recorded)
+    return traces
+
+
+def test_double_exits_on_a_stall_in_an_earlier_round(tmp_path, monkeypatch):
+    traces = _recorded_descents(monkeypatch, hetconn.double_connection, stall_round=1)
+    cfg = json.loads(json.dumps(SIN_CFG))
+    cfg["opts"]["outer_iters"] = 3
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert [t.status for t in traces] == ["max_iters"] * 3
+    assert not out.exists()
+
+
+def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
+    traces = _recorded_descents(monkeypatch, hetconn.double_connection)
+    cfg = json.loads(json.dumps(SIN_CFG))
+    cfg["opts"]["outer_iters"] = 2
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert len(traces) == 2
+    assert results["solver_evals"] == sum(t.n_evals for t in traces)
+    assert all(t.n_evals >= t.n_iters > 0 for t in traces)
+    traces = _recorded_descents(monkeypatch, hetconn.cli)
+    cfg = dict(CONNECT_CFG, potential={"name": "triple_well"},
+               solver={"n_nodes": 101, "max_iters": 100, "grad_tol": 1e-8})
+    out = tmp_path / "tw"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg, "tw.json"),
+                 "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    (trace,) = traces
+    assert (results["solver_iters"], results["solver_evals"]) == (100, trace.n_evals)
+    assert trace.n_evals >= 100
 
 
 def test_double_manifest_records_the_polish_only_when_it_ran(tmp_path):
