@@ -6,8 +6,9 @@ drives a backtracking descent.  Each trial polyline is evaluated once: the
 accepted one's weights, lengths and midpoints also assemble its gradient.
 The first trial of each step after the first keeps the first-order decrease
 of the last accepted step (Nocedal and Wright, Numerical Optimization,
-eq. 3.60): t_prev * slope_prev / slope, capped at twice the last accepted
-step, so one trial per step is the usual case.
+eq. 3.60): t_prev * slope_prev / slope, held between half and twice the
+last accepted step, so one trial per step is the usual case and only
+rejected trials cut the step by more than half.
 Segments whose midpoint weight sits below a floor are treated as already on
 the zero set and contribute no gradient.  Loop removal excises everything
 between the first and last pass near a zero-set point, and node refinement
@@ -35,9 +36,9 @@ from .metric import (
 
 # Backtracking line search: the first step's first trial, Armijo
 # sufficient-decrease constant, step shrink factor and the most shrinks
-# before a stall.  Later steps first try min(2 t_prev, 1e3 STEP0,
-# t_prev * slope_prev / slope), t_prev the last accepted step and slope the
-# squared preconditioned gradient norm.
+# before a stall.  Later steps first try
+# min(t_prev * clip(slope_prev / slope, BACKTRACK, 2), 1e3 STEP0), t_prev
+# the last accepted step and slope the squared preconditioned gradient norm.
 STEP0 = 1.0
 ARMIJO = 1e-4
 BACKTRACK = 0.5
@@ -172,8 +173,8 @@ def minimize_k_length(
     w = wspace.space.coord_weights
     inv_w = 1.0 / w
     status = "max_iters"
-    max_step = STEP0
-    decrease = math.inf  # t * slope of the last accepted step
+    step = STEP0
+    prev_slope = 0.0  # slope of the last accepted step; 0 before the first
     gnorm = math.inf
     it = 0
     n_evals = 0
@@ -185,8 +186,10 @@ def minimize_k_length(
             status = "converged"
             break
         accepted = False
+        t = step
         # slope is 0 here only when grad_tol is 0
-        t = min(max_step, decrease / slope) if slope > 0.0 else max_step
+        if prev_slope > 0.0 and slope > 0.0:
+            t = min(step * min(2.0, max(BACKTRACK, prev_slope / slope)), STEP0 * 1e3)
         for _ in range(MAX_BACKTRACKS):
             trial = nodes - t * direction
             if opts.project is not None:
@@ -207,8 +210,7 @@ def minimize_k_length(
         nodes = trial
         energy = ev.energy
         energies.append(energy)
-        max_step = min(t * 2.0, STEP0 * 1e3)
-        decrease = t * slope
+        step, prev_slope = t, slope
         grad = _gradient(ev, wspace)
         ev = None
     trace = SolveTrace(energies=energies, status=status, n_iters=it, grad_norm=gnorm,

@@ -9,7 +9,6 @@ from hetconn import (
     SampledCurve,
     SolverOptions,
     WeightedSpace,
-    geodesic,
     k_length,
     minimize_k_length,
     refine_nodes,
@@ -250,7 +249,7 @@ def _two_pass_descent(wspace, x_minus, x_plus, opts):
     energy, grad = _two_pass_energy_grad(nodes, wspace, True)
     energies = [energy]
     inv_w = 1.0 / wspace.space.coord_weights
-    status, step, prev_ts, it, trials = "max_iters", STEP0, math.inf, 0, 0
+    status, step, prev_slope, it, trials = "max_iters", STEP0, 0.0, 0, 0
     for it in range(1, opts.max_iters + 1):
         direction = grad * inv_w
         slope = float(np.sum(grad * direction))
@@ -258,7 +257,9 @@ def _two_pass_descent(wspace, x_minus, x_plus, opts):
             status = "converged"
             break
         accepted = False
-        t = min(step, prev_ts / slope)
+        t = step
+        if prev_slope > 0.0:
+            t = min(step * min(2.0, max(BACKTRACK, prev_slope / slope)), STEP0 * 1e3)
         for _ in range(MAX_BACKTRACKS):
             trial = nodes - t * direction
             if opts.project is not None:
@@ -276,7 +277,7 @@ def _two_pass_descent(wspace, x_minus, x_plus, opts):
         nodes = trial
         energy = e_new
         energies.append(energy)
-        step, prev_ts = min(t * 2.0, STEP0 * 1e3), t * slope
+        step, prev_slope = t, slope
         _, grad = _two_pass_energy_grad(nodes, wspace, True)
     return nodes, energies, status, it, trials
 
@@ -332,62 +333,19 @@ def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space):
     assert trials > trace.n_iters
 
 
-def _line_search_steps(wspace, x_minus, x_plus, opts, monkeypatch):
-    """Run a descent; return its trace and each iteration's trial steps.
-
-    The projection (the identity when ``opts`` has none) logs every polyline
-    it is handed and the gradient of every accepted polyline is logged, so
-    each trial's step t follows from raw = base - t * grad / w by least
-    squares, with base the last accepted polyline.
-    """
-    log = []
-    project = opts.project or (lambda nodes: nodes)
-    gradient = geodesic._gradient
-
-    def logged_project(raw):
-        out = project(raw.copy())
-        log.append(("trial", raw.copy(), out.copy()))
-        return out
-
-    def logged_gradient(ev, ws):
-        grad = gradient(ev, ws)
-        log.append(("grad", grad.copy(), None))
-        return grad
-
-    monkeypatch.setattr(geodesic, "_gradient", logged_gradient)
-    _, _, trace = minimize_k_length(
-        wspace, x_minus, x_plus, dataclasses.replace(opts, project=logged_project)
-    )
-    w = wspace.space.coord_weights
-    steps, errs, trials, base, direction = [], [], [], None, None
-    for kind, a, b in log:
-        if kind == "trial":
-            trials.append(a)
-            base_next = b
-            continue
-        if direction is not None:
-            norm2 = float(np.sum(direction**2))
-            steps.append([float(np.sum((base - raw) * direction)) / norm2 for raw in trials])
-            # rounding of base - t * direction, carried through the fit
-            errs.append(4.0 * np.finfo(float).eps * np.abs(base).max()
-                        * np.abs(direction).sum() / norm2)
-        base, direction, trials = base_next, a / w, []
-    return trace, steps, errs
-
-
 @pytest.mark.parametrize("name", ["planar", "counterexample"])
-def test_first_trial_keeps_the_last_decrease_not_twice_the_step(name, monkeypatch):
+def test_descent_takes_one_trial_per_step_and_keeps_moving(name):
     wspace, x_minus, x_plus, opts = _descent_case(name, None)
     opts = dataclasses.replace(opts, max_iters=200)
-    trace, steps, errs = _line_search_steps(wspace, x_minus, x_plus, opts, monkeypatch)
+    _, _, trace = minimize_k_length(wspace, x_minus, x_plus, opts)
     assert (trace.status, trace.n_iters) == ("max_iters", 200)
-    assert len(steps) == 200
-    assert trace.n_evals == sum(len(s) for s in steps)
     # trying 2t after every accepted step makes about 2 trials per step
     assert trace.n_evals <= 1.25 * trace.n_iters
-    assert abs(steps[0][0] - STEP0) <= errs[0]
-    for k in range(1, len(steps)):
-        assert steps[k][0] - errs[k] <= 2.0 * (steps[k - 1][-1] + errs[k - 1])
+    # a first trial shrunk by the full slope ratio let the boxed step fall
+    # below 1e-15, freezing the energy at 2.8313 from step 48 on
+    assert trace.energies[-1] < trace.energies[-51]
+    if name == "counterexample":
+        assert trace.energies[-1] < 2.5
 
 
 def _counting_potential(p):
