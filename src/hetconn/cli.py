@@ -387,7 +387,6 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         "equip_defect": report.equip_defect,
         "x2_gap_minus_l2": report.x2_gap_minus_l2,
         "x2_gap_plus_l2": report.x2_gap_plus_l2,
-        "x1_funnel_violation": report.x1_funnel_violation,
         "c_minus": result.c_minus,
         "c_plus": result.c_plus,
         "outer_lk": list(result.diagnostics["outer_lk"]),
@@ -398,8 +397,6 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     tolerances = {
         "defect_tol": float(cfg.get("defect_tol", 5e-2)),
         "residual_tol": float(cfg.get("residual_tol", 5e-2)),
-        "eps0": opts.eps0,
-        "c_frac": opts.c_frac,
         "inner_tol": opts.inner_tol,
         "residual_margin_cells": report.interior_margin,
         "energy_two_ways_rel": 1e-6,

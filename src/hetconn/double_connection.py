@@ -25,8 +25,6 @@ import numpy as np
 
 from .function_space import (
     EffectivePotentialSpace,
-    funnel_profile,
-    funnel_project,
     gauge_fix_translations,
     optimal_translation,
     pinned_newton_cg,
@@ -34,7 +32,7 @@ from .function_space import (
 from .geodesic import SolverOptions, minimize_k_length
 from .heteroclinic import ConnectionResult, reparam_equipartition
 from .metric import SampledCurve, k_length, trapezoid_weights
-from .potentials import check_a4, make_weight, planar_two_well
+from .potentials import make_weight, planar_two_well
 
 
 # Newton steps of the field polish before it reports max_iters.
@@ -43,18 +41,12 @@ POLISH_STEPS = 50
 _STATUS_RANK = ("converged", "max_iters", "stall")
 
 
-class ScanWindowError(RuntimeError):
-    """No grid abscissa admits the funnel mouth at the requested tolerance."""
-
-
 @dataclass
 class DoubleOptions:
     path_nodes: int = 65
     outer_iters: int = 3
     inner_iters: int = 200
     inner_tol: float = 1e-6
-    eps0: float = 0.1
-    c_frac: float = 0.5
     n_out: int = 257
     t_max: float = 6.0
     resample_eps: float = 1e-4
@@ -74,64 +66,7 @@ class DoubleConnectionResult:
     c_minus: float
     c_plus: float
     m_track: np.ndarray | None
-    funnels: tuple
     diagnostics: dict
-
-
-def _scan_side(worst: np.ndarray, grid: np.ndarray, side: int, eps0: float,
-               s_start: float | None) -> float:
-    span = float(abs(grid[-1] if side > 0 else grid[0]))
-    S = s_start if s_start is not None else span / 4.0
-    while S <= span + 1e-12:
-        if side > 0:
-            order = np.flatnonzero((grid >= S) & (grid <= 2.0 * S))
-        else:
-            order = np.flatnonzero((grid <= -S) & (grid >= -2.0 * S))[::-1]
-        for j in order:
-            if worst[j] < eps0:
-                return float(grid[j])
-        S *= 2.0
-    raise ScanWindowError(
-        f"no funnel mouth on side {side:+d}: some path node stays at least "
-        f"{np.min(worst):.3g} away from the well on every admissible column"
-    )
-
-
-def s0_scan(
-    node_values: np.ndarray,
-    space: EffectivePotentialSpace,
-    eps0: float,
-    s_start: float | None = None,
-) -> tuple[float, float]:
-    """Funnel mouths (s-, s+) such that every path node hugs the wells there.
-
-    node_values has shape (P, M, n).  Each side scans the window
-    side * [S, 2S] for the abscissa of smallest modulus at which all nodes
-    are within eps0 of that side's well, doubling S while the window fits
-    in the grid.
-    """
-    a_minus = np.asarray(space.tail_left, dtype=float).reshape(1, 1, -1)
-    a_plus = np.asarray(space.tail_right, dtype=float).reshape(1, 1, -1)
-    worst_minus = np.max(np.linalg.norm(node_values - a_minus, axis=2), axis=0)
-    worst_plus = np.max(np.linalg.norm(node_values - a_plus, axis=2), axis=0)
-    s_minus = _scan_side(worst_minus, space.grid, -1, eps0, s_start)
-    s_plus = _scan_side(worst_plus, space.grid, +1, eps0, s_start)
-    return s_minus, s_plus
-
-
-def _fit_funnels(space: EffectivePotentialSpace, node_values: np.ndarray, opts: DoubleOptions):
-    """A4 fit at each ambient well plus mouth scan on the current path."""
-    p = space.potential
-    fits = []
-    for well in (space.tail_left, space.tail_right):
-        fit = check_a4(p, np.asarray(well, dtype=float))
-        if not fit.ok:
-            raise ValueError(f"radial growth fit failed at well {well}")
-        fits.append(fit)
-    s_minus, s_plus = s0_scan(node_values, space, opts.eps0)
-    fm = funnel_profile(-1, fits[0].p0, opts.c_frac * fits[0].c0, opts.eps0, s_minus)
-    fp = funnel_profile(+1, fits[1].p0, opts.c_frac * fits[1].c0, opts.eps0, s_plus)
-    return fm, fp
 
 
 def _columns(u: np.ndarray) -> np.ndarray:
@@ -142,19 +77,6 @@ def _columns(u: np.ndarray) -> np.ndarray:
 def _symmetrize_columns(space: EffectivePotentialSpace, u: np.ndarray) -> np.ndarray:
     """Reflection projection of every x2 column of a field (M, P, n), C-ordered."""
     return np.ascontiguousarray(space.symmetrize(u.transpose(1, 0, 2)).transpose(1, 0, 2))
-
-
-def _clamp_path(space: EffectivePotentialSpace, nodes: np.ndarray, funnels) -> np.ndarray:
-    """Funnel-project every path node on both sides (entry holds by scan)."""
-    a_minus = np.asarray(space.tail_left, dtype=float)
-    a_plus = np.asarray(space.tail_right, dtype=float)
-    out = nodes.copy()
-    for k in range(out.shape[0]):
-        gf = space.grid_function(out[k])
-        gf = funnel_project(gf, funnels[0], a_minus)
-        gf = funnel_project(gf, funnels[1], a_plus)
-        out[k] = gf.flatten()
-    return out
 
 
 def _blend_seed(space: EffectivePotentialSpace, p_nodes: int) -> np.ndarray:
@@ -259,9 +181,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     proj = space.symmetrize if symmetrize else None
     if proj is not None:
         nodes = proj(nodes)
-    funnels = None
     m_track = None
-    use_funnels = space.bc == "tails"
     zm_flat = space.z_minus.flatten()
     zp_flat = space.z_plus.flatten()
     outer_lk = []
@@ -283,11 +203,6 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
             gfs = [space.grid_function(v) for v in nodes]
             gfs, _ = gauge_fix_translations(gfs, wspace.weight_at)
             nodes = np.stack([g.flatten() for g in gfs])
-            nodes[0], nodes[-1] = zm_flat, zp_flat
-        if use_funnels:
-            shaped = nodes.reshape(opts.path_nodes, space.m, space.n_components)
-            funnels = _fit_funnels(space, shaped, opts)
-            nodes = _clamp_path(space, nodes, funnels)
             nodes[0], nodes[-1] = zm_flat, zp_flat
         round_curve = SampledCurve(
             times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes
@@ -347,7 +262,6 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         c_minus=c_minus,
         c_plus=c_plus,
         m_track=m_track,
-        funnels=funnels if funnels is not None else (),
         diagnostics=diagnostics,
     )
 
@@ -355,11 +269,11 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
 def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None = None):
     """Minimal profile path between the twin connections, symmetry enforced.
 
-    Pipeline: blend seed, descent on the discrete weighted path length with
-    node-wise symmetry projection and funnel clamping per outer iteration,
-    equipartition reparametrization of the optimal path, assembly into a 2D
-    field, and a final local minimization of the discrete 2D energy with the
-    end columns pinned.
+    Pipeline: blend seed, outer rounds of descent on the discrete weighted
+    path length with node-wise symmetry projection, equipartition
+    reparametrization of the optimal path, assembly into a 2D field, and a
+    final local minimization of the discrete 2D energy with the end columns
+    pinned.
     """
     return _solve_common(space, opts or DoubleOptions(), "sym")
 
@@ -419,7 +333,6 @@ class DoubleReport(NamedTuple):
     x2_gap_plus_l2: float
     x2_gap_minus_linf: float
     x2_gap_plus_linf: float
-    x1_funnel_violation: float
     interior_margin: int
 
 
@@ -430,9 +343,8 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     gradient, evaluated away from a boundary margin.  The energy is computed
     once by direct 2D quadrature and once as the profile-path action; the
     two must agree to rounding.  Limit gaps compare the end columns against
-    the stored well profiles (shifted by the tracked limits in quotient
-    mode) and, in tails mode, the off-window excess against the funnel
-    envelopes.
+    the stored well profiles, shifted by the tracked limits in quotient
+    mode.
     """
     space = result.space
     u = result.u
@@ -473,17 +385,6 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     gap_p_l2 = gp.distance_l2(zp)
     gap_m_inf = float(np.max(np.abs(gm.values - zm.values)))
     gap_p_inf = float(np.max(np.abs(gp.values - zp.values)))
-    violation = 0.0
-    if result.funnels:
-        fm, fp = result.funnels
-        for prof, well, side in (
-            (fm, space.tail_left, space.grid <= fm.s0),
-            (fp, space.tail_right, space.grid >= fp.s0),
-        ):
-            if np.any(side):
-                r = np.linalg.norm(u[side] - np.asarray(well, dtype=float), axis=2)
-                excess = r - prof.envelope(space.grid[side])[:, None]
-                violation = max(violation, float(np.max(excess)))
     return DoubleReport(
         residual_max=residual_max,
         residual_l2=residual_l2,
@@ -494,7 +395,6 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
         x2_gap_plus_l2=float(gap_p_l2),
         x2_gap_minus_linf=gap_m_inf,
         x2_gap_plus_linf=gap_p_inf,
-        x1_funnel_violation=violation,
         interior_margin=margin,
     )
 

@@ -8,12 +8,14 @@ potential: it vanishes exactly on minimal connections, and its square root
 weights the geodesic problem one level up, where curves of profiles encode
 2D fields.
 
-Funnel envelopes certify decay toward a well: explicit solutions of
+Funnel envelopes describe decay toward a well: explicit solutions of
 E'' = c E^(p0-1) with E(s0) = eps0, exponential for p0 = 2 and algebraic
-otherwise.  Projecting a profile radially onto the funnel tube never raises
-its action (within quadrature slack), which is what makes window clamping
-and tail certification legitimate.  Mollification and optimal-translation
-fitting round out the toolbox for the translation-quotient pipeline.
+otherwise.  In the paper they supply the compactness of the existence
+proof; here they are a library audit, not a solver stage: projecting a
+profile radially onto the funnel tube never raises its action (within
+quadrature slack), and the tests check that directly.  Mollification and
+optimal-translation fitting round out the toolbox for the
+translation-quotient pipeline.
 """
 
 from __future__ import annotations
@@ -130,22 +132,6 @@ class GridFunction:
     def translate(self, shift: float) -> "GridFunction":
         """Values of v(. - shift) on the same grid, tail-extended."""
         return replace(self, values=_translate_values(self, np.array([shift]))[0])
-
-    def to_csv(self, path) -> None:
-        header = "s," + ",".join(f"v{c+1}" for c in range(self.n_components))
-        data = np.column_stack([self.s, self.values])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path, bc="tails", tail_left=None, tail_right=None):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        s, values = data[:, 0], data[:, 1:]
-        if bc == "tails":
-            if tail_left is None:
-                tail_left = values[0]
-            if tail_right is None:
-                tail_right = values[-1]
-        return cls(s=s, values=values, bc=bc, tail_left=tail_left, tail_right=tail_right)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class SolverOptions:
 class SolveTrace:
     energies: list
     status: str
-    n_iters: int
+    n_iters: int  # accepted steps; 0 for a descent that starts converged
     grad_norm: float
     n_evals: int  # line-search trial evaluations
 
@@ -176,9 +176,8 @@ def minimize_k_length(
     step = STEP0
     prev_slope = 0.0  # slope of the last accepted step; 0 before the first
     gnorm = math.inf
-    it = 0
     n_evals = 0
-    for it in range(1, opts.max_iters + 1):
+    for _ in range(opts.max_iters):
         direction = grad * inv_w
         slope = float(np.sum(grad * direction))
         gnorm = math.sqrt(max(slope, 0.0))
@@ -213,8 +212,8 @@ def minimize_k_length(
         step, prev_slope = t, slope
         grad = _gradient(ev, wspace)
         ev = None
-    trace = SolveTrace(energies=energies, status=status, n_iters=it, grad_norm=gnorm,
-                       n_evals=n_evals)
+    trace = SolveTrace(energies=energies, status=status, n_iters=len(energies) - 1,
+                       grad_norm=gnorm, n_evals=n_evals)
     curve = SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes)
     if opts.reparam is not None:
         try:

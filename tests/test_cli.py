@@ -418,6 +418,16 @@ def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
     assert trace.n_evals >= 100
 
 
+def test_solver_iters_counts_accepted_steps(tmp_path):
+    # the shipped double-well chord is already optimal: no step, no trial
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "double_well.json")
+    out = tmp_path / "dw"
+    assert main(["connect", "--config", cfg, "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert results["solver_status"] == "converged"
+    assert (results["solver_iters"], results["solver_evals"]) == (0, 0)
+
+
 def test_double_manifest_records_the_polish_only_when_it_ran(tmp_path):
     keys = {"polish_steps", "polish_gmax", "polish_status"}
     off = str(tmp_path / "off")

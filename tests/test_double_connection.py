@@ -4,11 +4,9 @@ import pytest
 from hetconn import (
     DoubleOptions,
     EffectivePotentialSpace,
-    ScanWindowError,
     assemble_and_verify,
     audit_translation_speed,
     optimal_translation,
-    s0_scan,
     sin_example_space,
     solve_asymmetric,
     solve_symmetric,
@@ -51,24 +49,6 @@ def test_planar_weight_vanishes_only_on_the_profiles(planar_space):
     assert ws.weight_at(shoved.ravel())[0] > 1e-2
 
 
-def test_s0_scan_finds_hugging_columns(planar_space):
-    path = np.stack([planar_space.z_minus.values, planar_space.z_plus.values])
-    s_minus, s_plus = s0_scan(path, planar_space, eps0=0.1)
-    assert s_minus < 0.0 < s_plus
-    jm = int(np.argmin(np.abs(planar_space.grid - s_minus)))
-    jp = int(np.argmin(np.abs(planar_space.grid - s_plus)))
-    am = np.asarray(planar_space.tail_left)
-    ap = np.asarray(planar_space.tail_right)
-    assert np.all(np.linalg.norm(path[:, jm, :] - am, axis=1) < 0.1)
-    assert np.all(np.linalg.norm(path[:, jp, :] - ap, axis=1) < 0.1)
-
-
-def test_s0_scan_reports_failure(planar_space):
-    stuck = np.full((3, planar_space.m, 2), 5.0)
-    with pytest.raises(ScanWindowError):
-        s0_scan(stuck, planar_space, eps0=0.1)
-
-
 def test_symmetric_solve_small(planar_space):
     result = solve_symmetric(planar_space, SMALL)
     assert result.mode == "sym"
@@ -96,7 +76,6 @@ def test_symmetric_solve_verifies(planar_space):
     assert report.x2_gap_plus_l2 <= 1e-12
     assert np.isfinite(report.residual_max)
     assert report.equip_defect < 0.2
-    assert report.x1_funnel_violation < 1e-9
 
 
 def test_asymmetric_needs_the_quotient(planar_space):
@@ -114,6 +93,15 @@ def test_asymmetric_solve_tracks_shifts(quotient_space):
     audit = audit_translation_speed(result)
     assert audit.c_fit >= 0.0
     assert np.isfinite(audit.max_ratio)
+
+
+def test_quotient_does_no_work_on_the_symmetric_fixture(planar_space, quotient_space):
+    # from the odd blend seed the unprojected descent stays odd bit for bit and
+    # the gauge fix finds zero drift, so the quotient solve ends on the
+    # symmetric solve's field exactly
+    sym = solve_symmetric(planar_space, SMALL)
+    asym = solve_asymmetric(quotient_space, SMALL)
+    assert np.array_equal(sym.u, asym.u)
 
 
 def test_speed_audit_rejects_symmetric_runs(planar_space):

@@ -80,15 +80,6 @@ def test_translate_fills_with_tails():
     assert np.all(w.values == -1.0)
 
 
-def test_csv_roundtrip(tmp_path):
-    v = tanh_gf()
-    path = tmp_path / "profile.csv"
-    v.to_csv(path)
-    back = GridFunction.from_csv(path, tail_left=v.tail_left, tail_right=v.tail_right)
-    assert np.array_equal(back.s, v.s)
-    assert np.array_equal(back.values, v.values)
-
-
 def test_distance_to_self_is_zero():
     v = tanh_gf()
     assert v.distance_l2(v) == 0.0

@@ -39,6 +39,21 @@ def test_double_well_chord_is_optimal():
     assert trace.monotone
 
 
+def test_n_iters_counts_accepted_steps():
+    ws = make_weight(double_well())
+    x_minus, x_plus = np.array([-1.0]), np.array([1.0])
+    opts = SolverOptions(n_nodes=21, grad_tol=1e-3, max_iters=2000,
+                         init_nodes=(np.linspace(-1.0, 1.0, 21) ** 3)[:, None])
+    _, _, trace = minimize_k_length(ws, x_minus, x_plus, opts)
+    k = len(trace.energies) - 1
+    assert trace.status == "converged" and k > 0
+    assert trace.n_iters == k
+    # the same descent cut after k iterations has taken the same k steps
+    _, _, cut = minimize_k_length(ws, x_minus, x_plus, dataclasses.replace(opts, max_iters=k))
+    assert (cut.status, cut.n_iters) == ("max_iters", k)
+    assert cut.energies == trace.energies
+
+
 def test_descent_values_monotone():
     p = planar_two_well()
     ws = make_weight(p)
