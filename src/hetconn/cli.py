@@ -9,14 +9,16 @@ artifacts with the same routines the run uses.  For a double run it builds
 no fixture: the effective space comes from the config on the grid of the
 field's x1 column, and the reference is the 1D action of the field's last
 column, the z+ well profile, which must equal the ``ref_value`` the run
-recorded bit for bit.  Exit codes: 0 success, 2 solver stall, 3 config
-error, 4 checksum or schema failure (verify), 5 failing check: the
-equipartition defect over its tolerance, a double run's reference action
-not matching the recorded one, a polished double run whose gradient
-missed its tolerance (the run writes its artifacts and manifest, then exits
-5, and so does ``verify``), or a broken counterexample invariant.  A
-counterexample ``verify`` recomputes every candidate length from the config
-and every crossing bound, and requires the recorded ones bit for bit.
+recorded bit for bit.  Exit codes: 0 success, 2 solver stall (connect),
+3 config error, 4 checksum or schema failure (verify), 5 failing check:
+the equipartition defect over its tolerance, a double run's reference action
+not matching the recorded one, a double run whose Newton-CG gradient,
+residual or energy two ways missed its tolerance (the run writes its
+artifacts and manifest, then exits 5, and so does ``verify``, which
+recomputes the last two from the field), or a broken counterexample
+invariant.  A counterexample ``verify`` recomputes every candidate length
+from the config and every crossing bound, and requires the recorded ones
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ from .counterexample import (
     nonexistence_report,
 )
 from .double_connection import (
+    POLISH_GTOL,
     DoubleOptions,
     assemble_and_verify,
     audit_translation_speed,
+    field_residuals,
     planar_effective_space,
     planar_shell,
     sin_example_space,
@@ -353,10 +357,6 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         else solve_symmetric(space, opts)
     )
     report = assemble_and_verify(result)
-    if result.diagnostics.get("solver_status") == "stall":
-        print("path descent stalled before the gradient tolerance",
-              file=sys.stderr)
-        return EXIT_STALL
     os.makedirs(out_dir, exist_ok=True)
     m, p_out, n = result.u.shape
     comp_names = ",".join(f"u{j + 1}" for j in range(n))
@@ -389,23 +389,21 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         "x2_gap_plus_l2": report.x2_gap_plus_l2,
         "c_minus": result.c_minus,
         "c_plus": result.c_plus,
-        "outer_lk": list(result.diagnostics["outer_lk"]),
-        "solver_status": result.diagnostics["solver_status"],
-        "solver_evals": result.diagnostics["solver_evals"],
+        "k_length": result.diagnostics["k_length"],
+        "reduction_gap": abs(result.energy - result.diagnostics["k_length"]),
+        "solver_status": result.diagnostics["polish_status"],
+        "polish_steps": result.diagnostics["polish_steps"],
+        "polish_gmax": result.diagnostics["polish_gmax"],
+        "polish_status": result.diagnostics["polish_status"],
         "window": result.diagnostics["window"],
     }
     tolerances = {
         "defect_tol": float(cfg.get("defect_tol", 5e-2)),
         "residual_tol": float(cfg.get("residual_tol", 5e-2)),
-        "inner_tol": opts.inner_tol,
         "residual_margin_cells": report.interior_margin,
         "energy_two_ways_rel": 1e-6,
+        "polish_gtol": POLISH_GTOL,
     }
-    if opts.polish:
-        # the polish enforces its gradient tolerance; a run without it does not
-        for key in ("polish_steps", "polish_gmax", "polish_status"):
-            results[key] = result.diagnostics[key]
-        tolerances["polish_gtol"] = opts.polish_gtol
     if mode == "asym":
         speed = audit_translation_speed(result)
         results["m_total_variation"] = result.diagnostics["m_total_variation"]
@@ -428,25 +426,30 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     if verbose:
         print(f"wrote {out_dir}: energy {result.energy:.9g}, "
               f"residual {report.residual_max:.3g}")
-    if not _polish_within_tolerance(manifest, verbose):
+    if not _double_within_tolerance(report, results, tolerances, verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 
 
-def _polish_within_tolerance(manifest: dict, verbose: bool) -> bool:
-    """Whether a polished double run met its gradient tolerance (NaN fails).
+def _double_within_tolerance(res, results: dict, tolerances: dict, verbose: bool) -> bool:
+    """Whether a double run's Newton-CG gradient, interior residual and
+    energy two ways meet their tolerances (NaN fails).
 
-    True for a run without the polish, which records no ``polish_gtol``.
+    ``res`` is the run's ``DoubleReport`` or verify's ``FieldResiduals``.
     """
-    gtol = manifest["tolerances"].get("polish_gtol")
-    if gtol is None:
-        return True
-    gmax = manifest["results"].get("polish_gmax", float("nan"))
-    ok = gmax <= gtol
-    if verbose or not ok:
-        print(f"polish {manifest['results'].get('polish_status')}: max free "
-              f"gradient {gmax:.6g} (tolerance {gtol:g})",
-              file=sys.stdout if ok else sys.stderr)
+    two_ways = abs(res.energy_direct - res.energy_path) / max(abs(res.energy_path), 1e-300)
+    ok = True
+    for name, value, tol in (
+        (f"Newton-CG {results['polish_status']}: max free gradient",
+         results["polish_gmax"], tolerances["polish_gtol"]),
+        ("interior residual max", res.residual_max, tolerances["residual_tol"]),
+        ("energy two ways, relative gap", two_ways, tolerances["energy_two_ways_rel"]),
+    ):
+        passed = value <= tol
+        if verbose or not passed:
+            print(f"{name} {value:.6g} (tolerance {tol:g})",
+                  file=sys.stdout if passed else sys.stderr)
+        ok = ok and passed
     return ok
 
 
@@ -547,8 +550,6 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
 
 
 def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
-    if not _polish_within_tolerance(manifest, verbose):
-        return EXIT_EQUIPARTITION
     comments, header, data = _read_table(os.path.join(run_dir, "u.csv"))
     x1 = np.unique(data[:, 0])
     x2 = np.unique(data[:, 1])
@@ -561,11 +562,16 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
         print(f"reference action {space.ref_value!r} (recorded {recorded!r})")
     if space.ref_value != recorded:
         return EXIT_EQUIPARTITION
-    defect = x2_defect(space, u, float(x2[1] - x2[0]))
-    tol = manifest["tolerances"]["defect_tol"]
+    dt = float(x2[1] - x2[0])
+    tolerances = manifest["tolerances"]
+    defect = x2_defect(space, u, dt)
+    tol = tolerances["defect_tol"]
     if verbose or not defect <= tol:
         print(f"x2 equipartition defect {defect:.6g} (tolerance {tol:g})")
     if not defect <= tol:
+        return EXIT_EQUIPARTITION
+    res = field_residuals(space, u, dt, tolerances["residual_margin_cells"])
+    if not _double_within_tolerance(res, manifest["results"], tolerances, verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 
@@ -635,7 +641,7 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
             return _verify_double(run_dir, manifest, verbose)
         if kind == "counterexample":
             return _verify_counterexample(run_dir, manifest, verbose)
-    except (OSError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"verification failed to re-run: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM
     print(f"unknown run kind {kind!r}", file=sys.stderr)

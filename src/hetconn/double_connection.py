@@ -4,10 +4,11 @@ A pair of minimal 1D connections z-, z+ are the wells of the effective
 potential on profile space; a minimal path between them, reparametrized to
 the equipartition of the effective weight, assembles into a 2D field
 u(x1, x2) = path(x2)(x1) that solves the Euler-Lagrange system of the summed
-energy.  The symmetric solver enforces an odd first component in x1 by
-projection; the asymmetric solver works in the translation quotient instead,
-gauge-fixing translation drift along the path and tracking the per-column
-optimal shift.
+energy.  The solve takes the straight blend of z- and z+, reparametrizes it
+to equipartition, and minimizes the discrete 2D energy of the assembled
+field by a pinned Newton-CG.  The symmetric solver enforces an odd first
+component in x1 by projection; the asymmetric solver works in the
+translation quotient instead and tracks the per-column optimal shift.
 
 The module also carries the two stock fixtures: the planar two-well family
 (whole line, tails, twin channel connections) and the scalar sine problem on
@@ -25,7 +26,6 @@ import numpy as np
 
 from .function_space import (
     EffectivePotentialSpace,
-    gauge_fix_translations,
     optimal_translation,
     pinned_newton_cg,
 )
@@ -35,23 +35,19 @@ from .metric import SampledCurve, k_length, trapezoid_weights
 from .potentials import make_weight, planar_two_well
 
 
-# Newton steps of the field polish before it reports max_iters.
+# Newton steps of the field polish before it reports max_iters, and the
+# largest free gradient entry it accepts as converged.
 POLISH_STEPS = 50
-# Path descent statuses from best to worst; a solve reports its worst round's.
-_STATUS_RANK = ("converged", "max_iters", "stall")
+POLISH_GTOL = 1e-7
+# End grading of the seed path's resample before its equipartition.
+RESAMPLE_EPS = 1e-4
 
 
 @dataclass
 class DoubleOptions:
     path_nodes: int = 65
-    outer_iters: int = 3
-    inner_iters: int = 200
-    inner_tol: float = 1e-6
     n_out: int = 257
     t_max: float = 6.0
-    resample_eps: float = 1e-4
-    polish: bool = True
-    polish_gtol: float = 1e-7
 
 
 @dataclass
@@ -77,13 +73,6 @@ def _columns(u: np.ndarray) -> np.ndarray:
 def _symmetrize_columns(space: EffectivePotentialSpace, u: np.ndarray) -> np.ndarray:
     """Reflection projection of every x2 column of a field (M, P, n), C-ordered."""
     return np.ascontiguousarray(space.symmetrize(u.transpose(1, 0, 2)).transpose(1, 0, 2))
-
-
-def _blend_seed(space: EffectivePotentialSpace, p_nodes: int) -> np.ndarray:
-    za = space.z_minus.flatten()
-    zb = space.z_plus.flatten()
-    tau = np.linspace(0.0, 1.0, p_nodes)
-    return (1.0 - tau)[:, None] * za[None, :] + tau[:, None] * zb[None, :]
 
 
 def _polish_field(space, u0, dt, symmetrize, gtol):
@@ -169,53 +158,24 @@ def x2_defect(space, u: np.ndarray, dt: float) -> float:
     return float(np.max(np.abs(kinetic - space.effective_potential(mids))))
 
 
-def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
-    if space.z_minus is None or space.z_plus is None:
-        raise ValueError("the effective space carries no well profiles")
-    gap = space.z_minus.distance_l2(space.z_plus)
-    if gap < 1e-8:
-        raise ValueError("well profiles coincide; nothing to connect")
-    symmetrize = mode == "sym" and space.symmetry == "odd_first"
+def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize: bool):
+    """The blend of the wells at equipartition, assembled into a field (M, P, n).
+
+    Returns (field, ConnectionResult of the reparametrization).
+    """
     wspace = space.weighted_space()
-    nodes = _blend_seed(space, opts.path_nodes)
-    proj = space.symmetrize if symmetrize else None
-    if proj is not None:
-        nodes = proj(nodes)
-    m_track = None
-    zm_flat = space.z_minus.flatten()
-    zp_flat = space.z_plus.flatten()
-    outer_lk = []
-    statuses, n_evals = [], 0
-    for _outer in range(opts.outer_iters):
-        inner = SolverOptions(
-            n_nodes=opts.path_nodes,
-            max_iters=opts.inner_iters,
-            grad_tol=opts.inner_tol,
-            init_nodes=nodes,
-            project=proj,
-            reparam=None,
-        )
-        curve, value, trace = minimize_k_length(wspace, zm_flat, zp_flat, inner)
-        statuses.append(trace.status)
-        n_evals += trace.n_evals
-        nodes = curve.nodes
-        if mode == "asym":
-            gfs = [space.grid_function(v) for v in nodes]
-            gfs, _ = gauge_fix_translations(gfs, wspace.weight_at)
-            nodes = np.stack([g.flatten() for g in gfs])
-            nodes[0], nodes[-1] = zm_flat, zp_flat
-        round_curve = SampledCurve(
-            times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes
-        )
-        outer_lk.append(k_length(round_curve, wspace, rule="midpoint"))
-    path_curve = SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes)
+    tau = np.linspace(0.0, 1.0, opts.path_nodes)[:, None]
+    nodes = (1.0 - tau) * space.z_minus.flatten() + tau * space.z_plus.flatten()
+    if symmetrize:
+        nodes = space.symmetrize(nodes)
+        nodes[0], nodes[-1] = space.z_minus.flatten(), space.z_plus.flatten()
     conn = reparam_equipartition(
-        path_curve,
+        SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes),
         wspace,
         n_samples=opts.n_out,
         t_max=opts.t_max,
         resample=4 * opts.path_nodes,
-        resample_eps=opts.resample_eps,
+        resample_eps=RESAMPLE_EPS,
     )
     p_out = conn.curve.n_nodes
     u = conn.curve.nodes.reshape(p_out, space.m, space.n_components).transpose(1, 0, 2).copy()
@@ -225,20 +185,32 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         # interpolation weights in the reparametrization are accumulated left
         # to right, which can break antisymmetry in the last bit; project back
         u = _symmetrize_columns(space, u)
+    return u, conn
+
+
+def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
+    if space.z_minus is None or space.z_plus is None:
+        raise ValueError("the effective space carries no well profiles")
+    gap = space.z_minus.distance_l2(space.z_plus)
+    if gap < 1e-8:
+        raise ValueError("well profiles coincide; nothing to connect")
+    symmetrize = mode == "sym" and space.symmetry == "odd_first"
+    u, conn = _seed_field(space, opts, symmetrize)
+    p_out = conn.curve.n_nodes
     dt = float(np.diff(conn.curve.times)[0])
-    diagnostics = {
-        "k_length_value": value,
-        "solver_status": max(statuses, key=_STATUS_RANK.index),
-        "solver_evals": n_evals,
-        "outer_lk": outer_lk,
-        "equipartition_defect_reparam": conn.equipartition_defect,
-        "window": conn.window,
-    }
-    if opts.polish:
-        u, polish = _polish_field(space, u, dt, symmetrize, opts.polish_gtol)
-        diagnostics.update(polish_steps=polish.steps, polish_gmax=polish.gmax,
-                           polish_status=polish.status)
+    u, polish = _polish_field(space, u, dt, symmetrize, POLISH_GTOL)
     energy = _path_energy(space, u, dt)
+    # the weighted length of the field's columns as a path in profile space:
+    # at equipartition it equals the energy
+    columns = SampledCurve(times=conn.curve.times, nodes=_columns(u).reshape(p_out, -1))
+    diagnostics = {
+        "window": conn.window,
+        "polish_steps": polish.steps,
+        "polish_gmax": polish.gmax,
+        "polish_status": polish.status,
+        "k_length": k_length(columns, space.weighted_space(), rule="midpoint"),
+    }
+    m_track = None
     c_minus = c_plus = 0.0
     if mode == "asym":
         span = float(space.grid[-1] - space.grid[0])
@@ -250,7 +222,6 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         c_minus = float(np.mean(m_track[:tail]))
         c_plus = float(np.mean(m_track[-tail:]))
         diagnostics["m_total_variation"] = float(np.sum(np.abs(np.diff(m_track))))
-        diagnostics["m_which"] = fits.which
     return DoubleConnectionResult(
         space=space,
         mode=mode,
@@ -269,11 +240,11 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
 def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None = None):
     """Minimal profile path between the twin connections, symmetry enforced.
 
-    Pipeline: blend seed, outer rounds of descent on the discrete weighted
-    path length with node-wise symmetry projection, equipartition
-    reparametrization of the optimal path, assembly into a 2D field, and a
-    final local minimization of the discrete 2D energy with the end columns
-    pinned.
+    Pipeline: the straight blend of the wells, projected to odd first
+    components, its equipartition reparametrization, assembly into a 2D
+    field, and a pinned Newton-CG minimization of the discrete 2D energy
+    with the end columns and x1 edges fixed and the projection applied to
+    every step.
     """
     return _solve_common(space, opts or DoubleOptions(), "sym")
 
@@ -281,8 +252,8 @@ def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None =
 def solve_asymmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None = None):
     """Profile path solver in the translation quotient (no symmetry).
 
-    Requires quotient mode "translations".  Translation drift is gauge-fixed
-    after every outer iteration; the per-column optimal shift m(x2) is
+    Requires quotient mode "translations".  The pipeline is the symmetric
+    one without the projection; the per-column optimal shift m(x2) is
     tracked on the final field, and its end averages estimate the limit
     shifts c-, c+.
     """
@@ -336,21 +307,23 @@ class DoubleReport(NamedTuple):
     interior_margin: int
 
 
-def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> DoubleReport:
-    """Residual and limit checks on the assembled field.
+class FieldResiduals(NamedTuple):
+    residual_max: float
+    residual_l2: float
+    energy_direct: float
+    energy_path: float
 
-    The interior residual is the 5-point Laplacian minus the density
-    gradient, evaluated away from a boundary margin.  The energy is computed
-    once by direct 2D quadrature and once as the profile-path action; the
-    two must agree to rounding.  Limit gaps compare the end columns against
-    the stored well profiles, shifted by the tracked limits in quotient
-    mode.
+
+def field_residuals(space, u: np.ndarray, dt: float, margin: int) -> FieldResiduals:
+    """Interior PDE residual of a field (M, P, n) and its energy two ways.
+
+    The residual is the 5-point Laplacian minus the density gradient,
+    evaluated away from a boundary margin of ``margin`` cells.  The energy
+    is computed once by direct 2D quadrature and once as the profile-path
+    action; the two must agree to rounding.  Run and verify both use this.
     """
-    space = result.space
-    u = result.u
-    m, p, n = u.shape
+    m, p, _ = u.shape
     h = space.h
-    dt = float(np.diff(result.x2)[0])
     cols = _columns(u)
     # 5-point Laplacian minus the density gradient, built in place so the
     # residual keeps the field's memory order
@@ -360,10 +333,7 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     res -= space._density_grads(cols).transpose(1, 0, 2)
     inner = res[margin:-margin, margin:-margin, :]
     residual_max = float(np.max(np.linalg.norm(inner, axis=2)))
-    residual_l2 = float(
-        np.sqrt(np.sum(inner**2) * h * dt)
-    )
-    # energy two ways
+    residual_l2 = float(np.sqrt(np.sum(inner**2) * h * dt))
     energy_path = _path_energy(space, u, dt)
     w1 = trapezoid_weights(m, h)
     wt = trapezoid_weights(p, dt)
@@ -374,6 +344,20 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     dens = np.ascontiguousarray(space._density_values(cols).T)
     pot = np.sum(w1[:, None] * wt[None, :] * dens) - space.ref_value * np.sum(wt)
     energy_direct = float(kin1 + kin2 + pot)
+    return FieldResiduals(residual_max, residual_l2, energy_direct, energy_path)
+
+
+def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> DoubleReport:
+    """Residual and limit checks on the assembled field.
+
+    The residual and the energy two ways come from ``field_residuals``.
+    Limit gaps compare the end columns against the stored well profiles,
+    shifted by the tracked limits in quotient mode.
+    """
+    space = result.space
+    u = result.u
+    dt = float(np.diff(result.x2)[0])
+    fr = field_residuals(space, u, dt, margin)
     defect = x2_defect(space, u, dt)
     zm, zp = space.z_minus, space.z_plus
     if result.mode == "asym":
@@ -386,11 +370,11 @@ def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> Doub
     gap_m_inf = float(np.max(np.abs(gm.values - zm.values)))
     gap_p_inf = float(np.max(np.abs(gp.values - zp.values)))
     return DoubleReport(
-        residual_max=residual_max,
-        residual_l2=residual_l2,
+        residual_max=fr.residual_max,
+        residual_l2=fr.residual_l2,
         equip_defect=defect,
-        energy_direct=energy_direct,
-        energy_path=energy_path,
+        energy_direct=fr.energy_direct,
+        energy_path=fr.energy_path,
         x2_gap_minus_l2=float(gap_m_l2),
         x2_gap_plus_l2=float(gap_p_l2),
         x2_gap_minus_linf=gap_m_inf,

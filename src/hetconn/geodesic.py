@@ -175,14 +175,17 @@ def minimize_k_length(
     status = "max_iters"
     step = STEP0
     prev_slope = 0.0  # slope of the last accepted step; 0 before the first
-    gnorm = math.inf
     n_evals = 0
-    for _ in range(opts.max_iters):
+    # one pass more than max_iters: the last one only tests the tolerance
+    # at the returned nodes
+    for it in range(opts.max_iters + 1):
         direction = grad * inv_w
         slope = float(np.sum(grad * direction))
         gnorm = math.sqrt(max(slope, 0.0))
         if gnorm < opts.grad_tol:
             status = "converged"
+            break
+        if it == opts.max_iters:
             break
         accepted = False
         t = step

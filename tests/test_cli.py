@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -11,7 +10,7 @@ import pytest
 import hetconn
 import hetconn.cli
 import hetconn.double_connection
-from hetconn.cli import _read_table, _write_table, main
+from hetconn.cli import _load_config, _read_table, _write_table, main
 
 CONNECT_CFG = {
     "schema_version": 1,
@@ -26,10 +25,7 @@ SIN_CFG = {
     "schema_version": 1,
     "example": "sin",
     "m": 33,
-    "opts": {
-        "path_nodes": 9, "outer_iters": 1, "inner_iters": 100,
-        "n_out": 17, "t_max": 3.0, "polish": False,
-    },
+    "opts": {"path_nodes": 9, "n_out": 17, "t_max": 3.0},
     "defect_tol": 10.0,
     "residual_tol": 10.0,
 }
@@ -370,43 +366,16 @@ def test_double_sin_run_and_verify(tmp_path):
     assert main(["verify", out]) == 0
 
 
-def _recorded_descents(monkeypatch, module, stall_round=None):
-    """Record the trace of every descent ``module`` runs; report one as a stall."""
-    descend = module.minimize_k_length
+def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
+    descend = hetconn.cli.minimize_k_length
     traces = []
 
     def recorded(*args, **kwargs):
         curve, value, trace = descend(*args, **kwargs)
         traces.append(trace)
-        if len(traces) == stall_round:
-            trace = dataclasses.replace(trace, status="stall")
         return curve, value, trace
 
-    monkeypatch.setattr(module, "minimize_k_length", recorded)
-    return traces
-
-
-def test_double_exits_on_a_stall_in_an_earlier_round(tmp_path, monkeypatch):
-    traces = _recorded_descents(monkeypatch, hetconn.double_connection, stall_round=1)
-    cfg = json.loads(json.dumps(SIN_CFG))
-    cfg["opts"]["outer_iters"] = 3
-    out = tmp_path / "dbl"
-    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
-    assert [t.status for t in traces] == ["max_iters"] * 3
-    assert not out.exists()
-
-
-def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
-    traces = _recorded_descents(monkeypatch, hetconn.double_connection)
-    cfg = json.loads(json.dumps(SIN_CFG))
-    cfg["opts"]["outer_iters"] = 2
-    out = tmp_path / "dbl"
-    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    results = json.loads((out / "manifest.json").read_text())["results"]
-    assert len(traces) == 2
-    assert results["solver_evals"] == sum(t.n_evals for t in traces)
-    assert all(t.n_evals >= t.n_iters > 0 for t in traces)
-    traces = _recorded_descents(monkeypatch, hetconn.cli)
+    monkeypatch.setattr(hetconn.cli, "minimize_k_length", recorded)
     cfg = dict(CONNECT_CFG, potential={"name": "triple_well"},
                solver={"n_nodes": 101, "max_iters": 100, "grad_tol": 1e-8})
     out = tmp_path / "tw"
@@ -428,36 +397,69 @@ def test_solver_iters_counts_accepted_steps(tmp_path):
     assert (results["solver_iters"], results["solver_evals"]) == (0, 0)
 
 
-def test_double_manifest_records_the_polish_only_when_it_ran(tmp_path):
-    keys = {"polish_steps", "polish_gmax", "polish_status"}
-    off = str(tmp_path / "off")
-    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", off]) == 0
-    manifest = json.loads((tmp_path / "off" / "manifest.json").read_text())
-    assert not keys & set(manifest["results"])
-    assert "polish_gtol" not in manifest["tolerances"]
-    cfg = json.loads(json.dumps(SIN_CFG))
-    cfg["opts"]["polish"] = True
-    on = str(tmp_path / "on")
-    assert main(["double", "--config", write_cfg(tmp_path, cfg, "on.json"), "--out", on]) == 0
-    manifest = json.loads((tmp_path / "on" / "manifest.json").read_text())
+def test_double_manifest_always_records_the_polish(tmp_path):
+    out = str(tmp_path / "dbl")
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", out]) == 0
+    manifest = json.loads((tmp_path / "dbl" / "manifest.json").read_text())
     results = manifest["results"]
-    assert keys <= set(results)
-    assert results["polish_status"] == "converged" and results["polish_steps"] > 0
+    assert {"polish_steps", "polish_gmax", "polish_status"} <= set(results)
+    assert results["polish_status"] == results["solver_status"] == "converged"
+    assert results["polish_steps"] > 0
     assert results["polish_gmax"] <= manifest["tolerances"]["polish_gtol"]
-    assert main(["verify", on]) == 0
+    # the geodesic certificate: the field's columns as a profile path
+    assert results["reduction_gap"] == abs(results["energy"] - results["k_length"])
+    assert main(["verify", out]) == 0
 
 
 def test_polish_over_its_tolerance_fails_run_and_verify(tmp_path, monkeypatch):
     monkeypatch.setattr(hetconn.double_connection, "POLISH_STEPS", 1)
-    cfg = json.loads(json.dumps(SIN_CFG))
-    cfg["opts"]["polish"] = True
     out = tmp_path / "dbl"
-    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 5
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["polish_status"] == "max_iters"
     assert manifest["results"]["polish_gmax"] > manifest["tolerances"]["polish_gtol"]
     assert set(manifest["artifacts"]) == {"u.csv", "boundary_convergence.tsv"}
     assert main(["verify", str(out)]) == 5
+
+
+def test_double_run_over_its_residual_tol_fails_run_and_verify(tmp_path, capsys):
+    cfg = dict(SIN_CFG, residual_tol=1e-12)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
+    assert "interior residual max" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["results"]["residual_max"] > manifest["tolerances"]["residual_tol"]
+    assert main(["verify", str(out)]) == 5
+    assert "interior residual max" in capsys.readouterr().err
+
+
+def test_verify_recomputes_the_double_residual(tmp_path, capsys):
+    # loose defect tolerance: only the recomputed residual can fail
+    cfg = dict(SIN_CFG, residual_tol=0.05)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    lines = (out / "u.csv").read_text().splitlines()
+    # the node at x1 index 16, x2 index 8: inside the residual margin
+    i = 2 + 16 * SIN_CFG["opts"]["n_out"] + 8
+    cells = lines[i].split(",")
+    cells[-1] = repr(float(cells[-1]) + 1e-3)
+    lines[i] = ",".join(cells)
+    (out / "u.csv").write_text("\n".join(lines) + "\n")
+    _resign(out, "u.csv")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert "interior residual max" in capsys.readouterr().err
+
+
+def test_shipped_double_configs_build_their_options():
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    doubles = [_load_config(c) for c in configs if "example" in _load_config(c)]
+    assert len(doubles) == 3
+    for cfg in doubles:
+        # the keys cmd_double accepts
+        assert set(cfg["opts"]) <= set(hetconn.DoubleOptions.__dataclass_fields__)
+        hetconn.DoubleOptions(**cfg["opts"])
 
 
 def test_double_asym_needs_quotient(tmp_path):

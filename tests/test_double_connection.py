@@ -13,9 +13,11 @@ from hetconn import (
 )
 from hetconn import double_connection
 from hetconn.double_connection import (
+    POLISH_GTOL,
     _path_energy,
     _path_energy_hessp,
     _polish_field,
+    _seed_field,
     _symmetrize_columns,
     x2_defect,
 )
@@ -23,9 +25,7 @@ from hetconn.function_space import truncated_cg
 from hetconn.geodesic import _energy_grad
 from hetconn.metric import trapezoid_weights
 
-SMALL = DoubleOptions(
-    path_nodes=17, outer_iters=2, inner_iters=300, n_out=33, t_max=4.0, polish=False
-)
+SMALL = DoubleOptions(path_nodes=17, n_out=33, t_max=4.0)
 
 
 def test_planar_space_carries_mirror_profiles(planar_space):
@@ -60,10 +60,9 @@ def test_symmetric_solve_small(planar_space):
     for k in range(p):
         assert np.array_equal(result.u[:, k, 0], -result.u[::-1, k, 0])
     assert result.c_minus == 0.0 and result.c_plus == 0.0
-    lk = result.diagnostics["outer_lk"]
-    assert lk[-1] <= lk[0] + 1e-9
+    assert result.diagnostics["polish_status"] == "converged"
     # at equipartition the excess action matches the weighted path length
-    assert result.energy == pytest.approx(lk[-1], rel=5e-2)
+    assert result.energy == pytest.approx(result.diagnostics["k_length"], rel=5e-2)
     assert result.energy > 0.0
 
 
@@ -95,13 +94,29 @@ def test_asymmetric_solve_tracks_shifts(quotient_space):
     assert np.isfinite(audit.max_ratio)
 
 
-def test_quotient_does_no_work_on_the_symmetric_fixture(planar_space, quotient_space):
-    # from the odd blend seed the unprojected descent stays odd bit for bit and
-    # the gauge fix finds zero drift, so the quotient solve ends on the
-    # symmetric solve's field exactly
-    sym = solve_symmetric(planar_space, SMALL)
+def test_quotient_does_no_work_on_the_symmetric_fixture(quotient_space):
+    # from the blend of the mirror wells the unprojected Newton field tracks
+    # no translation at all
     asym = solve_asymmetric(quotient_space, SMALL)
-    assert np.array_equal(sym.u, asym.u)
+    assert asym.c_minus == 0.0 and asym.c_plus == 0.0
+    assert asym.diagnostics["m_total_variation"] == 0.0
+
+
+def test_double_solves_run_no_path_descent(planar_space, quotient_space, monkeypatch):
+    from hetconn import geodesic
+
+    calls = []
+    descend = geodesic.minimize_k_length
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return descend(*args, **kwargs)
+
+    for module in (geodesic, double_connection):
+        monkeypatch.setattr(module, "minimize_k_length", counted)
+    solve_symmetric(planar_space, SMALL)
+    solve_asymmetric(quotient_space, SMALL)
+    assert calls == []
 
 
 def test_speed_audit_rejects_symmetric_runs(planar_space):
@@ -122,10 +137,7 @@ def test_sin_space_wells_are_sines():
 
 def test_sin_small_solve_assembles():
     space = sin_example_space(m=33)
-    opts = DoubleOptions(
-        path_nodes=9, outer_iters=1, inner_iters=150, n_out=17, t_max=3.0,
-        polish=True,
-    )
+    opts = DoubleOptions(path_nodes=9, n_out=17, t_max=3.0)
     result = solve_symmetric(space, opts)
     assert result.u.shape == (33, 17, 1)
     assert np.max(np.abs(result.u)) < 1.5
@@ -349,14 +361,14 @@ def test_path_energy_hessp_matches_central_differences_of_the_gradient(field_spa
 @pytest.fixture(scope="module")
 def planar_sym_field(planar_space):
     """The unpolished small planar sym field and its x2 step."""
-    result = solve_symmetric(planar_space, SMALL)
-    return result.u, float(np.diff(result.x2)[0])
+    u, conn = _seed_field(planar_space, SMALL, True)
+    return u, float(np.diff(conn.curve.times)[0])
 
 
 def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
                                                                    planar_sym_field):
     u0, dt = planar_sym_field
-    gtol = DoubleOptions().polish_gtol
+    gtol = POLISH_GTOL
     u, info = _polish_field(planar_space, u0, dt, True, gtol)
     assert np.array_equal(u, _symmetrize_columns(planar_space, u))
     pinned = _field_pins(u.shape)
@@ -372,7 +384,7 @@ def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
 def test_polish_at_the_step_cap_says_so(planar_space, planar_sym_field, monkeypatch):
     u0, dt = planar_sym_field
     monkeypatch.setattr(double_connection, "POLISH_STEPS", 1)
-    gtol = DoubleOptions().polish_gtol
+    gtol = POLISH_GTOL
     u, info = _polish_field(planar_space, u0, dt, True, gtol)
     assert info.status == "max_iters" and info.steps == 1
     assert info.gmax > gtol

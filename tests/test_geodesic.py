@@ -48,10 +48,28 @@ def test_n_iters_counts_accepted_steps():
     k = len(trace.energies) - 1
     assert trace.status == "converged" and k > 0
     assert trace.n_iters == k
-    # the same descent cut after k iterations has taken the same k steps
-    _, _, cut = minimize_k_length(ws, x_minus, x_plus, dataclasses.replace(opts, max_iters=k))
-    assert (cut.status, cut.n_iters) == ("max_iters", k)
-    assert cut.energies == trace.energies
+    # the same descent cut one step short has taken the same k - 1 steps
+    _, _, cut = minimize_k_length(ws, x_minus, x_plus,
+                                  dataclasses.replace(opts, max_iters=k - 1))
+    assert (cut.status, cut.n_iters) == ("max_iters", k - 1)
+    assert cut.energies == trace.energies[:-1]
+
+
+def test_a_descent_whose_last_allowed_step_converges_says_so():
+    ws = make_weight(double_well())
+    x_minus, x_plus = np.array([-1.0]), np.array([1.0])
+    opts = SolverOptions(n_nodes=21, grad_tol=1e-3, max_iters=2000,
+                         init_nodes=(np.linspace(-1.0, 1.0, 21) ** 3)[:, None])
+    curve, value, trace = minimize_k_length(ws, x_minus, x_plus, opts)
+    k = trace.n_iters
+    assert trace.status == "converged" and k == 30
+    cut_curve, cut_value, cut = minimize_k_length(
+        ws, x_minus, x_plus, dataclasses.replace(opts, max_iters=k))
+    # the tolerance is tested at the returned nodes, and the norm is theirs
+    assert (cut.status, cut.n_iters) == ("converged", k)
+    assert cut.grad_norm == trace.grad_norm < opts.grad_tol
+    assert cut.energies == trace.energies and cut.n_evals == trace.n_evals
+    assert np.array_equal(cut_curve.nodes, curve.nodes) and cut_value == value
 
 
 def test_descent_values_monotone():
