@@ -23,7 +23,8 @@ def run(out="runs/sin_example"):
     print(f"energy        {results['energy']:.9f}")
     print(f"residual max  {results['residual_max']:.3e}")
     print(f"polish        {results['polish_status']} after {results['polish_steps']} "
-          f"Newton steps, free gradient max {results['polish_gmax']:.2e}")
+          f"Newton steps ({results['polish_cg_products']} CG products), "
+          f"free gradient max {results['polish_gmax']:.2e}")
     print(f"end-column gaps  {results['x2_gap_minus_l2']:.2e} / "
           f"{results['x2_gap_plus_l2']:.2e}")
     print(f"artifacts     {out}  (u.csv, boundary_convergence.tsv)")

@@ -15,7 +15,7 @@ the equipartition defect over its tolerance, a double run's reference action
 not matching the recorded one, a double run whose Newton-CG gradient,
 residual or energy two ways missed its tolerance (the run writes its
 artifacts and manifest, then exits 5, and so does ``verify``, which
-recomputes the last two from the field), or a broken counterexample
+recomputes all three from the field), or a broken counterexample
 invariant.  A counterexample ``verify`` recomputes every candidate length
 from the config and every crossing bound, and requires the recorded ones
 bit for bit.
@@ -47,6 +47,7 @@ from .double_connection import (
     assemble_and_verify,
     audit_translation_speed,
     field_residuals,
+    free_gradient_max,
     planar_effective_space,
     planar_shell,
     sin_example_space,
@@ -329,7 +330,8 @@ def _double_shell(cfg: dict, grid: np.ndarray):
         return sin_shell(grid)
     if example == "planar":
         return planar_shell(
-            grid, beta=float(cfg.get("beta", 1.0)), kappa=float(cfg.get("kappa", 1.0))
+            grid, beta=float(cfg.get("beta", 1.0)), kappa=float(cfg.get("kappa", 1.0)),
+            symmetry=cfg.get("symmetry", "odd_first"),
         )
     raise ConfigError(f"unknown double example '{example}'")
 
@@ -395,6 +397,7 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         "polish_steps": result.diagnostics["polish_steps"],
         "polish_gmax": result.diagnostics["polish_gmax"],
         "polish_status": result.diagnostics["polish_status"],
+        "polish_cg_products": result.diagnostics["polish_cg_products"],
         "window": result.diagnostics["window"],
     }
     tolerances = {
@@ -426,22 +429,25 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     if verbose:
         print(f"wrote {out_dir}: energy {result.energy:.9g}, "
               f"residual {report.residual_max:.3g}")
-    if not _double_within_tolerance(report, results, tolerances, verbose):
+    if not _double_within_tolerance(report, results["polish_gmax"], results["polish_status"],
+                                    tolerances, verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 
 
-def _double_within_tolerance(res, results: dict, tolerances: dict, verbose: bool) -> bool:
-    """Whether a double run's Newton-CG gradient, interior residual and
-    energy two ways meet their tolerances (NaN fails).
+def _double_within_tolerance(res, gmax: float, status: str, tolerances: dict,
+                             verbose: bool) -> bool:
+    """Whether a double run's free gradient max ``gmax``, interior residual
+    and energy two ways meet their tolerances (NaN fails).
 
-    ``res`` is the run's ``DoubleReport`` or verify's ``FieldResiduals``.
+    ``res`` is the run's ``DoubleReport`` or verify's ``FieldResiduals``;
+    ``status`` is the Newton-CG's, for the message.
     """
     two_ways = abs(res.energy_direct - res.energy_path) / max(abs(res.energy_path), 1e-300)
     ok = True
     for name, value, tol in (
-        (f"Newton-CG {results['polish_status']}: max free gradient",
-         results["polish_gmax"], tolerances["polish_gtol"]),
+        (f"Newton-CG {status}: max free gradient",
+         gmax, tolerances["polish_gtol"]),
         ("interior residual max", res.residual_max, tolerances["residual_tol"]),
         ("energy two ways, relative gap", two_ways, tolerances["energy_two_ways_rel"]),
     ):
@@ -571,7 +577,9 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
     if not defect <= tol:
         return EXIT_EQUIPARTITION
     res = field_residuals(space, u, dt, tolerances["residual_margin_cells"])
-    if not _double_within_tolerance(res, manifest["results"], tolerances, verbose):
+    gmax = free_gradient_max(space, u, dt, manifest["mode"])
+    if not _double_within_tolerance(res, gmax, manifest["results"]["polish_status"],
+                                    tolerances, verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 

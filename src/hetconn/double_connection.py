@@ -75,20 +75,48 @@ def _symmetrize_columns(space: EffectivePotentialSpace, u: np.ndarray) -> np.nda
     return np.ascontiguousarray(space.symmetrize(u.transpose(1, 0, 2)).transpose(1, 0, 2))
 
 
+def _field_pins(shape) -> np.ndarray:
+    """Pinned entries of a field (M, P, n): the end columns and the x1 edge rows."""
+    pinned = np.zeros(shape, dtype=bool)
+    pinned[:, [0, -1]] = True
+    pinned[[0, -1]] = True
+    return pinned
+
+
+def _projects(space: EffectivePotentialSpace, mode: str) -> bool:
+    """Whether a solve in ``mode`` keeps its field's first component odd in x1."""
+    return mode == "sym" and space.symmetry == "odd_first"
+
+
 def _polish_field(space, u0, dt, symmetrize, gtol):
     """Truncated Newton-CG on the discrete 2D energy; end columns and x1 edges stay pinned.
 
-    Returns (field, NewtonResult).
+    The CG is preconditioned by the shifted Poisson solve of
+    ``_poisson_preconditioner``, with each Newton step's shift from its
+    Hessian block.  Returns (field, NewtonResult).
     """
-    pinned = np.zeros(u0.shape, dtype=bool)
-    pinned[:, [0, -1]] = True
-    pinned[[0, -1]] = True
+    poisson = _poisson_preconditioner(u0.shape, space.h, dt)
     return pinned_newton_cg(
         lambda u: _path_energy(space, u, dt, grad=True),
-        lambda u: _path_energy_hessp(space, u, dt), u0, pinned,
+        lambda u: _PathEnergyHessian(space, u, dt), u0, _field_pins(u0.shape),
         project=(lambda u: _symmetrize_columns(space, u)) if symmetrize else None,
         gtol=gtol, max_steps=POLISH_STEPS,
+        precond=lambda hess: poisson(hess.shift),
     )
+
+
+def free_gradient_max(space, u: np.ndarray, dt: float, mode: str) -> float:
+    """Max-norm of the free gradient of the discrete 2D energy at a field (M, P, n).
+
+    The gradient is odd-projected where a solve in ``mode`` projects (see
+    ``_projects``) and zeroed on the pins, as in the field polish; ``hetconn
+    verify`` gates this value against ``polish_gtol``.
+    """
+    g = _path_energy(space, u, dt, grad=True)[1]
+    if _projects(space, mode):
+        g = _symmetrize_columns(space, g)
+    g[_field_pins(g.shape)] = 0.0
+    return float(np.max(np.abs(g)))
 
 
 def _path_energy(space, u, dt, grad=False):
@@ -114,34 +142,94 @@ def _path_energy(space, u, dt, grad=False):
     return float(kin + pot), g
 
 
-def _path_energy_hessp(space, u, dt):
-    """Hessian-vector product of ``_path_energy`` at u, as a function of the direction.
+class _PathEnergyHessian:
+    """Hessian of ``_path_energy`` at a field u (M, P, n); call it on a direction.
 
     The pointwise block w1 * wt * D^2(density) is built once here; each
     product is then stencil arithmetic on the (M, P, n) direction.  Like the
     gradient, the profile part of a product vanishes on the x1 edge rows.
+    On the free nodes the Hessian is h * dt * (B + L), with B = D^2(density)
+    and L the Dirichlet Laplacian of the two stencils; ``shift`` holds, per
+    component c, max(0, mean of B_cc over the free nodes), the shift of the
+    preconditioner.
     """
-    m, p, _ = u.shape
-    h = space.h
-    w1 = trapezoid_weights(m, h)
-    wt = trapezoid_weights(p, dt)
-    block = np.ascontiguousarray(space._density_hessians(_columns(u)).transpose(1, 0, 2, 3))
-    block *= (w1[:, None] * wt[None, :])[:, :, None, None]
-    wt1 = wt[None, :, None] / h
-    w2 = w1[:, None, None] / dt
 
-    def hessp(d):
-        out = np.einsum("mpij,mpj->mpi", block, d)
-        flux = wt1 * np.diff(d, axis=0)
+    def __init__(self, space, u, dt):
+        m, p, _ = u.shape
+        h = space.h
+        w1 = trapezoid_weights(m, h)
+        wt = trapezoid_weights(p, dt)
+        block = np.ascontiguousarray(space._density_hessians(_columns(u)).transpose(1, 0, 2, 3))
+        diag = np.einsum("mpcc->c", block[1:-1, 1:-1]) / ((m - 2) * (p - 2))
+        self.shift = np.maximum(diag, 0.0)
+        block *= (w1[:, None] * wt[None, :])[:, :, None, None]
+        self.block = block
+        self.wt1 = wt[None, :, None] / h
+        self.w2 = w1[:, None, None] / dt
+
+    def __call__(self, d):
+        out = np.einsum("mpij,mpj->mpi", self.block, d)
+        flux = np.diff(d, axis=0)
+        flux *= self.wt1
         out[:-1] -= flux
         out[1:] += flux
         out[[0, -1]] = 0.0
-        flux = w2 * np.diff(d, axis=1)
+        flux = np.diff(d, axis=1)
+        flux *= self.w2
         out[:, :-1] -= flux
         out[:, 1:] += flux
         return out
 
-    return hessp
+
+def _poisson_preconditioner(shape, h, dt):
+    """The shifted Poisson solves that precondition the field polish.
+
+    For a field of ``shape`` (M, P, n) on steps h (x1) and dt (x2), returns
+    a function of the per-component shifts sigma (n,) that gives the solve
+    r -> P^-1 r with P_c = h * dt * (L + sigma_c): L is the Dirichlet
+    Laplacian on the free (M - 2) x (P - 2) grid, the stencil part of the
+    Hessian there.  DST-I along x1 and along x2 diagonalises P exactly
+    (the fast Poisson solver of Buzbee, Golub and Nielson), with
+    eigenvalues (4/h^2) sin^2(pi j / 2(M-1)) + (4/dt^2) sin^2(pi k / 2(P-1))
+    + sigma_c.  Its sine modes are even or odd under the x1 reflection, so
+    P commutes with the pins and with the odd-first projection.  A solve
+    reads r on the free nodes only and returns zero on the pins.
+    """
+    m, p, n = shape
+    lam1 = (2.0 / h * np.sin(0.5 * math.pi * np.arange(1, m - 1) / (m - 1))) ** 2
+    lam2 = (2.0 / dt * np.sin(0.5 * math.pi * np.arange(1, p - 1) / (p - 1))) ** 2
+    # DST-I squares to (N + 1) / 2 on each axis
+    scale = 4.0 / ((m - 1) * (p - 1) * h * dt)
+
+    def dst(x, axis):
+        """DST-I of x_1..x_N along ``axis`` of a 2D array whose index 0 on
+        that axis holds zeros, negated: the imaginary part of its rfft
+        zero-padded to 2(N + 1).  The signs of a pair of transforms cancel."""
+        spec = np.fft.rfft(x, 2 * x.shape[axis], axis=axis)
+        return spec[1:-1].imag if axis == 0 else spec[:, 1:-1].imag
+
+    def at(shift):
+        inv = lam1[:, None] + lam2 + np.reshape(shift, (n, 1, 1))
+        np.divide(scale, inv, out=inv)
+
+        def psolve(r):
+            # one component at a time, through two buffers whose leading
+            # zero row (x1) or column (x2) is never written
+            out = np.zeros(shape)
+            rows = np.zeros((m - 1, p - 2))
+            cols = np.zeros((m - 2, p - 1))
+            for c in range(n):
+                rows[1:] = r[1:-1, 1:-1, c]
+                cols[:, 1:] = dst(rows, 0)
+                rows[1:] = dst(cols, 1)
+                rows[1:] *= inv[c]
+                cols[:, 1:] = dst(rows, 0)
+                out[1:-1, 1:-1, c] = dst(cols, 1)
+            return out
+
+        return psolve
+
+    return at
 
 
 def x2_defect(space, u: np.ndarray, dt: float) -> float:
@@ -194,7 +282,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     gap = space.z_minus.distance_l2(space.z_plus)
     if gap < 1e-8:
         raise ValueError("well profiles coincide; nothing to connect")
-    symmetrize = mode == "sym" and space.symmetry == "odd_first"
+    symmetrize = _projects(space, mode)
     u, conn = _seed_field(space, opts, symmetrize)
     p_out = conn.curve.n_nodes
     dt = float(np.diff(conn.curve.times)[0])
@@ -207,6 +295,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         "window": conn.window,
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
+        "polish_cg_products": polish.products,
         "polish_status": polish.status,
         "k_length": k_length(columns, space.weighted_space(), rule="midpoint"),
     }

@@ -742,39 +742,51 @@ class NewtonResult(NamedTuple):
     steps: int
     gmax: float           # max-norm of the free gradient at the returned point
     status: str           # "converged", "max_iters" or "stalled"
+    products: int         # CG Hessian-vector products, summed over the steps
 
 
-def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER):
+def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None):
     """Inexact Newton direction: CG on H p = -g from p = 0 (Nocedal-Wright Alg. 7.1).
 
-    Stops once the residual norm is at most ``tol`` or after ``maxiter``
-    products.  On a direction of nonpositive curvature it stops at once and
-    returns the iterate so far, or -g if there is none yet.  Every returned
-    step is a descent direction.  Returns (step, negative curvature met,
-    products).
+    ``psolve``, if given, applies M^-1 for a symmetric positive definite
+    preconditioner M, and the recursion is then Alg. 5.3's preconditioned
+    CG; without it M is the identity.  Stops once the residual norm
+    |H p + g| is at most ``tol`` or after ``maxiter`` products.  On a
+    direction of nonpositive curvature it stops at once and returns the
+    iterate so far, or the first direction -M^-1 g if there is none yet.
+    Every returned step is a descent direction.  Returns (step, negative
+    curvature met, products).
     """
+    if psolve is None:
+        def psolve(r):
+            return r
+
     z = np.zeros_like(g)
     r = g.copy()
-    d = -r
-    rr = _dot(r, r)
+    d = -psolve(r)
+    ry = -_dot(r, d)
     for j in range(maxiter):
         bd = hessp(d)
         curv = _dot(d, bd)
         if curv <= 0.0:
-            return (-g if j == 0 else z), True, j + 1
-        alpha = rr / curv
+            return (d if j == 0 else z), True, j + 1
+        alpha = ry / curv
         z += alpha * d
         r += alpha * bd
-        rr_next = _dot(r, r)
-        if math.sqrt(rr_next) <= tol:
+        if math.sqrt(_dot(r, r)) <= tol:
             return z, False, j + 1
-        d *= rr_next / rr
-        d -= r
-        rr = rr_next
+        y = psolve(r)
+        ry_next = _dot(r, y)
+        d *= ry_next / ry
+        d -= y
+        # M^-1 r is spent; free it before the next product
+        del y
+        ry = ry_next
     return z, False, maxiter
 
 
-def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps):
+def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps,
+                     precond=None):
     """Truncated Newton-CG on ``fun`` with the ``pinned`` entries of ``x0`` held fixed.
 
     ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
@@ -783,21 +795,27 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
     project contract is ``pinned_lbfgs``'s: gradients and Hessian products
     are projected and then zeroed on the pins, and so is every step, so
     iterates keep the pinned values and stay in the projected subspace that
-    ``x0`` must lie in.  The CG forcing term is min(0.5, sqrt |g|), and
-    Armijo backtracking guards each step.  Stops when the max-norm of the
-    free gradient is at most ``gtol`` (L-BFGS-B's pgtol rule), after
-    ``max_steps`` steps, or when backtracking finds no decrease.  Returns
-    (minimizer, NewtonResult).
+    ``x0`` must lie in.  ``precond``, if given, maps the step's product
+    (what ``hessp_at`` returned) to the solve r -> M^-1 r of a symmetric
+    positive definite M that commutes with the pins and with ``project``;
+    the CG is then preconditioned by it (see ``truncated_cg``).  The CG
+    forcing term is min(0.5, sqrt |g|), and Armijo backtracking guards each
+    step.  Stops when the max-norm of the free gradient is at most ``gtol``
+    (L-BFGS-B's pgtol rule), after ``max_steps`` steps, or when
+    backtracking finds no decrease.  Returns (minimizer, NewtonResult).
     """
-    free = (~np.asarray(pinned, dtype=bool)).astype(float)
+    pinned = np.asarray(pinned, dtype=bool)
 
     def reduce(v):
-        return (v if project is None else project(v)) * free
+        # zeroed in place, as pinned_lbfgs does with the gradients of fun
+        v = v if project is None else project(v)
+        v[pinned] = 0.0
+        return v
 
     x = np.asarray(x0, dtype=float).copy()
     e, g = fun(x)
     g = reduce(g)
-    steps = 0
+    steps = products = 0
     while True:
         gmax = float(np.max(np.abs(g)))
         if gmax <= gtol:
@@ -808,9 +826,12 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
             break
         gnorm = math.sqrt(_dot(g, g))
         hessp = hessp_at(x)
-        p = reduce(truncated_cg(
-            lambda d: reduce(hessp(d)), g, min(0.5, math.sqrt(gnorm)) * gnorm
-        )[0])
+        p, _, used = truncated_cg(
+            lambda d: reduce(hessp(d)), g, min(0.5, math.sqrt(gnorm)) * gnorm,
+            psolve=None if precond is None else precond(hessp),
+        )
+        products += used
+        p = reduce(p)
         slope = _dot(g, p)
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
@@ -824,4 +845,4 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
             break
         x, e, g = x_try, e_try, reduce(g_try)
         steps += 1
-    return x, NewtonResult(steps, gmax, status)
+    return x, NewtonResult(steps, gmax, status, products)

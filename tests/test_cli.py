@@ -402,9 +402,9 @@ def test_double_manifest_always_records_the_polish(tmp_path):
     assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", out]) == 0
     manifest = json.loads((tmp_path / "dbl" / "manifest.json").read_text())
     results = manifest["results"]
-    assert {"polish_steps", "polish_gmax", "polish_status"} <= set(results)
+    assert {"polish_steps", "polish_gmax", "polish_status", "polish_cg_products"} <= set(results)
     assert results["polish_status"] == results["solver_status"] == "converged"
-    assert results["polish_steps"] > 0
+    assert results["polish_cg_products"] >= results["polish_steps"] > 0
     assert results["polish_gmax"] <= manifest["tolerances"]["polish_gtol"]
     # the geodesic certificate: the field's columns as a profile path
     assert results["reduction_gap"] == abs(results["energy"] - results["k_length"])
@@ -450,6 +450,25 @@ def test_verify_recomputes_the_double_residual(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert "interior residual max" in capsys.readouterr().err
+
+
+def test_verify_recomputes_the_free_gradient(tmp_path, capsys):
+    cfg = dict(SIN_CFG, residual_tol=0.05)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    lines = (out / "u.csv").read_text().splitlines()
+    # an interior node; a 1e-6 nudge moves the residual far less than residual_tol
+    i = 2 + 16 * SIN_CFG["opts"]["n_out"] + 8
+    cells = lines[i].split(",")
+    cells[-1] = repr(float(cells[-1]) + 1e-6)
+    lines[i] = ",".join(cells)
+    (out / "u.csv").write_text("\n".join(lines) + "\n")
+    _resign(out, "u.csv")
+    capsys.readouterr()
+    assert main(["verify", "--verbose", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert "max free gradient" in captured.err
+    assert "interior residual max" in captured.out
 
 
 def test_shipped_double_configs_build_their_options():

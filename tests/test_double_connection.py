@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,14 +18,17 @@ from hetconn import (
 from hetconn import double_connection
 from hetconn.double_connection import (
     POLISH_GTOL,
+    POLISH_STEPS,
+    _field_pins,
     _path_energy,
-    _path_energy_hessp,
+    _PathEnergyHessian,
+    _poisson_preconditioner,
     _polish_field,
     _seed_field,
     _symmetrize_columns,
     x2_defect,
 )
-from hetconn.function_space import truncated_cg
+from hetconn.function_space import pinned_newton_cg, truncated_cg
 from hetconn.geodesic import _energy_grad
 from hetconn.metric import trapezoid_weights
 
@@ -335,17 +342,10 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
 # the field polish: Hessian-vector products and the truncated Newton-CG
 
 
-def _field_pins(shape):
-    pinned = np.zeros(shape, dtype=bool)
-    pinned[:, [0, -1]] = True
-    pinned[[0, -1]] = True
-    return pinned
-
-
 def test_path_energy_hessp_matches_central_differences_of_the_gradient(field_space):
     u = _noisy_blend(field_space, seed=2)
     dt = 0.1
-    hessp = _path_energy_hessp(field_space, u, dt)
+    hessp = _PathEnergyHessian(field_space, u, dt)
     rng = np.random.default_rng(4)
     hh = 1e-6
     for _ in range(3):
@@ -399,7 +399,7 @@ def test_truncated_cg_stops_at_negative_curvature_with_a_descent_step(planar_spa
     def reduce(v):
         return _symmetrize_columns(planar_space, v) * free
 
-    hessp = _path_energy_hessp(planar_space, u, dt)
+    hessp = _PathEnergyHessian(planar_space, u, dt)
     g = reduce(_path_energy(planar_space, u, dt, grad=True)[1])
     # zero tolerance: CG runs on until it meets the indefinite direction
     p, negative, products = truncated_cg(lambda d: reduce(hessp(d)), g, 0.0)
@@ -415,3 +415,109 @@ def test_truncated_cg_falls_back_to_the_negative_gradient():
     p, negative, products = truncated_cg(lambda d: -d, g, 1e-12)
     assert negative and products == 1
     assert np.array_equal(p, -g)
+
+
+# ---------------------------------------------------------------------------
+# the shifted Poisson preconditioner of the polish's CG
+
+
+def _flat_space(m=9):
+    """A two-component space whose density has a zero Hessian, on a grid symmetric about 0."""
+    return EffectivePotentialSpace(
+        grid=np.linspace(-1.0, 1.0, m),
+        n_components=2,
+        bc="fixed",
+        density=lambda s, v: np.zeros(v.shape[:2]),
+        density_grad=lambda s, v: np.zeros(v.shape),
+        density_hess=lambda s, v: np.zeros(v.shape + (2,)),
+    )
+
+
+def _free_noise(shape, seed):
+    d = np.random.default_rng(seed).standard_normal(shape)
+    d[_field_pins(shape)] = 0.0
+    return d
+
+
+def test_poisson_preconditioner_inverts_the_free_stencil():
+    space = _flat_space()
+    dt = 0.23
+    u = _free_noise((space.m, 6, 2), 0)
+    hess = _PathEnergyHessian(space, u, dt)
+    assert np.array_equal(hess.shift, [0.0, 0.0])
+    psolve = _poisson_preconditioner(u.shape, space.h, dt)(hess.shift)
+    free = ~_field_pins(u.shape)
+    d = _free_noise(u.shape, 1)
+    assert np.max(np.abs(psolve(hess(d)) - d)) <= 1e-12 * np.max(np.abs(d))
+    back = psolve(d)
+    assert np.all(back[~free] == 0.0)
+    assert np.max(np.abs(hess(back)[free] - d[free])) <= 1e-12 * np.max(np.abs(d))
+
+
+def test_poisson_preconditioner_commutes_with_the_odd_projection():
+    space = _flat_space()
+    dt = 0.23
+    psolve = _poisson_preconditioner((space.m, 6, 2), space.h, dt)(np.array([0.3, 1.7]))
+    r = _free_noise((space.m, 6, 2), 2)
+    lhs = psolve(_symmetrize_columns(space, r))
+    rhs = _symmetrize_columns(space, psolve(r))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+def test_preconditioned_cg_with_an_exact_inverse_takes_one_product():
+    # zero block: on the free nodes the Hessian is the SPD stencil the solve inverts
+    space = _flat_space()
+    dt = 0.23
+    g = _free_noise((space.m, 6, 2), 3)
+    hess = _PathEnergyHessian(space, g, dt)
+    free = (~_field_pins(g.shape)).astype(float)
+    psolve = _poisson_preconditioner(g.shape, space.h, dt)(hess.shift)
+    gnorm = float(np.linalg.norm(g))
+    p, negative, products = truncated_cg(lambda d: hess(d) * free, g, 1e-10 * gnorm,
+                                         psolve=psolve)
+    assert not negative and products == 1
+    assert np.max(np.abs(p + psolve(g))) <= 1e-12 * np.max(np.abs(p))
+    # unpreconditioned, CG needs one product per distinct eigenvalue it meets
+    assert truncated_cg(lambda d: hess(d) * free, g, 1e-10 * gnorm)[2] > 1
+
+
+def test_preconditioned_cg_falls_back_to_a_descent_direction():
+    g = np.array([1.0, -2.0, 0.5])
+    weights = np.array([0.5, 2.0, 4.0])
+    p, negative, products = truncated_cg(lambda d: -d, g, 1e-12, psolve=lambda r: weights * r)
+    assert negative and products == 1
+    # the first preconditioned direction, -M^-1 g
+    assert np.array_equal(p, -weights * g)
+    assert float(np.dot(g, p)) < 0.0
+
+
+def test_the_preconditioner_cuts_the_polish_products(planar_space, planar_sym_field):
+    u0, dt = planar_sym_field
+    poisson = _poisson_preconditioner(u0.shape, planar_space.h, dt)
+    runs = {}
+    for name, precond in (("plain", None), ("poisson", lambda hess: poisson(hess.shift))):
+        u, info = pinned_newton_cg(
+            lambda u: _path_energy(planar_space, u, dt, grad=True),
+            lambda u: _PathEnergyHessian(planar_space, u, dt), u0, _field_pins(u0.shape),
+            project=lambda u: _symmetrize_columns(planar_space, u),
+            gtol=POLISH_GTOL, max_steps=POLISH_STEPS, precond=precond,
+        )
+        assert info.status == "converged"
+        runs[name] = (_path_energy(planar_space, u, dt), info.products)
+    assert runs["poisson"][1] < runs["plain"][1]
+    assert runs["poisson"][0] == pytest.approx(runs["plain"][0], rel=1e-10)
+    # the polish itself runs preconditioned
+    assert _polish_field(planar_space, u0, dt, True, POLISH_GTOL)[1].products == runs["poisson"][1]
+
+
+def test_a_small_double_solve_leaves_scipy_fft_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from hetconn import DoubleOptions, sin_example_space, solve_symmetric; "
+            "r = solve_symmetric(sin_example_space(m=33, relax=False), "
+            "DoubleOptions(path_nodes=9, n_out=17, t_max=3.0)); "
+            "assert r.diagnostics['polish_cg_products'] > 0; "
+            "print('scipy.fft' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
