@@ -12,13 +12,13 @@ column, the z+ well profile, which must equal the ``ref_value`` the run
 recorded bit for bit.  Exit codes: 0 success, 2 solver stall (connect),
 3 config error, 4 checksum or schema failure (verify), 5 failing check:
 the equipartition defect over its tolerance, a double run's reference action
-not matching the recorded one, a double run whose Newton-CG gradient,
-residual or energy two ways missed its tolerance (the run writes its
-artifacts and manifest, then exits 5, and so does ``verify``, which
-recomputes all three from the field), or a broken counterexample
-invariant.  A counterexample ``verify`` recomputes every candidate length
-from the config and every crossing bound, and requires the recorded ones
-bit for bit.
+not matching the recorded one, a double run whose x2 equipartition
+defect, Newton-CG gradient, residual or energy two ways missed its
+tolerance (the run writes its artifacts and manifest, then exits 5, and so
+does ``verify``, which recomputes all four from the field), or a broken
+counterexample invariant.  A counterexample ``verify`` recomputes every
+candidate length from the config and every crossing bound, and requires the
+recorded ones bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -307,16 +308,33 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
 # double
 
 
+def _grid_size(cfg: dict, default: int) -> int:
+    m = cfg.get("m", default)
+    if isinstance(m, bool) or not isinstance(m, int) or m < 3:
+        raise ConfigError(f"config field 'm' must be an integer >= 3, got {m!r}")
+    return m
+
+
+def _positive(cfg: dict, key: str, default: float) -> float:
+    try:
+        value = float(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field '{key}' must be a number: {exc}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"config field '{key}' must be finite and > 0, got {value!r}")
+    return value
+
+
 def _build_double_space(cfg: dict):
     example = _require(cfg, "example")
     if example == "sin":
-        return sin_example_space(m=int(cfg.get("m", 257)))
+        return sin_example_space(m=_grid_size(cfg, 257))
     if example == "planar":
         return planar_effective_space(
-            beta=float(cfg.get("beta", 1.0)),
-            kappa=float(cfg.get("kappa", 1.0)),
-            s_max=float(cfg.get("s_max", 8.0)),
-            m=int(cfg.get("m", 401)),
+            beta=_positive(cfg, "beta", 1.0),
+            kappa=_positive(cfg, "kappa", 1.0),
+            s_max=_positive(cfg, "s_max", 8.0),
+            m=_grid_size(cfg, 401),
             symmetry=cfg.get("symmetry", "odd_first"),
             quotient=cfg.get("quotient", "none"),
         )
@@ -429,16 +447,17 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     if verbose:
         print(f"wrote {out_dir}: energy {result.energy:.9g}, "
               f"residual {report.residual_max:.3g}")
-    if not _double_within_tolerance(report, results["polish_gmax"], results["polish_status"],
-                                    tolerances, verbose):
+    if not _double_within_tolerance(report, report.equip_defect, results["polish_gmax"],
+                                    results["polish_status"], tolerances, verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 
 
-def _double_within_tolerance(res, gmax: float, status: str, tolerances: dict,
+def _double_within_tolerance(res, defect: float, gmax: float, status: str, tolerances: dict,
                              verbose: bool) -> bool:
-    """Whether a double run's free gradient max ``gmax``, interior residual
-    and energy two ways meet their tolerances (NaN fails).
+    """Whether a double run's x2 equipartition defect, free gradient max
+    ``gmax``, interior residual and energy two ways meet their tolerances
+    (NaN fails).
 
     ``res`` is the run's ``DoubleReport`` or verify's ``FieldResiduals``;
     ``status`` is the Newton-CG's, for the message.
@@ -446,6 +465,7 @@ def _double_within_tolerance(res, gmax: float, status: str, tolerances: dict,
     two_ways = abs(res.energy_direct - res.energy_path) / max(abs(res.energy_path), 1e-300)
     ok = True
     for name, value, tol in (
+        ("x2 equipartition defect", defect, tolerances["defect_tol"]),
         (f"Newton-CG {status}: max free gradient",
          gmax, tolerances["polish_gtol"]),
         ("interior residual max", res.residual_max, tolerances["residual_tol"]),
@@ -570,16 +590,10 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
         return EXIT_EQUIPARTITION
     dt = float(x2[1] - x2[0])
     tolerances = manifest["tolerances"]
-    defect = x2_defect(space, u, dt)
-    tol = tolerances["defect_tol"]
-    if verbose or not defect <= tol:
-        print(f"x2 equipartition defect {defect:.6g} (tolerance {tol:g})")
-    if not defect <= tol:
-        return EXIT_EQUIPARTITION
     res = field_residuals(space, u, dt, tolerances["residual_margin_cells"])
     gmax = free_gradient_max(space, u, dt, manifest["mode"])
-    if not _double_within_tolerance(res, gmax, manifest["results"]["polish_status"],
-                                    tolerances, verbose):
+    if not _double_within_tolerance(res, x2_defect(space, u, dt), gmax,
+                                    manifest["results"]["polish_status"], tolerances, verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 

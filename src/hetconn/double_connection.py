@@ -29,10 +29,9 @@ from .function_space import (
     optimal_translation,
     pinned_newton_cg,
 )
-from .geodesic import SolverOptions, minimize_k_length
 from .heteroclinic import ConnectionResult, reparam_equipartition
 from .metric import SampledCurve, k_length, trapezoid_weights
-from .potentials import make_weight, planar_two_well
+from .potentials import planar_two_well
 
 
 # Newton steps of the field polish before it reports max_iters, and the
@@ -481,32 +480,21 @@ def planar_effective_space(
     kappa: float = 1.0,
     s_max: float = 8.0,
     m: int = 401,
-    n_geodesic: int = 201,
     symmetry: str = "odd_first",
     quotient: str = "none",
 ) -> EffectivePotentialSpace:
-    """Effective space for the planar two-well family.
+    """Effective space for the planar two-well family on the window [-s_max, s_max].
 
-    The twin 1D connections are computed by the geodesic pipeline seeded
-    through the upper channel, equipartition-reparametrized onto the profile
-    window, mirrored in the second component, and relaxed to discrete
-    minimizers.  The reference value is their common discrete action.
+    The upper twin 1D connection is relaxed to a discrete minimizer from the
+    closed-form channel profile (tanh s, sqrt(kappa) sech s), which lies on
+    the channel u2^2 = kappa (1 - u1^2) and passes through (0, sqrt(kappa)),
+    with its first component odd; the lower one is its mirror in the second
+    component.  The reference value is their common discrete action.
     """
-    p = planar_two_well(beta=beta, kappa=kappa)
-    wsp = make_weight(p)
-    via = (np.array([0.0, math.sqrt(kappa)]),)
-    curve, _, _ = minimize_k_length(
-        wsp, p.wells[0], p.wells[1],
-        SolverOptions(n_nodes=n_geodesic, via_points=via, max_iters=2000, grad_tol=1e-10),
-    )
-    conn = reparam_equipartition(
-        curve, wsp, n_samples=m, t_max=s_max, resample=4 * n_geodesic, resample_eps=1e-9
-    )
-    grid = conn.curve.times.copy()
+    grid = np.linspace(-s_max, s_max, m)
     space = planar_shell(grid, beta=beta, kappa=kappa, symmetry=symmetry, quotient=quotient)
-    vals = conn.curve.nodes.reshape(grid.size, 2)
-    vals = space.symmetrize(vals)
-    vals[0], vals[-1] = p.wells[0], p.wells[1]
+    vals = np.column_stack([np.tanh(grid), math.sqrt(kappa) / np.cosh(grid)])
+    vals[0], vals[-1] = space.tail_left, space.tail_right
     saved_sym = space.symmetry
     space.symmetry = "odd_first"
     z_plus_vals, e_plus = space.relax_profile(vals)
@@ -545,7 +533,7 @@ def planar_shell(
     )
 
 
-def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpace:
+def sin_example_space(m: int = 257) -> EffectivePotentialSpace:
     """Scalar strip fixture: density -u^2/2 + (u^2 - sin^2 y)^2 on [0, pi].
 
     The profile wells are +-sin with pinned zero boundary values; the
@@ -554,11 +542,7 @@ def sin_example_space(m: int = 257, relax: bool = True) -> EffectivePotentialSpa
     """
     grid = np.linspace(0.0, math.pi, m)
     space = sin_shell(grid)
-    vals = np.sin(grid)[:, None]
-    if relax:
-        z_plus_vals, e_plus = space.relax_profile(vals)
-    else:
-        z_plus_vals, e_plus = vals, float(space.energy_1d(vals)[0])
+    z_plus_vals, e_plus = space.relax_profile(np.sin(grid)[:, None])
     space.ref_value = e_plus
     space.z_plus = space.grid_function(z_plus_vals)
     space.z_minus = space.grid_function(-z_plus_vals)

@@ -16,6 +16,10 @@ profile radially onto the funnel tube never raises its action (within
 quadrature slack), and the tests check that directly.  Mollification and
 optimal-translation fitting round out the toolbox for the
 translation-quotient pipeline.
+
+One pinned truncated Newton-CG (``pinned_newton_cg``) relaxes the well
+profiles (``EffectivePotentialSpace.relax_profile``) and polishes the 2D
+field assembled from a path of them.
 """
 
 from __future__ import annotations
@@ -497,7 +501,8 @@ class EffectivePotentialSpace:
     ``density_grad(grid, stack)`` (k, m, n) and ``density_hess(grid, stack)``
     (k, m, n, n) for a (k, m, n) stack; in potential mode the same three come
     from one ``values_at``, ``gradients_at`` or ``hessians_at`` call on all
-    k*m nodes.  ``density_hess`` is needed only by the field polish.
+    k*m nodes.  ``density_hess`` is needed only by the Newton-CG
+    (``relax_profile`` and the field polish).
     """
 
     grid: np.ndarray
@@ -672,59 +677,54 @@ class EffectivePotentialSpace:
             zero_set=tuple(z.flatten() for z in (self.z_minus, self.z_plus) if z is not None),
         )
 
-    def relax_profile(self, values: np.ndarray, max_iters: int = 2000, gtol: float = 1e-10):
-        """Descend the 1D action from a seed profile (edges stay pinned).
+    def profile_hessp(self, values: np.ndarray):
+        """Hessian of ``energy_1d`` at one profile, as a function of a direction (m, n).
+
+        The trapezoid-weighted density Hessian block plus the second-difference
+        stencil of the kinetic term; like the gradient, a product is zero on
+        the edge rows.
+        """
+        v = self._stack(values)
+        block = trapezoid_weights(self.m, self.h)[:, None, None] * self._density_hessians(v)[0]
+        h = self.h
+
+        def hessp(d):
+            out = np.einsum("mij,mj->mi", block, d)
+            out[1:-1] += (2.0 * d[1:-1] - d[:-2] - d[2:]) / h
+            out[[0, -1]] = 0.0
+            return out
+
+        return hessp
+
+    def relax_profile(self, values: np.ndarray, gtol: float = 1e-10):
+        """Minimize the 1D action from a seed profile (edges stay pinned).
 
         Used to turn sampled connection guesses into discrete minimizers;
-        returns (values, energy).  Plain L-BFGS, see ``pinned_lbfgs``.
+        returns (values, energy).  The pinned Newton-CG on ``energy_1d``,
+        odd-projected in symmetry mode "odd_first"; raises RuntimeError
+        unless it converges to ``gtol``.
         """
         values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
+        project = self.symmetrize if self.symmetry == "odd_first" else None
         pinned = np.zeros(values.shape, dtype=bool)
         pinned[[0, -1]] = True
-        out, _ = pinned_lbfgs(
+        out, info = pinned_newton_cg(
             lambda v: (self.energy_1d(v)[0], self.energy_1d_grad(v)[0]),
-            values, pinned,
-            project=self.symmetrize if self.symmetry == "odd_first" else None,
-            gtol=gtol, maxiter=max_iters, maxcor=10,
+            self.profile_hessp, values if project is None else project(values), pinned,
+            project=project, gtol=gtol, max_steps=RELAX_STEPS,
         )
+        if info.status != "converged":
+            raise RuntimeError(
+                f"profile relaxation {info.status} after {info.steps} Newton steps: "
+                f"max free gradient {info.gmax:.3g} (tolerance {gtol:g})"
+            )
         return out, float(self.energy_1d(out)[0])
 
 
-def pinned_lbfgs(fun, x0, pinned, project=None, *, gtol, maxiter, maxcor):
-    """L-BFGS-B on ``fun`` with the ``pinned`` entries of ``x0`` held fixed.
-
-    ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
-    shape); ``pinned`` is a boolean mask of that shape.  The optional linear
-    ``project`` is applied to every iterate after the pins are restored and
-    to every gradient before its pinned entries are zeroed.  ftol is 1e-18,
-    so ``gtol`` or ``maxiter`` ends the run.  Returns (minimizer, result).
-    """
-    from scipy.optimize import minimize
-
-    x0 = np.asarray(x0, dtype=float)
-    fixed = x0[pinned]
-
-    def pack(x):
-        full = x.reshape(x0.shape).copy()
-        full[pinned] = fixed
-        return full if project is None else project(full)
-
-    def value_and_grad(x):
-        e, g = fun(pack(x))
-        if project is not None:
-            g = project(g)
-        g[pinned] = 0.0
-        return e, g.ravel()
-
-    res = minimize(
-        value_and_grad, x0.ravel(), jac=True, method="L-BFGS-B",
-        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-18, "maxcor": maxcor},
-    )
-    return pack(res.x), res
-
-
-# Most CG products per Newton step; the Armijo backtracking constants are the
+# Newton steps of a profile relaxation before it reports max_iters, and the
+# most CG products per Newton step; the Armijo backtracking constants are the
 # geodesic descent's.
+RELAX_STEPS = 50
 CG_MAXITER = 2000
 
 
@@ -791,23 +791,23 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
 
     ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
     shape), and ``hessp_at(x)`` returns the Hessian-vector product at x as a
-    function of a direction; it is called once per Newton step.  The pin and
-    project contract is ``pinned_lbfgs``'s: gradients and Hessian products
-    are projected and then zeroed on the pins, and so is every step, so
-    iterates keep the pinned values and stay in the projected subspace that
-    ``x0`` must lie in.  ``precond``, if given, maps the step's product
-    (what ``hessp_at`` returned) to the solve r -> M^-1 r of a symmetric
-    positive definite M that commutes with the pins and with ``project``;
-    the CG is then preconditioned by it (see ``truncated_cg``).  The CG
-    forcing term is min(0.5, sqrt |g|), and Armijo backtracking guards each
-    step.  Stops when the max-norm of the free gradient is at most ``gtol``
-    (L-BFGS-B's pgtol rule), after ``max_steps`` steps, or when
-    backtracking finds no decrease.  Returns (minimizer, NewtonResult).
+    function of a direction; it is called once per Newton step.  The optional
+    ``project`` is linear: gradients and Hessian products are projected and
+    then zeroed on the pins, and so is every step, so iterates keep the
+    pinned values and stay in the projected subspace that ``x0`` must lie
+    in.  ``precond``, if given, maps the step's product (what ``hessp_at``
+    returned) to the solve r -> M^-1 r of a symmetric positive definite M
+    that commutes with the pins and with ``project``; the CG is then
+    preconditioned by it (see ``truncated_cg``).  The CG forcing term is
+    min(0.5, sqrt |g|), and Armijo backtracking guards each step.  Stops
+    when the max-norm of the free gradient is at most ``gtol``, after
+    ``max_steps`` steps, or when backtracking finds no decrease.  Returns
+    (minimizer, NewtonResult).
     """
     pinned = np.asarray(pinned, dtype=bool)
 
     def reduce(v):
-        # zeroed in place, as pinned_lbfgs does with the gradients of fun
+        # projected, then zeroed in place on the pins
         v = v if project is None else project(v)
         v[pinned] = 0.0
         return v

@@ -108,7 +108,7 @@ def _planar_profile_space():
 
 PROFILE_SPACES = {
     "planar_potential": _planar_profile_space,
-    "sin_density": lambda: sin_example_space(m=17, relax=False),
+    "sin_density": lambda: sin_example_space(m=17),
 }
 
 

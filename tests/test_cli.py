@@ -433,6 +433,40 @@ def test_double_run_over_its_residual_tol_fails_run_and_verify(tmp_path, capsys)
     assert "interior residual max" in capsys.readouterr().err
 
 
+def test_double_run_over_its_defect_tol_fails_run_and_verify(tmp_path, capsys):
+    cfg = dict(SIN_CFG, defect_tol=1e-6)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
+    assert "x2 equipartition defect" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) == {"u.csv", "boundary_convergence.tsv"}
+    assert manifest["results"]["equip_defect"] > manifest["tolerances"]["defect_tol"]
+    assert main(["verify", str(out)]) == 5
+    assert "x2 equipartition defect" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example, key, value", [
+    ("planar", "s_max", float("nan")),
+    ("planar", "s_max", 0.0),
+    ("planar", "s_max", -8.0),
+    ("planar", "beta", float("inf")),
+    ("planar", "beta", 0.0),
+    ("planar", "kappa", -1.0),
+    ("planar", "kappa", float("nan")),
+    ("planar", "m", 2),
+    ("planar", "m", 33.5),
+    ("sin", "m", 2),
+    ("sin", "m", "33"),
+    ("sin", "m", True),
+])
+def test_double_rejects_bad_fixture_values(tmp_path, example, key, value):
+    cfg = dict(SIN_CFG, example=example, m=33)
+    cfg[key] = value
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_verify_recomputes_the_double_residual(tmp_path, capsys):
     # loose defect tolerance: only the recomputed residual can fail
     cfg = dict(SIN_CFG, residual_tol=0.05)

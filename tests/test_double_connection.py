@@ -26,6 +26,7 @@ from hetconn.double_connection import (
     _polish_field,
     _seed_field,
     _symmetrize_columns,
+    planar_effective_space,
     x2_defect,
 )
 from hetconn.function_space import pinned_newton_cg, truncated_cg
@@ -109,7 +110,7 @@ def test_quotient_does_no_work_on_the_symmetric_fixture(quotient_space):
     assert asym.diagnostics["m_total_variation"] == 0.0
 
 
-def test_double_solves_run_no_path_descent(planar_space, quotient_space, monkeypatch):
+def test_double_solves_run_no_path_descent(monkeypatch):
     from hetconn import geodesic
 
     calls = []
@@ -119,11 +120,22 @@ def test_double_solves_run_no_path_descent(planar_space, quotient_space, monkeyp
         calls.append(args)
         return descend(*args, **kwargs)
 
-    for module in (geodesic, double_connection):
-        monkeypatch.setattr(module, "minimize_k_length", counted)
-    solve_symmetric(planar_space, SMALL)
-    solve_asymmetric(quotient_space, SMALL)
+    # a module-level import of the name would escape the patch
+    assert not hasattr(double_connection, "minimize_k_length")
+    monkeypatch.setattr(geodesic, "minimize_k_length", counted)
+    # the fixtures are built inside the counted region: their wells come
+    # from a Newton relaxation, not a geodesic descent
+    solve_symmetric(planar_effective_space(), SMALL)
+    solve_asymmetric(planar_effective_space(quotient="translations"), SMALL)
+    solve_symmetric(sin_example_space(m=33), SMALL)
     assert calls == []
+
+
+def test_planar_wells_are_discrete_minimizers(planar_space):
+    zp = planar_space.z_plus.values
+    g = planar_space.symmetrize(planar_space.energy_1d_grad(zp)[0])
+    g[[0, -1]] = 0.0
+    assert np.max(np.abs(g)) <= 1e-10
 
 
 def test_speed_audit_rejects_symmetric_runs(planar_space):
@@ -244,7 +256,7 @@ def test_stacked_optimal_translation_equals_per_profile_fits(planar_space):
 def field_space(request):
     if request.param == "planar_potential":
         return request.getfixturevalue("planar_space")
-    return sin_example_space(m=33, relax=False)
+    return sin_example_space(m=33)
 
 
 def _noisy_blend(space, p=9, seed=0):
@@ -298,7 +310,7 @@ def test_path_energy_grad_matches_central_differences(field_space):
 
 
 def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
-    space = sin_example_space(m=33, relax=False)
+    space = sin_example_space(m=33)
     u = _noisy_blend(space)
     calls = []
     kernel = EffectivePotentialSpace.energy_1d
@@ -511,13 +523,15 @@ def test_the_preconditioner_cuts_the_polish_products(planar_space, planar_sym_fi
 
 
 def test_a_small_double_solve_leaves_scipy_fft_out():
+    # the fixture relaxes its wells here: neither that nor the polish may
+    # load scipy.fft or scipy.optimize
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from hetconn import DoubleOptions, sin_example_space, solve_symmetric; "
-            "r = solve_symmetric(sin_example_space(m=33, relax=False), "
+            "r = solve_symmetric(sin_example_space(m=33), "
             "DoubleOptions(path_nodes=9, n_out=17, t_max=3.0)); "
             "assert r.diagnostics['polish_cg_products'] > 0; "
-            "print('scipy.fft' in sys.modules)")
+            "print('scipy.fft' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

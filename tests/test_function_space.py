@@ -18,6 +18,7 @@ from hetconn import (
     translation_misfits,
     translation_objective,
 )
+from hetconn.double_connection import planar_shell
 from hetconn.metric import trapezoid_weights
 
 S = np.linspace(-8.0, 8.0, 161)
@@ -402,6 +403,32 @@ def test_relax_profile_reaches_the_connection():
     assert np.max(np.abs(out[:, 0] - np.tanh(S))) < 5e-3
     # odd symmetry is projected, not just approximated
     assert np.array_equal(out[:, 0], -out[::-1, 0])
+
+
+def test_relax_profile_raises_unless_converged():
+    eps = dw_space()
+    seed = np.clip(S / 4.0, -1.0, 1.0)[:, None]
+    with pytest.raises(RuntimeError, match="max free gradient"):
+        eps.relax_profile(seed, gtol=0.0)
+
+
+@pytest.mark.parametrize("name", ["double_well", "planar_shell"])
+def test_profile_hessp_matches_central_differences(name):
+    if name == "double_well":
+        eps = dw_space()
+    else:
+        eps = planar_shell(np.linspace(-6.0, 6.0, 61), beta=1.5, kappa=0.7)
+    rng = np.random.default_rng(17)
+    m, n = eps.m, eps.n_components
+    v = rng.uniform(-1.2, 1.2, (m, n))
+    hessp = eps.profile_hessp(v)
+    hh = 1e-6
+    for _ in range(3):
+        d = rng.standard_normal((m, n))
+        hd = hessp(d)
+        assert np.all(hd[[0, -1]] == 0.0)
+        fd = (eps.energy_1d_grad(v + hh * d)[0] - eps.energy_1d_grad(v - hh * d)[0]) / (2 * hh)
+        assert np.allclose(hd, fd, rtol=1e-6, atol=1e-7 * np.max(np.abs(fd)))
 
 
 def test_symmetrize_is_a_projection():

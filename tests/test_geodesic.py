@@ -211,7 +211,7 @@ def _gradient_paths():
     planar = make_weight(planar_two_well())
     arc = np.stack([np.linspace(-1.0, 1.0, 9), np.sin(np.linspace(0.0, np.pi, 9))], axis=1)
     arc = np.insert(arc, 4, arc[4], axis=0)
-    space = sin_example_space(m=17, relax=False)
+    space = sin_example_space(m=17)
     zp = space.z_plus.flatten()
     rng = np.random.default_rng(3)
     profiles = np.stack([-zp, -0.4 * zp, zp + 0.05 * rng.standard_normal(zp.size), zp, zp,
@@ -335,7 +335,7 @@ def _descent_case(name, planar_space):
                               reparam=None))
     if name == "sin_profiles":
         # unprojected: symmetrize maps the sine strip's even profiles to zero
-        space = sin_example_space(m=17, relax=False)
+        space = sin_example_space(m=17)
         return (space.weighted_space(), space.z_minus.flatten(), space.z_plus.flatten(),
                 SolverOptions(n_nodes=9, max_iters=40, reparam=None))
     if name == "planar_profiles":
@@ -436,7 +436,7 @@ def test_weight_memo_recomputes_w_on_any_other_batch():
 
 
 def test_profile_weight_evaluates_energy_once_per_frozen_batch(monkeypatch):
-    space = sin_example_space(m=17, relax=False)
+    space = sin_example_space(m=17)
     calls = []
     energy_1d = EffectivePotentialSpace.energy_1d
 
