@@ -2,8 +2,9 @@
 
 The weight vanishes on two horizontal lines and decays along them; candidate
 curves pushed further out get strictly shorter toward the infimum 2 g_inf,
-while every curve confined to a box stays above the crossing bound.  Writes
-both series (candidates.tsv, boxed.tsv) as plot data.
+while every curve confined to a box |x| <= R stays above the crossing bound
+at R.  The candidate through the wall x = R brackets each box infimum from
+above.  Writes both series (candidates.tsv, boxed.tsv) as plot data.
 """
 
 import json
@@ -24,6 +25,8 @@ def run(out="runs/counterexample"):
     print(f"infimum          {results['infimum']:.6f}")
     print(f"final candidate  {results['final_candidate']:.6f}")
     print(f"boxed above bound  {results['boxed_above_bound']}")
+    print(f"widths decreasing {results['bracket_widths_decreasing']}")
+    print("relative widths  " + " ".join(f"{v:.2e}" for v in results["bracket_rel_width"]))
     print(results["conclusion"])
     print(f"artifacts        {out}")
     return main(["verify", out])

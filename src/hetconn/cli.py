@@ -16,9 +16,10 @@ not matching the recorded one, a double run whose x2 equipartition
 defect, Newton-CG gradient, residual or energy two ways missed its
 tolerance (the run writes its artifacts and manifest, then exits 5, and so
 does ``verify``, which recomputes all four from the field), or a broken
-counterexample invariant.  A counterexample ``verify`` recomputes every
-candidate length from the config and every crossing bound, and requires the
-recorded ones bit for bit.
+counterexample invariant (the run and ``verify`` gate the same ones).  A
+counterexample ``verify`` recomputes every candidate length and both ends of
+every box bracket from the config, and requires the recorded ones bit for
+bit.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .counterexample import (
-    CounterexampleWeight,
-    DivergentTailError,
-    candidate_length,
-    crossing_lower_bound,
-    nonexistence_report,
-)
+from .counterexample import CounterexampleWeight, nonexistence_report
 from .double_connection import (
     POLISH_GTOL,
     DoubleOptions,
@@ -483,42 +478,87 @@ def _double_within_tolerance(res, defect: float, gmax: float, status: str, toler
 # counterexample
 
 
-def _counterexample_weight(cfg: dict) -> CounterexampleWeight:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the settable keys of a counterexample config
+COUNTER_KEYS = {"schema_version", "g", "radii", "n_max"}
+
+
+def _counterexample_setup(cfg: dict):
+    """(weight, radii, n_max) of a counterexample config; ConfigError if malformed.
+
+    ``radii`` must be a non-empty, strictly increasing list of finite
+    numbers > 0, ``n_max`` an integer >= 1 and ``g.p`` finite and > 1.
+    """
+    unknown = set(cfg) - COUNTER_KEYS
+    if unknown:
+        raise ConfigError(f"unknown counterexample config keys: {sorted(unknown)}")
     gcfg = cfg.get("g", {"type": "power", "p": 2.0})
     if not isinstance(gcfg, dict) or gcfg.get("type") != "power":
         raise ConfigError("config field 'g' supports {'type': 'power', 'p': >1}")
-    try:
-        return CounterexampleWeight(power=float(gcfg.get("p", 2.0)))
-    except DivergentTailError as exc:
-        raise ConfigError(str(exc)) from exc
+    p = gcfg.get("p", 2.0)
+    if not (_is_number(p) and math.isfinite(p) and p > 1.0):
+        raise ConfigError(f"config field 'g.p' must be finite and > 1, got {p!r}")
+    radii = cfg.get("radii", [4.0, 8.0, 16.0, 32.0, 64.0])
+    if not (isinstance(radii, list) and radii
+            and all(_is_number(r) and math.isfinite(r) and r > 0.0 for r in radii)
+            and all(a < b for a, b in zip(radii, radii[1:]))):
+        raise ConfigError("config field 'radii' must be a non-empty, strictly increasing "
+                          f"list of finite numbers > 0, got {radii!r}")
+    n_max = cfg.get("n_max", 12)
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
+        raise ConfigError(f"config field 'n_max' must be an integer >= 1, got {n_max!r}")
+    return CounterexampleWeight(power=float(p)), tuple(float(r) for r in radii), n_max
 
 
-def _counterexample_radii(cfg: dict) -> tuple:
-    return tuple(float(r) for r in cfg.get("radii", (4.0, 8.0, 16.0, 32.0, 64.0)))
+def _counterexample_tables(report) -> tuple:
+    """The candidates.tsv and boxed.tsv tables of a ``NonexistenceReport``."""
+    ns = np.asarray(report.candidate_ns, dtype=float)
+    return (np.column_stack([ns, 2.0 ** ns, report.candidate_lengths]),
+            np.column_stack([report.radii, report.box_candidates, report.bounds]))
+
+
+def _counterexample_checks(lengths, uppers, bounds, infimum: float, tolerances: dict) -> dict:
+    """Named verdicts of a counterexample run's invariants (NaN fails).
+
+    ``lengths`` are the candidates through x = 2^n, and ``uppers`` and
+    ``bounds`` the two ends of each box bracket.
+    """
+    widths = uppers - bounds
+    return {
+        "candidates strictly decreasing": bool(np.all(np.diff(lengths) < 0.0)),
+        "final candidate within candidate_tail_tol of the infimum": bool(
+            lengths[-1] - infimum <= tolerances["candidate_tail_tol"]),
+        "box candidates above the crossing bound": bool(
+            np.all(uppers >= bounds - tolerances["bound_slack"])),
+        "bracket widths strictly decreasing": bool(np.all(np.diff(widths) < 0.0)),
+    }
+
+
+def _all_pass(checks: dict, verbose: bool) -> bool:
+    for name, ok in checks.items():
+        if verbose or not ok:
+            print(f"{name}: {'ok' if ok else 'VIOLATED'}",
+                  file=sys.stdout if ok else sys.stderr)
+    return all(checks.values())
 
 
 def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
-    w = _counterexample_weight(cfg)
-    report = nonexistence_report(
-        w,
-        radii=_counterexample_radii(cfg),
-        n_leg=int(cfg.get("n_leg", 48)),
-        max_iters=int(cfg.get("max_iters", 300)),
-        n_candidates=int(cfg.get("n_max", 12)),
-    )
+    w, radii, n_max = _counterexample_setup(cfg)
+    report = nonexistence_report(w, radii=radii, n_candidates=n_max)
     os.makedirs(out_dir, exist_ok=True)
-    ns = np.asarray(report.candidate_ns, dtype=float)
+    cand, boxed = _counterexample_tables(report)
     # %.17g prints an integer-valued n as str(int(n)) does
-    _write_table(
-        os.path.join(out_dir, "candidates.tsv"), ["n\tx_n\tcandidate_length"],
-        np.column_stack([ns, 2.0 ** ns, report.candidate_lengths]), "\t",
-    )
-    _write_table(
-        os.path.join(out_dir, "boxed.tsv"), ["radius\tbest_length\tcrossing_bound"],
-        np.column_stack([report.radii, report.best_lengths, report.bounds]), "\t",
-    )
+    _write_table(os.path.join(out_dir, "candidates.tsv"), ["n\tx_n\tcandidate_length"],
+                 cand, "\t")
+    _write_table(os.path.join(out_dir, "boxed.tsv"),
+                 ["radius\tcandidate_at_radius\tcrossing_bound"], boxed, "\t")
     tolerances = {"bound_slack": 1e-6, "candidate_tail_tol": 1e-2}
+    checks = _counterexample_checks(report.candidate_lengths, report.box_candidates,
+                                    report.bounds, report.infimum, tolerances)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "counterexample",
@@ -529,14 +569,10 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
             "g_infinity": w.g_infinity,
             "infimum": report.infimum,
             "final_candidate": float(report.candidate_lengths[-1]),
-            "candidates_strictly_decreasing": bool(
-                np.all(np.diff(report.candidate_lengths) < 0.0)
-            ),
-            "boxed_strictly_decreasing": report.strictly_decreasing,
-            "boxed_above_bound": bool(
-                np.all(report.best_lengths >= report.bounds - tolerances["bound_slack"])
-            ),
-            "statuses": report.statuses,
+            "candidates_strictly_decreasing": checks["candidates strictly decreasing"],
+            "boxed_above_bound": checks["box candidates above the crossing bound"],
+            "bracket_widths_decreasing": checks["bracket widths strictly decreasing"],
+            "bracket_rel_width": report.bracket_rel_widths.tolist(),
             "conclusion": report.conclusion,
         },
         "warnings": [
@@ -548,7 +584,7 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
     if verbose:
         print(f"wrote {out_dir}: final candidate "
               f"{report.candidate_lengths[-1]:.6g} vs infimum {report.infimum:g}")
-    return EXIT_OK
+    return EXIT_OK if _all_pass(checks, verbose) else EXIT_EQUIPARTITION
 
 
 # ---------------------------------------------------------------------------
@@ -601,32 +637,16 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
 def _verify_counterexample(run_dir: str, manifest: dict, verbose: bool) -> int:
     _, _, cand = _read_table(os.path.join(run_dir, "candidates.tsv"), "\t")
     _, _, boxed = _read_table(os.path.join(run_dir, "boxed.tsv"), "\t")
-    cfg, tol = manifest["config"], manifest["tolerances"]
-    w = _counterexample_weight(cfg)
-    ns, lengths = cand[:, 0], cand[:, 2]
-    recomputed = np.array([candidate_length(n, w) for n in ns])
+    w, radii, n_max = _counterexample_setup(manifest["config"])
+    ref_cand, ref_boxed = _counterexample_tables(
+        nonexistence_report(w, radii=radii, n_candidates=n_max))
     checks = {
-        "n = 1..n_max and x_n = 2^n": bool(
-            np.array_equal(ns, np.arange(1, int(cfg.get("n_max", 12)) + 1))
-            and np.array_equal(cand[:, 1], 2.0 ** ns)
-        ),
-        "candidate lengths recomputed bit for bit": np.array_equal(recomputed, lengths),
-        "radii as configured and crossing bounds recomputed bit for bit": bool(
-            np.array_equal(boxed[:, 0], _counterexample_radii(cfg))
-            and np.array_equal(boxed[:, 2], [crossing_lower_bound(r, w) for r in boxed[:, 0]])
-        ),
-        "candidates strictly decreasing": bool(np.all(np.diff(lengths) < 0.0)),
-        "final candidate within candidate_tail_tol of the infimum": bool(
-            lengths[-1] - w.infimum <= tol["candidate_tail_tol"]
-        ),
-        "boxed lengths above the crossing bound": bool(
-            np.all(boxed[:, 1] >= boxed[:, 2] - tol["bound_slack"])
-        ),
+        "candidates.tsv recomputed bit for bit": np.array_equal(cand, ref_cand),
+        "boxed.tsv recomputed bit for bit": np.array_equal(boxed, ref_boxed),
+        **_counterexample_checks(cand[:, 2], boxed[:, 1], boxed[:, 2], w.infimum,
+                                 manifest["tolerances"]),
     }
-    for name, ok in checks.items():
-        if verbose or not ok:
-            print(f"{name}: {'ok' if ok else 'VIOLATED'}")
-    return EXIT_OK if all(checks.values()) else EXIT_EQUIPARTITION
+    return EXIT_OK if _all_pass(checks, verbose) else EXIT_EQUIPARTITION
 
 
 def cmd_verify(run_dir: str, verbose: bool) -> int:

@@ -18,7 +18,7 @@ splits the segments that carry the most weighted length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import math
 
@@ -54,7 +54,6 @@ class SolverOptions:
     grad_tol: float = 1e-8
     via_points: tuple = ()
     init_nodes: np.ndarray | None = None
-    project: Callable[[np.ndarray], np.ndarray] | None = None
     reparam: str | None = "k_wedge_1"
 
 
@@ -163,9 +162,6 @@ def minimize_k_length(
         curve = SampledCurve(times=np.array([0.0, 1.0]), nodes=np.stack([x_minus, x_plus]))
         return curve, 0.0, SolveTrace([0.0], "degenerate", 0, 0.0, 0)
     nodes = _seed_nodes(x_minus, x_plus, opts)
-    if opts.project is not None:
-        nodes = opts.project(nodes)
-        nodes[0], nodes[-1] = x_minus, x_plus
     energy, grad = _energy_grad(nodes, wspace, True)
     if not np.isfinite(energy):
         raise ValueError("weighted length is not finite at the initial polyline")
@@ -194,9 +190,6 @@ def minimize_k_length(
             t = min(step * min(2.0, max(BACKTRACK, prev_slope / slope)), STEP0 * 1e3)
         for _ in range(MAX_BACKTRACKS):
             trial = nodes - t * direction
-            if opts.project is not None:
-                trial = opts.project(trial)
-                trial[0], trial[-1] = x_minus, x_plus
             ev = _evaluate(trial, wspace, w)
             n_evals += 1
             if ev.energy <= energy - ARMIJO * t * slope:

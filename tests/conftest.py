@@ -37,3 +37,22 @@ def planar_space():
 @pytest.fixture(scope="session")
 def quotient_space():
     return planar_effective_space(m=401, quotient="translations")
+
+
+@pytest.fixture(scope="session")
+def boxed_seed():
+    """Three-leg polyline P- -> (0.99 R, -1) -> (0.99 R, 1) -> P+ of the
+    counterexample, ``n_leg`` segments per horizontal leg and twice as many
+    on the vertical."""
+
+    def seed(radius: float, n_leg: int) -> np.ndarray:
+        xr = 0.99 * radius
+        bottom = np.stack([np.linspace(0.0, xr, n_leg + 1),
+                           np.full(n_leg + 1, -1.0)], axis=1)
+        vertical = np.stack([np.full(2 * n_leg, xr),
+                             np.linspace(-1.0, 1.0, 2 * n_leg + 1)[1:]], axis=1)
+        top = np.stack([np.linspace(xr, 0.0, n_leg + 1)[1:],
+                        np.full(n_leg, 1.0)], axis=1)
+        return np.concatenate([bottom, vertical, top])
+
+    return seed

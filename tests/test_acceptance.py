@@ -326,11 +326,11 @@ def test_criterion_8_vanishing_weight_escape():
 
     cand_dec = bool(np.all(np.diff(rep.candidate_lengths) < 0.0))
     cand_gap = abs(rep.candidate_lengths[-1] - rep.infimum)
-    above = bool(np.all(rep.best_lengths > rep.bounds) and np.all(rep.bounds > rep.infimum))
+    above = bool(np.all(rep.box_candidates > rep.bounds) and np.all(rep.bounds > rep.infimum))
     series_ok = (
-        rep.radii.size == rep.best_lengths.size == rep.bounds.size
+        rep.radii.size == rep.box_candidates.size == rep.bounds.size
         and rep.candidate_ns.size == rep.candidate_lengths.size
-        and np.all(np.isfinite(rep.best_lengths))
+        and np.all(np.isfinite(rep.box_candidates))
         and np.all(np.isfinite(rep.candidate_lengths))
     )
 
@@ -339,7 +339,7 @@ def test_criterion_8_vanishing_weight_escape():
         8,
         ok,
         f"candidates -> {rep.candidate_lengths[-1]:.6f} (gap {cand_gap:.2e})  "
-        f"boxed min margin {np.min(rep.best_lengths - rep.bounds):.2e}  "
+        f"boxed min margin {np.min(rep.box_candidates - rep.bounds):.2e}  "
         f"runtime {elapsed:.1f}s",
     )
 

@@ -9,6 +9,7 @@ import pytest
 
 import hetconn
 import hetconn.cli
+import hetconn.counterexample
 import hetconn.double_connection
 from hetconn.cli import _load_config, _read_table, _write_table, main
 
@@ -34,8 +35,6 @@ COUNTER_CFG = {
     "schema_version": 1,
     "g": {"type": "power", "p": 2.0},
     "radii": [4.0, 8.0],
-    "n_leg": 12,
-    "max_iters": 30,
     "n_max": 8,
 }
 
@@ -263,6 +262,9 @@ def test_counterexample_run_and_verify(tmp_path):
     assert manifest["results"]["infimum"] == pytest.approx(3.0)
     assert manifest["results"]["candidates_strictly_decreasing"]
     assert manifest["results"]["boxed_above_bound"]
+    assert manifest["results"]["bracket_widths_decreasing"]
+    assert len(manifest["results"]["bracket_rel_width"]) == len(COUNTER_CFG["radii"])
+    assert "statuses" not in manifest["results"]
     assert main(["verify", out]) == 0
 
 
@@ -352,6 +354,71 @@ def test_counterexample_rejects_divergent_g(tmp_path):
     bad = dict(COUNTER_CFG)
     bad["g"] = {"type": "power", "p": 0.5}
     assert main(["counterexample", "--config", write_cfg(tmp_path, bad)]) == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("radii", [-4.0, 8.0]),
+    ("radii", [float("nan"), 8.0]),
+    ("radii", "abc"),
+    ("radii", []),
+    ("radii", [8.0, 4.0]),
+    ("radii", [4.0, 4.0]),
+    ("radii", [4.0, True]),
+    ("g", {"type": "power", "p": float("nan")}),
+    ("g", {"type": "power", "p": "2"}),
+    ("n_max", 0),
+    ("n_max", 2.5),
+    ("n_max", True),
+    ("n_leg", 48),
+    ("max_iters", 300),
+])
+def test_counterexample_rejects_bad_config_values(tmp_path, key, value):
+    cfg = dict(COUNTER_CFG)
+    cfg[key] = value
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_counterexample_verify_recomputes_the_box_candidates(tmp_path):
+    out = _counterexample_run(tmp_path)
+    path = out / "boxed.tsv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split("\t")
+    # one ulp up keeps every inequality check satisfied
+    cells[1] = "%.17g" % np.nextafter(float(cells[1]), np.inf)
+    lines[2] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    _resign(out, "boxed.tsv")
+    assert main(["verify", str(out)]) == 5
+
+
+def test_counterexample_runs_no_path_descent(tmp_path, monkeypatch):
+    from hetconn import geodesic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the counterexample ran a geodesic descent")
+
+    # a module-level import of the name would escape the patch
+    assert not hasattr(hetconn.counterexample, "minimize_k_length")
+    monkeypatch.setattr(geodesic, "minimize_k_length", refuse)
+    config = Path(__file__).resolve().parent.parent / "configs" / "counterexample.json"
+    out = str(tmp_path / "ce")
+    assert main(["counterexample", "--config", str(config), "--out", out]) == 0
+    assert main(["verify", out]) == 0
+
+
+def test_counterexample_run_gates_the_tail_tolerance(tmp_path, capsys):
+    out = tmp_path / "ce"
+    cfg = write_cfg(tmp_path, dict(COUNTER_CFG, n_max=1))
+    assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 5
+    assert "candidate_tail_tol" in capsys.readouterr().err
+    # the run still writes its artifacts and manifest
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) == {"candidates.tsv", "boxed.tsv"}
+    assert manifest["results"]["final_candidate"] - manifest["results"]["infimum"] > 1e-2
+    assert main(["verify", str(out)]) == 5
 
 
 def test_double_sin_run_and_verify(tmp_path):

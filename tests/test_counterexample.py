@@ -13,14 +13,12 @@ from hetconn import (
     CounterexampleWeight,
     DivergentTailError,
     candidate_length,
-    crossing_abscissas,
     crossing_lower_bound,
     dense_polyline_length,
     nonexistence_report,
 )
 from hetconn.counterexample import (
     _GK_NODES,
-    _boxed_seed,
     _qk21,
     _quad_breaks,
     _segment_lengths,
@@ -151,27 +149,20 @@ def test_custom_table_matches_closed_form():
         assert wt.big_g(t) == pytest.approx(W.big_g(t), rel=1e-4)
 
 
-def test_crossing_abscissas():
-    nodes = np.array([[0.0, -1.0], [2.0, 1.0]])
-    assert crossing_abscissas(nodes) == [pytest.approx(1.0)]
-    nodes = np.array([[0.0, -1.0], [3.0, 0.0], [5.0, 2.0]])
-    assert crossing_abscissas(nodes) == [pytest.approx(3.0)]
-    nodes = np.array([[0.0, 1.0], [1.0, 2.0]])
-    assert crossing_abscissas(nodes) == []
-
-
 def test_small_boxed_report():
-    report = nonexistence_report(
-        radii=(4.0, 8.0), n_leg=16, max_iters=40, n_candidates=6
-    )
+    report = nonexistence_report(radii=(4.0, 8.0, 12.0), n_candidates=6)
     assert report.infimum == 3.0
-    assert np.all(report.best_lengths > report.bounds - 1e-6)
+    assert np.all(report.box_candidates > report.bounds - 1e-6)
     assert np.all(report.bounds > 3.0)
     assert np.all(np.diff(report.candidate_lengths) < 0.0)
-    assert len(report.crossings) == 2
-    assert all(len(c) >= 1 for c in report.crossings)
+    # the upper end at R = 2^n is the candidate through x = 2^n, bit for bit
+    assert report.box_candidates[:2].tolist() == report.candidate_lengths[1:3].tolist()
+    assert report.box_candidates[2] == candidate_length(None, W, x_n=12.0)
+    widths = report.box_candidates - report.bounds
+    assert np.all(widths > 0.0) and np.all(np.diff(widths) < 0.0)
+    assert np.array_equal(report.bracket_rel_widths, widths / (report.bounds - 3.0))
+    assert np.all(np.diff(report.bracket_rel_widths) < 0.0)
     assert "demonstrated" in report.conclusion
-    assert len(report.statuses) == 2
 
 
 # -- the batched Gauss-Kronrod leg rule against scipy's quad -----------------
@@ -218,8 +209,8 @@ def test_one_panel_equals_quadpack_qk21(f):
 
 
 @pytest.mark.parametrize("radius", [4.0, 8.0, 16.0, 32.0, 64.0])
-def test_boxed_seed_lengths_match_quad(radius):
-    seed = _boxed_seed(radius, 48)
+def test_boxed_seed_lengths_match_quad(radius, boxed_seed):
+    seed = boxed_seed(radius, 48)
     assert abs(dense_polyline_length(seed, W) - _quad_polyline(W, seed)) <= 1e-10
 
 
@@ -269,9 +260,9 @@ def test_custom_g_lengths_match_quad():
     assert abs(candidate_length(4, wt) - ref) <= 1e-10
 
 
-def test_leg_rule_evaluates_the_weight_once_per_round():
+def test_leg_rule_evaluates_the_weight_once_per_round(boxed_seed):
     wc = CountingWeight()
-    dense_polyline_length(_boxed_seed(64.0, 48), wc)
+    dense_polyline_length(boxed_seed(64.0, 48), wc)
     assert 1 <= wc.calls <= 5
     wc.calls = 0
     candidate_length(12, wc)

@@ -15,7 +15,7 @@ from hetconn import (
     remove_sigma_loops,
     sin_example_space,
 )
-from hetconn.counterexample import P_MINUS, P_PLUS, CounterexampleWeight, _boxed_seed
+from hetconn.counterexample import P_MINUS, P_PLUS, CounterexampleWeight
 from hetconn.function_space import EffectivePotentialSpace
 from hetconn.geodesic import (
     ARMIJO,
@@ -94,21 +94,13 @@ def test_via_points_route_the_seed():
     assert np.min(gaps) < 1e-9
 
 
-def test_endpoints_pinned_and_projection_respected():
+def test_endpoints_pinned():
     p = planar_two_well()
     ws = make_weight(p)
-
-    def box(nodes):
-        out = nodes.copy()
-        out[:, 1] = np.clip(out[:, 1], -0.5, 0.5)
-        return out
-
-    opts = SolverOptions(n_nodes=41, max_iters=50, project=box,
-                         via_points=(np.array([0.0, 1.0]),))
+    opts = SolverOptions(n_nodes=41, max_iters=50, via_points=(np.array([0.0, 1.0]),))
     curve, _, _ = minimize_k_length(ws, p.wells[0], p.wells[1], opts)
     assert np.allclose(curve.nodes[0], p.wells[0])
     assert np.allclose(curve.nodes[-1], p.wells[1])
-    assert np.max(curve.nodes[1:-1, 1]) <= 0.5 + 1e-12
 
 
 def test_init_nodes_seed_override():
@@ -276,9 +268,6 @@ def _two_pass_descent(wspace, x_minus, x_plus, opts):
     # the descent loop that evaluated each accepted trial twice; returns the
     # raw nodes, energies, status, iterations and line-search trials
     nodes = _seed_nodes(x_minus, x_plus, opts)
-    if opts.project is not None:
-        nodes = opts.project(nodes)
-        nodes[0], nodes[-1] = x_minus, x_plus
     energy, grad = _two_pass_energy_grad(nodes, wspace, True)
     energies = [energy]
     inv_w = 1.0 / wspace.space.coord_weights
@@ -295,9 +284,6 @@ def _two_pass_descent(wspace, x_minus, x_plus, opts):
             t = min(step * min(2.0, max(BACKTRACK, prev_slope / slope)), STEP0 * 1e3)
         for _ in range(MAX_BACKTRACKS):
             trial = nodes - t * direction
-            if opts.project is not None:
-                trial = opts.project(trial)
-                trial[0], trial[-1] = x_minus, x_plus
             trials += 1
             e_new, _ = _two_pass_energy_grad(trial, wspace, False)
             if e_new <= energy - ARMIJO * t * slope:
@@ -315,14 +301,7 @@ def _two_pass_descent(wspace, x_minus, x_plus, opts):
     return nodes, energies, status, it, trials
 
 
-def _box(nodes, r=4.0):
-    out = nodes.copy()
-    out[:, 0] = np.clip(out[:, 0], -r, r)
-    out[:, 1] = np.clip(out[:, 1], -2.0, 2.0)
-    return out
-
-
-def _descent_case(name, planar_space):
+def _descent_case(name, planar_space, boxed_seed):
     """(weighted space, x_minus, x_plus, options) of a 40-iteration descent."""
     if name == "double_well":
         seed = np.linspace(-1.0, 1.0, 21)[:, None] ** 3
@@ -334,16 +313,15 @@ def _descent_case(name, planar_space):
                 SolverOptions(n_nodes=21, max_iters=40, via_points=(np.array([0.0, 1.0]),),
                               reparam=None))
     if name == "sin_profiles":
-        # unprojected: symmetrize maps the sine strip's even profiles to zero
         space = sin_example_space(m=17)
         return (space.weighted_space(), space.z_minus.flatten(), space.z_plus.flatten(),
                 SolverOptions(n_nodes=9, max_iters=40, reparam=None))
     if name == "planar_profiles":
         space = planar_space
         return (space.weighted_space(), space.z_minus.flatten(), space.z_plus.flatten(),
-                SolverOptions(n_nodes=9, max_iters=40, project=space.symmetrize, reparam=None))
+                SolverOptions(n_nodes=9, max_iters=40, reparam=None))
     return (CounterexampleWeight().weighted_space(), P_MINUS, P_PLUS,
-            SolverOptions(init_nodes=_boxed_seed(4.0, 4), project=_box, max_iters=40,
+            SolverOptions(init_nodes=boxed_seed(4.0, 4), max_iters=40,
                           grad_tol=1e-10, reparam=None))
 
 
@@ -351,8 +329,8 @@ DESCENT_CASES = ["double_well", "planar", "sin_profiles", "planar_profiles", "co
 
 
 @pytest.mark.parametrize("name", DESCENT_CASES)
-def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space):
-    wspace, x_minus, x_plus, opts = _descent_case(name, planar_space)
+def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space, boxed_seed):
+    wspace, x_minus, x_plus, opts = _descent_case(name, planar_space, boxed_seed)
     ref_nodes, ref_energies, ref_status, ref_iters, trials = _two_pass_descent(
         wspace, x_minus, x_plus, opts
     )
@@ -367,15 +345,15 @@ def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space):
 
 
 @pytest.mark.parametrize("name", ["planar", "counterexample"])
-def test_descent_takes_one_trial_per_step_and_keeps_moving(name):
-    wspace, x_minus, x_plus, opts = _descent_case(name, None)
+def test_descent_takes_one_trial_per_step_and_keeps_moving(name, boxed_seed):
+    wspace, x_minus, x_plus, opts = _descent_case(name, None, boxed_seed)
     opts = dataclasses.replace(opts, max_iters=200)
     _, _, trace = minimize_k_length(wspace, x_minus, x_plus, opts)
     assert (trace.status, trace.n_iters) == ("max_iters", 200)
     # trying 2t after every accepted step makes about 2 trials per step
     assert trace.n_evals <= 1.25 * trace.n_iters
-    # a first trial shrunk by the full slope ratio let the boxed step fall
-    # below 1e-15, freezing the energy at 2.8313 from step 48 on
+    # a first trial shrunk by the full slope ratio once let the step fall
+    # below 1e-15 and froze the energy
     assert trace.energies[-1] < trace.energies[-51]
     if name == "counterexample":
         assert trace.energies[-1] < 2.5
