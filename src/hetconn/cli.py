@@ -135,6 +135,21 @@ def _write_table(path, head, table, delimiter=",") -> None:
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+def _write_field(path, head, x1, x2, u) -> None:
+    """``_write_table`` of the rows (x1_i, x2_j, u[i, j]), x1 outer, byte for byte.
+
+    Each grid coordinate is formatted once: the x2 column goes into a row
+    template for one x1 value, and only the field values are formatted per row.
+    """
+    x2_text = ["%.17g" % v for v in np.asarray(x2, dtype=float).tolist()]
+    values = ",%.17g" * u.shape[2] + "\n"
+    template = "".join("\0," + v + values for v in x2_text)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in head)
+        for x1_i, u_i in zip(np.asarray(x1, dtype=float).tolist(), u):
+            fh.write(template.replace("\0", "%.17g" % x1_i) % tuple(u_i.ravel().tolist()))
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -373,15 +388,11 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     )
     report = assemble_and_verify(result)
     os.makedirs(out_dir, exist_ok=True)
-    m, p_out, n = result.u.shape
-    comp_names = ",".join(f"u{j + 1}" for j in range(n))
+    comp_names = ",".join(f"u{j + 1}" for j in range(result.u.shape[2]))
     head = "# energy=%.17g residual_max=%.17g c_minus=%.17g c_plus=%.17g" % (
         result.energy, report.residual_max, result.c_minus, result.c_plus)
-    _write_table(
-        os.path.join(out_dir, "u.csv"), [head, "x1,x2," + comp_names],
-        np.column_stack([np.repeat(result.x1, p_out), np.tile(result.x2, m),
-                         result.u.reshape(m * p_out, n)]),
-    )
+    _write_field(os.path.join(out_dir, "u.csv"), [head, "x1,x2," + comp_names],
+                 result.x1, result.x2, result.u)
     artifacts = ["u.csv", "boundary_convergence.tsv"]
     cols = result.u.transpose(1, 0, 2)
     _write_table(

@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import hetconn
 import hetconn.cli
 import hetconn.counterexample
 import hetconn.double_connection
-from hetconn.cli import _load_config, _read_table, _write_table, main
+from hetconn.cli import _load_config, _read_table, _write_field, _write_table, main
 
 CONNECT_CFG = {
     "schema_version": 1,
@@ -29,6 +31,17 @@ SIN_CFG = {
     "opts": {"path_nodes": 9, "n_out": 17, "t_max": 3.0},
     "defect_tol": 10.0,
     "residual_tol": 10.0,
+}
+
+# the two-component field: residual 3.4e-7 and defect 7.4e-3 pass the
+# default tolerances of the run and of verify
+PLANAR_CFG = {
+    "schema_version": 1,
+    "example": "planar",
+    "mode": "sym",
+    "m": 101,
+    "opts": {"path_nodes": 17, "n_out": 33, "t_max": 6.0},
+    "defect_tol": 0.05,
 }
 
 COUNTER_CFG = {
@@ -171,19 +184,23 @@ def _old_read_table(path, delimiter=","):
     return comments, header, np.asarray(rows, dtype=float)
 
 
+DOUBLE_ARTIFACTS = {"u.csv": ",", "boundary_convergence.tsv": "\t"}
 ARTIFACT_RUNS = {
-    "connect": (CONNECT_CFG, {"curve.csv": ",", "plot_components.tsv": "\t",
-                              "plot_defect.tsv": "\t"}),
-    "double": (SIN_CFG, {"u.csv": ",", "boundary_convergence.tsv": "\t"}),
-    "counterexample": (COUNTER_CFG, {"candidates.tsv": "\t", "boxed.tsv": "\t"}),
+    "connect": ("connect", CONNECT_CFG, {"curve.csv": ",", "plot_components.tsv": "\t",
+                                         "plot_defect.tsv": "\t"}),
+    "double": ("double", SIN_CFG, DOUBLE_ARTIFACTS),
+    "double_planar": ("double", PLANAR_CFG, DOUBLE_ARTIFACTS),
+    "counterexample": ("counterexample", COUNTER_CFG,
+                       {"candidates.tsv": "\t", "boxed.tsv": "\t"}),
 }
 
 
-@pytest.mark.parametrize("command", sorted(ARTIFACT_RUNS))
-def test_artifacts_read_and_write_as_the_per_value_formatter(tmp_path, command):
-    cfg, artifacts = ARTIFACT_RUNS[command]
+@pytest.mark.parametrize("run", sorted(ARTIFACT_RUNS))
+def test_artifacts_read_and_write_as_the_per_value_formatter(tmp_path, run):
+    command, cfg, artifacts = ARTIFACT_RUNS[run]
     out = tmp_path / "run"
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
     results = json.loads((out / "manifest.json").read_text())["results"]
     for name, delimiter in artifacts.items():
         comments, header, data = _read_table(out / name, delimiter)
@@ -219,6 +236,25 @@ def test_row_writer_equals_the_per_value_formatter_across_blocks(tmp_path, monke
     assert (comments, header) == (["# note"], ["a", "b", "c"])
     assert data.tobytes() == _old_read_table(path, "\t")[2].tobytes()
     assert np.array_equal(data, table, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_field_writer_equals_the_table_writer(tmp_path, n):
+    # -0.0 and 0.0 are distinct grid coordinates on both axes
+    x1 = np.array([-1.0, -0.0, 0.0, 1.0 / 3.0, 2.0 ** 60])
+    x2 = np.array([-np.pi, -0.0, 0.0, 5e-324, 1e300, np.nan])
+    values = [np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300, 2.0 ** 60,
+              1.0 / 3.0, np.pi, -0.0, 0.0]
+    u = np.resize(np.array(values), (len(x1), len(x2), n))
+    head = ["# energy=1", "x1,x2," + ",".join(f"u{j + 1}" for j in range(n))]
+    _write_field(tmp_path / "field.csv", head, x1, x2, u)
+    table = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1)),
+                             u.reshape(-1, n)])
+    _write_table(tmp_path / "table.csv", head, table)
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+    lines = (tmp_path / "field.csv").read_text().splitlines()
+    assert lines[2 + len(x2)].startswith("-0,-3.1415926535897931,")
+    assert lines[2 + 2 * len(x2) + 1].startswith("0,-0,")
 
 
 def test_connect_is_deterministic(tmp_path):
@@ -431,6 +467,23 @@ def test_double_sin_run_and_verify(tmp_path):
     assert manifest["kind"] == "double"
     assert manifest["results"]["c_minus"] == 0.0
     assert main(["verify", out]) == 0
+
+
+def test_a_double_run_and_its_verify_leave_scipy_linalg_and_fft_out(tmp_path):
+    # each of the two costs about 0.3 s of import on every CLI call
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from hetconn.cli import main; "
+            "codes = [main(a) for a in json.loads(sys.argv[2])]; "
+            "print(codes, 'scipy.linalg' in sys.modules, 'scipy.fft' in sys.modules)")
+    calls = []
+    for name, cfg in (("sin", SIN_CFG), ("planar", PLANAR_CFG)):
+        out = str(tmp_path / name)
+        calls += [["double", "--config", write_cfg(tmp_path, cfg, name + ".json"), "--out", out],
+                  ["verify", out]]
+    out = subprocess.run([sys.executable, "-c", code, str(src), json.dumps(calls)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[0,", "0,", "0,", "0]", "False", "False"]
 
 
 def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
