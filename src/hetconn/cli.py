@@ -54,7 +54,7 @@ from .double_connection import (
 )
 from .geodesic import WEIGHT_FLOOR, SolverOptions, minimize_k_length, remove_sigma_loops
 from .heteroclinic import equipartition, reparam_equipartition, verify_connection
-from .metric import SampledCurve, midpoints
+from .metric import SampledCurve, midpoints, sorted_unique
 from .potentials import (
     check_sti,
     double_well,
@@ -100,6 +100,38 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config field '{key}' is missing")
     return cfg[key]
+
+
+def _section(cfg: dict, name: str, keys: set) -> dict:
+    """The object ``cfg[name]`` ({} if absent); ConfigError if it is not one or has unknown keys."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config field '{name}' must be an object")
+    unknown = set(section) - keys
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return section
+
+
+def _integer(cfg: dict, key: str, default: int, minimum: int, where: str = "") -> int:
+    """``cfg[key]`` (or ``default``), an integer >= ``minimum``; ``where`` prefixes error keys."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(
+            f"config field '{where}{key}' must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _positive(cfg: dict, key: str, default: float, where: str = "") -> float:
+    """``cfg[key]`` (or ``default``) as a finite float > 0."""
+    try:
+        value = float(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field '{where}{key}' must be a number: {exc}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(
+            f"config field '{where}{key}' must be finite and > 0, got {value!r}")
+    return value
 
 
 def _build_potential(spec) -> object:
@@ -159,12 +191,9 @@ def _sha256(path) -> str:
 
 
 def _versions() -> dict:
-    import scipy
-
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "hetconn": __version__,
     }
 
@@ -204,6 +233,10 @@ def _read_table(path, delimiter=","):
 # ---------------------------------------------------------------------------
 # connect
 
+# the settable keys of a connect config's solver and reparam objects
+SOLVER_KEYS = {"n_nodes", "max_iters", "grad_tol", "via_points"}
+REPARAM_KEYS = {"n_samples", "t_max", "resample", "resample_eps"}
+
 
 def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
@@ -217,14 +250,23 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         raise ConfigError("config field 'wells' must list exactly two points")
     if cfg.get("refine_wells", True):
         wells = list(refine_wells(p, wells))
-    solver_cfg = cfg.get("solver", {})
+    solver_cfg = _section(cfg, "solver", SOLVER_KEYS)
+    rep_cfg = _section(cfg, "reparam", REPARAM_KEYS)
+    try:
+        via_points = tuple(np.asarray(v, dtype=float) for v in solver_cfg.get("via_points", []))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field 'solver.via_points' is malformed: {exc}") from exc
     opts = SolverOptions(
-        n_nodes=int(solver_cfg.get("n_nodes", 401)),
-        max_iters=int(solver_cfg.get("max_iters", 2000)),
-        grad_tol=float(solver_cfg.get("grad_tol", 1e-8)),
-        via_points=tuple(
-            np.asarray(v, dtype=float) for v in solver_cfg.get("via_points", [])
-        ),
+        n_nodes=_integer(solver_cfg, "n_nodes", 401, 3, "solver."),
+        max_iters=_integer(solver_cfg, "max_iters", 2000, 0, "solver."),
+        grad_tol=_positive(solver_cfg, "grad_tol", 1e-8, "solver."),
+        via_points=via_points,
+    )
+    reparam = dict(
+        n_samples=_integer(rep_cfg, "n_samples", 2001, 3, "reparam."),
+        t_max=_positive(rep_cfg, "t_max", 10.0, "reparam."),
+        resample=_integer(rep_cfg, "resample", 4 * opts.n_nodes, 2, "reparam."),
+        resample_eps=_positive(rep_cfg, "resample_eps", 1e-9, "reparam."),
     )
     wspace = make_weight(p)
     curve, value, trace = minimize_k_length(wspace, wells[0], wells[1], opts)
@@ -236,15 +278,7 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
               file=sys.stderr)
         return EXIT_STALL
     curve = remove_sigma_loops(curve, wspace)
-    rep_cfg = cfg.get("reparam", {})
-    conn = reparam_equipartition(
-        curve,
-        wspace,
-        n_samples=int(rep_cfg.get("n_samples", 2001)),
-        t_max=float(rep_cfg.get("t_max", 10.0)),
-        resample=int(rep_cfg.get("resample", 4 * opts.n_nodes)),
-        resample_eps=float(rep_cfg.get("resample_eps", 1e-9)),
-    )
+    conn = reparam_equipartition(curve, wspace, **reparam)
     report = verify_connection(conn, potential=p, wspace=wspace)
     sd = second_difference_bound(conn.curve, p.hessian_lower_bound)
     bounds = uniform_bounds_audit(conn.curve, wspace)
@@ -318,33 +352,16 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
 # double
 
 
-def _grid_size(cfg: dict, default: int) -> int:
-    m = cfg.get("m", default)
-    if isinstance(m, bool) or not isinstance(m, int) or m < 3:
-        raise ConfigError(f"config field 'm' must be an integer >= 3, got {m!r}")
-    return m
-
-
-def _positive(cfg: dict, key: str, default: float) -> float:
-    try:
-        value = float(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field '{key}' must be a number: {exc}") from exc
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"config field '{key}' must be finite and > 0, got {value!r}")
-    return value
-
-
 def _build_double_space(cfg: dict):
     example = _require(cfg, "example")
     if example == "sin":
-        return sin_example_space(m=_grid_size(cfg, 257))
+        return sin_example_space(m=_integer(cfg, "m", 257, 3))
     if example == "planar":
         return planar_effective_space(
             beta=_positive(cfg, "beta", 1.0),
             kappa=_positive(cfg, "kappa", 1.0),
             s_max=_positive(cfg, "s_max", 8.0),
-            m=_grid_size(cfg, 401),
+            m=_integer(cfg, "m", 401, 3),
             symmetry=cfg.get("symmetry", "odd_first"),
             quotient=cfg.get("quotient", "none"),
         )
@@ -518,9 +535,7 @@ def _counterexample_setup(cfg: dict):
             and all(a < b for a, b in zip(radii, radii[1:]))):
         raise ConfigError("config field 'radii' must be a non-empty, strictly increasing "
                           f"list of finite numbers > 0, got {radii!r}")
-    n_max = cfg.get("n_max", 12)
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise ConfigError(f"config field 'n_max' must be an integer >= 1, got {n_max!r}")
+    n_max = _integer(cfg, "n_max", 12, 1)
     return CounterexampleWeight(power=float(p)), tuple(float(r) for r in radii), n_max
 
 
@@ -624,8 +639,8 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
 
 def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
     comments, header, data = _read_table(os.path.join(run_dir, "u.csv"))
-    x1 = np.unique(data[:, 0])
-    x2 = np.unique(data[:, 1])
+    x1 = sorted_unique(data[:, 0])
+    x2 = sorted_unique(data[:, 1])
     u = data[:, 2:].reshape(x1.size, x2.size, -1)
     space = _double_shell(manifest["config"], x1)
     # the last column is the z+ well profile, and its action the reference

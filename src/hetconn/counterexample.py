@@ -12,12 +12,13 @@ infimum as x_n grows, so no minimizer exists.
 
 The default g(s) = s^(-2) beyond 1 (extended linearly below) keeps every
 reference value in closed form: G(t) = t^2/2 then 3/2 - 1/t, G(inf) = 3/2,
-infimum 3.  Custom g are integrated numerically with a quadrature tail.
+infimum 3.  A custom g is tabulated by the trapezoid rule on [0, 1e4].
 
-Weighted lengths of straight segments (the candidate legs, any polyline)
-come from one batched, adaptive 21-point Gauss-Kronrod rule with
-QUADPACK's nodes, weights and error estimate, split at the kinks of K:
-each refinement round evaluates K once on every active panel.
+One batched, adaptive 21-point Gauss-Kronrod rule with QUADPACK's nodes,
+weights, error estimate and default tolerances gives the weighted lengths
+of straight segments (the candidate legs, any polyline, split at the kinks
+of K) and a custom g's integrals past its table; each refinement round
+evaluates the integrands once on every active panel.
 
 Each box |x| <= R is bracketed without a descent: the crossing bound at R
 below, the candidate through x = R above.
@@ -34,7 +35,7 @@ from .metric import EuclideanSpace, WeightedSpace
 
 P_MINUS = np.array([0.0, -1.0])
 P_PLUS = np.array([0.0, 1.0])
-# a custom g is tabulated on [0, _TABLE_CUT]; beyond it, quadrature
+# a custom g is tabulated on [0, _TABLE_CUT]; beyond it, Gauss-Kronrod
 _TABLE_CUT = 1e4
 
 
@@ -48,7 +49,7 @@ class CounterexampleWeight:
     power selects the closed-form family g(s) = s^(-power) on [1, inf),
     g(s) = s below 1 (power must exceed 1 for a convergent tail).  A custom
     callable g overrides the family; its cumulative integral is tabulated
-    on an adaptive grid with a quadrature tail, and divergence is detected
+    on a graded grid with a Gauss-Kronrod tail, and divergence is detected
     by stalling partial sums.
     """
 
@@ -63,25 +64,20 @@ class CounterexampleWeight:
             self._table = None
             self._g_inf = 0.5 + 1.0 / (self.power - 1.0)
         else:
-            s_pts = np.unique(np.concatenate([
+            s_pts = np.concatenate([
                 np.linspace(0.0, 1.0, 257),
-                np.geomspace(1.0, _TABLE_CUT, 1024),
-            ]))
+                np.geomspace(1.0, _TABLE_CUT, 1024)[1:],
+            ])
             vals = np.asarray([float(g(s)) for s in s_pts])
             if np.any(vals < 0.0):
                 raise ValueError("g must be nonnegative")
             cumulative = np.concatenate([
                 [0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(s_pts))
             ])
-            from scipy import integrate
-
-            tail, increments = 0.0, []
-            lo = _TABLE_CUT
-            for _ in range(24):
-                inc = integrate.quad(g, lo, 2.0 * lo, limit=200)[0]
-                tail += inc
-                increments.append(inc)
-                lo *= 2.0
+            # the tail in 24 doubling panels from the table's end, all in one batch
+            lo = _TABLE_CUT * 2.0 ** np.arange(24)
+            increments = self._g_integrals(lo, 2.0 * lo).tolist()
+            tail = sum(increments)
             if increments[-1] > 1e-10 * max(tail, 1.0) + 1e-14:
                 raise DivergentTailError(
                     "partial integrals of g keep growing; tail does not converge"
@@ -94,8 +90,7 @@ class CounterexampleWeight:
     def g(self, s):
         s = np.abs(np.asarray(s, dtype=float))
         if self.g_custom is not None:
-            flat = np.atleast_1d(s)
-            out = np.asarray([float(self.g_custom(v)) for v in flat])
+            out = np.asarray([float(self.g_custom(v)) for v in s.ravel()])
             return out.reshape(s.shape) if s.shape else float(out[0])
         out = np.atleast_1d(s).copy()
         far = out > 1.0
@@ -108,15 +103,12 @@ class CounterexampleWeight:
         if self._table is not None:
             s_pts, cumulative = self._table
             inside = np.interp(t, s_pts, cumulative)
-            # beyond the table: fall back on quadrature (rare, small tail)
-            from scipy import integrate
-
+            # beyond the table: the integral of g from the table's end
             out = np.atleast_1d(inside).copy()
-            far = np.atleast_1d(t) > s_pts[-1]
-            for i in np.flatnonzero(far):
-                out[i] = cumulative[-1] + integrate.quad(
-                    self.g_custom, s_pts[-1], float(np.atleast_1d(t)[i]), limit=200
-                )[0]
+            ends = np.atleast_1d(t)
+            far = ends > s_pts[-1]
+            out[far] = cumulative[-1] + self._g_integrals(
+                np.full(np.count_nonzero(far), s_pts[-1]), ends[far])
             return out.reshape(t.shape) if t.shape else float(out[0])
         p = self.power
         out = np.atleast_1d(t).astype(float)
@@ -124,6 +116,15 @@ class CounterexampleWeight:
         out[far] = 0.5 + (1.0 - out[far] ** (1.0 - p)) / (p - 1.0)
         out[~far] = 0.5 * out[~far] ** 2
         return out.reshape(t.shape) if t.shape else float(out[0])
+
+    def _g_integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """int_lo^hi g for each pair of ends, by the adaptive rule of the legs."""
+        width = hi - lo
+        return _adaptive_qk21(
+            lambda item, t: self.g(lo[item, None] + t * width[item, None]) * width[item, None],
+            [[0.0, 1.0]] * len(lo),
+            lambda i: f"the integral of g over [{lo[i]:g}, {hi[i]:g}]",
+        )
 
     @property
     def g_infinity(self) -> float:
@@ -259,7 +260,7 @@ _GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_GAUSS = np.zeros(21)
 _GK_GAUSS[1:20:2] = np.concatenate([_WG, _WG[::-1]])
-# scipy.integrate.quad's default epsabs = epsrel, and a subinterval limit
+# QUADPACK's default epsabs = epsrel (those of scipy's quad), and a subinterval limit
 _QUAD_TOL = 1.49e-8
 _QUAD_LIMIT = 400
 _EPS = np.finfo(float).eps
@@ -286,56 +287,72 @@ def _qk21(f, half):
     return resk * half, err
 
 
+def _adaptive_qk21(fun: Callable, edges: list, label: Callable) -> np.ndarray:
+    """Integrals over t in [0, 1] of a batch of integrands, shape (len(edges),).
+
+    ``fun(item, t)`` evaluates integrand ``item[j]`` at the points ``t[j]``,
+    shapes (p,) and (p, 21) to (p, 21).  Integrand i starts on the panels
+    between its ``edges[i]`` (0, its break points, 1), and the panels are
+    refined together: every round evaluates the 21-point Gauss-Kronrod rule
+    on all active panels with one ``fun`` call, accepts a panel whose error
+    is at most tol times its t-width, with tol = max(1.49e-8, 1.49e-8
+    |integral estimate|) (quad's default epsabs and epsrel), and bisects the
+    rest.  An integrand needing more than 400 subintervals raises
+    RuntimeError, naming it by ``label(i)``.
+    """
+    item, lo, hi = [], [], []
+    for i, item_edges in enumerate(edges):
+        item += [i] * (len(item_edges) - 1)
+        lo += item_edges[:-1]
+        hi += item_edges[1:]
+    item, lo, hi = np.array(item, dtype=int), np.array(lo), np.array(hi)
+    n_items = len(edges)
+    total = np.zeros(n_items)
+    count = np.bincount(item, minlength=n_items)
+    while item.size:
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        f = fun(item, mid[:, None] + half[:, None] * _GK_NODES)
+        value, err = _qk21(f, half)
+        estimate = total + np.bincount(item, weights=value, minlength=n_items)
+        tol = np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(estimate))
+        done = err <= tol[item] * (hi - lo)
+        total += np.bincount(item[done], weights=value[done], minlength=n_items)
+        split = np.flatnonzero(~done)
+        item, lo, hi, mid = item[split], lo[split], hi[split], mid[split]
+        count += np.bincount(item, minlength=n_items)
+        if count.max() > _QUAD_LIMIT:
+            raise RuntimeError(
+                f"{label(int(np.argmax(count)))} needs more than {_QUAD_LIMIT} subintervals"
+            )
+        # each split panel becomes its two halves, in place
+        item = np.repeat(item, 2)
+        lo, hi = np.repeat(lo, 2), np.repeat(hi, 2)
+        lo[1::2] = hi[0::2] = mid
+    return total
+
+
 def _segment_lengths(w: CounterexampleWeight, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K-lengths of the straight segments from a[i] to b[i], shape (s,).
 
-    a and b are (s, 2) arrays of segment ends.  Each segment is split at
-    its ``_quad_breaks`` in the parameter t in [0, 1], and the panels are
-    refined together: every round evaluates the 21-point Gauss-Kronrod rule
-    on all active panels with one ``w.k`` call, accepts a panel whose error
-    is at most tol times its t-width, with tol = max(1.49e-8, 1.49e-8
-    |segment estimate|) (quad's default epsabs and epsrel), and bisects the
-    rest.  A segment needing more than 400 subintervals raises RuntimeError.
+    a and b are (s, 2) arrays of segment ends.  Each segment is parametrized
+    by t in [0, 1], split at its ``_quad_breaks``, and integrated by
+    ``_adaptive_qk21`` together with all the others.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b - a
     span = np.sqrt(np.einsum("ij,ij->i", d, d))
-    seg, lo, hi = [], [], []
-    for i in range(len(a)):
-        edges = [0.0, *_quad_breaks(a[i], b[i]), 1.0]
-        seg += [i] * (len(edges) - 1)
-        lo += edges[:-1]
-        hi += edges[1:]
-    seg, lo, hi = np.array(seg, dtype=int), np.array(lo), np.array(hi)
-    n_seg = len(a)
-    total = np.zeros(n_seg)
-    count = np.bincount(seg, minlength=n_seg)
-    while seg.size:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        t = mid[:, None] + half[:, None] * _GK_NODES
+
+    def k_along(seg, t):
         pts = a[seg, None, :] + t[:, :, None] * d[seg, None, :]
-        f = w.k(pts.reshape(-1, 2)).reshape(t.shape) * span[seg, None]
-        value, err = _qk21(f, half)
-        estimate = total + np.bincount(seg, weights=value, minlength=n_seg)
-        tol = np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(estimate))
-        done = err <= tol[seg] * (hi - lo)
-        total += np.bincount(seg[done], weights=value[done], minlength=n_seg)
-        split = np.flatnonzero(~done)
-        seg, lo, hi, mid = seg[split], lo[split], hi[split], mid[split]
-        count += np.bincount(seg, minlength=n_seg)
-        if count.max() > _QUAD_LIMIT:
-            bad = int(np.argmax(count))
-            raise RuntimeError(
-                f"K-length of the segment {a[bad]} -> {b[bad]} needs more "
-                f"than {_QUAD_LIMIT} subintervals"
-            )
-        # each split panel becomes its two halves, in place
-        seg = np.repeat(seg, 2)
-        lo, hi = np.repeat(lo, 2), np.repeat(hi, 2)
-        lo[1::2] = hi[0::2] = mid
-    return total
+        return w.k(pts.reshape(-1, 2)).reshape(t.shape) * span[seg, None]
+
+    return _adaptive_qk21(
+        k_along,
+        [[0.0, *_quad_breaks(a[i], b[i]), 1.0] for i in range(len(a))],
+        lambda i: f"K-length of the segment {a[i]} -> {b[i]}",
+    )
 
 
 def _quad_breaks(a, b):

@@ -26,6 +26,7 @@ from .metric import (
     interp_columns,
     midpoints,
     segment_lengths,
+    sorted_unique,
 )
 from .potentials import Potential
 
@@ -82,7 +83,7 @@ def _graded_resample(s: np.ndarray, nodes: np.ndarray, n_base: int, eps_rel: flo
     base = np.linspace(0.0, total, n_base)
     levels = int(np.ceil(np.log2(1.0 / eps_rel))) if eps_rel < 1.0 else 0
     tail = total * 0.25 * 0.5 ** np.arange(1, levels + 1)
-    s_new = np.unique(np.concatenate([base, tail, total - tail, [0.0, total]]))
+    s_new = sorted_unique(np.concatenate([base, tail, total - tail, [0.0, total]]))
     return s_new, interp_columns(s_new, s, nodes)
 
 

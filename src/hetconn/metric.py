@@ -45,6 +45,12 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1D array (-0.0 and 0.0 merge) without loading ``numpy.ma``."""
+    v = np.sort(values)
+    return v[np.concatenate([[True], np.diff(v) != 0.0])]
+
+
 def interp_columns(x, xp, fp, left=None, right=None) -> np.ndarray:
     """np.interp of every column of fp (shape (len(xp), c)) at 1D x, shape (len(x), c).
 
@@ -318,6 +324,29 @@ def reparametrize_constant_speed(
     return SampledCurve(times=times, nodes=nodes)
 
 
+def _halton(n: int, dim: int) -> np.ndarray:
+    """The first n points of the unscrambled Halton sequence in [0, 1)^dim.
+
+    Column j is the radical inverse of 0, 1, ..., n - 1 in the j-th prime
+    base, accumulated digit by digit from the lowest, so the points equal
+    ``scipy.stats.qmc.Halton(dim, scramble=False).random(n)`` bit for bit.
+    """
+    primes, candidate = [], 2
+    while len(primes) < dim:
+        if all(candidate % q for q in primes if q * q <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    bases = np.array(primes)
+    quotient = np.repeat(np.arange(n)[:, None], dim, axis=1)
+    scale = 1.0 / bases
+    out = np.zeros((n, dim))
+    while quotient.any():
+        out += (quotient % bases) * scale
+        scale /= bases
+        quotient //= bases
+    return out
+
+
 class DkLowerBound(NamedTuple):
     value: float
     slack: float
@@ -341,11 +370,8 @@ def dk_lower_bound(
     r = wspace.space.distance(x, y)
     if r == 0.0:
         return DkLowerBound(0.0, 0.0, 0.0)
-    from scipy.stats import qmc
-
     dim = x.size
-    sampler = qmc.Halton(d=dim, scramble=False)
-    u = sampler.random(r_samples)
+    u = _halton(r_samples, dim)
     # Map the unit cube onto the ball: direction from the centered cube point,
     # radius from its sup-norm (keeps the map deterministic and surjective).
     c = 2.0 * u - 1.0

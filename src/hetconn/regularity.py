@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .function_space import GridFunction
+from .function_space import EffectivePotentialSpace, GridFunction
 from .heteroclinic import equipartition
 from .metric import SampledCurve, WeightedSpace, metric_derivative, midpoints
 from .potentials import Potential
@@ -119,101 +119,40 @@ class SpectralReport(NamedTuple):
     kernel_residual: float
 
 
-def _second_variation_matrix(z: GridFunction, p: Potential):
-    """-d^2/ds^2 + Hessian of W along z, Dirichlet, on interior nodes (CSR)."""
-    # imported here: scipy.sparse is most of the package's import time, and
-    # no CLI command reaches this audit
-    from scipy import sparse
+def spectral_audit(z: GridFunction, p: Potential) -> SpectralReport:
+    """Kernel residual ||A(z) z'|| and the spectral gap of A(z) on z'-perp.
 
-    h = z.h
-    vals = z.values
-    mi = z.m - 2
-    n = z.n_components
-    main = np.full(mi, 2.0 / h**2)
-    off = np.full(mi - 1, -1.0 / h**2)
-    d2 = sparse.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
-    kinetic = sparse.kron(d2, sparse.eye(n, format="csr"), format="csr")
-    blocks = sparse.block_diag(list(p.hessians_at(vals[1:-1])), format="csr")
-    return (kinetic + blocks).tocsr()
-
-
-def spectral_audit(
-    z: GridFunction,
-    p: Potential,
-    trials: int = 64,
-    seed: int = 0,
-    refine: bool = True,
-) -> SpectralReport:
-    """Kernel residual ||A(z) z'|| and a Rayleigh floor on the complement.
-
-    A(z) is the second variation of the 1D action along z.  Its kernel
+    A(z) is the second variation of the 1D action along z, -d^2/ds^2 plus
+    the Hessian of W, Dirichlet on the interior nodes: the interior rows of
+    ``EffectivePotentialSpace.profile_hessp`` divided by h.  Its kernel
     direction is z' (translations); the residual measures how well the
-    discrete operator annihilates it.  c0 is estimated as the smallest
-    Rayleigh quotient over low-frequency deterministic modes plus random
-    trials, all orthogonalized against z'; a few deflated inverse
-    iterations sharpen the floor when requested.  Estimates from finitely
-    many directions only; not a certified spectral gap.
+    discrete operator annihilates it.  c0_est is the smallest eigenvalue of
+    A restricted to the orthogonal complement of z' (all of A when z'
+    vanishes), exact up to rounding: a Householder reflector maps z' onto
+    the first axis, and the remaining block goes to ``np.linalg.eigvalsh``.
     """
-    a_mat = _second_variation_matrix(z, p)
+    hessp = EffectivePotentialSpace(
+        grid=z.s, n_components=z.n_components, bc=z.bc, potential=p,
+    ).profile_hessp(z.values)
     h = z.h
-    n = z.n_components
-    s_int = z.s[1:-1]
-    zp = z.derivative()[1:-1].ravel()
-    zp_norm2 = float(np.dot(zp, zp))
-    if zp_norm2 > 0.0:
-        kernel_residual = float(math.sqrt(h * np.sum((a_mat @ zp) ** 2)))
-    else:
-        kernel_residual = 0.0
-
-    def deflate(v):
-        if zp_norm2 > 0.0:
-            v = v - (np.dot(v, zp) / zp_norm2) * zp
-        return v
-
-    def rayleigh(v):
-        denom = float(np.dot(v, v))
-        if denom == 0.0:
-            return math.inf
-        return float(np.dot(v, a_mat @ v) / denom)
-
-    span = float(s_int[-1] - s_int[0])
-    modes = []
-    for k in range(1, 9):
-        base = np.sin(k * np.pi * (s_int - s_int[0]) / span)
-        for c in range(n):
-            m = np.zeros((s_int.size, n))
-            m[:, c] = base
-            modes.append(m.ravel())
-    rng = np.random.default_rng(seed)
-    while len(modes) < trials:
-        modes.append(rng.standard_normal(s_int.size * n))
-    quotients = []
-    best = None
-    for v in modes:
-        v = deflate(np.asarray(v, dtype=float))
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        q = rayleigh(v / norm)
-        quotients.append(q)
-        if best is None or q < best[0]:
-            best = (q, v / norm)
-    c0 = float(min(quotients))
-    if refine and best is not None:
-        from scipy.sparse.linalg import splu
-
-        try:
-            lu = splu(a_mat.tocsc())
-        except RuntimeError:
-            lu = None
-        if lu is not None:
-            v = best[1]
-            for _ in range(5):
-                v = deflate(lu.solve(v))
-                norm = np.linalg.norm(v)
-                if not np.isfinite(norm) or norm == 0.0:
-                    break
-                v /= norm
-            else:
-                c0 = min(c0, rayleigh(v))
-    return SpectralReport(c0_est=float(c0), kernel_residual=kernel_residual)
+    shape = z.values.shape
+    # A on every interior unit direction; A is symmetric, so these rows are A
+    units = np.eye(z.values.size)[z.n_components:-z.n_components]
+    a_mat = np.stack([hessp(e.reshape(shape))[1:-1].ravel() for e in units]) / h
+    zp = np.zeros(shape)
+    zp[1:-1] = z.derivative()[1:-1]
+    zp_norm = float(np.linalg.norm(zp))
+    if zp_norm == 0.0:
+        return SpectralReport(c0_est=float(np.linalg.eigvalsh(a_mat)[0]), kernel_residual=0.0)
+    kernel_residual = float(math.sqrt(h * np.sum((hessp(zp)[1:-1] / h) ** 2)))
+    # H = I - 2 u u^T sends z' to a multiple of the first axis, so the block
+    # of H A H off the first row and column is A on z'-perp in the basis H e_j
+    u = zp[1:-1].ravel() / zp_norm
+    u[0] += math.copysign(1.0, u[0])
+    u /= np.linalg.norm(u)
+    au = a_mat @ u
+    ur, aur = u[1:], au[1:]
+    block = (a_mat[1:, 1:] - 2.0 * np.outer(ur, aur) - 2.0 * np.outer(aur, ur)
+             + 4.0 * float(u @ au) * np.outer(ur, ur))
+    return SpectralReport(c0_est=float(np.linalg.eigvalsh(block)[0]),
+                          kernel_residual=kernel_residual)

@@ -287,6 +287,36 @@ def test_config_errors(tmp_path):
     assert main(["connect", "--config", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "n_nodes", "abc"),
+    ("solver", "n_nodes", 1),
+    ("reparam", "n_samples", 1),
+    ("solver", "n_nodes", 101.0),
+    ("solver", "max_iters", -1),
+    ("solver", "grad_tol", 0.0),
+    ("solver", "via_points", "abc"),
+    ("solver", "warp_speed", True),
+    ("reparam", "t_max", float("inf")),
+    ("reparam", "resample", True),
+    ("reparam", "resample_eps", -1e-9),
+    ("reparam", "extra", 1),
+])
+def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, value):
+    cfg = json.loads(json.dumps(CONNECT_CFG))
+    cfg[section][key] = value
+    out = tmp_path / "run"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["solver", "reparam"])
+def test_connect_sections_must_be_objects(tmp_path, section):
+    cfg = dict(CONNECT_CFG, **{section: [1, 2]})
+    out = tmp_path / "run"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_counterexample_run_and_verify(tmp_path):
     cfg = write_cfg(tmp_path, COUNTER_CFG)
     out = str(tmp_path / "ce")
@@ -484,6 +514,71 @@ def test_a_double_run_and_its_verify_leave_scipy_linalg_and_fft_out(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(src), json.dumps(calls)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["[0,", "0,", "0,", "0]", "False", "False"]
+
+
+def test_connect_and_verifies_leave_numpy_ma_out(tmp_path):
+    # np.unique loads numpy.ma on its first call, several ms of every CLI process
+    double_out = str(tmp_path / "dbl")
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG, "sin.json"),
+                 "--out", double_out]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from hetconn.cli import main; "
+            "codes = [main(a) for a in json.loads(sys.argv[2])]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    connect_out = str(tmp_path / "run")
+    calls = [["connect", "--config", write_cfg(tmp_path, CONNECT_CFG), "--out", connect_out],
+             ["verify", connect_out], ["verify", double_out]]
+    out = subprocess.run([sys.executable, "-c", code, str(src), json.dumps(calls)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[0,", "0,", "0]", "False"]
+
+
+# runs every CLI command and the library's numerical audits with scipy unimportable
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from hetconn import (CounterexampleWeight, GridFunction, GridL2Space, WeightedSpace,
+                     dk_lower_bound, double_well, make_weight, spectral_audit)
+from hetconn.cli import main
+codes = [main(a) for a in json.loads(sys.argv[2])]
+s = np.linspace(-8.0, 8.0, 101)
+z = GridFunction(s=s, values=np.tanh(s), tail_left=[-1.0], tail_right=[1.0])
+gap = spectral_audit(z, double_well()).c0_est
+line = dk_lower_bound(np.array([-0.4]), np.array([0.0]), make_weight(double_well())).value
+grid = WeightedSpace(space=GridL2Space(9, 2, 0.25),
+                     weight=lambda pts: 1.0 + np.sum(pts * pts, axis=1))
+ball = dk_lower_bound(np.zeros(18), np.full(18, 0.1), grid).value
+tail = CounterexampleWeight(g=lambda t: t if t <= 1.0 else t ** -2.0).g_infinity
+print(json.dumps({"codes": codes, "values": [gap, line, ball, tail],
+                  "scipy": sorted(name for name, module in sys.modules.items()
+                                  if name.startswith("scipy") and module is not None)}))
+"""
+
+
+def test_every_command_and_audit_runs_without_scipy(tmp_path):
+    asym = dict(PLANAR_CFG, mode="asym", quotient="translations")
+    calls = []
+    for command, name, cfg in (("connect", "conn", CONNECT_CFG), ("double", "sin", SIN_CFG),
+                               ("double", "sym", PLANAR_CFG), ("double", "asym", asym),
+                               ("counterexample", "ce", COUNTER_CFG)):
+        out = str(tmp_path / name)
+        calls += [[command, "--config", write_cfg(tmp_path, cfg, name + ".json"), "--out", out],
+                  ["verify", out]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(src), json.dumps(calls)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["codes"] == [0] * len(calls)
+    gap, line, ball, tail = report["values"]
+    assert 2.9 < gap < 3.1
+    assert 0.0 < line <= 0.4 - 0.4 ** 3 / 3.0 + 1e-9
+    assert 0.0 < ball <= 0.25
+    assert tail == pytest.approx(1.5, rel=1e-4)
+    assert report["scipy"] == []
 
 
 def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):

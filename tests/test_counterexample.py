@@ -149,6 +149,18 @@ def test_custom_table_matches_closed_form():
         assert wt.big_g(t) == pytest.approx(W.big_g(t), rel=1e-4)
 
 
+def test_custom_g_tail_matches_quad():
+    # past the trapezoid table on [0, 1e4], G comes from the Gauss-Kronrod
+    # rule: its tail panels and its integral from the table's end
+    wt = CounterexampleWeight(g=same_g)
+    table_end = wt.big_g(1e4)
+    tail = integrate.quad(same_g, 1e4, np.inf)[0]
+    assert wt.g_infinity == pytest.approx(table_end + tail, rel=1.49e-8, abs=0.0)
+    piece = integrate.quad(same_g, 1e4, 2e4)[0]
+    assert wt.big_g(2e4) == pytest.approx(table_end + piece, rel=1.49e-8, abs=0.0)
+    assert wt.big_g(2e4) - table_end == pytest.approx(piece, rel=1.49e-8, abs=0.0)
+
+
 def test_small_boxed_report():
     report = nonexistence_report(radii=(4.0, 8.0, 12.0), n_candidates=6)
     assert report.infimum == 3.0

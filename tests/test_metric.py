@@ -197,6 +197,16 @@ def test_dk_lower_bound_double_well():
     assert degenerate.value == 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_halton_points_equal_scipy_qmc(dim):
+    from scipy.stats import qmc
+
+    from hetconn.metric import _halton
+
+    reference = qmc.Halton(d=dim, scramble=False).random(256)
+    assert _halton(256, dim).tobytes() == reference.tobytes()
+
+
 def test_coord_weights_are_built_once_and_read_only():
     cases = (
         (EuclideanSpace(3), np.ones(3)),

@@ -15,6 +15,7 @@ from hetconn import (
     SampledCurve,
     double_well,
     parallelogram_defect,
+    planar_two_well,
     second_difference_bound,
     spectral_audit,
     uniform_bounds_audit,
@@ -103,6 +104,33 @@ def test_spectral_residual_refines_at_second_order():
     fine = spectral_audit(tanh_grid(401), DW)
     ratio = coarse.kernel_residual / fine.kernel_residual
     assert 3.0 < ratio < 5.3
+
+
+def test_spectral_gap_of_tanh_is_exact():
+    # the continuum gap is 3 and the discrete one 2.9994 at m = 401; the
+    # Rayleigh-floor estimate this replaced read 3.137
+    assert abs(spectral_audit(tanh_grid(401), DW).c0_est - 3.0) < 1e-3
+
+
+def test_spectral_gap_matches_a_dense_projection():
+    # a perturbed two-component profile: A assembled by hand, compressed to
+    # z'-perp with an orthonormal basis from a QR factorization
+    p = planar_two_well()
+    s = np.linspace(-6.0, 6.0, 61)
+    rng = np.random.default_rng(7)
+    v = np.stack([np.tanh(s), 0.3 / np.cosh(s)], axis=1) + 0.01 * rng.standard_normal((61, 2))
+    z = GridFunction(s=s, values=v, tail_left=v[0], tail_right=v[-1])
+    rep = spectral_audit(z, p)
+    h, mi = z.h, 59
+    a_mat = np.kron((2.0 * np.eye(mi) - np.eye(mi, k=1) - np.eye(mi, k=-1)) / h**2, np.eye(2))
+    for i, block in enumerate(p.hessians_at(v[1:-1])):
+        a_mat[2 * i:2 * i + 2, 2 * i:2 * i + 2] += block
+    zp = z.derivative()[1:-1].ravel()
+    q, _ = np.linalg.qr(np.column_stack([zp, rng.standard_normal((2 * mi, 2 * mi - 1))]))
+    compressed = q[:, 1:].T @ a_mat @ q[:, 1:]
+    assert rep.c0_est == pytest.approx(np.linalg.eigvalsh(compressed)[0], rel=1e-12)
+    assert rep.kernel_residual == pytest.approx(np.sqrt(h * np.sum((a_mat @ zp) ** 2)),
+                                                rel=1e-12)
 
 
 def test_spectral_audit_constant_profile():
