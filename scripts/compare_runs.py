@@ -7,9 +7,9 @@ Compares the manifest sections ``results``, ``tolerances``, ``config`` and
 library versions are not compared.  Every value is compared by its JSON
 text, so floats must agree bit for bit and NaN equals NaN.  Prints one line
 per difference and exits 1 if there is any, 0 otherwise.  When the checksum
-of a CSV or TSV artifact differs, its line also gives the largest absolute
-and relative difference between the two numeric tables, or says that their
-shapes differ.
+of a CSV, TSV or NPY artifact differs, its line also gives the largest
+absolute and relative difference between the two numeric tables, or says
+that their shapes differ.
 """
 
 import json
@@ -37,16 +37,25 @@ def _leaves(value, path):
         yield path, json.dumps(value)
 
 
+def _numeric_table(path):
+    """The 2D numeric table of a CSV/TSV artifact, or of an NPY array with its
+    last axis as the columns (a double run's u.npy reads as the old u.csv rows)."""
+    suffix = Path(path).suffix
+    if suffix == ".npy":
+        table = np.load(path, allow_pickle=False)
+        return table.reshape(-1, table.shape[-1])
+    return _read_table(path, "\t" if suffix == ".tsv" else ",")[2]
+
+
 def table_difference(path_a, path_b) -> str:
-    """Largest absolute and relative difference of two CSV/TSV tables.
+    """Largest absolute and relative difference of two CSV/TSV/NPY tables.
 
     Entries that compare equal, and NaN against NaN, count as no difference;
     the relative difference divides by the larger magnitude of the pair.
     """
-    delimiter = "\t" if Path(path_a).suffix == ".tsv" else ","
     try:
-        a, b = (_read_table(p, delimiter)[2] for p in (path_a, path_b))
-    except (OSError, ValueError) as exc:
+        a, b = (_numeric_table(p) for p in (path_a, path_b))
+    except (OSError, EOFError, ValueError) as exc:
         return f"tables not compared: {exc}"
     if a.shape != b.shape:
         return f"table shapes {a.shape} != {b.shape}"
@@ -71,7 +80,8 @@ def differences(run_a, run_b) -> list[str]:
             continue
         line = f"{path}: {a} != {b}"
         name = path.removeprefix("artifacts.")
-        if name != path and MISSING not in (a, b) and Path(name).suffix in (".csv", ".tsv"):
+        if (name != path and MISSING not in (a, b)
+                and Path(name).suffix in (".csv", ".tsv", ".npy")):
             line += f" ({table_difference(Path(run_a) / name, Path(run_b) / name)})"
         lines.append(line)
     return lines

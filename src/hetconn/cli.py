@@ -2,15 +2,16 @@
 
 Every run writes a manifest.json carrying the embedded config, library
 versions, every tolerance used, headline results, and sha256 checksums of
-the emitted artifacts; CSV/TSV artifacts are plain text with %.17g floats.
-The pipeline draws no random numbers, so reruns of the same config are
-bit-identical.  ``verify`` recomputes the equipartition defect from the
-artifacts with the same routines the run uses.  For a double run it builds
-no fixture: the effective space comes from the config on the grid of the
-field's x1 column, and the reference is the 1D action of the field's last
-column, the z+ well profile, which must equal the ``ref_value`` the run
-recorded bit for bit.  Exit codes: 0 success, 2 solver stall (connect),
-3 config error, 4 checksum or schema failure (verify), 5 failing check:
+the emitted artifacts.  CSV/TSV artifacts are plain text with %.17g floats;
+a double run's field is one binary ``u.npy`` table.  The pipeline draws no
+random numbers, so reruns of the same config are bit-identical.  ``verify``
+recomputes the equipartition defect from the artifacts with the same
+routines the run uses.  For a double run it builds no fixture: the effective
+space comes from the config on the field's x1 grid, and the reference is the
+1D action of the field's last column, the z+ well profile, which must equal
+the ``ref_value`` the run recorded bit for bit.  Exit codes: 0 success, 2
+solver stall (connect), 3 config error (raised before any run directory is
+made), 4 checksum or schema failure (verify), 5 failing check:
 the equipartition defect over its tolerance, a double run's reference action
 not matching the recorded one, a double run whose x2 equipartition
 defect, Newton-CG gradient, residual or energy two ways missed its
@@ -54,7 +55,7 @@ from .double_connection import (
 )
 from .geodesic import WEIGHT_FLOOR, SolverOptions, minimize_k_length, remove_sigma_loops
 from .heteroclinic import equipartition, reparam_equipartition, verify_connection
-from .metric import SampledCurve, midpoints, sorted_unique
+from .metric import SampledCurve, midpoints
 from .potentials import (
     check_sti,
     double_well,
@@ -71,7 +72,9 @@ EXIT_CONFIG = 3
 EXIT_CHECKSUM = 4
 EXIT_EQUIPARTITION = 5
 
-SCHEMA_VERSION = 1
+# configs and run manifests carry separate schema versions
+CONFIG_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -89,9 +92,9 @@ def _load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
-            f"config field 'schema_version' must be {SCHEMA_VERSION}, got {version!r}"
+            f"config field 'schema_version' must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
         )
     return cfg
 
@@ -143,9 +146,8 @@ def _build_potential(spec) -> object:
     if name == "triple_well":
         return triple_well()
     if name == "planar_two_well":
-        return planar_two_well(
-            beta=float(spec.get("beta", 1.0)), kappa=float(spec.get("kappa", 1.0))
-        )
+        return planar_two_well(beta=_positive(spec, "beta", 1.0, "potential."),
+                               kappa=_positive(spec, "kappa", 1.0, "potential."))
     raise ConfigError(f"unknown potential '{name}'")
 
 
@@ -165,21 +167,6 @@ def _write_table(path, head, table, delimiter=",") -> None:
         for start in range(0, table.shape[0], ROWS_PER_WRITE):
             block = table[start:start + ROWS_PER_WRITE]
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
-
-
-def _write_field(path, head, x1, x2, u) -> None:
-    """``_write_table`` of the rows (x1_i, x2_j, u[i, j]), x1 outer, byte for byte.
-
-    Each grid coordinate is formatted once: the x2 column goes into a row
-    template for one x1 value, and only the field values are formatted per row.
-    """
-    x2_text = ["%.17g" % v for v in np.asarray(x2, dtype=float).tolist()]
-    values = ",%.17g" * u.shape[2] + "\n"
-    template = "".join("\0," + v + values for v in x2_text)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in head)
-        for x1_i, u_i in zip(np.asarray(x1, dtype=float).tolist(), u):
-            fh.write(template.replace("\0", "%.17g" % x1_i) % tuple(u_i.ravel().tolist()))
 
 
 def _sha256(path) -> str:
@@ -230,16 +217,41 @@ def _read_table(path, delimiter=","):
     return comments, header, data
 
 
+def _read_field(path):
+    """(x1, x2, u) of a double run's ``u.npy`` table.
+
+    ValueError unless it is a little-endian float64 array (M, P, 2 + n),
+    n >= 1, holding (x1_i, x2_j, u[i, j]) at [i, j] on a tensor grid whose
+    x1 and x2 each have at least two strictly increasing nodes.
+    """
+    table = np.load(path, allow_pickle=False)
+    if table.dtype != np.dtype("<f8") or table.ndim != 3 or table.shape[2] < 3:
+        raise ValueError(f"{path} holds a {table.dtype} array of shape {table.shape}, "
+                         "not a float64 (M, P, 2 + n) table")
+    x1, x2 = table[:, 0, 0], table[0, :, 1]
+    if not (x1.size > 1 and x2.size > 1
+            and np.all(table[..., 0] == x1[:, None]) and np.all(table[..., 1] == x2)
+            and np.all(x1[1:] > x1[:-1]) and np.all(x2[1:] > x2[:-1])):
+        raise ValueError(f"{path} is not a tensor grid with strictly increasing x1 and x2")
+    return x1, x2, table[..., 2:]
+
+
 # ---------------------------------------------------------------------------
 # connect
 
-# the settable keys of a connect config's solver and reparam objects
+# the settable keys of a connect config and of its solver and reparam objects
+CONNECT_KEYS = {"schema_version", "potential", "wells", "refine_wells", "solver", "reparam",
+                "defect_tol"}
 SOLVER_KEYS = {"n_nodes", "max_iters", "grad_tol", "via_points"}
 REPARAM_KEYS = {"n_samples", "t_max", "resample", "resample_eps"}
 
 
 def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
+    unknown = set(cfg) - CONNECT_KEYS
+    if unknown:
+        raise ConfigError(f"unknown connect config keys: {sorted(unknown)}")
+    defect_tol = _positive(cfg, "defect_tol", 1e-3)
     p = _build_potential(_require(cfg, "potential"))
     wells_raw = _require(cfg, "wells")
     try:
@@ -308,14 +320,14 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         np.column_stack([mids, bounds.equip_profile]), "\t",
     )
     manifest = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "connect",
         "config": cfg,
         "versions": _versions(),
         "tolerances": {
             "grad_tol": opts.grad_tol,
             "weight_floor": WEIGHT_FLOOR,
-            "defect_tol": float(cfg.get("defect_tol", 1e-3)),
+            "defect_tol": defect_tol,
             "sti_margin_tol": 1e-3,
             "second_difference_constant": sd.c_constant,
         },
@@ -375,7 +387,7 @@ def _double_shell(cfg: dict, grid: np.ndarray):
         return sin_shell(grid)
     if example == "planar":
         return planar_shell(
-            grid, beta=float(cfg.get("beta", 1.0)), kappa=float(cfg.get("kappa", 1.0)),
+            grid, beta=_positive(cfg, "beta", 1.0), kappa=_positive(cfg, "kappa", 1.0),
             symmetry=cfg.get("symmetry", "odd_first"),
         )
     raise ConfigError(f"unknown double example '{example}'")
@@ -390,6 +402,8 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         raise ConfigError(
             "config field 'quotient' must be 'translations' for mode=asym"
         )
+    defect_tol = _positive(cfg, "defect_tol", 5e-2)
+    residual_tol = _positive(cfg, "residual_tol", 5e-2)
     space = _build_double_space(cfg)
     opts_cfg = dict(cfg.get("opts", {}))
     allowed = set(DoubleOptions.__dataclass_fields__)
@@ -405,12 +419,15 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
     )
     report = assemble_and_verify(result)
     os.makedirs(out_dir, exist_ok=True)
-    comp_names = ",".join(f"u{j + 1}" for j in range(result.u.shape[2]))
-    head = "# energy=%.17g residual_max=%.17g c_minus=%.17g c_plus=%.17g" % (
-        result.energy, report.residual_max, result.c_minus, result.c_plus)
-    _write_field(os.path.join(out_dir, "u.csv"), [head, "x1,x2," + comp_names],
-                 result.x1, result.x2, result.u)
-    artifacts = ["u.csv", "boundary_convergence.tsv"]
+    # [i, j] holds (x1_i, x2_j, u[i, j]); np.save writes the same bytes for the same field
+    m, p, n = result.u.shape
+    table = np.empty((m, p, 2 + n), dtype="<f8")
+    table[..., 0] = result.x1[:, None]
+    table[..., 1] = result.x2
+    table[..., 2:] = result.u
+    with open(os.path.join(out_dir, "u.npy"), "wb") as fh:
+        np.save(fh, table, allow_pickle=False)
+    artifacts = ["u.npy", "boundary_convergence.tsv"]
     cols = result.u.transpose(1, 0, 2)
     _write_table(
         os.path.join(out_dir, "boundary_convergence.tsv"),
@@ -442,8 +459,8 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
         "window": result.diagnostics["window"],
     }
     tolerances = {
-        "defect_tol": float(cfg.get("defect_tol", 5e-2)),
-        "residual_tol": float(cfg.get("residual_tol", 5e-2)),
+        "defect_tol": defect_tol,
+        "residual_tol": residual_tol,
         "residual_margin_cells": report.interior_margin,
         "energy_two_ways_rel": 1e-6,
         "polish_gtol": POLISH_GTOL,
@@ -457,7 +474,7 @@ def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
                      np.column_stack([result.x2, result.m_track]))
         artifacts.append("m_track.csv")
     manifest = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "double",
         "config": cfg,
         "mode": mode,
@@ -586,7 +603,7 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
     checks = _counterexample_checks(report.candidate_lengths, report.box_candidates,
                                     report.bounds, report.infimum, tolerances)
     manifest = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "counterexample",
         "config": cfg,
         "versions": _versions(),
@@ -638,10 +655,7 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
 
 
 def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
-    comments, header, data = _read_table(os.path.join(run_dir, "u.csv"))
-    x1 = sorted_unique(data[:, 0])
-    x2 = sorted_unique(data[:, 1])
-    u = data[:, 2:].reshape(x1.size, x2.size, -1)
+    x1, x2, u = _read_field(os.path.join(run_dir, "u.npy"))
     space = _double_shell(manifest["config"], x1)
     # the last column is the z+ well profile, and its action the reference
     space.ref_value = float(space.energy_1d(u[:, -1])[0])
@@ -686,9 +700,14 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
     required = {"schema_version", "kind", "config", "artifacts", "results",
                 "tolerances"}
     missing = required - set(manifest)
-    if missing or manifest.get("schema_version") != SCHEMA_VERSION:
+    if missing:
         print(f"manifest schema invalid (missing {sorted(missing)})",
               file=sys.stderr)
+        return EXIT_CHECKSUM
+    version = manifest["schema_version"]
+    if version != MANIFEST_SCHEMA_VERSION:
+        print(f"manifest schema_version {version!r} is not supported "
+              f"(this hetconn reads version {MANIFEST_SCHEMA_VERSION})", file=sys.stderr)
         return EXIT_CHECKSUM
     for name, expected in manifest["artifacts"].items():
         path = os.path.join(run_dir, name)
@@ -709,7 +728,7 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
             return _verify_double(run_dir, manifest, verbose)
         if kind == "counterexample":
             return _verify_counterexample(run_dir, manifest, verbose)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, EOFError, KeyError, ValueError) as exc:
         print(f"verification failed to re-run: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM
     print(f"unknown run kind {kind!r}", file=sys.stderr)

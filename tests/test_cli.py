@@ -13,7 +13,7 @@ import hetconn
 import hetconn.cli
 import hetconn.counterexample
 import hetconn.double_connection
-from hetconn.cli import _load_config, _read_table, _write_field, _write_table, main
+from hetconn.cli import _load_config, _read_table, _write_table, main
 
 CONNECT_CFG = {
     "schema_version": 1,
@@ -65,7 +65,7 @@ def test_connect_run_and_verify(tmp_path):
     for name in ("curve.csv", "plot_components.tsv", "plot_defect.tsv", "manifest.json"):
         assert (tmp_path / "run" / name).exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     assert manifest["kind"] == "connect"
     assert manifest["results"]["action"] == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert manifest["results"]["k_length_value"] == pytest.approx(4.0 / 3.0, abs=1e-3)
@@ -97,6 +97,14 @@ def test_verify_rechecks_the_defect(tmp_path):
 def _poison_one_value(run_dir, artifact):
     """Replace one interior field value of an artifact by nan and re-sign it."""
     path = run_dir / artifact
+    if path.suffix == ".npy":
+        table = np.load(path)
+        # the middle row of the table read as (x1, x2, u) rows, x1 outer
+        rows = table.reshape(-1, table.shape[-1])
+        rows[len(rows) // 2, -1] = np.nan
+        np.save(path, table)
+        _resign(run_dir, artifact)
+        return
     lines = path.read_text().splitlines()
     # data rows follow the comment lines and the column-name row
     rows = [i for i, line in enumerate(lines) if not line.startswith("#")][1:]
@@ -106,6 +114,15 @@ def _poison_one_value(run_dir, artifact):
     lines[i] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     _resign(run_dir, artifact)
+
+
+def _nudge_field(run_dir, index, delta):
+    """Add ``delta`` to the last component of u at ``index`` = (i, j) and re-sign u.npy."""
+    path = run_dir / "u.npy"
+    table = np.load(path)
+    table[index + (-1,)] += delta
+    np.save(path, table)
+    _resign(run_dir, "u.npy")
 
 
 def _resign(run_dir, artifact):
@@ -128,7 +145,7 @@ def test_verify_rejects_a_nan_in_the_double_field(tmp_path):
     cfg = write_cfg(tmp_path, SIN_CFG)
     out = str(tmp_path / "dbl")
     assert main(["double", "--config", cfg, "--out", out]) == 0
-    _poison_one_value(tmp_path / "dbl", "u.csv")
+    _poison_one_value(tmp_path / "dbl", "u.npy")
     assert main(["verify", out]) == 5
 
 
@@ -150,16 +167,9 @@ def test_verify_rejects_a_changed_well_column(tmp_path):
     cfg = write_cfg(tmp_path, SIN_CFG)
     out = tmp_path / "dbl"
     assert main(["double", "--config", cfg, "--out", str(out)]) == 0
-    lines = (out / "u.csv").read_text().splitlines()
-    x2_end = max(float(line.split(",")[1]) for line in lines[2:])
     # one interior node of the last x2 column, the z+ well profile; the
     # defect tolerance of SIN_CFG is loose, so only the reference can fail
-    i = [j for j in range(2, len(lines)) if float(lines[j].split(",")[1]) == x2_end][8]
-    cells = lines[i].split(",")
-    cells[-1] = repr(float(cells[-1]) + 1e-3)
-    lines[i] = ",".join(cells)
-    (out / "u.csv").write_text("\n".join(lines) + "\n")
-    _resign(out, "u.csv")
+    _nudge_field(out, (8, -1), 1e-3)
     assert main(["verify", str(out)]) == 5
 
 
@@ -184,7 +194,7 @@ def _old_read_table(path, delimiter=","):
     return comments, header, np.asarray(rows, dtype=float)
 
 
-DOUBLE_ARTIFACTS = {"u.csv": ",", "boundary_convergence.tsv": "\t"}
+DOUBLE_ARTIFACTS = {"boundary_convergence.tsv": "\t"}
 ARTIFACT_RUNS = {
     "connect": ("connect", CONNECT_CFG, {"curve.csv": ",", "plot_components.tsv": "\t",
                                          "plot_defect.tsv": "\t"}),
@@ -212,8 +222,7 @@ def test_artifacts_read_and_write_as_the_per_value_formatter(tmp_path, run):
         body = (out / name).read_text().splitlines()[len(comments) + 1:]
         assert body == [delimiter.join(_old_fmt(v) for v in row) for row in ref_data]
     head = (out / next(iter(artifacts))).read_text().splitlines()[0]
-    keys = {"connect": ("action", "dK", "defect", "window"),
-            "double": ("energy", "residual_max", "c_minus", "c_plus")}.get(command, ())
+    keys = ("action", "dK", "defect", "window") if command == "connect" else ()
     fields = {"dK": "dk_value", "defect": "equipartition_defect"}
     assert head.startswith("#") == bool(keys)
     if keys:
@@ -238,23 +247,88 @@ def test_row_writer_equals_the_per_value_formatter_across_blocks(tmp_path, monke
     assert np.array_equal(data, table, equal_nan=True)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_field_writer_equals_the_table_writer(tmp_path, n):
-    # -0.0 and 0.0 are distinct grid coordinates on both axes
-    x1 = np.array([-1.0, -0.0, 0.0, 1.0 / 3.0, 2.0 ** 60])
-    x2 = np.array([-np.pi, -0.0, 0.0, 5e-324, 1e300, np.nan])
-    values = [np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300, 2.0 ** 60,
-              1.0 / 3.0, np.pi, -0.0, 0.0]
-    u = np.resize(np.array(values), (len(x1), len(x2), n))
-    head = ["# energy=1", "x1,x2," + ",".join(f"u{j + 1}" for j in range(n))]
-    _write_field(tmp_path / "field.csv", head, x1, x2, u)
-    table = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1)),
-                             u.reshape(-1, n)])
-    _write_table(tmp_path / "table.csv", head, table)
-    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
-    lines = (tmp_path / "field.csv").read_text().splitlines()
-    assert lines[2 + len(x2)].startswith("-0,-3.1415926535897931,")
-    assert lines[2 + 2 * len(x2) + 1].startswith("0,-0,")
+@pytest.mark.parametrize("cfg", [SIN_CFG, PLANAR_CFG], ids=["sin", "planar"])
+def test_field_table_is_the_solver_field_bit_for_bit(tmp_path, monkeypatch, cfg):
+    solve = hetconn.cli.solve_symmetric
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(hetconn.cli, "solve_symmetric", recorded)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    (result,) = results
+    m, p, n = result.u.shape
+    with open(out / "u.npy", "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    assert (shape, fortran_order, dtype.str) == ((m, p, 2 + n), False, "<f8")
+    table = np.load(out / "u.npy", allow_pickle=False)
+    assert table[..., 0].tobytes() == np.repeat(result.x1, p).tobytes()
+    assert table[..., 1].tobytes() == np.tile(result.x2, m).tobytes()
+    assert table[..., 2:].tobytes() == np.ascontiguousarray(result.u, dtype=float).tobytes()
+    # read as rows, the table is the (x1, x2, u) row table of the old u.csv
+    rows = np.column_stack([np.repeat(result.x1, p), np.tile(result.x2, m),
+                            result.u.reshape(-1, n)])
+    assert table.reshape(-1, 2 + n).tobytes() == rows.tobytes()
+
+
+def test_double_runs_write_byte_identical_fields(tmp_path):
+    cfg = write_cfg(tmp_path, SIN_CFG)
+    for name in ("a", "b"):
+        assert main(["double", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a" / "u.npy").read_bytes() == (tmp_path / "b" / "u.npy").read_bytes()
+    m1, m2 = (json.loads((tmp_path / name / "manifest.json").read_text()) for name in "ab")
+    assert m1["artifacts"] == m2["artifacts"]
+
+
+def _shifted_x1_in_one_row(table):
+    # x1 stays strictly increasing down the first x2 column
+    table[3, 5, 0] += 0.5 * (table[4, 0, 0] - table[3, 0, 0])
+    return table
+
+
+# each makes the new u.npy, an array or raw bytes, from the run's table and
+# names what verify reports
+BAD_FIELDS = {
+    "not_a_tensor_grid": (_shifted_x1_in_one_row, "not a tensor grid"),
+    "one_x2_node": (lambda table: table[:, :1], "not a tensor grid"),
+    "float32": (lambda table: table.astype(np.float32), "float32 array"),
+    "ndim_2": (lambda table: table.reshape(-1, table.shape[-1]),
+               "not a float64 (M, P, 2 + n) table"),
+    "object_array": (lambda table: table.astype(object), "allow_pickle=False"),
+    "empty_file": (lambda table: b"", "No data left in file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_verify_rejects_a_malformed_field_table(tmp_path, capsys, case):
+    transform, message = BAD_FIELDS[case]
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
+    bad = transform(np.load(out / "u.npy"))
+    if isinstance(bad, bytes):
+        (out / "u.npy").write_bytes(bad)
+    else:
+        np.save(out / "u.npy", bad, allow_pickle=bad.dtype == object)
+    _resign(out, "u.npy")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_verify_rejects_a_version_1_manifest(tmp_path, capsys):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["schema_version"] = 1
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert "manifest schema_version 1 is not supported" in capsys.readouterr().err
 
 
 def test_connect_is_deterministic(tmp_path):
@@ -306,6 +380,22 @@ def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, v
     cfg[section][key] = value
     out = tmp_path / "run"
     assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("connect", "defect_tol", "abc"),
+    ("connect", "defect_tol", -1e-3),
+    ("connect", "refine_well", False),
+    ("connect", "potential", {"name": "planar_two_well", "beta": "abc"}),
+    ("connect", "potential", {"name": "planar_two_well", "kappa": float("nan")}),
+    ("double", "defect_tol", "abc"),
+    ("double", "residual_tol", 0.0),
+])
+def test_bad_tolerances_and_keys_exit_before_any_work(tmp_path, command, key, value):
+    cfg = dict(CONNECT_CFG if command == "connect" else SIN_CFG, **{key: value})
+    out = tmp_path / "run"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
     assert not out.exists()
 
 
@@ -389,11 +479,16 @@ def test_counterexample_verify_reads_the_bound_slack(tmp_path):
     assert main(["verify", str(out)]) == 5
 
 
-def test_compare_runs_reports_the_numeric_artifact_difference(tmp_path, capsys):
+def _compare_runs():
     spec = importlib.util.spec_from_file_location(
         "compare_runs", Path(__file__).resolve().parent.parent / "scripts" / "compare_runs.py")
     compare_runs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_runs)
+    return compare_runs
+
+
+def test_compare_runs_reports_the_numeric_artifact_difference(tmp_path, capsys):
+    compare_runs = _compare_runs()
     run_a = _counterexample_run(tmp_path)
     run_b = tmp_path / "ce_b"
     shutil.copytree(run_a, run_b)
@@ -413,6 +508,26 @@ def test_compare_runs_reports_the_numeric_artifact_difference(tmp_path, capsys):
     assert len(out) == 2 and out[0].startswith("artifacts.boxed.tsv: ")
     assert out[0].endswith(f"(max abs difference {new - old:.3g}, "
                            f"max rel difference {(new - old) / max(old, new):.3g})")
+    assert out[1].startswith("1 difference(s)")
+
+
+def test_compare_runs_reports_the_field_table_difference(tmp_path, capsys):
+    compare_runs = _compare_runs()
+    cfg = write_cfg(tmp_path, SIN_CFG)
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    for out in (run_a, run_b):
+        assert main(["double", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert compare_runs.main([str(run_a), str(run_b)]) == 0
+    assert capsys.readouterr().out.startswith("0 difference(s)")
+    old = float(np.load(run_b / "u.npy")[16, 8, -1])
+    _nudge_field(run_b, (16, 8), 3e-12)
+    new = float(np.load(run_b / "u.npy")[16, 8, -1])
+    assert compare_runs.main([str(run_a), str(run_b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("artifacts.u.npy: ")
+    assert out[0].endswith(f"(max abs difference {abs(new - old):.3g}, "
+                           f"max rel difference {abs(new - old) / max(abs(old), abs(new)):.3g})")
     assert out[1].startswith("1 difference(s)")
 
 
@@ -491,7 +606,7 @@ def test_double_sin_run_and_verify(tmp_path):
     cfg = write_cfg(tmp_path, SIN_CFG)
     out = str(tmp_path / "dbl")
     assert main(["double", "--config", cfg, "--out", out]) == 0
-    for name in ("u.csv", "boundary_convergence.tsv", "manifest.json"):
+    for name in ("u.npy", "boundary_convergence.tsv", "manifest.json"):
         assert (tmp_path / "dbl" / name).exists()
     manifest = json.loads((tmp_path / "dbl" / "manifest.json").read_text())
     assert manifest["kind"] == "double"
@@ -633,7 +748,7 @@ def test_polish_over_its_tolerance_fails_run_and_verify(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["polish_status"] == "max_iters"
     assert manifest["results"]["polish_gmax"] > manifest["tolerances"]["polish_gtol"]
-    assert set(manifest["artifacts"]) == {"u.csv", "boundary_convergence.tsv"}
+    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.tsv"}
     assert main(["verify", str(out)]) == 5
 
 
@@ -654,7 +769,7 @@ def test_double_run_over_its_defect_tol_fails_run_and_verify(tmp_path, capsys):
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
     assert "x2 equipartition defect" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["artifacts"]) == {"u.csv", "boundary_convergence.tsv"}
+    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.tsv"}
     assert manifest["results"]["equip_defect"] > manifest["tolerances"]["defect_tol"]
     assert main(["verify", str(out)]) == 5
     assert "x2 equipartition defect" in capsys.readouterr().err
@@ -688,14 +803,8 @@ def test_verify_recomputes_the_double_residual(tmp_path, capsys):
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
-    lines = (out / "u.csv").read_text().splitlines()
     # the node at x1 index 16, x2 index 8: inside the residual margin
-    i = 2 + 16 * SIN_CFG["opts"]["n_out"] + 8
-    cells = lines[i].split(",")
-    cells[-1] = repr(float(cells[-1]) + 1e-3)
-    lines[i] = ",".join(cells)
-    (out / "u.csv").write_text("\n".join(lines) + "\n")
-    _resign(out, "u.csv")
+    _nudge_field(out, (16, 8), 1e-3)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert "interior residual max" in capsys.readouterr().err
@@ -705,14 +814,8 @@ def test_verify_recomputes_the_free_gradient(tmp_path, capsys):
     cfg = dict(SIN_CFG, residual_tol=0.05)
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    lines = (out / "u.csv").read_text().splitlines()
     # an interior node; a 1e-6 nudge moves the residual far less than residual_tol
-    i = 2 + 16 * SIN_CFG["opts"]["n_out"] + 8
-    cells = lines[i].split(",")
-    cells[-1] = repr(float(cells[-1]) + 1e-6)
-    lines[i] = ",".join(cells)
-    (out / "u.csv").write_text("\n".join(lines) + "\n")
-    _resign(out, "u.csv")
+    _nudge_field(out, (16, 8), 1e-6)
     capsys.readouterr()
     assert main(["verify", "--verbose", str(out)]) == 5
     captured = capsys.readouterr()
