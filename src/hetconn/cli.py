@@ -11,16 +11,14 @@ space comes from the config on the field's x1 grid, and the reference is the
 1D action of the field's last column, the z+ well profile, which must equal
 the ``ref_value`` the run recorded bit for bit.  Exit codes: 0 success, 2
 solver stall (connect), 3 config error (raised before any run directory is
-made), 4 checksum or schema failure (verify), 5 failing check:
-the equipartition defect over its tolerance, a double run's reference action
-not matching the recorded one, a double run whose x2 equipartition
+made), 4 checksum or schema failure (verify), 5 failing check: a connect
+run's equipartition defect over its tolerance, a double run's reference
+action not matching the recorded one, a double run whose x2 equipartition
 defect, Newton-CG gradient, residual or energy two ways missed its
-tolerance (the run writes its artifacts and manifest, then exits 5, and so
-does ``verify``, which recomputes all four from the field), or a broken
-counterexample invariant (the run and ``verify`` gate the same ones).  A
-counterexample ``verify`` recomputes every candidate length and both ends of
-every box bracket from the config, and requires the recorded ones bit for
-bit.
+tolerance, or a broken counterexample invariant.  A run writes its
+artifacts and manifest before it exits 5, and ``verify`` gates the same
+checks, recomputed from the artifacts; a counterexample ``verify`` also
+requires every recomputed candidate length and box bracket bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from . import __version__
 from .counterexample import CounterexampleWeight, nonexistence_report
 from .double_connection import (
     POLISH_GTOL,
+    RESIDUAL_MARGIN,
     DoubleOptions,
     assemble_and_verify,
     audit_translation_speed,
@@ -105,14 +104,19 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _known_keys(cfg: dict, keys: set, what: str) -> None:
+    """ConfigError naming ``what`` if ``cfg`` has a key outside ``keys``."""
+    unknown = set(cfg) - keys
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _section(cfg: dict, name: str, keys: set) -> dict:
     """The object ``cfg[name]`` ({} if absent); ConfigError if it is not one or has unknown keys."""
     section = cfg.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config field '{name}' must be an object")
-    unknown = set(section) - keys
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    _known_keys(section, keys, name)
     return section
 
 
@@ -246,11 +250,24 @@ SOLVER_KEYS = {"n_nodes", "max_iters", "grad_tol", "via_points"}
 REPARAM_KEYS = {"n_samples", "t_max", "resample", "resample_eps"}
 
 
+def _within(gates, verbose: bool) -> bool:
+    """Whether each (name, value, tolerance) of ``gates`` has value <= tolerance (NaN fails).
+
+    A failing gate is printed to stderr, a passing one to stdout if ``verbose``.
+    """
+    ok = True
+    for name, value, tol in gates:
+        passed = value <= tol
+        if verbose or not passed:
+            print(f"{name} {value:.6g} (tolerance {tol:g})",
+                  file=sys.stdout if passed else sys.stderr)
+        ok = ok and passed
+    return ok
+
+
 def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
-    unknown = set(cfg) - CONNECT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown connect config keys: {sorted(unknown)}")
+    _known_keys(cfg, CONNECT_KEYS, "connect config")
     defect_tol = _positive(cfg, "defect_tol", 1e-3)
     p = _build_potential(_require(cfg, "potential"))
     wells_raw = _require(cfg, "wells")
@@ -357,25 +374,31 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     if verbose:
         print(f"wrote {out_dir}: action {conn.action:.9g}, "
               f"defect {conn.equipartition_defect:.3g}")
+    if not _within([("equipartition defect", conn.equipartition_defect, defect_tol)], verbose):
+        return EXIT_EQUIPARTITION
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # double
 
+# the settable keys of a double config; beta, kappa and s_max are planar only
+DOUBLE_KEYS = {"schema_version", "example", "mode", "beta", "kappa", "s_max", "m", "opts",
+               "defect_tol", "residual_tol"}
+# the fewest nodes per field axis that leave one node inside the residual margin
+MIN_FIELD_NODES = 2 * RESIDUAL_MARGIN + 1
+
 
 def _build_double_space(cfg: dict):
     example = _require(cfg, "example")
     if example == "sin":
-        return sin_example_space(m=_integer(cfg, "m", 257, 3))
+        return sin_example_space(m=_integer(cfg, "m", 257, MIN_FIELD_NODES))
     if example == "planar":
         return planar_effective_space(
             beta=_positive(cfg, "beta", 1.0),
             kappa=_positive(cfg, "kappa", 1.0),
             s_max=_positive(cfg, "s_max", 8.0),
-            m=_integer(cfg, "m", 401, 3),
-            symmetry=cfg.get("symmetry", "odd_first"),
-            quotient=cfg.get("quotient", "none"),
+            m=_integer(cfg, "m", 401, MIN_FIELD_NODES),
         )
     raise ConfigError(f"unknown double example '{example}'")
 
@@ -387,30 +410,29 @@ def _double_shell(cfg: dict, grid: np.ndarray):
         return sin_shell(grid)
     if example == "planar":
         return planar_shell(
-            grid, beta=_positive(cfg, "beta", 1.0), kappa=_positive(cfg, "kappa", 1.0),
-            symmetry=cfg.get("symmetry", "odd_first"),
-        )
+            grid, beta=_positive(cfg, "beta", 1.0), kappa=_positive(cfg, "kappa", 1.0))
     raise ConfigError(f"unknown double example '{example}'")
 
 
-def cmd_double(cfg: dict, out_dir: str, mode: str | None, verbose: bool) -> int:
+def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
-    mode = mode or cfg.get("mode", "sym")
+    _known_keys(cfg, DOUBLE_KEYS, "double config")
+    mode = cfg.get("mode", "sym")
     if mode not in ("sym", "asym"):
-        raise ConfigError(f"mode must be 'sym' or 'asym', got {mode!r}")
-    if mode == "asym" and cfg.get("quotient") != "translations":
-        raise ConfigError(
-            "config field 'quotient' must be 'translations' for mode=asym"
-        )
+        raise ConfigError(f"config field 'mode' must be 'sym' or 'asym', got {mode!r}")
+    # translations act on whole-line profiles only
+    if mode == "asym" and cfg.get("example") != "planar":
+        raise ConfigError("config field 'mode' is 'asym', which needs example 'planar'")
     defect_tol = _positive(cfg, "defect_tol", 5e-2)
     residual_tol = _positive(cfg, "residual_tol", 5e-2)
+    opts_cfg = _section(cfg, "opts", set(DoubleOptions.__dataclass_fields__))
+    default = DoubleOptions()
+    opts = DoubleOptions(
+        path_nodes=_integer(opts_cfg, "path_nodes", default.path_nodes, 3, "opts."),
+        n_out=_integer(opts_cfg, "n_out", default.n_out, MIN_FIELD_NODES, "opts."),
+        t_max=_positive(opts_cfg, "t_max", default.t_max, "opts."),
+    )
     space = _build_double_space(cfg)
-    opts_cfg = dict(cfg.get("opts", {}))
-    allowed = set(DoubleOptions.__dataclass_fields__)
-    unknown = set(opts_cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown opts keys: {sorted(unknown)}")
-    opts = DoubleOptions(**opts_cfg)
     if verbose:
         print(f"solving {cfg['example']} example, mode={mode}")
     result = (
@@ -503,20 +525,13 @@ def _double_within_tolerance(res, defect: float, gmax: float, status: str, toler
     ``status`` is the Newton-CG's, for the message.
     """
     two_ways = abs(res.energy_direct - res.energy_path) / max(abs(res.energy_path), 1e-300)
-    ok = True
-    for name, value, tol in (
+    return _within([
         ("x2 equipartition defect", defect, tolerances["defect_tol"]),
         (f"Newton-CG {status}: max free gradient",
          gmax, tolerances["polish_gtol"]),
         ("interior residual max", res.residual_max, tolerances["residual_tol"]),
         ("energy two ways, relative gap", two_ways, tolerances["energy_two_ways_rel"]),
-    ):
-        passed = value <= tol
-        if verbose or not passed:
-            print(f"{name} {value:.6g} (tolerance {tol:g})",
-                  file=sys.stdout if passed else sys.stderr)
-        ok = ok and passed
-    return ok
+    ], verbose)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +552,7 @@ def _counterexample_setup(cfg: dict):
     ``radii`` must be a non-empty, strictly increasing list of finite
     numbers > 0, ``n_max`` an integer >= 1 and ``g.p`` finite and > 1.
     """
-    unknown = set(cfg) - COUNTER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown counterexample config keys: {sorted(unknown)}")
+    _known_keys(cfg, COUNTER_KEYS, "counterexample config")
     gcfg = cfg.get("g", {"type": "power", "p": 2.0})
     if not isinstance(gcfg, dict) or gcfg.get("type") != "power":
         raise ConfigError("config field 'g' supports {'type': 'power', 'p': >1}")
@@ -642,10 +655,7 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
     kv = wspace.weight_at(midpoints(curve))
     defect = float(np.max(equipartition(curve, wspace.space, 0.5 * kv * kv)[1]))
     tol = manifest["tolerances"]["defect_tol"]
-    # a NaN defect fails the gate too
-    if verbose or not defect <= tol:
-        print(f"equipartition defect {defect:.6g} (tolerance {tol:g})")
-    if not defect <= tol:
+    if not _within([("equipartition defect", defect, tol)], verbose):
         return EXIT_EQUIPARTITION
     sd = second_difference_bound(curve, p.hessian_lower_bound)
     if verbose:
@@ -746,8 +756,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config")
     common.add_argument("--out", help="run directory for artifacts")
-    common.add_argument("--mode", choices=("sym", "asym"),
-                        help="double-connection mode (overrides config)")
     common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("connect", parents=[common],
@@ -776,7 +784,7 @@ def main(argv=None) -> int:
         if args.command == "connect":
             return cmd_connect(cfg, out_dir, args.verbose)
         if args.command == "double":
-            return cmd_double(cfg, out_dir, args.mode, args.verbose)
+            return cmd_double(cfg, out_dir, args.verbose)
         if args.command == "counterexample":
             return cmd_counterexample(cfg, out_dir, args.verbose)
     except ConfigError as exc:

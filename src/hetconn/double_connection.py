@@ -6,13 +6,14 @@ the equipartition of the effective weight, assembles into a 2D field
 u(x1, x2) = path(x2)(x1) that solves the Euler-Lagrange system of the summed
 energy.  The solve takes the straight blend of z- and z+, reparametrizes it
 to equipartition, and minimizes the discrete 2D energy of the assembled
-field by a pinned Newton-CG.  The symmetric solver enforces an odd first
-component in x1 by projection; the asymmetric solver works in the
-translation quotient instead and tracks the per-column optimal shift.
+field by a pinned Newton-CG.  The symmetric solver (``mode`` "sym") keeps
+the first component odd in x1 by projection where the fixture has that
+symmetry; the asymmetric one ("asym") works in the quotient by
+x1-translations of whole-line profiles and tracks the per-column shift.
 
 The module also carries the two stock fixtures: the planar two-well family
-(whole line, tails, twin channel connections) and the scalar sine problem on
-a strip (pinned boundary, explicit position-dependent density).
+(whole line, tails, twin channel connections, W even in u1) and the scalar
+sine problem on a strip (pinned boundary, explicit position-dependent density).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ POLISH_STEPS = 50
 POLISH_GTOL = 1e-7
 # End grading of the seed path's resample before its equipartition.
 RESAMPLE_EPS = 1e-4
+# Cells on each side of the field that the interior residual leaves out.
+RESIDUAL_MARGIN = 5
 
 
 @dataclass
@@ -338,17 +341,16 @@ def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None =
 
 
 def solve_asymmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None = None):
-    """Profile path solver in the translation quotient (no symmetry).
+    """Profile path solver in the quotient by x1-translations (no projection).
 
-    Requires quotient mode "translations".  The pipeline is the symmetric
-    one without the projection; the per-column optimal shift m(x2) is
-    tracked on the final field, and its end averages estimate the limit
-    shifts c-, c+.
+    Translations act only on whole-line profiles, so the space must have
+    ``bc`` "tails".  The pipeline is the symmetric one without the
+    projection; the per-column optimal shift m(x2) is tracked on the final
+    field, and its end averages estimate the limit shifts c-, c+.
     """
-    opts = opts or DoubleOptions()
-    if space.quotient != "translations":
-        raise ValueError("asymmetric solve needs quotient mode 'translations'")
-    return _solve_common(space, opts, "asym")
+    if space.bc != "tails":
+        raise ValueError(f"asymmetric solve needs a whole-line space, not bc {space.bc!r}")
+    return _solve_common(space, opts or DoubleOptions(), "asym")
 
 
 class TranslationSpeedAudit(NamedTuple):
@@ -435,12 +437,13 @@ def field_residuals(space, u: np.ndarray, dt: float, margin: int) -> FieldResidu
     return FieldResiduals(residual_max, residual_l2, energy_direct, energy_path)
 
 
-def assemble_and_verify(result: DoubleConnectionResult, margin: int = 5) -> DoubleReport:
+def assemble_and_verify(result: DoubleConnectionResult,
+                        margin: int = RESIDUAL_MARGIN) -> DoubleReport:
     """Residual and limit checks on the assembled field.
 
     The residual and the energy two ways come from ``field_residuals``.
     Limit gaps compare the end columns against the stored well profiles,
-    shifted by the tracked limits in quotient mode.
+    shifted by the tracked limits in the asymmetric mode.
     """
     space = result.space
     u = result.u
@@ -480,8 +483,6 @@ def planar_effective_space(
     kappa: float = 1.0,
     s_max: float = 8.0,
     m: int = 401,
-    symmetry: str = "odd_first",
-    quotient: str = "none",
 ) -> EffectivePotentialSpace:
     """Effective space for the planar two-well family on the window [-s_max, s_max].
 
@@ -492,13 +493,10 @@ def planar_effective_space(
     component.  The reference value is their common discrete action.
     """
     grid = np.linspace(-s_max, s_max, m)
-    space = planar_shell(grid, beta=beta, kappa=kappa, symmetry=symmetry, quotient=quotient)
+    space = planar_shell(grid, beta=beta, kappa=kappa)
     vals = np.column_stack([np.tanh(grid), math.sqrt(kappa) / np.cosh(grid)])
     vals[0], vals[-1] = space.tail_left, space.tail_right
-    saved_sym = space.symmetry
-    space.symmetry = "odd_first"
     z_plus_vals, e_plus = space.relax_profile(vals)
-    space.symmetry = saved_sym
     z_minus_vals = z_plus_vals.copy()
     z_minus_vals[:, 1] *= -1.0
     space.ref_value = e_plus
@@ -507,17 +505,14 @@ def planar_effective_space(
     return space
 
 
-def planar_shell(
-    grid: np.ndarray,
-    beta: float = 1.0,
-    kappa: float = 1.0,
-    symmetry: str = "none",
-    quotient: str = "none",
-) -> EffectivePotentialSpace:
+def planar_shell(grid: np.ndarray, beta: float = 1.0,
+                 kappa: float = 1.0) -> EffectivePotentialSpace:
     """The planar two-well effective space on ``grid``, without well profiles.
 
-    Its reference is zero until the wells are known; ``planar_effective_space``
-    completes it, and ``hetconn verify`` rebuilds it from a run's grid.
+    W is even in u1, so the space has symmetry "odd_first" and ``grid`` must
+    be symmetric about zero.  Its reference is zero until the wells are
+    known; ``planar_effective_space`` completes it, and ``hetconn verify``
+    rebuilds it from a run's grid.
     """
     p = planar_two_well(beta=beta, kappa=kappa)
     return EffectivePotentialSpace(
@@ -527,8 +522,7 @@ def planar_shell(
         potential=p,
         tail_left=p.wells[0],
         tail_right=p.wells[1],
-        symmetry=symmetry,
-        quotient=quotient,
+        symmetry="odd_first",
         lam=p.hessian_lower_bound,
     )
 
@@ -578,6 +572,5 @@ def sin_shell(grid: np.ndarray) -> EffectivePotentialSpace:
         density_grad=density_grad,
         density_hess=density_hess,
         symmetry="none",
-        quotient="none",
         lam=-5.0,
     )

@@ -14,8 +14,8 @@ otherwise.  In the paper they supply the compactness of the existence
 proof; here they are a library audit, not a solver stage: projecting a
 profile radially onto the funnel tube never raises its action (within
 quadrature slack), and the tests check that directly.  Mollification and
-optimal-translation fitting round out the toolbox for the
-translation-quotient pipeline.
+optimal-translation fitting round out the toolbox for the double solve in
+the quotient by x1-translations (``mode`` "asym").
 
 One pinned truncated Newton-CG (``pinned_newton_cg``) relaxes the well
 profiles (``EffectivePotentialSpace.relax_profile``) and polishes the 2D
@@ -516,7 +516,6 @@ class EffectivePotentialSpace:
     tail_right: np.ndarray | None = None
     ref_value: float = 0.0
     symmetry: str = "none"
-    quotient: str = "none"
     z_minus: GridFunction | None = None
     z_plus: GridFunction | None = None
     lam: float = 0.0
@@ -527,8 +526,6 @@ class EffectivePotentialSpace:
             raise ValueError("need a pointwise potential or an explicit density")
         if self.symmetry not in ("none", "odd_first"):
             raise ValueError(f"unknown symmetry mode {self.symmetry!r}")
-        if self.quotient not in ("none", "translations"):
-            raise ValueError(f"unknown quotient mode {self.quotient!r}")
         if self.symmetry == "odd_first" and not np.allclose(
             self.grid, -self.grid[::-1], atol=1e-9 * max(1.0, abs(self.grid[-1]))
         ):

@@ -35,11 +35,6 @@ def planar_space():
 
 
 @pytest.fixture(scope="session")
-def quotient_space():
-    return planar_effective_space(m=401, quotient="translations")
-
-
-@pytest.fixture(scope="session")
 def boxed_seed():
     """Three-leg polyline P- -> (0.99 R, -1) -> (0.99 R, 1) -> P+ of the
     counterexample, ``n_leg`` segments per horizontal leg and twice as many

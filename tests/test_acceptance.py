@@ -295,11 +295,11 @@ def test_criterion_6_sin_example_field():
     )
 
 
-def test_criterion_7_quotient_translation_speed(quotient_space):
+def test_criterion_7_quotient_translation_speed(planar_space):
     opts6 = DoubleOptions(n_out=129, t_max=6.0)
     opts12 = DoubleOptions(n_out=129, t_max=12.0)
-    res6 = solve_asymmetric(quotient_space, opts6)
-    res12 = solve_asymmetric(quotient_space, opts12)
+    res6 = solve_asymmetric(planar_space, opts6)
+    res12 = solve_asymmetric(planar_space, opts12)
     a6 = audit_translation_speed(res6)
     a12 = audit_translation_speed(res12)
 

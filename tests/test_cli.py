@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -81,6 +82,31 @@ def test_verify_catches_tampering(tmp_path):
     with open(tmp_path / "run" / "curve.csv", "a") as fh:
         fh.write("0,0,0\n")
     assert main(["verify", out]) == 4
+
+
+def test_connect_run_over_its_defect_tol_fails_run_and_verify(tmp_path, capsys):
+    cfg = dict(CONNECT_CFG, defect_tol=1e-12)
+    out = tmp_path / "run"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
+    assert "equipartition defect" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) == {"curve.csv", "plot_components.tsv", "plot_defect.tsv"}
+    assert manifest["results"]["equipartition_defect"] > manifest["tolerances"]["defect_tol"]
+    assert main(["verify", str(out)]) == 5
+    assert "equipartition defect" in capsys.readouterr().err
+
+
+def test_connect_run_with_a_nan_defect_fails(tmp_path, monkeypatch, capsys):
+    reparam = hetconn.cli.reparam_equipartition
+
+    def nan_defect(*args, **kwargs):
+        return dataclasses.replace(reparam(*args, **kwargs), equipartition_defect=float("nan"))
+
+    monkeypatch.setattr(hetconn.cli, "reparam_equipartition", nan_defect)
+    out = tmp_path / "run"
+    assert main(["connect", "--config", write_cfg(tmp_path, CONNECT_CFG), "--out", str(out)]) == 5
+    assert "equipartition defect nan" in capsys.readouterr().err
+    assert (out / "manifest.json").exists()
 
 
 def test_verify_rechecks_the_defect(tmp_path):
@@ -391,6 +417,19 @@ def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, v
     ("connect", "potential", {"name": "planar_two_well", "kappa": float("nan")}),
     ("double", "defect_tol", "abc"),
     ("double", "residual_tol", 0.0),
+    ("double", "symmetry", "odd_first"),
+    ("double", "quotient", "translations"),
+    ("double", "mode", "asym"),
+    ("double", "mode", "both"),
+    ("double", "m", 5),
+    ("double", "m", 10),
+    ("double", "opts", [1]),
+    ("double", "opts", "abc"),
+    ("double", "opts", {"n_out": 17.0}),
+    ("double", "opts", {"n_out": 5}),
+    ("double", "opts", {"path_nodes": 2}),
+    ("double", "opts", {"t_max": float("nan")}),
+    ("double", "opts", {"t_max": 0.0}),
 ])
 def test_bad_tolerances_and_keys_exit_before_any_work(tmp_path, command, key, value):
     cfg = dict(CONNECT_CFG if command == "connect" else SIN_CFG, **{key: value})
@@ -674,7 +713,7 @@ print(json.dumps({"codes": codes, "values": [gap, line, ball, tail],
 
 
 def test_every_command_and_audit_runs_without_scipy(tmp_path):
-    asym = dict(PLANAR_CFG, mode="asym", quotient="translations")
+    asym = dict(PLANAR_CFG, mode="asym")
     calls = []
     for command, name, cfg in (("connect", "conn", CONNECT_CFG), ("double", "sin", SIN_CFG),
                                ("double", "sym", PLANAR_CFG), ("double", "asym", asym),
@@ -829,13 +868,21 @@ def test_shipped_double_configs_build_their_options():
     assert len(doubles) == 3
     for cfg in doubles:
         # the keys cmd_double accepts
+        assert set(cfg) <= hetconn.cli.DOUBLE_KEYS
         assert set(cfg["opts"]) <= set(hetconn.DoubleOptions.__dataclass_fields__)
         hetconn.DoubleOptions(**cfg["opts"])
 
 
-def test_double_asym_needs_quotient(tmp_path):
-    bad = dict(SIN_CFG)
-    assert main(["double", "--config", write_cfg(tmp_path, bad), "--mode", "asym"]) == 3
+def test_double_asym_needs_the_planar_example(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, dict(SIN_CFG, mode="asym"))
+    assert main(["double", "--config", cfg, "--out", str(out)]) == 3
+    assert "needs example 'planar'" in capsys.readouterr().err
+    assert not out.exists()
+    # the config's mode is the one switch: there is no flag to override it
+    with pytest.raises(SystemExit):
+        main(["double", "--help"])
+    assert "--mode" not in capsys.readouterr().out
 
 
 def test_double_rejects_unknown_opts(tmp_path):

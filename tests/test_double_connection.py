@@ -85,13 +85,14 @@ def test_symmetric_solve_verifies(planar_space):
     assert report.equip_defect < 0.2
 
 
-def test_asymmetric_needs_the_quotient(planar_space):
-    with pytest.raises(ValueError):
-        solve_asymmetric(planar_space, SMALL)
+def test_asymmetric_needs_a_whole_line_space():
+    # translations do not act on the sine strip's pinned profiles
+    with pytest.raises(ValueError, match="whole-line"):
+        solve_asymmetric(sin_example_space(m=33), SMALL)
 
 
-def test_asymmetric_solve_tracks_shifts(quotient_space):
-    result = solve_asymmetric(quotient_space, SMALL)
+def test_asymmetric_solve_tracks_shifts(planar_space):
+    result = solve_asymmetric(planar_space, SMALL)
     assert result.mode == "asym"
     assert result.m_track is not None and result.m_track.size == 33
     assert abs(result.c_minus) < 0.1
@@ -102,10 +103,10 @@ def test_asymmetric_solve_tracks_shifts(quotient_space):
     assert np.isfinite(audit.max_ratio)
 
 
-def test_quotient_does_no_work_on_the_symmetric_fixture(quotient_space):
+def test_quotient_does_no_work_on_the_symmetric_fixture(planar_space):
     # from the blend of the mirror wells the unprojected Newton field tracks
     # no translation at all
-    asym = solve_asymmetric(quotient_space, SMALL)
+    asym = solve_asymmetric(planar_space, SMALL)
     assert asym.c_minus == 0.0 and asym.c_plus == 0.0
     assert asym.diagnostics["m_total_variation"] == 0.0
 
@@ -126,7 +127,7 @@ def test_double_solves_run_no_path_descent(monkeypatch):
     # the fixtures are built inside the counted region: their wells come
     # from a Newton relaxation, not a geodesic descent
     solve_symmetric(planar_effective_space(), SMALL)
-    solve_asymmetric(planar_effective_space(quotient="translations"), SMALL)
+    solve_asymmetric(planar_effective_space(), SMALL)
     solve_symmetric(sin_example_space(m=33), SMALL)
     assert calls == []
 
