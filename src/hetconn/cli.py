@@ -382,25 +382,23 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
 # ---------------------------------------------------------------------------
 # double
 
-# the settable keys of a double config; beta, kappa and s_max are planar only
-DOUBLE_KEYS = {"schema_version", "example", "mode", "beta", "kappa", "s_max", "m", "opts",
-               "defect_tol", "residual_tol"}
+# the settable keys of a double config, per example: the planar potential's are its own
+DOUBLE_KEYS = {"sin": {"schema_version", "example", "mode", "m", "opts", "defect_tol",
+                       "residual_tol"}}
+DOUBLE_KEYS["planar"] = DOUBLE_KEYS["sin"] | {"beta", "kappa", "s_max"}
 # the fewest nodes per field axis that leave one node inside the residual margin
 MIN_FIELD_NODES = 2 * RESIDUAL_MARGIN + 1
 
 
 def _build_double_space(cfg: dict):
-    example = _require(cfg, "example")
-    if example == "sin":
+    if cfg["example"] == "sin":
         return sin_example_space(m=_integer(cfg, "m", 257, MIN_FIELD_NODES))
-    if example == "planar":
-        return planar_effective_space(
-            beta=_positive(cfg, "beta", 1.0),
-            kappa=_positive(cfg, "kappa", 1.0),
-            s_max=_positive(cfg, "s_max", 8.0),
-            m=_integer(cfg, "m", 401, MIN_FIELD_NODES),
-        )
-    raise ConfigError(f"unknown double example '{example}'")
+    return planar_effective_space(
+        beta=_positive(cfg, "beta", 1.0),
+        kappa=_positive(cfg, "kappa", 1.0),
+        s_max=_positive(cfg, "s_max", 8.0),
+        m=_integer(cfg, "m", 401, MIN_FIELD_NODES),
+    )
 
 
 def _double_shell(cfg: dict, grid: np.ndarray):
@@ -416,12 +414,15 @@ def _double_shell(cfg: dict, grid: np.ndarray):
 
 def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
-    _known_keys(cfg, DOUBLE_KEYS, "double config")
+    example = _require(cfg, "example")
+    if not isinstance(example, str) or example not in DOUBLE_KEYS:
+        raise ConfigError(f"unknown double example {example!r}")
+    _known_keys(cfg, DOUBLE_KEYS[example], f"{example} double config")
     mode = cfg.get("mode", "sym")
     if mode not in ("sym", "asym"):
         raise ConfigError(f"config field 'mode' must be 'sym' or 'asym', got {mode!r}")
     # translations act on whole-line profiles only
-    if mode == "asym" and cfg.get("example") != "planar":
+    if mode == "asym" and example != "planar":
         raise ConfigError("config field 'mode' is 'asym', which needs example 'planar'")
     defect_tol = _positive(cfg, "defect_tol", 5e-2)
     residual_tol = _positive(cfg, "residual_tol", 5e-2)
@@ -434,7 +435,7 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
     )
     space = _build_double_space(cfg)
     if verbose:
-        print(f"solving {cfg['example']} example, mode={mode}")
+        print(f"solving {example} example, mode={mode}")
     result = (
         solve_asymmetric(space, opts) if mode == "asym"
         else solve_symmetric(space, opts)

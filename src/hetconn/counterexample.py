@@ -14,11 +14,10 @@ The default g(s) = s^(-2) beyond 1 (extended linearly below) keeps every
 reference value in closed form: G(t) = t^2/2 then 3/2 - 1/t, G(inf) = 3/2,
 infimum 3.  A custom g is tabulated by the trapezoid rule on [0, 1e4].
 
-One batched, adaptive 21-point Gauss-Kronrod rule with QUADPACK's nodes,
-weights, error estimate and default tolerances gives the weighted lengths
-of straight segments (the candidate legs, any polyline, split at the kinks
-of K) and a custom g's integrals past its table; each refinement round
-evaluates the integrands once on every active panel.
+The package's batched, adaptive 21-point Gauss-Kronrod rule
+(``metric.adaptive_qk21``) gives the weighted lengths of straight segments
+(the candidate legs, any polyline, split at the kinks of K) and a custom
+g's integrals past its table.
 
 Each box |x| <= R is bracketed without a descent: the crossing bound at R
 below, the candidate through x = R above.
@@ -31,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metric import EuclideanSpace, WeightedSpace
+from .metric import EuclideanSpace, WeightedSpace, adaptive_qk21, segment_k_lengths
 
 P_MINUS = np.array([0.0, -1.0])
 P_PLUS = np.array([0.0, 1.0])
@@ -120,7 +119,7 @@ class CounterexampleWeight:
     def _g_integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """int_lo^hi g for each pair of ends, by the adaptive rule of the legs."""
         width = hi - lo
-        return _adaptive_qk21(
+        return adaptive_qk21(
             lambda item, t: self.g(lo[item, None] + t * width[item, None]) * width[item, None],
             [[0.0, 1.0]] * len(lo),
             lambda i: f"the integral of g over [{lo[i]:g}, {hi[i]:g}]",
@@ -231,128 +230,16 @@ def crossing_lower_bound(x0: float, w: CounterexampleWeight) -> float:
     return 2.0 * (2.0 * w.g_infinity - w.big_g(abs(x0)))
 
 
-# QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
-# centre last) with their weights, and the weights of the embedded 10-point
-# Gauss rule, whose nodes are the odd-indexed abscissae
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208850201301, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173952828133546,
-])
-# the rule on [-1, 1] in ascending node order
-_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
-_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
-_GK_GAUSS = np.zeros(21)
-_GK_GAUSS[1:20:2] = np.concatenate([_WG, _WG[::-1]])
-# QUADPACK's default epsabs = epsrel (those of scipy's quad), and a subinterval limit
-_QUAD_TOL = 1.49e-8
-_QUAD_LIMIT = 400
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-
-
-def _qk21(f, half):
-    """QUADPACK qk21 on a batch of panels: (value, error estimate).
-
-    ``f`` holds the integrand at ``_GK_NODES`` of each panel, shape (p, 21),
-    and ``half`` the panel half-widths.  The error is the Gauss-Kronrod
-    difference scaled by resasc as in QUADPACK, with its roundoff floor.
-    """
-    resk = f @ _GK_KRONROD
-    resg = f @ _GK_GAUSS
-    resabs = np.abs(f) @ _GK_KRONROD * half
-    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_KRONROD * half
-    err = np.abs((resk - resg) * half)
-    # QUADPACK scales a nonzero error only; a zero one scales to zero anyway
-    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=resasc != 0.0)
-    err = np.where(resasc != 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.where(resabs > _TINY / (50.0 * _EPS),
-                   np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err
-
-
-def _adaptive_qk21(fun: Callable, edges: list, label: Callable) -> np.ndarray:
-    """Integrals over t in [0, 1] of a batch of integrands, shape (len(edges),).
-
-    ``fun(item, t)`` evaluates integrand ``item[j]`` at the points ``t[j]``,
-    shapes (p,) and (p, 21) to (p, 21).  Integrand i starts on the panels
-    between its ``edges[i]`` (0, its break points, 1), and the panels are
-    refined together: every round evaluates the 21-point Gauss-Kronrod rule
-    on all active panels with one ``fun`` call, accepts a panel whose error
-    is at most tol times its t-width, with tol = max(1.49e-8, 1.49e-8
-    |integral estimate|) (quad's default epsabs and epsrel), and bisects the
-    rest.  An integrand needing more than 400 subintervals raises
-    RuntimeError, naming it by ``label(i)``.
-    """
-    item, lo, hi = [], [], []
-    for i, item_edges in enumerate(edges):
-        item += [i] * (len(item_edges) - 1)
-        lo += item_edges[:-1]
-        hi += item_edges[1:]
-    item, lo, hi = np.array(item, dtype=int), np.array(lo), np.array(hi)
-    n_items = len(edges)
-    total = np.zeros(n_items)
-    count = np.bincount(item, minlength=n_items)
-    while item.size:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        f = fun(item, mid[:, None] + half[:, None] * _GK_NODES)
-        value, err = _qk21(f, half)
-        estimate = total + np.bincount(item, weights=value, minlength=n_items)
-        tol = np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(estimate))
-        done = err <= tol[item] * (hi - lo)
-        total += np.bincount(item[done], weights=value[done], minlength=n_items)
-        split = np.flatnonzero(~done)
-        item, lo, hi, mid = item[split], lo[split], hi[split], mid[split]
-        count += np.bincount(item, minlength=n_items)
-        if count.max() > _QUAD_LIMIT:
-            raise RuntimeError(
-                f"{label(int(np.argmax(count)))} needs more than {_QUAD_LIMIT} subintervals"
-            )
-        # each split panel becomes its two halves, in place
-        item = np.repeat(item, 2)
-        lo, hi = np.repeat(lo, 2), np.repeat(hi, 2)
-        lo[1::2] = hi[0::2] = mid
-    return total
-
-
 def _segment_lengths(w: CounterexampleWeight, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K-lengths of the straight segments from a[i] to b[i], shape (s,).
 
-    a and b are (s, 2) arrays of segment ends.  Each segment is parametrized
-    by t in [0, 1], split at its ``_quad_breaks``, and integrated by
-    ``_adaptive_qk21`` together with all the others.
+    a and b are (s, 2) arrays of segment ends.  Each segment is split at its
+    ``_quad_breaks`` and integrated by ``metric.segment_k_lengths`` together
+    with all the others.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = b - a
-    span = np.sqrt(np.einsum("ij,ij->i", d, d))
-
-    def k_along(seg, t):
-        pts = a[seg, None, :] + t[:, :, None] * d[seg, None, :]
-        return w.k(pts.reshape(-1, 2)).reshape(t.shape) * span[seg, None]
-
-    return _adaptive_qk21(
-        k_along,
-        [[0.0, *_quad_breaks(a[i], b[i]), 1.0] for i in range(len(a))],
-        lambda i: f"K-length of the segment {a[i]} -> {b[i]}",
-    )
+    return segment_k_lengths(w.k, a, b, [_quad_breaks(a[i], b[i]) for i in range(len(a))])
 
 
 def _quad_breaks(a, b):

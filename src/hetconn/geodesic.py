@@ -234,8 +234,7 @@ def remove_sigma_loops(
     """
     out = curve
     for sigma in wspace.zero_set:
-        sigma = np.asarray(sigma, dtype=float)
-        d = np.array([wspace.space.distance(p, sigma) for p in out.nodes])
+        d = wspace.space.distances(out.nodes, sigma)
         hits = np.flatnonzero(d <= hit_tol)
         if hits.size < 2:
             continue

@@ -12,10 +12,12 @@ Hessians of points stacked as (k, dim), and every built-in declares all
 three in closed form.  make_weight turns one into the weighted space
 K = sqrt(2 W), with weight and weight gradient batched the same way.
 
-The check_* helpers audit, on sampled grids, the structural hypotheses the
-method relies on: a radial lower envelope with divergent integral, the
-radial growth exponent at a well, and the strict triangle inequality between
-well distances.  They report margins; they are estimates, not proofs.
+The check_* helpers audit the structural hypotheses the method relies on
+and report margins: on sampled grids, a radial lower envelope with divergent
+integral and the radial growth exponent at a well (estimates, not proofs);
+and on the line the strict triangle inequality between well distances,
+whose distances are the exact integrals of K, computed by the package's
+adaptive Gauss-Kronrod rule.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .metric import EuclideanSpace, LastBatch, WeightedSpace
+from .metric import EuclideanSpace, LastBatch, WeightedSpace, segment_k_lengths
 
 
 class WellRefinementError(RuntimeError):
@@ -384,41 +386,43 @@ def check_sti(
     minus: np.ndarray,
     plus: np.ndarray,
     tol: float = 1e-3,
-    n_nodes: int = 201,
 ) -> StiReport:
     """Strict-triangle-inequality margins through each intermediate well.
 
-    For every well a besides the endpoints, compares the geodesic upper
-    bounds d(minus, a) + d(a, plus) against d(minus, plus).  Margins within
-    ``tol`` of zero (or negative) mark the well as breaking strictness.
-    All three distances are solver upper bounds, so the margins are
-    estimates.
+    For every well a besides the endpoints, compares d(minus, a) + d(a, plus)
+    against d(minus, plus).  Margins within ``tol`` of zero (or negative)
+    mark the well as breaking strictness.  On the line d_K(a, b) is the
+    integral of K = sqrt(2 W) between a and b, so every distance is computed
+    exactly, up to the quadrature tolerance: all of them in one
+    ``segment_k_lengths`` call (the adaptive Gauss-Kronrod rule), each
+    interval split at the declared wells strictly inside it, where K has its
+    only kinks.  Raises ValueError for a potential of dimension 2 or more,
+    where the distances need a geodesic.
     """
-    from .geodesic import SolverOptions, minimize_k_length
-
-    wspace = make_weight(p)
-    opts = SolverOptions(n_nodes=n_nodes)
-    minus = np.asarray(minus, dtype=float)
-    plus = np.asarray(plus, dtype=float)
-
-    def dist(a, b):
-        _, val, _ = minimize_k_length(wspace, a, b, opts)
-        return val
-
-    direct = dist(minus, plus)
-    margins = []
-    for w in p.wells:
-        w = np.asarray(w, dtype=float)
-        if np.linalg.norm(w - minus) < 1e-9 or np.linalg.norm(w - plus) < 1e-9:
-            continue
-        via = dist(minus, w) + dist(w, plus)
-        margins.append((w, via - direct))
+    if p.dim != 1:
+        raise ValueError(
+            f"check_sti integrates K on the line; {p.name} has dimension {p.dim}")
+    minus, plus = (np.asarray(x, dtype=float).item() for x in (minus, plus))
+    wells = [np.asarray(w, dtype=float).item() for w in p.wells]
+    vias = [w for w in wells if abs(w - minus) >= 1e-9 and abs(w - plus) >= 1e-9]
+    pairs = [(minus, plus)]
+    for w in vias:
+        pairs += [(minus, w), (w, plus)]
+    # each pair as (left, right): the direct one, then each via well's two legs
+    ends = np.sort(np.array(pairs), axis=1)
+    lengths = segment_k_lengths(
+        make_weight(p).weight_at, ends[:, :1], ends[:, 1:],
+        [sorted((w - a) / (b - a) for w in wells if a < w < b) for a, b in ends.tolist()],
+    )
+    direct = float(lengths[0])
+    margins = tuple((np.array([w]), float(via - direct))
+                    for w, via in zip(vias, lengths[1::2] + lengths[2::2]))
     if not margins:
         return StiReport(ok=True, margins=(), min_margin=np.inf, direct=direct)
     min_margin = min(m for _, m in margins)
     return StiReport(
         ok=bool(min_margin > tol),
-        margins=tuple(margins),
-        min_margin=float(min_margin),
+        margins=margins,
+        min_margin=min_margin,
         direct=direct,
     )

@@ -430,6 +430,11 @@ def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, v
     ("double", "opts", {"path_nodes": 2}),
     ("double", "opts", {"t_max": float("nan")}),
     ("double", "opts", {"t_max": 0.0}),
+    ("double", "beta", 2.0),
+    ("double", "kappa", 1.0),
+    ("double", "s_max", -1.0),
+    ("double", "example", "bogus"),
+    ("double", "example", ["sin"]),
 ])
 def test_bad_tolerances_and_keys_exit_before_any_work(tmp_path, command, key, value):
     cfg = dict(CONNECT_CFG if command == "connect" else SIN_CFG, **{key: value})
@@ -627,6 +632,27 @@ def test_counterexample_runs_no_path_descent(tmp_path, monkeypatch):
     out = str(tmp_path / "ce")
     assert main(["counterexample", "--config", str(config), "--out", out]) == 0
     assert main(["verify", out]) == 0
+
+
+def test_triple_well_connect_runs_one_descent(tmp_path, monkeypatch):
+    from hetconn import geodesic
+
+    calls = []
+    descend = geodesic.minimize_k_length
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return descend(*args, **kwargs)
+
+    # the run's own descent, and any the strict-triangle audit might import
+    monkeypatch.setattr(hetconn.cli, "minimize_k_length", counted)
+    monkeypatch.setattr(geodesic, "minimize_k_length", counted)
+    config = Path(__file__).resolve().parent.parent / "configs" / "triple_well.json"
+    out = tmp_path / "tw"
+    main(["connect", "--config", str(config), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "strict triangle inequality margin" in manifest["warnings"][0]
+    assert len(calls) == 1
 
 
 def test_counterexample_run_gates_the_tail_tolerance(tmp_path, capsys):
@@ -868,7 +894,7 @@ def test_shipped_double_configs_build_their_options():
     assert len(doubles) == 3
     for cfg in doubles:
         # the keys cmd_double accepts
-        assert set(cfg) <= hetconn.cli.DOUBLE_KEYS
+        assert set(cfg) <= hetconn.cli.DOUBLE_KEYS[cfg["example"]]
         assert set(cfg["opts"]) <= set(hetconn.DoubleOptions.__dataclass_fields__)
         hetconn.DoubleOptions(**cfg["opts"])
 

@@ -17,12 +17,8 @@ from hetconn import (
     dense_polyline_length,
     nonexistence_report,
 )
-from hetconn.counterexample import (
-    _GK_NODES,
-    _qk21,
-    _quad_breaks,
-    _segment_lengths,
-)
+from hetconn.counterexample import _quad_breaks, _segment_lengths
+from hetconn.metric import _GK_NODES, _qk21
 
 W = CounterexampleWeight()
 

@@ -130,6 +130,20 @@ def test_remove_sigma_loops_not_worse():
     assert np.allclose(cleaned.nodes[-1], c.nodes[-1])
 
 
+def test_remove_sigma_loops_distances_are_the_per_node_distances_bitwise():
+    # the detour curve of test_remove_sigma_loops_not_worse
+    ws = make_weight(triple_well())
+    xs = np.concatenate([
+        np.linspace(-1.0, 0.3, 20),
+        np.linspace(0.3, -0.2, 10),
+        np.linspace(-0.2, 1.0, 20),
+    ])
+    for sigma in ws.zero_set:
+        batched = ws.space.distances(xs[:, None], sigma)
+        per_node = np.array([ws.space.distance(p, sigma) for p in xs[:, None]])
+        assert batched.tobytes() == per_node.tobytes()
+
+
 def test_refine_nodes_keeps_value_controlled():
     p = planar_two_well()
     ws = make_weight(p)

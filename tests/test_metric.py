@@ -220,3 +220,29 @@ def test_coord_weights_are_built_once_and_read_only():
     # equal spaces stay equal and hash alike once their weights are cached
     assert GridL2Space(5, 2, 0.1) == cases[1][0]
     assert hash(GridL2Space(5, 2, 0.1)) == hash(cases[1][0])
+
+
+def test_adaptive_qk21_matches_quad_on_the_double_well_weight():
+    from scipy import integrate
+
+    from hetconn.metric import segment_k_lengths
+
+    k = make_weight(double_well()).weight_at
+    # (a, b, the well inside, where K = |1 - u^2| has its kink)
+    cases = ((-1.0, 1.0, ()), (-1.0, 0.3, ()), (0.3, 2.0, (1.0,)), (-2.5, -1.0, ()))
+    ends = np.array([[a, b] for a, b, _ in cases])
+    values = segment_k_lengths(
+        k, ends[:, :1], ends[:, 1:],
+        [[(x - a) / (b - a) for x in kinks] for a, b, kinks in cases])
+    for (a, b, kinks), value in zip(cases, values):
+        ref, _ = integrate.quad(lambda x: k(np.array([[x]]))[0], a, b, points=kinks or None)
+        assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert values[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
+
+
+def test_distances_equal_the_per_point_distance_bitwise():
+    rng = np.random.default_rng(7)
+    for space, pts in ((EuclideanSpace(3), rng.normal(size=(40, 3))),
+                       (GridL2Space(101, 2, 0.01), rng.normal(size=(6, 202)))):
+        ref = np.array([space.distance(p, pts[0]) for p in pts])
+        assert space.distances(pts, pts[0]).tobytes() == ref.tobytes()

@@ -151,3 +151,39 @@ def test_check_sti_triple_well_margin_zero():
     rep = check_sti(triple_well(), np.array([-1.0]), np.array([1.0]))
     assert not rep.ok
     assert abs(rep.min_margin) < 5e-3
+
+
+def test_check_sti_triple_well_is_exact():
+    rep = check_sti(triple_well(), np.array([-1.0]), np.array([1.0]))
+    assert abs(rep.min_margin) <= 1e-12
+    assert abs(rep.direct - 0.5) <= 1e-12
+    assert not rep.ok
+
+
+def test_check_sti_double_well_direct_distance_is_four_thirds():
+    rep = check_sti(double_well(), np.array([-1.0]), np.array([1.0]))
+    assert abs(rep.direct - 4.0 / 3.0) <= 1e-12
+
+
+def test_check_sti_well_outside_the_interval():
+    # from -1 to 0 the well at 1 is a detour of d(-1, 1) + d(1, 0) - d(-1, 0) = 1/2
+    rep = check_sti(triple_well(), np.array([-1.0]), np.array([0.0]))
+    assert abs(rep.min_margin - 0.5) <= 1e-12
+    assert rep.ok
+
+
+def test_check_sti_refuses_the_plane():
+    p = planar_two_well()
+    with pytest.raises(ValueError):
+        check_sti(p, p.wells[0], p.wells[1])
+
+
+def test_check_sti_runs_no_geodesic_descent(monkeypatch):
+    from hetconn import geodesic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_sti ran a geodesic descent")
+
+    monkeypatch.setattr(geodesic, "minimize_k_length", refuse)
+    rep = check_sti(triple_well(), np.array([-1.0]), np.array([1.0]))
+    assert not rep.ok
