@@ -6,7 +6,8 @@ Compares the manifest sections ``results``, ``tolerances``, ``config`` and
 ``warnings`` and the artifact sha256 checksums; ``runtime_seconds`` and the
 library versions are not compared.  Every value is compared by its JSON
 text, so floats must agree bit for bit and NaN equals NaN.  Prints one line
-per difference and exits 1 if there is any, 0 otherwise.  When the checksum
+per difference and exits 1 if there is any, 0 otherwise.  When two numbers
+differ, the line also gives their relative difference.  When the checksum
 of a CSV, TSV or NPY artifact differs, its line also gives the largest
 absolute and relative difference between the two numeric tables, or says
 that their shapes differ.
@@ -47,6 +48,21 @@ def _numeric_table(path):
     return _read_table(path, "\t" if suffix == ".tsv" else ",")[2]
 
 
+def number_difference(text_a, text_b) -> str | None:
+    """Relative difference of two JSON numbers, or None if either is not one.
+
+    It divides by the larger magnitude of the pair, as ``table_difference``
+    does.
+    """
+    a, b = json.loads(text_a), json.loads(text_b)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return None
+    a, b = np.float64(a), np.float64(b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = abs(a - b) / max(abs(a), abs(b))
+    return f"rel difference {rel:.3g}"
+
+
 def table_difference(path_a, path_b) -> str:
     """Largest absolute and relative difference of two CSV/TSV/NPY tables.
 
@@ -80,9 +96,11 @@ def differences(run_a, run_b) -> list[str]:
             continue
         line = f"{path}: {a} != {b}"
         name = path.removeprefix("artifacts.")
-        if (name != path and MISSING not in (a, b)
-                and Path(name).suffix in (".csv", ".tsv", ".npy")):
-            line += f" ({table_difference(Path(run_a) / name, Path(run_b) / name)})"
+        if MISSING not in (a, b):
+            if name != path and Path(name).suffix in (".csv", ".tsv", ".npy"):
+                line += f" ({table_difference(Path(run_a) / name, Path(run_b) / name)})"
+            elif (rel := number_difference(a, b)) is not None:
+                line += f" ({rel})"
         lines.append(line)
     return lines
 

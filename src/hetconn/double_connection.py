@@ -29,6 +29,7 @@ from .function_space import (
     EffectivePotentialSpace,
     optimal_translation,
     pinned_newton_cg,
+    poisson_preconditioner,
 )
 from .heteroclinic import ConnectionResult, reparam_equipartition
 from .metric import SampledCurve, k_length, trapezoid_weights
@@ -93,11 +94,11 @@ def _projects(space: EffectivePotentialSpace, mode: str) -> bool:
 def _polish_field(space, u0, dt, symmetrize, gtol):
     """Truncated Newton-CG on the discrete 2D energy; end columns and x1 edges stay pinned.
 
-    The CG is preconditioned by the shifted Poisson solve of
-    ``_poisson_preconditioner``, with each Newton step's shift from its
-    Hessian block.  Returns (field, NewtonResult).
+    The CG is preconditioned by the shifted fast Poisson solve of
+    ``poisson_preconditioner`` on x1 and x2, with each Newton step's shift
+    from its Hessian block.  Returns (field, NewtonResult).
     """
-    poisson = _poisson_preconditioner(u0.shape, space.h, dt)
+    poisson = poisson_preconditioner(u0.shape, space.h, dt)
     return pinned_newton_cg(
         lambda u: _path_energy(space, u, dt, grad=True),
         lambda u: _PathEnergyHessian(space, u, dt), u0, _field_pins(u0.shape),
@@ -176,62 +177,13 @@ class _PathEnergyHessian:
         out[:-1] -= flux
         out[1:] += flux
         out[[0, -1]] = 0.0
+        # free the x1 flux before the x2 one
+        del flux
         flux = np.diff(d, axis=1)
         flux *= self.w2
         out[:, :-1] -= flux
         out[:, 1:] += flux
         return out
-
-
-def _poisson_preconditioner(shape, h, dt):
-    """The shifted Poisson solves that precondition the field polish.
-
-    For a field of ``shape`` (M, P, n) on steps h (x1) and dt (x2), returns
-    a function of the per-component shifts sigma (n,) that gives the solve
-    r -> P^-1 r with P_c = h * dt * (L + sigma_c): L is the Dirichlet
-    Laplacian on the free (M - 2) x (P - 2) grid, the stencil part of the
-    Hessian there.  DST-I along x1 and along x2 diagonalises P exactly
-    (the fast Poisson solver of Buzbee, Golub and Nielson), with
-    eigenvalues (4/h^2) sin^2(pi j / 2(M-1)) + (4/dt^2) sin^2(pi k / 2(P-1))
-    + sigma_c.  Its sine modes are even or odd under the x1 reflection, so
-    P commutes with the pins and with the odd-first projection.  A solve
-    reads r on the free nodes only and returns zero on the pins.
-    """
-    m, p, n = shape
-    lam1 = (2.0 / h * np.sin(0.5 * math.pi * np.arange(1, m - 1) / (m - 1))) ** 2
-    lam2 = (2.0 / dt * np.sin(0.5 * math.pi * np.arange(1, p - 1) / (p - 1))) ** 2
-    # DST-I squares to (N + 1) / 2 on each axis
-    scale = 4.0 / ((m - 1) * (p - 1) * h * dt)
-
-    def dst(x, axis):
-        """DST-I of x_1..x_N along ``axis`` of a 2D array whose index 0 on
-        that axis holds zeros, negated: the imaginary part of its rfft
-        zero-padded to 2(N + 1).  The signs of a pair of transforms cancel."""
-        spec = np.fft.rfft(x, 2 * x.shape[axis], axis=axis)
-        return spec[1:-1].imag if axis == 0 else spec[:, 1:-1].imag
-
-    def at(shift):
-        inv = lam1[:, None] + lam2 + np.reshape(shift, (n, 1, 1))
-        np.divide(scale, inv, out=inv)
-
-        def psolve(r):
-            # one component at a time, through two buffers whose leading
-            # zero row (x1) or column (x2) is never written
-            out = np.zeros(shape)
-            rows = np.zeros((m - 1, p - 2))
-            cols = np.zeros((m - 2, p - 1))
-            for c in range(n):
-                rows[1:] = r[1:-1, 1:-1, c]
-                cols[:, 1:] = dst(rows, 0)
-                rows[1:] = dst(cols, 1)
-                rows[1:] *= inv[c]
-                cols[:, 1:] = dst(rows, 0)
-                out[1:-1, 1:-1, c] = dst(cols, 1)
-            return out
-
-        return psolve
-
-    return at
 
 
 def x2_defect(space, u: np.ndarray, dt: float) -> float:

@@ -304,18 +304,26 @@ def _profile_stack(values, z: GridFunction) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, z.m, z.n_components)
 
 
-def _weighted_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _weighted_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  prod: np.ndarray | None = None,
+                  total: np.ndarray | None = None) -> np.ndarray:
     """sum_j w_j sum_c a[..., j, c] b[..., j, c] over the last two axes.
 
     The components are added left to right, as np.sum adds fewer than eight
     terms, so a misfit keeps the bits of GridFunction.distance_l2 squared;
     np.sum over so short an axis is several times slower than this loop.
+    ``prod`` (a's shape, and it may be a) and ``total`` (a's shape without
+    the last axis) are optional buffers for the products and their sum.
     """
-    prod = a * b
-    total = prod[..., 0]
+    prod = np.multiply(a, b, out=prod)
+    if total is None:
+        total = prod[..., 0].copy()
+    else:
+        np.copyto(total, prod[..., 0])
     for c in range(1, prod.shape[-1]):
-        total = total + prod[..., c]
-    return np.sum(w * total, axis=-1)
+        np.add(total, prod[..., c], out=total)
+    np.multiply(w, total, out=total)
+    return np.sum(total, axis=-1)
 
 
 def translation_misfits(values, z: GridFunction, shifts) -> np.ndarray:
@@ -327,12 +335,16 @@ def translation_misfits(values, z: GridFunction, shifts) -> np.ndarray:
     """
     shifted = _translate_values(z, np.asarray(shifts, dtype=float).reshape(-1))
     w = z.quad_weights()
-    # one profile at a time: the (k, shifts, m, n) difference is too large
-    misfits = []
-    for v in _profile_stack(values, z):
-        diff = v - shifted
-        misfits.append(_weighted_dot(w, diff, diff))
-    return np.array(misfits)
+    stack = _profile_stack(values, z)
+    # one profile at a time, through one difference and one row buffer: the
+    # (k, shifts, m, n) difference is too large
+    diff = np.empty_like(shifted)
+    total = np.empty(shifted.shape[:-1])
+    misfits = np.empty((stack.shape[0], shifted.shape[0]))
+    for i, v in enumerate(stack):
+        np.subtract(v, shifted, out=diff)
+        misfits[i] = _weighted_dot(w, diff, diff, prod=diff, total=total)
+    return misfits
 
 
 def translation_objective(values, z: GridFunction, shifts):
@@ -679,10 +691,13 @@ class EffectivePotentialSpace:
 
         The trapezoid-weighted density Hessian block plus the second-difference
         stencil of the kinetic term; like the gradient, a product is zero on
-        the edge rows.
+        the edge rows.  On the free rows the Hessian is h * (B + L), with
+        B = D^2(density) and L the Dirichlet Laplacian of the stencil; the
+        product's ``shift`` holds, per component c, max(0, mean of B_cc over
+        the free rows), the shift of ``relax_profile``'s preconditioner.
         """
-        v = self._stack(values)
-        block = trapezoid_weights(self.m, self.h)[:, None, None] * self._density_hessians(v)[0]
+        hess = self._density_hessians(self._stack(values))[0]
+        block = trapezoid_weights(self.m, self.h)[:, None, None] * hess
         h = self.h
 
         def hessp(d):
@@ -691,6 +706,7 @@ class EffectivePotentialSpace:
             out[[0, -1]] = 0.0
             return out
 
+        hessp.shift = np.maximum(np.einsum("mcc->c", hess[1:-1]) / (self.m - 2), 0.0)
         return hessp
 
     def relax_profile(self, values: np.ndarray, gtol: float = 1e-10):
@@ -698,17 +714,21 @@ class EffectivePotentialSpace:
 
         Used to turn sampled connection guesses into discrete minimizers;
         returns (values, energy).  The pinned Newton-CG on ``energy_1d``,
-        odd-projected in symmetry mode "odd_first"; raises RuntimeError
-        unless it converges to ``gtol``.
+        odd-projected in symmetry mode "odd_first" and preconditioned by the
+        shifted fast Poisson solve of ``poisson_preconditioner`` along x1,
+        with each Newton step's shift from ``profile_hessp``; raises
+        RuntimeError unless it converges to ``gtol``.
         """
         values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
         project = self.symmetrize if self.symmetry == "odd_first" else None
         pinned = np.zeros(values.shape, dtype=bool)
         pinned[[0, -1]] = True
+        poisson = poisson_preconditioner(values.shape, self.h)
         out, info = pinned_newton_cg(
             lambda v: (self.energy_1d(v)[0], self.energy_1d_grad(v)[0]),
             self.profile_hessp, values if project is None else project(values), pinned,
             project=project, gtol=gtol, max_steps=RELAX_STEPS,
+            precond=lambda hessp: poisson(hessp.shift),
         )
         if info.status != "converged":
             raise RuntimeError(
@@ -733,6 +753,74 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     count.
     """
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+def poisson_preconditioner(shape, *steps):
+    """The shifted Dirichlet fast Poisson solves that precondition the Newton-CGs.
+
+    For a profile of ``shape`` (M, n) on step h, or a field (M, P, n) on
+    steps h (x1) and dt (x2), returns a function of the per-component shifts
+    sigma (n,) that gives the solve r -> P^-1 r with P_c = h (L + sigma_c),
+    or h * dt * (L + sigma_c): L is the Dirichlet Laplacian on the free
+    interior grid, the stencil part of the Hessian there.  A DST-I along
+    each grid axis diagonalises P exactly (the fast Poisson solver of
+    Buzbee, Golub and Nielson), with eigenvalues the sum over the axes of
+    (4/h^2) sin^2(pi j / 2(M-1)) plus sigma_c.  Its sine modes are even or
+    odd under the x1 reflection, so P commutes with the pins and with the
+    odd-first projection.  A solve reads r on the free nodes only and
+    returns a new array, zero on the pins.  The solves at one shift share
+    its transform buffers, so they must not run concurrently.
+    """
+    *grid, n = shape
+    modes = [(2.0 / step * np.sin(0.5 * math.pi * np.arange(1, k - 1) / (k - 1))) ** 2
+             for k, step in zip(grid, steps)]
+    # DST-I squares to (N + 1) / 2 on each axis
+    scale = 2.0 ** len(grid) / math.prod([k - 1 for k in grid] + list(steps))
+    free = tuple(slice(1, k - 1) for k in grid)
+    # per axis, the free block zero-padded to 2(N + 1) along that axis
+    padded = [tuple(2 * (k - 1) if b == a else k - 2 for b, k in enumerate(grid))
+              for a in range(len(grid))]
+
+    def at(shift):
+        lam = 0.0
+        for axis, mode in enumerate(modes):
+            lam = lam + mode.reshape((-1,) + (1,) * (len(grid) - 1 - axis))
+        inv = lam + np.reshape(shift, (n,) + (1,) * len(grid))
+        np.divide(scale, inv, out=inv)
+        # one real and one complex buffer for every transform of these solves
+        real = np.empty(max(map(math.prod, padded)))
+        spec = np.empty(math.prod(grid), dtype=complex)
+
+        def dst(axis, x):
+            """DST-I of x along ``axis``, negated, as a view of ``spec``: the
+            imaginary part of the rfft of x zero-padded to 2(N + 1) along that
+            axis.  The signs of a pair of transforms cancel."""
+            dims = padded[axis]
+            pad = real[:math.prod(dims)].reshape(dims)
+            lead = (slice(None),) * axis
+            pad[lead + (0,)] = 0.0
+            pad[lead + (slice(1, grid[axis] - 1),)] = x
+            pad[lead + (slice(grid[axis] - 1, None),)] = 0.0
+            spec_dims = dims[:axis] + (grid[axis],) + dims[axis + 1:]
+            full = np.fft.rfft(pad, axis=axis,
+                               out=spec[:math.prod(spec_dims)].reshape(spec_dims))
+            return full[lead + (slice(1, -1),)].imag
+
+        def psolve(r):
+            out = np.zeros(shape)
+            for c in range(n):
+                x = r[free + (c,)]
+                for axis in range(len(grid)):
+                    x = dst(axis, x)
+                np.multiply(x, inv[c], out=x)
+                for axis in range(len(grid)):
+                    x = dst(axis, x)
+                out[free + (c,)] = x
+            return out
+
+        return psolve
+
+    return at
 
 
 class NewtonResult(NamedTuple):
@@ -770,6 +858,8 @@ def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None):
         alpha = ry / curv
         z += alpha * d
         r += alpha * bd
+        # H d is spent; free it before the solve and the next product
+        del bd
         if math.sqrt(_dot(r, r)) <= tol:
             return z, False, j + 1
         y = psolve(r)
@@ -842,4 +932,7 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
             break
         x, e, g = x_try, e_try, reduce(g_try)
         steps += 1
+        # the step and the product's data can be as large as the iterate;
+        # free them before the next step's
+        del p, hessp
     return x, NewtonResult(steps, gmax, status, products)

@@ -575,6 +575,27 @@ def test_compare_runs_reports_the_field_table_difference(tmp_path, capsys):
     assert out[1].startswith("1 difference(s)")
 
 
+def test_compare_runs_reports_the_relative_difference_of_numbers(tmp_path):
+    compare_runs = _compare_runs()
+    results = [{"energy": 2.0, "steps": 4, "status": "converged", "ok": True, "zero": 0.0},
+               {"energy": 2.0 + 6e-9, "steps": 5, "status": "max_iters", "ok": False,
+                "zero": -0.0}]
+    runs = []
+    for i, res in enumerate(results):
+        run = tmp_path / f"run{i}"
+        run.mkdir()
+        (run / "manifest.json").write_text(json.dumps({"results": res}))
+        runs.append(run)
+    lines = compare_runs.differences(*runs)
+    assert lines == [
+        f"results.energy: 2.0 != {2.0 + 6e-9!r} (rel difference {6e-9 / (2.0 + 6e-9):.3g})",
+        "results.ok: true != false",
+        "results.status: \"converged\" != \"max_iters\"",
+        "results.steps: 4 != 5 (rel difference 0.2)",
+        "results.zero: 0.0 != -0.0 (rel difference nan)",
+    ]
+
+
 def test_counterexample_rejects_divergent_g(tmp_path):
     bad = dict(COUNTER_CFG)
     bad["g"] = {"type": "power", "p": 0.5}

@@ -19,6 +19,7 @@ from hetconn import (
     translation_objective,
 )
 from hetconn.double_connection import planar_shell
+from hetconn.function_space import poisson_preconditioner
 from hetconn.metric import trapezoid_weights
 
 S = np.linspace(-8.0, 8.0, 161)
@@ -263,6 +264,13 @@ def test_batched_misfits_equal_per_shift_translates(n_components):
     misfits = translation_misfits(v.values, z, shifts)[0]
     assert misfits.shape == shifts.shape
     assert np.array_equal(misfits, [_misfit_by_translate(v, z, m) for m in shifts])
+    # different profiles in one stack: a buffer carried over from the
+    # previous profile would show in every row after the first
+    stack = [v, z.translate(0.7), z.with_values(-base[::-1]), z.with_values(0.0 * base)]
+    misfits = translation_misfits(np.stack([p.values for p in stack]), z, shifts)
+    assert misfits.shape == (len(stack), shifts.size)
+    for row, p in zip(misfits, stack):
+        assert np.array_equal(row, [_misfit_by_translate(p, z, m) for m in shifts])
 
 
 def test_translation_objective_derivatives():
@@ -429,6 +437,50 @@ def test_profile_hessp_matches_central_differences(name):
         assert np.all(hd[[0, -1]] == 0.0)
         fd = (eps.energy_1d_grad(v + hh * d)[0] - eps.energy_1d_grad(v - hh * d)[0]) / (2 * hh)
         assert np.allclose(hd, fd, rtol=1e-6, atol=1e-7 * np.max(np.abs(fd)))
+
+
+def _quadratic_space(sigma):
+    """Density sum_c sigma_c u_c^2 / 2 on [-1, 1]: on the free rows the
+    Hessian of the 1D action is h (L + sigma_c), the stencil the solve inverts."""
+    sigma = np.asarray(sigma, dtype=float)
+    return EffectivePotentialSpace(
+        grid=np.linspace(-1.0, 1.0, 41),
+        n_components=sigma.size,
+        bc="fixed",
+        density=lambda s, v: 0.5 * np.sum(sigma * v * v, axis=-1),
+        density_grad=lambda s, v: sigma * v,
+        density_hess=lambda s, v: np.broadcast_to(np.diag(sigma), v.shape + (sigma.size,)),
+        symmetry="odd_first",
+    )
+
+
+def _free_rows_noise(shape, seed):
+    d = np.random.default_rng(seed).standard_normal(shape)
+    d[[0, -1]] = 0.0
+    return d
+
+
+def test_poisson_preconditioner_inverts_the_free_profile_stencil():
+    eps = _quadratic_space([0.3, 1.7])
+    shape = (eps.m, 2)
+    hessp = eps.profile_hessp(np.zeros(shape))
+    # the mean of sigma_c over the free rows, to rounding
+    assert np.allclose(hessp.shift, [0.3, 1.7], rtol=1e-14, atol=0.0)
+    psolve = poisson_preconditioner(shape, eps.h)(hessp.shift)
+    d = _free_rows_noise(shape, 0)
+    assert np.max(np.abs(psolve(hessp(d)) - d)) <= 1e-12 * np.max(np.abs(d))
+    back = psolve(d)
+    assert np.all(back[[0, -1]] == 0.0)
+    assert np.max(np.abs(hessp(back) - d)) <= 1e-12 * np.max(np.abs(d))
+
+
+def test_poisson_preconditioner_commutes_with_symmetrize():
+    eps = _quadratic_space([0.3, 1.7])
+    psolve = poisson_preconditioner((eps.m, 2), eps.h)(np.array([0.3, 1.7]))
+    r = _free_rows_noise((eps.m, 2), 1)
+    lhs = psolve(eps.symmetrize(r))
+    rhs = eps.symmetrize(psolve(r))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_symmetrize_is_a_projection():
