@@ -10,7 +10,9 @@ per difference and exits 1 if there is any, 0 otherwise.  When two numbers
 differ, the line also gives their relative difference.  When the checksum
 of a CSV, TSV or NPY artifact differs, its line also gives the largest
 absolute and relative difference between the two numeric tables, or says
-that their shapes differ.
+that their shapes differ; an entry's relative difference is taken against
+the largest magnitude of its column, so rounding noise in entries near zero
+reads as small as it is.
 """
 
 import json
@@ -51,8 +53,9 @@ def _numeric_table(path):
 def number_difference(text_a, text_b) -> str | None:
     """Relative difference of two JSON numbers, or None if either is not one.
 
-    It divides by the larger magnitude of the pair, as ``table_difference``
-    does.
+    It divides by the larger magnitude of the pair: a number is a column of
+    one entry, and ``table_difference`` divides by the largest magnitude of
+    a column in either table.
     """
     a, b = json.loads(text_a), json.loads(text_b)
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
@@ -67,7 +70,8 @@ def table_difference(path_a, path_b) -> str:
     """Largest absolute and relative difference of two CSV/TSV/NPY tables.
 
     Entries that compare equal, and NaN against NaN, count as no difference;
-    the relative difference divides by the larger magnitude of the pair.
+    the relative difference divides each entry's change by the largest
+    magnitude of that entry's column in either table (NaN left out).
     """
     try:
         a, b = (_numeric_table(p) for p in (path_a, path_b))
@@ -76,9 +80,10 @@ def table_difference(path_a, path_b) -> str:
     if a.shape != b.shape:
         return f"table shapes {a.shape} != {b.shape}"
     same = (a == b) | (np.isnan(a) & np.isnan(b))
-    with np.errstate(invalid="ignore"):
+    scale = np.nanmax(np.abs(np.concatenate([a, b])), axis=0, initial=0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
         gap = np.where(same, 0.0, np.abs(a - b))
-        rel = np.where(same, 0.0, gap / np.maximum(np.abs(a), np.abs(b)))
+        rel = np.where(same, 0.0, gap / scale)
     return (f"max abs difference {np.max(gap, initial=0.0):.3g}, "
             f"max rel difference {np.max(rel, initial=0.0):.3g}")
 

@@ -141,6 +141,21 @@ def _positive(cfg: dict, key: str, default: float, where: str = "") -> float:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _points(value, dim: int, field: str) -> list:
+    """``value``, a list of points of ``dim`` finite numbers each, as float arrays;
+    ConfigError naming ``field`` otherwise."""
+    if not (isinstance(value, list)
+            and all(isinstance(v, list) and len(v) == dim
+                    and all(_is_number(x) and math.isfinite(x) for x in v) for v in value)):
+        raise ConfigError(f"config field '{field}' must list points of {dim} finite "
+                          f"numbers each, got {value!r}")
+    return [np.array(v, dtype=float) for v in value]
+
+
 def _build_potential(spec) -> object:
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError("config field 'potential' needs a 'name'")
@@ -270,26 +285,19 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     _known_keys(cfg, CONNECT_KEYS, "connect config")
     defect_tol = _positive(cfg, "defect_tol", 1e-3)
     p = _build_potential(_require(cfg, "potential"))
-    wells_raw = _require(cfg, "wells")
-    try:
-        wells = [np.atleast_1d(np.asarray(v, dtype=float)) for v in wells_raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'wells' is malformed: {exc}") from exc
+    wells = _points(_require(cfg, "wells"), p.dim, "wells")
     if len(wells) != 2:
         raise ConfigError("config field 'wells' must list exactly two points")
-    if cfg.get("refine_wells", True):
-        wells = list(refine_wells(p, wells))
+    refine = cfg.get("refine_wells", True)
+    if not isinstance(refine, bool):
+        raise ConfigError(f"config field 'refine_wells' must be true or false, got {refine!r}")
     solver_cfg = _section(cfg, "solver", SOLVER_KEYS)
     rep_cfg = _section(cfg, "reparam", REPARAM_KEYS)
-    try:
-        via_points = tuple(np.asarray(v, dtype=float) for v in solver_cfg.get("via_points", []))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'solver.via_points' is malformed: {exc}") from exc
     opts = SolverOptions(
         n_nodes=_integer(solver_cfg, "n_nodes", 401, 3, "solver."),
         max_iters=_integer(solver_cfg, "max_iters", 2000, 0, "solver."),
         grad_tol=_positive(solver_cfg, "grad_tol", 1e-8, "solver."),
-        via_points=via_points,
+        via_points=tuple(_points(solver_cfg.get("via_points", []), p.dim, "solver.via_points")),
     )
     reparam = dict(
         n_samples=_integer(rep_cfg, "n_samples", 2001, 3, "reparam."),
@@ -297,6 +305,11 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         resample=_integer(rep_cfg, "resample", 4 * opts.n_nodes, 2, "reparam."),
         resample_eps=_positive(rep_cfg, "resample_eps", 1e-9, "reparam."),
     )
+    if refine:
+        # refinement merges guesses that converge to one well
+        wells = list(refine_wells(p, wells))
+        if len(wells) != 2:
+            raise ConfigError("config field 'wells' holds two guesses of the same well")
     wspace = make_weight(p)
     curve, value, trace = minimize_k_length(wspace, wells[0], wells[1], opts)
     if verbose:
@@ -429,7 +442,6 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
     opts_cfg = _section(cfg, "opts", set(DoubleOptions.__dataclass_fields__))
     default = DoubleOptions()
     opts = DoubleOptions(
-        path_nodes=_integer(opts_cfg, "path_nodes", default.path_nodes, 3, "opts."),
         n_out=_integer(opts_cfg, "n_out", default.n_out, MIN_FIELD_NODES, "opts."),
         t_max=_positive(opts_cfg, "t_max", default.t_max, "opts."),
     )
@@ -537,10 +549,6 @@ def _double_within_tolerance(res, defect: float, gmax: float, status: str, toler
 
 # ---------------------------------------------------------------------------
 # counterexample
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # the settable keys of a counterexample config

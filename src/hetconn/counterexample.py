@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metric import EuclideanSpace, WeightedSpace, adaptive_qk21, segment_k_lengths
+from .metric import adaptive_qk21, segment_k_lengths
 
 P_MINUS = np.array([0.0, -1.0])
 P_PLUS = np.array([0.0, 1.0])
@@ -148,22 +148,6 @@ class CounterexampleWeight:
         out = np.where(np.abs(y) < 1.0, -0.5 * np.pi * np.sin(np.pi * y), 0.0)
         return out if y.shape else float(out)
 
-    @staticmethod
-    def bump_second(y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(np.abs(y) <= 1.0, -0.5 * np.pi**2 * np.cos(np.pi * y), 0.0)
-        return out if y.shape else float(out)
-
-    def _g_deriv(self, s):
-        s = np.abs(np.asarray(s, dtype=float))
-        if self.g_custom is not None:
-            e = 1e-6
-            return (self.g(s + e) - self.g(np.maximum(s - e, 0.0))) / (2 * e)
-        out = np.ones_like(np.atleast_1d(s))
-        far = np.atleast_1d(s) >= 1.0
-        out[far] = -self.power * np.atleast_1d(s)[far] ** (-self.power - 1.0)
-        return out.reshape(s.shape) if s.shape else float(out[0])
-
     # -- the construction --------------------------------------------------
 
     def f(self, x, y):
@@ -187,37 +171,6 @@ class CounterexampleWeight:
         pts = np.asarray(pts, dtype=float)
         fx, fy = self.grad_f(pts[:, 0], pts[:, 1])
         return np.hypot(fx, fy)
-
-    def k_and_grad(self, pts):
-        """K (bitwise ``k``) and its gradient, zero on the zero set; shapes (k,), (k, 2)."""
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[:, 0], pts[:, 1]
-        h = self.bump(y)
-        hp = self.bump_deriv(y)
-        hpp = self.bump_second(y)
-        g = self.g(x)
-        gp = self._g_deriv(x)
-        gap = self._g_inf - self.big_g(x)
-        sx = np.sign(x)
-        fx = g * sx * (1.0 - 2.0 * h)
-        fy = 2.0 * hp * gap
-        k = np.hypot(fx, fy)
-        dfx_dx = gp * (1.0 - 2.0 * h)
-        dfx_dy = -2.0 * hp * g * sx
-        dfy_dx = -2.0 * hp * g * sx
-        dfy_dy = 2.0 * hpp * gap
-        with np.errstate(invalid="ignore", divide="ignore"):
-            kx = np.where(k > 0.0, (fx * dfx_dx + fy * dfy_dx) / k, 0.0)
-            ky = np.where(k > 0.0, (fx * dfx_dy + fy * dfy_dy) / k, 0.0)
-        return k, np.stack([kx, ky], axis=1)
-
-    def weighted_space(self) -> WeightedSpace:
-        return WeightedSpace(
-            space=EuclideanSpace(2),
-            weight=lambda pts, grad=False: self.k_and_grad(pts) if grad else self.k(pts),
-            zero_set=(np.array([0.0, -1.0]), np.array([0.0, 0.0]),
-                      np.array([0.0, 1.0])),
-        )
 
 
 def crossing_lower_bound(x0: float, w: CounterexampleWeight) -> float:

@@ -40,7 +40,9 @@ from .potentials import planar_two_well
 # largest free gradient entry it accepts as converged.
 POLISH_STEPS = 50
 POLISH_GTOL = 1e-7
-# End grading of the seed path's resample before its equipartition.
+# Nodes of the seed path (the blend of the wells) and the end grading of its
+# resample before its equipartition.
+PATH_NODES = 65
 RESAMPLE_EPS = 1e-4
 # Cells on each side of the field that the interior residual leaves out.
 RESIDUAL_MARGIN = 5
@@ -48,7 +50,6 @@ RESIDUAL_MARGIN = 5
 
 @dataclass
 class DoubleOptions:
-    path_nodes: int = 65
     n_out: int = 257
     t_max: float = 6.0
 
@@ -206,7 +207,7 @@ def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize:
     Returns (field, ConnectionResult of the reparametrization).
     """
     wspace = space.weighted_space()
-    tau = np.linspace(0.0, 1.0, opts.path_nodes)[:, None]
+    tau = np.linspace(0.0, 1.0, PATH_NODES)[:, None]
     nodes = (1.0 - tau) * space.z_minus.flatten() + tau * space.z_plus.flatten()
     if symmetrize:
         nodes = space.symmetrize(nodes)
@@ -216,7 +217,7 @@ def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize:
         wspace,
         n_samples=opts.n_out,
         t_max=opts.t_max,
-        resample=4 * opts.path_nodes,
+        resample=4 * PATH_NODES,
         resample_eps=RESAMPLE_EPS,
     )
     p_out = conn.curve.n_nodes

@@ -11,8 +11,7 @@ last accepted step, so one trial per step is the usual case and only
 rejected trials cut the step by more than half.
 Segments whose midpoint weight sits below a floor are treated as already on
 the zero set and contribute no gradient.  Loop removal excises everything
-between the first and last pass near a zero-set point, and node refinement
-splits the segments that carry the most weighted length.
+between the first and last pass near a zero-set point.
 """
 
 from __future__ import annotations
@@ -24,14 +23,7 @@ import math
 
 import numpy as np
 
-from .metric import (
-    SampledCurve,
-    WeightedSpace,
-    ZeroLengthCurveError,
-    interp_columns,
-    k_length,
-    reparametrize_constant_speed,
-)
+from .metric import SampledCurve, WeightedSpace, interp_columns, k_length
 
 
 # Backtracking line search: the first step's first trial, Armijo
@@ -54,7 +46,6 @@ class SolverOptions:
     grad_tol: float = 1e-8
     via_points: tuple = ()
     init_nodes: np.ndarray | None = None
-    reparam: str | None = "k_wedge_1"
 
 
 @dataclass
@@ -150,10 +141,11 @@ def minimize_k_length(
     Returns (curve, value, trace).  Endpoints stay pinned; accepted steps are
     monotone in energy.  The descent direction is the coordinate gradient
     preconditioned by the ambient quadrature weights, so grid-L2 spaces move
-    at the same rate as Euclidean ones.  The returned curve is
-    reparametrized to constant speed in the metric named by ``opts.reparam``
-    (d wedged with 1 by default); identical endpoints yield a two-node
-    constant curve of value zero.
+    at the same rate as Euclidean ones.  The returned curve holds the
+    descent's nodes on the uniform times ``np.linspace(0, 1, n)``: what
+    follows (loop removal, the equipartition reparametrization, the
+    weighted length) reads node positions only.  Identical endpoints yield
+    a two-node constant curve of value zero.
     """
     opts = opts or SolverOptions()
     x_minus = np.asarray(x_minus, dtype=float)
@@ -211,13 +203,6 @@ def minimize_k_length(
     trace = SolveTrace(energies=energies, status=status, n_iters=len(energies) - 1,
                        grad_norm=gnorm, n_evals=n_evals)
     curve = SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes)
-    if opts.reparam is not None:
-        try:
-            curve = reparametrize_constant_speed(
-                curve, wspace.space, metric_choice=opts.reparam, wspace=wspace
-            )
-        except ZeroLengthCurveError:
-            pass
     value = k_length(curve, wspace, rule="midpoint")
     return curve, value, trace
 
@@ -257,43 +242,3 @@ def remove_sigma_loops(
             out = candidate
     return out
 
-
-def refine_nodes(
-    curve: SampledCurve,
-    wspace: WeightedSpace,
-    target_n: int,
-    opts: SolverOptions | None = None,
-) -> SampledCurve:
-    """Split the heaviest segments until the curve has ``target_n`` nodes.
-
-    Each split inserts the geometric midpoint of the segment with the
-    largest midpoint-rule contribution.  When ``opts`` is given, one descent
-    run re-optimizes the refined polyline (seeded with it) so the weighted
-    length does not exceed the unrefined value.
-    """
-    if target_n <= curve.n_nodes:
-        return curve
-    times = list(curve.times)
-    nodes = [np.asarray(p, dtype=float) for p in curve.nodes]
-
-    def contribution(i):
-        mid = 0.5 * (nodes[i] + nodes[i + 1])
-        return float(wspace.weight_at(mid)[0]) * wspace.space.distance(
-            nodes[i], nodes[i + 1]
-        )
-
-    contrib = [contribution(i) for i in range(len(nodes) - 1)]
-    while len(nodes) < target_n:
-        i = int(np.argmax(contrib))
-        mid = 0.5 * (nodes[i] + nodes[i + 1])
-        tmid = 0.5 * (times[i] + times[i + 1])
-        nodes.insert(i + 1, mid)
-        times.insert(i + 1, tmid)
-        contrib[i] = contribution(i)
-        contrib.insert(i + 1, contribution(i + 1))
-    refined = SampledCurve(times=np.asarray(times), nodes=np.stack(nodes))
-    if opts is None:
-        return refined
-    reopts = SolverOptions(**{**opts.__dict__, "init_nodes": refined.nodes})
-    out, _, _ = minimize_k_length(wspace, refined.nodes[0], refined.nodes[-1], reopts)
-    return out

@@ -1,4 +1,4 @@
-"""Sampled curves, weighted length functionals and elementary distance bounds.
+"""Sampled curves and weighted length functionals.
 
 Curves are polylines: a strictly increasing time grid together with one
 ambient point per time.  The ambient space is either Euclidean or a uniform
@@ -30,15 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import math
 
 import numpy as np
-
-
-class ZeroLengthCurveError(ValueError):
-    """Raised when an operation needs a curve of positive length."""
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -302,35 +298,6 @@ def a_k_functional(
     return float(np.sum(terms))
 
 
-def reparametrize_constant_speed(
-    curve: SampledCurve,
-    space: AmbientSpace,
-    metric_choice: str = "d",
-    wspace: WeightedSpace | None = None,
-) -> SampledCurve:
-    """Rescale times to [0, 1] so the chosen per-segment speed is constant.
-
-    metric_choice "d" uses ambient segment lengths; "k_wedge_1" uses
-    min(K(midpoint), 1) * ambient length, which reduces to "d" when K >= 1
-    along the curve.  Nodes that do not advance the normalized time
-    (duplicates, or segments below its rounding) are dropped; a curve of
-    zero total length is an error.
-    """
-    lens = segment_lengths(curve, space)
-    if metric_choice == "k_wedge_1":
-        if wspace is None:
-            raise ValueError("k_wedge_1 reparametrization needs a weighted space")
-        lens = np.minimum(wspace.weight_at(midpoints(curve)), 1.0) * lens
-    elif metric_choice != "d":
-        raise ValueError(f"unknown metric choice {metric_choice!r}")
-    total = float(np.sum(lens))
-    if total <= 0.0:
-        raise ZeroLengthCurveError("curve has zero length in the chosen metric")
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    times, nodes = drop_tied_nodes(cum / cum[-1], curve.nodes)
-    return SampledCurve(times=times, nodes=nodes)
-
-
 # QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
 # centre last) with their weights, and the weights of the embedded 10-point
 # Gauss rule, whose nodes are the odd-indexed abscissae
@@ -454,81 +421,3 @@ def segment_k_lengths(k: Callable, a: np.ndarray, b: np.ndarray, breaks: list) -
         lambda i: f"K-length of the segment {a[i]} -> {b[i]}",
     )
 
-
-def _halton(n: int, dim: int) -> np.ndarray:
-    """The first n points of the unscrambled Halton sequence in [0, 1)^dim.
-
-    Column j is the radical inverse of 0, 1, ..., n - 1 in the j-th prime
-    base, accumulated digit by digit from the lowest, so the points equal
-    ``scipy.stats.qmc.Halton(dim, scramble=False).random(n)`` bit for bit.
-    """
-    primes, candidate = [], 2
-    while len(primes) < dim:
-        if all(candidate % q for q in primes if q * q <= candidate):
-            primes.append(candidate)
-        candidate += 1
-    bases = np.array(primes)
-    quotient = np.repeat(np.arange(n)[:, None], dim, axis=1)
-    scale = 1.0 / bases
-    out = np.zeros((n, dim))
-    while quotient.any():
-        out += (quotient % bases) * scale
-        scale /= bases
-        quotient //= bases
-    return out
-
-
-class DkLowerBound(NamedTuple):
-    value: float
-    slack: float
-    radius: float
-
-
-def dk_lower_bound(
-    x: np.ndarray, y: np.ndarray, wspace: WeightedSpace, r_samples: int = 256
-) -> DkLowerBound:
-    """Ball-infimum lower bound r * inf{K on the closed ball B(x, r)}, r = d(x,y).
-
-    The infimum is estimated by deterministic low-discrepancy sampling of the
-    ball (Halton points mapped by radial scaling, plus the center and the
-    axis-aligned boundary points).  ``slack`` is a refinement estimate: the
-    drop in the sampled minimum between the first half of the sample set and
-    the full set.  The returned value is a lower bound for the weighted
-    length of any curve joining x and y, up to that sampling slack.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = wspace.space.distance(x, y)
-    if r == 0.0:
-        return DkLowerBound(0.0, 0.0, 0.0)
-    dim = x.size
-    u = _halton(r_samples, dim)
-    # Map the unit cube onto the ball: direction from the centered cube point,
-    # radius from its sup-norm (keeps the map deterministic and surjective).
-    c = 2.0 * u - 1.0
-    sup = np.max(np.abs(c), axis=1)
-    norm = np.linalg.norm(c, axis=1)
-    good = norm > 0
-    pts = np.zeros_like(c)
-    pts[good] = c[good] / norm[good, None] * (sup[good, None] * r)
-    # Metric balls in the grid-L2 space are ellipsoids in flat coordinates;
-    # rescale so every sample stays inside the closed metric ball.
-    w = wspace.space.coord_weights
-    scale = np.sqrt(np.sum(w * pts * pts, axis=1))
-    over = scale > r
-    if np.any(over):
-        pts[over] *= (r / scale[over])[:, None]
-    pts = x[None, :] + pts
-    fixed = [x[None, :]]
-    if isinstance(wspace.space, EuclideanSpace):
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = r
-            fixed.append((x + e)[None, :])
-            fixed.append((x - e)[None, :])
-    allpts = np.concatenate(fixed + [pts], axis=0)
-    kvals = wspace.weight_at(allpts)
-    n_fixed = sum(f.shape[0] for f in fixed)
-    k_half = float(np.min(kvals[: n_fixed + r_samples // 2]))
-    k_full = float(np.min(kvals))
-    return DkLowerBound(k_full * r, k_half - k_full, r)

@@ -93,9 +93,10 @@ def test_profile_space_weight_batch_contract():
 
 
 def test_counterexample_weight_batch_contract():
-    ws = CounterexampleWeight().weighted_space()
-    pts = np.concatenate([_points(2, seed=4) * 3.0, np.stack(ws.zero_set)])
-    _assert_weight_contract(ws, pts, 2)
+    # the weight's three zeros (0, -1), (0, 0), (0, 1) among the points
+    zeros = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])
+    pts = np.concatenate([_points(2, seed=4) * 3.0, zeros])
+    _assert_batch_is_stack_of_singles(CounterexampleWeight().k, pts, (pts.shape[0],))
 
 
 def _planar_profile_space():

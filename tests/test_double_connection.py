@@ -32,7 +32,7 @@ from hetconn.function_space import pinned_newton_cg, poisson_preconditioner, tru
 from hetconn.geodesic import _energy_grad
 from hetconn.metric import trapezoid_weights
 
-SMALL = DoubleOptions(path_nodes=17, n_out=33, t_max=4.0)
+SMALL = DoubleOptions(n_out=33, t_max=4.0)
 
 
 def test_planar_space_carries_mirror_profiles(planar_space):
@@ -156,7 +156,7 @@ def test_sin_space_wells_are_sines():
 
 def test_sin_small_solve_assembles():
     space = sin_example_space(m=33)
-    opts = DoubleOptions(path_nodes=9, n_out=17, t_max=3.0)
+    opts = DoubleOptions(n_out=17, t_max=3.0)
     result = solve_symmetric(space, opts)
     assert result.u.shape == (33, 17, 1)
     assert np.max(np.abs(result.u)) < 1.5
@@ -579,7 +579,7 @@ def test_a_small_double_solve_leaves_scipy_fft_out():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from hetconn import DoubleOptions, sin_example_space, solve_symmetric; "
             "r = solve_symmetric(sin_example_space(m=33), "
-            "DoubleOptions(path_nodes=9, n_out=17, t_max=3.0)); "
+            "DoubleOptions(n_out=17, t_max=3.0)); "
             "assert r.diagnostics['polish_cg_products'] > 0; "
             "print('scipy.fft' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,

@@ -11,11 +11,9 @@ from hetconn import (
     WeightedSpace,
     k_length,
     minimize_k_length,
-    refine_nodes,
     remove_sigma_loops,
     sin_example_space,
 )
-from hetconn.counterexample import P_MINUS, P_PLUS, CounterexampleWeight
 from hetconn.function_space import EffectivePotentialSpace
 from hetconn.geodesic import (
     ARMIJO,
@@ -37,6 +35,8 @@ def test_double_well_chord_is_optimal():
     assert trace.status == "converged"
     assert value == pytest.approx(4.0 / 3.0, abs=1e-4)
     assert trace.monotone
+    # the nodes come back on uniform times
+    assert curve.times.tobytes() == np.linspace(0.0, 1.0, 401).tobytes()
 
 
 def test_n_iters_counts_accepted_steps():
@@ -144,26 +144,14 @@ def test_remove_sigma_loops_distances_are_the_per_node_distances_bitwise():
         assert batched.tobytes() == per_node.tobytes()
 
 
-def test_refine_nodes_keeps_value_controlled():
-    p = planar_two_well()
-    ws = make_weight(p)
-    opts = SolverOptions(n_nodes=31, max_iters=400,
-                         via_points=(np.array([0.0, 1.0]),))
-    curve, value, _ = minimize_k_length(ws, p.wells[0], p.wells[1], opts)
-    refined = refine_nodes(curve, ws, 61, opts=opts)
-    assert refined.n_nodes == 61
-    assert k_length(refined, ws, rule="midpoint") <= value + 1e-9
-
-
 def test_weight_floor_freezes_dead_segments():
     # nodes flanked by zero-weight segments receive no pull; only the node
-    # touching the first active segment moves (reparametrization disabled so
-    # nodes are not redistributed)
+    # touching the first active segment moves
     ws = make_weight(double_well())
     seed = np.concatenate([
         np.full(5, -1.0), np.linspace(-1.0, 1.0, 21), np.full(5, 1.0)
     ])[:, None]
-    opts = SolverOptions(init_nodes=seed, max_iters=5, reparam=None)
+    opts = SolverOptions(init_nodes=seed, max_iters=5)
     curve, _, _ = minimize_k_length(ws, np.array([-1.0]), np.array([1.0]), opts)
     assert np.allclose(curve.nodes[:4, 0], -1.0, atol=1e-12)
     assert np.allclose(curve.nodes[-4:, 0], 1.0, atol=1e-12)
@@ -315,36 +303,30 @@ def _two_pass_descent(wspace, x_minus, x_plus, opts):
     return nodes, energies, status, it, trials
 
 
-def _descent_case(name, planar_space, boxed_seed):
+def _descent_case(name, planar_space):
     """(weighted space, x_minus, x_plus, options) of a 40-iteration descent."""
     if name == "double_well":
         seed = np.linspace(-1.0, 1.0, 21)[:, None] ** 3
         return (make_weight(double_well()), np.array([-1.0]), np.array([1.0]),
-                SolverOptions(init_nodes=seed, max_iters=40, reparam=None))
+                SolverOptions(init_nodes=seed, max_iters=40))
     if name == "planar":
         p = planar_two_well()
         return (make_weight(p), p.wells[0], p.wells[1],
-                SolverOptions(n_nodes=21, max_iters=40, via_points=(np.array([0.0, 1.0]),),
-                              reparam=None))
+                SolverOptions(n_nodes=21, max_iters=40, via_points=(np.array([0.0, 1.0]),)))
     if name == "sin_profiles":
         space = sin_example_space(m=17)
         return (space.weighted_space(), space.z_minus.flatten(), space.z_plus.flatten(),
-                SolverOptions(n_nodes=9, max_iters=40, reparam=None))
-    if name == "planar_profiles":
-        space = planar_space
-        return (space.weighted_space(), space.z_minus.flatten(), space.z_plus.flatten(),
-                SolverOptions(n_nodes=9, max_iters=40, reparam=None))
-    return (CounterexampleWeight().weighted_space(), P_MINUS, P_PLUS,
-            SolverOptions(init_nodes=boxed_seed(4.0, 4), max_iters=40,
-                          grad_tol=1e-10, reparam=None))
+                SolverOptions(n_nodes=9, max_iters=40))
+    return (planar_space.weighted_space(), planar_space.z_minus.flatten(),
+            planar_space.z_plus.flatten(), SolverOptions(n_nodes=9, max_iters=40))
 
 
-DESCENT_CASES = ["double_well", "planar", "sin_profiles", "planar_profiles", "counterexample"]
+DESCENT_CASES = ["double_well", "planar", "sin_profiles", "planar_profiles"]
 
 
 @pytest.mark.parametrize("name", DESCENT_CASES)
-def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space, boxed_seed):
-    wspace, x_minus, x_plus, opts = _descent_case(name, planar_space, boxed_seed)
+def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space):
+    wspace, x_minus, x_plus, opts = _descent_case(name, planar_space)
     ref_nodes, ref_energies, ref_status, ref_iters, trials = _two_pass_descent(
         wspace, x_minus, x_plus, opts
     )
@@ -358,9 +340,9 @@ def test_descent_equals_the_two_pass_loop_bitwise(name, planar_space, boxed_seed
     assert trials > trace.n_iters
 
 
-@pytest.mark.parametrize("name", ["planar", "counterexample"])
-def test_descent_takes_one_trial_per_step_and_keeps_moving(name, boxed_seed):
-    wspace, x_minus, x_plus, opts = _descent_case(name, None, boxed_seed)
+@pytest.mark.parametrize("name", ["planar"])
+def test_descent_takes_one_trial_per_step_and_keeps_moving(name):
+    wspace, x_minus, x_plus, opts = _descent_case(name, None)
     opts = dataclasses.replace(opts, max_iters=200)
     _, _, trace = minimize_k_length(wspace, x_minus, x_plus, opts)
     assert (trace.status, trace.n_iters) == ("max_iters", 200)
@@ -369,8 +351,6 @@ def test_descent_takes_one_trial_per_step_and_keeps_moving(name, boxed_seed):
     # a first trial shrunk by the full slope ratio once let the step fall
     # below 1e-15 and froze the energy
     assert trace.energies[-1] < trace.energies[-51]
-    if name == "counterexample":
-        assert trace.energies[-1] < 2.5
 
 
 def _counting_potential(p):
@@ -386,8 +366,7 @@ def _counting_potential(p):
 def test_make_weight_evaluates_w_once_per_trial():
     p = planar_two_well()
     counted, calls = _counting_potential(p)
-    opts = SolverOptions(n_nodes=21, max_iters=40, via_points=(np.array([0.0, 1.0]),),
-                         reparam=None)
+    opts = SolverOptions(n_nodes=21, max_iters=40, via_points=(np.array([0.0, 1.0]),))
     *_, trials = _two_pass_descent(make_weight(p), p.wells[0], p.wells[1], opts)
     _, _, trace = minimize_k_length(make_weight(counted), p.wells[0], p.wells[1], opts)
     accepted = len(trace.energies) - 1

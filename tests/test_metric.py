@@ -9,16 +9,13 @@ from hetconn import (
     GridL2Space,
     SampledCurve,
     WeightedSpace,
-    ZeroLengthCurveError,
     a_k_functional,
-    dk_lower_bound,
     k_length,
     length_d,
     metric_derivative,
-    reparametrize_constant_speed,
     segment_lengths,
 )
-from hetconn.metric import trapezoid_weights
+from hetconn.metric import drop_tied_nodes, trapezoid_weights
 from hetconn.potentials import double_well, make_weight
 
 
@@ -147,64 +144,16 @@ def test_a_k_bad_subdivision():
         a_k_functional(c, ws, [0, 5])
 
 
-def test_refine_nodes_inserts_midpoint():
-    # N = 2 -> 3 inserts the midpoint on a uniform-weight segment
-    from hetconn import refine_nodes
-
-    ws = WeightedSpace(space=EuclideanSpace(1),
-                       weight=lambda x: np.ones(np.asarray(x).shape[:-1]),
-                       zero_set=())
-    c = SampledCurve(times=np.array([0.0, 1.0]), nodes=np.array([[0.0], [2.0]]))
-    out = refine_nodes(c, ws, 3)
-    assert out.n_nodes == 3
-    assert out.nodes[1, 0] == pytest.approx(1.0)
-
-
-def test_reparametrize_constant_speed_balances():
-    t = np.linspace(0.0, 1.0, 41)
-    c = SampledCurve(times=t, nodes=np.stack([t ** 3, np.zeros_like(t)], axis=1))
-    out = reparametrize_constant_speed(c, EuclideanSpace(2))
-    speeds = metric_derivative(out, EuclideanSpace(2))
-    assert np.max(speeds) / np.min(speeds) < 1.0 + 1e-6
-
-
-def test_reparametrize_drops_segments_below_rounding():
+def test_drop_tied_nodes_drops_segments_below_rounding():
     # the last segment is too short to move the cumulative length, which
-    # used to leave two equal times behind
-    c = SampledCurve(times=np.array([0.0, 1.0, 2.0]),
-                     nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-17]]))
-    out = reparametrize_constant_speed(c, EuclideanSpace(2))
-    assert np.all(np.diff(out.times) > 0.0)
-    assert out.times[0] == 0.0 and out.times[-1] == 1.0
-    assert np.array_equal(out.nodes[0], c.nodes[0])
-    assert np.array_equal(out.nodes[-1], c.nodes[-1])
-
-
-def test_reparametrize_zero_length_curve():
-    c = SampledCurve(times=np.array([0.0, 1.0]), nodes=np.zeros((2, 2)))
-    with pytest.raises(ZeroLengthCurveError):
-        reparametrize_constant_speed(c, EuclideanSpace(2))
-
-
-def test_dk_lower_bound_double_well():
-    ws = make_weight(double_well())
-    # ball small enough to avoid both wells; exact d_K by quadrature
-    bound = dk_lower_bound(np.array([-0.4]), np.array([0.0]), ws)
-    exact = 0.4 - 0.4 ** 3 / 3.0
-    assert 0.0 < bound.value <= exact + 1e-9
-    # between the wells the ball swallows a zero and the bound collapses
-    degenerate = dk_lower_bound(np.array([-1.0]), np.array([1.0]), ws)
-    assert degenerate.value == 0.0
-
-
-@pytest.mark.parametrize("dim", [1, 2, 5])
-def test_halton_points_equal_scipy_qmc(dim):
-    from scipy.stats import qmc
-
-    from hetconn.metric import _halton
-
-    reference = qmc.Halton(d=dim, scramble=False).random(256)
-    assert _halton(256, dim).tobytes() == reference.tobytes()
+    # would leave two equal positions behind
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-17]])
+    pos = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(nodes, axis=0), axis=1))])
+    kept, out = drop_tied_nodes(pos, nodes)
+    assert np.all(np.diff(kept) > 0.0)
+    assert kept[0] == 0.0 and kept[-1] == 1.0
+    assert np.array_equal(out[0], nodes[0])
+    assert np.array_equal(out[-1], nodes[-1])
 
 
 def test_coord_weights_are_built_once_and_read_only():
