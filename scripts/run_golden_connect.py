@@ -1,8 +1,9 @@
 """Solve the scalar double-well connection and verify the run artifacts.
 
-The geodesic step minimizes the weighted length with K = sqrt(2W), the
-reparametrization step balances kinetic and potential energy; for this
-potential the result must be tanh(t - t0) with action 4/3.
+On the line the K-geodesic between the wells is the segment, so the run
+needs no descent: d_K is the integral of K = sqrt(2W), and the
+equipartitioned profile inverts the time map t(u) = integral of du / K by
+quadrature.  For this potential the result must be tanh(t) with action 4/3.
 """
 
 import json
@@ -21,7 +22,7 @@ def run(out="runs/double_well"):
         return code
     results = json.loads((Path(out) / "manifest.json").read_text())["results"]
     print(f"action       {results['action']:.8f}   (4/3 = {4/3:.8f})")
-    print(f"k-length     {results['k_length_value']:.8f}")
+    print(f"d_K          {results['dk_value']:.8f}")
     print(f"defect       {results['equipartition_defect']:.3e}")
     print(f"el residual  {results['el_residual']:.3e}")
     print(f"artifacts    {out}")

@@ -4,15 +4,19 @@ Every run writes a manifest.json carrying the embedded config, library
 versions, every tolerance used, headline results, and sha256 checksums of
 the emitted artifacts.  CSV/TSV artifacts are plain text with %.17g floats;
 a double run's field is one binary ``u.npy`` table.  The pipeline draws no
-random numbers, so reruns of the same config are bit-identical.  ``verify``
-recomputes the equipartition defect from the artifacts with the same
-routines the run uses.  For a double run it builds no fixture: the effective
+random numbers, so reruns of the same config are bit-identical.  A connect
+run is a chain of legs, one per pair of adjacent wells on the line and one
+in higher dimensions, each with its own curve artifacts.  ``verify``
+recomputes each leg's equipartition defect and action from its curve with
+the same routines the run uses, and the action must equal the recorded one
+bit for bit.  For a double run it builds no fixture: the effective
 space comes from the config on the field's x1 grid, and the reference is the
 1D action of the field's last column, the z+ well profile, which must equal
 the ``ref_value`` the run recorded bit for bit.  Exit codes: 0 success, 2
 solver stall (connect), 3 config error (raised before any run directory is
 made), 4 checksum or schema failure (verify), 5 failing check: a connect
-run's equipartition defect over its tolerance, a double run's reference
+run's equipartition defect over its tolerance or a leg's action not
+matching the recorded one, a double run's reference
 action not matching the recorded one, a double run whose x2 equipartition
 defect, Newton-CG gradient, residual or energy two ways missed its
 tolerance, or a broken counterexample invariant.  A run writes its
@@ -53,10 +57,15 @@ from .double_connection import (
     x2_defect,
 )
 from .geodesic import WEIGHT_FLOOR, SolverOptions, minimize_k_length, remove_sigma_loops
-from .heteroclinic import equipartition, reparam_equipartition, verify_connection
+from .heteroclinic import (
+    equipartition,
+    line_connection,
+    line_legs,
+    reparam_equipartition,
+    verify_connection,
+)
 from .metric import SampledCurve, midpoints
 from .potentials import (
-    check_sti,
     double_well,
     make_weight,
     planar_two_well,
@@ -73,7 +82,7 @@ EXIT_EQUIPARTITION = 5
 
 # configs and run manifests carry separate schema versions
 CONFIG_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 2
+MANIFEST_SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -133,7 +142,7 @@ def _positive(cfg: dict, key: str, default: float, where: str = "") -> float:
     """``cfg[key]`` (or ``default``) as a finite float > 0."""
     try:
         value = float(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field '{where}{key}' must be a number: {exc}") from exc
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(
@@ -141,8 +150,15 @@ def _positive(cfg: dict, key: str, default: float, where: str = "") -> float:
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a JSON number (not a bool) that is finite as a float;
+    an integer too large for a float is not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _points(value, dim: int, field: str) -> list:
@@ -150,7 +166,7 @@ def _points(value, dim: int, field: str) -> list:
     ConfigError naming ``field`` otherwise."""
     if not (isinstance(value, list)
             and all(isinstance(v, list) and len(v) == dim
-                    and all(_is_number(x) and math.isfinite(x) for x in v) for v in value)):
+                    and all(_is_finite(x) for x in v) for v in value)):
         raise ConfigError(f"config field '{field}' must list points of {dim} finite "
                           f"numbers each, got {value!r}")
     return [np.array(v, dtype=float) for v in value]
@@ -258,11 +274,15 @@ def _read_field(path):
 # ---------------------------------------------------------------------------
 # connect
 
-# the settable keys of a connect config and of its solver and reparam objects
-CONNECT_KEYS = {"schema_version", "potential", "wells", "refine_wells", "solver", "reparam",
-                "defect_tol"}
+# the settable keys of a connect config and of its reparam object, per
+# dimension: the line needs no descent, so only dimension 2 and up reads the
+# solver and the resample
+CONNECT_KEYS = {1: {"schema_version", "potential", "wells", "refine_wells", "reparam",
+                    "defect_tol"}}
+CONNECT_KEYS[2] = CONNECT_KEYS[1] | {"solver"}
+REPARAM_KEYS = {1: {"n_samples", "t_max"}}
+REPARAM_KEYS[2] = REPARAM_KEYS[1] | {"resample", "resample_eps"}
 SOLVER_KEYS = {"n_nodes", "max_iters", "grad_tol", "via_points"}
-REPARAM_KEYS = {"n_samples", "t_max", "resample", "resample_eps"}
 
 
 def _within(gates, verbose: bool) -> bool:
@@ -282,112 +302,124 @@ def _within(gates, verbose: bool) -> bool:
 
 def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     t_start = time.time()
-    _known_keys(cfg, CONNECT_KEYS, "connect config")
-    defect_tol = _positive(cfg, "defect_tol", 1e-3)
     p = _build_potential(_require(cfg, "potential"))
+    dims = 1 if p.dim == 1 else 2
+    _known_keys(cfg, CONNECT_KEYS[dims], f"dimension-{p.dim} connect config")
+    defect_tol = _positive(cfg, "defect_tol", 1e-3)
     wells = _points(_require(cfg, "wells"), p.dim, "wells")
     if len(wells) != 2:
         raise ConfigError("config field 'wells' must list exactly two points")
     refine = cfg.get("refine_wells", True)
     if not isinstance(refine, bool):
         raise ConfigError(f"config field 'refine_wells' must be true or false, got {refine!r}")
-    solver_cfg = _section(cfg, "solver", SOLVER_KEYS)
-    rep_cfg = _section(cfg, "reparam", REPARAM_KEYS)
-    opts = SolverOptions(
-        n_nodes=_integer(solver_cfg, "n_nodes", 401, 3, "solver."),
-        max_iters=_integer(solver_cfg, "max_iters", 2000, 0, "solver."),
-        grad_tol=_positive(solver_cfg, "grad_tol", 1e-8, "solver."),
-        via_points=tuple(_points(solver_cfg.get("via_points", []), p.dim, "solver.via_points")),
-    )
-    reparam = dict(
-        n_samples=_integer(rep_cfg, "n_samples", 2001, 3, "reparam."),
-        t_max=_positive(rep_cfg, "t_max", 10.0, "reparam."),
-        resample=_integer(rep_cfg, "resample", 4 * opts.n_nodes, 2, "reparam."),
-        resample_eps=_positive(rep_cfg, "resample_eps", 1e-9, "reparam."),
-    )
+    rep_cfg = _section(cfg, "reparam", REPARAM_KEYS[dims])
+    n_samples = _integer(rep_cfg, "n_samples", 2001, 3, "reparam.")
+    t_max = _positive(rep_cfg, "t_max", 10.0, "reparam.")
+    if dims == 2:
+        solver_cfg = _section(cfg, "solver", SOLVER_KEYS)
+        opts = SolverOptions(
+            n_nodes=_integer(solver_cfg, "n_nodes", 401, 3, "solver."),
+            max_iters=_integer(solver_cfg, "max_iters", 2000, 0, "solver."),
+            grad_tol=_positive(solver_cfg, "grad_tol", 1e-8, "solver."),
+            via_points=tuple(_points(solver_cfg.get("via_points", []), p.dim,
+                                     "solver.via_points")),
+        )
+        resample = _integer(rep_cfg, "resample", 4 * opts.n_nodes, 2, "reparam.")
+        resample_eps = _positive(rep_cfg, "resample_eps", 1e-9, "reparam.")
     if refine:
         # refinement merges guesses that converge to one well
         wells = list(refine_wells(p, wells))
-        if len(wells) != 2:
-            raise ConfigError("config field 'wells' holds two guesses of the same well")
+    if len(wells) != 2 or np.array_equal(wells[0], wells[1]):
+        raise ConfigError("config field 'wells' holds two guesses of the same well")
     wspace = make_weight(p)
-    curve, value, trace = minimize_k_length(wspace, wells[0], wells[1], opts)
-    if verbose:
-        print(f"descent: {trace.status} after {trace.n_iters} iterations, "
-              f"k_length {value:.12g}")
-    if trace.status == "stall":
-        print("solver stalled before reaching the gradient tolerance",
-              file=sys.stderr)
-        return EXIT_STALL
-    curve = remove_sigma_loops(curve, wspace)
-    conn = reparam_equipartition(curve, wspace, **reparam)
-    report = verify_connection(conn, potential=p, wspace=wspace)
-    sd = second_difference_bound(conn.curve, p.hessian_lower_bound)
-    bounds = uniform_bounds_audit(conn.curve, wspace)
+    tolerances = {"defect_tol": defect_tol}
     warnings = []
-    if len(p.wells) > 2:
-        sti = check_sti(p, wells[0], wells[1])
-        if not sti.ok:
+    if dims == 1:
+        pairs = line_legs(wells[0], wells[1], p.wells)
+        conns = [line_connection(wspace, a, b, n_samples, t_max) for a, b in pairs]
+        solver = {"solver_status": "converged"}
+        if len(pairs) > 1:
             warnings.append(
-                "strict triangle inequality margin "
-                f"{sti.min_margin:.3g} at a third well; the minimizer may "
-                "pass through it and split"
-            )
+                f"the wells {[b for _, b in pairs[:-1]]} lie between the ends: the "
+                f"connection is a chain of {len(pairs)} legs")
+    else:
+        curve, value, trace = minimize_k_length(wspace, wells[0], wells[1], opts)
+        if verbose:
+            print(f"descent: {trace.status} after {trace.n_iters} iterations, "
+                  f"k_length {value:.12g}")
+        if trace.status == "stall":
+            print("solver stalled before reaching the gradient tolerance",
+                  file=sys.stderr)
+            return EXIT_STALL
+        curve = remove_sigma_loops(curve, wspace)
+        conns = [reparam_equipartition(curve, wspace, n_samples=n_samples, t_max=t_max,
+                                       resample=resample, resample_eps=resample_eps)]
+        solver = {"k_length_value": value, "solver_status": trace.status,
+                  "solver_iters": trace.n_iters, "solver_evals": trace.n_evals}
+        tolerances.update(grad_tol=opts.grad_tol, weight_floor=WEIGHT_FLOOR)
+    # one writer for both: leg k (from 1, in the order of travel) writes
+    # curve_k.csv, plot_components_k.tsv and plot_defect_k.tsv
     os.makedirs(out_dir, exist_ok=True)
-    n_comp = conn.curve.nodes.shape[1]
-    comp_names = ",".join(f"u{j + 1}" for j in range(n_comp))
-    head = "# action=%.17g dK=%.17g defect=%.17g window=%.17g" % (
-        conn.action, conn.dk_value, conn.equipartition_defect, conn.window)
-    curve_table = np.column_stack([conn.curve.times, conn.curve.nodes])
-    _write_table(os.path.join(out_dir, "curve.csv"), [head, "t," + comp_names], curve_table)
-    _write_table(
-        os.path.join(out_dir, "plot_components.tsv"),
-        ["t\t" + comp_names.replace(",", "\t")], curve_table, "\t",
-    )
-    mids = 0.5 * (conn.curve.times[:-1] + conn.curve.times[1:])
-    _write_table(
-        os.path.join(out_dir, "plot_defect.tsv"), ["t\tequipartition_defect"],
-        np.column_stack([mids, bounds.equip_profile]), "\t",
-    )
+    comp_names = ",".join(f"u{j + 1}" for j in range(p.dim))
+    legs, artifacts, audits = [], [], []
+    for k, conn in enumerate(conns, 1):
+        report = verify_connection(conn, potential=p, wspace=wspace)
+        sd = second_difference_bound(conn.curve, p.hessian_lower_bound)
+        bounds = uniform_bounds_audit(conn.curve, wspace)
+        names = [f"curve_{k}.csv", f"plot_components_{k}.tsv", f"plot_defect_{k}.tsv"]
+        head = "# action=%.17g dK=%.17g defect=%.17g window=%.17g" % (
+            conn.action, conn.dk_value, conn.equipartition_defect, conn.window)
+        curve_table = np.column_stack([conn.curve.times, conn.curve.nodes])
+        _write_table(os.path.join(out_dir, names[0]), [head, "t," + comp_names], curve_table)
+        _write_table(os.path.join(out_dir, names[1]), ["t\t" + comp_names.replace(",", "\t")],
+                     curve_table, "\t")
+        mids = 0.5 * (conn.curve.times[:-1] + conn.curve.times[1:])
+        _write_table(os.path.join(out_dir, names[2]), ["t\tequipartition_defect"],
+                     np.column_stack([mids, bounds.equip_profile]), "\t")
+        artifacts += names
+        legs.append({
+            "x_minus": conn.x_minus.tolist(),
+            "x_plus": conn.x_plus.tolist(),
+            "action": conn.action,
+            "dk_value": conn.dk_value,
+            "action_gap": report.action_gap,
+            "equipartition_defect": conn.equipartition_defect,
+            "window": conn.window,
+            "curve": names[0],
+        })
+        audits.append((report.el_residual, sd.lhs, sd.rhs, bounds.max_speed, bounds.max_w))
+    # NaN-propagating sums and maxima over the legs
+    el_residual, _, _, max_speed, max_w = np.max(audits, axis=0).tolist()
+    _, sd_lhs, sd_rhs, _, _ = np.sum(audits, axis=0).tolist()
+    defect = float(np.max([leg["equipartition_defect"] for leg in legs]))
+    action = float(np.sum([leg["action"] for leg in legs]))
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "connect",
         "config": cfg,
         "versions": _versions(),
-        "tolerances": {
-            "grad_tol": opts.grad_tol,
-            "weight_floor": WEIGHT_FLOOR,
-            "defect_tol": defect_tol,
-            "sti_margin_tol": 1e-3,
-            "second_difference_constant": sd.c_constant,
-        },
+        "tolerances": {**tolerances, "second_difference_constant": sd.c_constant},
         "results": {
-            "action": conn.action,
-            "dk_value": conn.dk_value,
-            "equipartition_defect": conn.equipartition_defect,
-            "window": conn.window,
-            "k_length_value": value,
-            "solver_status": trace.status,
-            "solver_iters": trace.n_iters,
-            "solver_evals": trace.n_evals,
-            "action_gap": report.action_gap,
-            "el_residual": report.el_residual,
-            "second_difference_lhs": sd.lhs,
-            "second_difference_rhs": sd.rhs,
-            "second_difference_c_fitted": sd.c_fitted,
-            "max_speed": bounds.max_speed,
-            "max_w": bounds.max_w,
+            "action": action,
+            "dk_value": float(np.sum([leg["dk_value"] for leg in legs])),
+            "action_gap": float(np.sum([leg["action_gap"] for leg in legs])),
+            "equipartition_defect": defect,
+            **solver,
+            "el_residual": el_residual,
+            "second_difference_lhs": sd_lhs,
+            "second_difference_rhs": sd_rhs,
+            # the fitted constant of the whole chain: lhs over the summed kinetic terms
+            "second_difference_c_fitted": sd.c_constant * sd_lhs / sd_rhs if sd_rhs else 0.0,
+            "max_speed": max_speed,
+            "max_w": max_w,
+            "legs": legs,
         },
         "warnings": warnings,
     }
-    _finish_manifest(
-        out_dir, manifest, ["curve.csv", "plot_components.tsv", "plot_defect.tsv"],
-        t_start,
-    )
+    _finish_manifest(out_dir, manifest, artifacts, t_start)
     if verbose:
-        print(f"wrote {out_dir}: action {conn.action:.9g}, "
-              f"defect {conn.equipartition_defect:.3g}")
-    if not _within([("equipartition defect", conn.equipartition_defect, defect_tol)], verbose):
+        print(f"wrote {out_dir}: {len(legs)} leg(s), action {action:.9g}, defect {defect:.3g}")
+    if not _within([("equipartition defect", defect, defect_tol)], verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 
@@ -566,11 +598,11 @@ def _counterexample_setup(cfg: dict):
     if not isinstance(gcfg, dict) or gcfg.get("type") != "power":
         raise ConfigError("config field 'g' supports {'type': 'power', 'p': >1}")
     p = gcfg.get("p", 2.0)
-    if not (_is_number(p) and math.isfinite(p) and p > 1.0):
+    if not (_is_finite(p) and p > 1.0):
         raise ConfigError(f"config field 'g.p' must be finite and > 1, got {p!r}")
     radii = cfg.get("radii", [4.0, 8.0, 16.0, 32.0, 64.0])
     if not (isinstance(radii, list) and radii
-            and all(_is_number(r) and math.isfinite(r) and r > 0.0 for r in radii)
+            and all(_is_finite(r) and r > 0.0 for r in radii)
             and all(a < b for a, b in zip(radii, radii[1:]))):
         raise ConfigError("config field 'radii' must be a non-empty, strictly increasing "
                           f"list of finite numbers > 0, got {radii!r}")
@@ -657,18 +689,31 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
 
 
 def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
-    comments, header, data = _read_table(os.path.join(run_dir, "curve.csv"))
+    """Recompute each leg's equipartition defect and action from its curve.
+
+    The defect must meet ``defect_tol`` and the action equal the recorded
+    one bit for bit.
+    """
     p = _build_potential(manifest["config"]["potential"])
     wspace = make_weight(p)
-    curve = SampledCurve(times=data[:, 0], nodes=data[:, 1:])
-    kv = wspace.weight_at(midpoints(curve))
-    defect = float(np.max(equipartition(curve, wspace.space, 0.5 * kv * kv)[1]))
     tol = manifest["tolerances"]["defect_tol"]
-    if not _within([("equipartition defect", defect, tol)], verbose):
+    gates, curves = [], []
+    for k, leg in enumerate(manifest["results"]["legs"], 1):
+        if leg["curve"] not in manifest["artifacts"]:
+            raise ValueError(f"leg {k} curve {leg['curve']} is not a checksummed artifact")
+        _, _, data = _read_table(os.path.join(run_dir, leg["curve"]))
+        curve = SampledCurve(times=data[:, 0], nodes=data[:, 1:])
+        kv = wspace.weight_at(midpoints(curve))
+        action, defects = equipartition(curve, wspace.space, 0.5 * kv * kv)
+        gates += [(f"leg {k} equipartition defect", float(np.max(defects)), tol),
+                  (f"leg {k} |recomputed - recorded action|", abs(action - leg["action"]),
+                   0.0)]
+        curves.append(curve)
+    if not _within(gates, verbose):
         return EXIT_EQUIPARTITION
-    sd = second_difference_bound(curve, p.hessian_lower_bound)
-    if verbose:
-        print(f"second-difference audit: lhs {sd.lhs:.6g} <= rhs {sd.rhs:.6g}: "
+    for k, curve in enumerate(curves, 1) if verbose else ():
+        sd = second_difference_bound(curve, p.hessian_lower_bound)
+        print(f"leg {k} second-difference audit: lhs {sd.lhs:.6g} <= rhs {sd.rhs:.6g}: "
               f"{'ok' if sd.passed else 'FAIL'}")
     return EXIT_OK
 

@@ -8,6 +8,12 @@ inverse time map, and the curve read through that map satisfies
 vanishes at the two wells, so the time map diverges at the ends; the
 implementation clamps at the last interior node and reports the resulting
 finite window.
+
+On the line no geodesic needs to be found: between two adjacent wells the
+K-geodesic is the segment, d_K is the integral of K, and the equipartition
+profile solves u' = K(u).  ``line_connection`` builds that profile by
+quadrature alone, and ``line_legs`` splits a pair of ends at every well
+between them, since every path on the line passes through those wells.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .metric import (
     drop_tied_nodes,
     interp_columns,
     midpoints,
+    qk21,
+    segment_k_lengths,
     segment_lengths,
     sorted_unique,
 )
@@ -158,6 +166,118 @@ def reparam_equipartition(
         equipartition_defect=defect,
         window=T,
         diagnostics=diagnostics,
+    )
+
+
+# The line's time map is integrated on a graded grid of the leg parameter s
+# in [0, 1]: LINE_PANELS uniform panels plus geometric tails that reach
+# 2^-(LINE_TAIL_LEVELS + 2) of the leg from either end.  A tail panel is as
+# wide as its distance from the end, where 1/K has its pole.
+LINE_PANELS = 16
+LINE_TAIL_LEVELS = 40
+# Newton steps of the centre and of the time map's inversion, at most; a
+# step that moves s by at most LINE_STEP_TOL ends them
+LINE_NEWTON_STEPS = 50
+LINE_STEP_TOL = 4.0 * np.finfo(float).eps
+
+
+def line_legs(x_minus, x_plus, wells) -> list:
+    """(start, end) of each leg from x_minus to x_plus on the line, as floats.
+
+    The ends are split at every one of ``wells`` more than 1e-9 inside them
+    (a well nearer an end is that end, as in ``check_sti``), in the order of
+    travel, so consecutive legs share a well.
+    """
+    a, b = (np.asarray(x, dtype=float).item() for x in (x_minus, x_plus))
+    lo, hi = min(a, b), max(a, b)
+    inner = sorted({w for w in (np.asarray(w, dtype=float).item() for w in wells)
+                    if lo + 1e-9 < w < hi - 1e-9}, reverse=b < a)
+    stops = [a, *inner, b]
+    return list(zip(stops[:-1], stops[1:]))
+
+
+def _newton(residual, s, slope, lo=None, hi=None):
+    """Newton steps s - residual(s) / slope(s) until none moves s by more
+    than LINE_STEP_TOL; RuntimeError after LINE_NEWTON_STEPS of them.
+
+    With a bracket [lo, hi] (scalar s), a step leaving it bisects it instead,
+    and the sign of the residual narrows it.
+    """
+    for _ in range(LINE_NEWTON_STEPS):
+        r = residual(s)
+        step = r / slope(s)
+        if np.max(np.abs(step)) <= LINE_STEP_TOL:
+            return s
+        if lo is None:
+            s = s - step
+            continue
+        lo, hi = (lo, s) if r > 0.0 else (s, hi)
+        s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+    raise RuntimeError(f"Newton's method did not settle in {LINE_NEWTON_STEPS} steps")
+
+
+def line_connection(wspace: WeightedSpace, a: float, b: float, n_samples: int = 2001,
+                    t_max: float = 10.0) -> ConnectionResult:
+    """The equipartitioned connection along the segment from a to b of the line.
+
+    K must be positive strictly between a and b.  d_K is the integral of K
+    over the segment (``segment_k_lengths``).  The time map t(u), the
+    integral of du / K, is zero where the K-length from a reaches half of
+    d_K.  It is summed from one ``qk21`` rule per panel of a graded grid of
+    the segment, and T = min(t at either end of that grid, t_max).  The
+    profile on the uniform grid of ``n_samples`` times over [-T, T] inverts
+    t: a cubic Hermite interpolant of the inverse (slope K) starts Newton
+    steps whose t is integrated afresh from the grid node below by the same
+    rule, and they stop once a step moves no sample by more than a few ulps.
+    Near a well the rule sees K through the rounding of u, which limits t's
+    accuracy there to what that rounding moves u by.
+    """
+    span = abs(b - a)
+    ends = np.array([[a], [b]])
+
+    def k_at(s):
+        return wspace.weight_at((a + s.ravel() * (b - a))[:, None]).reshape(s.shape)
+
+    def time_between(s0, s1):
+        return qk21(lambda s: span / k_at(s), s0, s1)
+
+    dk = float(segment_k_lengths(wspace.weight_at, ends[:1], ends[1:], [[]])[0])
+    centre = float(_newton(
+        lambda s: segment_k_lengths(
+            wspace.weight_at, ends[:1], np.array([[a + s * (b - a)]]), [[]])[0] - 0.5 * dk,
+        0.5, lambda s: span * k_at(np.array([s]))[0], 0.0, 1.0))
+    tails = 0.25 * 0.5 ** np.arange(1, LINE_TAIL_LEVELS + 1)
+    # levels that keep a grid node apart from an end in floating point
+    tails = tails[tails * span > 64.0 * np.spacing(max(abs(a), abs(b)))]
+    grid = sorted_unique(np.concatenate(
+        [np.linspace(0.0, 1.0, LINE_PANELS + 1)[1:-1], tails, 1.0 - tails, [centre]]))
+    steps = time_between(grid[:-1], grid[1:])
+    c = int(np.searchsorted(grid, centre))
+    t_grid = np.concatenate([-np.cumsum(steps[:c][::-1])[::-1], [0.0], np.cumsum(steps[c:])])
+    if not np.all(np.isfinite(t_grid)):
+        raise InteriorZeroError(f"the weight vanishes inside [{a}, {b}]")
+    T = min(-t_grid[0], t_grid[-1], t_max)
+    times = np.linspace(-T, T, n_samples)
+    i = np.clip(np.searchsorted(t_grid, times, side="right") - 1, 0, grid.size - 2)
+    h = t_grid[i + 1] - t_grid[i]
+    x = (times - t_grid[i]) / h
+    ds_dt = k_at(grid) / span
+    s = ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * grid[i] + x * (1.0 - x) ** 2 * h * ds_dt[i]
+         + x * x * (3.0 - 2.0 * x) * grid[i + 1] + x * x * (x - 1.0) * h * ds_dt[i + 1])
+    s = _newton(lambda s: t_grid[i] + time_between(grid[i], s) - times,
+                s, lambda s: span / k_at(s))
+    curve = SampledCurve(times=times, nodes=(a + s * (b - a))[:, None])
+    k_mid = wspace.weight_at(midpoints(curve))
+    action, defects = equipartition(curve, wspace.space, 0.5 * k_mid * k_mid)
+    return ConnectionResult(
+        curve=curve,
+        x_minus=ends[0].copy(),
+        x_plus=ends[1].copy(),
+        action=action,
+        dk_value=dk,
+        equipartition_defect=float(np.max(defects)),
+        window=T,
+        diagnostics={"g_range": (float(t_grid[0]), float(t_grid[-1]))},
     )
 
 

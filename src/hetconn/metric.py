@@ -11,11 +11,12 @@ A weight is evaluated in batches only: ``weight(pts)`` maps points of shape
 values together with their gradients, shape (k, dim), from one evaluation; a
 single point is a batch of one.  ``trapezoid_weights``
 and ``interp_columns`` are the package's one trapezoid rule and one
-per-column linear interpolation, and ``adaptive_qk21`` its one adaptive
-quadrature: QUADPACK's 21-point Gauss-Kronrod rule with its error estimate
-and default tolerances, batched over integrands, each refinement round
-evaluating them once on every active panel.  ``segment_k_lengths`` applies
-it to the K-lengths of straight segments.
+per-column linear interpolation.  Its quadrature is QUADPACK's 21-point
+Gauss-Kronrod rule: ``qk21`` applies it once on each of a batch of panels,
+and ``adaptive_qk21`` is the adaptive quadrature built on it, with its error
+estimate and default tolerances, batched over integrands, each refinement
+round evaluating them once on every active panel.  ``segment_k_lengths``
+applies that to the K-lengths of straight segments.
 
 The weighted length of a polyline against a weight K >= 0 is evaluated
 either by the midpoint rule, sum K(midpoint) * d(endpoints) per segment, or
@@ -352,6 +353,15 @@ def _qk21(f, half):
     err = np.where(resabs > _TINY / (50.0 * _EPS),
                    np.maximum(50.0 * _EPS * resabs, err), err)
     return resk * half, err
+
+
+def qk21(fun: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """QUADPACK's 21-point Gauss-Kronrod rule once on each panel [lo[i], hi[i]], shape (p,).
+
+    ``fun`` maps points of shape (p, 21) to integrand values of that shape.
+    """
+    half = 0.5 * (hi - lo)
+    return fun(0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES) @ _GK_KRONROD * half
 
 
 def adaptive_qk21(fun: Callable, edges: list, label: Callable) -> np.ndarray:

@@ -20,10 +20,22 @@ CONNECT_CFG = {
     "schema_version": 1,
     "potential": {"name": "double_well"},
     "wells": [[-1.0], [1.0]],
-    "solver": {"n_nodes": 101, "max_iters": 800, "grad_tol": 1e-8},
-    "reparam": {"n_samples": 201, "t_max": 6.0, "resample": 4096, "resample_eps": 1e-9},
+    "reparam": {"n_samples": 201, "t_max": 6.0},
     "defect_tol": 1e-3,
 }
+
+# only a connect in dimension 2 and up runs the descent; the chord between
+# the planar wells along u2 = 0 is a critical point of its K-length
+PLANAR_CONNECT_CFG = {
+    "schema_version": 1,
+    "potential": {"name": "planar_two_well"},
+    "wells": [[-1.0, 0.0], [1.0, 0.0]],
+    "solver": {"n_nodes": 101, "max_iters": 800, "grad_tol": 1e-8},
+    "reparam": {"n_samples": 801, "t_max": 6.0, "resample": 4096, "resample_eps": 1e-9},
+    "defect_tol": 1e-3,
+}
+
+CONNECT_ARTIFACTS = {"curve_1.csv", "plot_components_1.tsv", "plot_defect_1.tsv"}
 
 SIN_CFG = {
     "schema_version": 1,
@@ -63,13 +75,13 @@ def test_connect_run_and_verify(tmp_path):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
-    for name in ("curve.csv", "plot_components.tsv", "plot_defect.tsv", "manifest.json"):
+    for name in (*CONNECT_ARTIFACTS, "manifest.json"):
         assert (tmp_path / "run" / name).exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
     assert manifest["kind"] == "connect"
     assert manifest["results"]["action"] == pytest.approx(4.0 / 3.0, abs=1e-3)
-    assert manifest["results"]["k_length_value"] == pytest.approx(4.0 / 3.0, abs=1e-3)
+    assert manifest["results"]["dk_value"] == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert manifest["results"]["equipartition_defect"] < 1e-3
     assert main(["verify", out]) == 0
     assert main(["verify", "--out", out]) == 0
@@ -79,7 +91,7 @@ def test_verify_catches_tampering(tmp_path):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
-    with open(tmp_path / "run" / "curve.csv", "a") as fh:
+    with open(tmp_path / "run" / "curve_1.csv", "a") as fh:
         fh.write("0,0,0\n")
     assert main(["verify", out]) == 4
 
@@ -90,19 +102,19 @@ def test_connect_run_over_its_defect_tol_fails_run_and_verify(tmp_path, capsys):
     assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
     assert "equipartition defect" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["artifacts"]) == {"curve.csv", "plot_components.tsv", "plot_defect.tsv"}
+    assert set(manifest["artifacts"]) == CONNECT_ARTIFACTS
     assert manifest["results"]["equipartition_defect"] > manifest["tolerances"]["defect_tol"]
     assert main(["verify", str(out)]) == 5
     assert "equipartition defect" in capsys.readouterr().err
 
 
 def test_connect_run_with_a_nan_defect_fails(tmp_path, monkeypatch, capsys):
-    reparam = hetconn.cli.reparam_equipartition
+    leg = hetconn.cli.line_connection
 
     def nan_defect(*args, **kwargs):
-        return dataclasses.replace(reparam(*args, **kwargs), equipartition_defect=float("nan"))
+        return dataclasses.replace(leg(*args, **kwargs), equipartition_defect=float("nan"))
 
-    monkeypatch.setattr(hetconn.cli, "reparam_equipartition", nan_defect)
+    monkeypatch.setattr(hetconn.cli, "line_connection", nan_defect)
     out = tmp_path / "run"
     assert main(["connect", "--config", write_cfg(tmp_path, CONNECT_CFG), "--out", str(out)]) == 5
     assert "equipartition defect nan" in capsys.readouterr().err
@@ -163,7 +175,7 @@ def test_verify_rejects_a_nan_in_the_connect_curve(tmp_path):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
-    _poison_one_value(tmp_path / "run", "curve.csv")
+    _poison_one_value(tmp_path / "run", "curve_1.csv")
     assert main(["verify", out]) == 5
 
 
@@ -222,8 +234,8 @@ def _old_read_table(path, delimiter=","):
 
 DOUBLE_ARTIFACTS = {"boundary_convergence.tsv": "\t"}
 ARTIFACT_RUNS = {
-    "connect": ("connect", CONNECT_CFG, {"curve.csv": ",", "plot_components.tsv": "\t",
-                                         "plot_defect.tsv": "\t"}),
+    "connect": ("connect", CONNECT_CFG, {"curve_1.csv": ",", "plot_components_1.tsv": "\t",
+                                         "plot_defect_1.tsv": "\t"}),
     "double": ("double", SIN_CFG, DOUBLE_ARTIFACTS),
     "double_planar": ("double", PLANAR_CFG, DOUBLE_ARTIFACTS),
     "counterexample": ("counterexample", COUNTER_CFG,
@@ -252,8 +264,9 @@ def test_artifacts_read_and_write_as_the_per_value_formatter(tmp_path, run):
     fields = {"dK": "dk_value", "defect": "equipartition_defect"}
     assert head.startswith("#") == bool(keys)
     if keys:
+        (leg,) = results["legs"]
         assert head == "# " + " ".join(
-            f"{key}={_old_fmt(results[fields.get(key, key)])}" for key in keys)
+            f"{key}={_old_fmt(leg[fields.get(key, key)])}" for key in keys)
 
 
 def test_row_writer_equals_the_per_value_formatter_across_blocks(tmp_path, monkeypatch):
@@ -402,7 +415,9 @@ def test_config_errors(tmp_path):
     ("reparam", "extra", 1),
 ])
 def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, value):
-    cfg = json.loads(json.dumps(CONNECT_CFG))
+    # the solver and the resample are read in dimension 2 and up only
+    descent = section == "solver" or key.startswith("resample")
+    cfg = json.loads(json.dumps(PLANAR_CONNECT_CFG if descent else CONNECT_CFG))
     cfg[section][key] = value
     out = tmp_path / "run"
     assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
@@ -442,21 +457,59 @@ def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, v
     ("connect", "wells", [-1.0, 1.0]),
     ("connect", "refine_wells", "false"),
     ("connect", "refine_wells", 0),
-    ("connect", "solver", {"via_points": [[0.0, 1.0]]}),
-    ("connect", "solver", {"via_points": [[float("nan")]]}),
+    ("connect", "solver", {"via_points": [[0.0]]}),
+    ("connect", "solver", {"via_points": [[float("nan"), 1.0]]}),
     ("connect", "solver", {"via_points": [0.0]}),
     ("connect", "wells", [[-1.0], [-0.9]]),
+    # integers too large for a float
+    pytest.param("connect", "defect_tol", 10 ** 400, id="connect-defect_tol-huge_int"),
+    pytest.param("double", "defect_tol", 10 ** 400, id="double-defect_tol-huge_int"),
+    pytest.param("counterexample", "radii", [4.0, 10 ** 400], id="counterexample-radii-huge_int"),
+    pytest.param("connect", "wells", [[-1.0], [10 ** 400]], id="connect-wells-huge_int"),
 ])
 def test_bad_tolerances_and_keys_exit_before_any_work(tmp_path, command, key, value):
-    cfg = dict(CONNECT_CFG if command == "connect" else SIN_CFG, **{key: value})
+    # the solver is read in dimension 2 and up only
+    base = {"connect": PLANAR_CONNECT_CFG if key == "solver" else CONNECT_CFG,
+            "double": SIN_CFG, "counterexample": COUNTER_CFG}[command]
+    cfg = dict(base, **{key: value})
     out = tmp_path / "run"
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
     assert not out.exists()
 
 
+@pytest.mark.parametrize("potential, wells", [
+    ("double_well", [[1.0], [1.0]]),
+    ("planar_two_well", [[1.0, 0.0], [1.0, 0.0]]),
+])
+def test_coincident_wells_exit_before_any_work(tmp_path, capsys, potential, wells):
+    base = CONNECT_CFG if potential == "double_well" else PLANAR_CONNECT_CFG
+    cfg = dict(base, potential={"name": potential}, wells=wells, refine_wells=False)
+    out = tmp_path / "run"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "the same well" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", None, {"n_nodes": 101}),
+    ("reparam", "resample", 4096),
+    ("reparam", "resample_eps", 1e-9),
+])
+def test_a_line_connect_rejects_the_descent_keys(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(CONNECT_CFG))
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    out = tmp_path / "run"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert repr(key or section) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section", ["solver", "reparam"])
 def test_connect_sections_must_be_objects(tmp_path, section):
-    cfg = dict(CONNECT_CFG, **{section: [1, 2]})
+    cfg = dict(PLANAR_CONNECT_CFG if section == "solver" else CONNECT_CFG, **{section: [1, 2]})
     out = tmp_path / "run"
     assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
     assert not out.exists()
@@ -675,7 +728,7 @@ def test_counterexample_runs_no_path_descent(tmp_path, monkeypatch):
     assert main(["verify", out]) == 0
 
 
-def test_triple_well_connect_runs_one_descent(tmp_path, monkeypatch):
+def test_planar_connect_runs_one_descent(tmp_path, monkeypatch):
     from hetconn import geodesic
 
     calls = []
@@ -685,15 +738,89 @@ def test_triple_well_connect_runs_one_descent(tmp_path, monkeypatch):
         calls.append(1)
         return descend(*args, **kwargs)
 
-    # the run's own descent, and any the strict-triangle audit might import
+    # the run's own descent, and any an audit might import
     monkeypatch.setattr(hetconn.cli, "minimize_k_length", counted)
     monkeypatch.setattr(geodesic, "minimize_k_length", counted)
-    config = Path(__file__).resolve().parent.parent / "configs" / "triple_well.json"
-    out = tmp_path / "tw"
-    main(["connect", "--config", str(config), "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "strict triangle inequality margin" in manifest["warnings"][0]
+    out = tmp_path / "pl"
+    assert main(["connect", "--config", write_cfg(tmp_path, PLANAR_CONNECT_CFG),
+                 "--out", str(out)]) == 0
     assert len(calls) == 1
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped_connect(tmp_path, name):
+    """The manifest of a shipped connect config's run, which it and its verify pass."""
+    out = tmp_path / name
+    assert main(["connect", "--config", str(SHIPPED / f"{name}.json"), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    return out, json.loads((out / "manifest.json").read_text())
+
+
+def test_double_well_connect_is_tanh_by_quadrature(tmp_path):
+    out, manifest = _shipped_connect(tmp_path, "double_well")
+    results = manifest["results"]
+    (leg,) = results["legs"]
+    _, _, data = _read_table(out / leg["curve"])
+    assert np.max(np.abs(data[:, 1] - np.tanh(data[:, 0]))) <= 1e-12
+    assert abs(results["dk_value"] - 4.0 / 3.0) <= 1e-12
+    assert results["el_residual"] <= 7.3e-4
+    assert results["solver_status"] == "converged"
+    assert "solver_iters" not in results and "k_length_value" not in results
+
+
+def test_triple_well_connect_is_a_chain_of_two_legs(tmp_path):
+    out, manifest = _shipped_connect(tmp_path, "triple_well")
+    results = manifest["results"]
+    legs = results["legs"]
+    assert [(leg["x_minus"], leg["x_plus"]) for leg in legs] == [([-1.0], [0.0]),
+                                                                 ([0.0], [1.0])]
+    for leg in legs:
+        assert abs(leg["dk_value"] - 0.25) <= 1e-12
+        assert abs(leg["action"] - 0.25) <= 8.9e-6
+    assert results["action"] == sum(leg["action"] for leg in legs)
+    assert abs(results["action_gap"]) <= 1e-5
+    assert "chain of 2 legs" in manifest["warnings"][0]
+    assert set(manifest["artifacts"]) == {f"{stem}_{k}.{ext}" for k in (1, 2) for stem, ext in
+                                          (("curve", "csv"), ("plot_components", "tsv"),
+                                           ("plot_defect", "tsv"))}
+    # the leg toward the middle well is u = -(1 + c e^(2t))^(-1/2), c fixed by
+    # the centre, where the K-length from -1 reaches 1/8
+    _, _, data = _read_table(out / legs[0]["curve"])
+    c = 1.0 / (1.0 - 2.0 ** -0.5) - 1.0
+    assert np.max(np.abs(data[:, 1] + (1.0 + c * np.exp(2.0 * data[:, 0])) ** -0.5)) <= 1e-12
+
+
+def test_verify_recomputes_the_second_leg(tmp_path, capsys):
+    out, manifest = _shipped_connect(tmp_path, "triple_well")
+    path = out / manifest["results"]["legs"][1]["curve"]
+    lines = path.read_text().splitlines()
+    # an interior row of the second leg's curve
+    t, u = lines[1000].split(",")
+    lines[1000] = f"{t},{float(u) + 1e-3!r}"
+    path.write_text("\n".join(lines) + "\n")
+    _resign(out, path.name)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "leg 2 equipartition defect" in err and "leg 1" not in err
+
+
+@pytest.mark.parametrize("name", ["double_well", "triple_well"])
+def test_a_line_connect_runs_no_descent_and_no_resample(tmp_path, monkeypatch, name):
+    from hetconn import geodesic, heteroclinic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a connect on the line ran a descent or a resample")
+
+    for module in (hetconn.cli, geodesic):
+        monkeypatch.setattr(module, "minimize_k_length", refuse)
+        monkeypatch.setattr(module, "remove_sigma_loops", refuse)
+    for module in (hetconn.cli, heteroclinic):
+        monkeypatch.setattr(module, "reparam_equipartition", refuse)
+    monkeypatch.setattr(heteroclinic, "_graded_resample", refuse)
+    _shipped_connect(tmp_path, name)
 
 
 def test_counterexample_run_gates_the_tail_tolerance(tmp_path, capsys):
@@ -805,10 +932,11 @@ def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
         return curve, value, trace
 
     monkeypatch.setattr(hetconn.cli, "minimize_k_length", recorded)
-    cfg = dict(CONNECT_CFG, potential={"name": "triple_well"},
-               solver={"n_nodes": 101, "max_iters": 100, "grad_tol": 1e-8})
-    out = tmp_path / "tw"
-    assert main(["connect", "--config", write_cfg(tmp_path, cfg, "tw.json"),
+    # a seed through a via point off the axis: 100 steps do not converge
+    cfg = dict(PLANAR_CONNECT_CFG, solver={"n_nodes": 101, "max_iters": 100, "grad_tol": 1e-8,
+                                           "via_points": [[0.0, 0.1]]})
+    out = tmp_path / "pl"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg, "pl.json"),
                  "--out", str(out)]) == 0
     results = json.loads((out / "manifest.json").read_text())["results"]
     (trace,) = traces
@@ -817,9 +945,9 @@ def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
 
 
 def test_solver_iters_counts_accepted_steps(tmp_path):
-    # the shipped double-well chord is already optimal: no step, no trial
-    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "double_well.json")
-    out = tmp_path / "dw"
+    # the chord between the planar wells is already optimal: no step, no trial
+    cfg = write_cfg(tmp_path, PLANAR_CONNECT_CFG)
+    out = tmp_path / "pl"
     assert main(["connect", "--config", cfg, "--out", str(out)]) == 0
     results = json.loads((out / "manifest.json").read_text())["results"]
     assert results["solver_status"] == "converged"
@@ -965,7 +1093,7 @@ def test_curve_artifact_layout(tmp_path):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
-    lines = (tmp_path / "run" / "curve.csv").read_text().splitlines()
+    lines = (tmp_path / "run" / "curve_1.csv").read_text().splitlines()
     assert lines[0].startswith("# action=")
     assert lines[1].split(",")[0] == "t"
     data = np.loadtxt(lines[2:], delimiter=",")

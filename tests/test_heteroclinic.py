@@ -7,6 +7,8 @@ from hetconn import (
     SampledCurve,
     action_ew,
     k_length,
+    line_connection,
+    line_legs,
     reparam_equipartition,
     verify_connection,
 )
@@ -107,3 +109,23 @@ def test_endpoints_near_wells(golden):
     conn = golden.conn
     assert abs(conn.curve.nodes[0, 0] + 1.0) < 1e-6
     assert abs(conn.curve.nodes[-1, 0] - 1.0) < 1e-6
+
+
+def test_line_legs_split_in_the_order_of_travel():
+    wells = triple_well().wells
+    assert line_legs([1.0], [-1.0], wells) == [(1.0, 0.0), (0.0, -1.0)]
+    assert line_legs([-1.0], [0.5], wells) == [(-1.0, 0.0), (0.0, 0.5)]
+    # a well within 1e-9 of an end is that end
+    assert line_legs([-1.0], [1e-10], wells) == [(-1.0, 1e-10)]
+
+
+def test_line_connection_runs_either_way_along_a_leg():
+    ws = make_weight(triple_well())
+    up = line_connection(ws, 0.0, 1.0, n_samples=401, t_max=8.0)
+    down = line_connection(ws, 1.0, 0.0, n_samples=401, t_max=8.0)
+    for leg in (up, down):
+        assert leg.dk_value == pytest.approx(0.25, abs=1e-15)
+    assert (up.x_minus.tolist(), up.x_plus.tolist()) == ([0.0], [1.0])
+    # the reverse leg is the forward one read backwards in time
+    assert np.max(np.abs(down.curve.nodes[::-1] - up.curve.nodes)) <= 1e-14
+    assert down.action == pytest.approx(up.action, rel=1e-13)
