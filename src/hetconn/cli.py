@@ -7,16 +7,17 @@ a double run's field is one binary ``u.npy`` table.  The pipeline draws no
 random numbers, so reruns of the same config are bit-identical.  A connect
 run is a chain of legs, one per pair of adjacent wells on the line and one
 in higher dimensions, each with its own curve artifacts.  ``verify``
-recomputes each leg's equipartition defect and action from its curve with
-the same routines the run uses, and the action must equal the recorded one
-bit for bit.  For a double run it builds no fixture: the effective
+recomputes each leg's equipartition defect, action and action gap from its
+curve with the same routines the run uses, and on the line its d_K from its
+ends; each must equal the recorded one bit for bit, and so must their sums
+over the legs.  For a double run it builds no fixture: the effective
 space comes from the config on the field's x1 grid, and the reference is the
 1D action of the field's last column, the z+ well profile, which must equal
 the ``ref_value`` the run recorded bit for bit.  Exit codes: 0 success, 2
 solver stall (connect), 3 config error (raised before any run directory is
 made), 4 checksum or schema failure (verify), 5 failing check: a connect
-run's equipartition defect over its tolerance or a leg's action not
-matching the recorded one, a double run's reference
+run's equipartition defect over its tolerance or a leg's action, d_K or
+action gap not matching the recorded one, a double run's reference
 action not matching the recorded one, a double run whose x2 equipartition
 defect, Newton-CG gradient, residual or energy two ways missed its
 tolerance, or a broken counterexample invariant.  A run writes its
@@ -64,7 +65,7 @@ from .heteroclinic import (
     reparam_equipartition,
     verify_connection,
 )
-from .metric import SampledCurve, midpoints
+from .metric import SampledCurve, midpoints, segment_k_lengths
 from .potentials import (
     double_well,
     make_weight,
@@ -689,26 +690,40 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
 
 
 def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
-    """Recompute each leg's equipartition defect and action from its curve.
+    """Recompute each leg's equipartition defect, action, d_K and action gap.
 
-    The defect must meet ``defect_tol`` and the action equal the recorded
-    one bit for bit.
+    The defect must meet ``defect_tol``.  The action, the gap (the action
+    with W at the midpoints, minus d_K), on the line d_K itself (from the
+    leg's recorded ends, as ``line_connection`` takes it), and their sums
+    over the legs must equal the recorded ones bit for bit.
     """
     p = _build_potential(manifest["config"]["potential"])
     wspace = make_weight(p)
+    results = manifest["results"]
     tol = manifest["tolerances"]["defect_tol"]
-    gates, curves = [], []
-    for k, leg in enumerate(manifest["results"]["legs"], 1):
+    gates, curves, dks, gaps = [], [], [], []
+    for k, leg in enumerate(results["legs"], 1):
         if leg["curve"] not in manifest["artifacts"]:
             raise ValueError(f"leg {k} curve {leg['curve']} is not a checksummed artifact")
         _, _, data = _read_table(os.path.join(run_dir, leg["curve"]))
         curve = SampledCurve(times=data[:, 0], nodes=data[:, 1:])
-        kv = wspace.weight_at(midpoints(curve))
+        mids = midpoints(curve)
+        kv = wspace.weight_at(mids)
         action, defects = equipartition(curve, wspace.space, 0.5 * kv * kv)
-        gates += [(f"leg {k} equipartition defect", float(np.max(defects)), tol),
-                  (f"leg {k} |recomputed - recorded action|", abs(action - leg["action"]),
-                   0.0)]
+        # in higher dimensions d_K is the descent's, read as recorded
+        dk = leg["dk_value"]
+        if p.dim == 1:
+            ends = np.array([leg["x_minus"], leg["x_plus"]], dtype=float)
+            dk = float(segment_k_lengths(wspace.weight_at, ends[:1], ends[1:], [[]])[0])
+        gap = equipartition(curve, wspace.space, p.values_at(mids))[0] - dk
+        gates.append((f"leg {k} equipartition defect", float(np.max(defects)), tol))
+        gates += [(f"leg {k} |recomputed - recorded {key}|", abs(value - leg[key]), 0.0)
+                  for key, value in (("action", action), ("dk_value", dk), ("action_gap", gap))]
         curves.append(curve)
+        dks.append(dk)
+        gaps.append(gap)
+    gates += [(f"|sum over the legs - recorded {key}|", abs(float(np.sum(v)) - results[key]), 0.0)
+              for key, v in (("dk_value", dks), ("action_gap", gaps))]
     if not _within(gates, verbose):
         return EXIT_EQUIPARTITION
     for k, curve in enumerate(curves, 1) if verbose else ():

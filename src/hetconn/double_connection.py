@@ -1,12 +1,13 @@
 """Connections between connections: 2D fields from paths of 1D profiles.
 
 A pair of minimal 1D connections z-, z+ are the wells of the effective
-potential on profile space; a minimal path between them, reparametrized to
-the equipartition of the effective weight, assembles into a 2D field
+potential on profile space, and x2 plays the role of time: a minimal
+heteroclinic in profile space from z- to z+ assembles into a 2D field
 u(x1, x2) = path(x2)(x1) that solves the Euler-Lagrange system of the summed
-energy.  The solve takes the straight blend of z- and z+, reparametrizes it
-to equipartition, and minimizes the discrete 2D energy of the assembled
-field by a pinned Newton-CG.  The symmetric solver (``mode`` "sym") keeps
+energy.  The solve seeds the field with the closed-form blend
+(1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, on the x2 window
+[-t_max, t_max], and minimizes the discrete 2D energy of the field by a
+pinned Newton-CG.  The symmetric solver (``mode`` "sym") keeps
 the first component odd in x1 by projection where the fixture has that
 symmetry; the asymmetric one ("asym") works in the quotient by
 x1-translations of whole-line profiles and tracks the per-column shift.
@@ -31,7 +32,6 @@ from .function_space import (
     pinned_newton_cg,
     poisson_preconditioner,
 )
-from .heteroclinic import ConnectionResult, reparam_equipartition
 from .metric import SampledCurve, k_length, trapezoid_weights
 from .potentials import planar_two_well
 
@@ -40,10 +40,6 @@ from .potentials import planar_two_well
 # largest free gradient entry it accepts as converged.
 POLISH_STEPS = 50
 POLISH_GTOL = 1e-7
-# Nodes of the seed path (the blend of the wells) and the end grading of its
-# resample before its equipartition.
-PATH_NODES = 65
-RESAMPLE_EPS = 1e-4
 # Cells on each side of the field that the interior residual leaves out.
 RESIDUAL_MARGIN = 5
 
@@ -61,7 +57,6 @@ class DoubleConnectionResult:
     u: np.ndarray            # (M, P, n)
     x1: np.ndarray           # (M,)
     x2: np.ndarray           # (P,)
-    path: ConnectionResult
     energy: float
     c_minus: float
     c_plus: float
@@ -202,33 +197,19 @@ def x2_defect(space, u: np.ndarray, dt: float) -> float:
 
 
 def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize: bool):
-    """The blend of the wells at equipartition, assembled into a field (M, P, n).
+    """The blend (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, as a field (M, P, n).
 
-    Returns (field, ConnectionResult of the reparametrization).
+    x2 is the uniform grid of ``opts.n_out`` nodes on [-t_max, t_max]; the
+    end columns are the wells.  Returns (field, x2).
     """
-    wspace = space.weighted_space()
-    tau = np.linspace(0.0, 1.0, PATH_NODES)[:, None]
-    nodes = (1.0 - tau) * space.z_minus.flatten() + tau * space.z_plus.flatten()
-    if symmetrize:
-        nodes = space.symmetrize(nodes)
-        nodes[0], nodes[-1] = space.z_minus.flatten(), space.z_plus.flatten()
-    conn = reparam_equipartition(
-        SampledCurve(times=np.linspace(0.0, 1.0, nodes.shape[0]), nodes=nodes),
-        wspace,
-        n_samples=opts.n_out,
-        t_max=opts.t_max,
-        resample=4 * PATH_NODES,
-        resample_eps=RESAMPLE_EPS,
-    )
-    p_out = conn.curve.n_nodes
-    u = conn.curve.nodes.reshape(p_out, space.m, space.n_components).transpose(1, 0, 2).copy()
+    x2 = np.linspace(-opts.t_max, opts.t_max, opts.n_out)
+    lam = (0.5 * (1.0 + np.tanh(x2)))[None, :, None]
+    u = (1.0 - lam) * space.z_minus.values[:, None, :] + lam * space.z_plus.values[:, None, :]
     u[:, 0, :] = space.z_minus.values
     u[:, -1, :] = space.z_plus.values
     if symmetrize:
-        # interpolation weights in the reparametrization are accumulated left
-        # to right, which can break antisymmetry in the last bit; project back
         u = _symmetrize_columns(space, u)
-    return u, conn
+    return u, x2
 
 
 def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
@@ -238,16 +219,16 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     if gap < 1e-8:
         raise ValueError("well profiles coincide; nothing to connect")
     symmetrize = _projects(space, mode)
-    u, conn = _seed_field(space, opts, symmetrize)
-    p_out = conn.curve.n_nodes
-    dt = float(np.diff(conn.curve.times)[0])
+    u, x2 = _seed_field(space, opts, symmetrize)
+    p_out = x2.size
+    dt = float(np.diff(x2)[0])
     u, polish = _polish_field(space, u, dt, symmetrize, POLISH_GTOL)
     energy = _path_energy(space, u, dt)
     # the weighted length of the field's columns as a path in profile space:
     # at equipartition it equals the energy
-    columns = SampledCurve(times=conn.curve.times, nodes=_columns(u).reshape(p_out, -1))
+    columns = SampledCurve(times=x2, nodes=_columns(u).reshape(p_out, -1))
     diagnostics = {
-        "window": conn.window,
+        "window": opts.t_max,
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
         "polish_cg_products": polish.products,
@@ -271,8 +252,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         mode=mode,
         u=u,
         x1=space.grid.copy(),
-        x2=conn.curve.times.copy(),
-        path=conn,
+        x2=x2,
         energy=energy,
         c_minus=c_minus,
         c_plus=c_plus,
@@ -284,11 +264,10 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
 def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None = None):
     """Minimal profile path between the twin connections, symmetry enforced.
 
-    Pipeline: the straight blend of the wells, projected to odd first
-    components, its equipartition reparametrization, assembly into a 2D
-    field, and a pinned Newton-CG minimization of the discrete 2D energy
-    with the end columns and x1 edges fixed and the projection applied to
-    every step.
+    Pipeline: the tanh blend of the wells on the x2 window [-t_max, t_max]
+    (``_seed_field``), projected to odd first components, and a pinned
+    Newton-CG minimization of the discrete 2D energy with the end columns
+    and x1 edges fixed and the projection applied to every step.
     """
     return _solve_common(space, opts or DoubleOptions(), "sym")
 

@@ -323,6 +323,21 @@ def test_double_runs_write_byte_identical_fields(tmp_path):
     assert m1["artifacts"] == m2["artifacts"]
 
 
+@pytest.mark.parametrize("cfg", [SIN_CFG, PLANAR_CFG, dict(PLANAR_CFG, mode="asym")],
+                         ids=["sin", "planar_sym", "planar_asym"])
+def test_a_double_field_keeps_the_x2_reflection(tmp_path, cfg):
+    # sin's density is even in u and z- = -z+, so its field is odd in x2;
+    # planar's W is even in u2 and z- is z+ with u2 negated, so its field is
+    # (u1, -u2) at -x2
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    table = np.load(out / "u.npy", allow_pickle=False)
+    x2, u = table[0, :, 1], table[..., 2:]
+    assert np.max(np.abs(x2 + x2[::-1])) <= 1e-12
+    mirror = u[:, ::-1] * ([-1.0] if u.shape[2] == 1 else [1.0, -1.0])
+    assert np.max(np.abs(u - mirror)) <= 1e-12
+
+
 def _shifted_x1_in_one_row(table):
     # x1 stays strictly increasing down the first x2 column
     table[3, 5, 0] += 0.5 * (table[4, 0, 0] - table[3, 0, 0])
@@ -805,6 +820,25 @@ def test_verify_recomputes_the_second_leg(tmp_path, capsys):
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
     assert "leg 2 equipartition defect" in err and "leg 1" not in err
+
+
+@pytest.mark.parametrize("path, value, gate", [
+    (("legs", 1, "dk_value"), 0.3, "leg 2 |recomputed - recorded dk_value|"),
+    (("dk_value",), 0.55, "|sum over the legs - recorded dk_value|"),
+    (("action_gap",), -0.05, "|sum over the legs - recorded action_gap|"),
+])
+def test_verify_recomputes_the_legs_d_k_and_gaps(tmp_path, capsys, path, value, gate):
+    # the manifest carries no checksum of its own, so an edited number there
+    # fails only if verify recomputes it
+    out, manifest = _shipped_connect(tmp_path, "triple_well")
+    entry = manifest["results"]
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert gate in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["double_well", "triple_well"])

@@ -111,7 +111,7 @@ def test_quotient_does_no_work_on_the_symmetric_fixture(planar_space):
 
 
 def test_double_solves_run_no_path_descent(monkeypatch):
-    from hetconn import geodesic
+    from hetconn import geodesic, heteroclinic
 
     calls = []
     descend = geodesic.minimize_k_length
@@ -120,9 +120,15 @@ def test_double_solves_run_no_path_descent(monkeypatch):
         calls.append(args)
         return descend(*args, **kwargs)
 
-    # a module-level import of the name would escape the patch
+    def refuse(*args, **kwargs):
+        raise AssertionError("a double solve ran the equipartition reparametrization")
+
+    # a module-level import of the names would escape the patches
     assert not hasattr(double_connection, "minimize_k_length")
+    assert not hasattr(double_connection, "reparam_equipartition")
     monkeypatch.setattr(geodesic, "minimize_k_length", counted)
+    monkeypatch.setattr(heteroclinic, "reparam_equipartition", refuse)
+    monkeypatch.setattr(double_connection, "reparam_equipartition", refuse, raising=False)
     # the fixtures are built inside the counted region: their wells come
     # from a Newton relaxation, not a geodesic descent
     solve_symmetric(planar_effective_space(), SMALL)
@@ -373,8 +379,8 @@ def test_path_energy_hessp_matches_central_differences_of_the_gradient(field_spa
 @pytest.fixture(scope="module")
 def planar_sym_field(planar_space):
     """The unpolished small planar sym field and its x2 step."""
-    u, conn = _seed_field(planar_space, SMALL, True)
-    return u, float(np.diff(conn.curve.times)[0])
+    u, x2 = _seed_field(planar_space, SMALL, True)
+    return u, float(np.diff(x2)[0])
 
 
 def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
