@@ -8,19 +8,20 @@ random numbers, so reruns of the same config are bit-identical.  A connect
 run is a chain of legs, one per pair of adjacent wells on the line and one
 in higher dimensions, each with its own curve artifacts.  ``verify``
 recomputes each leg's equipartition defect, action and action gap from its
-curve with the same routines the run uses, and on the line its d_K from its
-ends; each must equal the recorded one bit for bit, and so must their sums
-over the legs.  For a double run it builds no fixture: the effective
-space comes from the config on the field's x1 grid, and the reference is the
-1D action of the field's last column, the z+ well profile, which must equal
-the ``ref_value`` the run recorded bit for bit.  Exit codes: 0 success, 2
-solver stall (connect), 3 config error (raised before any run directory is
-made), 4 checksum or schema failure (verify), 5 failing check: a connect
-run's equipartition defect over its tolerance or a leg's action, d_K or
-action gap not matching the recorded one, a double run's reference
-action not matching the recorded one, a double run whose x2 equipartition
-defect, Newton-CG gradient, residual or energy two ways missed its
-tolerance, or a broken counterexample invariant.  A run writes its
+curve with the same routines the run uses, and its d_K: on the line from its
+ends, in higher dimensions as the curve's midpoint K-length; each must equal
+the recorded one bit for bit, and so must their sums over the legs.  For a
+double run it builds no fixture: the effective space comes from the config
+on the field's x1 grid, and the reference is the 1D action of the field's
+last column, the z+ well profile, which must equal the ``ref_value`` the run
+recorded bit for bit.  Exit codes: 0 success, 1 run failure (a connect
+relaxation that does not converge, for one), 3 config error (raised before
+any run directory is made), 4 checksum or schema failure (verify), 5 failing
+check: a connect run's equipartition defect over its tolerance or a leg's
+action, d_K or action gap not matching the recorded one, a double run's
+reference action not matching the recorded one, a double run whose x2
+equipartition defect, Newton-CG gradient, residual or energy two ways missed
+its tolerance, or a broken counterexample invariant.  A run writes its
 artifacts and manifest before it exits 5, and ``verify`` gates the same
 checks, recomputed from the artifacts; a counterexample ``verify`` also
 requires every recomputed candidate length and box bracket bit for bit.
@@ -57,15 +58,9 @@ from .double_connection import (
     solve_symmetric,
     x2_defect,
 )
-from .geodesic import WEIGHT_FLOOR, SolverOptions, minimize_k_length, remove_sigma_loops
-from .heteroclinic import (
-    equipartition,
-    line_connection,
-    line_legs,
-    reparam_equipartition,
-    verify_connection,
-)
-from .metric import SampledCurve, midpoints, segment_k_lengths
+from .geodesic import minimize_k_length
+from .heteroclinic import equipartition, line_connection, line_legs, verify_connection
+from .metric import SampledCurve, k_length, midpoints, segment_k_lengths
 from .potentials import (
     double_well,
     make_weight,
@@ -76,7 +71,6 @@ from .potentials import (
 from .regularity import second_difference_bound, uniform_bounds_audit
 
 EXIT_OK = 0
-EXIT_STALL = 2
 EXIT_CONFIG = 3
 EXIT_CHECKSUM = 4
 EXIT_EQUIPARTITION = 5
@@ -275,15 +269,13 @@ def _read_field(path):
 # ---------------------------------------------------------------------------
 # connect
 
-# the settable keys of a connect config and of its reparam object, per
-# dimension: the line needs no descent, so only dimension 2 and up reads the
-# solver and the resample
+# the settable keys of a connect config, per dimension: on the line every
+# path passes through the wells between the ends, so only dimension 2 and up
+# reads via points; and of its reparam object
 CONNECT_KEYS = {1: {"schema_version", "potential", "wells", "refine_wells", "reparam",
                     "defect_tol"}}
-CONNECT_KEYS[2] = CONNECT_KEYS[1] | {"solver"}
-REPARAM_KEYS = {1: {"n_samples", "t_max"}}
-REPARAM_KEYS[2] = REPARAM_KEYS[1] | {"resample", "resample_eps"}
-SOLVER_KEYS = {"n_nodes", "max_iters", "grad_tol", "via_points"}
+CONNECT_KEYS[2] = CONNECT_KEYS[1] | {"via_points"}
+REPARAM_KEYS = {"n_samples", "t_max"}
 
 
 def _within(gates, verbose: bool) -> bool:
@@ -313,51 +305,27 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     refine = cfg.get("refine_wells", True)
     if not isinstance(refine, bool):
         raise ConfigError(f"config field 'refine_wells' must be true or false, got {refine!r}")
-    rep_cfg = _section(cfg, "reparam", REPARAM_KEYS[dims])
+    rep_cfg = _section(cfg, "reparam", REPARAM_KEYS)
     n_samples = _integer(rep_cfg, "n_samples", 2001, 3, "reparam.")
     t_max = _positive(rep_cfg, "t_max", 10.0, "reparam.")
-    if dims == 2:
-        solver_cfg = _section(cfg, "solver", SOLVER_KEYS)
-        opts = SolverOptions(
-            n_nodes=_integer(solver_cfg, "n_nodes", 401, 3, "solver."),
-            max_iters=_integer(solver_cfg, "max_iters", 2000, 0, "solver."),
-            grad_tol=_positive(solver_cfg, "grad_tol", 1e-8, "solver."),
-            via_points=tuple(_points(solver_cfg.get("via_points", []), p.dim,
-                                     "solver.via_points")),
-        )
-        resample = _integer(rep_cfg, "resample", 4 * opts.n_nodes, 2, "reparam.")
-        resample_eps = _positive(rep_cfg, "resample_eps", 1e-9, "reparam.")
+    via_points = _points(cfg.get("via_points", []), p.dim, "via_points")
     if refine:
         # refinement merges guesses that converge to one well
         wells = list(refine_wells(p, wells))
     if len(wells) != 2 or np.array_equal(wells[0], wells[1]):
         raise ConfigError("config field 'wells' holds two guesses of the same well")
     wspace = make_weight(p)
-    tolerances = {"defect_tol": defect_tol}
     warnings = []
     if dims == 1:
         pairs = line_legs(wells[0], wells[1], p.wells)
         conns = [line_connection(wspace, a, b, n_samples, t_max) for a, b in pairs]
-        solver = {"solver_status": "converged"}
         if len(pairs) > 1:
             warnings.append(
                 f"the wells {[b for _, b in pairs[:-1]]} lie between the ends: the "
                 f"connection is a chain of {len(pairs)} legs")
     else:
-        curve, value, trace = minimize_k_length(wspace, wells[0], wells[1], opts)
-        if verbose:
-            print(f"descent: {trace.status} after {trace.n_iters} iterations, "
-                  f"k_length {value:.12g}")
-        if trace.status == "stall":
-            print("solver stalled before reaching the gradient tolerance",
-                  file=sys.stderr)
-            return EXIT_STALL
-        curve = remove_sigma_loops(curve, wspace)
-        conns = [reparam_equipartition(curve, wspace, n_samples=n_samples, t_max=t_max,
-                                       resample=resample, resample_eps=resample_eps)]
-        solver = {"k_length_value": value, "solver_status": trace.status,
-                  "solver_iters": trace.n_iters, "solver_evals": trace.n_evals}
-        tolerances.update(grad_tol=opts.grad_tol, weight_floor=WEIGHT_FLOOR)
+        # raises RuntimeError, and the run exits 1, unless the relaxation converges
+        conns = [minimize_k_length(p, wells[0], wells[1], n_samples, t_max, via_points)]
     # one writer for both: leg k (from 1, in the order of travel) writes
     # curve_k.csv, plot_components_k.tsv and plot_defect_k.tsv
     os.makedirs(out_dir, exist_ok=True)
@@ -399,13 +367,13 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         "kind": "connect",
         "config": cfg,
         "versions": _versions(),
-        "tolerances": {**tolerances, "second_difference_constant": sd.c_constant},
+        "tolerances": {"defect_tol": defect_tol, "second_difference_constant": sd.c_constant},
         "results": {
             "action": action,
             "dk_value": float(np.sum([leg["dk_value"] for leg in legs])),
             "action_gap": float(np.sum([leg["action_gap"] for leg in legs])),
             "equipartition_defect": defect,
-            **solver,
+            "solver_status": "converged",
             "el_residual": el_residual,
             "second_difference_lhs": sd_lhs,
             "second_difference_rhs": sd_rhs,
@@ -693,9 +661,11 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
     """Recompute each leg's equipartition defect, action, d_K and action gap.
 
     The defect must meet ``defect_tol``.  The action, the gap (the action
-    with W at the midpoints, minus d_K), on the line d_K itself (from the
-    leg's recorded ends, as ``line_connection`` takes it), and their sums
-    over the legs must equal the recorded ones bit for bit.
+    with W at the midpoints, minus d_K), d_K itself (on the line from the
+    leg's recorded ends, as ``line_connection`` takes it, in higher
+    dimensions the curve's midpoint K-length, as ``minimize_k_length`` takes
+    it), and their sums over the legs must equal the recorded ones bit for
+    bit.
     """
     p = _build_potential(manifest["config"]["potential"])
     wspace = make_weight(p)
@@ -710,11 +680,11 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
         mids = midpoints(curve)
         kv = wspace.weight_at(mids)
         action, defects = equipartition(curve, wspace.space, 0.5 * kv * kv)
-        # in higher dimensions d_K is the descent's, read as recorded
-        dk = leg["dk_value"]
         if p.dim == 1:
             ends = np.array([leg["x_minus"], leg["x_plus"]], dtype=float)
             dk = float(segment_k_lengths(wspace.weight_at, ends[:1], ends[1:], [[]])[0])
+        else:
+            dk = k_length(curve, wspace, rule="midpoint")
         gap = equipartition(curve, wspace.space, p.values_at(mids))[0] - dk
         gates.append((f"leg {k} equipartition defect", float(np.max(defects)), tol))
         gates += [(f"leg {k} |recomputed - recorded {key}|", abs(value - leg[key]), 0.0)
@@ -828,7 +798,7 @@ def main(argv=None) -> int:
     common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("connect", parents=[common],
-                   help="1D minimal connection between two wells")
+                   help="minimal connection between two wells")
     sub.add_parser("double", parents=[common],
                    help="2D field from a minimal path of 1D profiles")
     sub.add_parser("counterexample", parents=[common],

@@ -18,8 +18,9 @@ optimal-translation fitting round out the toolbox for the double solve in
 the quotient by x1-translations (``mode`` "asym").
 
 One pinned truncated Newton-CG (``pinned_newton_cg``) relaxes the well
-profiles (``EffectivePotentialSpace.relax_profile``) and polishes the 2D
-field assembled from a path of them.
+profiles and the connect curves of dimension two and up
+(``EffectivePotentialSpace.relax_profile``) and polishes the 2D field
+assembled from a path of well profiles.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import math
 
 import numpy as np
 
-from .geodesic import ARMIJO, BACKTRACK, MAX_BACKTRACKS
-from .metric import GridL2Space, LastBatch, WeightedSpace, interp_columns, trapezoid_weights
+from .metric import GridL2Space, WeightedSpace, interp_columns, trapezoid_weights
 from .potentials import Potential
 
 
@@ -660,31 +660,13 @@ class EffectivePotentialSpace:
     def weighted_space(self) -> WeightedSpace:
         """The geodesic problem on profiles: weight sqrt(2 max(E - ref, 0)).
 
-        Zero weight is reached exactly on the stored minimal connections, so
-        the zero set lists their flattened coordinates.  E - ref of the last
-        frozen batch is kept (``LastBatch``), so the gradient call on the
-        solver's accepted midpoints does not evaluate ``energy_1d`` again.
+        The weight vanishes exactly on the stored minimal connections.
         """
-        last = LastBatch()
 
-        def weight(pts, grad=False):
-            w = last(self.effective_potential, pts)
-            k = np.sqrt(2.0 * np.maximum(w, 0.0))
-            if not grad:
-                return k
-            # grad K = grad E / K where E - ref is positive, zero elsewhere
-            live = w > 1e-16
-            g = self.energy_1d_grad(pts).reshape(pts.shape)
-            if live.all():
-                g /= k[:, None]
-                return k, g
-            return k, np.divide(g, k[:, None], out=np.zeros_like(g), where=live[:, None])
+        def weight(pts):
+            return np.sqrt(2.0 * np.maximum(self.effective_potential(pts), 0.0))
 
-        return WeightedSpace(
-            space=self.ambient(),
-            weight=weight,
-            zero_set=tuple(z.flatten() for z in (self.z_minus, self.z_plus) if z is not None),
-        )
+        return WeightedSpace(space=self.ambient(), weight=weight)
 
     def profile_hessp(self, values: np.ndarray):
         """Hessian of ``energy_1d`` at one profile, as a function of a direction (m, n).
@@ -739,10 +721,14 @@ class EffectivePotentialSpace:
 
 
 # Newton steps of a profile relaxation before it reports max_iters, and the
-# most CG products per Newton step; the Armijo backtracking constants are the
-# geodesic descent's.
+# most CG products per Newton step
 RELAX_STEPS = 50
 CG_MAXITER = 2000
+# Armijo backtracking of a Newton step: the sufficient-decrease constant, the
+# step shrink factor and the most shrinks before the Newton-CG stalls
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

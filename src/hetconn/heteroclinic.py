@@ -13,7 +13,10 @@ On the line no geodesic needs to be found: between two adjacent wells the
 K-geodesic is the segment, d_K is the integral of K, and the equipartition
 profile solves u' = K(u).  ``line_connection`` builds that profile by
 quadrature alone, and ``line_legs`` splits a pair of ends at every well
-between them, since every path on the line passes through those wells.
+between them, since every path on the line passes through those wells.  In
+dimension two and up ``geodesic.minimize_k_length`` relaxes the action of a
+time-sampled curve directly, which is already equipartitioned, so no run
+calls ``reparam_equipartition``.
 """
 
 from __future__ import annotations
@@ -106,10 +109,9 @@ def reparam_equipartition(
     """Reparametrize a geodesic so kinetic and potential energy balance.
 
     The geodesic is put in arc-length form; F = K(nodes) must be positive at
-    every interior node (run loop removal first if the curve grazes the zero
-    set).  G = cumulative trapezoid of 1/F, centered where the accumulated
-    weighted length reaches half its total, is inverted monotonically to get
-    the time map.  The output is sampled on a uniform grid over [-T, T] with
+    every interior node.  G = cumulative trapezoid of 1/F, centered where the
+    accumulated weighted length reaches half its total, is inverted
+    monotonically to get the time map.  The output is sampled on a uniform grid over [-T, T] with
     T = min(clamped G-range half-width, t_max).  ``resample`` inserts a
     graded arc grid (geometric toward the ends, relative depth
     ``resample_eps``) before integration, extending the reachable window.

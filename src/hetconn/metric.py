@@ -7,11 +7,9 @@ same interface (a flat coordinate vector per point plus per-coordinate
 quadrature weights), so every functional below is written once.
 
 A weight is evaluated in batches only: ``weight(pts)`` maps points of shape
-(k, dim) to values of shape (k,), and ``weight(pts, grad=True)`` returns the
-values together with their gradients, shape (k, dim), from one evaluation; a
-single point is a batch of one.  ``trapezoid_weights``
-and ``interp_columns`` are the package's one trapezoid rule and one
-per-column linear interpolation.  Its quadrature is QUADPACK's 21-point
+(k, dim) to values of shape (k,); a single point is a batch of one.
+``trapezoid_weights`` and ``interp_columns`` are the package's one trapezoid
+rule and one per-column linear interpolation.  Its quadrature is QUADPACK's 21-point
 Gauss-Kronrod rule: ``qk21`` applies it once on each of a batch of panels,
 and ``adaptive_qk21`` is the adaptive quadrature built on it, with its error
 estimate and default tolerances, batched over integrands, each refinement
@@ -84,32 +82,6 @@ def drop_tied_nodes(pos: np.ndarray, nodes: np.ndarray):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-class LastBatch:
-    """One-entry memo of ``fn(pts)`` for a frozen batch.
-
-    A batch that owns its data and is read-only is kept with its result,
-    and the next call on that same array returns the result without calling
-    ``fn``.  The descent solver freezes the segment midpoints it evaluates
-    and, once a step is accepted, asks for the weight gradient on that same
-    array, so a weight that derives K from a potential evaluates the
-    potential once per line-search trial and not again for the gradient.
-    Any other batch is evaluated afresh and leaves the memo as it was.
-    """
-
-    __slots__ = ("pts", "out")
-
-    def __init__(self):
-        self.pts = self.out = None
-
-    def __call__(self, fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray):
-        if pts is self.pts:
-            return self.out
-        out = fn(pts)
-        if isinstance(pts, np.ndarray) and pts.flags.owndata and not pts.flags.writeable:
-            self.pts, self.out = pts, out
-        return out
 
 
 class _WeightedNorm:
@@ -204,29 +176,16 @@ class SampledCurve:
 
 @dataclass(frozen=True)
 class WeightedSpace:
-    """An ambient space with a nonnegative weight and its zero set.
+    """An ambient space with a nonnegative weight.
 
-    The zero set is the finite list of points where the weight vanishes;
-    operations that excise loops or check strict triangle inequalities
-    iterate over it.  ``weight(pts, grad=False)`` maps (k, dim) points to
-    (k,) values K; with grad=True it returns the pair (K, grad K) of shapes
-    ((k,), (k, dim)) from one evaluation, K bitwise the same as without.
-    Only the descent solver asks for the gradient, so a weight that is
-    never descended may take ``pts`` alone.  The solver passes its segment
-    midpoints read-only and asks for the gradient only on a batch it has
-    just evaluated; a weight may keep that batch's values (``LastBatch``).
+    ``weight(pts)`` maps (k, dim) points to (k,) values K.
     """
 
     space: AmbientSpace
-    weight: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]
-    zero_set: tuple = ()
+    weight: Callable[[np.ndarray], np.ndarray]
 
     def weight_at(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.weight(np.atleast_2d(pts)), dtype=float)
-
-    def weight_and_grad_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k, g = self.weight(np.atleast_2d(pts), grad=True)
-        return np.asarray(k, dtype=float), np.asarray(g, dtype=float)
 
 
 def midpoints(curve: SampledCurve) -> np.ndarray:

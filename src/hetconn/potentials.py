@@ -10,7 +10,7 @@ minimizing connections come in symmetric pairs.
 Evaluation is batched only: a Potential carries values, gradients and
 Hessians of points stacked as (k, dim), and every built-in declares all
 three in closed form.  make_weight turns one into the weighted space
-K = sqrt(2 W), with weight and weight gradient batched the same way.
+K = sqrt(2 W), batched the same way.
 
 The check_* helpers audit the structural hypotheses the method relies on
 and report margins: on sampled grids, a radial lower envelope with divergent
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .metric import EuclideanSpace, LastBatch, WeightedSpace, segment_k_lengths
+from .metric import EuclideanSpace, WeightedSpace, segment_k_lengths
 
 
 class WellRefinementError(RuntimeError):
@@ -174,32 +174,19 @@ def make_weight(p: Potential) -> WeightedSpace:
     """Weighted space with weight K = sqrt(2 W) over flat R^dim.
 
     Raises if the potential evaluates negative (beyond roundoff) anywhere it
-    is sampled.  The weight gradient is grad W / K, zeroed where K is below
-    1e-12; the descent solver skips such segments anyway.  W of the last
-    frozen batch is kept (``LastBatch``), so the gradient call on the
-    solver's accepted midpoints does not evaluate W again.
+    is sampled.
     """
-    last = LastBatch()
 
-    def weight(pts, grad=False):
-        v = last(p.values_at, pts)
+    def weight(pts):
+        v = p.values_at(pts)
         if np.any(v < -1e-12):
             i = int(np.argmin(v))
             raise ValueError(
                 f"potential {p.name} is negative ({v[i]:.3e}) at {pts[i]}"
             )
-        k = np.sqrt(2.0 * np.maximum(v, 0.0))
-        if not grad:
-            return k
-        g = p.gradients_at(pts) / np.maximum(k, 1e-12)[:, None]
-        g[k < 1e-12] = 0.0
-        return k, g
+        return np.sqrt(2.0 * np.maximum(v, 0.0))
 
-    return WeightedSpace(
-        space=EuclideanSpace(p.dim),
-        weight=weight,
-        zero_set=tuple(np.asarray(w, dtype=float) for w in p.wells),
-    )
+    return WeightedSpace(space=EuclideanSpace(p.dim), weight=weight)
 
 
 def refine_wells(

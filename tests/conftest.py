@@ -3,30 +3,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hetconn import (
-    SolverOptions,
-    double_well,
-    make_weight,
-    minimize_k_length,
-    reparam_equipartition,
-)
+from hetconn import SampledCurve, double_well, line_connection, make_weight
 from hetconn.double_connection import planar_effective_space
 
 
 @pytest.fixture(scope="session")
 def golden():
-    """Double-well connection pipeline output, wide window."""
+    """Double-well connection by exact quadrature, wide window, and the
+    straight segment between the wells, its K-geodesic."""
     p = double_well()
     ws = make_weight(p)
-    curve, value, trace = minimize_k_length(
-        ws, np.array([-1.0]), np.array([1.0]),
-        SolverOptions(n_nodes=401, max_iters=2000, grad_tol=1e-8),
-    )
-    conn = reparam_equipartition(
-        curve, ws, n_samples=2001, t_max=9.0, resample=524288, resample_eps=1e-9
-    )
-    return SimpleNamespace(potential=p, wspace=ws, geodesic=curve,
-                           k_value=value, trace=trace, conn=conn)
+    conn = line_connection(ws, -1.0, 1.0, n_samples=2001, t_max=9.0)
+    segment = SampledCurve(times=np.linspace(0.0, 1.0, 401),
+                           nodes=np.linspace(-1.0, 1.0, 401)[:, None])
+    return SimpleNamespace(potential=p, wspace=ws, geodesic=segment, conn=conn)
 
 
 @pytest.fixture(scope="session")

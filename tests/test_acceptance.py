@@ -14,7 +14,6 @@ from hetconn import (
     DoubleOptions,
     GridFunction,
     SampledCurve,
-    SolverOptions,
     a_k_functional,
     assemble_and_verify,
     audit_translation_speed,
@@ -23,13 +22,13 @@ from hetconn import (
     funnel_profile,
     funnel_project,
     k_length,
+    line_connection,
     make_weight,
     minimize_k_length,
     mollify,
     nonexistence_report,
     parallelogram_defect,
     planar_two_well,
-    reparam_equipartition,
     second_difference_bound,
     sin_example_space,
     solve_asymmetric,
@@ -73,15 +72,8 @@ def test_criterion_1_double_well_connection_matches_tanh():
     start = time.perf_counter()
     p = double_well()
     ws = make_weight(p)
-    curve, k_val, _ = minimize_k_length(
-        ws,
-        np.array([-1.0]),
-        np.array([1.0]),
-        SolverOptions(n_nodes=401, max_iters=2000, grad_tol=1e-8),
-    )
-    conn = reparam_equipartition(
-        curve, ws, n_samples=2001, t_max=5.0, resample=524288, resample_eps=1e-9
-    )
+    conn = line_connection(ws, -1.0, 1.0, n_samples=2001, t_max=5.0)
+    k_val = conn.dk_value
     elapsed = time.perf_counter() - start
 
     t, u = conn.curve.times, conn.curve.nodes[:, 0]
@@ -107,22 +99,9 @@ def test_criterion_2_equipartition_defect(golden):
     d1 = rep.equipartition_defect
 
     p2 = planar_two_well()
-    ws2 = make_weight(p2)
-    curve, _, _ = minimize_k_length(
-        ws2,
-        np.array([-1.0, 0.0]),
-        np.array([1.0, 0.0]),
-        SolverOptions(
-            n_nodes=201,
-            max_iters=20000,
-            grad_tol=1e-10,
-            via_points=(np.array([0.0, 1.0]),),
-        ),
-    )
-    conn2 = reparam_equipartition(
-        curve, ws2, n_samples=2001, t_max=6.0, resample=8192, resample_eps=1e-9
-    )
-    d2 = verify_connection(conn2, p2, ws2).equipartition_defect
+    conn2 = minimize_k_length(p2, np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
+                              n_samples=2001, t_max=6.0, via_points=(np.array([0.0, 1.0]),))
+    d2 = verify_connection(conn2, p2, make_weight(p2)).equipartition_defect
 
     ok = d1 < 1e-3 and d2 < 5e-2
     assert _line(2, ok, f"defect 1d {d1:.3e} (<1e-3)  planar {d2:.3e} (<5e-2)")

@@ -15,6 +15,7 @@ import hetconn.cli
 import hetconn.counterexample
 import hetconn.double_connection
 from hetconn.cli import _load_config, _read_table, _write_table, main
+from hetconn.double_connection import planar_shell
 
 CONNECT_CFG = {
     "schema_version": 1,
@@ -24,14 +25,14 @@ CONNECT_CFG = {
     "defect_tol": 1e-3,
 }
 
-# only a connect in dimension 2 and up runs the descent; the chord between
-# the planar wells along u2 = 0 is a critical point of its K-length
+# a connect in dimension 2 and up relaxes the action of a seeded curve; with
+# no via point the seed is the chord between the planar wells along u2 = 0,
+# and the relaxation keeps to that axis (defect 3.0e-4)
 PLANAR_CONNECT_CFG = {
     "schema_version": 1,
     "potential": {"name": "planar_two_well"},
     "wells": [[-1.0, 0.0], [1.0, 0.0]],
-    "solver": {"n_nodes": 101, "max_iters": 800, "grad_tol": 1e-8},
-    "reparam": {"n_samples": 801, "t_max": 6.0, "resample": 4096, "resample_eps": 1e-9},
+    "reparam": {"n_samples": 801, "t_max": 6.0},
     "defect_tol": 1e-3,
 }
 
@@ -430,10 +431,11 @@ def test_config_errors(tmp_path):
     ("reparam", "extra", 1),
 ])
 def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, value):
-    # the solver and the resample are read in dimension 2 and up only
+    # no connect reads a solver or a resample any more: in dimension 2 they
+    # are unknown keys too
     descent = section == "solver" or key.startswith("resample")
     cfg = json.loads(json.dumps(PLANAR_CONNECT_CFG if descent else CONNECT_CFG))
-    cfg[section][key] = value
+    cfg.setdefault(section, {})[key] = value
     out = tmp_path / "run"
     assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
     assert not out.exists()
@@ -481,10 +483,14 @@ def test_connect_rejects_bad_solver_and_reparam_values(tmp_path, section, key, v
     pytest.param("double", "defect_tol", 10 ** 400, id="double-defect_tol-huge_int"),
     pytest.param("counterexample", "radii", [4.0, 10 ** 400], id="counterexample-radii-huge_int"),
     pytest.param("connect", "wells", [[-1.0], [10 ** 400]], id="connect-wells-huge_int"),
+    ("connect", "via_points", [[0.0]]),
+    ("connect", "via_points", [[float("nan"), 1.0]]),
+    ("connect", "via_points", [0.0]),
+    ("connect", "via_points", "abc"),
 ])
 def test_bad_tolerances_and_keys_exit_before_any_work(tmp_path, command, key, value):
-    # the solver is read in dimension 2 and up only
-    base = {"connect": PLANAR_CONNECT_CFG if key == "solver" else CONNECT_CFG,
+    # via points are read in dimension 2 and up only; no connect reads a solver
+    base = {"connect": PLANAR_CONNECT_CFG if key in ("solver", "via_points") else CONNECT_CFG,
             "double": SIN_CFG, "counterexample": COUNTER_CFG}[command]
     cfg = dict(base, **{key: value})
     out = tmp_path / "run"
@@ -511,15 +517,17 @@ def test_coincident_wells_exit_before_any_work(tmp_path, capsys, potential, well
     ("reparam", "resample_eps", 1e-9),
 ])
 def test_a_line_connect_rejects_the_descent_keys(tmp_path, capsys, section, key, value):
-    cfg = json.loads(json.dumps(CONNECT_CFG))
-    if key is None:
-        cfg[section] = value
-    else:
-        cfg[section][key] = value
-    out = tmp_path / "run"
-    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
-    assert repr(key or section) in capsys.readouterr().err
-    assert not out.exists()
+    # and so does a connect in dimension 2, which no longer runs the descent
+    for base in (CONNECT_CFG, PLANAR_CONNECT_CFG):
+        cfg = json.loads(json.dumps(base))
+        if key is None:
+            cfg[section] = value
+        else:
+            cfg[section][key] = value
+        out = tmp_path / "run"
+        assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+        assert repr(key or section) in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section", ["solver", "reparam"])
@@ -841,6 +849,67 @@ def test_verify_recomputes_the_legs_d_k_and_gaps(tmp_path, capsys, path, value, 
     assert gate in capsys.readouterr().err
 
 
+def test_planar_connect_relaxes_the_upper_channel(tmp_path):
+    out, manifest = _shipped_connect(tmp_path, "planar_connect")
+    results = manifest["results"]
+    assert results["solver_status"] == "converged"
+    assert results["equipartition_defect"] <= 1e-3
+    # the midpoint action lies above the midpoint K-length, and both near the
+    # channel's whole-line value 2.115106
+    assert results["action_gap"] >= 0.0
+    assert abs(results["dk_value"] - 2.115106) <= 2e-4
+    _, _, data = _read_table(out / results["legs"][0]["curve"])
+    assert np.all(data[1:-1, 2] > 0.0)
+
+
+def test_planar_connect_is_the_double_fixtures_well_profile(tmp_path, planar_space):
+    # two routes, one engine: the connect curve on the fixture's window and
+    # grid, through (0, 1), is the fixture's relaxed z+ (its defect on this
+    # coarse grid is 1.7e-3)
+    cfg = dict(PLANAR_CONNECT_CFG, via_points=[[0.0, 1.0]],
+               reparam={"n_samples": 401, "t_max": 8.0}, defect_tol=5e-3)
+    out = tmp_path / "pl"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    _, _, data = _read_table(out / "curve_1.csv")
+    assert np.max(np.abs(data[:, 1:] - planar_space.z_plus.values)) <= 1e-12
+    energy = planar_shell(data[:, 0]).energy_1d(data[:, 1:])[0]
+    assert abs(energy / planar_space.ref_value - 1.0) <= 1e-12
+
+
+def test_verify_recomputes_the_planar_d_k(tmp_path, capsys):
+    out = tmp_path / "pl"
+    assert main(["connect", "--config", write_cfg(tmp_path, PLANAR_CONNECT_CFG),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    results = manifest["results"]
+    (leg,) = results["legs"]
+    # a d_K edited together with the gaps and the sums that follow from it:
+    # only a recomputed d_K tells it from the run's
+    _, _, data = _read_table(out / leg["curve"])
+    curve = hetconn.SampledCurve(times=data[:, 0], nodes=data[:, 1:])
+    action = hetconn.heteroclinic.equipartition(
+        curve, hetconn.EuclideanSpace(2),
+        hetconn.planar_two_well().values_at(hetconn.metric.midpoints(curve)))[0]
+    dk = leg["dk_value"] + 1e-6
+    leg["dk_value"] = results["dk_value"] = dk
+    leg["action_gap"] = results["action_gap"] = action - dk
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert "leg 1 |recomputed - recorded dk_value|" in capsys.readouterr().err
+
+
+def test_a_planar_connect_that_does_not_converge_exits_1(tmp_path, monkeypatch, capsys):
+    from hetconn import function_space
+
+    monkeypatch.setattr(function_space, "RELAX_STEPS", 1)
+    cfg = dict(PLANAR_CONNECT_CFG, via_points=[[0.0, 1.0]])
+    out = tmp_path / "pl"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "profile relaxation max_iters" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("name", ["double_well", "triple_well"])
 def test_a_line_connect_runs_no_descent_and_no_resample(tmp_path, monkeypatch, name):
     from hetconn import geodesic, heteroclinic
@@ -850,9 +919,7 @@ def test_a_line_connect_runs_no_descent_and_no_resample(tmp_path, monkeypatch, n
 
     for module in (hetconn.cli, geodesic):
         monkeypatch.setattr(module, "minimize_k_length", refuse)
-        monkeypatch.setattr(module, "remove_sigma_loops", refuse)
-    for module in (hetconn.cli, heteroclinic):
-        monkeypatch.setattr(module, "reparam_equipartition", refuse)
+    monkeypatch.setattr(heteroclinic, "reparam_equipartition", refuse)
     monkeypatch.setattr(heteroclinic, "_graded_resample", refuse)
     _shipped_connect(tmp_path, name)
 
@@ -954,38 +1021,6 @@ def test_every_command_and_audit_runs_without_scipy(tmp_path):
     assert 2.9 < gap < 3.1
     assert tail == pytest.approx(1.5, rel=1e-4)
     assert report["scipy"] == []
-
-
-def test_solver_evals_count_every_line_search_trial(tmp_path, monkeypatch):
-    descend = hetconn.cli.minimize_k_length
-    traces = []
-
-    def recorded(*args, **kwargs):
-        curve, value, trace = descend(*args, **kwargs)
-        traces.append(trace)
-        return curve, value, trace
-
-    monkeypatch.setattr(hetconn.cli, "minimize_k_length", recorded)
-    # a seed through a via point off the axis: 100 steps do not converge
-    cfg = dict(PLANAR_CONNECT_CFG, solver={"n_nodes": 101, "max_iters": 100, "grad_tol": 1e-8,
-                                           "via_points": [[0.0, 0.1]]})
-    out = tmp_path / "pl"
-    assert main(["connect", "--config", write_cfg(tmp_path, cfg, "pl.json"),
-                 "--out", str(out)]) == 0
-    results = json.loads((out / "manifest.json").read_text())["results"]
-    (trace,) = traces
-    assert (results["solver_iters"], results["solver_evals"]) == (100, trace.n_evals)
-    assert trace.n_evals >= 100
-
-
-def test_solver_iters_counts_accepted_steps(tmp_path):
-    # the chord between the planar wells is already optimal: no step, no trial
-    cfg = write_cfg(tmp_path, PLANAR_CONNECT_CFG)
-    out = tmp_path / "pl"
-    assert main(["connect", "--config", cfg, "--out", str(out)]) == 0
-    results = json.loads((out / "manifest.json").read_text())["results"]
-    assert results["solver_status"] == "converged"
-    assert (results["solver_iters"], results["solver_evals"]) == (0, 0)
 
 
 def test_double_manifest_always_records_the_polish(tmp_path):

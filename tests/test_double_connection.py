@@ -29,7 +29,6 @@ from hetconn.double_connection import (
     x2_defect,
 )
 from hetconn.function_space import pinned_newton_cg, poisson_preconditioner, truncated_cg
-from hetconn.geodesic import _energy_grad
 from hetconn.metric import trapezoid_weights
 
 SMALL = DoubleOptions(n_out=33, t_max=4.0)
@@ -49,7 +48,6 @@ def test_planar_space_carries_mirror_profiles(planar_space):
 
 def test_planar_weight_vanishes_only_on_the_profiles(planar_space):
     ws = planar_space.weighted_space()
-    assert len(ws.zero_set) == 2
     assert ws.weight_at(planar_space.z_plus.flatten())[0] == 0.0
     shoved = planar_space.z_plus.values.copy()
     shoved[:, 1] += 0.3 * np.exp(-planar_space.grid**2)
@@ -325,15 +323,7 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
         calls.append(np.shape(values))
         return kernel(self, values)
 
-    grad_calls = []
-    grad_kernel = EffectivePotentialSpace.energy_1d_grad
-
-    def counted_grad(self, values):
-        grad_calls.append(np.shape(values))
-        return grad_kernel(self, values)
-
     monkeypatch.setattr(EffectivePotentialSpace, "energy_1d", counted)
-    monkeypatch.setattr(EffectivePotentialSpace, "energy_1d_grad", counted_grad)
     _path_energy(space, u, 0.1, grad=True)
     assert len(calls) == 1
     calls.clear()
@@ -346,14 +336,6 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
     weights = wspace.weight_at(nodes)
     assert weights.shape == (k,)
     assert len(calls) == 1
-    # one descent gradient: the weight and its gradient at all k - 1
-    # midpoints come from one energy and one gradient kernel call
-    calls.clear()
-    grad_calls.clear()
-    energy, grad = _energy_grad(nodes, wspace, want_grad=True)
-    assert np.isfinite(energy) and np.any(grad != 0.0)
-    assert len(calls) == 1
-    assert len(grad_calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ def quad_weight():
     return WeightedSpace(
         space=EuclideanSpace(2),
         weight=lambda x: 1.0 + np.sum(np.asarray(x) ** 2, axis=-1),
-        zero_set=(),
     )
 
 
@@ -86,7 +85,6 @@ def test_k_length_infinite_weight_convention():
     ws = WeightedSpace(
         space=EuclideanSpace(1),
         weight=lambda x: np.where(np.asarray(x)[..., 0] > 0.5, np.inf, 1.0),
-        zero_set=(),
     )
     c = SampledCurve(times=np.array([0.0, 1.0, 2.0]),
                      nodes=np.array([[1.0], [1.0], [1.0]]))

@@ -82,7 +82,6 @@ def test_make_weight_is_sqrt_2w():
     x = np.array([0.3])
     assert ws.weight_at(x) == pytest.approx(np.sqrt(2.0 * p.values_at(x)[0]))
     assert ws.weight_at(np.array([1.0])) == pytest.approx(0.0)
-    assert len(ws.zero_set) == 2
 
 
 def test_refine_wells_newton():
