@@ -660,18 +660,19 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
 def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
     """Recompute each leg's equipartition defect, action, d_K and action gap.
 
-    The defect must meet ``defect_tol``.  The action, the gap (the action
-    with W at the midpoints, minus d_K), d_K itself (on the line from the
-    leg's recorded ends, as ``line_connection`` takes it, in higher
+    The defect must meet ``defect_tol``.  The defect, the action, the gap
+    (the action with W at the midpoints, minus d_K), d_K itself (on the line
+    from the leg's recorded ends, as ``line_connection`` takes it, in higher
     dimensions the curve's midpoint K-length, as ``minimize_k_length`` takes
-    it), and their sums over the legs must equal the recorded ones bit for
-    bit.
+    it), the largest defect and the sums of the others over the legs must
+    equal the recorded ones bit for bit.
     """
     p = _build_potential(manifest["config"]["potential"])
     wspace = make_weight(p)
     results = manifest["results"]
     tol = manifest["tolerances"]["defect_tol"]
-    gates, curves, dks, gaps = [], [], [], []
+    keys = ("equipartition_defect", "action", "dk_value", "action_gap")
+    gates, curves, recomputed = [], [], []
     for k, leg in enumerate(results["legs"], 1):
         if leg["curve"] not in manifest["artifacts"]:
             raise ValueError(f"leg {k} curve {leg['curve']} is not a checksummed artifact")
@@ -686,14 +687,17 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
         else:
             dk = k_length(curve, wspace, rule="midpoint")
         gap = equipartition(curve, wspace.space, p.values_at(mids))[0] - dk
-        gates.append((f"leg {k} equipartition defect", float(np.max(defects)), tol))
+        values = (float(np.max(defects)), action, dk, gap)
+        gates.append((f"leg {k} equipartition defect", values[0], tol))
         gates += [(f"leg {k} |recomputed - recorded {key}|", abs(value - leg[key]), 0.0)
-                  for key, value in (("action", action), ("dk_value", dk), ("action_gap", gap))]
+                  for key, value in zip(keys, values)]
         curves.append(curve)
-        dks.append(dk)
-        gaps.append(gap)
+        recomputed.append(values)
+    columns = list(zip(*recomputed))
+    gates.append(("|max over the legs - recorded equipartition_defect|",
+                  abs(float(np.max(columns[0])) - results[keys[0]]), 0.0))
     gates += [(f"|sum over the legs - recorded {key}|", abs(float(np.sum(v)) - results[key]), 0.0)
-              for key, v in (("dk_value", dks), ("action_gap", gaps))]
+              for key, v in zip(keys[1:], columns[1:])]
     if not _within(gates, verbose):
         return EXIT_EQUIPARTITION
     for k, curve in enumerate(curves, 1) if verbose else ():
@@ -704,6 +708,11 @@ def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
 
 
 def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
+    """Recompute a double run's residuals, energies, x2 defect and free gradient.
+
+    Each must equal the recorded one bit for bit (``energy`` is the path
+    energy), and they must meet the run's tolerances.
+    """
     x1, x2, u = _read_field(os.path.join(run_dir, "u.npy"))
     space = _double_shell(manifest["config"], x1)
     # the last column is the z+ well profile, and its action the reference
@@ -717,8 +726,15 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
     tolerances = manifest["tolerances"]
     res = field_residuals(space, u, dt, tolerances["residual_margin_cells"])
     gmax = free_gradient_max(space, u, dt, manifest["mode"])
-    if not _double_within_tolerance(res, x2_defect(space, u, dt), gmax,
-                                    manifest["results"]["polish_status"], tolerances, verbose):
+    defect = x2_defect(space, u, dt)
+    results = manifest["results"]
+    recomputed = {"energy": res.energy_path, "energy_direct": res.energy_direct,
+                  "energy_path": res.energy_path, "residual_max": res.residual_max,
+                  "residual_l2": res.residual_l2, "equip_defect": defect, "polish_gmax": gmax}
+    exact = _within([(f"|recomputed - recorded {key}|", abs(value - results[key]), 0.0)
+                     for key, value in recomputed.items()], verbose)
+    if not (_double_within_tolerance(res, defect, gmax, results["polish_status"], tolerances,
+                                     verbose) and exact):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 

@@ -2,12 +2,11 @@
 
 A geodesic for the weight K = sqrt(2 W) becomes a minimal-action connection
 once its time parametrization equidistributes kinetic and potential energy:
-along the arc-length form of the geodesic one integrates 1/K to build the
-inverse time map, and the curve read through that map satisfies
-|dgamma/dt| = K(gamma), i.e. the action integrand splits evenly.  The weight
-vanishes at the two wells, so the time map diverges at the ends; the
-implementation clamps at the last interior node and reports the resulting
-finite window.
+read through the inverse of the time map, the integral of |dgamma| / K, it
+satisfies |dgamma/dt| = K(gamma), so the action integrand splits evenly.
+The map diverges at the wells, where K vanishes; one exact quadrature on
+panels graded toward them integrates it for a segment of the line
+(``line_connection``) and for a polyline in flat R^n (``reparam_equipartition``).
 
 On the line no geodesic needs to be found: between two adjacent wells the
 K-geodesic is the segment, d_K is the integral of K, and the equipartition
@@ -32,7 +31,6 @@ from .metric import (
     SampledCurve,
     WeightedSpace,
     drop_tied_nodes,
-    interp_columns,
     midpoints,
     qk21,
     segment_k_lengths,
@@ -43,7 +41,7 @@ from .potentials import Potential
 
 
 class InteriorZeroError(RuntimeError):
-    """The weight vanishes strictly between the endpoints of a geodesic."""
+    """The weight vanishes strictly between the ends of a polyline."""
 
 
 def equipartition(curve: SampledCurve, space: AmbientSpace, w_mid: np.ndarray):
@@ -78,103 +76,10 @@ class ConnectionResult:
     diagnostics: dict
 
 
-def _arc_length_form(geodesic: SampledCurve, space: AmbientSpace):
-    s = np.concatenate([[0.0], np.cumsum(segment_lengths(geodesic, space))])
-    return drop_tied_nodes(s, geodesic.nodes)
-
-
-def _graded_resample(s: np.ndarray, nodes: np.ndarray, n_base: int, eps_rel: float):
-    """Arc-length grid: uniform base plus geometric tails toward both ends.
-
-    The time map integrates 1/K, which blows up logarithmically (or worse)
-    at the wells, so uniform grids cap the reachable window; geometric
-    clustering pushes the clamp exponentially closer to the ends.
-    """
-    total = s[-1]
-    base = np.linspace(0.0, total, n_base)
-    levels = int(np.ceil(np.log2(1.0 / eps_rel))) if eps_rel < 1.0 else 0
-    tail = total * 0.25 * 0.5 ** np.arange(1, levels + 1)
-    s_new = sorted_unique(np.concatenate([base, tail, total - tail, [0.0, total]]))
-    return s_new, interp_columns(s_new, s, nodes)
-
-
-def reparam_equipartition(
-    geodesic: SampledCurve,
-    wspace: WeightedSpace,
-    n_samples: int = 2001,
-    t_max: float = 10.0,
-    resample: int | None = None,
-    resample_eps: float = 1e-9,
-) -> ConnectionResult:
-    """Reparametrize a geodesic so kinetic and potential energy balance.
-
-    The geodesic is put in arc-length form; F = K(nodes) must be positive at
-    every interior node.  G = cumulative trapezoid of 1/F, centered where the
-    accumulated weighted length reaches half its total, is inverted
-    monotonically to get the time map.  The output is sampled on a uniform grid over [-T, T] with
-    T = min(clamped G-range half-width, t_max).  ``resample`` inserts a
-    graded arc grid (geometric toward the ends, relative depth
-    ``resample_eps``) before integration, extending the reachable window.
-    """
-    s, nodes = _arc_length_form(geodesic, wspace.space)
-    if s.size < 3:
-        raise ValueError("geodesic needs at least one interior node")
-    if resample is not None:
-        s, nodes = _graded_resample(s, nodes, resample, resample_eps)
-    F = wspace.weight_at(nodes)
-    if np.any(~np.isfinite(F)):
-        raise ValueError("weight is not finite along the geodesic")
-    interior = F[1:-1]
-    if np.any(interior <= 0.0):
-        i = 1 + int(np.argmin(interior))
-        raise InteriorZeroError(
-            f"weight vanishes at interior arc position s={s[i]:.6g}; "
-            "the endpoints are not adjacent wells for this curve"
-        )
-    # Center where the accumulated weighted length reaches half its total.
-    seg_k = 0.5 * (F[:-1] + F[1:]) * np.diff(s)
-    cum_k = np.concatenate([[0.0], np.cumsum(seg_k)])
-    j_mid = int(np.argmin(np.abs(cum_k - 0.5 * cum_k[-1])))
-    j_mid = min(max(j_mid, 1), s.size - 2)
-    inv = 1.0 / F[1:-1]
-    G = np.concatenate([[0.0], np.cumsum(0.5 * (inv[:-1] + inv[1:]) * np.diff(s[1:-1]))])
-    G -= G[j_mid - 1]
-    t_lo, t_hi = float(G[0]), float(G[-1])
-    T = min(-t_lo, t_hi, t_max)
-    if T <= 0.0:
-        raise ValueError("clamped time window is empty")
-    times = np.linspace(-T, T, n_samples)
-    phi = np.interp(times, G, s[1:-1])
-    curve = SampledCurve(times=times, nodes=interp_columns(phi, s, nodes))
-
-    k_mid = wspace.weight_at(midpoints(curve))
-    action, defects = equipartition(curve, wspace.space, 0.5 * k_mid * k_mid)
-    defect = float(np.max(defects))
-    dk = float(np.sum(seg_k))
-    h_t = float(times[1] - times[0])
-    diagnostics = {
-        "clamp_f_lo": float(F[1]),
-        "clamp_f_hi": float(F[-2]),
-        "g_range": (t_lo, t_hi),
-        "action_minus_dk_per_h": (action - dk) / h_t,
-        "arc_nodes": int(s.size),
-    }
-    return ConnectionResult(
-        curve=curve,
-        x_minus=nodes[0].copy(),
-        x_plus=nodes[-1].copy(),
-        action=action,
-        dk_value=dk,
-        equipartition_defect=defect,
-        window=T,
-        diagnostics=diagnostics,
-    )
-
-
-# The line's time map is integrated on a graded grid of the leg parameter s
-# in [0, 1]: LINE_PANELS uniform panels plus geometric tails that reach
-# 2^-(LINE_TAIL_LEVELS + 2) of the leg from either end.  A tail panel is as
-# wide as its distance from the end, where 1/K has its pole.
+# The time map is integrated on a graded grid of the polyline parameter s in
+# [0, 1]: LINE_PANELS uniform panels per segment plus geometric tails that
+# reach 2^-(LINE_TAIL_LEVELS + 2) of the parameter range from either end.  A
+# tail panel is as wide as its distance from the end, where 1/K has its pole.
 LINE_PANELS = 16
 LINE_TAIL_LEVELS = 40
 # Newton steps of the centre and of the time map's inversion, at most; a
@@ -218,69 +123,114 @@ def _newton(residual, s, slope, lo=None, hi=None):
     raise RuntimeError(f"Newton's method did not settle in {LINE_NEWTON_STEPS} steps")
 
 
-def line_connection(wspace: WeightedSpace, a: float, b: float, n_samples: int = 2001,
-                    t_max: float = 10.0) -> ConnectionResult:
-    """The equipartitioned connection along the segment from a to b of the line.
+def _equipartition_along(nodes, wspace: WeightedSpace, n_samples: int,
+                         t_max: float) -> ConnectionResult:
+    """The equipartitioned connection along the polyline through ``nodes`` in flat R^n.
 
-    K must be positive strictly between a and b.  d_K is the integral of K
-    over the segment (``segment_k_lengths``).  The time map t(u), the
-    integral of du / K, is zero where the K-length from a reaches half of
-    d_K.  It is summed from one ``qk21`` rule per panel of a graded grid of
-    the segment, and T = min(t at either end of that grid, t_max).  The
-    profile on the uniform grid of ``n_samples`` times over [-T, T] inverts
-    t: a cubic Hermite interpolant of the inverse (slope K) starts Newton
-    steps whose t is integrated afresh from the grid node below by the same
-    rule, and they stop once a step moves no sample by more than a few ulps.
-    Near a well the rule sees K through the rounding of u, which limits t's
-    accuracy there to what that rounding moves u by.
+    Tied nodes are dropped first (``drop_tied_nodes``).  The J segments left
+    are parametrized by s in [0, 1], segment j = floor(s J) at speed J |d_j|;
+    K must be positive at the interior nodes (InteriorZeroError otherwise)
+    and inside each segment.  d_K is the sum of one ``segment_k_lengths``
+    call over the segments.  The time map t(s), the integral of the speed
+    over K, is zero where the K-length reaches half of d_K; it is summed from
+    one ``qk21`` rule per panel of a graded grid of s, each panel on the
+    segment of its midpoint, and T = min(t at either end of that grid,
+    t_max).  The profile on the uniform grid of ``n_samples`` times over
+    [-T, T] inverts t: a cubic Hermite interpolant (slope K over the speed)
+    starts Newton steps whose t is integrated afresh from the grid node below
+    by the same rule, until no step moves a sample by more than a few ulps.
+    Near a well the rule sees K through the rounding of the points, which
+    limits t's accuracy there to what that rounding moves them by.
     """
-    span = abs(b - a)
-    ends = np.array([[a], [b]])
+    space = wspace.space
+    if not isinstance(space, EuclideanSpace):
+        raise ValueError("the equipartition time map needs a Euclidean space")
+    nodes = np.asarray(nodes, dtype=float)
+    pos = np.concatenate([[0.0], np.cumsum(space.distances(nodes[1:], nodes[:-1]))])
+    nodes = drop_tied_nodes(pos, nodes)[1]
+    n_seg, dim = nodes.shape[0] - 1, nodes.shape[1]
+    if n_seg < 1:
+        raise ValueError("the polyline has zero length")
+    if n_seg > 1 and np.any(wspace.weight_at(nodes[1:-1]) <= 0.0):
+        raise InteriorZeroError("the weight vanishes at an interior node of the polyline")
+    d = np.diff(nodes, axis=0)
+    speed = n_seg * space.distances(nodes[1:], nodes[:-1])
+    # segment j is the affine map s -> origin[j] + s velocity[j]
+    velocity = n_seg * d
+    origin = nodes[:-1] - np.arange(n_seg)[:, None] * d
 
-    def k_at(s):
-        return wspace.weight_at((a + s.ravel() * (b - a))[:, None]).reshape(s.shape)
+    def point(s, seg):
+        """Points at s, shape (p,) or (p, q), on the segments seg, shape (p,): (p, q, dim)."""
+        x = s.reshape(seg.size, -1)[:, :, None] * velocity[seg][:, None, :]
+        x += origin[seg][:, None, :]
+        return x
 
-    def time_between(s0, s1):
-        return qk21(lambda s: span / k_at(s), s0, s1)
+    def k_at(s, seg):
+        return wspace.weight_at(point(s, seg).reshape(-1, dim)).reshape(s.shape)
 
-    dk = float(segment_k_lengths(wspace.weight_at, ends[:1], ends[1:], [[]])[0])
-    centre = float(_newton(
-        lambda s: segment_k_lengths(
-            wspace.weight_at, ends[:1], np.array([[a + s * (b - a)]]), [[]])[0] - 0.5 * dk,
-        0.5, lambda s: span * k_at(np.array([s]))[0], 0.0, 1.0))
+    def time_between(s0, s1, seg):
+        return qk21(lambda s: speed[seg, None] / k_at(s, seg), s0, s1)
+
+    seg_k = segment_k_lengths(wspace.weight_at, nodes[:-1], nodes[1:], [[]] * n_seg)
+    dk = float(np.sum(seg_k))
+    # the centre lies on the segment where the K-length from the first node reaches half
+    j = min(int(np.searchsorted(np.cumsum(seg_k), 0.5 * dk)), n_seg - 1)
+    before = float(np.sum(seg_k[:j]))
+    sigma = float(_newton(
+        lambda r: before + segment_k_lengths(
+            wspace.weight_at, nodes[j:j + 1], (nodes[j] + r * d[j])[None], [[]])[0] - 0.5 * dk,
+        0.5, lambda r: speed[j] / n_seg * wspace.weight_at(nodes[j] + r * d[j])[0], 0.0, 1.0))
+    centre = (j + sigma) / n_seg
     tails = 0.25 * 0.5 ** np.arange(1, LINE_TAIL_LEVELS + 1)
-    # levels that keep a grid node apart from an end in floating point
-    tails = tails[tails * span > 64.0 * np.spacing(max(abs(a), abs(b)))]
-    grid = sorted_unique(np.concatenate(
-        [np.linspace(0.0, 1.0, LINE_PANELS + 1)[1:-1], tails, 1.0 - tails, [centre]]))
-    steps = time_between(grid[:-1], grid[1:])
+    # the levels that keep a grid node apart from either end in floating point
+    first, last = (tails[tails * speed[k] > 64.0 * np.spacing(np.max(np.abs(nodes[k:k + 2])))]
+                   for k in (0, n_seg - 1))
+    grid = sorted_unique(np.concatenate([np.linspace(0.0, 1.0, LINE_PANELS * n_seg + 1)[1:-1],
+                                         first, 1.0 - last, [centre]]))
+    seg = np.minimum((0.5 * (grid[:-1] + grid[1:]) * n_seg).astype(int), n_seg - 1)
+    steps = time_between(grid[:-1], grid[1:], seg)
     c = int(np.searchsorted(grid, centre))
     t_grid = np.concatenate([-np.cumsum(steps[:c][::-1])[::-1], [0.0], np.cumsum(steps[c:])])
     if not np.all(np.isfinite(t_grid)):
-        raise InteriorZeroError(f"the weight vanishes inside [{a}, {b}]")
+        raise InteriorZeroError("the weight vanishes inside a segment of the polyline")
     T = min(-t_grid[0], t_grid[-1], t_max)
     times = np.linspace(-T, T, n_samples)
     i = np.clip(np.searchsorted(t_grid, times, side="right") - 1, 0, grid.size - 2)
     h = t_grid[i + 1] - t_grid[i]
     x = (times - t_grid[i]) / h
-    ds_dt = k_at(grid) / span
-    s = ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * grid[i] + x * (1.0 - x) ** 2 * h * ds_dt[i]
-         + x * x * (3.0 - 2.0 * x) * grid[i + 1] + x * x * (x - 1.0) * h * ds_dt[i + 1])
-    s = _newton(lambda s: t_grid[i] + time_between(grid[i], s) - times,
-                s, lambda s: span / k_at(s))
-    curve = SampledCurve(times=times, nodes=(a + s * (b - a))[:, None])
+    # ds/dt at both ends of each panel, on the panel's segment
+    ds_dt = k_at(np.column_stack([grid[:-1], grid[1:]]), seg) / speed[seg, None]
+    s = ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * grid[i] + x * (1.0 - x) ** 2 * h * ds_dt[i, 0]
+         + x * x * (3.0 - 2.0 * x) * grid[i + 1] + x * x * (x - 1.0) * h * ds_dt[i, 1])
+    s = _newton(lambda s: t_grid[i] + time_between(grid[i], s, seg[i]) - times,
+                s, lambda s: speed[seg[i]] / k_at(s, seg[i]))
+    curve = SampledCurve(times=times, nodes=point(s, seg[i])[:, 0, :])
     k_mid = wspace.weight_at(midpoints(curve))
-    action, defects = equipartition(curve, wspace.space, 0.5 * k_mid * k_mid)
+    action, defects = equipartition(curve, space, 0.5 * k_mid * k_mid)
     return ConnectionResult(
         curve=curve,
-        x_minus=ends[0].copy(),
-        x_plus=ends[1].copy(),
+        x_minus=nodes[0].copy(),
+        x_plus=nodes[-1].copy(),
         action=action,
         dk_value=dk,
         equipartition_defect=float(np.max(defects)),
         window=T,
         diagnostics={"g_range": (float(t_grid[0]), float(t_grid[-1]))},
     )
+
+
+def line_connection(wspace: WeightedSpace, a: float, b: float, n_samples: int = 2001,
+                    t_max: float = 10.0) -> ConnectionResult:
+    """The equipartitioned connection along the segment from a to b of the line,
+    K positive strictly between them (``_equipartition_along``)."""
+    return _equipartition_along(np.array([[a], [b]], dtype=float), wspace, n_samples, t_max)
+
+
+def reparam_equipartition(geodesic: SampledCurve, wspace: WeightedSpace, n_samples: int = 2001,
+                          t_max: float = 10.0) -> ConnectionResult:
+    """The equipartitioned connection along the polyline of ``geodesic``'s
+    nodes in flat R^n, its times ignored (``_equipartition_along``)."""
+    return _equipartition_along(geodesic.nodes, wspace, n_samples, t_max)
 
 
 class ConnectionReport(NamedTuple):

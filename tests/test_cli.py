@@ -849,6 +849,36 @@ def test_verify_recomputes_the_legs_d_k_and_gaps(tmp_path, capsys, path, value, 
     assert gate in capsys.readouterr().err
 
 
+HEADLINE_EDITS = [
+    ("connect", ("action",), 1.5),
+    ("connect", ("equipartition_defect",), 0.5),
+    ("connect", ("legs", 0, "equipartition_defect"), 0.5),
+    *[("double", (key,), 0.5) for key in ("energy", "energy_direct", "energy_path",
+                                          "residual_max", "residual_l2", "equip_defect",
+                                          "polish_gmax")],
+]
+
+
+@pytest.mark.parametrize("command, path, factor", HEADLINE_EDITS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, p, _ in HEADLINE_EDITS])
+def test_verify_gates_the_recorded_headline_results(tmp_path, capsys, command, path, factor):
+    # verify recomputes each of these bit for bit, so a manifest edit fails it
+    cfg = CONNECT_CFG if command == "connect" else SIN_CFG
+    out = tmp_path / "run"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    entry = manifest["results"]
+    for key in path[:-1]:
+        entry = entry[key]
+    assert entry[path[-1]] * factor != entry[path[-1]]
+    entry[path[-1]] *= factor
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert f"recorded {path[-1]}|" in capsys.readouterr().err
+
+
 def test_planar_connect_relaxes_the_upper_channel(tmp_path):
     out, manifest = _shipped_connect(tmp_path, "planar_connect")
     results = manifest["results"]
@@ -920,7 +950,6 @@ def test_a_line_connect_runs_no_descent_and_no_resample(tmp_path, monkeypatch, n
     for module in (hetconn.cli, geodesic):
         monkeypatch.setattr(module, "minimize_k_length", refuse)
     monkeypatch.setattr(heteroclinic, "reparam_equipartition", refuse)
-    monkeypatch.setattr(heteroclinic, "_graded_resample", refuse)
     _shipped_connect(tmp_path, name)
 
 

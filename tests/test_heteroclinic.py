@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetconn import (
+    GridL2Space,
     InteriorZeroError,
     SampledCurve,
+    WeightedSpace,
     action_ew,
     k_length,
     line_connection,
@@ -12,7 +14,8 @@ from hetconn import (
     reparam_equipartition,
     verify_connection,
 )
-from hetconn.potentials import double_well, make_weight, triple_well
+from hetconn.metric import segment_k_lengths
+from hetconn.potentials import double_well, make_weight, planar_two_well, triple_well
 
 
 def test_golden_profile_matches_tanh(golden):
@@ -67,16 +70,41 @@ def test_young_inequality_random_curves(seed):
     assert action_ew(c, p) >= k_length(c, ws, rule="midpoint") - 1e-10
 
 
-def test_arc_length_form_is_strictly_increasing():
-    from hetconn import EuclideanSpace
-    from hetconn.heteroclinic import _arc_length_form
-
+def test_reparam_drops_a_tied_last_segment():
+    # the last segment is too short to move the cumulative length
     c = SampledCurve(times=np.array([0.0, 1.0, 2.0]),
                      nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-17]]))
-    s, nodes = _arc_length_form(c, EuclideanSpace(2))
-    assert np.all(np.diff(s) > 0.0)
-    assert s.size == nodes.shape[0]
-    assert np.array_equal(nodes[-1], c.nodes[-1])
+    conn = reparam_equipartition(c, make_weight(planar_two_well()), n_samples=101, t_max=8.0)
+    assert np.array_equal(conn.x_minus, c.nodes[0])
+    assert np.array_equal(conn.x_plus, c.nodes[-1])
+    assert np.all(np.isfinite(conn.curve.nodes))
+
+
+def test_reparam_of_the_segment_is_the_line_connection(golden):
+    # one time map: the 400-segment polyline reproduces the single segment
+    poly = reparam_equipartition(golden.geodesic, golden.wspace, n_samples=2001, t_max=9.0)
+    line = line_connection(golden.wspace, -1, 1, 2001, 9)
+    assert np.max(np.abs(poly.curve.nodes - line.curve.nodes)) <= 1e-14
+    assert poly.action == pytest.approx(line.action, rel=1e-14)
+    assert poly.dk_value == pytest.approx(line.dk_value, rel=1e-14)
+    assert poly.window == line.window == 9.0
+
+
+def test_reparam_of_the_planar_via_polyline():
+    ws = make_weight(planar_two_well())
+    way = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    conn = reparam_equipartition(SampledCurve(times=np.arange(3.0), nodes=way), ws,
+                                 n_samples=1601, t_max=16.0)
+    assert conn.equipartition_defect <= 1e-4
+    # d_K is the sum of one batched call over the two segments, bit for bit
+    assert conn.dk_value == np.sum(segment_k_lengths(ws.weight_at, way[:-1], way[1:], [[], []]))
+
+
+def test_reparam_needs_a_euclidean_space(golden):
+    grid_space = WeightedSpace(GridL2Space(n_points=1, n_components=1, spacing=1.0),
+                               golden.wspace.weight)
+    with pytest.raises(ValueError, match="Euclidean"):
+        reparam_equipartition(golden.geodesic, grid_space, n_samples=101, t_max=5.0)
 
 
 def test_reparam_equipartition_interior_zero():

@@ -1,13 +1,18 @@
-"""README's Quick start runs as written.
+"""README's Quick start runs as written, and its bit-identity loop runs
+every shipped config.
 
-Its ``python`` blocks are executed in order, in one namespace, so an
-example that names a removed function or option fails here.
+The Quick start's ``python`` blocks are executed in order, in one
+namespace, so an example that names a removed function or option fails
+here.
 """
 
+import importlib.util
+import json
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _quick_start_blocks():
@@ -30,3 +35,16 @@ def test_quick_start_runs(capsys):
     assert float(lines[1]) <= 1e-5
     dk, action = map(float, lines[2].split())
     assert abs(dk - 2.115242) <= 1e-6 and abs(action - 2.116103) <= 1e-6
+
+
+def test_bit_identity_loop_names_every_shipped_config_once():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Checking that a change keeps the bits", 1)[1]
+    loop = block.split("```bash\n", 1)[1].split("; do", 1)[0]
+    pairs = re.findall(r'"(\w+) (\w+)"', loop)
+    spec = importlib.util.spec_from_file_location("unreached", ROOT / "scripts" / "unreached.py")
+    unreached = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(unreached)
+    shipped = [(unreached.command_of(json.loads(path.read_text())), path.stem)
+               for path in (ROOT / "configs").glob("*.json")]
+    assert sorted(pairs) == sorted(shipped)
