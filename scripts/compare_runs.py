@@ -7,12 +7,12 @@ Compares the manifest sections ``results``, ``tolerances``, ``config`` and
 library versions are not compared.  Every value is compared by its JSON
 text, so floats must agree bit for bit and NaN equals NaN.  Prints one line
 per difference and exits 1 if there is any, 0 otherwise.  When two numbers
-differ, the line also gives their relative difference.  When the checksum
-of a CSV, TSV or NPY artifact differs, its line also gives the largest
-absolute and relative difference between the two numeric tables, or says
-that their shapes differ; an entry's relative difference is taken against
-the largest magnitude of its column, so rounding noise in entries near zero
-reads as small as it is.
+differ, the line also gives their relative difference.  Every artifact is
+an NPY table; when the checksum of one differs, its line also gives the
+largest absolute and relative difference between the two tables, read as
+rows of their last axis, or says that their shapes differ; an entry's
+relative difference is taken against the largest magnitude of its column,
+so rounding noise in entries near zero reads as small as it is.
 """
 
 import json
@@ -20,8 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-
-from hetconn.cli import _read_table
 
 SECTIONS = ("results", "tolerances", "config", "warnings", "artifacts")
 MISSING = "<missing>"
@@ -41,13 +39,10 @@ def _leaves(value, path):
 
 
 def _numeric_table(path):
-    """The 2D numeric table of a CSV/TSV artifact, or of an NPY array with its
-    last axis as the columns (a double run's u.npy reads as the old u.csv rows)."""
-    suffix = Path(path).suffix
-    if suffix == ".npy":
-        table = np.load(path, allow_pickle=False)
-        return table.reshape(-1, table.shape[-1])
-    return _read_table(path, "\t" if suffix == ".tsv" else ",")[2]
+    """The NPY table at ``path`` as a 2D array, its last axis the columns
+    (a double run's u.npy reads as rows of (x1, x2, u))."""
+    table = np.load(path, allow_pickle=False)
+    return table.reshape(-1, table.shape[-1])
 
 
 def number_difference(text_a, text_b) -> str | None:
@@ -67,7 +62,7 @@ def number_difference(text_a, text_b) -> str | None:
 
 
 def table_difference(path_a, path_b) -> str:
-    """Largest absolute and relative difference of two CSV/TSV/NPY tables.
+    """Largest absolute and relative difference of two NPY tables.
 
     Entries that compare equal, and NaN against NaN, count as no difference;
     the relative difference divides each entry's change by the largest
@@ -102,7 +97,7 @@ def differences(run_a, run_b) -> list[str]:
         line = f"{path}: {a} != {b}"
         name = path.removeprefix("artifacts.")
         if MISSING not in (a, b):
-            if name != path and Path(name).suffix in (".csv", ".tsv", ".npy"):
+            if name != path and Path(name).suffix == ".npy":
                 line += f" ({table_difference(Path(run_a) / name, Path(run_b) / name)})"
             elif (rel := number_difference(a, b)) is not None:
                 line += f" ({rel})"

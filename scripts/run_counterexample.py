@@ -4,7 +4,7 @@ The weight vanishes on two horizontal lines and decays along them; candidate
 curves pushed further out get strictly shorter toward the infimum 2 g_inf,
 while every curve confined to a box |x| <= R stays above the crossing bound
 at R.  The candidate through the wall x = R brackets each box infimum from
-above.  Writes both series (candidates.tsv, boxed.tsv) as plot data.
+above.  Writes both series (candidates.npy, boxed.npy) as plot data.
 """
 
 import json

@@ -27,7 +27,7 @@ def run(out="runs/sin_example"):
           f"free gradient max {results['polish_gmax']:.2e}")
     print(f"end-column gaps  {results['x2_gap_minus_l2']:.2e} / "
           f"{results['x2_gap_plus_l2']:.2e}")
-    print(f"artifacts     {out}  (u.npy, boundary_convergence.tsv)")
+    print(f"artifacts     {out}  (u.npy, boundary_convergence.npy)")
     return main(["verify", out])
 
 

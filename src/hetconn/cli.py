@@ -1,24 +1,29 @@
 """Command line front end: configs in, run directories out.
 
 Every run writes a manifest.json carrying the embedded config, library
-versions, every tolerance used, headline results, and sha256 checksums of
-the emitted artifacts.  CSV/TSV artifacts are plain text with %.17g floats;
-a double run's field is one binary ``u.npy`` table.  The pipeline draws no
-random numbers, so reruns of the same config are bit-identical.  A connect
-run is a chain of legs, one per pair of adjacent wells on the line and one
-in higher dimensions, each with its own curve artifacts.  ``verify``
-recomputes each leg's equipartition defect, action and action gap from its
-curve with the same routines the run uses, and its d_K: on the line from its
-ends, in higher dimensions as the curve's midpoint K-length; each must equal
-the recorded one bit for bit, and so must their sums over the legs.  For a
-double run it builds no fixture: the effective space comes from the config
-on the field's x1 grid, and the reference is the 1D action of the field's
-last column, the z+ well profile, which must equal the ``ref_value`` the run
-recorded bit for bit.  Exit codes: 0 success, 1 run failure (a connect
-relaxation that does not converge, for one), 3 config error (raised before
-any run directory is made), 4 checksum or schema failure (verify), 5 failing
-check: a connect run's equipartition defect over its tolerance or a leg's
-action, d_K or action gap not matching the recorded one, a double run's
+versions, every tolerance used, headline results, the column names of each
+artifact and sha256 checksums of the emitted artifacts.  Every artifact is
+one table: a C-ordered little-endian float64 ``.npy`` array written by
+``np.save`` whose last axis holds the columns the manifest names; a double
+run's field ``u.npy`` has three dimensions, every other table two.  The
+pipeline draws no random numbers, so reruns of the same config are
+bit-identical.  A connect run is a chain of legs, one per pair of adjacent
+wells on the line and one in higher dimensions, each with its own curve and
+defect tables.  ``verify`` reads every table through one validating reader,
+then recomputes each leg's equipartition defect, action and action gap from
+its curve with the same routines the run uses, and its d_K: on the line from
+its ends, in higher dimensions as the curve's midpoint K-length; each must
+equal the recorded one bit for bit, and so must their sums over the legs,
+each leg's defect table and the audits (Euler-Lagrange residual, second
+differences, largest speed and W) over the legs.  For a double run it
+builds no fixture: the effective space comes from the config on the field's
+x1 grid, and the reference is the 1D action of the field's last column, the
+z+ well profile, which must equal the ``ref_value`` the run recorded bit for
+bit.  Exit codes: 0 success, 1 run failure (a connect relaxation that does
+not converge, for one), 3 config error (raised before any run directory is
+made), 4 checksum, table or schema failure (verify), 5 failing check: a
+connect run's equipartition defect over its tolerance or a recomputed
+connect number or table not matching the recorded one, a double run's
 reference action not matching the recorded one, a double run whose x2
 equipartition defect, Newton-CG gradient, residual or energy two ways missed
 its tolerance, or a broken counterexample invariant.  A run writes its
@@ -59,7 +64,13 @@ from .double_connection import (
     x2_defect,
 )
 from .geodesic import minimize_k_length
-from .heteroclinic import equipartition, line_connection, line_legs, verify_connection
+from .heteroclinic import (
+    ConnectionResult,
+    equipartition,
+    line_connection,
+    line_legs,
+    verify_connection,
+)
 from .metric import SampledCurve, k_length, midpoints, segment_k_lengths
 from .potentials import (
     double_well,
@@ -77,7 +88,7 @@ EXIT_EQUIPARTITION = 5
 
 # configs and run manifests carry separate schema versions
 CONFIG_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 3
+MANIFEST_SCHEMA_VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -181,22 +192,17 @@ def _build_potential(spec) -> object:
     raise ConfigError(f"unknown potential '{name}'")
 
 
-# rows formatted per write: bounds the Python floats and text held at once
-ROWS_PER_WRITE = 4096
+def _save_tables(out_dir, tables: dict) -> dict:
+    """Write each ``name: (columns, table)`` of ``tables`` into ``out_dir``
+    by ``np.save``, as one C-ordered little-endian float64 array; returns
+    ``{name: columns}``, the manifest's ``columns``.
 
-
-def _write_table(path, head, table, delimiter=",") -> None:
-    """The ``head`` lines, then one line of %.17g floats per row of ``table``.
-
-    Blocks of rows are formatted with one format string each.
+    The same table gives the same bytes, so its checksum is reproducible.
     """
-    table = np.asarray(table, dtype=float)
-    row = delimiter.join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in head)
-        for start in range(0, table.shape[0], ROWS_PER_WRITE):
-            block = table[start:start + ROWS_PER_WRITE]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    for name, (_, table) in tables.items():
+        np.save(os.path.join(out_dir, name), np.ascontiguousarray(table, dtype="<f8"),
+                allow_pickle=False)
+    return {name: columns for name, (columns, _) in tables.items()}
 
 
 def _sha256(path) -> str:
@@ -215,9 +221,11 @@ def _versions() -> dict:
     }
 
 
-def _finish_manifest(out_dir, manifest, artifacts, t_start) -> None:
+def _finish_manifest(out_dir, manifest, columns, t_start) -> None:
+    """Record the tables' ``columns`` and checksums and the runtime, then write the manifest."""
+    manifest["columns"] = columns
     manifest["artifacts"] = {
-        name: _sha256(os.path.join(out_dir, name)) for name in artifacts
+        name: _sha256(os.path.join(out_dir, name)) for name in columns
     }
     manifest["runtime_seconds"] = time.time() - t_start
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
@@ -226,43 +234,43 @@ def _finish_manifest(out_dir, manifest, artifacts, t_start) -> None:
         fh.write("\n")
 
 
-def _read_table(path, delimiter=","):
-    """(comments, column names, data array) from one of our CSV/TSV files.
-
-    Comment lines precede the column-name row; the rows after it are parsed
-    by ``np.loadtxt`` into an array of shape (rows, columns).
-    """
-    comments = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                comments.append(line)
-            elif line:
-                header = line.split(delimiter)
-                break
-        else:
-            raise ValueError(f"{path} has no header row")
-        data = np.loadtxt(fh, delimiter=delimiter, ndmin=2)
-    return comments, header, data
+# the one table of three dimensions: a double run's field on its (x1, x2) grid
+FIELD = "u.npy"
 
 
-def _read_field(path):
-    """(x1, x2, u) of a double run's ``u.npy`` table.
+def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
+    """The table at ``path``, read with ``allow_pickle=False``.
 
-    ValueError unless it is a little-endian float64 array (M, P, 2 + n),
-    n >= 1, holding (x1_i, x2_j, u[i, j]) at [i, j] on a tensor grid whose
-    x1 and x2 each have at least two strictly increasing nodes.
+    ValueError unless it is a C-ordered little-endian float64 array of
+    ``ndim`` dimensions whose last axis has one entry per name in
+    ``columns``.
     """
     table = np.load(path, allow_pickle=False)
-    if table.dtype != np.dtype("<f8") or table.ndim != 3 or table.shape[2] < 3:
+    if table.dtype != np.dtype("<f8") or table.ndim != ndim:
+        layout = "(M, P, 2 + n)" if ndim == 3 else "(rows, columns)"
         raise ValueError(f"{path} holds a {table.dtype} array of shape {table.shape}, "
-                         "not a float64 (M, P, 2 + n) table")
+                         f"not a float64 {layout} table")
+    if not table.flags.c_contiguous:
+        raise ValueError(f"{path} is stored in Fortran order, not C order")
+    if table.shape[-1] != len(columns):
+        raise ValueError(f"{path} has {table.shape[-1]} columns, and the manifest names "
+                         f"{len(columns)}: {columns}")
+    return table
+
+
+def _read_field(table):
+    """(x1, x2, u) of a double run's field table (M, P, 2 + n), n >= 1.
+
+    ValueError unless it holds (x1_i, x2_j, u[i, j]) at [i, j] on a tensor
+    grid whose x1 and x2 each have at least two strictly increasing nodes.
+    """
+    if min(table.shape[:2]) < 2 or table.shape[2] < 3:
+        raise ValueError(f"{FIELD} of shape {table.shape} is not a tensor grid of at least "
+                         "two x1 and two x2 nodes with a field component")
     x1, x2 = table[:, 0, 0], table[0, :, 1]
-    if not (x1.size > 1 and x2.size > 1
-            and np.all(table[..., 0] == x1[:, None]) and np.all(table[..., 1] == x2)
+    if not (np.all(table[..., 0] == x1[:, None]) and np.all(table[..., 1] == x2)
             and np.all(x1[1:] > x1[:-1]) and np.all(x2[1:] > x2[:-1])):
-        raise ValueError(f"{path} is not a tensor grid with strictly increasing x1 and x2")
+        raise ValueError(f"{FIELD} is not a tensor grid with strictly increasing x1 and x2")
     return x1, x2, table[..., 2:]
 
 
@@ -291,6 +299,44 @@ def _within(gates, verbose: bool) -> bool:
                   file=sys.stdout if passed else sys.stderr)
         ok = ok and passed
     return ok
+
+
+def _leg_audits(conn: ConnectionResult, p, wspace):
+    """(report, audit row, defect table) of one connect leg, as the run and
+    ``verify`` take them.
+
+    ``report`` is ``verify_connection``'s; the row holds the Euler-Lagrange
+    residual (NaN if there is none), the two sides of the second-difference
+    audit, the largest speed and W, and the audit's constant C(lambda); the
+    table holds each segment's time midpoint and equipartition defect.
+    """
+    curve = conn.curve
+    report = verify_connection(conn, potential=p, wspace=wspace)
+    sd = second_difference_bound(curve, p.hessian_lower_bound)
+    bounds = uniform_bounds_audit(curve, wspace)
+    residual = math.nan if report.el_residual is None else report.el_residual
+    mids = 0.5 * (curve.times[:-1] + curve.times[1:])
+    return (report, (residual, sd.lhs, sd.rhs, bounds.max_speed, bounds.max_w, sd.c_constant),
+            np.column_stack([mids, bounds.equip_profile]))
+
+
+def _audit_results(audits) -> dict:
+    """A chain's audit results from its legs' audit rows (``_leg_audits``):
+    NaN-propagating maxima and sums over the legs."""
+    residual, _, _, max_speed, max_w, c_constant = np.max(audits, axis=0).tolist()
+    _, sd_lhs, sd_rhs, _, _, _ = np.sum(audits, axis=0).tolist()
+    return {
+        "el_residual": residual,
+        "second_difference_lhs": sd_lhs,
+        "second_difference_rhs": sd_rhs,
+        # C(lambda) = max(1, 4 |lambda|) stands in for the constant of the
+        # semiconvexity argument, so the audit's lhs <= rhs gates nothing
+        "second_difference_constant": c_constant,
+        # the fitted constant of the whole chain: lhs over the summed kinetic terms
+        "second_difference_c_fitted": c_constant * sd_lhs / sd_rhs if sd_rhs else 0.0,
+        "max_speed": max_speed,
+        "max_w": max_w,
+    }
 
 
 def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
@@ -326,26 +372,15 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     else:
         # raises RuntimeError, and the run exits 1, unless the relaxation converges
         conns = [minimize_k_length(p, wells[0], wells[1], n_samples, t_max, via_points)]
-    # one writer for both: leg k (from 1, in the order of travel) writes
-    # curve_k.csv, plot_components_k.tsv and plot_defect_k.tsv
     os.makedirs(out_dir, exist_ok=True)
-    comp_names = ",".join(f"u{j + 1}" for j in range(p.dim))
-    legs, artifacts, audits = [], [], []
+    # leg k (from 1, in the order of travel) writes curve_k.npy and plot_defect_k.npy
+    curve_columns = ["t", *(f"u{j + 1}" for j in range(p.dim))]
+    legs, tables, audits = [], {}, []
     for k, conn in enumerate(conns, 1):
-        report = verify_connection(conn, potential=p, wspace=wspace)
-        sd = second_difference_bound(conn.curve, p.hessian_lower_bound)
-        bounds = uniform_bounds_audit(conn.curve, wspace)
-        names = [f"curve_{k}.csv", f"plot_components_{k}.tsv", f"plot_defect_{k}.tsv"]
-        head = "# action=%.17g dK=%.17g defect=%.17g window=%.17g" % (
-            conn.action, conn.dk_value, conn.equipartition_defect, conn.window)
-        curve_table = np.column_stack([conn.curve.times, conn.curve.nodes])
-        _write_table(os.path.join(out_dir, names[0]), [head, "t," + comp_names], curve_table)
-        _write_table(os.path.join(out_dir, names[1]), ["t\t" + comp_names.replace(",", "\t")],
-                     curve_table, "\t")
-        mids = 0.5 * (conn.curve.times[:-1] + conn.curve.times[1:])
-        _write_table(os.path.join(out_dir, names[2]), ["t\tequipartition_defect"],
-                     np.column_stack([mids, bounds.equip_profile]), "\t")
-        artifacts += names
+        report, row, defects = _leg_audits(conn, p, wspace)
+        curve = f"curve_{k}.npy"
+        tables[curve] = (curve_columns, np.column_stack([conn.curve.times, conn.curve.nodes]))
+        tables[f"plot_defect_{k}.npy"] = (["t", "equipartition_defect"], defects)
         legs.append({
             "x_minus": conn.x_minus.tolist(),
             "x_plus": conn.x_plus.tolist(),
@@ -354,12 +389,10 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
             "action_gap": report.action_gap,
             "equipartition_defect": conn.equipartition_defect,
             "window": conn.window,
-            "curve": names[0],
+            "curve": curve,
         })
-        audits.append((report.el_residual, sd.lhs, sd.rhs, bounds.max_speed, bounds.max_w))
-    # NaN-propagating sums and maxima over the legs
-    el_residual, _, _, max_speed, max_w = np.max(audits, axis=0).tolist()
-    _, sd_lhs, sd_rhs, _, _ = np.sum(audits, axis=0).tolist()
+        audits.append(row)
+    columns = _save_tables(out_dir, tables)
     defect = float(np.max([leg["equipartition_defect"] for leg in legs]))
     action = float(np.sum([leg["action"] for leg in legs]))
     manifest = {
@@ -367,25 +400,19 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         "kind": "connect",
         "config": cfg,
         "versions": _versions(),
-        "tolerances": {"defect_tol": defect_tol, "second_difference_constant": sd.c_constant},
+        "tolerances": {"defect_tol": defect_tol},
         "results": {
             "action": action,
             "dk_value": float(np.sum([leg["dk_value"] for leg in legs])),
             "action_gap": float(np.sum([leg["action_gap"] for leg in legs])),
             "equipartition_defect": defect,
             "solver_status": "converged",
-            "el_residual": el_residual,
-            "second_difference_lhs": sd_lhs,
-            "second_difference_rhs": sd_rhs,
-            # the fitted constant of the whole chain: lhs over the summed kinetic terms
-            "second_difference_c_fitted": sd.c_constant * sd_lhs / sd_rhs if sd_rhs else 0.0,
-            "max_speed": max_speed,
-            "max_w": max_w,
+            **_audit_results(audits),
             "legs": legs,
         },
         "warnings": warnings,
     }
-    _finish_manifest(out_dir, manifest, artifacts, t_start)
+    _finish_manifest(out_dir, manifest, columns, t_start)
     if verbose:
         print(f"wrote {out_dir}: {len(legs)} leg(s), action {action:.9g}, defect {defect:.3g}")
     if not _within([("equipartition defect", defect, defect_tol)], verbose):
@@ -454,25 +481,21 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         else solve_symmetric(space, opts)
     )
     report = assemble_and_verify(result)
-    os.makedirs(out_dir, exist_ok=True)
-    # [i, j] holds (x1_i, x2_j, u[i, j]); np.save writes the same bytes for the same field
+    # [i, j] holds (x1_i, x2_j, u[i, j])
     m, p, n = result.u.shape
     table = np.empty((m, p, 2 + n), dtype="<f8")
     table[..., 0] = result.x1[:, None]
     table[..., 1] = result.x2
     table[..., 2:] = result.u
-    with open(os.path.join(out_dir, "u.npy"), "wb") as fh:
-        np.save(fh, table, allow_pickle=False)
-    artifacts = ["u.npy", "boundary_convergence.tsv"]
     cols = result.u.transpose(1, 0, 2)
-    _write_table(
-        os.path.join(out_dir, "boundary_convergence.tsv"),
-        ["x2\tgap_minus_l2\tgap_plus_l2"],
-        np.column_stack([result.x2,
-                         space.l2_norms(cols - space.z_minus.values),
-                         space.l2_norms(cols - space.z_plus.values)]),
-        "\t",
-    )
+    tables = {
+        FIELD: (["x1", "x2", *(f"u{j + 1}" for j in range(n))], table),
+        "boundary_convergence.npy": (
+            ["x2", "gap_minus_l2", "gap_plus_l2"],
+            np.column_stack([result.x2,
+                             space.l2_norms(cols - space.z_minus.values),
+                             space.l2_norms(cols - space.z_plus.values)])),
+    }
     results = {
         "energy": result.energy,
         "energy_direct": report.energy_direct,
@@ -506,9 +529,9 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         results["m_total_variation"] = result.diagnostics["m_total_variation"]
         results["translation_speed_c_fit"] = speed.c_fit
         results["translation_speed_max_ratio"] = speed.max_ratio
-        _write_table(os.path.join(out_dir, "m_track.csv"), ["x2,m"],
-                     np.column_stack([result.x2, result.m_track]))
-        artifacts.append("m_track.csv")
+        tables["m_track.npy"] = (["x2", "m"], np.column_stack([result.x2, result.m_track]))
+    os.makedirs(out_dir, exist_ok=True)
+    columns = _save_tables(out_dir, tables)
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "double",
@@ -519,7 +542,7 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "results": results,
         "warnings": [],
     }
-    _finish_manifest(out_dir, manifest, artifacts, t_start)
+    _finish_manifest(out_dir, manifest, columns, t_start)
     if verbose:
         print(f"wrote {out_dir}: energy {result.energy:.9g}, "
               f"residual {report.residual_max:.3g}")
@@ -580,7 +603,7 @@ def _counterexample_setup(cfg: dict):
 
 
 def _counterexample_tables(report) -> tuple:
-    """The candidates.tsv and boxed.tsv tables of a ``NonexistenceReport``."""
+    """The candidates.npy and boxed.npy tables of a ``NonexistenceReport``."""
     ns = np.asarray(report.candidate_ns, dtype=float)
     return (np.column_stack([ns, 2.0 ** ns, report.candidate_lengths]),
             np.column_stack([report.radii, report.box_candidates, report.bounds]))
@@ -617,11 +640,10 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
     report = nonexistence_report(w, radii=radii, n_candidates=n_max)
     os.makedirs(out_dir, exist_ok=True)
     cand, boxed = _counterexample_tables(report)
-    # %.17g prints an integer-valued n as str(int(n)) does
-    _write_table(os.path.join(out_dir, "candidates.tsv"), ["n\tx_n\tcandidate_length"],
-                 cand, "\t")
-    _write_table(os.path.join(out_dir, "boxed.tsv"),
-                 ["radius\tcandidate_at_radius\tcrossing_bound"], boxed, "\t")
+    columns = _save_tables(out_dir, {
+        "candidates.npy": (["n", "x_n", "candidate_length"], cand),
+        "boxed.npy": (["radius", "candidate_at_radius", "crossing_bound"], boxed),
+    })
     tolerances = {"bound_slack": 1e-6, "candidate_tail_tol": 1e-2}
     checks = _counterexample_checks(report.candidate_lengths, report.box_candidates,
                                     report.bounds, report.infimum, tolerances)
@@ -646,7 +668,7 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
             "construction tolerates this and the report notes it"
         ],
     }
-    _finish_manifest(out_dir, manifest, ["candidates.tsv", "boxed.tsv"], t_start)
+    _finish_manifest(out_dir, manifest, columns, t_start)
     if verbose:
         print(f"wrote {out_dir}: final candidate "
               f"{report.candidate_lengths[-1]:.6g} vs infimum {report.infimum:g}")
@@ -657,63 +679,70 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
 # verify
 
 
-def _verify_connect(run_dir: str, manifest: dict, verbose: bool) -> int:
-    """Recompute each leg's equipartition defect, action, d_K and action gap.
+def _verify_connect(tables: dict, manifest: dict, verbose: bool) -> int:
+    """Recompute each leg's equipartition defect, action, d_K, action gap,
+    audits and defect table from its curve.
 
     The defect must meet ``defect_tol``.  The defect, the action, the gap
     (the action with W at the midpoints, minus d_K), d_K itself (on the line
     from the leg's recorded ends, as ``line_connection`` takes it, in higher
     dimensions the curve's midpoint K-length, as ``minimize_k_length`` takes
-    it), the largest defect and the sums of the others over the legs must
-    equal the recorded ones bit for bit.
+    it), the leg's ``plot_defect_k.npy``, the largest defect, the sums of
+    the others over the legs and the audit results (``_audit_results``)
+    must equal the recorded ones bit for bit.
     """
     p = _build_potential(manifest["config"]["potential"])
     wspace = make_weight(p)
     results = manifest["results"]
     tol = manifest["tolerances"]["defect_tol"]
     keys = ("equipartition_defect", "action", "dk_value", "action_gap")
-    gates, curves, recomputed = [], [], []
+    gates, recomputed, audits = [], [], []
     for k, leg in enumerate(results["legs"], 1):
-        if leg["curve"] not in manifest["artifacts"]:
+        if leg["curve"] not in tables:
             raise ValueError(f"leg {k} curve {leg['curve']} is not a checksummed artifact")
-        _, _, data = _read_table(os.path.join(run_dir, leg["curve"]))
+        data = tables[leg["curve"]]
         curve = SampledCurve(times=data[:, 0], nodes=data[:, 1:])
-        mids = midpoints(curve)
-        kv = wspace.weight_at(mids)
+        kv = wspace.weight_at(midpoints(curve))
         action, defects = equipartition(curve, wspace.space, 0.5 * kv * kv)
         if p.dim == 1:
             ends = np.array([leg["x_minus"], leg["x_plus"]], dtype=float)
             dk = float(segment_k_lengths(wspace.weight_at, ends[:1], ends[1:], [[]])[0])
         else:
             dk = k_length(curve, wspace, rule="midpoint")
-        gap = equipartition(curve, wspace.space, p.values_at(mids))[0] - dk
-        values = (float(np.max(defects)), action, dk, gap)
+        conn = ConnectionResult(
+            curve=curve, x_minus=np.asarray(leg["x_minus"], dtype=float),
+            x_plus=np.asarray(leg["x_plus"], dtype=float), action=action, dk_value=dk,
+            equipartition_defect=float(np.max(defects)), window=leg["window"], diagnostics={})
+        report, row, defect_table = _leg_audits(conn, p, wspace)
+        values = (conn.equipartition_defect, action, dk, report.action_gap)
         gates.append((f"leg {k} equipartition defect", values[0], tol))
         gates += [(f"leg {k} |recomputed - recorded {key}|", abs(value - leg[key]), 0.0)
                   for key, value in zip(keys, values)]
-        curves.append(curve)
+        name = f"plot_defect_{k}.npy"
+        if tables[name].shape != defect_table.shape:
+            raise ValueError(f"{name} has {tables[name].shape[0]} rows for the "
+                             f"{defect_table.shape[0]} segments of leg {k}")
+        gates.append((f"leg {k} max |recomputed - recorded {name}|",
+                      float(np.max(np.abs(defect_table - tables[name]))), 0.0))
         recomputed.append(values)
+        audits.append(row)
     columns = list(zip(*recomputed))
     gates.append(("|max over the legs - recorded equipartition_defect|",
                   abs(float(np.max(columns[0])) - results[keys[0]]), 0.0))
     gates += [(f"|sum over the legs - recorded {key}|", abs(float(np.sum(v)) - results[key]), 0.0)
               for key, v in zip(keys[1:], columns[1:])]
-    if not _within(gates, verbose):
-        return EXIT_EQUIPARTITION
-    for k, curve in enumerate(curves, 1) if verbose else ():
-        sd = second_difference_bound(curve, p.hessian_lower_bound)
-        print(f"leg {k} second-difference audit: lhs {sd.lhs:.6g} <= rhs {sd.rhs:.6g}: "
-              f"{'ok' if sd.passed else 'FAIL'}")
-    return EXIT_OK
+    gates += [(f"|over the legs - recorded {key}|", abs(value - results[key]), 0.0)
+              for key, value in _audit_results(audits).items()]
+    return EXIT_OK if _within(gates, verbose) else EXIT_EQUIPARTITION
 
 
-def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
+def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     """Recompute a double run's residuals, energies, x2 defect and free gradient.
 
     Each must equal the recorded one bit for bit (``energy`` is the path
     energy), and they must meet the run's tolerances.
     """
-    x1, x2, u = _read_field(os.path.join(run_dir, "u.npy"))
+    x1, x2, u = _read_field(tables[FIELD])
     space = _double_shell(manifest["config"], x1)
     # the last column is the z+ well profile, and its action the reference
     space.ref_value = float(space.energy_1d(u[:, -1])[0])
@@ -739,15 +768,14 @@ def _verify_double(run_dir: str, manifest: dict, verbose: bool) -> int:
     return EXIT_OK
 
 
-def _verify_counterexample(run_dir: str, manifest: dict, verbose: bool) -> int:
-    _, _, cand = _read_table(os.path.join(run_dir, "candidates.tsv"), "\t")
-    _, _, boxed = _read_table(os.path.join(run_dir, "boxed.tsv"), "\t")
+def _verify_counterexample(tables: dict, manifest: dict, verbose: bool) -> int:
+    cand, boxed = tables["candidates.npy"], tables["boxed.npy"]
     w, radii, n_max = _counterexample_setup(manifest["config"])
     ref_cand, ref_boxed = _counterexample_tables(
         nonexistence_report(w, radii=radii, n_candidates=n_max))
     checks = {
-        "candidates.tsv recomputed bit for bit": np.array_equal(cand, ref_cand),
-        "boxed.tsv recomputed bit for bit": np.array_equal(boxed, ref_boxed),
+        "candidates.npy recomputed bit for bit": np.array_equal(cand, ref_cand),
+        "boxed.npy recomputed bit for bit": np.array_equal(boxed, ref_boxed),
         **_counterexample_checks(cand[:, 2], boxed[:, 1], boxed[:, 2], w.infimum,
                                  manifest["tolerances"]),
     }
@@ -762,7 +790,7 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot load manifest: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM
-    required = {"schema_version", "kind", "config", "artifacts", "results",
+    required = {"schema_version", "kind", "config", "artifacts", "columns", "results",
                 "tolerances"}
     missing = required - set(manifest)
     if missing:
@@ -787,12 +815,15 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
         print(f"checksums ok for {len(manifest['artifacts'])} artifacts")
     kind = manifest["kind"]
     try:
+        tables = {name: _read_table(os.path.join(run_dir, name), manifest["columns"][name],
+                                    3 if name == FIELD else 2)
+                  for name in manifest["artifacts"]}
         if kind == "connect":
-            return _verify_connect(run_dir, manifest, verbose)
+            return _verify_connect(tables, manifest, verbose)
         if kind == "double":
-            return _verify_double(run_dir, manifest, verbose)
+            return _verify_double(tables, manifest, verbose)
         if kind == "counterexample":
-            return _verify_counterexample(run_dir, manifest, verbose)
+            return _verify_counterexample(tables, manifest, verbose)
     except (OSError, EOFError, KeyError, ValueError) as exc:
         print(f"verification failed to re-run: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM

@@ -14,7 +14,7 @@ import hetconn
 import hetconn.cli
 import hetconn.counterexample
 import hetconn.double_connection
-from hetconn.cli import _load_config, _read_table, _write_table, main
+from hetconn.cli import _load_config, main
 from hetconn.double_connection import planar_shell
 
 CONNECT_CFG = {
@@ -36,7 +36,7 @@ PLANAR_CONNECT_CFG = {
     "defect_tol": 1e-3,
 }
 
-CONNECT_ARTIFACTS = {"curve_1.csv", "plot_components_1.tsv", "plot_defect_1.tsv"}
+CONNECT_ARTIFACTS = {"curve_1.npy", "plot_defect_1.npy"}
 
 SIN_CFG = {
     "schema_version": 1,
@@ -79,7 +79,7 @@ def test_connect_run_and_verify(tmp_path):
     for name in (*CONNECT_ARTIFACTS, "manifest.json"):
         assert (tmp_path / "run" / name).exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["schema_version"] == 3
+    assert manifest["schema_version"] == 4
     assert manifest["kind"] == "connect"
     assert manifest["results"]["action"] == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert manifest["results"]["dk_value"] == pytest.approx(4.0 / 3.0, abs=1e-3)
@@ -92,8 +92,8 @@ def test_verify_catches_tampering(tmp_path):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
-    with open(tmp_path / "run" / "curve_1.csv", "a") as fh:
-        fh.write("0,0,0\n")
+    with open(tmp_path / "run" / "curve_1.npy", "ab") as fh:
+        fh.write(np.zeros(2).tobytes())
     assert main(["verify", out]) == 4
 
 
@@ -136,22 +136,20 @@ def test_verify_rechecks_the_defect(tmp_path):
 def _poison_one_value(run_dir, artifact):
     """Replace one interior field value of an artifact by nan and re-sign it."""
     path = run_dir / artifact
-    if path.suffix == ".npy":
-        table = np.load(path)
-        # the middle row of the table read as (x1, x2, u) rows, x1 outer
-        rows = table.reshape(-1, table.shape[-1])
-        rows[len(rows) // 2, -1] = np.nan
-        np.save(path, table)
-        _resign(run_dir, artifact)
-        return
-    lines = path.read_text().splitlines()
-    # data rows follow the comment lines and the column-name row
-    rows = [i for i, line in enumerate(lines) if not line.startswith("#")][1:]
-    i = rows[len(rows) // 2]
-    cells = lines[i].split(",")
-    cells[-1] = "nan"
-    lines[i] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    table = np.load(path)
+    # the middle row of the table read as rows of its last axis (x1 outer in u.npy)
+    rows = table.reshape(-1, table.shape[-1])
+    rows[len(rows) // 2, -1] = np.nan
+    np.save(path, table)
+    _resign(run_dir, artifact)
+
+
+def _edit_table(run_dir, artifact, index, edit):
+    """Replace the entry at ``index`` of an artifact by ``edit`` of it and re-sign it."""
+    path = run_dir / artifact
+    table = np.load(path)
+    table[index] = edit(table[index])
+    np.save(path, table)
     _resign(run_dir, artifact)
 
 
@@ -176,7 +174,7 @@ def test_verify_rejects_a_nan_in_the_connect_curve(tmp_path):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
-    _poison_one_value(tmp_path / "run", "curve_1.csv")
+    _poison_one_value(tmp_path / "run", "curve_1.npy")
     assert main(["verify", out]) == 5
 
 
@@ -212,79 +210,60 @@ def test_verify_rejects_a_changed_well_column(tmp_path):
     assert main(["verify", str(out)]) == 5
 
 
-def _old_fmt(x):
-    return "%.17g" % float(x)
-
-
-def _old_read_table(path, delimiter=","):
-    # the pure-Python parser that np.loadtxt replaced, kept as the reference
-    comments, header, rows = [], None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line)
-            elif header is None:
-                header = line.split(delimiter)
-            else:
-                rows.append([float(v) for v in line.split(delimiter)])
-    return comments, header, np.asarray(rows, dtype=float)
-
-
-DOUBLE_ARTIFACTS = {"boundary_convergence.tsv": "\t"}
+# the column names of each table a run writes; the field's and a curve's
+# end in one u_j per component
+TABLE_COLUMNS = {
+    "curve_1.npy": ["t", "u1"],
+    "plot_defect_1.npy": ["t", "equipartition_defect"],
+    "u.npy": ["x1", "x2", "u1"],
+    "boundary_convergence.npy": ["x2", "gap_minus_l2", "gap_plus_l2"],
+    "candidates.npy": ["n", "x_n", "candidate_length"],
+    "boxed.npy": ["radius", "candidate_at_radius", "crossing_bound"],
+}
 ARTIFACT_RUNS = {
-    "connect": ("connect", CONNECT_CFG, {"curve_1.csv": ",", "plot_components_1.tsv": "\t",
-                                         "plot_defect_1.tsv": "\t"}),
-    "double": ("double", SIN_CFG, DOUBLE_ARTIFACTS),
-    "double_planar": ("double", PLANAR_CFG, DOUBLE_ARTIFACTS),
-    "counterexample": ("counterexample", COUNTER_CFG,
-                       {"candidates.tsv": "\t", "boxed.tsv": "\t"}),
+    "connect": ("connect", CONNECT_CFG, ["curve_1.npy", "plot_defect_1.npy"]),
+    "double": ("double", SIN_CFG, ["u.npy", "boundary_convergence.npy"]),
+    "double_planar": ("double", PLANAR_CFG, ["u.npy", "boundary_convergence.npy"]),
+    "counterexample": ("counterexample", COUNTER_CFG, ["candidates.npy", "boxed.npy"]),
 }
 
 
 @pytest.mark.parametrize("run", sorted(ARTIFACT_RUNS))
-def test_artifacts_read_and_write_as_the_per_value_formatter(tmp_path, run):
-    command, cfg, artifacts = ARTIFACT_RUNS[run]
+def test_every_table_is_its_float64_array_with_its_columns(tmp_path, monkeypatch, run):
+    command, cfg, names = ARTIFACT_RUNS[run]
+    save = hetconn.cli._save_tables
+    saved = {}
+
+    def recorded(out_dir, tables):
+        saved.update(tables)
+        return save(out_dir, tables)
+
+    monkeypatch.setattr(hetconn.cli, "_save_tables", recorded)
     out = tmp_path / "run"
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
-    results = json.loads((out / "manifest.json").read_text())["results"]
-    for name, delimiter in artifacts.items():
-        comments, header, data = _read_table(out / name, delimiter)
-        ref_comments, ref_header, ref_data = _old_read_table(out / name, delimiter)
-        assert (comments, header) == (ref_comments, ref_header)
-        assert data.shape == ref_data.shape and data.shape[0] > 1
-        assert data.tobytes() == ref_data.tobytes()
-        # every data line is the per-value %.17g join of the values it holds
-        body = (out / name).read_text().splitlines()[len(comments) + 1:]
-        assert body == [delimiter.join(_old_fmt(v) for v in row) for row in ref_data]
-    head = (out / next(iter(artifacts))).read_text().splitlines()[0]
-    keys = ("action", "dK", "defect", "window") if command == "connect" else ()
-    fields = {"dK": "dk_value", "defect": "equipartition_defect"}
-    assert head.startswith("#") == bool(keys)
-    if keys:
-        (leg,) = results["legs"]
-        assert head == "# " + " ".join(
-            f"{key}={_old_fmt(leg[fields.get(key, key)])}" for key in keys)
-
-
-def test_row_writer_equals_the_per_value_formatter_across_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(hetconn.cli, "ROWS_PER_WRITE", 3)
-    table = np.array([
-        [-0.0, 0.0, 1.0 / 3.0], [np.nan, np.inf, -np.inf], [5e-324, 1e300, -2.5e-310],
-        [3.0, 2.0 ** 60, 0.1], [1e-17, -7.0, 123456789.125], [np.pi, -np.e, 1e22],
-        [2.0, 4.0, 8.0],
-    ])
-    path = tmp_path / "t.tsv"
-    _write_table(path, ["# note", "a\tb\tc"], table, "\t")
-    lines = path.read_text().splitlines()
-    assert lines == ["# note", "a\tb\tc"] + ["\t".join(_old_fmt(v) for v in row) for row in table]
-    comments, header, data = _read_table(path, "\t")
-    assert (comments, header) == (["# note"], ["a", "b", "c"])
-    assert data.tobytes() == _old_read_table(path, "\t")[2].tobytes()
-    assert np.array_equal(data, table, equal_nan=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(saved) == sorted(manifest["columns"]) == sorted(manifest["artifacts"])
+    assert sorted(saved) == sorted(names)
+    for name, (columns, table) in saved.items():
+        expected = TABLE_COLUMNS[name]
+        if expected[-1] == "u1":
+            expected = expected[:-1] + [f"u{j + 1}" for j in
+                                        range(table.shape[-1] - len(expected) + 1)]
+        assert manifest["columns"][name] == columns == expected
+        with open(out / name, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            data = fh.read()
+        assert (shape, fortran_order, dtype.str) == (table.shape, False, "<f8")
+        assert table.shape[0] > 1 and shape[-1] == len(columns)
+        assert data == np.ascontiguousarray(table, dtype=float).tobytes()
+    if command == "connect":
+        # the curve's times and nodes, with no comment line: results.legs holds its numbers
+        (leg,) = manifest["results"]["legs"]
+        assert leg["curve"] == "curve_1.npy"
+        assert set(leg) == {"x_minus", "x_plus", "action", "dk_value", "action_gap",
+                            "equipartition_defect", "window", "curve"}
 
 
 @pytest.mark.parametrize("cfg", [SIN_CFG, PLANAR_CFG], ids=["sin", "planar"])
@@ -372,6 +351,92 @@ def test_verify_rejects_a_malformed_field_table(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["verify", str(out)]) == 4
     assert message in capsys.readouterr().err
+
+
+# each makes a table of the wrong kind from a run's table, and names what verify reports
+BAD_TABLES = {
+    "float32": (lambda table: table.astype(np.float32), "holds a float32 array"),
+    "big_endian": (lambda table: table.astype(">f8"), "holds a >f8 array"),
+    "fortran_order": (np.asfortranarray, "stored in Fortran order, not C order"),
+    "ndim": (lambda table: table[None], "not a float64 (rows, columns) table"),
+    "one_column_less": (lambda table: table[..., :-1], "and the manifest names"),
+}
+# a table of each run kind, and the run that writes it
+TABLE_RUNS = {"curve_1.npy": ("connect", CONNECT_CFG),
+              "boundary_convergence.npy": ("double", SIN_CFG),
+              "boxed.npy": ("counterexample", COUNTER_CFG)}
+
+
+@pytest.fixture(scope="module")
+def table_runs(tmp_path_factory):
+    """A run directory of each of ``TABLE_RUNS``, by table name."""
+    runs = {}
+    for name, (command, cfg) in TABLE_RUNS.items():
+        base = tmp_path_factory.mktemp(command)
+        out = base / "run"
+        assert main([command, "--config", write_cfg(base, cfg), "--out", str(out)]) == 0
+        runs[name] = out
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_RUNS))
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_verify_rejects_a_table_of_the_wrong_kind(tmp_path, capsys, table_runs, case, name):
+    transform, message = BAD_TABLES[case]
+    out = tmp_path / "run"
+    shutil.copytree(table_runs[name], out)
+    assert main(["verify", str(out)]) == 0
+    bad = transform(np.load(out / name))
+    np.save(out / name, bad)
+    _resign(out, name)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert message in err and name in err
+
+
+def _nudged(value):
+    return float(np.nextafter(value, np.inf))
+
+
+# one ulp up each recorded audit result of a two-leg chain, or one entry of
+# the second leg's defect table; verify recomputes each bit for bit
+AUDIT_EDITS = {
+    **{key: (key, f"|over the legs - recorded {key}|")
+       for key in ("el_residual", "second_difference_lhs", "second_difference_rhs",
+                   "second_difference_constant", "second_difference_c_fitted",
+                   "max_speed", "max_w")},
+    "plot_defect_2.npy": ("plot_defect_2.npy", "leg 2 max |recomputed - recorded plot_defect_2.npy|"),
+}
+
+
+@pytest.fixture(scope="module")
+def two_leg_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("chain")
+    out = base / "run"
+    cfg = dict(CONNECT_CFG, potential={"name": "triple_well"})
+    assert main(["connect", "--config", write_cfg(base, cfg), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("edit", sorted(AUDIT_EDITS))
+def test_verify_recomputes_the_connect_audits(tmp_path, capsys, two_leg_run, edit):
+    key, gate = AUDIT_EDITS[edit]
+    out = tmp_path / "run"
+    shutil.copytree(two_leg_run, out)
+    assert main(["verify", str(out)]) == 0
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    assert len(manifest["results"]["legs"]) == 2
+    assert "second_difference_constant" not in manifest["tolerances"]
+    if key.endswith(".npy"):
+        _edit_table(out, key, (100, 1), _nudged)
+    else:
+        manifest["results"][key] = _nudged(manifest["results"][key])
+        mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert gate in capsys.readouterr().err
 
 
 def test_verify_rejects_a_version_1_manifest(tmp_path, capsys):
@@ -542,7 +607,7 @@ def test_counterexample_run_and_verify(tmp_path):
     cfg = write_cfg(tmp_path, COUNTER_CFG)
     out = str(tmp_path / "ce")
     assert main(["counterexample", "--config", cfg, "--out", out]) == 0
-    for name in ("candidates.tsv", "boxed.tsv", "manifest.json"):
+    for name in ("candidates.npy", "boxed.npy", "manifest.json"):
         assert (tmp_path / "ce" / name).exists()
     manifest = json.loads((tmp_path / "ce" / "manifest.json").read_text())
     assert manifest["results"]["g_infinity"] == pytest.approx(1.5)
@@ -564,13 +629,7 @@ def _counterexample_run(tmp_path):
 
 def test_counterexample_verify_recomputes_the_candidates(tmp_path):
     out = _counterexample_run(tmp_path)
-    path = out / "candidates.tsv"
-    lines = path.read_text().splitlines()
-    cells = lines[4].split("\t")
-    cells[2] = "%.17g" % np.nextafter(float(cells[2]), np.inf)
-    lines[4] = "\t".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    _resign(out, "candidates.tsv")
+    _edit_table(out, "candidates.npy", (3, 2), lambda v: np.nextafter(v, np.inf))
     assert main(["verify", str(out)]) == 5
 
 
@@ -586,20 +645,14 @@ def test_counterexample_verify_enforces_the_tail_tolerance(tmp_path):
 
 def test_counterexample_verify_recomputes_the_crossing_bounds(tmp_path):
     out = _counterexample_run(tmp_path)
-    path = out / "boxed.tsv"
-    lines = path.read_text().splitlines()
-    cells = lines[2].split("\t")
     # a lower bound still passes the boxed-above-bound check
-    cells[2] = "%.17g" % (float(cells[2]) - 0.25)
-    lines[2] = "\t".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    _resign(out, "boxed.tsv")
+    _edit_table(out, "boxed.npy", (1, 2), lambda v: v - 0.25)
     assert main(["verify", str(out)]) == 5
 
 
 def test_counterexample_verify_reads_the_bound_slack(tmp_path):
     out = _counterexample_run(tmp_path)
-    _, _, boxed = _read_table(out / "boxed.tsv", "\t")
+    boxed = np.load(out / "boxed.npy")
     gap = float(np.min(boxed[:, 1] - boxed[:, 2]))
     mpath = out / "manifest.json"
     manifest = json.loads(mpath.read_text())
@@ -624,22 +677,16 @@ def test_compare_runs_reports_the_numeric_artifact_difference(tmp_path, capsys):
     run_b = tmp_path / "ce_b"
     shutil.copytree(run_a, run_b)
     assert compare_runs.main([str(run_a), str(run_b)]) == 0
-    path = run_b / "boxed.tsv"
-    lines = path.read_text().splitlines()
-    cells = lines[2].split("\t")
-    old = float(cells[1])
+    old = float(np.load(run_b / "boxed.npy")[1, 1])
     new = old + 3e-12
-    cells[1] = "%.17g" % new
-    lines[2] = "\t".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    _resign(run_b, "boxed.tsv")
+    _edit_table(run_b, "boxed.npy", (1, 1), lambda v: new)
     capsys.readouterr()
     assert compare_runs.main([str(run_a), str(run_b)]) == 1
     out = capsys.readouterr().out.splitlines()
     # relative to the largest magnitude of the column in either table
-    scale = max(np.max(np.abs(np.loadtxt(run / "boxed.tsv", skiprows=1)[:, 1]))
+    scale = max(np.max(np.abs(np.load(run / "boxed.npy")[:, 1]))
                 for run in (run_a, run_b))
-    assert len(out) == 2 and out[0].startswith("artifacts.boxed.tsv: ")
+    assert len(out) == 2 and out[0].startswith("artifacts.boxed.npy: ")
     assert out[0].endswith(f"(max abs difference {new - old:.3g}, "
                            f"max rel difference {(new - old) / scale:.3g})")
     assert out[1].startswith("1 difference(s)")
@@ -725,14 +772,8 @@ def test_counterexample_rejects_bad_config_values(tmp_path, key, value):
 
 def test_counterexample_verify_recomputes_the_box_candidates(tmp_path):
     out = _counterexample_run(tmp_path)
-    path = out / "boxed.tsv"
-    lines = path.read_text().splitlines()
-    cells = lines[2].split("\t")
     # one ulp up keeps every inequality check satisfied
-    cells[1] = "%.17g" % np.nextafter(float(cells[1]), np.inf)
-    lines[2] = "\t".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    _resign(out, "boxed.tsv")
+    _edit_table(out, "boxed.npy", (1, 1), lambda v: np.nextafter(v, np.inf))
     assert main(["verify", str(out)]) == 5
 
 
@@ -785,7 +826,7 @@ def test_double_well_connect_is_tanh_by_quadrature(tmp_path):
     out, manifest = _shipped_connect(tmp_path, "double_well")
     results = manifest["results"]
     (leg,) = results["legs"]
-    _, _, data = _read_table(out / leg["curve"])
+    data = np.load(out / leg["curve"])
     assert np.max(np.abs(data[:, 1] - np.tanh(data[:, 0]))) <= 1e-12
     assert abs(results["dk_value"] - 4.0 / 3.0) <= 1e-12
     assert results["el_residual"] <= 7.3e-4
@@ -805,25 +846,19 @@ def test_triple_well_connect_is_a_chain_of_two_legs(tmp_path):
     assert results["action"] == sum(leg["action"] for leg in legs)
     assert abs(results["action_gap"]) <= 1e-5
     assert "chain of 2 legs" in manifest["warnings"][0]
-    assert set(manifest["artifacts"]) == {f"{stem}_{k}.{ext}" for k in (1, 2) for stem, ext in
-                                          (("curve", "csv"), ("plot_components", "tsv"),
-                                           ("plot_defect", "tsv"))}
+    assert set(manifest["artifacts"]) == {f"{stem}_{k}.npy" for k in (1, 2)
+                                          for stem in ("curve", "plot_defect")}
     # the leg toward the middle well is u = -(1 + c e^(2t))^(-1/2), c fixed by
     # the centre, where the K-length from -1 reaches 1/8
-    _, _, data = _read_table(out / legs[0]["curve"])
+    data = np.load(out / legs[0]["curve"])
     c = 1.0 / (1.0 - 2.0 ** -0.5) - 1.0
     assert np.max(np.abs(data[:, 1] + (1.0 + c * np.exp(2.0 * data[:, 0])) ** -0.5)) <= 1e-12
 
 
 def test_verify_recomputes_the_second_leg(tmp_path, capsys):
     out, manifest = _shipped_connect(tmp_path, "triple_well")
-    path = out / manifest["results"]["legs"][1]["curve"]
-    lines = path.read_text().splitlines()
     # an interior row of the second leg's curve
-    t, u = lines[1000].split(",")
-    lines[1000] = f"{t},{float(u) + 1e-3!r}"
-    path.write_text("\n".join(lines) + "\n")
-    _resign(out, path.name)
+    _edit_table(out, manifest["results"]["legs"][1]["curve"], (998, 1), lambda u: u + 1e-3)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
@@ -888,7 +923,7 @@ def test_planar_connect_relaxes_the_upper_channel(tmp_path):
     # channel's whole-line value 2.115106
     assert results["action_gap"] >= 0.0
     assert abs(results["dk_value"] - 2.115106) <= 2e-4
-    _, _, data = _read_table(out / results["legs"][0]["curve"])
+    data = np.load(out / results["legs"][0]["curve"])
     assert np.all(data[1:-1, 2] > 0.0)
 
 
@@ -900,7 +935,7 @@ def test_planar_connect_is_the_double_fixtures_well_profile(tmp_path, planar_spa
                reparam={"n_samples": 401, "t_max": 8.0}, defect_tol=5e-3)
     out = tmp_path / "pl"
     assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    _, _, data = _read_table(out / "curve_1.csv")
+    data = np.load(out / "curve_1.npy")
     assert np.max(np.abs(data[:, 1:] - planar_space.z_plus.values)) <= 1e-12
     energy = planar_shell(data[:, 0]).energy_1d(data[:, 1:])[0]
     assert abs(energy / planar_space.ref_value - 1.0) <= 1e-12
@@ -915,7 +950,7 @@ def test_verify_recomputes_the_planar_d_k(tmp_path, capsys):
     (leg,) = results["legs"]
     # a d_K edited together with the gaps and the sums that follow from it:
     # only a recomputed d_K tells it from the run's
-    _, _, data = _read_table(out / leg["curve"])
+    data = np.load(out / leg["curve"])
     curve = hetconn.SampledCurve(times=data[:, 0], nodes=data[:, 1:])
     action = hetconn.heteroclinic.equipartition(
         curve, hetconn.EuclideanSpace(2),
@@ -960,7 +995,7 @@ def test_counterexample_run_gates_the_tail_tolerance(tmp_path, capsys):
     assert "candidate_tail_tol" in capsys.readouterr().err
     # the run still writes its artifacts and manifest
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["artifacts"]) == {"candidates.tsv", "boxed.tsv"}
+    assert set(manifest["artifacts"]) == {"candidates.npy", "boxed.npy"}
     assert manifest["results"]["final_candidate"] - manifest["results"]["infimum"] > 1e-2
     assert main(["verify", str(out)]) == 5
 
@@ -969,7 +1004,7 @@ def test_double_sin_run_and_verify(tmp_path):
     cfg = write_cfg(tmp_path, SIN_CFG)
     out = str(tmp_path / "dbl")
     assert main(["double", "--config", cfg, "--out", out]) == 0
-    for name in ("u.npy", "boundary_convergence.tsv", "manifest.json"):
+    for name in ("u.npy", "boundary_convergence.npy", "manifest.json"):
         assert (tmp_path / "dbl" / name).exists()
     manifest = json.loads((tmp_path / "dbl" / "manifest.json").read_text())
     assert manifest["kind"] == "double"
@@ -1073,7 +1108,7 @@ def test_polish_over_its_tolerance_fails_run_and_verify(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["polish_status"] == "max_iters"
     assert manifest["results"]["polish_gmax"] > manifest["tolerances"]["polish_gtol"]
-    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.tsv"}
+    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.npy"}
     assert main(["verify", str(out)]) == 5
 
 
@@ -1094,7 +1129,7 @@ def test_double_run_over_its_defect_tol_fails_run_and_verify(tmp_path, capsys):
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
     assert "x2 equipartition defect" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.tsv"}
+    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.npy"}
     assert manifest["results"]["equip_defect"] > manifest["tolerances"]["defect_tol"]
     assert main(["verify", str(out)]) == 5
     assert "x2 equipartition defect" in capsys.readouterr().err
@@ -1191,10 +1226,9 @@ def test_curve_artifact_layout(tmp_path):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
-    lines = (tmp_path / "run" / "curve_1.csv").read_text().splitlines()
-    assert lines[0].startswith("# action=")
-    assert lines[1].split(",")[0] == "t"
-    data = np.loadtxt(lines[2:], delimiter=",")
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["columns"]["curve_1.npy"] == ["t", "u1"]
+    data = np.load(tmp_path / "run" / "curve_1.npy")
     assert data.shape == (201, 2)
     # the window truncates the tails at t_max = 6, so the ends sit at
     # tanh(-6) rather than the well itself
