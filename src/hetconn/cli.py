@@ -50,6 +50,7 @@ from .counterexample import CounterexampleWeight, nonexistence_report
 from .double_connection import (
     POLISH_GTOL,
     RESIDUAL_MARGIN,
+    DoubleConnectionResult,
     DoubleOptions,
     assemble_and_verify,
     audit_translation_speed,
@@ -57,6 +58,7 @@ from .double_connection import (
     free_gradient_max,
     planar_effective_space,
     planar_shell,
+    shift_track_summary,
     sin_example_space,
     sin_shell,
     solve_asymmetric,
@@ -737,10 +739,15 @@ def _verify_connect(tables: dict, manifest: dict, verbose: bool) -> int:
 
 
 def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
-    """Recompute a double run's residuals, energies, x2 defect and free gradient.
+    """Recompute a double run's residuals, energies, x2 defect and free gradient,
+    and an asym run's shift track results.
 
     Each must equal the recorded one bit for bit (``energy`` is the path
-    energy), and they must meet the run's tolerances.
+    energy), and they must meet the run's tolerances.  An asym run's
+    ``m_track.npy`` must hold the field's x2; ``c_minus``, ``c_plus`` and
+    ``m_total_variation`` are recomputed from its shifts, and the
+    ``translation_speed_*`` audit from them and the field.  The shift scan
+    itself is not re-run.
     """
     x1, x2, u = _read_field(tables[FIELD])
     space = _double_shell(manifest["config"], x1)
@@ -760,6 +767,19 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     recomputed = {"energy": res.energy_path, "energy_direct": res.energy_direct,
                   "energy_path": res.energy_path, "residual_max": res.residual_max,
                   "residual_l2": res.residual_l2, "equip_defect": defect, "polish_gmax": gmax}
+    if manifest["mode"] == "asym":
+        track = tables["m_track.npy"]
+        if not np.array_equal(track[:, 0], x2):
+            print("m_track.npy's x2 column is not the field's x2", file=sys.stderr)
+            return EXIT_EQUIPARTITION
+        m_track = track[:, 1]
+        c_minus, c_plus, variation = shift_track_summary(m_track)
+        speed = audit_translation_speed(DoubleConnectionResult(
+            space=space, mode="asym", u=u, x1=x1, x2=x2, energy=res.energy_path,
+            c_minus=c_minus, c_plus=c_plus, m_track=m_track, diagnostics={}))
+        recomputed.update(c_minus=c_minus, c_plus=c_plus, m_total_variation=variation,
+                          translation_speed_c_fit=speed.c_fit,
+                          translation_speed_max_ratio=speed.max_ratio)
     exact = _within([(f"|recomputed - recorded {key}|", abs(value - results[key]), 0.0)
                      for key, value in recomputed.items()], verbose)
     if not (_double_within_tolerance(res, defect, gmax, results["polish_status"], tolerances,
@@ -802,6 +822,13 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
         print(f"manifest schema_version {version!r} is not supported "
               f"(this hetconn reads version {MANIFEST_SCHEMA_VERSION})", file=sys.stderr)
         return EXIT_CHECKSUM
+    if not (isinstance(manifest["artifacts"], dict) and isinstance(manifest["columns"], dict)):
+        print("manifest artifacts and columns must be JSON objects", file=sys.stderr)
+        return EXIT_CHECKSUM
+    for name, columns in manifest["columns"].items():
+        if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+            print(f"manifest columns of {name} must be a list of strings", file=sys.stderr)
+            return EXIT_CHECKSUM
     for name, expected in manifest["artifacts"].items():
         path = os.path.join(run_dir, name)
         if not os.path.exists(path):

@@ -212,6 +212,14 @@ def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize:
     return u, x2
 
 
+def shift_track_summary(m_track: np.ndarray) -> tuple[float, float, float]:
+    """(c-, c+, total variation) of a per-column shift track: the means of
+    its first and last max(1, P // 10) entries, and the sum of its |steps|."""
+    tail = max(1, m_track.size // 10)
+    return (float(np.mean(m_track[:tail])), float(np.mean(m_track[-tail:])),
+            float(np.sum(np.abs(np.diff(m_track)))))
+
+
 def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
     if space.z_minus is None or space.z_plus is None:
         raise ValueError("the effective space carries no well profiles")
@@ -243,10 +251,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
             _columns(u), space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
         )
         m_track = fits.shift
-        tail = max(1, p_out // 10)
-        c_minus = float(np.mean(m_track[:tail]))
-        c_plus = float(np.mean(m_track[-tail:]))
-        diagnostics["m_total_variation"] = float(np.sum(np.abs(np.diff(m_track))))
+        c_minus, c_plus, diagnostics["m_total_variation"] = shift_track_summary(m_track)
     return DoubleConnectionResult(
         space=space,
         mode=mode,

@@ -326,6 +326,10 @@ def _weighted_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.sum(total, axis=-1)
 
 
+# translates per block of translation_misfits' difference buffer
+MISFIT_BLOCK = 129
+
+
 def translation_misfits(values, z: GridFunction, shifts) -> np.ndarray:
     """Squared L2 misfits |v - z(. - m)|^2, shape (k, len(shifts)).
 
@@ -336,14 +340,19 @@ def translation_misfits(values, z: GridFunction, shifts) -> np.ndarray:
     shifted = _translate_values(z, np.asarray(shifts, dtype=float).reshape(-1))
     w = z.quad_weights()
     stack = _profile_stack(values, z)
-    # one profile at a time, through one difference and one row buffer: the
-    # (k, shifts, m, n) difference is too large
-    diff = np.empty_like(shifted)
-    total = np.empty(shifted.shape[:-1])
-    misfits = np.empty((stack.shape[0], shifted.shape[0]))
-    for i, v in enumerate(stack):
-        np.subtract(v, shifted, out=diff)
-        misfits[i] = _weighted_dot(w, diff, diff, prod=diff, total=total)
+    k = stack.shape[0]
+    # a block of profiles at a time, through one difference and one row
+    # buffer of at most MISFIT_BLOCK translates (one profile's, if it has
+    # more shifts): the (k, shifts, m, n) difference is too large.  np.sum
+    # reduces each row alone, so the blocking leaves every misfit's bits.
+    rows = max(1, MISFIT_BLOCK // max(1, shifted.shape[0]))
+    diff = np.empty((min(rows, k),) + shifted.shape)
+    total = np.empty(diff.shape[:-1])
+    misfits = np.empty((k, shifted.shape[0]))
+    for lo in range(0, k, rows):
+        block = stack[lo:lo + rows, None]
+        d = np.subtract(block, shifted, out=diff[:block.shape[0]])
+        misfits[lo:lo + rows] = _weighted_dot(w, d, d, prod=d, total=total[:block.shape[0]])
     return misfits
 
 
@@ -379,38 +388,107 @@ class TranslationFit(NamedTuple):
     unique: np.ndarray
 
 
+# The Gram screen's rounding bound E = SCREEN_BOUND (N + 8) eps (sqrt a +
+# sqrt c)^2 between G = a - 2 x + c and the exact kernel's computed misfit V^,
+# where a = |v|^2, c = |z_m|^2 and x = (v, z_m), weighted, are dot products of
+# N = m n terms.  With u = eps / 2 and gamma_j = j u / (1 - j u), any order of
+# summation (a BLAS one too, whatever its thread count) gives a and c to
+# gamma_(N+1) relative and x to gamma_(N+1) sqrt(a c) (Cauchy-Schwarz), and
+# the two roundings of G add gamma_2 (a + 2 |x| + c): |G - V| <= gamma_(N+4)
+# (sqrt a + sqrt c)^2.  The exact kernel sums nonnegative terms after at most
+# N + 3 roundings each, and V <= (sqrt a + sqrt c)^2, so |V^ - V| <=
+# gamma_(N+3) (sqrt a + sqrt c)^2.  Together that is below (N + 8) eps (sqrt a
+# + sqrt c)^2; the factor 2 covers the rounding of a, c, E and G -/+ E
+# themselves, all relative errors near N u.  The subnormal term covers the
+# absolute error of products that underflow, at most 2^-1075 for each of
+# fewer than 8 (N + 8) products.
+SCREEN_BOUND = 2.0
+
+
+def _screened_scan(stack: np.ndarray, z: GridFunction, m_grid: np.ndarray):
+    """Row argmins of translation_misfits(stack, z, m_grid), and a lower bound
+    of every one of its entries, from few exact misfits.
+
+    The Gram form G = a - 2 x + c of every misfit takes one matmul for the
+    whole scan; it is within E (SCREEN_BOUND) of the exact kernel's bits.  A
+    shift whose G - E exceeds its row's least G + E is strictly worse than
+    that row's best, so the exact kernel runs only on the other shifts,
+    grouped by shift, and np.argmin over those finds the first minimum of
+    the whole exact row.  Rows whose screen or candidate misfits are not all
+    finite are scanned exactly in full.  Returns (argmins, (k, shifts)
+    lower bounds: G - E, or the exact misfits of a full row).
+    """
+    k, n_shifts, n_terms = stack.shape[0], m_grid.size, z.m * z.n_components
+    shifted = _translate_values(z, m_grid)
+    w = z.quad_weights()
+    # w folded into the profiles: one weighted copy, freed before the exact pass
+    weighted = (stack * w[:, None]).reshape(k, n_terms)
+    gram = weighted @ shifted.reshape(n_shifts, n_terms).T
+    a = np.einsum("ij,ij->i", weighted, stack.reshape(k, n_terms))
+    del weighted
+    c = np.einsum("smc,m,smc->s", shifted, w, shifted)
+    del shifted
+    gram *= -2.0
+    gram += a[:, None]
+    gram += c
+    root = np.sqrt(a)[:, None] + np.sqrt(c)
+    tiny = 4.0 * np.finfo(float).smallest_subnormal
+    bound = SCREEN_BOUND * (n_terms + 8) * (np.finfo(float).eps * root * root + tiny)
+    lower = gram - bound
+    upper = np.add(gram, bound, out=gram)
+    settled = np.all(np.isfinite(lower) & np.isfinite(upper), axis=1)
+    cand = (lower <= np.min(upper, axis=1, keepdims=True)) & settled[:, None]
+    exact = np.full((k, n_shifts), np.inf)
+    for j in np.flatnonzero(np.any(cand, axis=0)):
+        rows = np.flatnonzero(cand[:, j])
+        exact[rows, j] = translation_misfits(stack[rows], z, m_grid[j:j + 1])[:, 0]
+    settled &= np.all(np.isfinite(exact) | ~cand, axis=1)
+    doubt = np.flatnonzero(~settled)
+    if doubt.size:
+        exact[doubt] = lower[doubt] = translation_misfits(stack[doubt], z, m_grid)
+    return np.argmin(exact, axis=1), lower
+
+
+def _far_interior(m_grid: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Interior scan shifts more than two grid steps from each argmin m_grid[i],
+    shape (len(i), len(m_grid) - 2)."""
+    step = float(m_grid[1] - m_grid[0])
+    return np.abs(m_grid[None, 1:-1] - m_grid[i][:, None]) > 2 * step
+
+
 def _scan_and_polish(values: np.ndarray, z: GridFunction, m_grid: np.ndarray,
                      newton_iters: int = 12):
     """Best shift of template z for every profile of a (k, m, n) stack.
 
-    Scan the shift grid, then clipped Newton steps on every profile whose
-    curvature is positive and whose step is still above 1e-14, all such
-    profiles together.  Returns (shifts, misfits, second-best interior scan
-    minimum at least two grid steps away), each of shape (k,).
+    Scan the shift grid (``_screened_scan``), then clipped Newton steps on
+    every profile whose curvature is positive and whose step is still above
+    1e-14, all such profiles together; a profile's misfit is its last
+    Newton evaluation unless its last step moved it.  Returns (shifts,
+    misfits, scan argmins, and a lower bound of the misfits at the scan's
+    interior shifts more than two grid steps from the argmin), each (k,).
     """
-    vals = translation_misfits(values, z, m_grid)
-    i = np.argmin(vals, axis=1)
+    i, floor = _screened_scan(values, z, m_grid)
     m = m_grid[i]
     halfstep = float(m_grid[1] - m_grid[0])
+    F = np.empty(m.size)
     live = np.ones(m.size, dtype=bool)
     for _ in range(newton_iters):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        _, dF, d2F = translation_objective(values[idx], z, m[idx])
+        F[idx], dF, d2F = translation_objective(values[idx], z, m[idx])
         go = ~(d2F <= 0.0)
         step = np.divide(-dF, d2F, out=np.zeros_like(dF), where=go)
         step = np.clip(step, -2.0 * halfstep, 2.0 * halfstep)
         go &= ~(np.abs(step) < 1e-14)
         m[idx[go]] += step[go]
         live[idx[~go]] = False
-    F = translation_objective(values, z, m)[0]
-    # interior local minima of the scan, for the uniqueness verdict
-    inner = vals[:, 1:-1]
-    loc = (inner <= vals[:, :-2]) & (inner <= vals[:, 2:])
-    far = loc & (np.abs(m_grid[None, 1:-1] - m_grid[i][:, None]) > 2 * halfstep)
-    second = np.min(np.where(far, inner, np.inf), axis=1, initial=np.inf)
-    return m, F, second
+    idx = np.flatnonzero(live)
+    if idx.size:
+        F[idx] = translation_objective(values[idx], z, m[idx])[0]
+    far = _far_interior(m_grid, i)
+    low = np.min(np.where(far, floor[:, 1:-1], np.inf), axis=1, initial=np.inf)
+    return m, F, i, low
 
 
 def optimal_translation(
@@ -430,7 +508,9 @@ def optimal_translation(
     growing like the well gap times sqrt |m|, so optima beyond the span are
     not competitive for profiles supported in the window).  ``unique`` is
     False when a second scan minimum comes within ``unique_margin`` of the
-    best, or when the two templates tie.
+    best, or when the two templates tie.  Every field has the bits of the
+    exhaustive scan: the Gram screen only decides where exact misfits are
+    needed.
     """
     v = _profile_stack(values, z_minus)
     span = float(z_minus.s[-1] - z_minus.s[0])
@@ -439,16 +519,32 @@ def optimal_translation(
     if n_scan <= 0:
         n_scan = max(2 * z_minus.m + 1, 129)
     m_grid = np.linspace(-m_max, m_max, n_scan)
-    m_m, f_m, second_m = _scan_and_polish(v, z_minus, m_grid)
-    m_p, f_p, second_p = _scan_and_polish(v, z_plus, m_grid)
+    m_m, f_m, i_m, low_m = _scan_and_polish(v, z_minus, m_grid)
+    m_p, f_p, i_p, low_p = _scan_and_polish(v, z_plus, m_grid)
     first = f_m <= f_p
     f = np.where(first, f_m, f_p)
-    second = np.where(first, np.minimum(second_m, f_p), np.minimum(second_p, f_m))
+    other = np.where(first, f_p, f_m)
+    bar = unique_margin * np.maximum(1.0, f)
+    # unique is min(second, other) - f > bar, with second the chosen
+    # template's best far interior scan minimum (a local minimum of its
+    # scan).  Where the screen's lower bound of second clears the bar,
+    # second does too; where other - f does not, nothing does.  Only the
+    # other profiles take second from their exact scan rows.
+    second = np.where(first, low_m, low_p)
+    doubt = ~(second - f > bar) & (other - f > bar)
+    for z, i, mine in ((z_minus, i_m, first), (z_plus, i_p, ~first)):
+        rows = np.flatnonzero(doubt & mine)
+        if rows.size:
+            vals = translation_misfits(v[rows], z, m_grid)
+            inner = vals[:, 1:-1]
+            loc = (inner <= vals[:, :-2]) & (inner <= vals[:, 2:])
+            far = loc & _far_interior(m_grid, i[rows])
+            second[rows] = np.min(np.where(far, inner, np.inf), axis=1, initial=np.inf)
     return TranslationFit(
         shift=np.where(first, m_m, m_p),
         which=np.where(first, -1, 1),
         misfit=f,
-        unique=second - f > unique_margin * np.maximum(1.0, f),
+        unique=np.minimum(second, other) - f > bar,
     )
 
 

@@ -395,6 +395,35 @@ def test_verify_rejects_a_table_of_the_wrong_kind(tmp_path, capsys, table_runs, 
     assert message in err and name in err
 
 
+# each makes a manifest whose artifacts or columns are not the maps verify
+# reads, and names what verify reports
+BAD_MANIFEST_MAPS = {
+    "artifacts_list": (lambda m: m.update(artifacts=sorted(m["artifacts"])),
+                       "artifacts and columns must be JSON objects"),
+    "columns_list": (lambda m: m.update(columns=sorted(m["columns"])),
+                     "artifacts and columns must be JSON objects"),
+    "columns_entry_string": (lambda m: m["columns"].update({"boxed.npy": "radius"}),
+                             "columns of boxed.npy must be a list of strings"),
+    "columns_entry_numbers": (lambda m: m["columns"].update({"boxed.npy": [0, 1, 2]}),
+                              "columns of boxed.npy must be a list of strings"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFEST_MAPS))
+def test_verify_rejects_artifacts_or_columns_of_the_wrong_type(tmp_path, capsys, table_runs,
+                                                               case):
+    edit, message = BAD_MANIFEST_MAPS[case]
+    out = tmp_path / "run"
+    shutil.copytree(table_runs["boxed.npy"], out)
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert message in capsys.readouterr().err
+
+
 def _nudged(value):
     return float(np.nextafter(value, np.inf))
 
@@ -912,6 +941,50 @@ def test_verify_gates_the_recorded_headline_results(tmp_path, capsys, command, p
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert f"recorded {path[-1]}|" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def asym_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("asym")
+    out = base / "run"
+    cfg = write_cfg(base, dict(PLANAR_CFG, mode="asym"))
+    assert main(["double", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+SHIFT_TRACK_KEYS = ("c_minus", "c_plus", "m_total_variation", "translation_speed_c_fit",
+                    "translation_speed_max_ratio")
+
+
+@pytest.mark.parametrize("key", SHIFT_TRACK_KEYS)
+def test_verify_recomputes_the_shift_track_results(tmp_path, capsys, asym_run, key):
+    # one ulp off a result of the asym run's shift track
+    out = tmp_path / "run"
+    shutil.copytree(asym_run, out)
+    assert main(["verify", str(out)]) == 0
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["results"][key] = _nudged(manifest["results"][key])
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert f"|recomputed - recorded {key}|" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, gates", [
+    (0, ["m_track.npy's x2 column is not the field's x2"]),
+    (1, [f"|recomputed - recorded {key}|" for key in SHIFT_TRACK_KEYS if key != "c_plus"]),
+], ids=["x2", "m"])
+def test_verify_reads_the_shift_track_from_m_track(tmp_path, capsys, asym_run, column, gates):
+    # the second column's x2 or shift, re-signed: the shift lies in the
+    # c_minus average and moves the speed audit
+    out = tmp_path / "run"
+    shutil.copytree(asym_run, out)
+    _edit_table(out, "m_track.npy", (1, column), lambda value: value + 1e-3)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert all(gate in err for gate in gates)
 
 
 def test_planar_connect_relaxes_the_upper_channel(tmp_path):

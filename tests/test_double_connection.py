@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,29 @@ def test_quotient_does_no_work_on_the_symmetric_fixture(planar_space):
     asym = solve_asymmetric(planar_space, SMALL)
     assert asym.c_minus == 0.0 and asym.c_plus == 0.0
     assert asym.diagnostics["m_total_variation"] == 0.0
+
+
+def test_the_shipped_asym_field_needs_no_exact_scan_row(monkeypatch):
+    # the Gram screen settles every column of planar_asym.json's field with
+    # exact misfits at single shifts; a full exact row there would bring back
+    # the cost of the exhaustive scan unseen
+    from hetconn.cli import _build_double_space
+
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "planar_asym.json").read_text())
+    exact = function_space.translation_misfits
+    scanned = []
+
+    def single_shifts_only(values, z, shifts):
+        if np.size(shifts) != 1:
+            raise AssertionError(f"an exact scan row of {np.size(shifts)} shifts")
+        scanned.append(np.shape(values)[0])
+        return exact(values, z, shifts)
+
+    monkeypatch.setattr(function_space, "translation_misfits", single_shifts_only)
+    result = solve_asymmetric(_build_double_space(cfg), DoubleOptions(**cfg["opts"]))
+    # at least one exact misfit per column and template
+    assert sum(scanned) >= 2 * result.m_track.size
 
 
 def test_double_solves_run_no_path_descent(monkeypatch):

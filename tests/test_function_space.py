@@ -18,6 +18,7 @@ from hetconn import (
     translation_misfits,
     translation_objective,
 )
+from hetconn import function_space
 from hetconn.double_connection import planar_shell
 from hetconn.function_space import poisson_preconditioner
 from hetconn.metric import trapezoid_weights
@@ -271,6 +272,126 @@ def test_batched_misfits_equal_per_shift_translates(n_components):
     assert misfits.shape == (len(stack), shifts.size)
     for row, p in zip(misfits, stack):
         assert np.array_equal(row, [_misfit_by_translate(p, z, m) for m in shifts])
+
+
+def _exhaustive_fit(values, z_minus, z_plus, m_max=None, n_scan=0, unique_margin=1e-6):
+    """optimal_translation without the Gram screen, profile by profile:
+    translation_misfits over every scan shift, then the same Newton polish
+    and uniqueness verdict."""
+    m_max = float(z_minus.s[-1] - z_minus.s[0]) if m_max is None else m_max
+    n_scan = n_scan if n_scan > 0 else max(2 * z_minus.m + 1, 129)
+    m_grid = np.linspace(-m_max, m_max, n_scan)
+    step = m_grid[1] - m_grid[0]
+    rows = []
+    for v in np.asarray(values, dtype=float).reshape(-1, z_minus.m, z_minus.n_components):
+        per_template = []
+        for z in (z_minus, z_plus):
+            vals = translation_misfits(v, z, m_grid)[0]
+            i = int(np.argmin(vals))
+            m = m_grid[i]
+            for _ in range(12):
+                _, dF, d2F = (x[0] for x in translation_objective(v, z, [m]))
+                if d2F <= 0.0:
+                    break
+                s = np.clip(-dF / d2F, -2.0 * step, 2.0 * step)
+                if np.abs(s) < 1e-14:
+                    break
+                m += s
+            loc = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
+            far = loc[np.abs(m_grid[loc] - m_grid[i]) > 2 * step]
+            f = translation_objective(v, z, [m])[0][0]
+            per_template.append((m, f, np.min(vals[far], initial=np.inf)))
+        (m_m, f_m, second_m), (m_p, f_p, second_p) = per_template
+        if f_m <= f_p:
+            m, which, f, second = m_m, -1, f_m, np.minimum(second_m, f_p)
+        else:
+            m, which, f, second = m_p, 1, f_p, np.minimum(second_p, f_m)
+        rows.append((m, which, f, second - f > unique_margin * np.maximum(1.0, f)))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def _bump_gf(values):
+    zero = np.zeros(1)
+    return GridFunction(s=S, values=values, tail_left=zero, tail_right=zero)
+
+
+def _bump(shift=0.0):
+    return 1.0 / np.cosh(4.0 * (S - shift))[:, None]
+
+
+def _two_bumps(delta):
+    # narrow bumps at -3 and +3, the right one 1 + delta high: against the
+    # bump template the scan has minima at both, on scan shifts, whose
+    # depths 0.5 (1 + delta)^2 and 0.5 differ by about delta
+    return _bump(-3.0) + (1.0 + delta) * _bump(3.0)
+
+
+# each: (templates, stack, optimal_translation keywords, whether some scan
+# row must be exact in full)
+SCREEN_CASES = {
+    # a lower bound within the margin of the best cannot settle uniqueness;
+    # delta 0 ties the two minima to rounding, so both are candidates
+    "two_far_minima": (
+        "bump", np.stack([_two_bumps(d) for d in (1e-8, 0.0, -1e-8, 1e-2)]),
+        dict(m_max=4.0, n_scan=129), True),
+    "all_nan": ("tanh", np.full((1, S.size, 1), np.nan), {}, True),
+    "nan_among_finite": (
+        "tanh", np.stack([tanh_gf(0.4).values, np.full((S.size, 1), np.nan),
+                          tanh_gf(-1.3).values]), dict(m_max=4.0, n_scan=129), True),
+    # the two templates tie at every shift
+    "zero": ("tanh", np.zeros((1, S.size, 1)), {}, False),
+    "single_at_default_n_scan": (
+        "tanh", tanh_gf(0.7374).values + 0.01 * np.sin(3.0 * S)[:, None], {}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_screened_fit_is_the_exhaustive_scan_bitwise(monkeypatch, case):
+    templates, stack, kwargs, full_rows = SCREEN_CASES[case]
+    if templates == "bump":
+        z_minus = _bump_gf(_bump())
+        z_plus = _bump_gf(-z_minus.values)
+    else:
+        z_minus = tanh_gf()
+        z_plus = z_minus.with_values(-z_minus.values)
+    exact = function_space.translation_misfits
+    scanned = []
+
+    def spy(values, z, shifts):
+        scanned.append(np.size(shifts))
+        return exact(values, z, shifts)
+
+    monkeypatch.setattr(function_space, "translation_misfits", spy)
+    with np.errstate(invalid="ignore"):
+        fit = optimal_translation(stack, z_minus, z_plus, **kwargs)
+        monkeypatch.undo()
+        ref = _exhaustive_fit(stack, z_minus, z_plus, **kwargs)
+    for got, want in zip(fit, ref):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+    n_scan = kwargs.get("n_scan", 2 * S.size + 1)
+    assert (n_scan in scanned) == full_rows
+    if case == "two_far_minima":
+        assert list(fit.unique) == [False, False, False, True]
+
+
+def test_optimal_translation_of_an_empty_stack():
+    z = tanh_gf()
+    fit = optimal_translation(np.empty((0, S.size, 1)), z, z.with_values(-z.values))
+    assert all(np.shape(f) == (0,) for f in fit)
+
+
+@pytest.mark.parametrize("newton_iters", [0, 1, 2, 12])
+def test_polished_misfit_is_the_misfit_at_the_returned_shift(newton_iters):
+    # the polish keeps each profile's last Newton evaluation; a profile whose
+    # last allowed step moved it is evaluated once more
+    z = tanh_gf()
+    rng = np.random.default_rng(5)
+    stack = np.stack([tanh_gf(s).values + 0.1 * rng.standard_normal((S.size, 1))
+                      for s in (-1.3, 0.2, 2.9)])
+    m, misfit, _, _ = function_space._scan_and_polish(stack, z, np.linspace(-4.0, 4.0, 129),
+                                                      newton_iters)
+    assert np.array_equal(misfit, translation_objective(stack, z, m)[0])
 
 
 def test_translation_objective_derivatives():
