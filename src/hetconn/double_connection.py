@@ -90,9 +90,9 @@ def _projects(space: EffectivePotentialSpace, mode: str) -> bool:
 def _polish_field(space, u0, dt, symmetrize, gtol):
     """Truncated Newton-CG on the discrete 2D energy; end columns and x1 edges stay pinned.
 
-    The CG is preconditioned by the shifted fast Poisson solve of
-    ``poisson_preconditioner`` on x1 and x2, with each Newton step's shift
-    from its Hessian block.  Returns (field, NewtonResult).
+    The CG is preconditioned by the line solve of ``poisson_preconditioner``
+    (a DST along x2, a tridiagonal solve along x1), with each Newton step's
+    per-row shift from its Hessian block.  Returns (field, NewtonResult).
     """
     poisson = poisson_preconditioner(u0.shape, space.h, dt)
     return pinned_newton_cg(
@@ -148,9 +148,10 @@ class _PathEnergyHessian:
     product is then stencil arithmetic on the (M, P, n) direction.  Like the
     gradient, the profile part of a product vanishes on the x1 edge rows.
     On the free nodes the Hessian is h * dt * (B + L), with B = D^2(density)
-    and L the Dirichlet Laplacian of the two stencils; ``shift`` holds, per
-    component c, max(0, mean of B_cc over the free nodes), the shift of the
-    preconditioner.
+    and L the Dirichlet Laplacian of the two stencils.  B varies most along
+    x1, so ``shift``, the per-row shift of the preconditioner's line solve,
+    holds for each free x1 row and component c max(0, mean of B_cc over the
+    free x2 nodes of that row), shape (M-2, n).
     """
 
     def __init__(self, space, u, dt):
@@ -159,8 +160,7 @@ class _PathEnergyHessian:
         w1 = trapezoid_weights(m, h)
         wt = trapezoid_weights(p, dt)
         block = np.ascontiguousarray(space._density_hessians(_columns(u)).transpose(1, 0, 2, 3))
-        diag = np.einsum("mpcc->c", block[1:-1, 1:-1]) / ((m - 2) * (p - 2))
-        self.shift = np.maximum(diag, 0.0)
+        self.shift = np.maximum(np.einsum("mpcc->mc", block[1:-1, 1:-1]) / (p - 2), 0.0)
         block *= (w1[:, None] * wt[None, :])[:, :, None, None]
         self.block = block
         self.wt1 = wt[None, :, None] / h

@@ -838,66 +838,99 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def poisson_preconditioner(shape, *steps):
-    """The shifted Dirichlet fast Poisson solves that precondition the Newton-CGs.
+    """The shifted Dirichlet Poisson solves that precondition the Newton-CGs.
 
-    For a profile of ``shape`` (M, n) on step h, or a field (M, P, n) on
-    steps h (x1) and dt (x2), returns a function of the per-component shifts
-    sigma (n,) that gives the solve r -> P^-1 r with P_c = h (L + sigma_c),
-    or h * dt * (L + sigma_c): L is the Dirichlet Laplacian on the free
-    interior grid, the stencil part of the Hessian there.  A DST-I along
-    each grid axis diagonalises P exactly (the fast Poisson solver of
-    Buzbee, Golub and Nielson), with eigenvalues the sum over the axes of
-    (4/h^2) sin^2(pi j / 2(M-1)) plus sigma_c.  Its sine modes are even or
-    odd under the x1 reflection, so P commutes with the pins and with the
-    odd-first projection.  A solve reads r on the free nodes only and
-    returns a new array, zero on the pins.  The solves at one shift share
-    its transform buffers, so they must not run concurrently.
+    For a profile of ``shape`` (M, n) on step h, returns a function of the
+    per-component shifts sigma (n,) that gives the solve r -> P^-1 r with
+    P_c = h (L + sigma_c); for a field (M, P, n) on steps h (x1) and dt
+    (x2), a function of the per-row shifts sigma (M-2, n), one for each free
+    x1 row and component, with P_c = h * dt * (L + sigma_c(x1)).  L is the
+    Dirichlet Laplacian on the free interior grid, the stencil part of the
+    Hessian there.  A DST-I along the last grid axis diagonalises its part
+    of L, with eigenvalues (4/dt^2) sin^2(pi k / 2(P-1)) (Buzbee, Golub and
+    Nielson's fast Poisson solver).  A profile's solve is then a division;
+    a field's is, for each x2 mode k and component c, the tridiagonal
+    system of L along x1 plus sigma_c(x1) plus that eigenvalue, solved
+    exactly by Thomas' algorithm, vectorised over the (k, c) columns, on a
+    factor built once per shift.  P commutes with the pins, and with the
+    odd-first projection where sigma is even in x1.  A solve reads r on the
+    free nodes only and returns a new array, zero on the pins.  The solves
+    at one shift share its transform buffers, so they must not run
+    concurrently.
     """
     *grid, n = shape
-    modes = [(2.0 / step * np.sin(0.5 * math.pi * np.arange(1, k - 1) / (k - 1))) ** 2
-             for k, step in zip(grid, steps)]
-    # DST-I squares to (N + 1) / 2 on each axis
-    scale = 2.0 ** len(grid) / math.prod([k - 1 for k in grid] + list(steps))
-    free = tuple(slice(1, k - 1) for k in grid)
-    # per axis, the free block zero-padded to 2(N + 1) along that axis
-    padded = [tuple(2 * (k - 1) if b == a else k - 2 for b, k in enumerate(grid))
-              for a in range(len(grid))]
+    nodes = grid[-1]
+    lam = (2.0 / steps[-1] * np.sin(0.5 * math.pi * np.arange(1, nodes - 1) / (nodes - 1))) ** 2
+    # DST-I squares to (nodes - 1) / 2
+    scale = 2.0 / ((nodes - 1) * math.prod(steps))
+    rows = grid[0] - 2 if len(grid) == 2 else 1
 
     def at(shift):
-        lam = 0.0
-        for axis, mode in enumerate(modes):
-            lam = lam + mode.reshape((-1,) + (1,) * (len(grid) - 1 - axis))
-        inv = lam + np.reshape(shift, (n,) + (1,) * len(grid))
-        np.divide(scale, inv, out=inv)
-        # one real and one complex buffer for every transform of these solves
-        real = np.empty(max(map(math.prod, padded)))
-        spec = np.empty(math.prod(grid), dtype=complex)
+        # one real buffer, zero off its columns 1..nodes-2, and one complex
+        # buffer for every transform of these solves, each one component wide
+        pad = np.zeros((rows, 2 * (nodes - 1)))
+        spec = np.empty((rows, nodes), dtype=complex)
 
-        def dst(axis, x):
-            """DST-I of x along ``axis``, negated, as a view of ``spec``: the
-            imaginary part of the rfft of x zero-padded to 2(N + 1) along that
-            axis.  The signs of a pair of transforms cancel."""
-            dims = padded[axis]
-            pad = real[:math.prod(dims)].reshape(dims)
-            lead = (slice(None),) * axis
-            pad[lead + (0,)] = 0.0
-            pad[lead + (slice(1, grid[axis] - 1),)] = x
-            pad[lead + (slice(grid[axis] - 1, None),)] = 0.0
-            spec_dims = dims[:axis] + (grid[axis],) + dims[axis + 1:]
-            full = np.fft.rfft(pad, axis=axis,
-                               out=spec[:math.prod(spec_dims)].reshape(spec_dims))
-            return full[lead + (slice(1, -1),)].imag
+        def dst(x):
+            """DST-I of the rows of x along the last grid axis, negated, as a
+            view of ``spec``: the imaginary part of the rfft of each row zero-
+            padded to 2(nodes - 1).  The signs of a pair of transforms cancel."""
+            pad[:, 1:nodes - 1] = x
+            return np.fft.rfft(pad, out=spec)[:, 1:-1].imag
+
+        if len(grid) == 1:
+            inv = lam + np.reshape(shift, (n, 1))
+            np.divide(scale, inv, out=inv)
+
+            def psolve(r):
+                out = np.zeros(shape)
+                for c in range(n):
+                    x = dst(r[1:-1, c])
+                    np.multiply(x, inv[c], out=x)
+                    out[1:-1, c] = dst(x)[0]
+                return out
+
+            return psolve
+
+        # Thomas' algorithm on L + sigma + lam_k along x1, with diagonal
+        # a_i = 2 / h^2 + sigma_c(x1_i) + lam_k and off-diagonal -1 / h^2:
+        # the reciprocal pivots 1 / (a_i - 1 / (h^4 (pivot i-1))), then the
+        # multipliers cp = -(reciprocal pivot) / h^2 in their place
+        off = steps[0] ** -2
+        cp = np.asarray(shift)[:, None, :] + (lam[:, None] + 2.0 * off)
+        # row views made once: indexing cp in the loops costs as much as
+        # the arithmetic on a row
+        cps = list(cp)
+        row = np.empty(cp.shape[1:])
+        np.reciprocal(cps[0], out=cps[0])
+        for prev, cur in zip(cps, cps[1:]):
+            cur -= np.multiply(prev, off * off, out=row)
+            np.reciprocal(cur, out=cur)
+        cp *= -off
+        # the sweeps divide by the pivots as a product with cp; this
+        # restores the factor -1 / h^2 and the DST's square
+        gain = -scale / off
 
         def psolve(r):
             out = np.zeros(shape)
+            free = out[1:-1, 1:-1]
             for c in range(n):
-                x = r[free + (c,)]
-                for axis in range(len(grid)):
-                    x = dst(axis, x)
-                np.multiply(x, inv[c], out=x)
-                for axis in range(len(grid)):
-                    x = dst(axis, x)
-                out[free + (c,)] = x
+                free[..., c] = dst(r[1:-1, 1:-1, c])
+            free *= cp
+            # elimination down x1, then back substitution up it, in place,
+            # one row of (x2 mode, component) columns at a time (a list of
+            # free's row views raised sin's peak RSS by half a MiB)
+            prev = free[0]
+            for i in range(1, rows):
+                cur = free[i]
+                cur -= np.multiply(cps[i], prev, out=row)
+                prev = cur
+            for i in range(rows - 2, -1, -1):
+                cur = free[i]
+                cur -= np.multiply(cps[i], prev, out=row)
+                prev = cur
+            for c in range(n):
+                np.multiply(dst(free[..., c]), gain, out=free[..., c])
             return out
 
         return psolve

@@ -445,22 +445,31 @@ def test_truncated_cg_falls_back_to_the_negative_gradient():
 # the shifted Poisson preconditioner of the polish's CG
 
 
-def _flat_space(m=9):
-    """A two-component space whose density has a zero Hessian, on a grid symmetric about 0."""
-    return EffectivePotentialSpace(
-        grid=np.linspace(-1.0, 1.0, m),
-        n_components=2,
-        bc="fixed",
-        density=lambda s, v: np.zeros(v.shape[:2]),
-        density_grad=lambda s, v: np.zeros(v.shape),
-        density_hess=lambda s, v: np.zeros(v.shape + (2,)),
-    )
-
-
 def _free_noise(shape, seed):
     d = np.random.default_rng(seed).standard_normal(shape)
     d[_field_pins(shape)] = 0.0
     return d
+
+
+def _quadratic_field_space(q, m=9):
+    """A two-component space with density q(x1) |u|^2 / 2 on a grid symmetric
+    about 0: on the free nodes the field Hessian is h * dt * (L + q(x1)),
+    whatever the field, the operator the line solve inverts at shift q."""
+    grid = np.linspace(-1.0, 1.0, m)
+    qs = q(grid)
+    return EffectivePotentialSpace(
+        grid=grid,
+        n_components=2,
+        bc="fixed",
+        density=lambda s, v: 0.5 * qs * np.sum(v * v, axis=-1),
+        density_grad=lambda s, v: qs[:, None] * v,
+        density_hess=lambda s, v: qs[:, None, None] * np.eye(2) * np.ones(v.shape + (2,)),
+    )
+
+
+def _flat_space(m=9):
+    """A two-component space whose density has a zero Hessian, on a grid symmetric about 0."""
+    return _quadratic_field_space(np.zeros_like, m)
 
 
 def test_poisson_preconditioner_inverts_the_free_stencil():
@@ -468,7 +477,8 @@ def test_poisson_preconditioner_inverts_the_free_stencil():
     dt = 0.23
     u = _free_noise((space.m, 6, 2), 0)
     hess = _PathEnergyHessian(space, u, dt)
-    assert np.array_equal(hess.shift, [0.0, 0.0])
+    # one shift per free x1 row and component
+    assert np.array_equal(hess.shift, np.zeros((space.m - 2, 2)))
     psolve = poisson_preconditioner(u.shape, space.h, dt)(hess.shift)
     free = ~_field_pins(u.shape)
     d = _free_noise(u.shape, 1)
@@ -478,55 +488,127 @@ def test_poisson_preconditioner_inverts_the_free_stencil():
     assert np.max(np.abs(hess(back)[free] - d[free])) <= 1e-12 * np.max(np.abs(d))
 
 
+def _even_rows(m, n, seed):
+    """A random positive per-row shift (m - 2, n), even in x1."""
+    half = np.random.default_rng(seed).uniform(0.1, 5.0, ((m - 1) // 2, n))
+    return np.concatenate([half, half[::-1][(m - 2) % 2:]])
+
+
 def test_poisson_preconditioner_commutes_with_the_odd_projection():
     space = _flat_space()
     dt = 0.23
-    psolve = poisson_preconditioner((space.m, 6, 2), space.h, dt)(np.array([0.3, 1.7]))
-    r = _free_noise((space.m, 6, 2), 2)
+    shape = (space.m, 6, 2)
+    shift = _even_rows(space.m, 2, 4)
+    assert np.array_equal(shift, shift[::-1])
+    r = _free_noise(shape, 2)
+    psolve = poisson_preconditioner(shape, space.h, dt)(shift)
     lhs = psolve(_symmetrize_columns(space, r))
     rhs = _symmetrize_columns(space, psolve(r))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+    # the check sees the shift: one that is not even in x1 breaks it
+    shift[0] += 1.0
+    psolve = poisson_preconditioner(shape, space.h, dt)(shift)
+    lhs = psolve(_symmetrize_columns(space, r))
+    rhs = _symmetrize_columns(space, psolve(r))
+    assert np.max(np.abs(lhs - rhs)) > 1e-6 * np.max(np.abs(rhs))
 
 
-def _reference_poisson_solve(shape, h, dt, shift, r):
-    """The field's shifted Poisson solve one component at a time, each DST-I
-    the imaginary part of an rfft that pads a fresh copy with n=."""
+def _shipped_config(name):
+    return json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / f"{name}.json").read_text())
+
+
+def test_the_field_shift_is_per_row_and_even_on_the_planar_sym_seed(planar_space):
+    cfg = _shipped_config("planar_sym")
+    assert cfg["m"] == planar_space.m
+    u, x2 = _seed_field(planar_space, DoubleOptions(**cfg["opts"]), True)
+    shift = _PathEnergyHessian(planar_space, u, float(np.diff(x2)[0])).shift
+    assert shift.shape == (planar_space.m - 2, 2)
+    assert np.all(shift >= 0.0)
+    # exactly even, so the line solve commutes with the odd projection
+    assert np.array_equal(shift, shift[::-1])
+    # and far from one shift per component: the row means of B_cc run from
+    # 0 to about 16 (u1) and 3.2 (u2)
+    assert np.all(np.min(shift, axis=0) < 0.01 * np.max(shift, axis=0))
+    assert np.all(np.max(shift, axis=0) > 3.0)
+
+
+def _reference_field_solve(shape, h, dt, shift, r):
+    """The field's line solve by scipy: its DST-I along x2, and a banded
+    solve along x1 for every x2 mode and component."""
+    from scipy.fft import dst
+    from scipy.linalg import solve_banded
+
     m, p, n = shape
-    lam1 = (2.0 / h * np.sin(0.5 * np.pi * np.arange(1, m - 1) / (m - 1))) ** 2
-    lam2 = (2.0 / dt * np.sin(0.5 * np.pi * np.arange(1, p - 1) / (p - 1))) ** 2
-    inv = 4.0 / ((m - 1) * (p - 1) * h * dt) / (lam1[:, None] + lam2 + shift.reshape(n, 1, 1))
-
-    def dst(x, axis):
-        x = np.concatenate([np.zeros_like(x.take([0], axis)), x], axis=axis)
-        spec = np.fft.rfft(x, 2 * x.shape[axis], axis=axis)
-        return (spec[1:-1] if axis == 0 else spec[:, 1:-1]).imag
-
+    lam = (2.0 / dt * np.sin(0.5 * np.pi * np.arange(1, p - 1) / (p - 1))) ** 2
     out = np.zeros(shape)
+    bands = np.zeros((3, m - 2))
+    bands[0, 1:] = bands[2, :-1] = -1.0 / h**2
     for c in range(n):
-        x = dst(dst(r[1:-1, 1:-1, c], 0), 1) * inv[c]
-        out[1:-1, 1:-1, c] = dst(dst(x, 0), 1)
+        x = dst(r[1:-1, 1:-1, c], type=1, axis=1)
+        for k in range(p - 2):
+            bands[1] = 2.0 / h**2 + shift[:, c] + lam[k]
+            x[:, k] = solve_banded((1, 1), bands, x[:, k])
+        # DST-I squares to 2 (p - 1) in scipy's normalisation
+        out[1:-1, 1:-1, c] = dst(x, type=1, axis=1) / (2.0 * (p - 1) * h * dt)
     return out
 
 
-@pytest.mark.parametrize("shape", [(401, 129, 2), (257, 257, 1), (17, 6, 2)])
-def test_poisson_preconditioner_keeps_the_bits_of_the_reference_solve(shape):
-    rng = np.random.default_rng(5)
-    shift = np.abs(rng.standard_normal(shape[-1]))
+@pytest.mark.parametrize("shape", [(17, 6, 2), (257, 257, 1), (401, 129, 2)])
+def test_poisson_preconditioner_inverts_the_shifted_field_stencil(shape):
+    rng = np.random.default_rng(6)
+    shift = rng.uniform(0.0, 20.0, (shape[0] - 2, shape[-1]))
     psolve = poisson_preconditioner(shape, 0.04, 0.23)(shift)
+    pins = _field_pins(shape)
     for _ in range(2):
         # twice through the same buffers
         r = rng.standard_normal(shape)
-        assert np.array_equal(psolve(r), _reference_poisson_solve(shape, 0.04, 0.23, shift, r))
+        out = psolve(r)
+        assert np.all(out[pins] == 0.0)
+        ref = _reference_field_solve(shape, 0.04, 0.23, shift, r)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _reference_profile_solve(shape, h, shift, r):
+    """The profile's shifted Poisson solve one component at a time, each DST-I
+    the imaginary part of an rfft that pads a fresh copy with n=."""
+    m, n = shape
+    lam = (2.0 / h * np.sin(0.5 * np.pi * np.arange(1, m - 1) / (m - 1))) ** 2
+    inv = 2.0 / ((m - 1) * h) / (lam + shift.reshape(n, 1))
+
+    def dst(x):
+        x = np.concatenate([[0.0], x])
+        return np.fft.rfft(x, 2 * x.size)[1:-1].imag
+
+    out = np.zeros(shape)
+    for c in range(n):
+        out[1:-1, c] = dst(dst(r[1:-1, c]) * inv[c])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(401, 2), (2001, 2), (17, 1)])
+def test_poisson_preconditioner_keeps_the_bits_of_the_reference_solve(shape):
+    rng = np.random.default_rng(5)
+    shift = np.abs(rng.standard_normal(shape[-1]))
+    psolve = poisson_preconditioner(shape, 0.04)(shift)
+    for _ in range(2):
+        # twice through the same buffers
+        r = rng.standard_normal(shape)
+        assert np.array_equal(psolve(r), _reference_profile_solve(shape, 0.04, shift, r))
 
 
 def test_preconditioned_cg_with_an_exact_inverse_takes_one_product():
-    # zero block: on the free nodes the Hessian is the SPD stencil the solve inverts
-    space = _flat_space()
+    # a Hessian that varies along x1 only: on the free nodes it is the SPD
+    # operator h * dt * (L + q(x1)) that the line solve inverts
+    space = _quadratic_field_space(lambda x: 2.0 + np.sin(3.0 * x) + 4.0 * x * x, m=33)
     dt = 0.23
     g = _free_noise((space.m, 6, 2), 3)
     hess = _PathEnergyHessian(space, g, dt)
+    assert np.ptp(hess.shift) > 1.0
     free = (~_field_pins(g.shape)).astype(float)
     psolve = poisson_preconditioner(g.shape, space.h, dt)(hess.shift)
+    d = _free_noise(g.shape, 4)
+    assert np.max(np.abs(psolve(hess(d)) - d)) <= 1e-12 * np.max(np.abs(d))
     gnorm = float(np.linalg.norm(g))
     p, negative, products = truncated_cg(lambda d: hess(d) * free, g, 1e-10 * gnorm,
                                          psolve=psolve)
@@ -534,6 +616,10 @@ def test_preconditioned_cg_with_an_exact_inverse_takes_one_product():
     assert np.max(np.abs(p + psolve(g))) <= 1e-12 * np.max(np.abs(p))
     # unpreconditioned, CG needs one product per distinct eigenvalue it meets
     assert truncated_cg(lambda d: hess(d) * free, g, 1e-10 * gnorm)[2] > 1
+    # one shift per component, the mean of q, is no longer exact
+    mean = poisson_preconditioner(g.shape, space.h, dt)(
+        np.broadcast_to(np.mean(hess.shift, axis=0), hess.shift.shape))
+    assert truncated_cg(lambda d: hess(d) * free, g, 1e-10 * gnorm, psolve=mean)[2] > 1
 
 
 def test_preconditioned_cg_falls_back_to_a_descent_direction():
@@ -546,23 +632,35 @@ def test_preconditioned_cg_falls_back_to_a_descent_direction():
     assert float(np.dot(g, p)) < 0.0
 
 
-def test_the_preconditioner_cuts_the_polish_products(planar_space, planar_sym_field):
-    u0, dt = planar_sym_field
-    poisson = poisson_preconditioner(u0.shape, planar_space.h, dt)
-    runs = {}
-    for name, precond in (("plain", None), ("poisson", lambda hess: poisson(hess.shift))):
-        u, info = pinned_newton_cg(
-            lambda u: _path_energy(planar_space, u, dt, grad=True),
-            lambda u: _PathEnergyHessian(planar_space, u, dt), u0, _field_pins(u0.shape),
-            project=lambda u: _symmetrize_columns(planar_space, u),
-            gtol=POLISH_GTOL, max_steps=POLISH_STEPS, precond=precond,
-        )
-        assert info.status == "converged"
-        runs[name] = (_path_energy(planar_space, u, dt), info.products)
-    assert runs["poisson"][1] < runs["plain"][1]
-    assert runs["poisson"][0] == pytest.approx(runs["plain"][0], rel=1e-10)
-    # the polish itself runs preconditioned
-    assert _polish_field(planar_space, u0, dt, True, POLISH_GTOL)[1].products == runs["poisson"][1]
+def test_the_preconditioner_cuts_the_polish_products(planar_space):
+    # the shipped planar sym and sin fields, each with its cap on the
+    # preconditioned products (11 and 9 with the line solve; 22 and 10 with
+    # one shift per component)
+    planar, sin = _shipped_config("planar_sym"), _shipped_config("sin_example")
+    assert planar["m"] == planar_space.m
+    fields = [(planar_space, planar["opts"], True, 12),
+              (sin_example_space(m=sin["m"]), sin["opts"], False, 10)]
+    for space, opts, symmetrize, cap in fields:
+        u0, x2 = _seed_field(space, DoubleOptions(**opts), symmetrize)
+        dt = float(np.diff(x2)[0])
+        poisson = poisson_preconditioner(u0.shape, space.h, dt)
+        runs = {}
+        for name, precond in (("plain", None), ("poisson", lambda hess: poisson(hess.shift))):
+            u, info = pinned_newton_cg(
+                lambda u: _path_energy(space, u, dt, grad=True),
+                lambda u: _PathEnergyHessian(space, u, dt), u0, _field_pins(u0.shape),
+                project=(lambda u: _symmetrize_columns(space, u)) if symmetrize else None,
+                gtol=POLISH_GTOL, max_steps=POLISH_STEPS, precond=precond,
+            )
+            assert info.status == "converged"
+            runs[name] = (_path_energy(space, u, dt), info.products)
+        assert runs["poisson"][1] < runs["plain"][1]
+        assert runs["poisson"][1] <= cap
+        assert runs["poisson"][0] == pytest.approx(runs["plain"][0], rel=1e-10)
+        # the polish itself runs preconditioned
+        polish = _polish_field(space, u0, dt, symmetrize, POLISH_GTOL)[1]
+        assert polish.status == "converged"
+        assert polish.products == runs["poisson"][1]
 
 
 @pytest.mark.parametrize("m", [401, 2001])
