@@ -585,7 +585,8 @@ def _counterexample_setup(cfg: dict):
     """(weight, radii, n_max) of a counterexample config; ConfigError if malformed.
 
     ``radii`` must be a non-empty, strictly increasing list of finite
-    numbers > 0, ``n_max`` an integer >= 1 and ``g.p`` finite and > 1.
+    numbers > 0, ``n_max`` an integer >= 1 with 2^n_max a finite float and
+    ``g.p`` finite and > 1.
     """
     _known_keys(cfg, COUNTER_KEYS, "counterexample config")
     gcfg = cfg.get("g", {"type": "power", "p": 2.0})
@@ -601,6 +602,9 @@ def _counterexample_setup(cfg: dict):
         raise ConfigError("config field 'radii' must be a non-empty, strictly increasing "
                           f"list of finite numbers > 0, got {radii!r}")
     n_max = _integer(cfg, "n_max", 12, 1)
+    if n_max >= sys.float_info.max_exp:
+        raise ConfigError("config field 'n_max' must keep 2^n_max a finite float "
+                          f"(n_max < {sys.float_info.max_exp}), got {n_max!r}")
     return CounterexampleWeight(power=float(p)), tuple(float(r) for r in radii), n_max
 
 

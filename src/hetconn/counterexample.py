@@ -20,7 +20,8 @@ The package's batched, adaptive 21-point Gauss-Kronrod rule
 g's integrals past its table.
 
 Each box |x| <= R is bracketed without a descent: the crossing bound at R
-below, the candidate through x = R above.
+below, the candidate through x = R above.  The report integrates the legs
+of every candidate and every box wall in one batch.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metric import adaptive_qk21, segment_k_lengths
+from .metric import adaptive_qk21, segment_k_lengths, sorted_unique
 
 P_MINUS = np.array([0.0, -1.0])
 P_PLUS = np.array([0.0, 1.0])
@@ -214,24 +215,32 @@ def _quad_breaks(a, b):
     return sorted(breaks)
 
 
-def candidate_length(n_index: int | None, w: CounterexampleWeight,
-                     x_n: float | None = None, legs: bool = False):
+def candidate_length(n_index: int | np.ndarray | None, w: CounterexampleWeight,
+                     x_n: float | np.ndarray | None = None, legs: bool = False):
     """Weighted length of the three-leg candidate through x = 2**n_index, or x_n.
 
     Top horizontal P+ to (x_n, 1), vertical drop to (x_n, -1), bottom
-    horizontal back to P-; the three legs are integrated together by the
-    batched Gauss-Kronrod rule of ``_segment_lengths``.  With legs=True the
+    horizontal back to P-.  ``n_index`` (or ``x_n``) may be an array: the
+    legs of every abscissa, three each, are integrated in one batch of
+    ``_segment_lengths``, and each total is top + vertical + bottom, so an
+    abscissa gets the same bits alone and in any batch.  A scalar argument
+    returns a float, an array one total per abscissa.  With legs=True the
     per-leg breakdown is returned alongside the total.
     """
     if x_n is None:
-        x_n = 2.0 ** n_index
-    corners = np.array([P_PLUS, [x_n, 1.0], [x_n, -1.0], P_MINUS])
-    top, vertical, bottom = _segment_lengths(w, corners[:-1], corners[1:]).tolist()
+        x_n = np.ldexp(1.0, n_index)
+    scalar = np.ndim(x_n) == 0
+    x = np.atleast_1d(np.asarray(x_n, dtype=float))
+    corners = np.array([P_PLUS, [0.0, 1.0], [0.0, -1.0], P_MINUS])[None].repeat(x.size, axis=0)
+    corners[:, 1:3, 0] = x[:, None]
+    top, vertical, bottom = _segment_lengths(
+        w, corners[:, :-1].reshape(-1, 2), corners[:, 1:].reshape(-1, 2)).reshape(-1, 3).T
     total = top + vertical + bottom
-    if legs:
-        return total, {"top": top, "vertical": vertical, "bottom": bottom,
-                       "x_n": x_n}
-    return total
+    parts = {"top": top, "vertical": vertical, "bottom": bottom, "x_n": x}
+    if scalar:
+        total = float(total[0])
+        parts = {key: float(value[0]) for key, value in parts.items()}
+    return (total, parts) if legs else total
 
 
 def dense_polyline_length(nodes: np.ndarray, w: CounterexampleWeight) -> float:
@@ -282,13 +291,19 @@ def nonexistence_report(
     The conclusion line says demonstrated, not proven.
     """
     w = w or CounterexampleWeight()
+    radii = np.asarray(radii, dtype=float)
     ns = np.arange(1, n_candidates + 1)
+    powers = np.ldexp(1.0, ns)
+    # a box wall at R = 2^n is a candidate abscissa: each abscissa is
+    # integrated once, all of them in one batch
+    abscissae = sorted_unique(np.concatenate([radii, powers]))
+    lengths = candidate_length(None, w, x_n=abscissae)
     return NonexistenceReport(
-        radii=np.asarray(radii, dtype=float),
-        box_candidates=np.array([candidate_length(None, w, x_n=r) for r in radii]),
+        radii=radii,
+        box_candidates=lengths[np.searchsorted(abscissae, radii)],
         bounds=np.array([crossing_lower_bound(r, w) for r in radii]),
         candidate_ns=ns,
-        candidate_lengths=np.array([candidate_length(int(n), w) for n in ns]),
+        candidate_lengths=lengths[np.searchsorted(abscissae, powers)],
         infimum=w.infimum,
         conclusion=(
             "each box infimum lies between the crossing bound and the "

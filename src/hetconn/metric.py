@@ -301,10 +301,13 @@ def _qk21(f, half):
     and ``half`` the panel half-widths.  The error is the Gauss-Kronrod
     difference scaled by resasc as in QUADPACK, with its roundoff floor.
     """
-    resk = f @ _GK_KRONROD
-    resg = f @ _GK_GAUSS
-    resabs = np.abs(f) @ _GK_KRONROD * half
-    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_KRONROD * half
+    # einsum, not f @ w: the BLAS matrix-vector kernel rounds a row
+    # differently depending on how many rows the batch holds, and a panel
+    # must get the same bits alone and in any batch
+    resk = np.einsum("pk,k->p", f, _GK_KRONROD)
+    resg = np.einsum("pk,k->p", f, _GK_GAUSS)
+    resabs = np.einsum("pk,k->p", np.abs(f), _GK_KRONROD) * half
+    resasc = np.einsum("pk,k->p", np.abs(f - 0.5 * resk[:, None]), _GK_KRONROD) * half
     err = np.abs((resk - resg) * half)
     # QUADPACK scales a nonzero error only; a zero one scales to zero anyway
     ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=resasc != 0.0)
@@ -318,9 +321,11 @@ def qk21(fun: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """QUADPACK's 21-point Gauss-Kronrod rule once on each panel [lo[i], hi[i]], shape (p,).
 
     ``fun`` maps points of shape (p, 21) to integrand values of that shape.
+    Each panel gets the same bits alone and in any batch, as in ``_qk21``.
     """
     half = 0.5 * (hi - lo)
-    return fun(0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES) @ _GK_KRONROD * half
+    f = fun(0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES)
+    return np.einsum("pk,k->p", f, _GK_KRONROD) * half
 
 
 def adaptive_qk21(fun: Callable, edges: list, label: Callable) -> np.ndarray:

@@ -3,7 +3,10 @@
 A batch of k points must give exactly (bitwise) what k batches of one give,
 with the declared output shapes, and each built-in Hessian must match
 central differences of its gradient.  The profile-space kernels follow the
-same contract on (k, m, n) stacks of profiles.
+same contract on (k, m, n) stacks of profiles, and the Gauss-Kronrod
+quadrature on batches of panels and segments: the counterexample report
+integrates all its candidates in one batch and must give what lone
+candidates give.
 """
 
 import numpy as np
@@ -12,12 +15,16 @@ import pytest
 from hetconn import (
     CounterexampleWeight,
     EffectivePotentialSpace,
+    candidate_length,
     double_well,
     make_weight,
+    nonexistence_report,
     planar_two_well,
     sin_example_space,
     triple_well,
 )
+from hetconn.counterexample import _quad_breaks
+from hetconn.metric import _qk21, qk21, segment_k_lengths
 
 POTENTIALS = {
     "double_well": double_well,
@@ -144,3 +151,73 @@ def test_density_hessians_on_a_stack_equal_single_profiles_and_differences(name)
         e[c] = eps
         fd[..., c] = (space._density_grads(stack + e) - space._density_grads(stack - e)) / (2 * eps)
     assert np.allclose(hess, fd, rtol=1e-6, atol=1e-6)
+
+
+def test_qk21_on_a_batch_equals_single_panels():
+    rng = np.random.default_rng(7)
+    # every batch size up to 40 rows, so the rows fall at every offset of a
+    # vectorised kernel's blocks
+    for p in range(1, 41):
+        f = rng.standard_normal((p, 21))
+        half = rng.uniform(0.1, 2.0, p)
+        value, err = _qk21(f, half)
+        singles = [_qk21(f[i:i + 1], half[i:i + 1]) for i in range(p)]
+        assert np.array_equal(value, np.concatenate([v for v, _ in singles]))
+        assert np.array_equal(err, np.concatenate([e for _, e in singles]))
+    lo = rng.uniform(-2.0, 1.0, 33)
+    hi = lo + rng.uniform(0.1, 3.0, 33)
+
+    def fun(s):
+        return np.exp(-s * s) * np.cos(3.0 * s)
+
+    assert np.array_equal(qk21(fun, lo, hi),
+                          np.concatenate([qk21(fun, lo[i:i + 1], hi[i:i + 1])
+                                          for i in range(lo.size)]))
+
+
+def _random_segments(seed, k=24):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3.0, 3.0, (k, 2)), rng.uniform(-3.0, 3.0, (k, 2))
+
+
+@pytest.mark.parametrize("weight", ["counterexample", "planar_two_well"])
+def test_segment_k_lengths_on_a_batch_equal_single_segments(weight):
+    if weight == "counterexample":
+        k, (a, b) = CounterexampleWeight().k, _random_segments(8)
+        breaks = [_quad_breaks(p, q) for p, q in zip(a, b)]
+    else:
+        k, (a, b) = make_weight(POTENTIALS[weight]()).weight_at, _random_segments(9)
+        breaks = [[]] * len(a)
+    lengths = segment_k_lengths(k, a, b, breaks)
+    singles = [segment_k_lengths(k, a[i:i + 1], b[i:i + 1], breaks[i:i + 1])[0]
+               for i in range(len(a))]
+    assert np.array_equal(lengths, singles)
+
+
+@pytest.mark.parametrize("power, radii, n_max", [
+    (2.0, (4.0, 8.0, 16.0, 32.0, 64.0), 12),  # configs/counterexample.json
+    (2.0, (3.0, 5.0, 7.5, 100.0), 9),         # walls off the powers, one past 2^n_max
+    (4.0, (1.0, 2.0), 20),
+])
+def test_nonexistence_report_equals_lone_candidates(power, radii, n_max):
+    w = CounterexampleWeight(power=power)
+    report = nonexistence_report(w, radii=radii, n_candidates=n_max)
+    assert report.candidate_lengths.tolist() == [
+        candidate_length(n, w) for n in range(1, n_max + 1)]
+    assert report.box_candidates.tolist() == [
+        candidate_length(None, w, x_n=r) for r in radii]
+
+
+def test_candidate_length_on_an_array_equals_scalar_calls():
+    w = CounterexampleWeight()
+    ns = np.array([3, 1, 7, 5])
+    total, legs = candidate_length(ns, w, legs=True)
+    assert total.shape == (4,)
+    for i, n in enumerate(ns.tolist()):
+        one_total, one_legs = candidate_length(n, w, legs=True)
+        assert total[i] == one_total
+        assert {key: value[i] for key, value in legs.items()} == one_legs
+    x = np.array([2.5, 40.0])
+    assert candidate_length(None, w, x_n=x).tolist() == [
+        candidate_length(None, w, x_n=v) for v in x.tolist()]
+    assert isinstance(candidate_length(3, w), float)

@@ -799,6 +799,28 @@ def test_counterexample_rejects_bad_config_values(tmp_path, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radii", [
+    [3.0, 5.0, 7.5],      # no wall at a candidate abscissa 2^n
+    [4.0, 8.0, 300.0],    # a wall past the last candidate, 2^8 = 256
+], ids=["off_powers", "past_n_max"])
+def test_counterexample_walls_off_the_candidates_run_and_verify(tmp_path, radii):
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--config", write_cfg(tmp_path, dict(COUNTER_CFG, radii=radii)),
+                 "--out", str(out)]) == 0
+    assert np.load(out / "boxed.npy")[:, 0].tolist() == radii
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("n_max", [1024, 10 ** 400])
+def test_counterexample_rejects_an_n_max_past_the_float_range(tmp_path, capsys, n_max):
+    # 2^1023 is the largest power of two a float holds
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--config", write_cfg(tmp_path, dict(COUNTER_CFG, n_max=n_max)),
+                 "--out", str(out)]) == 3
+    assert "'n_max'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_counterexample_verify_recomputes_the_box_candidates(tmp_path):
     out = _counterexample_run(tmp_path)
     # one ulp up keeps every inequality check satisfied

@@ -161,7 +161,8 @@ def test_small_boxed_report():
     assert np.all(report.box_candidates > report.bounds - 1e-6)
     assert np.all(report.bounds > 3.0)
     assert np.all(np.diff(report.candidate_lengths) < 0.0)
-    # the upper end at R = 2^n is the candidate through x = 2^n, bit for bit
+    # the upper end at R = 2^n is the candidate through x = 2^n, bit for bit:
+    # the report integrates that abscissa once for both
     assert report.box_candidates[:2].tolist() == report.candidate_lengths[1:3].tolist()
     assert report.box_candidates[2] == candidate_length(None, W, x_n=12.0)
     widths = report.box_candidates - report.bounds
