@@ -53,7 +53,6 @@ from .heteroclinic import (
     ConnectionReport,
     ConnectionResult,
     InteriorZeroError,
-    action_ew,
     line_connection,
     line_legs,
     reparam_equipartition,
@@ -66,19 +65,14 @@ from .metric import (
     WeightedSpace,
     a_k_functional,
     k_length,
-    length_d,
     metric_derivative,
     segment_lengths,
 )
 from .potentials import (
     A4Fit,
-    H3aReport,
     Potential,
-    StiReport,
     WellRefinementError,
     check_a4,
-    check_h3a,
-    check_sti,
     double_well,
     make_weight,
     planar_two_well,
@@ -112,7 +106,6 @@ __all__ = [
     "FunnelProfile",
     "GridFunction",
     "GridL2Space",
-    "H3aReport",
     "InteriorZeroError",
     "NonexistenceReport",
     "P_MINUS",
@@ -121,20 +114,16 @@ __all__ = [
     "SampledCurve",
     "SecondDifferenceReport",
     "SpectralReport",
-    "StiReport",
     "TranslationFit",
     "TranslationSpeedAudit",
     "UniformBoundsReport",
     "WeightedSpace",
     "WellRefinementError",
     "a_k_functional",
-    "action_ew",
     "assemble_and_verify",
     "audit_translation_speed",
     "candidate_length",
     "check_a4",
-    "check_h3a",
-    "check_sti",
     "crossing_lower_bound",
     "dense_polyline_length",
     "double_well",
@@ -142,7 +131,6 @@ __all__ = [
     "funnel_project",
     "gauge_fix_translations",
     "k_length",
-    "length_d",
     "line_connection",
     "line_legs",
     "make_weight",

@@ -10,14 +10,13 @@ strictly above the infimum 2G(inf) for every finite crossing abscissa.
 Three-leg candidates that detour to x = x_n before crossing approach the
 infimum as x_n grows, so no minimizer exists.
 
-The default g(s) = s^(-2) beyond 1 (extended linearly below) keeps every
-reference value in closed form: G(t) = t^2/2 then 3/2 - 1/t, G(inf) = 3/2,
-infimum 3.  A custom g is tabulated by the trapezoid rule on [0, 1e4].
+g(s) = s^(-power) beyond 1 (extended linearly below) keeps every
+reference value in closed form; the default power 2 gives G(t) = t^2/2
+then 3/2 - 1/t, G(inf) = 3/2, infimum 3.
 
 The package's batched, adaptive 21-point Gauss-Kronrod rule
 (``metric.adaptive_qk21``) gives the weighted lengths of straight segments
-(the candidate legs, any polyline, split at the kinks of K) and a custom
-g's integrals past its table.
+(the candidate legs, any polyline, split at the kinks of K).
 
 Each box |x| <= R is bracketed without a descent: the crossing bound at R
 below, the candidate through x = R above.  The report integrates the legs
@@ -27,71 +26,38 @@ of every candidate and every box wall in one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .metric import adaptive_qk21, segment_k_lengths, sorted_unique
+from .metric import segment_k_lengths, sorted_unique
 
 P_MINUS = np.array([0.0, -1.0])
 P_PLUS = np.array([0.0, 1.0])
-# a custom g is tabulated on [0, _TABLE_CUT]; beyond it, Gauss-Kronrod
-_TABLE_CUT = 1e4
 
 
 class DivergentTailError(ValueError):
-    """The supplied g has a divergent tail integral; G(inf) does not exist."""
+    """g(s) = s^(-power) with power <= 1 has a divergent tail; G(inf) does not exist."""
 
 
 class CounterexampleWeight:
     """Weight K = |grad f| on the plane, zero exactly at three axis points.
 
     power selects the closed-form family g(s) = s^(-power) on [1, inf),
-    g(s) = s below 1 (power must exceed 1 for a convergent tail).  A custom
-    callable g overrides the family; its cumulative integral is tabulated
-    on a graded grid with a Gauss-Kronrod tail, and divergence is detected
-    by stalling partial sums.
+    g(s) = s below 1 (power must exceed 1 for a convergent tail).
     """
 
-    def __init__(self, power: float = 2.0, g: Callable | None = None):
+    def __init__(self, power: float = 2.0):
         self.power = float(power)
-        self.g_custom = g
-        if g is None:
-            if self.power <= 1.0:
-                raise DivergentTailError(
-                    f"g(s) = s^(-{self.power:g}) has a divergent tail integral"
-                )
-            self._table = None
-            self._g_inf = 0.5 + 1.0 / (self.power - 1.0)
-        else:
-            s_pts = np.concatenate([
-                np.linspace(0.0, 1.0, 257),
-                np.geomspace(1.0, _TABLE_CUT, 1024)[1:],
-            ])
-            vals = np.asarray([float(g(s)) for s in s_pts])
-            if np.any(vals < 0.0):
-                raise ValueError("g must be nonnegative")
-            cumulative = np.concatenate([
-                [0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(s_pts))
-            ])
-            # the tail in 24 doubling panels from the table's end, all in one batch
-            lo = _TABLE_CUT * 2.0 ** np.arange(24)
-            increments = self._g_integrals(lo, 2.0 * lo).tolist()
-            tail = sum(increments)
-            if increments[-1] > 1e-10 * max(tail, 1.0) + 1e-14:
-                raise DivergentTailError(
-                    "partial integrals of g keep growing; tail does not converge"
-                )
-            self._table = (s_pts, cumulative)
-            self._g_inf = float(cumulative[-1] + tail)
+        if self.power <= 1.0:
+            raise DivergentTailError(
+                f"g(s) = s^(-{self.power:g}) has a divergent tail integral"
+            )
+        self._g_inf = 0.5 + 1.0 / (self.power - 1.0)
 
     # -- scalar building blocks -------------------------------------------
 
     def g(self, s):
         s = np.abs(np.asarray(s, dtype=float))
-        if self.g_custom is not None:
-            out = np.asarray([float(self.g_custom(v)) for v in s.ravel()])
-            return out.reshape(s.shape) if s.shape else float(out[0])
         out = np.atleast_1d(s).copy()
         far = out > 1.0
         out[far] = out[far] ** (-self.power)
@@ -100,31 +66,12 @@ class CounterexampleWeight:
     def big_g(self, t):
         """Cumulative integral G(t) = int_0^t g."""
         t = np.abs(np.asarray(t, dtype=float))
-        if self._table is not None:
-            s_pts, cumulative = self._table
-            inside = np.interp(t, s_pts, cumulative)
-            # beyond the table: the integral of g from the table's end
-            out = np.atleast_1d(inside).copy()
-            ends = np.atleast_1d(t)
-            far = ends > s_pts[-1]
-            out[far] = cumulative[-1] + self._g_integrals(
-                np.full(np.count_nonzero(far), s_pts[-1]), ends[far])
-            return out.reshape(t.shape) if t.shape else float(out[0])
         p = self.power
         out = np.atleast_1d(t).astype(float)
         far = out > 1.0
         out[far] = 0.5 + (1.0 - out[far] ** (1.0 - p)) / (p - 1.0)
         out[~far] = 0.5 * out[~far] ** 2
         return out.reshape(t.shape) if t.shape else float(out[0])
-
-    def _g_integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """int_lo^hi g for each pair of ends, by the adaptive rule of the legs."""
-        width = hi - lo
-        return adaptive_qk21(
-            lambda item, t: self.g(lo[item, None] + t * width[item, None]) * width[item, None],
-            [[0.0, 1.0]] * len(lo),
-            lambda i: f"the integral of g over [{lo[i]:g}, {hi[i]:g}]",
-        )
 
     @property
     def g_infinity(self) -> float:

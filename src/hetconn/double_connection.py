@@ -42,6 +42,9 @@ POLISH_STEPS = 50
 POLISH_GTOL = 1e-7
 # Cells on each side of the field that the interior residual leaves out.
 RESIDUAL_MARGIN = 5
+# The translation-speed fit leaves out steps whose budget is below this
+# fraction of the largest one.
+SPEED_FLOOR_FRAC = 1e-6
 
 
 @dataclass
@@ -296,14 +299,12 @@ class TranslationSpeedAudit(NamedTuple):
     n_used: int
 
 
-def audit_translation_speed(
-    result: DoubleConnectionResult, floor_frac: float = 1e-6
-) -> TranslationSpeedAudit:
+def audit_translation_speed(result: DoubleConnectionResult) -> TranslationSpeedAudit:
     """Fit |dm per step| <= C * kappa(column) * L2 step on the tracked shifts.
 
     C comes from a least-squares fit through the origin over steps whose
-    budget kappa * step clears a floor (a fraction of the largest budget);
-    the max ratio over those steps is reported alongside.
+    budget kappa * step clears a floor (``SPEED_FLOOR_FRAC`` of the largest
+    budget); the max ratio over those steps is reported alongside.
     """
     if result.m_track is None:
         raise ValueError("no shift track; run the asymmetric solver")
@@ -312,7 +313,7 @@ def audit_translation_speed(
     dm = np.abs(np.diff(result.m_track))
     dist = space.l2_norms(cols[1:] - cols[:-1])
     budget = space.kappa(0.5 * (cols[:-1] + cols[1:])) * dist
-    floor = floor_frac * max(float(np.max(budget)), 1e-300)
+    floor = SPEED_FLOOR_FRAC * max(float(np.max(budget)), 1e-300)
     used = budget > floor
     if not np.any(used):
         return TranslationSpeedAudit(0.0, 0.0, 0)
@@ -450,7 +451,6 @@ def planar_shell(grid: np.ndarray, beta: float = 1.0,
         tail_left=p.wells[0],
         tail_right=p.wells[1],
         symmetry="odd_first",
-        lam=p.hessian_lower_bound,
     )
 
 
@@ -499,5 +499,4 @@ def sin_shell(grid: np.ndarray) -> EffectivePotentialSpace:
         density_grad=density_grad,
         density_hess=density_hess,
         symmetry="none",
-        lam=-5.0,
     )

@@ -95,9 +95,6 @@ class GridFunction:
     def n_components(self) -> int:
         return self.values.shape[1]
 
-    def flatten(self) -> np.ndarray:
-        return self.values.ravel().copy()
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
@@ -107,17 +104,9 @@ class GridFunction:
     def quad_weights(self) -> np.ndarray:
         return trapezoid_weights(self.m, self.h)
 
-    def norm_l2(self) -> float:
-        w = self.quad_weights()
-        return float(np.sqrt(np.sum(w * np.sum(self.values**2, axis=1))))
-
     def _values_of(self, other: "GridFunction | np.ndarray") -> np.ndarray:
         ov = other.values if isinstance(other, GridFunction) else np.asarray(other)
         return ov.reshape(self.m, self.n_components) if ov.ndim == 1 else ov
-
-    def inner(self, other: "GridFunction | np.ndarray") -> float:
-        w = self.quad_weights()
-        return float(np.sum(w * np.sum(self.values * self._values_of(other), axis=1)))
 
     def distance_l2(self, other: "GridFunction | np.ndarray") -> float:
         w = self.quad_weights()
@@ -626,7 +615,6 @@ class EffectivePotentialSpace:
     symmetry: str = "none"
     z_minus: GridFunction | None = None
     z_plus: GridFunction | None = None
-    lam: float = 0.0
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)

@@ -56,12 +56,6 @@ def equipartition(curve: SampledCurve, space: AmbientSpace, w_mid: np.ndarray):
     return float(np.sum((kinetic + w_mid) * dts)), np.abs(kinetic - w_mid)
 
 
-def action_ew(curve: SampledCurve, potential: Potential, space: AmbientSpace | None = None) -> float:
-    """Midpoint-rule action: sum (|segment speed|^2 / 2 + W(midpoint)) * dt."""
-    space = space or EuclideanSpace(curve.nodes.shape[1])
-    return equipartition(curve, space, potential.values_at(midpoints(curve)))[0]
-
-
 @dataclass(frozen=True)
 class ConnectionResult:
     """A connection sampled on a symmetric window [-T, T]."""
@@ -92,7 +86,7 @@ def line_legs(x_minus, x_plus, wells) -> list:
     """(start, end) of each leg from x_minus to x_plus on the line, as floats.
 
     The ends are split at every one of ``wells`` more than 1e-9 inside them
-    (a well nearer an end is that end, as in ``check_sti``), in the order of
+    (a well nearer an end is that end), in the order of
     travel, so consecutive legs share a well.
     """
     a, b = (np.asarray(x, dtype=float).item() for x in (x_minus, x_plus))
@@ -243,40 +237,31 @@ class ConnectionReport(NamedTuple):
 
 def verify_connection(
     result: ConnectionResult,
-    potential: Potential | None = None,
-    wspace: WeightedSpace | None = None,
+    potential: Potential,
+    wspace: WeightedSpace,
 ) -> ConnectionReport:
     """Independent checks on a connection: action gap, defect, ends, residual.
 
-    W comes from the potential when one is given, else from the weight as
-    K^2 / 2.  The Euler-Lagrange residual max |gamma'' - grad W(gamma)| is
-    evaluated by second differences on the uniform time grid when a
-    potential is given; otherwise it is None.
+    W comes from the potential, distances from the weighted space's ambient
+    space.  The Euler-Lagrange residual max |gamma'' - grad W(gamma)| is
+    evaluated by second differences on a uniform time grid of at least three
+    nodes; otherwise it is None.
     """
     curve = result.curve
-    space = wspace.space if wspace is not None else EuclideanSpace(curve.nodes.shape[1])
-    mids = midpoints(curve)
-    if potential is not None:
-        wv = potential.values_at(mids)
-    elif wspace is not None:
-        kv = wspace.weight_at(mids)
-        wv = 0.5 * kv * kv
-    else:
-        raise ValueError("need a potential or a weighted space")
-    action, defects = equipartition(curve, space, wv)
+    space = wspace.space
+    action, defects = equipartition(curve, space, potential.values_at(midpoints(curve)))
     defect = float(np.max(defects))
     gap_minus = space.distance(curve.nodes[0], result.x_minus)
     gap_plus = space.distance(curve.nodes[-1], result.x_plus)
     residual = None
-    if potential is not None:
-        dts = np.diff(curve.times)
-        h = float(dts[0])
-        if np.allclose(dts, h, rtol=1e-9) and curve.n_nodes >= 3:
-            second = (
-                curve.nodes[2:] - 2.0 * curve.nodes[1:-1] + curve.nodes[:-2]
-            ) / h**2
-            gradw = potential.gradients_at(curve.nodes[1:-1])
-            residual = float(np.max(np.linalg.norm(second - gradw, axis=1)))
+    dts = np.diff(curve.times)
+    h = float(dts[0])
+    if np.allclose(dts, h, rtol=1e-9) and curve.n_nodes >= 3:
+        second = (
+            curve.nodes[2:] - 2.0 * curve.nodes[1:-1] + curve.nodes[:-2]
+        ) / h**2
+        gradw = potential.gradients_at(curve.nodes[1:-1])
+        residual = float(np.max(np.linalg.norm(second - gradw, axis=1)))
     return ConnectionReport(
         action_gap=action - result.dk_value,
         equipartition_defect=defect,

@@ -126,10 +126,6 @@ class GridL2Space(_WeightedNorm):
     n_components: int
     spacing: float
 
-    @property
-    def dim(self) -> int:
-        return self.n_points * self.n_components
-
     @cached_property
     def coord_weights(self) -> np.ndarray:
         return _frozen(
@@ -165,14 +161,6 @@ class SampledCurve:
     def n_nodes(self) -> int:
         return self.times.size
 
-    def __len__(self) -> int:
-        return self.times.size
-
-    def eval(self, t: float | np.ndarray) -> np.ndarray:
-        """Piecewise-affine evaluation; clamps outside the time window."""
-        out = interp_columns(np.atleast_1d(np.asarray(t, dtype=float)), self.times, self.nodes)
-        return out if out.shape[0] > 1 else out[0]
-
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -200,11 +188,6 @@ def metric_derivative(curve: SampledCurve, space: AmbientSpace) -> np.ndarray:
 
 def segment_lengths(curve: SampledCurve, space: AmbientSpace) -> np.ndarray:
     return space.distances(curve.nodes[1:], curve.nodes[:-1])
-
-
-def length_d(curve: SampledCurve, space: AmbientSpace) -> float:
-    """Unweighted polyline length in the ambient metric."""
-    return float(np.sum(segment_lengths(curve, space)))
 
 
 def k_length(curve: SampledCurve, wspace: WeightedSpace, rule: str = "midpoint") -> float:

@@ -1,4 +1,4 @@
-"""Potentials with zero-level wells, derived weights, and hypothesis checks.
+"""Potentials with zero-level wells, derived weights, and a well-growth fit.
 
 A potential is a nonnegative C^2 function vanishing exactly on a finite well
 set.  The induced weight is K = sqrt(2 W); geodesics of K realize
@@ -12,12 +12,8 @@ Hessians of points stacked as (k, dim), and every built-in declares all
 three in closed form.  make_weight turns one into the weighted space
 K = sqrt(2 W), batched the same way.
 
-The check_* helpers audit the structural hypotheses the method relies on
-and report margins: on sampled grids, a radial lower envelope with divergent
-integral and the radial growth exponent at a well (estimates, not proofs);
-and on the line the strict triangle inequality between well distances,
-whose distances are the exact integrals of K, computed by the package's
-adaptive Gauss-Kronrod rule.
+``check_a4`` fits the radial growth exponent of W at a well on a sampled
+ball and reports its margins: an estimate, not a proof.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .metric import EuclideanSpace, WeightedSpace, segment_k_lengths
+from .metric import EuclideanSpace, WeightedSpace
 
 
 class WellRefinementError(RuntimeError):
@@ -189,25 +185,27 @@ def make_weight(p: Potential) -> WeightedSpace:
     return WeightedSpace(space=EuclideanSpace(p.dim), weight=weight)
 
 
-def refine_wells(
-    p: Potential,
-    guesses: Sequence[np.ndarray],
-    tol: float = 1e-10,
-    max_iters: int = 100,
-    dedup_tol: float = 1e-6,
-) -> list[np.ndarray]:
+# Newton steps of a well guess, the gradient tolerance of a converged well
+# (its value must fall below the square), and the distance within which two
+# refined wells are one
+_REFINE_ITERS = 100
+_REFINE_TOL = 1e-10
+_DEDUP_TOL = 1e-6
+
+
+def refine_wells(p: Potential, guesses: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Polish well guesses by damped Newton on the gradient, then dedupe.
 
-    Convergence means |grad W| < tol and W < tol^2 at the iterate; failing
-    that after ``max_iters`` steps raises WellRefinementError.
+    Convergence means |grad W| < 1e-10 and W < 1e-20 at the iterate; failing
+    that after 100 steps raises WellRefinementError.
     """
     out: list[np.ndarray] = []
     for guess in guesses:
         x = np.asarray(guess, dtype=float).copy()
         ok = False
-        for _ in range(max_iters):
+        for _ in range(_REFINE_ITERS):
             g = p.gradients_at(x)[0]
-            if np.linalg.norm(g) < tol and p.values_at(x)[0] < tol * tol:
+            if np.linalg.norm(g) < _REFINE_TOL and p.values_at(x)[0] < _REFINE_TOL**2:
                 ok = True
                 break
             h = p.hessians_at(x)[0]
@@ -224,37 +222,15 @@ def refine_wells(
             x = x + t * step
         else:
             g = p.gradients_at(x)[0]
-            if np.linalg.norm(g) < tol and p.values_at(x)[0] < tol * tol:
+            if np.linalg.norm(g) < _REFINE_TOL and p.values_at(x)[0] < _REFINE_TOL**2:
                 ok = True
         if not ok:
             raise WellRefinementError(
-                f"well guess {np.asarray(guess)} did not converge in {max_iters} iterations"
+                f"well guess {np.asarray(guess)} did not converge in {_REFINE_ITERS} iterations"
             )
-        if not any(np.linalg.norm(x - w) < dedup_tol for w in out):
+        if not any(np.linalg.norm(x - w) < _DEDUP_TOL for w in out):
             out.append(x)
     return out
-
-
-@dataclass(frozen=True)
-class LowerEnvelope:
-    """Radial envelope k(t) with W(x) >= k(dist(x, wells))^2 expected.
-
-    ``radius_schedule`` drives the divergence heuristic on the partial
-    integrals of k; ``increment_floor`` is the smallest acceptable growth of
-    the partial integral over the last schedule step.
-    """
-
-    k: Callable[[np.ndarray], np.ndarray]
-    radius_schedule: tuple = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    increment_floor: float = 1e-3
-
-
-class H3aReport(NamedTuple):
-    ok: bool
-    worst_margin: float
-    worst_point: np.ndarray
-    partial_integrals: np.ndarray
-    divergent: bool
 
 
 def _unit_directions(dim: int, count: int) -> np.ndarray:
@@ -266,52 +242,6 @@ def _unit_directions(dim: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(0)
     v = rng.normal(size=(count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def check_h3a(
-    p: Potential,
-    env: LowerEnvelope,
-    radii: np.ndarray | None = None,
-    n_directions: int = 16,
-) -> H3aReport:
-    """Sampled audit of the radial envelope bound and its divergent integral.
-
-    Margins W(x) - k(d(x, wells))^2 are evaluated on rays from each well;
-    the worst one is reported.  Partial integrals of k over the radius
-    schedule must keep growing by at least the declared floor for the
-    divergence flag to pass.
-    """
-    if radii is None:
-        radii = np.concatenate([np.linspace(0.02, 1.0, 50), np.linspace(1.1, 3.0, 20)])
-    dirs = _unit_directions(p.dim, n_directions)
-    wells = np.stack(p.wells)
-    worst = np.inf
-    worst_pt = wells[0]
-    for w in p.wells:
-        for d in dirs:
-            pts = w[None, :] + radii[:, None] * d[None, :]
-            dist = np.min(
-                np.linalg.norm(pts[:, None, :] - wells[None, :, :], axis=2), axis=1
-            )
-            margins = p.values_at(pts) - np.asarray(env.k(dist)) ** 2
-            i = int(np.argmin(margins))
-            if margins[i] < worst:
-                worst = float(margins[i])
-                worst_pt = pts[i]
-    partials = []
-    for rmax in env.radius_schedule:
-        grid = np.linspace(0.0, rmax, 2001)
-        partials.append(float(np.trapezoid(np.asarray(env.k(grid)), grid)))
-    partials = np.asarray(partials)
-    increments = np.diff(partials)
-    divergent = bool(increments.size > 0 and increments[-1] >= env.increment_floor)
-    return H3aReport(
-        ok=bool(worst >= 0.0),
-        worst_margin=worst,
-        worst_point=worst_pt,
-        partial_integrals=partials,
-        divergent=divergent,
-    )
 
 
 class A4Fit(NamedTuple):
@@ -359,57 +289,3 @@ def check_a4(
         return A4Fit(ok=False, p0=p0, c0=0.0, slope=float(slope), worst_violation=worst)
     c0 = float(np.min(gmin / radii**p0))
     return A4Fit(ok=True, p0=p0, c0=c0, slope=float(slope), worst_violation=worst)
-
-
-class StiReport(NamedTuple):
-    ok: bool
-    margins: tuple
-    min_margin: float
-    direct: float
-
-
-def check_sti(
-    p: Potential,
-    minus: np.ndarray,
-    plus: np.ndarray,
-    tol: float = 1e-3,
-) -> StiReport:
-    """Strict-triangle-inequality margins through each intermediate well.
-
-    For every well a besides the endpoints, compares d(minus, a) + d(a, plus)
-    against d(minus, plus).  Margins within ``tol`` of zero (or negative)
-    mark the well as breaking strictness.  On the line d_K(a, b) is the
-    integral of K = sqrt(2 W) between a and b, so every distance is computed
-    exactly, up to the quadrature tolerance: all of them in one
-    ``segment_k_lengths`` call (the adaptive Gauss-Kronrod rule), each
-    interval split at the declared wells strictly inside it, where K has its
-    only kinks.  Raises ValueError for a potential of dimension 2 or more,
-    where the distances need a geodesic.
-    """
-    if p.dim != 1:
-        raise ValueError(
-            f"check_sti integrates K on the line; {p.name} has dimension {p.dim}")
-    minus, plus = (np.asarray(x, dtype=float).item() for x in (minus, plus))
-    wells = [np.asarray(w, dtype=float).item() for w in p.wells]
-    vias = [w for w in wells if abs(w - minus) >= 1e-9 and abs(w - plus) >= 1e-9]
-    pairs = [(minus, plus)]
-    for w in vias:
-        pairs += [(minus, w), (w, plus)]
-    # each pair as (left, right): the direct one, then each via well's two legs
-    ends = np.sort(np.array(pairs), axis=1)
-    lengths = segment_k_lengths(
-        make_weight(p).weight_at, ends[:, :1], ends[:, 1:],
-        [sorted((w - a) / (b - a) for w in wells if a < w < b) for a, b in ends.tolist()],
-    )
-    direct = float(lengths[0])
-    margins = tuple((np.array([w]), float(via - direct))
-                    for w, via in zip(vias, lengths[1::2] + lengths[2::2]))
-    if not margins:
-        return StiReport(ok=True, margins=(), min_margin=np.inf, direct=direct)
-    min_margin = min(m for _, m in margins)
-    return StiReport(
-        ok=bool(min_margin > tol),
-        margins=margins,
-        min_margin=min_margin,
-        direct=direct,
-    )

@@ -27,28 +27,21 @@ class SecondDifferenceReport(NamedTuple):
     c_fitted: float
 
 
-def _uniform_resample(curve: SampledCurve, n: int | None = None) -> SampledCurve:
-    times = curve.times
-    dts = np.diff(times)
-    if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        return curve
-    n = n or curve.n_nodes
-    t_new = np.linspace(times[0], times[-1], n)
-    return SampledCurve(times=t_new, nodes=curve.eval(t_new))
-
-
 def second_difference_bound(curve: SampledCurve, lam: float) -> SecondDifferenceReport:
     """Audit sum h |second difference / h^2|^2 <= C(lam) sum h |speed|^2.
 
     C(lam) = max(1, 4|lam|) stands in for the unoptimized constant of the
     semiconvexity argument; the fitted ratio lhs / (sum h |speed|^2) is
     reported alongside so the audit stays informative when the bound is
-    slack or violated.
+    slack or violated.  The times must be uniform (to a relative 1e-9);
+    ValueError otherwise, as for fewer than three nodes.
     """
     if curve.n_nodes < 3:
         raise ValueError("need at least three nodes for second differences")
-    curve = _uniform_resample(curve)
-    h = float(curve.times[1] - curve.times[0])
+    dts = np.diff(curve.times)
+    h = float(dts[0])
+    if not np.allclose(dts, h, rtol=1e-9, atol=0.0):
+        raise ValueError("second differences need uniform sample times")
     nodes = curve.nodes
     sd = (nodes[2:] - 2.0 * nodes[1:-1] + nodes[:-2]) / h**2
     lhs = float(h * np.sum(sd * sd))

@@ -196,7 +196,7 @@ def test_criterion_4_funnel_projection_and_envelopes(planar_space):
 def test_criterion_5_mollifier_energy_bound(planar_space):
     space = planar_space
     h = space.h
-    lam = abs(space.lam)
+    lam = abs(space.potential.hessian_lower_bound)
     dk = space.ref_value
     rng = np.random.default_rng(1)
     violations = 0

@@ -1,4 +1,3 @@
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -21,10 +20,6 @@ from hetconn.counterexample import _quad_breaks, _segment_lengths
 from hetconn.metric import _GK_NODES, _qk21
 
 W = CounterexampleWeight()
-
-
-def same_g(s):
-    return s if s <= 1.0 else s**-2.0
 
 
 def test_cumulative_g_oracles():
@@ -130,29 +125,6 @@ def test_divergent_tails_are_rejected():
         CounterexampleWeight(power=1.0)
     with pytest.raises(DivergentTailError):
         CounterexampleWeight(power=0.5)
-    with pytest.raises(DivergentTailError):
-        CounterexampleWeight(g=lambda s: 1.0 / (1.0 + s))
-    with pytest.raises(ValueError):
-        CounterexampleWeight(g=lambda s: math.sin(s))
-
-
-def test_custom_table_matches_closed_form():
-    wt = CounterexampleWeight(g=same_g)
-    assert wt.g_infinity == pytest.approx(1.5, rel=1e-4)
-    for t in (0.3, 1.0, 2.0, 50.0, 2e4):
-        assert wt.big_g(t) == pytest.approx(W.big_g(t), rel=1e-4)
-
-
-def test_custom_g_tail_matches_quad():
-    # past the trapezoid table on [0, 1e4], G comes from the Gauss-Kronrod
-    # rule: its tail panels and its integral from the table's end
-    wt = CounterexampleWeight(g=same_g)
-    table_end = wt.big_g(1e4)
-    tail = integrate.quad(same_g, 1e4, np.inf)[0]
-    assert wt.g_infinity == pytest.approx(table_end + tail, rel=1.49e-8, abs=0.0)
-    piece = integrate.quad(same_g, 1e4, 2e4)[0]
-    assert wt.big_g(2e4) == pytest.approx(table_end + piece, rel=1.49e-8, abs=0.0)
-    assert wt.big_g(2e4) - table_end == pytest.approx(piece, rel=1.49e-8, abs=0.0)
 
 
 def test_small_boxed_report():
@@ -257,14 +229,6 @@ def test_polyline_with_a_repeated_node_matches_quad():
     value = dense_polyline_length(nodes, W)
     assert abs(value - _quad_polyline(W, nodes)) <= 1e-10
     assert value == dense_polyline_length(np.delete(nodes, 2, axis=0), W)
-
-
-def test_custom_g_lengths_match_quad():
-    wt = CounterexampleWeight(g=same_g)
-    nodes = np.array([[0.0, -1.0], [3.0, -1.0], [3.0, 1.0], [0.0, 1.0]])
-    assert abs(dense_polyline_length(nodes, wt) - _quad_polyline(wt, nodes)) <= 1e-10
-    ref = _quad_polyline(wt, np.array([[0.0, 1.0], [16.0, 1.0], [16.0, -1.0], [0.0, -1.0]]))
-    assert abs(candidate_length(4, wt) - ref) <= 1e-10
 
 
 def test_leg_rule_evaluates_the_weight_once_per_round(boxed_seed):

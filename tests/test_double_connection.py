@@ -49,7 +49,7 @@ def test_planar_space_carries_mirror_profiles(planar_space):
 
 def test_planar_weight_vanishes_only_on_the_profiles(planar_space):
     ws = planar_space.weighted_space()
-    assert ws.weight_at(planar_space.z_plus.flatten())[0] == 0.0
+    assert ws.weight_at(planar_space.z_plus.values.ravel())[0] == 0.0
     shoved = planar_space.z_plus.values.copy()
     shoved[:, 1] += 0.3 * np.exp(-planar_space.grid**2)
     assert ws.weight_at(shoved.ravel())[0] > 1e-2

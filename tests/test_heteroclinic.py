@@ -3,18 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetconn import (
+    EuclideanSpace,
     GridL2Space,
     InteriorZeroError,
     SampledCurve,
     WeightedSpace,
-    action_ew,
     k_length,
     line_connection,
     line_legs,
     reparam_equipartition,
     verify_connection,
 )
-from hetconn.metric import segment_k_lengths
+from hetconn.heteroclinic import equipartition
+from hetconn.metric import midpoints, segment_k_lengths
 from hetconn.potentials import double_well, make_weight, planar_two_well, triple_well
 
 
@@ -39,17 +40,22 @@ def test_golden_centering_and_window(golden):
     assert abs(conn.curve.nodes[i0, 0]) < 5e-3
 
 
+def _action(curve, p, space):
+    """Midpoint-rule action sum (|segment speed|^2 / 2 + W(midpoint)) dt."""
+    return equipartition(curve, space, p.values_at(midpoints(curve)))[0]
+
+
 def test_action_ew_tanh_oracle():
     p = double_well()
     t = np.linspace(-9.0, 9.0, 2001)
     c = SampledCurve(times=t, nodes=np.tanh(t)[:, None])
-    assert action_ew(c, p) == pytest.approx(4.0 / 3.0, abs=1e-5)
+    assert _action(c, p, EuclideanSpace(1)) == pytest.approx(4.0 / 3.0, abs=1e-5)
 
 
 def test_action_dominates_k_length_young(golden):
     # midpoint action >= midpoint weighted length, segment by segment
     conn = golden.conn
-    a = action_ew(conn.curve, golden.potential)
+    a = _action(conn.curve, golden.potential, golden.wspace.space)
     lk = k_length(conn.curve, golden.wspace, rule="midpoint")
     assert a >= lk - 1e-12
     assert a - lk < 1e-3  # near equality at equipartition
@@ -67,7 +73,7 @@ def test_young_inequality_random_curves(seed):
     if np.any(np.diff(t) <= 0):
         t = np.linspace(-2.0, 2.0, n)
     c = SampledCurve(times=t, nodes=rng.uniform(-1.5, 1.5, (n, 1)))
-    assert action_ew(c, p) >= k_length(c, ws, rule="midpoint") - 1e-10
+    assert _action(c, p, ws.space) >= k_length(c, ws, rule="midpoint") - 1e-10
 
 
 def test_reparam_drops_a_tied_last_segment():

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from hetconn import (
     WellRefinementError,
     check_a4,
-    check_h3a,
-    check_sti,
     double_well,
     make_weight,
     planar_two_well,
@@ -106,26 +104,6 @@ def test_refine_wells_rejects_non_well():
         refine_wells(planar_two_well(), [np.array([0.0, 5.0])])
 
 
-def test_check_h3a_double_well():
-    from hetconn.potentials import LowerEnvelope
-
-    # W(x) >= min(dist, 1)^2 / 2 with dist to the nearest well
-    env = LowerEnvelope(k=lambda t: np.minimum(np.asarray(t, dtype=float), 1.0)
-                        / np.sqrt(2.0))
-    rep = check_h3a(double_well(), env)
-    assert rep.ok
-    assert rep.worst_margin >= -1e-12
-    assert rep.divergent
-
-
-def test_check_h3a_flags_bad_envelope():
-    from hetconn.potentials import LowerEnvelope
-
-    env = LowerEnvelope(k=lambda t: 10.0 * np.asarray(t, dtype=float))
-    rep = check_h3a(double_well(), env)
-    assert not rep.ok
-
-
 def test_check_a4_quadratic_and_quartic():
     # grad W . (x - a) behaves like 4 r^2 near a nondegenerate double-well
     # minimum; the sampled constant sits a bit below the r -> 0 limit
@@ -138,51 +116,3 @@ def test_check_a4_quadratic_and_quartic():
     assert fit4.ok
     assert fit4.p0 == 4.0
     assert fit4.c0 == pytest.approx(6.0, rel=5e-2)
-
-
-def test_check_sti_two_wells_trivial():
-    rep = check_sti(double_well(), np.array([-1.0]), np.array([1.0]))
-    assert rep.ok
-
-
-def test_check_sti_triple_well_margin_zero():
-    # the middle well sits on a minimizing path, so the margin vanishes
-    rep = check_sti(triple_well(), np.array([-1.0]), np.array([1.0]))
-    assert not rep.ok
-    assert abs(rep.min_margin) < 5e-3
-
-
-def test_check_sti_triple_well_is_exact():
-    rep = check_sti(triple_well(), np.array([-1.0]), np.array([1.0]))
-    assert abs(rep.min_margin) <= 1e-12
-    assert abs(rep.direct - 0.5) <= 1e-12
-    assert not rep.ok
-
-
-def test_check_sti_double_well_direct_distance_is_four_thirds():
-    rep = check_sti(double_well(), np.array([-1.0]), np.array([1.0]))
-    assert abs(rep.direct - 4.0 / 3.0) <= 1e-12
-
-
-def test_check_sti_well_outside_the_interval():
-    # from -1 to 0 the well at 1 is a detour of d(-1, 1) + d(1, 0) - d(-1, 0) = 1/2
-    rep = check_sti(triple_well(), np.array([-1.0]), np.array([0.0]))
-    assert abs(rep.min_margin - 0.5) <= 1e-12
-    assert rep.ok
-
-
-def test_check_sti_refuses_the_plane():
-    p = planar_two_well()
-    with pytest.raises(ValueError):
-        check_sti(p, p.wells[0], p.wells[1])
-
-
-def test_check_sti_runs_no_geodesic_descent(monkeypatch):
-    from hetconn import geodesic
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("check_sti ran a geodesic descent")
-
-    monkeypatch.setattr(geodesic, "minimize_k_length", refuse)
-    rep = check_sti(triple_well(), np.array([-1.0]), np.array([1.0]))
-    assert not rep.ok
