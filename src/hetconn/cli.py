@@ -263,8 +263,9 @@ def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
 def _read_field(table):
     """(x1, x2, u) of a double run's field table (M, P, 2 + n), n >= 1.
 
-    ValueError unless it holds (x1_i, x2_j, u[i, j]) at [i, j] on a tensor
-    grid whose x1 and x2 each have at least two strictly increasing nodes.
+    u is the C-ordered (P, M, n) stack of x2 columns that the solve holds.
+    ValueError unless the table holds (x1_i, x2_j, u[j, i]) at [i, j] on a
+    tensor grid with at least two strictly increasing x1 and x2 nodes each.
     """
     if min(table.shape[:2]) < 2 or table.shape[2] < 3:
         raise ValueError(f"{FIELD} of shape {table.shape} is not a tensor grid of at least "
@@ -273,7 +274,7 @@ def _read_field(table):
     if not (np.all(table[..., 0] == x1[:, None]) and np.all(table[..., 1] == x2)
             and np.all(x1[1:] > x1[:-1]) and np.all(x2[1:] > x2[:-1])):
         raise ValueError(f"{FIELD} is not a tensor grid with strictly increasing x1 and x2")
-    return x1, x2, table[..., 2:]
+    return x1, x2, np.ascontiguousarray(table[..., 2:].transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -483,20 +484,19 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         else solve_symmetric(space, opts)
     )
     report = assemble_and_verify(result)
-    # [i, j] holds (x1_i, x2_j, u[i, j])
-    m, p, n = result.u.shape
+    # x1-outer: [i, j] holds (x1_i, x2_j, u[j, i]) of the (P, M, n) field
+    p, m, n = result.u.shape
     table = np.empty((m, p, 2 + n), dtype="<f8")
     table[..., 0] = result.x1[:, None]
     table[..., 1] = result.x2
-    table[..., 2:] = result.u
-    cols = result.u.transpose(1, 0, 2)
+    table[..., 2:] = result.u.transpose(1, 0, 2)
     tables = {
         FIELD: (["x1", "x2", *(f"u{j + 1}" for j in range(n))], table),
         "boundary_convergence.npy": (
             ["x2", "gap_minus_l2", "gap_plus_l2"],
             np.column_stack([result.x2,
-                             space.l2_norms(cols - space.z_minus.values),
-                             space.l2_norms(cols - space.z_plus.values)])),
+                             space.l2_norms(result.u - space.z_minus.values),
+                             space.l2_norms(result.u - space.z_plus.values)])),
     }
     results = {
         "energy": result.energy,
@@ -579,14 +579,17 @@ def _double_within_tolerance(res, defect: float, gmax: float, status: str, toler
 
 # the settable keys of a counterexample config
 COUNTER_KEYS = {"schema_version", "g", "radii", "n_max"}
+# the candidate through x = 2^n first fails to integrate at n = 21 (g.p 2
+# and 3) or 22 (g.p 1.5 and 6); every n <= 20 resolves for g.p 1.01 to 1000
+N_MAX = 20
 
 
 def _counterexample_setup(cfg: dict):
     """(weight, radii, n_max) of a counterexample config; ConfigError if malformed.
 
     ``radii`` must be a non-empty, strictly increasing list of finite
-    numbers > 0, ``n_max`` an integer >= 1 with 2^n_max a finite float and
-    ``g.p`` finite and > 1.
+    numbers > 0, ``n_max`` an integer from 1 to ``N_MAX`` and ``g.p``
+    finite and > 1.
     """
     _known_keys(cfg, COUNTER_KEYS, "counterexample config")
     gcfg = cfg.get("g", {"type": "power", "p": 2.0})
@@ -602,9 +605,8 @@ def _counterexample_setup(cfg: dict):
         raise ConfigError("config field 'radii' must be a non-empty, strictly increasing "
                           f"list of finite numbers > 0, got {radii!r}")
     n_max = _integer(cfg, "n_max", 12, 1)
-    if n_max >= sys.float_info.max_exp:
-        raise ConfigError("config field 'n_max' must keep 2^n_max a finite float "
-                          f"(n_max < {sys.float_info.max_exp}), got {n_max!r}")
+    if n_max > N_MAX:
+        raise ConfigError(f"config field 'n_max' must be at most {N_MAX}, got {n_max!r}")
     return CounterexampleWeight(power=float(p)), tuple(float(r) for r in radii), n_max
 
 
@@ -756,7 +758,7 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     x1, x2, u = _read_field(tables[FIELD])
     space = _double_shell(manifest["config"], x1)
     # the last column is the z+ well profile, and its action the reference
-    space.ref_value = float(space.energy_1d(u[:, -1])[0])
+    space.ref_value = float(space.energy_1d(u[-1])[0])
     recorded = manifest["results"].get("ref_value")
     if verbose or space.ref_value != recorded:
         print(f"reference action {space.ref_value!r} (recorded {recorded!r})")

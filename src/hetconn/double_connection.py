@@ -57,7 +57,7 @@ class DoubleOptions:
 class DoubleConnectionResult:
     space: EffectivePotentialSpace
     mode: str
-    u: np.ndarray            # (M, P, n)
+    u: np.ndarray            # (P, M, n): the x2 columns, a C-ordered profile stack
     x1: np.ndarray           # (M,)
     x2: np.ndarray           # (P,)
     energy: float
@@ -67,21 +67,11 @@ class DoubleConnectionResult:
     diagnostics: dict
 
 
-def _columns(u: np.ndarray) -> np.ndarray:
-    """The x2 columns of a field (M, P, n) as a C-ordered profile stack (P, M, n)."""
-    return np.ascontiguousarray(u.transpose(1, 0, 2))
-
-
-def _symmetrize_columns(space: EffectivePotentialSpace, u: np.ndarray) -> np.ndarray:
-    """Reflection projection of every x2 column of a field (M, P, n), C-ordered."""
-    return np.ascontiguousarray(space.symmetrize(u.transpose(1, 0, 2)).transpose(1, 0, 2))
-
-
 def _field_pins(shape) -> np.ndarray:
-    """Pinned entries of a field (M, P, n): the end columns and the x1 edge rows."""
+    """Pinned entries of a field (P, M, n): the end columns and the x1 edge rows."""
     pinned = np.zeros(shape, dtype=bool)
-    pinned[:, [0, -1]] = True
     pinned[[0, -1]] = True
+    pinned[:, [0, -1]] = True
     return pinned
 
 
@@ -97,18 +87,18 @@ def _polish_field(space, u0, dt, symmetrize, gtol):
     (a DST along x2, a tridiagonal solve along x1), with each Newton step's
     per-row shift from its Hessian block.  Returns (field, NewtonResult).
     """
-    poisson = poisson_preconditioner(u0.shape, space.h, dt)
+    poisson = poisson_preconditioner(u0.shape, dt, space.h)
     return pinned_newton_cg(
         lambda u: _path_energy(space, u, dt, grad=True),
         lambda u: _PathEnergyHessian(space, u, dt), u0, _field_pins(u0.shape),
-        project=(lambda u: _symmetrize_columns(space, u)) if symmetrize else None,
+        project=space.symmetrize if symmetrize else None,
         gtol=gtol, max_steps=POLISH_STEPS,
         precond=lambda hess: poisson(hess.shift),
     )
 
 
 def free_gradient_max(space, u: np.ndarray, dt: float, mode: str) -> float:
-    """Max-norm of the free gradient of the discrete 2D energy at a field (M, P, n).
+    """Max-norm of the free gradient of the discrete 2D energy at a field (P, M, n).
 
     The gradient is odd-projected where a solve in ``mode`` projects (see
     ``_projects``) and zeroed on the pins, as in the field polish; ``hetconn
@@ -116,7 +106,7 @@ def free_gradient_max(space, u: np.ndarray, dt: float, mode: str) -> float:
     """
     g = _path_energy(space, u, dt, grad=True)[1]
     if _projects(space, mode):
-        g = _symmetrize_columns(space, g)
+        g = space.symmetrize(g)
     g[_field_pins(g.shape)] = 0.0
     return float(np.max(np.abs(g)))
 
@@ -124,94 +114,94 @@ def free_gradient_max(space, u: np.ndarray, dt: float, mode: str) -> float:
 def _path_energy(space, u, dt, grad=False):
     """Sum of x2-kinetic and effective-potential terms (trapezoid in x2).
 
-    With grad=True also returns the coordinate gradient, shape of u.
+    u is a field (P, M, n); with grad=True also returns the coordinate
+    gradient, shape of u.
     """
-    m, p, n = u.shape
-    w1 = trapezoid_weights(m, space.h)
+    p, m, _ = u.shape
+    w1 = trapezoid_weights(m, space.h)[:, None]
     wt = trapezoid_weights(p, dt)
-    d2 = np.diff(u, axis=1) / dt
-    kin = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
-    cols = _columns(u)
+    d2 = np.diff(u, axis=0) / dt
+    kin = 0.5 * dt * np.sum(w1 * d2 * d2)
     # a left-to-right sum over x2, not a pairwise one: the polish iterates
     # depend on its rounding
-    pot = np.cumsum(wt * (space.energy_1d(cols) - space.ref_value))[-1]
+    pot = np.cumsum(wt * (space.energy_1d(u) - space.ref_value))[-1]
     if not grad:
         return float(kin + pot)
-    g = (wt[:, None, None] * space.energy_1d_grad(cols)).transpose(1, 0, 2).copy()
-    flux = w1[:, None, None] * d2
-    g[:, :-1, :] -= flux
-    g[:, 1:, :] += flux
+    g = space.energy_1d_grad(u)
+    g *= wt[:, None, None]
+    flux = w1 * d2
+    g[:-1] -= flux
+    g[1:] += flux
     return float(kin + pot), g
 
 
 class _PathEnergyHessian:
-    """Hessian of ``_path_energy`` at a field u (M, P, n); call it on a direction.
+    """Hessian of ``_path_energy`` at a field u (P, M, n); call it on a direction.
 
-    The pointwise block w1 * wt * D^2(density) is built once here; each
-    product is then stencil arithmetic on the (M, P, n) direction.  Like the
-    gradient, the profile part of a product vanishes on the x1 edge rows.
-    On the free nodes the Hessian is h * dt * (B + L), with B = D^2(density)
-    and L the Dirichlet Laplacian of the two stencils.  B varies most along
-    x1, so ``shift``, the per-row shift of the preconditioner's line solve,
-    holds for each free x1 row and component c max(0, mean of B_cc over the
-    free x2 nodes of that row), shape (M-2, n).
+    The pointwise block wt * w1 * D^2(density), shape (P, M, n, n), is built
+    once here; each product is then stencil arithmetic on the (P, M, n)
+    direction.  Like the gradient, the profile part of a product vanishes on
+    the x1 edge rows.  On the free nodes the Hessian is h * dt * (B + L),
+    with B = D^2(density) and L the Dirichlet Laplacian of the two stencils.
+    B varies most along x1, so ``shift``, the per-row shift of the
+    preconditioner's line solve, holds for each free x1 row and component c
+    max(0, mean of B_cc over the free x2 nodes of that row), shape (M-2, n).
     """
 
     def __init__(self, space, u, dt):
-        m, p, _ = u.shape
+        p, m, _ = u.shape
         h = space.h
         w1 = trapezoid_weights(m, h)
         wt = trapezoid_weights(p, dt)
-        block = np.ascontiguousarray(space._density_hessians(_columns(u)).transpose(1, 0, 2, 3))
-        self.shift = np.maximum(np.einsum("mpcc->mc", block[1:-1, 1:-1]) / (p - 2), 0.0)
-        block *= (w1[:, None] * wt[None, :])[:, :, None, None]
+        block = space._density_hessians(u)
+        self.shift = np.maximum(np.einsum("pmcc->mc", block[1:-1, 1:-1]) / (p - 2), 0.0)
+        block *= (wt[:, None] * w1[None, :])[:, :, None, None]
         self.block = block
-        self.wt1 = wt[None, :, None] / h
-        self.w2 = w1[:, None, None] / dt
+        self.wt1 = wt[:, None, None] / h
+        self.w2 = w1[:, None] / dt
 
     def __call__(self, d):
-        out = np.einsum("mpij,mpj->mpi", self.block, d)
-        flux = np.diff(d, axis=0)
-        flux *= self.wt1
-        out[:-1] -= flux
-        out[1:] += flux
-        out[[0, -1]] = 0.0
-        # free the x1 flux before the x2 one
-        del flux
+        out = np.einsum("pmij,pmj->pmi", self.block, d)
         flux = np.diff(d, axis=1)
-        flux *= self.w2
+        flux *= self.wt1
         out[:, :-1] -= flux
         out[:, 1:] += flux
+        out[:, [0, -1]] = 0.0
+        # free the x1 flux before the x2 one
+        del flux
+        flux = np.diff(d, axis=0)
+        flux *= self.w2
+        out[:-1] -= flux
+        out[1:] += flux
         return out
 
 
 def x2_defect(space, u: np.ndarray, dt: float) -> float:
     """Max over x2 segments of |x2 kinetic term - effective potential|.
 
-    u has shape (M, P, n).  The kinetic term is half the squared trapezoid
+    u has shape (P, M, n).  The kinetic term is half the squared trapezoid
     L2 norm (in x1) of the x2 difference quotient; the effective potential
     is taken at the segment midpoint.  Run and verify both use this.
     """
-    w1 = trapezoid_weights(u.shape[0], space.h)
-    cols = _columns(u)
-    mids = 0.5 * (cols[:-1] + cols[1:])
-    kinetic = 0.5 * np.sum(w1[:, None] * ((cols[1:] - cols[:-1]) / dt) ** 2, axis=(1, 2))
+    w1 = trapezoid_weights(u.shape[1], space.h)
+    mids = 0.5 * (u[:-1] + u[1:])
+    kinetic = 0.5 * np.sum(w1[:, None] * ((u[1:] - u[:-1]) / dt) ** 2, axis=(1, 2))
     return float(np.max(np.abs(kinetic - space.effective_potential(mids))))
 
 
 def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize: bool):
-    """The blend (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, as a field (M, P, n).
+    """The blend (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, as a field (P, M, n).
 
     x2 is the uniform grid of ``opts.n_out`` nodes on [-t_max, t_max]; the
     end columns are the wells.  Returns (field, x2).
     """
     x2 = np.linspace(-opts.t_max, opts.t_max, opts.n_out)
-    lam = (0.5 * (1.0 + np.tanh(x2)))[None, :, None]
-    u = (1.0 - lam) * space.z_minus.values[:, None, :] + lam * space.z_plus.values[:, None, :]
-    u[:, 0, :] = space.z_minus.values
-    u[:, -1, :] = space.z_plus.values
+    lam = (0.5 * (1.0 + np.tanh(x2)))[:, None, None]
+    u = (1.0 - lam) * space.z_minus.values + lam * space.z_plus.values
+    u[0] = space.z_minus.values
+    u[-1] = space.z_plus.values
     if symmetrize:
-        u = _symmetrize_columns(space, u)
+        u = space.symmetrize(u)
     return u, x2
 
 
@@ -237,7 +227,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     energy = _path_energy(space, u, dt)
     # the weighted length of the field's columns as a path in profile space:
     # at equipartition it equals the energy
-    columns = SampledCurve(times=x2, nodes=_columns(u).reshape(p_out, -1))
+    columns = SampledCurve(times=x2, nodes=u.reshape(p_out, -1))
     diagnostics = {
         "window": opts.t_max,
         "polish_steps": polish.steps,
@@ -251,7 +241,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     if mode == "asym":
         span = float(space.grid[-1] - space.grid[0])
         fits = optimal_translation(
-            _columns(u), space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
+            u, space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
         )
         m_track = fits.shift
         c_minus, c_plus, diagnostics["m_total_variation"] = shift_track_summary(m_track)
@@ -309,10 +299,10 @@ def audit_translation_speed(result: DoubleConnectionResult) -> TranslationSpeedA
     if result.m_track is None:
         raise ValueError("no shift track; run the asymmetric solver")
     space = result.space
-    cols = _columns(result.u)
+    u = result.u
     dm = np.abs(np.diff(result.m_track))
-    dist = space.l2_norms(cols[1:] - cols[:-1])
-    budget = space.kappa(0.5 * (cols[:-1] + cols[1:])) * dist
+    dist = space.l2_norms(u[1:] - u[:-1])
+    budget = space.kappa(0.5 * (u[:-1] + u[1:])) * dist
     floor = SPEED_FLOOR_FRAC * max(float(np.max(budget)), 1e-300)
     used = budget > floor
     if not np.any(used):
@@ -341,34 +331,31 @@ class FieldResiduals(NamedTuple):
 
 
 def field_residuals(space, u: np.ndarray, dt: float, margin: int) -> FieldResiduals:
-    """Interior PDE residual of a field (M, P, n) and its energy two ways.
+    """Interior PDE residual of a field (P, M, n) and its energy two ways.
 
     The residual is the 5-point Laplacian minus the density gradient,
     evaluated away from a boundary margin of ``margin`` cells.  The energy
     is computed once by direct 2D quadrature and once as the profile-path
     action; the two must agree to rounding.  Run and verify both use this.
     """
-    m, p, _ = u.shape
+    p, m, _ = u.shape
     h = space.h
-    cols = _columns(u)
-    # 5-point Laplacian minus the density gradient, built in place so the
-    # residual keeps the field's memory order
     res = np.zeros_like(u)
-    res[1:-1, :, :] += (u[2:, :, :] - 2 * u[1:-1, :, :] + u[:-2, :, :]) / h**2
-    res[:, 1:-1, :] += (u[:, 2:, :] - 2 * u[:, 1:-1, :] + u[:, :-2, :]) / dt**2
-    res -= space._density_grads(cols).transpose(1, 0, 2)
-    inner = res[margin:-margin, margin:-margin, :]
+    res[:, 1:-1] += (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h**2
+    res[1:-1] += (u[2:] - 2 * u[1:-1] + u[:-2]) / dt**2
+    res -= space._density_grads(u)
+    inner = res[margin:-margin, margin:-margin]
     residual_max = float(np.max(np.linalg.norm(inner, axis=2)))
     residual_l2 = float(np.sqrt(np.sum(inner**2) * h * dt))
     energy_path = _path_energy(space, u, dt)
     w1 = trapezoid_weights(m, h)
     wt = trapezoid_weights(p, dt)
-    d1 = np.diff(u, axis=0) / h
-    d2 = np.diff(u, axis=1) / dt
-    kin1 = 0.5 * h * np.sum(wt[None, :, None] * d1 * d1)
-    kin2 = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
-    dens = np.ascontiguousarray(space._density_values(cols).T)
-    pot = np.sum(w1[:, None] * wt[None, :] * dens) - space.ref_value * np.sum(wt)
+    d1 = np.diff(u, axis=1) / h
+    d2 = np.diff(u, axis=0) / dt
+    kin1 = 0.5 * h * np.sum(wt[:, None, None] * d1 * d1)
+    kin2 = 0.5 * dt * np.sum(w1[:, None] * d2 * d2)
+    dens = space._density_values(u)
+    pot = np.sum(wt[:, None] * w1[None, :] * dens) - space.ref_value * np.sum(wt)
     energy_direct = float(kin1 + kin2 + pot)
     return FieldResiduals(residual_max, residual_l2, energy_direct, energy_path)
 
@@ -396,8 +383,8 @@ def assemble_and_verify(result: DoubleConnectionResult,
         equip_defect=defect,
         energy_direct=fr.energy_direct,
         energy_path=fr.energy_path,
-        x2_gap_minus_l2=float(space.grid_function(u[:, 0, :]).distance_l2(zm)),
-        x2_gap_plus_l2=float(space.grid_function(u[:, -1, :]).distance_l2(zp)),
+        x2_gap_minus_l2=float(space.grid_function(u[0]).distance_l2(zm)),
+        x2_gap_plus_l2=float(space.grid_function(u[-1]).distance_l2(zp)),
         interior_margin=margin,
     )
 

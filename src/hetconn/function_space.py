@@ -830,28 +830,28 @@ def poisson_preconditioner(shape, *steps):
 
     For a profile of ``shape`` (M, n) on step h, returns a function of the
     per-component shifts sigma (n,) that gives the solve r -> P^-1 r with
-    P_c = h (L + sigma_c); for a field (M, P, n) on steps h (x1) and dt
-    (x2), a function of the per-row shifts sigma (M-2, n), one for each free
-    x1 row and component, with P_c = h * dt * (L + sigma_c(x1)).  L is the
-    Dirichlet Laplacian on the free interior grid, the stencil part of the
-    Hessian there.  A DST-I along the last grid axis diagonalises its part
-    of L, with eigenvalues (4/dt^2) sin^2(pi k / 2(P-1)) (Buzbee, Golub and
-    Nielson's fast Poisson solver).  A profile's solve is then a division;
-    a field's is, for each x2 mode k and component c, the tridiagonal
-    system of L along x1 plus sigma_c(x1) plus that eigenvalue, solved
-    exactly by Thomas' algorithm, vectorised over the (k, c) columns, on a
-    factor built once per shift.  P commutes with the pins, and with the
-    odd-first projection where sigma is even in x1.  A solve reads r on the
-    free nodes only and returns a new array, zero on the pins.  The solves
-    at one shift share its transform buffers, so they must not run
-    concurrently.
+    P_c = h (L + sigma_c); for a field (P, M, n), a stack of x2 columns, on
+    steps dt (x2) and h (x1), a function of the per-row shifts sigma
+    (M-2, n), one for each free x1 row and component, with
+    P_c = h * dt * (L + sigma_c(x1)).  L is the Dirichlet Laplacian on the
+    free interior grid, the stencil part of the Hessian there.  A DST-I
+    along the first grid axis diagonalises its part of L, with eigenvalues
+    (4/dt^2) sin^2(pi k / 2(P-1)) (Buzbee, Golub and Nielson's fast Poisson
+    solver).  A profile's solve is then a division; a field's is, for each
+    x2 mode k and component c, the tridiagonal system of L along x1 plus
+    sigma_c(x1) plus that eigenvalue, solved exactly by Thomas' algorithm,
+    vectorised over the (k, c) columns, on a factor built once per shift.
+    P commutes with the pins, and with the odd-first projection where sigma
+    is even in x1.  A solve reads r on the free nodes only and returns a new
+    array, zero on the pins.  The solves at one shift share its transform
+    buffers, so they must not run concurrently.
     """
     *grid, n = shape
-    nodes = grid[-1]
-    lam = (2.0 / steps[-1] * np.sin(0.5 * math.pi * np.arange(1, nodes - 1) / (nodes - 1))) ** 2
+    nodes = grid[0]
+    lam = (2.0 / steps[0] * np.sin(0.5 * math.pi * np.arange(1, nodes - 1) / (nodes - 1))) ** 2
     # DST-I squares to (nodes - 1) / 2
     scale = 2.0 / ((nodes - 1) * math.prod(steps))
-    rows = grid[0] - 2 if len(grid) == 2 else 1
+    rows = grid[1] - 2 if len(grid) == 2 else 1
 
     def at(shift):
         # one real buffer, zero off its columns 1..nodes-2, and one complex
@@ -860,7 +860,7 @@ def poisson_preconditioner(shape, *steps):
         spec = np.empty((rows, nodes), dtype=complex)
 
         def dst(x):
-            """DST-I of the rows of x along the last grid axis, negated, as a
+            """DST-I along the first grid axis of the rows of x, negated, as a
             view of ``spec``: the imaginary part of the rfft of each row zero-
             padded to 2(nodes - 1).  The signs of a pair of transforms cancel."""
             pad[:, 1:nodes - 1] = x
@@ -884,7 +884,7 @@ def poisson_preconditioner(shape, *steps):
         # a_i = 2 / h^2 + sigma_c(x1_i) + lam_k and off-diagonal -1 / h^2:
         # the reciprocal pivots 1 / (a_i - 1 / (h^4 (pivot i-1))), then the
         # multipliers cp = -(reciprocal pivot) / h^2 in their place
-        off = steps[0] ** -2
+        off = steps[1] ** -2
         cp = np.asarray(shift)[:, None, :] + (lam[:, None] + 2.0 * off)
         # row views made once: indexing cp in the loops costs as much as
         # the arithmetic on a row
@@ -900,10 +900,11 @@ def poisson_preconditioner(shape, *steps):
         gain = -scale / off
 
         def psolve(r):
-            out = np.zeros(shape)
-            free = out[1:-1, 1:-1]
+            # x1-major (x1 row, x2 mode, component) for the sweeps; made per
+            # solve, so that it is gone during the Hessian products
+            free = np.empty(cp.shape)
             for c in range(n):
-                free[..., c] = dst(r[1:-1, 1:-1, c])
+                free[..., c] = dst(r[1:-1, 1:-1, c].T)
             free *= cp
             # elimination down x1, then back substitution up it, in place,
             # one row of (x2 mode, component) columns at a time (a list of
@@ -917,8 +918,13 @@ def poisson_preconditioner(shape, *steps):
                 cur = free[i]
                 cur -= np.multiply(cps[i], prev, out=row)
                 prev = cur
+            out = np.zeros(shape)
             for c in range(n):
-                np.multiply(dst(free[..., c]), gain, out=free[..., c])
+                # scaled in place, then copied: a product written straight
+                # into the transposed columns took five times longer
+                x = dst(free[..., c])
+                x *= gain
+                out[1:-1, 1:-1, c] = x.T
             return out
 
         return psolve

@@ -279,7 +279,8 @@ def test_field_table_is_the_solver_field_bit_for_bit(tmp_path, monkeypatch, cfg)
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     (result,) = results
-    m, p, n = result.u.shape
+    # the solver holds x2 columns (P, M, n); the table is x1-outer
+    p, m, n = result.u.shape
     with open(out / "u.npy", "rb") as fh:
         assert np.lib.format.read_magic(fh) == (1, 0)
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
@@ -287,10 +288,11 @@ def test_field_table_is_the_solver_field_bit_for_bit(tmp_path, monkeypatch, cfg)
     table = np.load(out / "u.npy", allow_pickle=False)
     assert table[..., 0].tobytes() == np.repeat(result.x1, p).tobytes()
     assert table[..., 1].tobytes() == np.tile(result.x2, m).tobytes()
-    assert table[..., 2:].tobytes() == np.ascontiguousarray(result.u, dtype=float).tobytes()
+    x1_outer = np.ascontiguousarray(result.u.transpose(1, 0, 2))
+    assert table[..., 2:].tobytes() == x1_outer.tobytes()
     # read as rows, the table is the (x1, x2, u) row table of the old u.csv
     rows = np.column_stack([np.repeat(result.x1, p), np.tile(result.x2, m),
-                            result.u.reshape(-1, n)])
+                            x1_outer.reshape(-1, n)])
     assert table.reshape(-1, 2 + n).tobytes() == rows.tobytes()
 
 
@@ -811,9 +813,10 @@ def test_counterexample_walls_off_the_candidates_run_and_verify(tmp_path, radii)
     assert main(["verify", str(out)]) == 0
 
 
-@pytest.mark.parametrize("n_max", [1024, 10 ** 400])
+@pytest.mark.parametrize("n_max", [21, 1023, 1024, 10 ** 400])
 def test_counterexample_rejects_an_n_max_past_the_float_range(tmp_path, capsys, n_max):
-    # 2^1023 is the largest power of two a float holds
+    # past the quadrature's reach, n_max 20; 2^1023 is the largest power of
+    # two a float holds
     out = tmp_path / "ce"
     assert main(["counterexample", "--config", write_cfg(tmp_path, dict(COUNTER_CFG, n_max=n_max)),
                  "--out", str(out)]) == 3

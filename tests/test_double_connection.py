@@ -25,7 +25,6 @@ from hetconn.double_connection import (
     _PathEnergyHessian,
     _polish_field,
     _seed_field,
-    _symmetrize_columns,
     planar_effective_space,
     x2_defect,
 )
@@ -58,13 +57,13 @@ def test_planar_weight_vanishes_only_on_the_profiles(planar_space):
 def test_symmetric_solve_small(planar_space):
     result = solve_symmetric(planar_space, SMALL)
     assert result.mode == "sym"
-    m, p, n = result.u.shape
-    assert (m, p, n) == (planar_space.m, 33, 2)
-    assert np.array_equal(result.u[:, 0, :], planar_space.z_minus.values)
-    assert np.array_equal(result.u[:, -1, :], planar_space.z_plus.values)
+    p, m, n = result.u.shape
+    assert (p, m, n) == (33, planar_space.m, 2)
+    assert np.array_equal(result.u[0], planar_space.z_minus.values)
+    assert np.array_equal(result.u[-1], planar_space.z_plus.values)
     # odd symmetry of the first component holds exactly in every column
     for k in range(p):
-        assert np.array_equal(result.u[:, k, 0], -result.u[::-1, k, 0])
+        assert np.array_equal(result.u[k, :, 0], -result.u[k, ::-1, 0])
     assert result.c_minus == 0.0 and result.c_plus == 0.0
     assert result.diagnostics["polish_status"] == "converged"
     # at equipartition the excess action matches the weighted path length
@@ -186,7 +185,7 @@ def test_sin_small_solve_assembles():
     space = sin_example_space(m=33)
     opts = DoubleOptions(n_out=17, t_max=3.0)
     result = solve_symmetric(space, opts)
-    assert result.u.shape == (33, 17, 1)
+    assert result.u.shape == (17, 33, 1)
     assert np.max(np.abs(result.u)) < 1.5
     report = assemble_and_verify(result)
     rel = abs(report.energy_direct - report.energy_path) / max(report.energy_direct, 1e-12)
@@ -288,28 +287,27 @@ def field_space(request):
 
 
 def _noisy_blend(space, p=9, seed=0):
-    tau = np.linspace(0.0, 1.0, p)[None, :, None]
-    zm = space.z_minus.values[:, None, :]
-    zp = space.z_plus.values[:, None, :]
-    u = (1.0 - tau) * zm + tau * zp
+    """A field (p, M, n) near the blend of the wells."""
+    tau = np.linspace(0.0, 1.0, p)[:, None, None]
+    u = (1.0 - tau) * space.z_minus.values + tau * space.z_plus.values
     return u + 0.05 * np.random.default_rng(seed).standard_normal(u.shape)
 
 
 def _path_energy_by_columns(space, u, dt):
     """The per-column loop the batched path energy replaces."""
-    m, p, _ = u.shape
-    w1 = trapezoid_weights(m, space.h)
+    p, m, _ = u.shape
+    w1 = trapezoid_weights(m, space.h)[:, None]
     wt = trapezoid_weights(p, dt)
-    d2 = np.diff(u, axis=1) / dt
-    kin = 0.5 * dt * np.sum(w1[:, None, None] * d2 * d2)
+    d2 = np.diff(u, axis=0) / dt
+    kin = 0.5 * dt * np.sum(w1 * d2 * d2)
     pot = 0.0
     g = np.empty_like(u)
     for k in range(p):
-        pot += wt[k] * (space.energy_1d(u[:, k, :])[0] - space.ref_value)
-        g[:, k, :] = wt[k] * space.energy_1d_grad(u[:, k, :])[0]
-    flux = w1[:, None, None] * d2
-    g[:, :-1, :] -= flux
-    g[:, 1:, :] += flux
+        pot += wt[k] * (space.energy_1d(u[k])[0] - space.ref_value)
+        g[k] = wt[k] * space.energy_1d_grad(u[k])[0]
+    flux = w1 * d2
+    g[:-1] -= flux
+    g[1:] += flux
     return float(kin + pot), g
 
 
@@ -331,7 +329,7 @@ def test_path_energy_grad_matches_central_differences(field_space):
     for _ in range(3):
         d = rng.standard_normal(u.shape)
         # the profile gradient pins the x1 edge rows, as the polish does
-        d[0] = d[-1] = 0.0
+        d[:, [0, -1]] = 0.0
         fd = (_path_energy(field_space, u + hh * d, dt)
               - _path_energy(field_space, u - hh * d, dt)) / (2 * hh)
         assert float(np.sum(g * d)) == pytest.approx(fd, rel=1e-6)
@@ -344,22 +342,32 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
     kernel = EffectivePotentialSpace.energy_1d
 
     def counted(self, values):
-        calls.append(np.shape(values))
+        calls.append(values)
         return kernel(self, values)
 
     monkeypatch.setattr(EffectivePotentialSpace, "energy_1d", counted)
+    # the field is the profile stack the kernel reads: no copy of it
     _path_energy(space, u, 0.1, grad=True)
-    assert len(calls) == 1
+    assert len(calls) == 1 and np.shares_memory(calls[0], u)
     calls.clear()
+    # the segment midpoints, a C-ordered stack of their own
     x2_defect(space, u, 0.1)
     assert len(calls) == 1
+    assert calls[0].shape == (u.shape[0] - 1,) + u.shape[1:] and calls[0].flags.c_contiguous
     calls.clear()
-    k = u.shape[1]
-    nodes = u.transpose(1, 0, 2).reshape(k, -1)
+    k = u.shape[0]
+    nodes = u.reshape(k, -1)
+    assert np.shares_memory(nodes, u)
     wspace = space.weighted_space()
     weights = wspace.weight_at(nodes)
     assert weights.shape == (k,)
-    assert len(calls) == 1
+    assert len(calls) == 1 and np.shares_memory(calls[0], u)
+    # a solve returns its field as that stack, the wells its end columns
+    result = solve_symmetric(space, DoubleOptions(n_out=17, t_max=3.0))
+    assert result.u.shape == (17, space.m, 1) and result.u.flags.c_contiguous
+    # equal values; the Newton steps turn the well's pinned -0.0 into +0.0
+    assert np.array_equal(result.u[0], space.z_minus.values)
+    assert np.array_equal(result.u[-1], space.z_plus.values)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +402,13 @@ def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
     u0, dt = planar_sym_field
     gtol = POLISH_GTOL
     u, info = _polish_field(planar_space, u0, dt, True, gtol)
-    assert np.array_equal(u, _symmetrize_columns(planar_space, u))
+    assert np.array_equal(u, planar_space.symmetrize(u))
     pinned = _field_pins(u.shape)
     assert np.array_equal(u[pinned], u0[pinned])
     assert _path_energy(planar_space, u, dt) < _path_energy(planar_space, u0, dt)
     assert info.status == "converged" and 0 < info.steps
     # the free gradient, recomputed here, meets the tolerance the run reports
-    g = _symmetrize_columns(planar_space, _path_energy(planar_space, u, dt, grad=True)[1])
+    g = planar_space.symmetrize(_path_energy(planar_space, u, dt, grad=True)[1])
     g[pinned] = 0.0
     assert float(np.max(np.abs(g))) == info.gmax <= gtol
 
@@ -421,7 +429,7 @@ def test_truncated_cg_stops_at_negative_curvature_with_a_descent_step(planar_spa
     free = (~_field_pins(u.shape)).astype(float)
 
     def reduce(v):
-        return _symmetrize_columns(planar_space, v) * free
+        return planar_space.symmetrize(v) * free
 
     hessp = _PathEnergyHessian(planar_space, u, dt)
     g = reduce(_path_energy(planar_space, u, dt, grad=True)[1])
@@ -475,11 +483,11 @@ def _flat_space(m=9):
 def test_poisson_preconditioner_inverts_the_free_stencil():
     space = _flat_space()
     dt = 0.23
-    u = _free_noise((space.m, 6, 2), 0)
+    u = _free_noise((6, space.m, 2), 0)
     hess = _PathEnergyHessian(space, u, dt)
     # one shift per free x1 row and component
     assert np.array_equal(hess.shift, np.zeros((space.m - 2, 2)))
-    psolve = poisson_preconditioner(u.shape, space.h, dt)(hess.shift)
+    psolve = poisson_preconditioner(u.shape, dt, space.h)(hess.shift)
     free = ~_field_pins(u.shape)
     d = _free_noise(u.shape, 1)
     assert np.max(np.abs(psolve(hess(d)) - d)) <= 1e-12 * np.max(np.abs(d))
@@ -497,19 +505,19 @@ def _even_rows(m, n, seed):
 def test_poisson_preconditioner_commutes_with_the_odd_projection():
     space = _flat_space()
     dt = 0.23
-    shape = (space.m, 6, 2)
+    shape = (6, space.m, 2)
     shift = _even_rows(space.m, 2, 4)
     assert np.array_equal(shift, shift[::-1])
     r = _free_noise(shape, 2)
-    psolve = poisson_preconditioner(shape, space.h, dt)(shift)
-    lhs = psolve(_symmetrize_columns(space, r))
-    rhs = _symmetrize_columns(space, psolve(r))
+    psolve = poisson_preconditioner(shape, dt, space.h)(shift)
+    lhs = psolve(space.symmetrize(r))
+    rhs = space.symmetrize(psolve(r))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # the check sees the shift: one that is not even in x1 breaks it
     shift[0] += 1.0
-    psolve = poisson_preconditioner(shape, space.h, dt)(shift)
-    lhs = psolve(_symmetrize_columns(space, r))
-    rhs = _symmetrize_columns(space, psolve(r))
+    psolve = poisson_preconditioner(shape, dt, space.h)(shift)
+    lhs = psolve(space.symmetrize(r))
+    rhs = space.symmetrize(psolve(r))
     assert np.max(np.abs(lhs - rhs)) > 1e-6 * np.max(np.abs(rhs))
 
 
@@ -533,39 +541,39 @@ def test_the_field_shift_is_per_row_and_even_on_the_planar_sym_seed(planar_space
     assert np.all(np.max(shift, axis=0) > 3.0)
 
 
-def _reference_field_solve(shape, h, dt, shift, r):
+def _reference_field_solve(shape, dt, h, shift, r):
     """The field's line solve by scipy: its DST-I along x2, and a banded
     solve along x1 for every x2 mode and component."""
     from scipy.fft import dst
     from scipy.linalg import solve_banded
 
-    m, p, n = shape
+    p, m, n = shape
     lam = (2.0 / dt * np.sin(0.5 * np.pi * np.arange(1, p - 1) / (p - 1))) ** 2
     out = np.zeros(shape)
     bands = np.zeros((3, m - 2))
     bands[0, 1:] = bands[2, :-1] = -1.0 / h**2
     for c in range(n):
-        x = dst(r[1:-1, 1:-1, c], type=1, axis=1)
+        x = dst(r[1:-1, 1:-1, c], type=1, axis=0)
         for k in range(p - 2):
             bands[1] = 2.0 / h**2 + shift[:, c] + lam[k]
-            x[:, k] = solve_banded((1, 1), bands, x[:, k])
+            x[k] = solve_banded((1, 1), bands, x[k])
         # DST-I squares to 2 (p - 1) in scipy's normalisation
-        out[1:-1, 1:-1, c] = dst(x, type=1, axis=1) / (2.0 * (p - 1) * h * dt)
+        out[1:-1, 1:-1, c] = dst(x, type=1, axis=0) / (2.0 * (p - 1) * h * dt)
     return out
 
 
-@pytest.mark.parametrize("shape", [(17, 6, 2), (257, 257, 1), (401, 129, 2)])
+@pytest.mark.parametrize("shape", [(6, 17, 2), (257, 257, 1), (129, 401, 2)])
 def test_poisson_preconditioner_inverts_the_shifted_field_stencil(shape):
     rng = np.random.default_rng(6)
-    shift = rng.uniform(0.0, 20.0, (shape[0] - 2, shape[-1]))
-    psolve = poisson_preconditioner(shape, 0.04, 0.23)(shift)
+    shift = rng.uniform(0.0, 20.0, (shape[1] - 2, shape[-1]))
+    psolve = poisson_preconditioner(shape, 0.23, 0.04)(shift)
     pins = _field_pins(shape)
     for _ in range(2):
         # twice through the same buffers
         r = rng.standard_normal(shape)
         out = psolve(r)
         assert np.all(out[pins] == 0.0)
-        ref = _reference_field_solve(shape, 0.04, 0.23, shift, r)
+        ref = _reference_field_solve(shape, 0.23, 0.04, shift, r)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -602,11 +610,11 @@ def test_preconditioned_cg_with_an_exact_inverse_takes_one_product():
     # operator h * dt * (L + q(x1)) that the line solve inverts
     space = _quadratic_field_space(lambda x: 2.0 + np.sin(3.0 * x) + 4.0 * x * x, m=33)
     dt = 0.23
-    g = _free_noise((space.m, 6, 2), 3)
+    g = _free_noise((6, space.m, 2), 3)
     hess = _PathEnergyHessian(space, g, dt)
     assert np.ptp(hess.shift) > 1.0
     free = (~_field_pins(g.shape)).astype(float)
-    psolve = poisson_preconditioner(g.shape, space.h, dt)(hess.shift)
+    psolve = poisson_preconditioner(g.shape, dt, space.h)(hess.shift)
     d = _free_noise(g.shape, 4)
     assert np.max(np.abs(psolve(hess(d)) - d)) <= 1e-12 * np.max(np.abs(d))
     gnorm = float(np.linalg.norm(g))
@@ -617,7 +625,7 @@ def test_preconditioned_cg_with_an_exact_inverse_takes_one_product():
     # unpreconditioned, CG needs one product per distinct eigenvalue it meets
     assert truncated_cg(lambda d: hess(d) * free, g, 1e-10 * gnorm)[2] > 1
     # one shift per component, the mean of q, is no longer exact
-    mean = poisson_preconditioner(g.shape, space.h, dt)(
+    mean = poisson_preconditioner(g.shape, dt, space.h)(
         np.broadcast_to(np.mean(hess.shift, axis=0), hess.shift.shape))
     assert truncated_cg(lambda d: hess(d) * free, g, 1e-10 * gnorm, psolve=mean)[2] > 1
 
@@ -643,13 +651,13 @@ def test_the_preconditioner_cuts_the_polish_products(planar_space):
     for space, opts, symmetrize, cap in fields:
         u0, x2 = _seed_field(space, DoubleOptions(**opts), symmetrize)
         dt = float(np.diff(x2)[0])
-        poisson = poisson_preconditioner(u0.shape, space.h, dt)
+        poisson = poisson_preconditioner(u0.shape, dt, space.h)
         runs = {}
         for name, precond in (("plain", None), ("poisson", lambda hess: poisson(hess.shift))):
             u, info = pinned_newton_cg(
                 lambda u: _path_energy(space, u, dt, grad=True),
                 lambda u: _PathEnergyHessian(space, u, dt), u0, _field_pins(u0.shape),
-                project=(lambda u: _symmetrize_columns(space, u)) if symmetrize else None,
+                project=space.symmetrize if symmetrize else None,
                 gtol=POLISH_GTOL, max_steps=POLISH_STEPS, precond=precond,
             )
             assert info.status == "converged"
