@@ -52,10 +52,10 @@ from .double_connection import (
     RESIDUAL_MARGIN,
     DoubleConnectionResult,
     DoubleOptions,
+    FieldAudit,
     assemble_and_verify,
     audit_translation_speed,
-    field_residuals,
-    free_gradient_max,
+    field_audit,
     planar_effective_space,
     planar_shell,
     shift_track_summary,
@@ -63,7 +63,6 @@ from .double_connection import (
     sin_shell,
     solve_asymmetric,
     solve_symmetric,
-    x2_defect,
 )
 from .geodesic import minimize_k_length
 from .heteroclinic import (
@@ -510,8 +509,8 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "x2_gap_plus_l2": report.x2_gap_plus_l2,
         "c_minus": result.c_minus,
         "c_plus": result.c_plus,
-        "k_length": result.diagnostics["k_length"],
-        "reduction_gap": abs(result.energy - result.diagnostics["k_length"]),
+        "k_length": report.k_length,
+        "reduction_gap": report.reduction_gap,
         "solver_status": result.diagnostics["polish_status"],
         "polish_steps": result.diagnostics["polish_steps"],
         "polish_gmax": result.diagnostics["polish_gmax"],
@@ -548,27 +547,26 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
     if verbose:
         print(f"wrote {out_dir}: energy {result.energy:.9g}, "
               f"residual {report.residual_max:.3g}")
-    if not _double_within_tolerance(report, report.equip_defect, results["polish_gmax"],
-                                    results["polish_status"], tolerances, verbose):
+    if not _double_within_tolerance(report, results["polish_status"], tolerances, verbose):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 
 
-def _double_within_tolerance(res, defect: float, gmax: float, status: str, tolerances: dict,
+def _double_within_tolerance(audit: FieldAudit, status: str, tolerances: dict,
                              verbose: bool) -> bool:
-    """Whether a double run's x2 equipartition defect, free gradient max
-    ``gmax``, interior residual and energy two ways meet their tolerances
+    """Whether a field audit's x2 equipartition defect, free gradient max,
+    interior residual and energy two ways meet a double run's tolerances
     (NaN fails).
 
-    ``res`` is the run's ``DoubleReport`` or verify's ``FieldResiduals``;
+    The run passes its ``DoubleReport``, verify its ``FieldAudit``;
     ``status`` is the Newton-CG's, for the message.
     """
-    two_ways = abs(res.energy_direct - res.energy_path) / max(abs(res.energy_path), 1e-300)
+    two_ways = abs(audit.energy_direct - audit.energy_path) / max(abs(audit.energy_path), 1e-300)
     return _within([
-        ("x2 equipartition defect", defect, tolerances["defect_tol"]),
+        ("x2 equipartition defect", audit.equip_defect, tolerances["defect_tol"]),
         (f"Newton-CG {status}: max free gradient",
-         gmax, tolerances["polish_gtol"]),
-        ("interior residual max", res.residual_max, tolerances["residual_tol"]),
+         audit.gmax, tolerances["polish_gtol"]),
+        ("interior residual max", audit.residual_max, tolerances["residual_tol"]),
         ("energy two ways, relative gap", two_ways, tolerances["energy_two_ways_rel"]),
     ], verbose)
 
@@ -745,11 +743,14 @@ def _verify_connect(tables: dict, manifest: dict, verbose: bool) -> int:
 
 
 def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
-    """Recompute a double run's residuals, energies, x2 defect and free gradient,
-    and an asym run's shift track results.
+    """Recompute a double run's field audit and an asym run's shift track results.
 
-    Each must equal the recorded one bit for bit (``energy`` is the path
-    energy), and they must meet the run's tolerances.  An asym run's
+    One ``field_audit`` of the field gives the residuals (the free gradient
+    over its trapezoid weights: on interior nodes the 5-point Laplacian
+    minus grad W), the energy two ways, the free gradient max, the x2
+    defect, ``k_length`` and ``reduction_gap``.  Each must equal the
+    recorded one bit for bit (``energy`` is the path energy), and they must
+    meet the run's tolerances.  An asym run's
     ``m_track.npy`` must hold the field's x2; ``c_minus``, ``c_plus`` and
     ``m_total_variation`` are recomputed from its shifts, and the
     ``translation_speed_*`` audit from them and the field.  The shift scan
@@ -766,13 +767,13 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
         return EXIT_EQUIPARTITION
     dt = float(x2[1] - x2[0])
     tolerances = manifest["tolerances"]
-    res = field_residuals(space, u, dt, tolerances["residual_margin_cells"])
-    gmax = free_gradient_max(space, u, dt, manifest["mode"])
-    defect = x2_defect(space, u, dt)
+    audit = field_audit(space, u, dt, tolerances["residual_margin_cells"], manifest["mode"])
     results = manifest["results"]
-    recomputed = {"energy": res.energy_path, "energy_direct": res.energy_direct,
-                  "energy_path": res.energy_path, "residual_max": res.residual_max,
-                  "residual_l2": res.residual_l2, "equip_defect": defect, "polish_gmax": gmax}
+    recomputed = {"energy": audit.energy_path, "energy_direct": audit.energy_direct,
+                  "energy_path": audit.energy_path, "residual_max": audit.residual_max,
+                  "residual_l2": audit.residual_l2, "equip_defect": audit.equip_defect,
+                  "polish_gmax": audit.gmax, "k_length": audit.k_length,
+                  "reduction_gap": audit.reduction_gap}
     if manifest["mode"] == "asym":
         track = tables["m_track.npy"]
         if not np.array_equal(track[:, 0], x2):
@@ -781,15 +782,15 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
         m_track = track[:, 1]
         c_minus, c_plus, variation = shift_track_summary(m_track)
         speed = audit_translation_speed(DoubleConnectionResult(
-            space=space, mode="asym", u=u, x1=x1, x2=x2, energy=res.energy_path,
+            space=space, mode="asym", u=u, x1=x1, x2=x2, energy=audit.energy_path,
             c_minus=c_minus, c_plus=c_plus, m_track=m_track, diagnostics={}))
         recomputed.update(c_minus=c_minus, c_plus=c_plus, m_total_variation=variation,
                           translation_speed_c_fit=speed.c_fit,
                           translation_speed_max_ratio=speed.max_ratio)
     exact = _within([(f"|recomputed - recorded {key}|", abs(value - results[key]), 0.0)
                      for key, value in recomputed.items()], verbose)
-    if not (_double_within_tolerance(res, defect, gmax, results["polish_status"], tolerances,
-                                     verbose) and exact):
+    if not (_double_within_tolerance(audit, results["polish_status"], tolerances, verbose)
+            and exact):
         return EXIT_EQUIPARTITION
     return EXIT_OK
 

@@ -11,6 +11,9 @@ pinned Newton-CG.  The symmetric solver (``mode`` "sym") keeps
 the first component odd in x1 by projection where the fixture has that
 symmetry; the asymmetric one ("asym") works in the quotient by
 x1-translations of whole-line profiles and tracks the per-column shift.
+After the polish one ``field_audit`` evaluates the field, for the run and
+for ``hetconn verify`` alike: its residual is the free gradient over its
+trapezoid weights, on interior nodes the 5-point Laplacian minus grad W.
 
 The module also carries the two stock fixtures: the planar two-well family
 (whole line, tails, twin channel connections, W even in u1) and the scalar
@@ -32,7 +35,7 @@ from .function_space import (
     pinned_newton_cg,
     poisson_preconditioner,
 )
-from .metric import SampledCurve, k_length, trapezoid_weights
+from .metric import trapezoid_weights
 from .potentials import planar_two_well
 
 
@@ -95,20 +98,6 @@ def _polish_field(space, u0, dt, symmetrize, gtol):
         gtol=gtol, max_steps=POLISH_STEPS,
         precond=lambda hess: poisson(hess.shift),
     )
-
-
-def free_gradient_max(space, u: np.ndarray, dt: float, mode: str) -> float:
-    """Max-norm of the free gradient of the discrete 2D energy at a field (P, M, n).
-
-    The gradient is odd-projected where a solve in ``mode`` projects (see
-    ``_projects``) and zeroed on the pins, as in the field polish; ``hetconn
-    verify`` gates this value against ``polish_gtol``.
-    """
-    g = _path_energy(space, u, dt, grad=True)[1]
-    if _projects(space, mode):
-        g = space.symmetrize(g)
-    g[_field_pins(g.shape)] = 0.0
-    return float(np.max(np.abs(g)))
 
 
 def _path_energy(space, u, dt, grad=False):
@@ -176,19 +165,6 @@ class _PathEnergyHessian:
         return out
 
 
-def x2_defect(space, u: np.ndarray, dt: float) -> float:
-    """Max over x2 segments of |x2 kinetic term - effective potential|.
-
-    u has shape (P, M, n).  The kinetic term is half the squared trapezoid
-    L2 norm (in x1) of the x2 difference quotient; the effective potential
-    is taken at the segment midpoint.  Run and verify both use this.
-    """
-    w1 = trapezoid_weights(u.shape[1], space.h)
-    mids = 0.5 * (u[:-1] + u[1:])
-    kinetic = 0.5 * np.sum(w1[:, None] * ((u[1:] - u[:-1]) / dt) ** 2, axis=(1, 2))
-    return float(np.max(np.abs(kinetic - space.effective_potential(mids))))
-
-
 def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize: bool):
     """The blend (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, as a field (P, M, n).
 
@@ -221,20 +197,14 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         raise ValueError("well profiles coincide; nothing to connect")
     symmetrize = _projects(space, mode)
     u, x2 = _seed_field(space, opts, symmetrize)
-    p_out = x2.size
     dt = float(np.diff(x2)[0])
     u, polish = _polish_field(space, u, dt, symmetrize, POLISH_GTOL)
-    energy = _path_energy(space, u, dt)
-    # the weighted length of the field's columns as a path in profile space:
-    # at equipartition it equals the energy
-    columns = SampledCurve(times=x2, nodes=u.reshape(p_out, -1))
     diagnostics = {
         "window": opts.t_max,
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
         "polish_cg_products": polish.products,
         "polish_status": polish.status,
-        "k_length": k_length(columns, space.weighted_space(), rule="midpoint"),
     }
     m_track = None
     c_minus = c_plus = 0.0
@@ -251,7 +221,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         u=u,
         x1=space.grid.copy(),
         x2=x2,
-        energy=energy,
+        energy=polish.value,
         c_minus=c_minus,
         c_plus=c_plus,
         m_track=m_track,
@@ -312,77 +282,101 @@ def audit_translation_speed(result: DoubleConnectionResult) -> TranslationSpeedA
     return TranslationSpeedAudit(c_fit, max_ratio, int(np.sum(used)))
 
 
-class DoubleReport(NamedTuple):
+@dataclass(frozen=True)
+class FieldAudit:
+    energy_path: float
+    energy_direct: float
     residual_max: float
     residual_l2: float
+    gmax: float
     equip_defect: float
-    energy_direct: float
-    energy_path: float
+    k_length: float
+    reduction_gap: float
+
+
+@dataclass(frozen=True)
+class DoubleReport(FieldAudit):
     x2_gap_minus_l2: float
     x2_gap_plus_l2: float
     interior_margin: int
 
 
-class FieldResiduals(NamedTuple):
-    residual_max: float
-    residual_l2: float
-    energy_direct: float
-    energy_path: float
+def field_audit(space, u: np.ndarray, dt: float, margin: int, mode: str) -> FieldAudit:
+    """Every check of a field (P, M, n) in one pass; run and verify both use this.
 
-
-def field_residuals(space, u: np.ndarray, dt: float, margin: int) -> FieldResiduals:
-    """Interior PDE residual of a field (P, M, n) and its energy two ways.
-
-    The residual is the 5-point Laplacian minus the density gradient,
-    evaluated away from a boundary margin of ``margin`` cells.  The energy
-    is computed once by direct 2D quadrature and once as the profile-path
-    action; the two must agree to rounding.  Run and verify both use this.
+    One ``_path_energy`` with its coordinate gradient g gives three things:
+    the path energy; the free gradient max, with g odd-projected where a
+    solve in ``mode`` projects (see ``_projects``) and zeroed on the pins,
+    as in the field polish; and the interior residual -g / (h * dt), taken
+    away from a boundary margin of ``margin`` cells.  On interior nodes g is
+    h * dt * (grad W - L u), with L the 5-point Laplacian, so the residual
+    is L u - grad W there.  The energy is also summed by direct 2D trapezoid
+    quadrature; the two must agree to rounding.  One ``energy_1d`` on the x2
+    segment midpoints gives, with the squared L2 segment lengths, the
+    equipartition defect (the max over segments of |x2 kinetic term -
+    effective potential|) and the midpoint K-length of the columns as a
+    path of profiles, which equals the energy at equipartition.
     """
     p, m, _ = u.shape
     h = space.h
-    res = np.zeros_like(u)
-    res[:, 1:-1] += (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h**2
-    res[1:-1] += (u[2:] - 2 * u[1:-1] + u[:-2]) / dt**2
-    res -= space._density_grads(u)
-    inner = res[margin:-margin, margin:-margin]
-    residual_max = float(np.max(np.linalg.norm(inner, axis=2)))
-    residual_l2 = float(np.sqrt(np.sum(inner**2) * h * dt))
-    energy_path = _path_energy(space, u, dt)
+    energy_path, g = _path_energy(space, u, dt, grad=True)
+    inner = g[margin:-margin, margin:-margin] / (-h * dt)
+    inner *= inner
+    residual_max = math.sqrt(float(np.max(np.sum(inner, axis=2))))
+    residual_l2 = math.sqrt(float(np.sum(inner)) * h * dt)
+    # free each field-sized array before the next is made
+    del inner
+    if _projects(space, mode):
+        g = space.symmetrize(g)
+    g[_field_pins(g.shape)] = 0.0
+    gmax = float(np.max(np.abs(g)))
+    del g
     w1 = trapezoid_weights(m, h)
     wt = trapezoid_weights(p, dt)
     d1 = np.diff(u, axis=1) / h
-    d2 = np.diff(u, axis=0) / dt
     kin1 = 0.5 * h * np.sum(wt[:, None, None] * d1 * d1)
+    del d1
+    d2 = np.diff(u, axis=0)
+    # squared L2 segment lengths, reduced as ``GridL2Space.distances`` does
+    flat = d2.reshape(p - 1, -1)
+    seg2 = np.sum(space.ambient().coord_weights * flat * flat, axis=1)
+    del flat
+    d2 /= dt
     kin2 = 0.5 * dt * np.sum(w1[:, None] * d2 * d2)
+    del d2
     dens = space._density_values(u)
     pot = np.sum(wt[:, None] * w1[None, :] * dens) - space.ref_value * np.sum(wt)
+    del dens
     energy_direct = float(kin1 + kin2 + pot)
-    return FieldResiduals(residual_max, residual_l2, energy_direct, energy_path)
+    mids = u[:-1] + u[1:]
+    mids *= 0.5
+    potential = space.effective_potential(mids)
+    del mids
+    equip_defect = float(np.max(np.abs(0.5 * seg2 / dt**2 - potential)))
+    weight = np.sqrt(2.0 * np.maximum(potential, 0.0))
+    k_len = math.inf if np.any(np.isinf(weight)) else float(np.sum(weight * np.sqrt(seg2)))
+    return FieldAudit(energy_path, energy_direct, residual_max, residual_l2, gmax,
+                      equip_defect, k_len, abs(energy_path - k_len))
 
 
 def assemble_and_verify(result: DoubleConnectionResult,
                         margin: int = RESIDUAL_MARGIN) -> DoubleReport:
-    """Residual and limit checks on the assembled field.
+    """The field audit of a solve and its limit gaps.
 
-    The residual and the energy two ways come from ``field_residuals``.
-    Limit gaps compare the end columns against the stored well profiles,
-    shifted by the tracked limits in the asymmetric mode.
+    The residual, energies, free gradient max, x2 defect and K-length come
+    from one ``field_audit``.  Limit gaps compare the end columns against
+    the stored well profiles, shifted by the tracked limits in the
+    asymmetric mode.
     """
     space = result.space
     u = result.u
-    dt = float(np.diff(result.x2)[0])
-    fr = field_residuals(space, u, dt, margin)
-    defect = x2_defect(space, u, dt)
+    audit = field_audit(space, u, float(np.diff(result.x2)[0]), margin, result.mode)
     zm, zp = space.z_minus, space.z_plus
     if result.mode == "asym":
         zm = zm.translate(result.c_minus)
         zp = zp.translate(result.c_plus)
     return DoubleReport(
-        residual_max=fr.residual_max,
-        residual_l2=fr.residual_l2,
-        equip_defect=defect,
-        energy_direct=fr.energy_direct,
-        energy_path=fr.energy_path,
+        **vars(audit),
         x2_gap_minus_l2=float(space.grid_function(u[0]).distance_l2(zm)),
         x2_gap_plus_l2=float(space.grid_function(u[-1]).distance_l2(zp)),
         interior_margin=margin,
@@ -413,7 +407,8 @@ def planar_effective_space(
     vals[0], vals[-1] = space.tail_left, space.tail_right
     z_plus_vals, e_plus = space.relax_profile(vals)
     z_minus_vals = z_plus_vals.copy()
-    z_minus_vals[:, 1] *= -1.0
+    # 0.0 - x, not -x: a zero edge stays +0.0, which the polish's steps keep
+    z_minus_vals[:, 1] = 0.0 - z_plus_vals[:, 1]
     space.ref_value = e_plus
     space.z_plus = space.grid_function(z_plus_vals)
     space.z_minus = space.grid_function(z_minus_vals)
@@ -453,7 +448,8 @@ def sin_example_space(m: int = 257) -> EffectivePotentialSpace:
     z_plus_vals, e_plus = space.relax_profile(np.sin(grid)[:, None])
     space.ref_value = e_plus
     space.z_plus = space.grid_function(z_plus_vals)
-    space.z_minus = space.grid_function(-z_plus_vals)
+    # 0.0 - x, not -x: the zero edges stay +0.0, which the polish's steps keep
+    space.z_minus = space.grid_function(0.0 - z_plus_vals)
     return space
 
 

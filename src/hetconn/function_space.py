@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .metric import GridL2Space, WeightedSpace, interp_columns, trapezoid_weights
+from .metric import GridL2Space, interp_columns, trapezoid_weights
 from .potentials import Potential
 
 
@@ -724,7 +724,11 @@ class EffectivePotentialSpace:
         return self.energy_1d(values) - self.ref_value
 
     def kappa(self, values: np.ndarray) -> np.ndarray:
-        """sqrt of the nonnegative part of the effective potential, shape (k,)."""
+        """sqrt of the nonnegative part of the effective potential, shape (k,).
+
+        sqrt(2) * kappa is the geodesic weight K on profile space; it vanishes
+        exactly on the stored minimal connections.
+        """
         return np.sqrt(np.maximum(self.effective_potential(values), 0.0))
 
     def symmetrize(self, values: np.ndarray) -> np.ndarray:
@@ -740,17 +744,6 @@ class EffectivePotentialSpace:
         out[..., 0] = 0.5 * (v[..., 0] - flipped[..., 0])
         out[..., 1:] = 0.5 * (v[..., 1:] + flipped[..., 1:])
         return out.reshape(values.shape)
-
-    def weighted_space(self) -> WeightedSpace:
-        """The geodesic problem on profiles: weight sqrt(2 max(E - ref, 0)).
-
-        The weight vanishes exactly on the stored minimal connections.
-        """
-
-        def weight(pts):
-            return np.sqrt(2.0 * np.maximum(self.effective_potential(pts), 0.0))
-
-        return WeightedSpace(space=self.ambient(), weight=weight)
 
     def profile_hessp(self, values: np.ndarray):
         """Hessian of ``energy_1d`` at one profile, as a function of a direction (m, n).
@@ -801,7 +794,7 @@ class EffectivePotentialSpace:
                 f"profile relaxation {info.status} after {info.steps} Newton steps: "
                 f"max free gradient {info.gmax:.3g} (tolerance {gtol:g})"
             )
-        return out, float(self.energy_1d(out)[0])
+        return out, info.value
 
 
 # Newton steps of a profile relaxation before it reports max_iters, and the
@@ -937,6 +930,7 @@ class NewtonResult(NamedTuple):
     gmax: float           # max-norm of the free gradient at the returned point
     status: str           # "converged", "max_iters" or "stalled"
     products: int         # CG Hessian-vector products, summed over the steps
+    value: float          # fun at the returned point
 
 
 def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None):
@@ -1044,4 +1038,4 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
         # the step and the product's data can be as large as the iterate;
         # free them before the next step's
         del p, hessp
-    return x, NewtonResult(steps, gmax, status, products)
+    return x, NewtonResult(steps, gmax, status, products, float(e))

@@ -87,11 +87,11 @@ def test_profile_space_weight_batch_contract():
         tail_left=np.array([-1.0]), tail_right=np.array([1.0]),
     )
     eps.ref_value = eps.energy_1d(np.tanh(s))
-    ws = eps.weighted_space()
     rng = np.random.default_rng(3)
     pts = np.tanh(s)[None, :] + 0.2 * rng.standard_normal((4, s.size))
     pts = np.concatenate([pts, np.tanh(s)[None, :]])
-    _assert_weight_contract(ws, pts)
+    # kappa = K / sqrt(2), the geodesic weight on profile space
+    _assert_batch_is_stack_of_singles(eps.kappa, pts, (pts.shape[0],))
 
 
 def test_counterexample_weight_batch_contract():

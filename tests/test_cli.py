@@ -944,7 +944,7 @@ HEADLINE_EDITS = [
     ("connect", ("legs", 0, "equipartition_defect"), 0.5),
     *[("double", (key,), 0.5) for key in ("energy", "energy_direct", "energy_path",
                                           "residual_max", "residual_l2", "equip_defect",
-                                          "polish_gmax")],
+                                          "polish_gmax", "k_length", "reduction_gap")],
 ]
 
 

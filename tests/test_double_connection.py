@@ -25,13 +25,21 @@ from hetconn.double_connection import (
     _PathEnergyHessian,
     _polish_field,
     _seed_field,
+    field_audit,
     planar_effective_space,
-    x2_defect,
 )
 from hetconn.function_space import pinned_newton_cg, poisson_preconditioner, truncated_cg
-from hetconn.metric import trapezoid_weights
+from hetconn.metric import SampledCurve, WeightedSpace, k_length, trapezoid_weights
 
 SMALL = DoubleOptions(n_out=33, t_max=4.0)
+MODES = ("sym", "asym")
+
+
+@pytest.fixture(scope="module")
+def small_solves(planar_space):
+    """Small planar solves, one per mode."""
+    return {"sym": solve_symmetric(planar_space, SMALL),
+            "asym": solve_asymmetric(planar_space, SMALL)}
 
 
 def test_planar_space_carries_mirror_profiles(planar_space):
@@ -47,11 +55,10 @@ def test_planar_space_carries_mirror_profiles(planar_space):
 
 
 def test_planar_weight_vanishes_only_on_the_profiles(planar_space):
-    ws = planar_space.weighted_space()
-    assert ws.weight_at(planar_space.z_plus.values.ravel())[0] == 0.0
+    assert planar_space.kappa(planar_space.z_plus.values)[0] == 0.0
     shoved = planar_space.z_plus.values.copy()
     shoved[:, 1] += 0.3 * np.exp(-planar_space.grid**2)
-    assert ws.weight_at(shoved.ravel())[0] > 1e-2
+    assert planar_space.kappa(shoved)[0] > 1e-2
 
 
 def test_symmetric_solve_small(planar_space):
@@ -67,7 +74,7 @@ def test_symmetric_solve_small(planar_space):
     assert result.c_minus == 0.0 and result.c_plus == 0.0
     assert result.diagnostics["polish_status"] == "converged"
     # at equipartition the excess action matches the weighted path length
-    assert result.energy == pytest.approx(result.diagnostics["k_length"], rel=5e-2)
+    assert result.energy == pytest.approx(assemble_and_verify(result).k_length, rel=5e-2)
     assert result.energy > 0.0
 
 
@@ -335,7 +342,8 @@ def test_path_energy_grad_matches_central_differences(field_space):
         assert float(np.sum(g * d)) == pytest.approx(fd, rel=1e-6)
 
 
-def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
+def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch, planar_space,
+                                                          small_solves):
     space = sin_example_space(m=33)
     u = _noisy_blend(space)
     calls = []
@@ -350,24 +358,95 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch):
     _path_energy(space, u, 0.1, grad=True)
     assert len(calls) == 1 and np.shares_memory(calls[0], u)
     calls.clear()
-    # the segment midpoints, a C-ordered stack of their own
-    x2_defect(space, u, 0.1)
-    assert len(calls) == 1
-    assert calls[0].shape == (u.shape[0] - 1,) + u.shape[1:] and calls[0].flags.c_contiguous
-    calls.clear()
     k = u.shape[0]
     nodes = u.reshape(k, -1)
     assert np.shares_memory(nodes, u)
-    wspace = space.weighted_space()
-    weights = wspace.weight_at(nodes)
+    weights = space.kappa(nodes)
     assert weights.shape == (k,)
     assert len(calls) == 1 and np.shares_memory(calls[0], u)
-    # a solve returns its field as that stack, the wells its end columns
+    # a solve returns its field as that stack, the wells its end columns bit
+    # for bit, the sign of every zero included
     result = solve_symmetric(space, DoubleOptions(n_out=17, t_max=3.0))
     assert result.u.shape == (17, space.m, 1) and result.u.flags.c_contiguous
-    # equal values; the Newton steps turn the well's pinned -0.0 into +0.0
-    assert np.array_equal(result.u[0], space.z_minus.values)
-    assert np.array_equal(result.u[-1], space.z_plus.values)
+    fields = [(result.u, space)] + [(small_solves[mode].u, planar_space) for mode in MODES]
+    for field, wells in fields:
+        assert field[0].tobytes() == wells.z_minus.values.tobytes()
+        assert field[-1].tobytes() == wells.z_plus.values.tobytes()
+
+
+def _five_point_residual(space, u, dt, margin):
+    """The strong-form residual by its stencil: the 5-point Laplacian minus
+    the density gradient, away from a margin of ``margin`` cells."""
+    h = space.h
+    res = np.zeros_like(u)
+    res[:, 1:-1] += (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h**2
+    res[1:-1] += (u[2:] - 2 * u[1:-1] + u[:-2]) / dt**2
+    res -= space._density_grads(u)
+    return res[margin:-margin, margin:-margin]
+
+
+def test_the_audit_residual_is_the_five_point_residual(field_space):
+    space = field_space
+    u = _noisy_blend(space, p=17, seed=5)
+    dt, margin = 0.1, 2
+    h = space.h
+    audit = field_audit(space, u, dt, margin, "asym")
+    # the free gradient over its trapezoid weights h * dt
+    res = _path_energy(space, u, dt, grad=True)[1][margin:-margin, margin:-margin] / (-h * dt)
+    assert audit.residual_max == pytest.approx(np.max(np.linalg.norm(res, axis=2)), rel=1e-15)
+    assert audit.residual_l2 == pytest.approx(np.sqrt(np.sum(res**2) * h * dt), rel=1e-15)
+    oracle = _five_point_residual(space, u, dt, margin)
+    bound = 8 * np.finfo(float).eps * np.max(np.abs(u)) * (4 / h**2 + 4 / dt**2)
+    assert np.max(np.abs(res - oracle)) <= bound
+    # the noise keeps the residual far above the bound
+    assert np.max(np.abs(oracle)) > 1e6 * bound
+
+
+def test_one_audit_reads_the_field_and_its_midpoints_once(monkeypatch):
+    space = sin_example_space(m=33)
+    u = _noisy_blend(space)
+    seen = {name: [] for name in ("energy_1d", "energy_1d_grad", "_density_values",
+                                  "_density_grads")}
+
+    def counting(name):
+        kernel = getattr(EffectivePotentialSpace, name)
+
+        def counted(self, values):
+            seen[name].append(values)
+            return kernel(self, values)
+        return counted
+
+    for name in seen:
+        monkeypatch.setattr(EffectivePotentialSpace, name, counting(name))
+    field_audit(space, u, 0.1, 2, "sym")
+    # the field's energy and gradient, the direct density sum and the midpoints
+    assert [len(seen[name]) for name in seen] == [2, 1, 3, 1]
+    field, mids = seen["energy_1d"]
+    assert np.shares_memory(field, u) and np.shares_memory(seen["energy_1d_grad"][0], u)
+    # the segment midpoints, a C-ordered stack of their own
+    assert mids.shape == (u.shape[0] - 1,) + u.shape[1:] and mids.flags.c_contiguous
+    assert not np.shares_memory(mids, u)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_audit_recomputes_the_solve_bit_for_bit(planar_space, small_solves, mode):
+    result = small_solves[mode]
+    u, dt = result.u, float(result.x2[1] - result.x2[0])
+    report = assemble_and_verify(result)
+    # the polish's free gradient max and last energy
+    assert report.gmax == result.diagnostics["polish_gmax"]
+    assert report.energy_path == result.energy
+    # the midpoint K-length of the columns as a profile path, K = sqrt(2 W)
+    wspace = WeightedSpace(space=planar_space.ambient(), weight=lambda pts: np.sqrt(
+        2.0 * np.maximum(planar_space.effective_potential(pts), 0.0)))
+    columns = SampledCurve(times=result.x2, nodes=u.reshape(u.shape[0], -1))
+    assert report.k_length == k_length(columns, wspace, rule="midpoint")
+    assert report.reduction_gap == abs(result.energy - report.k_length)
+    # the x2 kinetic term against the effective potential, segment by segment
+    w1 = trapezoid_weights(u.shape[1], planar_space.h)[:, None]
+    kinetic = 0.5 * np.sum(w1 * (np.diff(u, axis=0) / dt) ** 2, axis=(1, 2))
+    defect = np.abs(kinetic - planar_space.effective_potential(0.5 * (u[:-1] + u[1:])))
+    assert report.equip_defect == pytest.approx(np.max(defect), abs=1e-13 * np.max(kinetic))
 
 
 # ---------------------------------------------------------------------------

@@ -628,18 +628,16 @@ def test_symmetrize_needs_symmetric_grid():
         )
 
 
-def test_weighted_space_vanishes_on_stored_connections():
+def test_kappa_vanishes_on_stored_connections():
     eps = dw_space()
     z, _ = eps.relax_profile(np.tanh(S)[:, None], gtol=1e-12)
     gf = eps.grid_function(z)
     eps.z_minus = gf
     eps.z_plus = gf.with_values(-gf.values)
     eps.ref_value = eps.energy_1d(z)
-    ws = eps.weighted_space()
-    assert ws.weight_at(eps.z_minus.values.ravel())[0] == 0.0
-    assert ws.weight_at(eps.z_plus.values.ravel())[0] == 0.0
+    assert eps.kappa(eps.z_minus.values)[0] == 0.0
+    assert eps.kappa(eps.z_plus.values)[0] == 0.0
     shoved = z.ravel() + 0.3 * np.abs(np.sin(S))
-    assert ws.weight_at(shoved)[0] > 0.1
-    assert ws.weight_at(shoved)[0] == pytest.approx(
-        math.sqrt(2.0) * eps.kappa(shoved), rel=1e-14
-    )
+    # off them the weight K = sqrt(2) kappa = sqrt(2 W) is positive
+    assert eps.kappa(shoved)[0] == math.sqrt(eps.effective_potential(shoved)[0])
+    assert math.sqrt(2.0) * eps.kappa(shoved)[0] > 0.1
