@@ -3,8 +3,8 @@
     python3 scripts/compare_runs.py DIR_A DIR_B
 
 Compares the manifest sections ``results``, ``tolerances``, ``config`` and
-``warnings`` and the artifact sha256 checksums; ``runtime_seconds`` and the
-library versions are not compared.  Every value is compared by its JSON
+``warnings`` and the artifact sha256 checksums; ``runtime_seconds``,
+``profile`` and the library versions are not compared.  Every value is compared by its JSON
 text, so floats must agree bit for bit and NaN equals NaN.  Prints one line
 per difference and exits 1 if there is any, 0 otherwise.  When two numbers
 differ, the line also gives their relative difference.  Every artifact is

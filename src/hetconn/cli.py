@@ -30,16 +30,23 @@ its tolerance, or a broken counterexample invariant.  A run writes its
 artifacts and manifest before it exits 5, and ``verify`` gates the same
 checks, recomputed from the artifacts; a counterexample ``verify`` also
 requires every recomputed candidate length and box bracket bit for bit.
+Every manifest also carries the command's ``profile`` (CPU seconds, minor
+page faults, the process's peak RSS), which ``verify`` does not read.  The
+first ``main`` of a process sets glibc's malloc thresholds so that freed
+arrays stay in the heap (``_keep_freed_heap``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -50,7 +57,6 @@ from .counterexample import CounterexampleWeight, nonexistence_report
 from .double_connection import (
     POLISH_GTOL,
     RESIDUAL_MARGIN,
-    DoubleConnectionResult,
     DoubleOptions,
     FieldAudit,
     assemble_and_verify,
@@ -90,6 +96,31 @@ EXIT_EQUIPARTITION = 5
 # configs and run manifests carry separate schema versions
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 4
+
+# glibc's mallopt parameters (malloc.h) and the values ``main`` sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep the heap pages that freed arrays leave, once per process.
+
+    glibc's malloc then serves every block under 32 MiB from the heap and
+    returns the heap's free top to the operating system only past 1 GiB,
+    so a numpy kernel's temporaries reuse the pages the previous kernel
+    freed instead of faulting in fresh zeroed ones.  The cost is a peak RSS that holds the
+    first command's heap high-water mark.  Where the C library has no
+    ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 class ConfigError(ValueError):
@@ -222,13 +253,27 @@ def _versions() -> dict:
     }
 
 
-def _finish_manifest(out_dir, manifest, columns, t_start) -> None:
-    """Record the tables' ``columns`` and checksums and the runtime, then write the manifest."""
+def _usage() -> tuple:
+    """(wall clock, CPU seconds, minor page faults) of this process so far."""
+    return time.time(), time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _finish_manifest(out_dir, manifest, columns, start) -> None:
+    """Record the tables' ``columns`` and checksums, the runtime and the
+    ``profile`` of the command since ``start`` (a ``_usage()``), then write
+    the manifest."""
     manifest["columns"] = columns
     manifest["artifacts"] = {
         name: _sha256(os.path.join(out_dir, name)) for name in columns
     }
+    t_start, cpu_start, faults_start = start
     manifest["runtime_seconds"] = time.time() - t_start
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    manifest["profile"] = {
+        "cpu_seconds": time.process_time() - cpu_start,
+        "minor_faults": usage.ru_minflt - faults_start,
+        "max_rss_kib": usage.ru_maxrss,
+    }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
               newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -342,7 +387,7 @@ def _audit_results(audits) -> dict:
 
 
 def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
-    t_start = time.time()
+    start = _usage()
     p = _build_potential(_require(cfg, "potential"))
     dims = 1 if p.dim == 1 else 2
     _known_keys(cfg, CONNECT_KEYS[dims], f"dimension-{p.dim} connect config")
@@ -414,7 +459,7 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         },
         "warnings": warnings,
     }
-    _finish_manifest(out_dir, manifest, columns, t_start)
+    _finish_manifest(out_dir, manifest, columns, start)
     if verbose:
         print(f"wrote {out_dir}: {len(legs)} leg(s), action {action:.9g}, defect {defect:.3g}")
     if not _within([("equipartition defect", defect, defect_tol)], verbose):
@@ -456,7 +501,7 @@ def _double_shell(cfg: dict, grid: np.ndarray):
 
 
 def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
-    t_start = time.time()
+    start = _usage()
     example = _require(cfg, "example")
     if not isinstance(example, str) or example not in DOUBLE_KEYS:
         raise ConfigError(f"unknown double example {example!r}")
@@ -526,7 +571,7 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "polish_gtol": POLISH_GTOL,
     }
     if mode == "asym":
-        speed = audit_translation_speed(result)
+        speed = audit_translation_speed(result.m_track, report)
         results["m_total_variation"] = result.diagnostics["m_total_variation"]
         results["translation_speed_c_fit"] = speed.c_fit
         results["translation_speed_max_ratio"] = speed.max_ratio
@@ -543,7 +588,7 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "results": results,
         "warnings": [],
     }
-    _finish_manifest(out_dir, manifest, columns, t_start)
+    _finish_manifest(out_dir, manifest, columns, start)
     if verbose:
         print(f"wrote {out_dir}: energy {result.energy:.9g}, "
               f"residual {report.residual_max:.3g}")
@@ -641,7 +686,7 @@ def _all_pass(checks: dict, verbose: bool) -> bool:
 
 
 def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
-    t_start = time.time()
+    start = _usage()
     w, radii, n_max = _counterexample_setup(cfg)
     report = nonexistence_report(w, radii=radii, n_candidates=n_max)
     os.makedirs(out_dir, exist_ok=True)
@@ -674,7 +719,7 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
             "construction tolerates this and the report notes it"
         ],
     }
-    _finish_manifest(out_dir, manifest, columns, t_start)
+    _finish_manifest(out_dir, manifest, columns, start)
     if verbose:
         print(f"wrote {out_dir}: final candidate "
               f"{report.candidate_lengths[-1]:.6g} vs infimum {report.infimum:g}")
@@ -753,7 +798,7 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     meet the run's tolerances.  An asym run's
     ``m_track.npy`` must hold the field's x2; ``c_minus``, ``c_plus`` and
     ``m_total_variation`` are recomputed from its shifts, and the
-    ``translation_speed_*`` audit from them and the field.  The shift scan
+    ``translation_speed_*`` audit from them and the field audit.  The shift scan
     itself is not re-run.
     """
     x1, x2, u = _read_field(tables[FIELD])
@@ -781,9 +826,7 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
             return EXIT_EQUIPARTITION
         m_track = track[:, 1]
         c_minus, c_plus, variation = shift_track_summary(m_track)
-        speed = audit_translation_speed(DoubleConnectionResult(
-            space=space, mode="asym", u=u, x1=x1, x2=x2, energy=audit.energy_path,
-            c_minus=c_minus, c_plus=c_plus, m_track=m_track, diagnostics={}))
+        speed = audit_translation_speed(m_track, audit)
         recomputed.update(c_minus=c_minus, c_plus=c_plus, m_total_variation=variation,
                           translation_speed_c_fit=speed.c_fit,
                           translation_speed_max_ratio=speed.max_ratio)
@@ -869,6 +912,7 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="hetconn",
         description="minimal-action connections in weighted metric spaces",

@@ -259,20 +259,20 @@ class TranslationSpeedAudit(NamedTuple):
     n_used: int
 
 
-def audit_translation_speed(result: DoubleConnectionResult) -> TranslationSpeedAudit:
-    """Fit |dm per step| <= C * kappa(column) * L2 step on the tracked shifts.
+def audit_translation_speed(m_track: np.ndarray | None,
+                            audit: FieldAudit) -> TranslationSpeedAudit:
+    """Fit |dm per step| <= C * kappa * L2 step along a tracked shift track.
 
+    kappa, the root of the nonnegative part of the x2 midpoint effective
+    potential, and the step lengths come from the field's ``field_audit``.
     C comes from a least-squares fit through the origin over steps whose
     budget kappa * step clears a floor (``SPEED_FLOOR_FRAC`` of the largest
     budget); the max ratio over those steps is reported alongside.
     """
-    if result.m_track is None:
+    if m_track is None:
         raise ValueError("no shift track; run the asymmetric solver")
-    space = result.space
-    u = result.u
-    dm = np.abs(np.diff(result.m_track))
-    dist = space.l2_norms(u[1:] - u[:-1])
-    budget = space.kappa(0.5 * (u[:-1] + u[1:])) * dist
+    dm = np.abs(np.diff(m_track))
+    budget = np.sqrt(np.maximum(audit.mid_potential, 0.0)) * np.sqrt(audit.step2)
     floor = SPEED_FLOOR_FRAC * max(float(np.max(budget)), 1e-300)
     used = budget > floor
     if not np.any(used):
@@ -292,6 +292,8 @@ class FieldAudit:
     equip_defect: float
     k_length: float
     reduction_gap: float
+    mid_potential: np.ndarray   # (P-1,): effective potential at the x2 midpoints
+    step2: np.ndarray           # (P-1,): squared L2 lengths of the x2 steps
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,9 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int, mode: str) -> Fiel
     segment midpoints gives, with the squared L2 segment lengths, the
     equipartition defect (the max over segments of |x2 kinetic term -
     effective potential|) and the midpoint K-length of the columns as a
-    path of profiles, which equals the energy at equipartition.
+    path of profiles, which equals the energy at equipartition.  The audit
+    keeps that midpoint potential and the squared lengths for
+    ``audit_translation_speed``.
     """
     p, m, _ = u.shape
     h = space.h
@@ -339,7 +343,7 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int, mode: str) -> Fiel
     d2 = np.diff(u, axis=0)
     # squared L2 segment lengths, reduced as ``GridL2Space.distances`` does
     flat = d2.reshape(p - 1, -1)
-    seg2 = np.sum(space.ambient().coord_weights * flat * flat, axis=1)
+    step2 = np.sum(space.ambient().coord_weights * flat * flat, axis=1)
     del flat
     d2 /= dt
     kin2 = 0.5 * dt * np.sum(w1[:, None] * d2 * d2)
@@ -352,11 +356,11 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int, mode: str) -> Fiel
     mids *= 0.5
     potential = space.effective_potential(mids)
     del mids
-    equip_defect = float(np.max(np.abs(0.5 * seg2 / dt**2 - potential)))
+    equip_defect = float(np.max(np.abs(0.5 * step2 / dt**2 - potential)))
     weight = np.sqrt(2.0 * np.maximum(potential, 0.0))
-    k_len = math.inf if np.any(np.isinf(weight)) else float(np.sum(weight * np.sqrt(seg2)))
+    k_len = math.inf if np.any(np.isinf(weight)) else float(np.sum(weight * np.sqrt(step2)))
     return FieldAudit(energy_path, energy_direct, residual_max, residual_l2, gmax,
-                      equip_defect, k_len, abs(energy_path - k_len))
+                      equip_defect, k_len, abs(energy_path - k_len), potential, step2)
 
 
 def assemble_and_verify(result: DoubleConnectionResult,

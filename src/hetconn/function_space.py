@@ -723,14 +723,6 @@ class EffectivePotentialSpace:
         """1D action minus the reference distance (zero on minimal connections), shape (k,)."""
         return self.energy_1d(values) - self.ref_value
 
-    def kappa(self, values: np.ndarray) -> np.ndarray:
-        """sqrt of the nonnegative part of the effective potential, shape (k,).
-
-        sqrt(2) * kappa is the geodesic weight K on profile space; it vanishes
-        exactly on the stored minimal connections.
-        """
-        return np.sqrt(np.maximum(self.effective_potential(values), 0.0))
-
     def symmetrize(self, values: np.ndarray) -> np.ndarray:
         """Project onto the odd-first-component subspace (exact reflection).
 

@@ -279,8 +279,8 @@ def test_criterion_7_quotient_translation_speed(planar_space):
     opts12 = DoubleOptions(n_out=129, t_max=12.0)
     res6 = solve_asymmetric(planar_space, opts6)
     res12 = solve_asymmetric(planar_space, opts12)
-    a6 = audit_translation_speed(res6)
-    a12 = audit_translation_speed(res12)
+    a6 = audit_translation_speed(res6.m_track, assemble_and_verify(res6))
+    a12 = audit_translation_speed(res12.m_track, assemble_and_verify(res12))
 
     limits = [res6.c_minus, res6.c_plus, res12.c_minus, res12.c_plus]
     limits_ok = max(abs(c) for c in limits) < 1e-2

@@ -90,8 +90,9 @@ def test_profile_space_weight_batch_contract():
     rng = np.random.default_rng(3)
     pts = np.tanh(s)[None, :] + 0.2 * rng.standard_normal((4, s.size))
     pts = np.concatenate([pts, np.tanh(s)[None, :]])
-    # kappa = K / sqrt(2), the geodesic weight on profile space
-    _assert_batch_is_stack_of_singles(eps.kappa, pts, (pts.shape[0],))
+    # the effective potential, whose sqrt(2 max(., 0)) is the geodesic weight
+    # on profile space
+    _assert_batch_is_stack_of_singles(eps.effective_potential, pts, (pts.shape[0],))
 
 
 def test_counterexample_weight_batch_contract():

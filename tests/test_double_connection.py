@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -55,10 +56,14 @@ def test_planar_space_carries_mirror_profiles(planar_space):
 
 
 def test_planar_weight_vanishes_only_on_the_profiles(planar_space):
-    assert planar_space.kappa(planar_space.z_plus.values)[0] == 0.0
+    def weight(values):
+        # the geodesic weight K = sqrt(2 max(effective potential, 0)) on profile space
+        return math.sqrt(2.0 * max(planar_space.effective_potential(values)[0], 0.0))
+
+    assert weight(planar_space.z_plus.values) == 0.0
     shoved = planar_space.z_plus.values.copy()
     shoved[:, 1] += 0.3 * np.exp(-planar_space.grid**2)
-    assert planar_space.kappa(shoved)[0] > 1e-2
+    assert weight(shoved) > math.sqrt(2.0) * 1e-2
 
 
 def test_symmetric_solve_small(planar_space):
@@ -102,7 +107,7 @@ def test_asymmetric_solve_tracks_shifts(planar_space):
     assert abs(result.c_minus) < 0.1
     assert abs(result.c_plus) < 0.1
     assert result.diagnostics["m_total_variation"] < 1.0
-    audit = audit_translation_speed(result)
+    audit = audit_translation_speed(result.m_track, assemble_and_verify(result))
     assert audit.c_fit >= 0.0
     assert np.isfinite(audit.max_ratio)
 
@@ -175,7 +180,7 @@ def test_planar_wells_are_discrete_minimizers(planar_space):
 def test_speed_audit_rejects_symmetric_runs(planar_space):
     result = solve_symmetric(planar_space, SMALL)
     with pytest.raises(ValueError):
-        audit_translation_speed(result)
+        audit_translation_speed(result.m_track, assemble_and_verify(result))
 
 
 def test_sin_space_wells_are_sines():
@@ -361,8 +366,8 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch, planar_s
     k = u.shape[0]
     nodes = u.reshape(k, -1)
     assert np.shares_memory(nodes, u)
-    weights = space.kappa(nodes)
-    assert weights.shape == (k,)
+    potentials = space.effective_potential(nodes)
+    assert potentials.shape == (k,)
     assert len(calls) == 1 and np.shares_memory(calls[0], u)
     # a solve returns its field as that stack, the wells its end columns bit
     # for bit, the sign of every zero included

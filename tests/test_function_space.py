@@ -628,16 +628,15 @@ def test_symmetrize_needs_symmetric_grid():
         )
 
 
-def test_kappa_vanishes_on_stored_connections():
+def test_effective_potential_vanishes_on_stored_connections():
     eps = dw_space()
     z, _ = eps.relax_profile(np.tanh(S)[:, None], gtol=1e-12)
     gf = eps.grid_function(z)
     eps.z_minus = gf
     eps.z_plus = gf.with_values(-gf.values)
     eps.ref_value = eps.energy_1d(z)
-    assert eps.kappa(eps.z_minus.values)[0] == 0.0
-    assert eps.kappa(eps.z_plus.values)[0] == 0.0
+    assert eps.effective_potential(eps.z_minus.values)[0] == 0.0
+    assert eps.effective_potential(eps.z_plus.values)[0] == 0.0
     shoved = z.ravel() + 0.3 * np.abs(np.sin(S))
-    # off them the weight K = sqrt(2) kappa = sqrt(2 W) is positive
-    assert eps.kappa(shoved)[0] == math.sqrt(eps.effective_potential(shoved)[0])
-    assert math.sqrt(2.0) * eps.kappa(shoved)[0] > 0.1
+    # off them the weight K = sqrt(2 W) is positive
+    assert math.sqrt(2.0 * eps.effective_potential(shoved)[0]) > 0.1
