@@ -26,7 +26,8 @@ connect run's equipartition defect over its tolerance or a recomputed
 connect number or table not matching the recorded one, a double run's
 reference action not matching the recorded one, a double run whose x2
 equipartition defect, Newton-CG gradient, residual or energy two ways missed
-its tolerance, or a broken counterexample invariant.  A run writes its
+its tolerance or whose field, solved on half its x2 window, is not odd in x2
+bit for bit, or a broken counterexample invariant.  A run writes its
 artifacts and manifest before it exits 5, and ``verify`` gates the same
 checks, recomputed from the artifacts; a counterexample ``verify`` also
 requires every recomputed candidate length and box bracket bit for bit.
@@ -557,6 +558,7 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "k_length": report.k_length,
         "reduction_gap": report.reduction_gap,
         "solver_status": result.diagnostics["polish_status"],
+        "polish_columns": result.diagnostics["polish_columns"],
         "polish_steps": result.diagnostics["polish_steps"],
         "polish_gmax": result.diagnostics["polish_gmax"],
         "polish_status": result.diagnostics["polish_status"],
@@ -795,7 +797,9 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     minus grad W), the energy two ways, the free gradient max, the x2
     defect, ``k_length`` and ``reduction_gap``.  Each must equal the
     recorded one bit for bit (``energy`` is the path energy), and they must
-    meet the run's tolerances.  An asym run's
+    meet the run's tolerances.  A run whose ``polish_columns`` is below the
+    field's x2 node count solved half its x2 window and mirrored it, so its
+    field must be odd in x2 bit for bit.  An asym run's
     ``m_track.npy`` must hold the field's x2; ``c_minus``, ``c_plus`` and
     ``m_total_variation`` are recomputed from its shifts, and the
     ``translation_speed_*`` audit from them and the field audit.  The shift scan
@@ -830,8 +834,17 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
         recomputed.update(c_minus=c_minus, c_plus=c_plus, m_total_variation=variation,
                           translation_speed_c_fit=speed.c_fit,
                           translation_speed_max_ratio=speed.max_ratio)
-    exact = _within([(f"|recomputed - recorded {key}|", abs(value - results[key]), 0.0)
-                     for key, value in recomputed.items()], verbose)
+    gates = [(f"|recomputed - recorded {key}|", abs(value - results[key]), 0.0)
+             for key, value in recomputed.items()]
+    # a manifest without the key predates half-window solves
+    columns = results.get("polish_columns", u.shape[0])
+    if isinstance(columns, bool) or not isinstance(columns, int):
+        raise ValueError(f"results.polish_columns must be an integer, got {columns!r}")
+    if columns < u.shape[0]:
+        # a field solved on half its x2 window must be its own odd mirror
+        gates.append(("max |u(x1, -x2) + u(x1, x2)| of a half-window solve",
+                      float(np.max(np.abs(u[::-1] + u))), 0.0))
+    exact = _within(gates, verbose)
     if not (_double_within_tolerance(audit, results["polish_status"], tolerances, verbose)
             and exact):
         return EXIT_EQUIPARTITION
@@ -911,8 +924,9 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    _keep_freed_heap()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hetconn",
         description="minimal-action connections in weighted metric spaces",
@@ -931,7 +945,12 @@ def main(argv=None) -> int:
     verify = sub.add_parser("verify", parents=[common],
                             help="re-check a run directory")
     verify.add_argument("run_dir", nargs="?", help="run directory to verify")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    _keep_freed_heap()
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             run_dir = args.run_dir or args.out

@@ -7,10 +7,13 @@ u(x1, x2) = path(x2)(x1) that solves the Euler-Lagrange system of the summed
 energy.  The solve seeds the field with the closed-form blend
 (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, on the x2 window
 [-t_max, t_max], and minimizes the discrete 2D energy of the field by a
-pinned Newton-CG.  The symmetric solver (``mode`` "sym") keeps
-the first component odd in x1 by projection where the fixture has that
-symmetry; the asymmetric one ("asym") works in the quotient by
-x1-translations of whole-line profiles and tracks the per-column shift.
+pinned Newton-CG.  Where the wells are exact negatives of each other and
+the x2 grid has a centre column (the sine fixture), the Newton-CG solves
+only x2 >= 0 and the field is mirrored odd in x2.  The symmetric solver
+(``mode`` "sym") keeps the first component odd in x1 by projection where
+the fixture has that symmetry; the asymmetric one ("asym") works in the
+quotient by x1-translations of whole-line profiles and tracks the
+per-column shift.
 After the polish one ``field_audit`` evaluates the field, for the run and
 for ``hetconn verify`` alike: its residual is the free gradient over its
 trapezoid weights, on interior nodes the 5-point Laplacian minus grad W.
@@ -63,7 +66,7 @@ class DoubleConnectionResult:
     u: np.ndarray            # (P, M, n): the x2 columns, a C-ordered profile stack
     x1: np.ndarray           # (M,)
     x2: np.ndarray           # (P,)
-    energy: float
+    energy: float            # the path energy of u
     c_minus: float
     c_plus: float
     m_track: np.ndarray | None
@@ -190,6 +193,21 @@ def shift_track_summary(m_track: np.ndarray) -> tuple[float, float, float]:
 
 
 def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
+    """Seed, polish and, in mode "asym", shift-track the field of a double solve.
+
+    When the x2 grid has a centre column (``n_out`` odd) and the wells are
+    exact negatives, z- = 0.0 - z+ bit for bit, the Newton-CG polishes only
+    the columns from the centre on, with the centre column zero and pinned
+    as their first; the field is then that half and its odd mirror,
+    u(x1, -x2) = -u(x1, x2) bit for bit.  Where the density is even in u,
+    as the sine fixture's is, this is the whole window's minimizer: the
+    mirrored gradient entries are exact negations and the centre column's
+    are zero.  The field audit's free gradient covers the centre column, so
+    a density that is not even would show there.  Every other input
+    polishes all ``n_out`` columns.  The
+    result's ``energy`` is the path energy of the whole field, and
+    ``diagnostics["polish_columns"]`` the number of columns polished.
+    """
     if space.z_minus is None or space.z_plus is None:
         raise ValueError("the effective space carries no well profiles")
     gap = space.z_minus.distance_l2(space.z_plus)
@@ -198,9 +216,22 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     symmetrize = _projects(space, mode)
     u, x2 = _seed_field(space, opts, symmetrize)
     dt = float(np.diff(x2)[0])
+    p = u.shape[0]
+    odd = p % 2 == 1 and np.array_equal(space.z_minus.values, 0.0 - space.z_plus.values)
+    if odd:
+        # x2 >= 0 only, from a zero centre column pinned as the first
+        u = u[p // 2:]
+        u[0] = 0.0
     u, polish = _polish_field(space, u, dt, symmetrize, POLISH_GTOL)
+    columns = u.shape[0]
+    energy = polish.value
+    if odd:
+        u = np.concatenate([0.0 - u[:0:-1], u])
+        # the half's energy doubled is the field's only up to rounding
+        energy = _path_energy(space, u, dt)
     diagnostics = {
         "window": opts.t_max,
+        "polish_columns": columns,
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
         "polish_cg_products": polish.products,
@@ -221,7 +252,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         u=u,
         x1=space.grid.copy(),
         x2=x2,
-        energy=polish.value,
+        energy=energy,
         c_minus=c_minus,
         c_plus=c_plus,
         m_track=m_track,
@@ -235,7 +266,9 @@ def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None =
     Pipeline: the tanh blend of the wells on the x2 window [-t_max, t_max]
     (``_seed_field``), projected to odd first components, and a pinned
     Newton-CG minimization of the discrete 2D energy with the end columns
-    and x1 edges fixed and the projection applied to every step.
+    and x1 edges fixed and the projection applied to every step.  A field
+    whose wells are exact negatives (the sine fixture) is polished on
+    x2 >= 0 only and mirrored odd in x2 (see ``_solve_common``).
     """
     return _solve_common(space, opts or DoubleOptions(), "sym")
 

@@ -1110,6 +1110,102 @@ def test_double_sin_run_and_verify(tmp_path):
     assert main(["verify", out]) == 0
 
 
+def _shipped_config(name):
+    return _load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+
+
+# each double run and whether it is polished on half its x2 window: only a
+# field with wells z- = -z+ on an odd x2 grid, the sine fixture's, is
+HALF_WINDOW_RUNS = {
+    "sin": (SIN_CFG, True),
+    "sin_even_n_out": (dict(SIN_CFG, opts={"n_out": 16, "t_max": 3.0}), False),
+    "planar_sym": (PLANAR_CFG, False),
+    "planar_asym": (dict(PLANAR_CFG, mode="asym"), False),
+    "shipped_planar_sym": ("planar_sym", False),
+    "shipped_planar_asym": ("planar_asym", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_WINDOW_RUNS))
+def test_only_an_odd_sin_field_is_polished_on_half_its_x2_window(tmp_path, monkeypatch,
+                                                                 name):
+    cfg, half = HALF_WINDOW_RUNS[name]
+    if isinstance(cfg, str):
+        cfg = _shipped_config(cfg)
+    polish = hetconn.double_connection._polish_field
+    columns = []
+
+    def counted(space, u0, *args):
+        columns.append(u0.shape[0])
+        return polish(space, u0, *args)
+
+    monkeypatch.setattr(hetconn.double_connection, "_polish_field", counted)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    p = cfg["opts"]["n_out"]
+    expected = p // 2 + 1 if half else p
+    assert columns == [expected]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["results"]["polish_columns"] == expected
+    assert main(["verify", str(out)]) == 0
+
+
+def _set_polish_columns(run_dir, value):
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["results"]["polish_columns"] = value
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def test_verify_checks_the_x2_reflection_that_a_half_window_run_claims(tmp_path, capsys):
+    # planar's field is (u1, -u2) at -x2, not odd in x2: a full-window run
+    # passes, the same field claimed as a half-window solve fails
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    _set_polish_columns(out, 17)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert "of a half-window solve" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_half_window_field_that_is_not_odd(tmp_path, capsys):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--verbose", str(out)]) == 0
+    assert "max |u(x1, -x2) + u(x1, x2)| of a half-window solve 0 " in capsys.readouterr().out
+    # one interior node and its mirror moved the same way
+    _nudge_field(out, (8, 3), 1e-9)
+    _nudge_field(out, (8, -4), 1e-9)
+    assert main(["verify", str(out)]) == 5
+    assert "of a half-window solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["9", 9.0, True, None])
+def test_verify_rejects_a_polish_columns_that_is_not_an_integer(tmp_path, capsys, value):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
+    _set_polish_columns(out, value)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert "polish_columns must be an integer" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys):
+    hetconn.cli._parser.cache_clear()
+    missing = str(tmp_path / "missing")
+    assert main(["verify", missing]) == main(["verify", "--out", missing]) == 4
+    info = hetconn.cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # a usage error still exits 2, from the same parser
+    for argv in (["frobnicate"], ["double", "--bogus"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert hetconn.cli._parser.cache_info().misses == 1
+
+
 def test_a_double_run_and_its_verify_leave_scipy_linalg_and_fft_out(tmp_path):
     # each of the two costs about 0.3 s of import on every CLI call
     src = Path(__file__).resolve().parent.parent / "src"

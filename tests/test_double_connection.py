@@ -787,3 +787,35 @@ def test_a_small_double_solve_leaves_scipy_fft_out():
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+# ---------------------------------------------------------------------------
+# the half-window solve of a field odd in x2
+
+
+def test_the_shipped_sin_field_is_odd_in_x2_bit_for_bit():
+    cfg = _shipped_config("sin_example")
+    result = solve_symmetric(sin_example_space(m=cfg["m"]), DoubleOptions(**cfg["opts"]))
+    u = result.u
+    p = u.shape[0]
+    assert result.diagnostics["polish_columns"] == p // 2 + 1 == 129
+    assert np.array_equal(u[::-1], -u)
+    assert not np.any(u[p // 2])
+    # the recorded energy and gradient max are the whole field's, as verify recomputes them
+    report = assemble_and_verify(result)
+    assert report.energy_path == result.energy
+    assert report.gmax == result.diagnostics["polish_gmax"] <= POLISH_GTOL
+
+
+def test_the_half_window_solve_matches_the_full_window_polish():
+    space = sin_example_space(m=65)
+    opts = DoubleOptions(n_out=65, t_max=4.0)
+    u0, x2 = _seed_field(space, opts, False)
+    dt = float(np.diff(x2)[0])
+    full_u, full = _polish_field(space, u0, dt, False, POLISH_GTOL)
+    result = solve_symmetric(space, opts)
+    assert result.diagnostics["polish_columns"] == 33
+    assert full.status == result.diagnostics["polish_status"] == "converged"
+    assert result.diagnostics["polish_steps"] == full.steps
+    assert result.energy == pytest.approx(full.value, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(result.u - full_u)) <= 1e-7
