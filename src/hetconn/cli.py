@@ -26,11 +26,12 @@ connect run's equipartition defect over its tolerance or a recomputed
 connect number or table not matching the recorded one, a double run's
 reference action not matching the recorded one, a double run whose x2
 equipartition defect, Newton-CG gradient, residual or energy two ways missed
-its tolerance or whose field, solved on half its x2 window, is not odd in x2
-bit for bit, or a broken counterexample invariant.  A run writes its
-artifacts and manifest before it exits 5, and ``verify`` gates the same
-checks, recomputed from the artifacts; a counterexample ``verify`` also
-requires every recomputed candidate length and box bracket bit for bit.
+its tolerance or whose field, solved on half its x2 window, is not its
+signed mirror in x2 bit for bit, or a broken counterexample invariant.  A
+run writes its artifacts and manifest before it exits 5, and ``verify``
+gates the same checks, recomputed from the artifacts; a counterexample
+``verify`` also requires every recomputed candidate length and box bracket
+bit for bit.
 Every manifest also carries the command's ``profile`` (CPU seconds, minor
 page faults, the process's peak RSS), which ``verify`` does not read.  The
 first ``main`` of a process sets glibc's malloc thresholds so that freed
@@ -70,6 +71,8 @@ from .double_connection import (
     sin_shell,
     solve_asymmetric,
     solve_symmetric,
+    x2_reflection,
+    x2_step,
 )
 from .geodesic import minimize_k_length
 from .heteroclinic import (
@@ -544,7 +547,7 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
                              space.l2_norms(result.u - space.z_plus.values)])),
     }
     results = {
-        "energy": result.energy,
+        "energy": report.energy_path,
         "energy_direct": report.energy_direct,
         "energy_path": report.energy_path,
         "ref_value": space.ref_value,
@@ -559,8 +562,10 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "reduction_gap": report.reduction_gap,
         "solver_status": result.diagnostics["polish_status"],
         "polish_columns": result.diagnostics["polish_columns"],
+        "x2_reflection": result.diagnostics["x2_reflection"],
         "polish_steps": result.diagnostics["polish_steps"],
-        "polish_gmax": result.diagnostics["polish_gmax"],
+        # the whole field's, as verify recomputes it
+        "polish_gmax": report.gmax,
         "polish_status": result.diagnostics["polish_status"],
         "polish_cg_products": result.diagnostics["polish_cg_products"],
         "window": result.diagnostics["window"],
@@ -592,7 +597,7 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
     }
     _finish_manifest(out_dir, manifest, columns, start)
     if verbose:
-        print(f"wrote {out_dir}: energy {result.energy:.9g}, "
+        print(f"wrote {out_dir}: energy {report.energy_path:.9g}, "
               f"residual {report.residual_max:.3g}")
     if not _double_within_tolerance(report, results["polish_status"], tolerances, verbose):
         return EXIT_EQUIPARTITION
@@ -797,9 +802,12 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     minus grad W), the energy two ways, the free gradient max, the x2
     defect, ``k_length`` and ``reduction_gap``.  Each must equal the
     recorded one bit for bit (``energy`` is the path energy), and they must
-    meet the run's tolerances.  A run whose ``polish_columns`` is below the
-    field's x2 node count solved half its x2 window and mirrored it, so its
-    field must be odd in x2 bit for bit.  An asym run's
+    meet the run's tolerances.  ``x2_reflection`` must be the signs sigma
+    that ``x2_reflection`` finds between the field's end columns.  A run
+    whose ``polish_columns`` is below the field's x2 node count solved half
+    its x2 window and mirrored it, so its x2 must be antisymmetric and its
+    field its signed mirror, u(x1, -x2) = sigma u(x1, x2), bit for bit.  An
+    asym run's
     ``m_track.npy`` must hold the field's x2; ``c_minus``, ``c_plus`` and
     ``m_total_variation`` are recomputed from its shifts, and the
     ``translation_speed_*`` audit from them and the field audit.  The shift scan
@@ -814,7 +822,7 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
         print(f"reference action {space.ref_value!r} (recorded {recorded!r})")
     if space.ref_value != recorded:
         return EXIT_EQUIPARTITION
-    dt = float(x2[1] - x2[0])
+    dt = x2_step(x2)
     tolerances = manifest["tolerances"]
     audit = field_audit(space, u, dt, tolerances["residual_margin_cells"], manifest["mode"])
     results = manifest["results"]
@@ -840,10 +848,33 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     columns = results.get("polish_columns", u.shape[0])
     if isinstance(columns, bool) or not isinstance(columns, int):
         raise ValueError(f"results.polish_columns must be an integer, got {columns!r}")
+    sigma = x2_reflection(u[0], u[-1])
+    signs = None if sigma is None else [int(v) for v in sigma]
+    # a manifest without the key predates the signed reflection
+    if results.get("x2_reflection", signs) != signs:
+        print(f"results.x2_reflection {results['x2_reflection']!r} is not the end "
+              f"columns' {signs!r}", file=sys.stderr)
+        return EXIT_EQUIPARTITION
     if columns < u.shape[0]:
-        # a field solved on half its x2 window must be its own odd mirror
-        gates.append(("max |u(x1, -x2) + u(x1, x2)| of a half-window solve",
-                      float(np.max(np.abs(u[::-1] + u))), 0.0))
+        # a field solved on half its x2 window must be its own signed mirror,
+        # sigma u(x1, -x2) - u(x1, x2) = 0, named as the reflection reads
+        if sigma is None:
+            name, defect = "sigma u(x1, -x2) - u(x1, x2), no sigma at the ends,", math.inf
+        else:
+            if np.all(sigma < 0):
+                name = "u(x1, -x2) + u(x1, x2)"
+            else:
+                signed = ", ".join(f"{'-' if v < 0 else ''}u{j + 1}"
+                                   for j, v in enumerate(sigma))
+                name = f"({signed})(x1, -x2) - u(x1, x2)"
+            # in place: one field-sized array
+            reflected = sigma * u[::-1]
+            reflected -= u
+            defect = float(np.max(np.abs(reflected, out=reflected)))
+            del reflected
+        gates += [("max |x2 + x2 reversed| of a half-window solve",
+                   float(np.max(np.abs(x2 + x2[::-1]))), 0.0),
+                  (f"max |{name}| of a half-window solve", defect, 0.0)]
     exact = _within(gates, verbose)
     if not (_double_within_tolerance(audit, results["polish_status"], tolerances, verbose)
             and exact):

@@ -7,9 +7,11 @@ u(x1, x2) = path(x2)(x1) that solves the Euler-Lagrange system of the summed
 energy.  The solve seeds the field with the closed-form blend
 (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, on the x2 window
 [-t_max, t_max], and minimizes the discrete 2D energy of the field by a
-pinned Newton-CG.  Where the wells are exact negatives of each other and
-the x2 grid has a centre column (the sine fixture), the Newton-CG solves
-only x2 >= 0 and the field is mirrored odd in x2.  The symmetric solver
+pinned Newton-CG.  Where the wells are signed mirrors of each other,
+z- = sigma z+ bit for bit with one sign per component (sigma = -1 for the
+sine fixture, (+1, -1) for the planar one), and the x2 grid has a centre
+column, the Newton-CG solves only x2 >= 0 and the field is its signed
+mirror, u(x1, -x2) = sigma u(x1, x2).  The symmetric solver
 (``mode`` "sym") keeps the first component odd in x1 by projection where
 the fixture has that symmetry; the asymmetric one ("asym") works in the
 quotient by x1-translations of whole-line profiles and tracks the
@@ -26,6 +28,7 @@ sine problem on a strip (pinned boundary, explicit position-dependent density).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import math
@@ -66,18 +69,55 @@ class DoubleConnectionResult:
     u: np.ndarray            # (P, M, n): the x2 columns, a C-ordered profile stack
     x1: np.ndarray           # (M,)
     x2: np.ndarray           # (P,)
-    energy: float            # the path energy of u
     c_minus: float
     c_plus: float
     m_track: np.ndarray | None
     diagnostics: dict
 
+    @cached_property
+    def energy(self) -> float:
+        """The path energy of u, evaluated when first read (a run records
+        its field audit's, the same number)."""
+        return _path_energy(self.space, self.u, x2_step(self.x2))
 
-def _field_pins(shape) -> np.ndarray:
-    """Pinned entries of a field (P, M, n): the end columns and the x1 edge rows."""
+
+def x2_step(x2: np.ndarray) -> float:
+    """The step of a uniform x2 grid (P,) at its centre: x2[c + 1] - x2[c],
+    c = (P - 1) // 2, the centre node where P is odd."""
+    c = (x2.size - 1) // 2
+    return float(x2[c + 1] - x2[c])
+
+
+def x2_reflection(z_minus: np.ndarray, z_plus: np.ndarray) -> np.ndarray | None:
+    """The signs sigma (n,) of ±1.0 with z- = sigma z+ (equal values, component
+    by component, where -1 negates as 0.0 - z+), or None if there are none.
+
+    For the end columns (M, n) of a field, sigma is the x2 reflection of a
+    field solved on half its x2 window: u(x1, -x2) = sigma u(x1, x2).
+    """
+    sigma = []
+    for a, b in zip(z_minus.T, z_plus.T):
+        if np.array_equal(a, b):
+            sigma.append(1.0)
+        elif np.array_equal(a, 0.0 - b):
+            sigma.append(-1.0)
+        else:
+            return None
+    return np.array(sigma)
+
+
+def _field_pins(shape, mirror=None) -> np.ndarray:
+    """Pinned entries of a field (P, M, n): the end columns and the x1 edge rows.
+
+    With the signs ``mirror`` (n,) of a half-window field, whose first column
+    is the centre of the whole window, that column's sigma = +1 components
+    are free off the x1 edges.
+    """
     pinned = np.zeros(shape, dtype=bool)
     pinned[[0, -1]] = True
     pinned[:, [0, -1]] = True
+    if mirror is not None:
+        pinned[0, 1:-1][:, mirror > 0] = False
     return pinned
 
 
@@ -86,20 +126,29 @@ def _projects(space: EffectivePotentialSpace, mode: str) -> bool:
     return mode == "sym" and space.symmetry == "odd_first"
 
 
-def _polish_field(space, u0, dt, symmetrize, gtol):
+def _polish_field(space, u0, dt, symmetrize, gtol, mirror=None):
     """Truncated Newton-CG on the discrete 2D energy; end columns and x1 edges stay pinned.
 
     The CG is preconditioned by the line solve of ``poisson_preconditioner``
     (a DST along x2, a tridiagonal solve along x1), with each Newton step's
-    per-row shift from its Hessian block.  Returns (field, NewtonResult).
+    per-row shift from its Hessian block.  ``mirror``, the signs sigma of a
+    half-window field (see ``_solve_common``), frees its first column's
+    sigma = +1 components, even there for the preconditioner.  The whole
+    field's gradient there is twice the half's, so the stop test and gmax
+    read those entries doubled.  Returns (field, NewtonResult).
     """
-    poisson = poisson_preconditioner(u0.shape, dt, space.h)
+    pinned = _field_pins(u0.shape, mirror)
+    gscale = None
+    if mirror is not None and np.any(mirror > 0):
+        gscale = np.ones(u0.shape)
+        gscale[0] = 2.0
+    poisson = poisson_preconditioner(u0.shape, dt, space.h, parity=mirror)
     return pinned_newton_cg(
         lambda u: _path_energy(space, u, dt, grad=True),
-        lambda u: _PathEnergyHessian(space, u, dt), u0, _field_pins(u0.shape),
+        lambda u: _PathEnergyHessian(space, u, dt), u0, pinned,
         project=space.symmetrize if symmetrize else None,
         gtol=gtol, max_steps=POLISH_STEPS,
-        precond=lambda hess: poisson(hess.shift),
+        precond=lambda hess: poisson(hess.shift), gscale=gscale,
     )
 
 
@@ -171,10 +220,16 @@ class _PathEnergyHessian:
 def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize: bool):
     """The blend (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, as a field (P, M, n).
 
-    x2 is the uniform grid of ``opts.n_out`` nodes on [-t_max, t_max]; the
-    end columns are the wells.  Returns (field, x2).
+    x2 is the uniform grid of ``opts.n_out`` nodes on [-t_max, t_max], the
+    mirror of its nonnegative half: x2 = -x2[::-1] bit for bit, with a centre
+    node 0.0 where ``n_out`` is odd.  The end columns are the wells.  Returns
+    (field, x2).
     """
-    x2 = np.linspace(-opts.t_max, opts.t_max, opts.n_out)
+    p = opts.n_out
+    half = np.linspace(-opts.t_max, opts.t_max, p)[p // 2:]
+    if p % 2:
+        half[0] = 0.0
+    x2 = np.concatenate([0.0 - half[::-1][:p // 2], half])
     lam = (0.5 * (1.0 + np.tanh(x2)))[:, None, None]
     u = (1.0 - lam) * space.z_minus.values + lam * space.z_plus.values
     u[0] = space.z_minus.values
@@ -196,17 +251,19 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     """Seed, polish and, in mode "asym", shift-track the field of a double solve.
 
     When the x2 grid has a centre column (``n_out`` odd) and the wells are
-    exact negatives, z- = 0.0 - z+ bit for bit, the Newton-CG polishes only
-    the columns from the centre on, with the centre column zero and pinned
-    as their first; the field is then that half and its odd mirror,
-    u(x1, -x2) = -u(x1, x2) bit for bit.  Where the density is even in u,
-    as the sine fixture's is, this is the whole window's minimizer: the
-    mirrored gradient entries are exact negations and the centre column's
-    are zero.  The field audit's free gradient covers the centre column, so
-    a density that is not even would show there.  Every other input
-    polishes all ``n_out`` columns.  The
-    result's ``energy`` is the path energy of the whole field, and
-    ``diagnostics["polish_columns"]`` the number of columns polished.
+    signed mirrors, z- = sigma z+ bit for bit (``x2_reflection``), the
+    Newton-CG polishes only the columns from the centre on.  There the
+    sigma = -1 components are zero and pinned and the sigma = +1 ones free:
+    the whole field's energy at the mirror of a half is twice the half's
+    with trapezoid weight dt / 2 on the centre column, so their natural
+    boundary condition is the mirror's Neumann one.  The field is that half
+    and its mirror, u(x1, -x2) = sigma u(x1, x2) bit for bit: the whole
+    window's minimizer where the density is invariant under sigma, as both
+    fixtures' are (the field audit's free gradient would show it if not).
+    In mode "asym" the shift scan reads the half and mirrors its track:
+    each misfit is invariant under sigma with the wells swapped.  Other
+    inputs polish all ``n_out`` columns.  ``diagnostics`` records
+    ``polish_columns`` and ``x2_reflection`` (sigma as a list, or None).
     """
     if space.z_minus is None or space.z_plus is None:
         raise ValueError("the effective space carries no well profiles")
@@ -215,23 +272,26 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         raise ValueError("well profiles coincide; nothing to connect")
     symmetrize = _projects(space, mode)
     u, x2 = _seed_field(space, opts, symmetrize)
-    dt = float(np.diff(x2)[0])
+    dt = x2_step(x2)
     p = u.shape[0]
-    odd = p % 2 == 1 and np.array_equal(space.z_minus.values, 0.0 - space.z_plus.values)
-    if odd:
-        # x2 >= 0 only, from a zero centre column pinned as the first
+    sigma = x2_reflection(space.z_minus.values, space.z_plus.values)
+    mirror = sigma if p % 2 == 1 else None
+    if mirror is not None:
+        # x2 >= 0 only, from the centre column, its sigma = -1 components zero
         u = u[p // 2:]
-        u[0] = 0.0
-    u, polish = _polish_field(space, u, dt, symmetrize, POLISH_GTOL)
-    columns = u.shape[0]
-    energy = polish.value
-    if odd:
-        u = np.concatenate([0.0 - u[:0:-1], u])
-        # the half's energy doubled is the field's only up to rounding
-        energy = _path_energy(space, u, dt)
+        u[0][:, mirror < 0] = 0.0
+    half, polish = _polish_field(space, u, dt, symmetrize, POLISH_GTOL, mirror)
+    u = half
+    if mirror is not None:
+        reflected = mirror * half[:0:-1]
+        # a negated +0.0 is -0.0; + 0.0 makes it +0.0, as 0.0 - x gives it
+        reflected += 0.0
+        u = np.concatenate([reflected, half])
+        del reflected
     diagnostics = {
         "window": opts.t_max,
-        "polish_columns": columns,
+        "polish_columns": half.shape[0],
+        "x2_reflection": None if sigma is None else [int(v) for v in sigma],
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
         "polish_cg_products": polish.products,
@@ -241,10 +301,11 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     c_minus = c_plus = 0.0
     if mode == "asym":
         span = float(space.grid[-1] - space.grid[0])
-        fits = optimal_translation(
-            u, space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
-        )
-        m_track = fits.shift
+        m_track = optimal_translation(
+            half, space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
+        ).shift
+        if mirror is not None:
+            m_track = np.concatenate([m_track[:0:-1], m_track])
         c_minus, c_plus, diagnostics["m_total_variation"] = shift_track_summary(m_track)
     return DoubleConnectionResult(
         space=space,
@@ -252,7 +313,6 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         u=u,
         x1=space.grid.copy(),
         x2=x2,
-        energy=energy,
         c_minus=c_minus,
         c_plus=c_plus,
         m_track=m_track,
@@ -267,8 +327,9 @@ def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None =
     (``_seed_field``), projected to odd first components, and a pinned
     Newton-CG minimization of the discrete 2D energy with the end columns
     and x1 edges fixed and the projection applied to every step.  A field
-    whose wells are exact negatives (the sine fixture) is polished on
-    x2 >= 0 only and mirrored odd in x2 (see ``_solve_common``).
+    whose wells are signed mirrors, z- = sigma z+, on an x2 grid with a
+    centre column (every shipped double) is polished on x2 >= 0 only and
+    mirrored, u(x1, -x2) = sigma u(x1, x2) (see ``_solve_common``).
     """
     return _solve_common(space, opts or DoubleOptions(), "sym")
 
@@ -407,7 +468,7 @@ def assemble_and_verify(result: DoubleConnectionResult,
     """
     space = result.space
     u = result.u
-    audit = field_audit(space, u, float(np.diff(result.x2)[0]), margin, result.mode)
+    audit = field_audit(space, u, x2_step(result.x2), margin, result.mode)
     zm, zp = space.z_minus, space.z_plus
     if result.mode == "asym":
         zm = zm.translate(result.c_minus)

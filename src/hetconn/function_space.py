@@ -810,7 +810,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def poisson_preconditioner(shape, *steps):
+def poisson_preconditioner(shape, *steps, parity=None):
     """The shifted Dirichlet Poisson solves that precondition the Newton-CGs.
 
     For a profile of ``shape`` (M, n) on step h, returns a function of the
@@ -826,9 +826,19 @@ def poisson_preconditioner(shape, *steps):
     x2 mode k and component c, the tridiagonal system of L along x1 plus
     sigma_c(x1) plus that eigenvalue, solved exactly by Thomas' algorithm,
     vectorised over the (k, c) columns, on a factor built once per shift.
+
+    A field's ``parity`` (n,) gives each component's reflection about its
+    first x2 column, the centre of a field solved on half its x2 window:
+    -1 (the default) pins it there (Dirichlet), +1 leaves it free and even
+    (Neumann).  An even component is solved as 2 D^-1 E^T P_w^-1 E D^-1,
+    with E the even extension to the whole window's 2P - 1 columns, P_w
+    that window's solve and D = E^T E (1 on the centre column, 2 elsewhere);
+    only the P - 1 odd x2 modes of P_w meet E.  One Thomas sweep runs over
+    the mode columns of all components.
+
     P commutes with the pins, and with the odd-first projection where sigma
     is even in x1.  A solve reads r on the free nodes only and returns a new
-    array, zero on the pins.  The solves at one shift share its transform
+    array, zero on the pins.  The solves at one shift share their transform
     buffers, so they must not run concurrently.
     """
     *grid, n = shape
@@ -838,18 +848,24 @@ def poisson_preconditioner(shape, *steps):
     scale = 2.0 / ((nodes - 1) * math.prod(steps))
     rows = grid[1] - 2 if len(grid) == 2 else 1
 
-    def at(shift):
-        # one real buffer, zero off its columns 1..nodes-2, and one complex
-        # buffer for every transform of these solves, each one component wide
-        pad = np.zeros((rows, 2 * (nodes - 1)))
-        spec = np.empty((rows, nodes), dtype=complex)
+    def transform(length):
+        """(dst, pad): dst(x), the DST-I on ``length`` nodes of the rows of
+        x, negated, is the imaginary part of the rfft of the real buffer
+        ``pad`` (x in its columns 1..length-2, zero elsewhere), a view of a
+        complex buffer; dst() transforms what ``pad`` holds.  The signs of a
+        pair of transforms cancel."""
+        pad = np.zeros((rows, 2 * (length - 1)))
+        spec = np.empty((rows, length), dtype=complex)
 
-        def dst(x):
-            """DST-I along the first grid axis of the rows of x, negated, as a
-            view of ``spec``: the imaginary part of the rfft of each row zero-
-            padded to 2(nodes - 1).  The signs of a pair of transforms cancel."""
-            pad[:, 1:nodes - 1] = x
+        def dst(x=None):
+            if x is not None:
+                pad[:, 1:length - 1] = x
             return np.fft.rfft(pad, out=spec)[:, 1:-1].imag
+
+        return dst, pad
+
+    def at(shift):
+        dst, _ = transform(nodes)
 
         if len(grid) == 1:
             inv = lam + np.reshape(shift, (n, 1))
@@ -865,35 +881,64 @@ def poisson_preconditioner(shape, *steps):
 
             return psolve
 
+        even = [parity is not None and parity[c] > 0 for c in range(n)]
+        if any(even):
+            # the whole window's 2P - 1 nodes; P - 1 is their centre
+            whole = 2 * nodes - 1
+            dst_whole, pad_whole = transform(whole)
+            lam_whole = (2.0 / steps[0] * np.sin(
+                0.5 * math.pi * np.arange(1, whole - 1, 2) / (whole - 1))) ** 2
+        # each component's (first mode column, mode count) in the sweep
+        blocks, width = [], 0
+        for c in range(n):
+            modes = nodes - 1 if even[c] else nodes - 2
+            blocks.append((width, modes))
+            width += modes
+
         # Thomas' algorithm on L + sigma + lam_k along x1, with diagonal
         # a_i = 2 / h^2 + sigma_c(x1_i) + lam_k and off-diagonal -1 / h^2:
         # the reciprocal pivots 1 / (a_i - 1 / (h^4 (pivot i-1))), then the
         # multipliers cp = -(reciprocal pivot) / h^2 in their place
         off = steps[1] ** -2
-        cp = np.asarray(shift)[:, None, :] + (lam[:, None] + 2.0 * off)
+        shift = np.asarray(shift)
+        cp = np.empty((rows, width))
+        for c, (first, modes) in enumerate(blocks):
+            np.add(shift[:, c:c + 1], (lam_whole if even[c] else lam) + 2.0 * off,
+                   out=cp[:, first:first + modes])
         # row views made once: indexing cp in the loops costs as much as
         # the arithmetic on a row
         cps = list(cp)
-        row = np.empty(cp.shape[1:])
+        row = np.empty(width)
         np.reciprocal(cps[0], out=cps[0])
         for prev, cur in zip(cps, cps[1:]):
             cur -= np.multiply(prev, off * off, out=row)
             np.reciprocal(cur, out=cur)
         cp *= -off
         # the sweeps divide by the pivots as a product with cp; this
-        # restores the factor -1 / h^2 and the DST's square
+        # restores the factor -1 / h^2 and the DST's square (for an even
+        # component, 2 (whole - 1) = 4 (nodes - 1) halves that square
+        # and the factor 2 of its map back doubles it again)
         gain = -scale / off
 
         def psolve(r):
-            # x1-major (x1 row, x2 mode, component) for the sweeps; made per
-            # solve, so that it is gone during the Hessian products
+            # x1-major (x1 row, mode column) for the sweeps; made per solve,
+            # so that it is gone during the Hessian products
             free = np.empty(cp.shape)
-            for c in range(n):
-                free[..., c] = dst(r[1:-1, 1:-1, c].T)
+            for c, (first, modes) in enumerate(blocks):
+                cols = free[:, first:first + modes]
+                if even[c]:
+                    # E D^-1 r: the centre column, then the others halved
+                    # and mirrored about it
+                    pad_whole[:, nodes - 1:whole - 1] = r[:-1, 1:-1, c].T
+                    pad_whole[:, nodes:whole - 1] *= 0.5
+                    pad_whole[:, 1:nodes - 1] = pad_whole[:, whole - 2:nodes - 1:-1]
+                    cols[...] = dst_whole()[:, ::2]
+                else:
+                    cols[...] = dst(r[1:-1, 1:-1, c].T)
             free *= cp
             # elimination down x1, then back substitution up it, in place,
-            # one row of (x2 mode, component) columns at a time (a list of
-            # free's row views raised sin's peak RSS by half a MiB)
+            # one row of mode columns at a time (a list of free's row views
+            # raised sin's peak RSS by half a MiB)
             prev = free[0]
             for i in range(1, rows):
                 cur = free[i]
@@ -904,12 +949,22 @@ def poisson_preconditioner(shape, *steps):
                 cur -= np.multiply(cps[i], prev, out=row)
                 prev = cur
             out = np.zeros(shape)
-            for c in range(n):
-                # scaled in place, then copied: a product written straight
-                # into the transposed columns took five times longer
-                x = dst(free[..., c])
-                x *= gain
-                out[1:-1, 1:-1, c] = x.T
+            for c, (first, modes) in enumerate(blocks):
+                cols = free[:, first:first + modes]
+                if even[c]:
+                    # the odd modes alone, back on the half window's columns
+                    pad_whole[:, 1:whole - 1] = 0.0
+                    pad_whole[:, 1:whole - 1:2] = cols
+                    x = dst_whole()[:, nodes - 2:]
+                    x *= gain
+                    out[:-1, 1:-1, c] = x.T
+                else:
+                    # scaled in place, then copied: a product written
+                    # straight into the transposed columns took five times
+                    # longer
+                    x = dst(cols)
+                    x *= gain
+                    out[1:-1, 1:-1, c] = x.T
             return out
 
         return psolve
@@ -919,7 +974,7 @@ def poisson_preconditioner(shape, *steps):
 
 class NewtonResult(NamedTuple):
     steps: int
-    gmax: float           # max-norm of the free gradient at the returned point
+    gmax: float           # max-norm of the (scaled) free gradient at the returned point
     status: str           # "converged", "max_iters" or "stalled"
     products: int         # CG Hessian-vector products, summed over the steps
     value: float          # fun at the returned point
@@ -968,7 +1023,7 @@ def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None):
 
 
 def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps,
-                     precond=None):
+                     precond=None, gscale=None):
     """Truncated Newton-CG on ``fun`` with the ``pinned`` entries of ``x0`` held fixed.
 
     ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
@@ -982,9 +1037,10 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
     that commutes with the pins and with ``project``; the CG is then
     preconditioned by it (see ``truncated_cg``).  The CG forcing term is
     min(0.5, sqrt |g|), and Armijo backtracking guards each step.  Stops
-    when the max-norm of the free gradient is at most ``gtol``, after
-    ``max_steps`` steps, or when backtracking finds no decrease.  Returns
-    (minimizer, NewtonResult).
+    when the max-norm of the free gradient, times ``gscale`` (an array
+    shaped like ``x0``) if given, is at most ``gtol``, after ``max_steps``
+    steps, or when backtracking finds no decrease.  Returns (minimizer,
+    NewtonResult).
     """
     pinned = np.asarray(pinned, dtype=bool)
 
@@ -999,7 +1055,7 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
     g = reduce(g)
     steps = products = 0
     while True:
-        gmax = float(np.max(np.abs(g)))
+        gmax = float(np.max(np.abs(g if gscale is None else gscale * g)))
         if gmax <= gtol:
             status = "converged"
             break

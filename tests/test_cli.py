@@ -153,11 +153,12 @@ def _edit_table(run_dir, artifact, index, edit):
     _resign(run_dir, artifact)
 
 
-def _nudge_field(run_dir, index, delta):
-    """Add ``delta`` to the last component of u at ``index`` = (i, j) and re-sign u.npy."""
+def _nudge_field(run_dir, index, delta, column=-1):
+    """Add ``delta`` to u.npy's ``column`` (by default the last component of
+    u) at ``index`` = (i, j) and re-sign u.npy."""
     path = run_dir / "u.npy"
     table = np.load(path)
-    table[index + (-1,)] += delta
+    table[index + (column,)] += delta
     np.save(path, table)
     _resign(run_dir, "u.npy")
 
@@ -1114,15 +1115,16 @@ def _shipped_config(name):
     return _load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
 
 
-# each double run and whether it is polished on half its x2 window: only a
-# field with wells z- = -z+ on an odd x2 grid, the sine fixture's, is
+# each double run and whether it is polished on half its x2 window: a field
+# with signed mirror wells z- = sigma z+ on an odd x2 grid is, the sine
+# fixture's (sigma = -1) and the planar one's (sigma = (1, -1)) alike
 HALF_WINDOW_RUNS = {
     "sin": (SIN_CFG, True),
     "sin_even_n_out": (dict(SIN_CFG, opts={"n_out": 16, "t_max": 3.0}), False),
-    "planar_sym": (PLANAR_CFG, False),
-    "planar_asym": (dict(PLANAR_CFG, mode="asym"), False),
-    "shipped_planar_sym": ("planar_sym", False),
-    "shipped_planar_asym": ("planar_asym", False),
+    "planar_sym": (PLANAR_CFG, True),
+    "planar_asym": (dict(PLANAR_CFG, mode="asym"), True),
+    "shipped_planar_sym": ("planar_sym", True),
+    "shipped_planar_asym": ("planar_asym", True),
 }
 
 
@@ -1158,15 +1160,65 @@ def _set_polish_columns(run_dir, value):
 
 
 def test_verify_checks_the_x2_reflection_that_a_half_window_run_claims(tmp_path, capsys):
-    # planar's field is (u1, -u2) at -x2, not odd in x2: a full-window run
-    # passes, the same field claimed as a half-window solve fails
+    # planar's half-window field is (u1, -u2) at -x2, not odd in x2: the
+    # gate reads u1 even and u2 odd about the centre column
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
-    assert main(["verify", str(out)]) == 0
-    _set_polish_columns(out, 17)
+    assert json.loads((out / "manifest.json").read_text())["results"]["x2_reflection"] == [1, -1]
+    capsys.readouterr()
+    assert main(["verify", "--verbose", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "max |(u1, -u2)(x1, -x2) - u(x1, x2)| of a half-window solve 0 " in printed
+    assert "max |x2 + x2 reversed| of a half-window solve 0 " in printed
+    # u1 moved the same way at a node and its mirror keeps the reflection
+    # (the recomputed energies fail); u2 moved so breaks it
+    _nudge_field(out, (8, 3), 1e-9, column=2)
+    _nudge_field(out, (8, -4), 1e-9, column=2)
+    assert main(["verify", str(out)]) == 5
+    assert "of a half-window solve" not in capsys.readouterr().err
+    _nudge_field(out, (8, 3), 1e-9)
+    _nudge_field(out, (8, -4), 1e-9)
+    assert main(["verify", str(out)]) == 5
+    assert "(u1, -u2)(x1, -x2) - u(x1, x2)| of a half-window solve" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_planar_half_window_field_with_one_u1_node_moved(tmp_path, capsys):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    # u1 is free on the centre column; move it there, at one node only
+    centre = PLANAR_CFG["opts"]["n_out"] // 2
+    _nudge_field(out, (8, centre + 1), 1e-9, column=2)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
-    assert "of a half-window solve" in capsys.readouterr().err
+    assert "(u1, -u2)(x1, -x2) - u(x1, x2)| of a half-window solve" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_half_window_run_whose_x2_is_not_antisymmetric(tmp_path, capsys):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    path = out / "u.npy"
+    table = np.load(path)
+    # one x2 node, in every x1 row, moved by less than the step
+    table[:, 3, 1] += 1e-9
+    np.save(path, table)
+    _resign(out, "u.npy")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert "max |x2 + x2 reversed| of a half-window solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [[1, 1], [-1, 1], None])
+def test_verify_rejects_a_recorded_x2_reflection_the_field_does_not_have(tmp_path, capsys,
+                                                                        value):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["results"]["x2_reflection"] = value
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert "results.x2_reflection" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_half_window_field_that_is_not_odd(tmp_path, capsys):

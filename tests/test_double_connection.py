@@ -139,8 +139,9 @@ def test_the_shipped_asym_field_needs_no_exact_scan_row(monkeypatch):
 
     monkeypatch.setattr(function_space, "translation_misfits", single_shifts_only)
     result = solve_asymmetric(_build_double_space(cfg), DoubleOptions(**cfg["opts"]))
-    # at least one exact misfit per column and template
-    assert sum(scanned) >= 2 * result.m_track.size
+    # at least one exact misfit per scanned column and template; the scan
+    # reads the half window that the Newton-CG solved and mirrors its track
+    assert sum(scanned) >= 2 * result.diagnostics["polish_columns"]
 
 
 def test_double_solves_run_no_path_descent(monkeypatch):
@@ -819,3 +820,89 @@ def test_the_half_window_solve_matches_the_full_window_polish():
     assert result.diagnostics["polish_steps"] == full.steps
     assert result.energy == pytest.approx(full.value, rel=1e-12, abs=0.0)
     assert np.max(np.abs(result.u - full_u)) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the half-window solve of a field that is its signed mirror in x2
+
+
+def _even_extension(q):
+    """E (2q - 1, q): the even extension of a half window's q columns about
+    its first, the centre of the whole window."""
+    e = np.zeros((2 * q - 1, q))
+    for j in range(q):
+        e[q - 1 + j, j] = e[q - 1 - j, j] = 1.0
+    return e
+
+
+def test_the_mixed_parity_solve_is_the_whole_window_solve_on_the_mirror():
+    rng = np.random.default_rng(7)
+    q, m, dt, h = 17, 23, 0.2, 0.05
+    sigma = np.array([1.0, -1.0])
+    shift = rng.uniform(0.0, 3.0, (m - 2, 2))
+    half = poisson_preconditioner((q, m, 2), dt, h, parity=sigma)(shift)
+    whole = poisson_preconditioner((2 * q - 1, m, 2), dt, h)(shift)
+    e = _even_extension(q)
+    d_inv = np.diag(1.0 / np.diag(e.T @ e))
+    free = ~double_connection._field_pins((q, m, 2), sigma)
+    # u1 is free on the centre column, u2 pinned there
+    assert free[0, 1:-1, 0].all() and not free[0, :, 1].any()
+    for _ in range(3):
+        r = rng.standard_normal((q, m, 2)) * free
+        got = half(r)
+        # the even u1: 2 D^-1 E^T M^-1 E D^-1 of the whole window's solve
+        ext = np.zeros((2 * q - 1, m, 2))
+        ext[..., 0] = np.einsum("pq,qm->pm", e @ d_inv, r[..., 0])
+        want = 2.0 * np.einsum("qp,pm->qm", d_inv @ e.T, whole(ext)[..., 0])
+        assert np.max(np.abs(got[..., 0] - want)) <= 1e-12 * np.max(np.abs(want))
+        # the odd u2: today's half-window Dirichlet solve
+        dirichlet = poisson_preconditioner((q, m, 2), dt, h)(shift)(r)[..., 1]
+        assert np.array_equal(got[..., 1], dirichlet)
+        assert not np.any(got[~free])
+        # symmetric
+        s = rng.standard_normal((q, m, 2)) * free
+        assert np.sum(s * got) == pytest.approx(np.sum(r * half(s)), rel=1e-12)
+
+
+def test_the_preconditioner_s_default_parity_is_dirichlet_bit_for_bit():
+    rng = np.random.default_rng(8)
+    shape, shift = (9, 13, 2), rng.uniform(0.0, 2.0, (11, 2))
+    r = rng.standard_normal(shape)
+    plain = poisson_preconditioner(shape, 0.3, 0.1)(shift)(r)
+    odd = poisson_preconditioner(shape, 0.3, 0.1, parity=[-1.0, -1.0])(shift)(r)
+    assert np.array_equal(plain, odd)
+
+
+def test_the_planar_half_window_solve_matches_the_full_window_polish():
+    space = planar_effective_space(m=65)
+    opts = DoubleOptions(n_out=33, t_max=4.0)
+    u0, x2 = _seed_field(space, opts, True)
+    dt = float(np.diff(x2)[0])
+    full_u, full = _polish_field(space, u0, dt, True, POLISH_GTOL)
+    result = solve_symmetric(space, opts)
+    assert result.diagnostics["polish_columns"] == 17
+    assert result.diagnostics["x2_reflection"] == [1, -1]
+    assert full.status == result.diagnostics["polish_status"] == "converged"
+    assert result.diagnostics["polish_steps"] == full.steps
+    report = assemble_and_verify(result)
+    assert report.energy_path == pytest.approx(full.value, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(result.u - full_u)) <= 1e-7
+    # the signed mirror, bit for bit, with the wells at the ends
+    assert np.array_equal(result.u[::-1] * [1.0, -1.0], result.u)
+    assert np.array_equal(result.x2, -result.x2[::-1])
+    assert np.array_equal(result.u[0], space.z_minus.values)
+    # the stop test reads the whole field's free gradient max
+    assert report.gmax <= POLISH_GTOL
+
+
+def test_the_half_translation_scan_matches_the_full_scan_bit_for_bit():
+    from hetconn.cli import _build_double_space
+
+    cfg = _shipped_config("planar_asym")
+    space = _build_double_space(cfg)
+    result = solve_asymmetric(space, DoubleOptions(**cfg["opts"]))
+    assert result.diagnostics["polish_columns"] == 65
+    span = float(space.grid[-1] - space.grid[0])
+    full = optimal_translation(result.u, space.z_minus, space.z_plus,
+                               m_max=0.25 * span, n_scan=129)
+    assert np.array_equal(result.m_track, full.shift)
