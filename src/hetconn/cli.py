@@ -562,7 +562,9 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "reduction_gap": report.reduction_gap,
         "solver_status": result.diagnostics["polish_status"],
         "polish_columns": result.diagnostics["polish_columns"],
+        "polish_rows": result.diagnostics["polish_rows"],
         "x2_reflection": result.diagnostics["x2_reflection"],
+        "x1_reflection": result.diagnostics["x1_reflection"],
         "polish_steps": result.diagnostics["polish_steps"],
         # the whole field's, as verify recomputes it
         "polish_gmax": report.gmax,
@@ -794,6 +796,49 @@ def _verify_connect(tables: dict, manifest: dict, verbose: bool) -> int:
     return EXIT_OK if _within(gates, verbose) else EXIT_EQUIPARTITION
 
 
+def _recorded_count(results: dict, key: str, default: int) -> int:
+    """An integer count of a double run's results; a manifest without the
+    key predates the half solve it counts, and reads ``default``."""
+    count = results.get(key, default)
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"results.{key} must be an integer, got {count!r}")
+    return count
+
+
+def _reflection_name(signs: np.ndarray, at: str) -> str:
+    """A mirror gate's name for ``signs``, u taken ``at`` the mirrored
+    nodes, as "(u1, -u2)(x1, -x2) - u(x1, x2)"."""
+    if np.all(signs < 0):
+        return f"u{at} + u(x1, x2)"
+    if np.all(signs > 0):
+        return f"u{at} - u(x1, x2)"
+    signed = ", ".join(f"{'-' if v < 0 else ''}u{j + 1}" for j, v in enumerate(signs))
+    return f"({signed}){at} - u(x1, x2)"
+
+
+def _mirror_gates(u: np.ndarray, grid: np.ndarray, signs, axis: int, solve: str) -> list:
+    """The exact gates of a field solved on half its ``axis`` (0 for x2, 1
+    for x1) and mirrored: the grid's mirror and the field's, signs * u at
+    the mirrored nodes = u, both 0 bit for bit."""
+    if axis == 0:
+        at, grid_gate = "(x1, -x2)", ("x2 + x2 reversed", np.abs(grid + grid[::-1]))
+    else:
+        at = "(x1*, x2)"
+        grid_gate = ("x1[0] + x1[-1] - x1 - x1 reversed",
+                     np.abs((grid[0] + grid[-1] - grid) - grid[::-1]))
+    if signs is None:
+        field_gate = f"signs * u{at} - u(x1, x2), no reflection,", math.inf
+    else:
+        # in place: one field-sized array
+        reflected = signs * np.flip(u, axis)
+        reflected -= u
+        field_gate = (_reflection_name(signs, at),
+                      float(np.max(np.abs(reflected, out=reflected))))
+        del reflected
+    return [(f"max |{grid_gate[0]}| of {solve}", float(np.max(grid_gate[1])), 0.0),
+            (f"max |{field_gate[0]}| of {solve}", field_gate[1], 0.0)]
+
+
 def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     """Recompute a double run's field audit and an asym run's shift track results.
 
@@ -803,15 +848,14 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
     defect, ``k_length`` and ``reduction_gap``.  Each must equal the
     recorded one bit for bit (``energy`` is the path energy), and they must
     meet the run's tolerances.  ``x2_reflection`` must be the signs sigma
-    that ``x2_reflection`` finds between the field's end columns.  A run
-    whose ``polish_columns`` is below the field's x2 node count solved half
-    its x2 window and mirrored it, so its x2 must be antisymmetric and its
-    field its signed mirror, u(x1, -x2) = sigma u(x1, x2), bit for bit.  An
-    asym run's
-    ``m_track.npy`` must hold the field's x2; ``c_minus``, ``c_plus`` and
-    ``m_total_variation`` are recomputed from its shifts, and the
-    ``translation_speed_*`` audit from them and the field audit.  The shift scan
-    itself is not re-run.
+    that ``x2_reflection`` finds between the field's end columns, and
+    ``x1_reflection`` the fixture's x1 parity rho.  A run whose
+    ``polish_columns`` (``polish_rows``) is below the field's x2 (x1) node
+    count solved half that axis and mirrored it, so the axis' grid and the
+    field must be their mirrors bit for bit (``_mirror_gates``).  An asym run's ``m_track.npy`` must hold the field's
+    x2; ``c_minus``, ``c_plus`` and ``m_total_variation`` are recomputed
+    from its shifts, and the ``translation_speed_*`` audit from them and
+    the field audit.  The shift scan itself is not re-run.
     """
     x1, x2, u = _read_field(tables[FIELD])
     space = _double_shell(manifest["config"], x1)
@@ -824,7 +868,7 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
         return EXIT_EQUIPARTITION
     dt = x2_step(x2)
     tolerances = manifest["tolerances"]
-    audit = field_audit(space, u, dt, tolerances["residual_margin_cells"], manifest["mode"])
+    audit = field_audit(space, u, dt, tolerances["residual_margin_cells"])
     results = manifest["results"]
     recomputed = {"energy": audit.energy_path, "energy_direct": audit.energy_direct,
                   "energy_path": audit.energy_path, "residual_max": audit.residual_max,
@@ -844,37 +888,22 @@ def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
                           translation_speed_max_ratio=speed.max_ratio)
     gates = [(f"|recomputed - recorded {key}|", abs(value - results[key]), 0.0)
              for key, value in recomputed.items()]
-    # a manifest without the key predates half-window solves
-    columns = results.get("polish_columns", u.shape[0])
-    if isinstance(columns, bool) or not isinstance(columns, int):
-        raise ValueError(f"results.polish_columns must be an integer, got {columns!r}")
+    columns = _recorded_count(results, "polish_columns", u.shape[0])
+    rows = _recorded_count(results, "polish_rows", u.shape[1])
     sigma = x2_reflection(u[0], u[-1])
-    signs = None if sigma is None else [int(v) for v in sigma]
-    # a manifest without the key predates the signed reflection
-    if results.get("x2_reflection", signs) != signs:
-        print(f"results.x2_reflection {results['x2_reflection']!r} is not the end "
-              f"columns' {signs!r}", file=sys.stderr)
-        return EXIT_EQUIPARTITION
+    rho = space.x1_parity
+    # a manifest without a key predates that reflection
+    for key, signs in (("x2_reflection", sigma), ("x1_reflection", rho)):
+        signs = None if signs is None else [int(v) for v in signs]
+        if results.get(key, signs) != signs:
+            source = "end columns'" if key == "x2_reflection" else "fixture's x1 parity"
+            print(f"results.{key} {results[key]!r} is not the {source} {signs!r}",
+                  file=sys.stderr)
+            return EXIT_EQUIPARTITION
     if columns < u.shape[0]:
-        # a field solved on half its x2 window must be its own signed mirror,
-        # sigma u(x1, -x2) - u(x1, x2) = 0, named as the reflection reads
-        if sigma is None:
-            name, defect = "sigma u(x1, -x2) - u(x1, x2), no sigma at the ends,", math.inf
-        else:
-            if np.all(sigma < 0):
-                name = "u(x1, -x2) + u(x1, x2)"
-            else:
-                signed = ", ".join(f"{'-' if v < 0 else ''}u{j + 1}"
-                                   for j, v in enumerate(sigma))
-                name = f"({signed})(x1, -x2) - u(x1, x2)"
-            # in place: one field-sized array
-            reflected = sigma * u[::-1]
-            reflected -= u
-            defect = float(np.max(np.abs(reflected, out=reflected)))
-            del reflected
-        gates += [("max |x2 + x2 reversed| of a half-window solve",
-                   float(np.max(np.abs(x2 + x2[::-1]))), 0.0),
-                  (f"max |{name}| of a half-window solve", defect, 0.0)]
+        gates += _mirror_gates(u, x2, sigma, 0, "a half-window solve")
+    if rows < u.shape[1]:
+        gates += _mirror_gates(u, x1, rho, 1, "an x1-half solve")
     exact = _within(gates, verbose)
     if not (_double_within_tolerance(audit, results["polish_status"], tolerances, verbose)
             and exact):

@@ -11,11 +11,12 @@ pinned Newton-CG.  Where the wells are signed mirrors of each other,
 z- = sigma z+ bit for bit with one sign per component (sigma = -1 for the
 sine fixture, (+1, -1) for the planar one), and the x2 grid has a centre
 column, the Newton-CG solves only x2 >= 0 and the field is its signed
-mirror, u(x1, -x2) = sigma u(x1, x2).  The symmetric solver
-(``mode`` "sym") keeps the first component odd in x1 by projection where
-the fixture has that symmetry; the asymmetric one ("asym") works in the
-quotient by x1-translations of whole-line profiles and tracks the
-per-column shift.
+mirror, u(x1, -x2) = sigma u(x1, x2).  The symmetric solver (``mode``
+"sym") does the same in x1 with the fixture's ``x1_parity`` rho ((+1) about
+pi/2 for the sine strip, (-1, +1) about 0 for the planar family) where the
+x1 grid has a centre row, so it polishes a quarter of the field; the
+asymmetric one ("asym") keeps every x1 row, works in the quotient by
+x1-translations of whole-line profiles and tracks the per-column shift.
 After the polish one ``field_audit`` evaluates the field, for the run and
 for ``hetconn verify`` alike: its residual is the free gradient over its
 trapezoid weights, on interior nodes the 5-point Laplacian minus grad W.
@@ -28,7 +29,6 @@ sine problem on a strip (pinned boundary, explicit position-dependent density).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import math
@@ -37,6 +37,7 @@ import numpy as np
 
 from .function_space import (
     EffectivePotentialSpace,
+    mirror_half,
     optimal_translation,
     pinned_newton_cg,
     poisson_preconditioner,
@@ -74,12 +75,6 @@ class DoubleConnectionResult:
     m_track: np.ndarray | None
     diagnostics: dict
 
-    @cached_property
-    def energy(self) -> float:
-        """The path energy of u, evaluated when first read (a run records
-        its field audit's, the same number)."""
-        return _path_energy(self.space, self.u, x2_step(self.x2))
-
 
 def x2_step(x2: np.ndarray) -> float:
     """The step of a uniform x2 grid (P,) at its centre: x2[c + 1] - x2[c],
@@ -106,49 +101,66 @@ def x2_reflection(z_minus: np.ndarray, z_plus: np.ndarray) -> np.ndarray | None:
     return np.array(sigma)
 
 
-def _field_pins(shape, mirror=None) -> np.ndarray:
+def mirror_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """The uniform grid of ``n`` nodes on [lo, hi] whose lower half is
+    (lo + hi) - its upper one, about a centre node (lo + hi) / 2 where ``n``
+    is odd: (lo + hi) - grid is grid reversed bit for bit on [-a, a] and
+    [0, pi]."""
+    half = np.linspace(lo, hi, n)[n // 2:]
+    if n % 2:
+        half[0] = 0.5 * (lo + hi)
+    return np.concatenate([(lo + hi) - half[::-1][:n // 2], half])
+
+
+def _field_pins(shape, x2_parity=None, x1_parity=None) -> np.ndarray:
     """Pinned entries of a field (P, M, n): the end columns and the x1 edge rows.
 
-    With the signs ``mirror`` (n,) of a half-window field, whose first column
-    is the centre of the whole window, that column's sigma = +1 components
-    are free off the x1 edges.
+    The signs ``x2_parity`` (n,) of a field solved on half its x2 window
+    free its first column's +1 components, and ``x1_parity`` those of its
+    first row.
     """
-    pinned = np.zeros(shape, dtype=bool)
-    pinned[[0, -1]] = True
-    pinned[:, [0, -1]] = True
-    if mirror is not None:
-        pinned[0, 1:-1][:, mirror > 0] = False
-    return pinned
+    p, m, n = shape
+    free2 = np.zeros((p, n), dtype=bool)
+    free2[1:-1] = True
+    if x2_parity is not None:
+        free2[0] = x2_parity > 0
+    free1 = np.zeros((m, n), dtype=bool)
+    free1[1:-1] = True
+    if x1_parity is not None:
+        free1[0] = x1_parity > 0
+    return ~(free2[:, None] & free1[None])
 
 
-def _projects(space: EffectivePotentialSpace, mode: str) -> bool:
-    """Whether a solve in ``mode`` keeps its field's first component odd in x1."""
-    return mode == "sym" and space.symmetry == "odd_first"
-
-
-def _polish_field(space, u0, dt, symmetrize, gtol, mirror=None):
+def _polish_field(space, u0, dt, gtol, mirror=None):
     """Truncated Newton-CG on the discrete 2D energy; end columns and x1 edges stay pinned.
 
     The CG is preconditioned by the line solve of ``poisson_preconditioner``
     (a DST along x2, a tridiagonal solve along x1), with each Newton step's
     per-row shift from its Hessian block.  ``mirror``, the signs sigma of a
     half-window field (see ``_solve_common``), frees its first column's
-    sigma = +1 components, even there for the preconditioner.  The whole
-    field's gradient there is twice the half's, so the stop test and gmax
-    read those entries doubled.  Returns (field, NewtonResult).
+    sigma = +1 components, even there for the preconditioner; a half space
+    (``EffectivePotentialSpace.half``) frees its first row's even
+    components alike.  The stop test and gmax read the whole field's
+    gradient, doubled on each centre line, and the CG a half space's in
+    the norm of all x1 rows (the x2 half keeps its own).  Returns (field,
+    NewtonResult).
     """
-    pinned = _field_pins(u0.shape, mirror)
-    gscale = None
-    if mirror is not None and np.any(mirror > 0):
+    rho = space.x1_parity if space.x1_half else None
+    pinned = _field_pins(u0.shape, mirror, rho)
+    gscale = weights = None
+    if rho is not None:
         gscale = np.ones(u0.shape)
-        gscale[0] = 2.0
-    poisson = poisson_preconditioner(u0.shape, dt, space.h, parity=mirror)
+        gscale[:, 0] = 2.0
+        weights = 2.0 * gscale
+    if mirror is not None and np.any(mirror > 0):
+        gscale = np.ones(u0.shape) if gscale is None else gscale.copy()
+        gscale[0] *= 2.0
+    poisson = poisson_preconditioner(u0.shape, dt, space.h, parity=mirror, line_parity=rho)
     return pinned_newton_cg(
         lambda u: _path_energy(space, u, dt, grad=True),
         lambda u: _PathEnergyHessian(space, u, dt), u0, pinned,
-        project=space.symmetrize if symmetrize else None,
         gtol=gtol, max_steps=POLISH_STEPS,
-        precond=lambda hess: poisson(hess.shift), gscale=gscale,
+        precond=lambda hess: poisson(hess.shift), gscale=gscale, norm_weights=weights,
     )
 
 
@@ -182,11 +194,13 @@ class _PathEnergyHessian:
     The pointwise block wt * w1 * D^2(density), shape (P, M, n, n), is built
     once here; each product is then stencil arithmetic on the (P, M, n)
     direction.  Like the gradient, the profile part of a product vanishes on
-    the x1 edge rows.  On the free nodes the Hessian is h * dt * (B + L),
-    with B = D^2(density) and L the Dirichlet Laplacian of the two stencils.
-    B varies most along x1, so ``shift``, the per-row shift of the
-    preconditioner's line solve, holds for each free x1 row and component c
-    max(0, mean of B_cc over the free x2 nodes of that row), shape (M-2, n).
+    the x1 edge rows, except a half space's first row, the centre.  On the
+    free nodes the Hessian is h * dt * (B + L), with B = D^2(density) and L
+    the Dirichlet Laplacian of the two stencils.  B varies most along x1,
+    so ``shift``, the per-row shift of the preconditioner's line solve,
+    holds for each x1 row of that solve and component c max(0, mean of B_cc
+    over the free x2 nodes of that row): shape (M-2, n), or (M-1, n) from
+    a half space's centre row on.
     """
 
     def __init__(self, space, u, dt):
@@ -195,7 +209,9 @@ class _PathEnergyHessian:
         w1 = trapezoid_weights(m, h)
         wt = trapezoid_weights(p, dt)
         block = space._density_hessians(u)
-        self.shift = np.maximum(np.einsum("pmcc->mc", block[1:-1, 1:-1]) / (p - 2), 0.0)
+        self.first = 0 if space.x1_half else 1
+        self.shift = np.maximum(
+            np.einsum("pmcc->mc", block[1:-1, self.first:-1]) / (p - 2), 0.0)
         block *= (wt[:, None] * w1[None, :])[:, :, None, None]
         self.block = block
         self.wt1 = wt[:, None, None] / h
@@ -207,7 +223,9 @@ class _PathEnergyHessian:
         flux *= self.wt1
         out[:, :-1] -= flux
         out[:, 1:] += flux
-        out[:, [0, -1]] = 0.0
+        if self.first:
+            out[:, 0] = 0.0
+        out[:, -1] = 0.0
         # free the x1 flux before the x2 one
         del flux
         flux = np.diff(d, axis=0)
@@ -217,25 +235,19 @@ class _PathEnergyHessian:
         return out
 
 
-def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions, symmetrize: bool):
+def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions):
     """The blend (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, as a field (P, M, n).
 
     x2 is the uniform grid of ``opts.n_out`` nodes on [-t_max, t_max], the
-    mirror of its nonnegative half: x2 = -x2[::-1] bit for bit, with a centre
-    node 0.0 where ``n_out`` is odd.  The end columns are the wells.  Returns
-    (field, x2).
+    mirror of its nonnegative half (``mirror_grid``): x2 = -x2[::-1] bit for
+    bit, with a centre node 0.0 where ``n_out`` is odd.  The end columns are
+    the wells.  Returns (field, x2).
     """
-    p = opts.n_out
-    half = np.linspace(-opts.t_max, opts.t_max, p)[p // 2:]
-    if p % 2:
-        half[0] = 0.0
-    x2 = np.concatenate([0.0 - half[::-1][:p // 2], half])
+    x2 = mirror_grid(-opts.t_max, opts.t_max, opts.n_out)
     lam = (0.5 * (1.0 + np.tanh(x2)))[:, None, None]
     u = (1.0 - lam) * space.z_minus.values + lam * space.z_plus.values
     u[0] = space.z_minus.values
     u[-1] = space.z_plus.values
-    if symmetrize:
-        u = space.symmetrize(u)
     return u, x2
 
 
@@ -260,38 +272,44 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     and its mirror, u(x1, -x2) = sigma u(x1, x2) bit for bit: the whole
     window's minimizer where the density is invariant under sigma, as both
     fixtures' are (the field audit's free gradient would show it if not).
-    In mode "asym" the shift scan reads the half and mirrors its track:
-    each misfit is invariant under sigma with the wells swapped.  Other
-    inputs polish all ``n_out`` columns.  ``diagnostics`` records
-    ``polish_columns`` and ``x2_reflection`` (sigma as a list, or None).
+    In mode "sym" with an ``x1_parity`` rho and M odd, the rows from the
+    centre on likewise (``EffectivePotentialSpace.half``), mirrored to
+    u(x1*, x2) = rho u(x1, x2): a quarter where both hold.  In mode "asym"
+    the shift scan reads the x2 half and mirrors its track: each misfit is
+    invariant under sigma with the wells swapped.  ``diagnostics`` records
+    ``polish_columns``, ``polish_rows``, ``x2_reflection`` and
+    ``x1_reflection`` (sigma and rho as lists, or None).
     """
     if space.z_minus is None or space.z_plus is None:
         raise ValueError("the effective space carries no well profiles")
     gap = space.z_minus.distance_l2(space.z_plus)
     if gap < 1e-8:
         raise ValueError("well profiles coincide; nothing to connect")
-    symmetrize = _projects(space, mode)
-    u, x2 = _seed_field(space, opts, symmetrize)
+    u, x2 = _seed_field(space, opts)
     dt = x2_step(x2)
-    p = u.shape[0]
+    p, m = u.shape[:2]
     sigma = x2_reflection(space.z_minus.values, space.z_plus.values)
     mirror = sigma if p % 2 == 1 else None
+    rho = space.x1_parity
+    polished = space
+    if mode == "sym" and rho is not None and m % 2 == 1:
+        # x1 from the centre row on, its odd components zero
+        polished = space.half()
+        u = u[:, m // 2:]
+        u[:, 0, rho < 0] = 0.0
     if mirror is not None:
         # x2 >= 0 only, from the centre column, its sigma = -1 components zero
         u = u[p // 2:]
         u[0][:, mirror < 0] = 0.0
-    half, polish = _polish_field(space, u, dt, symmetrize, POLISH_GTOL, mirror)
-    u = half
-    if mirror is not None:
-        reflected = mirror * half[:0:-1]
-        # a negated +0.0 is -0.0; + 0.0 makes it +0.0, as 0.0 - x gives it
-        reflected += 0.0
-        u = np.concatenate([reflected, half])
-        del reflected
+    part, polish = _polish_field(polished, u, dt, POLISH_GTOL, mirror)
+    half = part if polished is space else mirror_half(part, rho, axis=1)
+    u = half if mirror is None else mirror_half(half, mirror)
     diagnostics = {
         "window": opts.t_max,
-        "polish_columns": half.shape[0],
+        "polish_columns": part.shape[0],
+        "polish_rows": part.shape[1],
         "x2_reflection": None if sigma is None else [int(v) for v in sigma],
+        "x1_reflection": None if rho is None else [int(v) for v in rho],
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
         "polish_cg_products": polish.products,
@@ -324,22 +342,19 @@ def solve_symmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None =
     """Minimal profile path between the twin connections, symmetry enforced.
 
     Pipeline: the tanh blend of the wells on the x2 window [-t_max, t_max]
-    (``_seed_field``), projected to odd first components, and a pinned
-    Newton-CG minimization of the discrete 2D energy with the end columns
-    and x1 edges fixed and the projection applied to every step.  A field
-    whose wells are signed mirrors, z- = sigma z+, on an x2 grid with a
-    centre column (every shipped double) is polished on x2 >= 0 only and
-    mirrored, u(x1, -x2) = sigma u(x1, x2) (see ``_solve_common``).
+    (``_seed_field``) and a pinned Newton-CG minimization of the discrete
+    2D energy with the end columns and x1 edges fixed, on the quarter that
+    the field's x2 and x1 reflections leave (see ``_solve_common``).
     """
     return _solve_common(space, opts or DoubleOptions(), "sym")
 
 
 def solve_asymmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None = None):
-    """Profile path solver in the quotient by x1-translations (no projection).
+    """Profile path solver in the quotient by x1-translations, on every x1 row.
 
     Translations act only on whole-line profiles, so the space must have
-    ``bc`` "tails".  The pipeline is the symmetric one without the
-    projection; the per-column optimal shift m(x2) is tracked on the final
+    ``bc`` "tails".  The pipeline is the symmetric one without the x1
+    reflection; the per-column optimal shift m(x2) is tracked on the final
     field, and its end averages estimate the limit shifts c-, c+.
     """
     if space.bc != "tails":
@@ -397,13 +412,14 @@ class DoubleReport(FieldAudit):
     interior_margin: int
 
 
-def field_audit(space, u: np.ndarray, dt: float, margin: int, mode: str) -> FieldAudit:
+def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
     """Every check of a field (P, M, n) in one pass; run and verify both use this.
 
     One ``_path_energy`` with its coordinate gradient g gives three things:
-    the path energy; the free gradient max, with g odd-projected where a
-    solve in ``mode`` projects (see ``_projects``) and zeroed on the pins,
-    as in the field polish; and the interior residual -g / (h * dt), taken
+    the path energy; the free gradient max of the whole field, g zeroed on
+    its end columns and x1 edges (a field solved on a half or a quarter
+    reads its centre lines here, unprojected, as its polish's doubled stop
+    test does); and the interior residual -g / (h * dt), taken
     away from a boundary margin of ``margin`` cells.  On interior nodes g is
     h * dt * (grad W - L u), with L the 5-point Laplacian, so the residual
     is L u - grad W there.  The energy is also summed by direct 2D trapezoid
@@ -424,8 +440,6 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int, mode: str) -> Fiel
     residual_l2 = math.sqrt(float(np.sum(inner)) * h * dt)
     # free each field-sized array before the next is made
     del inner
-    if _projects(space, mode):
-        g = space.symmetrize(g)
     g[_field_pins(g.shape)] = 0.0
     gmax = float(np.max(np.abs(g)))
     del g
@@ -468,7 +482,7 @@ def assemble_and_verify(result: DoubleConnectionResult,
     """
     space = result.space
     u = result.u
-    audit = field_audit(space, u, x2_step(result.x2), margin, result.mode)
+    audit = field_audit(space, u, x2_step(result.x2), margin)
     zm, zp = space.z_minus, space.z_plus
     if result.mode == "asym":
         zm = zm.translate(result.c_minus)
@@ -497,9 +511,11 @@ def planar_effective_space(
     closed-form channel profile (tanh s, sqrt(kappa) sech s), which lies on
     the channel u2^2 = kappa (1 - u1^2) and passes through (0, sqrt(kappa)),
     with its first component odd; the lower one is its mirror in the second
-    component.  The reference value is their common discrete action.
+    component.  The reference value is their common discrete action.  The
+    grid is the exact mirror of its half (``mirror_grid``), so where m is
+    odd both wells are their x1 mirrors bit for bit.
     """
-    grid = np.linspace(-s_max, s_max, m)
+    grid = mirror_grid(-s_max, s_max, m)
     space = planar_shell(grid, beta=beta, kappa=kappa)
     vals = np.column_stack([np.tanh(grid), math.sqrt(kappa) / np.cosh(grid)])
     vals[0], vals[-1] = space.tail_left, space.tail_right
@@ -517,9 +533,10 @@ def planar_shell(grid: np.ndarray, beta: float = 1.0,
                  kappa: float = 1.0) -> EffectivePotentialSpace:
     """The planar two-well effective space on ``grid``, without well profiles.
 
-    W is even in u1, so the space has symmetry "odd_first" and ``grid`` must
-    be symmetric about zero.  Its reference is zero until the wells are
-    known; ``planar_effective_space`` completes it, and ``hetconn verify``
+    W is even in u1 and in u2, and the channel connections have u1 odd and
+    u2 even, so the space's x1 parity is (-1, +1) about the centre of
+    ``grid``.  Its reference is zero until the wells are known;
+    ``planar_effective_space`` completes it, and ``hetconn verify``
     rebuilds it from a run's grid.
     """
     p = planar_two_well(beta=beta, kappa=kappa)
@@ -530,7 +547,7 @@ def planar_shell(grid: np.ndarray, beta: float = 1.0,
         potential=p,
         tail_left=p.wells[0],
         tail_right=p.wells[1],
-        symmetry="odd_first",
+        x1_parity=(-1.0, 1.0),
     )
 
 
@@ -539,11 +556,15 @@ def sin_example_space(m: int = 257) -> EffectivePotentialSpace:
 
     The profile wells are +-sin with pinned zero boundary values; the
     density minimum over profiles is zero, attained there, so the reference
-    is just the discrete well energy.
+    is just the discrete well energy.  The grid is the exact mirror of its
+    half about pi/2 (``mirror_grid``), so where m is odd both wells are
+    their x1 mirrors bit for bit.
     """
-    grid = np.linspace(0.0, math.pi, m)
+    grid = mirror_grid(0.0, math.pi, m)
     space = sin_shell(grid)
-    z_plus_vals, e_plus = space.relax_profile(np.sin(grid)[:, None])
+    seed = np.sin(grid)[:, None]
+    seed[[0, -1]] = 0.0
+    z_plus_vals, e_plus = space.relax_profile(seed)
     space.ref_value = e_plus
     space.z_plus = space.grid_function(z_plus_vals)
     # 0.0 - x, not -x: the zero edges stay +0.0, which the polish's steps keep
@@ -554,23 +575,24 @@ def sin_example_space(m: int = 257) -> EffectivePotentialSpace:
 def sin_shell(grid: np.ndarray) -> EffectivePotentialSpace:
     """The sine strip's effective space on ``grid``, without well profiles.
 
+    The density is even about pi/2, and so is u on the strip [0, pi]: the
+    space's x1 parity is +1 about the centre of ``grid``.
     ``sin_example_space`` completes it; ``hetconn verify`` rebuilds it from
     a run's grid.
     """
-    sin2 = np.sin(grid) ** 2
 
-    # both act on (k, m, 1) stacks on this grid; s is the grid itself
+    # all act on (k, m, 1) stacks on the grid s, this one or its half
     def density(s, vals):
         u = vals[..., 0]
-        return -0.5 * u * u + (u * u - sin2) ** 2
+        return -0.5 * u * u + (u * u - np.sin(s) ** 2) ** 2
 
     def density_grad(s, vals):
         u = vals[..., 0]
-        return (-u + 4.0 * u * (u * u - sin2))[..., None]
+        return (-u + 4.0 * u * (u * u - np.sin(s) ** 2))[..., None]
 
     def density_hess(s, vals):
         u = vals[..., 0]
-        return (-1.0 + 12.0 * u * u - 4.0 * sin2)[..., None, None]
+        return (-1.0 + 12.0 * u * u - 4.0 * np.sin(s) ** 2)[..., None, None]
 
     return EffectivePotentialSpace(
         grid=grid,
@@ -579,5 +601,5 @@ def sin_shell(grid: np.ndarray) -> EffectivePotentialSpace:
         density=density,
         density_grad=density_grad,
         density_hess=density_hess,
-        symmetry="none",
+        x1_parity=(1.0,),
     )

@@ -25,7 +25,7 @@ assembled from a path of well profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import math
@@ -600,6 +600,12 @@ class EffectivePotentialSpace:
     from one ``values_at``, ``gradients_at`` or ``hessians_at`` call on all
     k*m nodes.  ``density_hess`` is needed only by the Newton-CG
     (``relax_profile`` and the field polish).
+
+    ``h`` is the grid step, grid[1] - grid[0] (a half's is its whole's).
+    ``x1_parity`` (n,), a fact of the fixture, gives each component's
+    reflection about the grid's centre (-1 odd, +1 even); ``half`` is then
+    the space of the rows from the centre on (``x1_half``), whose first row
+    is not an edge.
     """
 
     grid: np.ndarray
@@ -612,28 +618,45 @@ class EffectivePotentialSpace:
     tail_left: np.ndarray | None = None
     tail_right: np.ndarray | None = None
     ref_value: float = 0.0
-    symmetry: str = "none"
+    x1_parity: np.ndarray | None = None
+    x1_half: bool = False
     z_minus: GridFunction | None = None
     z_plus: GridFunction | None = None
+    h: float = field(init=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
+        self.h = float(self.grid[1] - self.grid[0])
         if self.potential is None and self.density is None:
             raise ValueError("need a pointwise potential or an explicit density")
-        if self.symmetry not in ("none", "odd_first"):
-            raise ValueError(f"unknown symmetry mode {self.symmetry!r}")
-        if self.symmetry == "odd_first" and not np.allclose(
-            self.grid, -self.grid[::-1], atol=1e-9 * max(1.0, abs(self.grid[-1]))
-        ):
-            raise ValueError("odd symmetry needs a grid symmetric about zero")
+        if self.x1_parity is not None:
+            self.x1_parity = np.asarray(self.x1_parity, dtype=float)
+            if self.x1_parity.shape != (self.n_components,) or not np.all(
+                np.abs(self.x1_parity) == 1.0
+            ):
+                raise ValueError("x1_parity needs one sign +-1 per component")
+            if not self.x1_half and not np.allclose(
+                self.grid + self.grid[::-1], self.grid[0] + self.grid[-1],
+                atol=1e-9 * max(1.0, float(np.max(np.abs(self.grid)))),
+            ):
+                raise ValueError("x1 parity needs a grid mirrored about its centre")
+        elif self.x1_half:
+            raise ValueError("a half space needs an x1_parity")
 
     @property
     def m(self) -> int:
         return self.grid.size
 
-    @property
-    def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+    def half(self) -> "EffectivePotentialSpace":
+        """The rows from the centre on of an odd grid with an ``x1_parity``:
+        actions there are half the mirrored profile's, and so is the
+        reference; ``h`` is kept, so a row's arithmetic is the whole's."""
+        if self.x1_parity is None or self.x1_half or self.m % 2 == 0:
+            raise ValueError("only an odd grid with an x1 parity has a centre row")
+        half = replace(self, grid=self.grid[self.m // 2:], ref_value=0.5 * self.ref_value,
+                       x1_half=True, z_minus=None, z_plus=None)
+        half.h = self.h
+        return half
 
     def grid_function(self, values: np.ndarray) -> GridFunction:
         return GridFunction(
@@ -690,7 +713,8 @@ class EffectivePotentialSpace:
         return kinetic + potential
 
     def energy_1d_grad(self, values: np.ndarray) -> np.ndarray:
-        """Coordinate gradient of energy_1d, shape (k, m, n); edge rows are pinned to zero."""
+        """Coordinate gradient of energy_1d, shape (k, m, n); edge rows are
+        zero, and a half space's first row, the centre, keeps its gradient."""
         v = self._stack(values)
         h = self.h
         dv = v[:, 1:] - v[:, :-1]
@@ -705,7 +729,10 @@ class EffectivePotentialSpace:
         inner += 0.0
         inner += grad[:, 1:-1]
         grad[:, 1:-1] = inner
-        grad[:, 0] = 0.0
+        if self.x1_half:
+            grad[:, 0] -= dv[:, 0]
+        else:
+            grad[:, 0] = 0.0
         grad[:, -1] = 0.0
         return grad
 
@@ -723,41 +750,40 @@ class EffectivePotentialSpace:
         """1D action minus the reference distance (zero on minimal connections), shape (k,)."""
         return self.energy_1d(values) - self.ref_value
 
-    def symmetrize(self, values: np.ndarray) -> np.ndarray:
-        """Project onto the odd-first-component subspace (exact reflection).
-
-        Acts on every profile of an array reshapeable to (..., m, n) and
-        returns the input's shape.
-        """
-        values = np.asarray(values, dtype=float)
-        v = values.reshape(-1, self.m, self.n_components)
-        flipped = v[:, ::-1]
-        out = np.empty_like(v)
-        out[..., 0] = 0.5 * (v[..., 0] - flipped[..., 0])
-        out[..., 1:] = 0.5 * (v[..., 1:] + flipped[..., 1:])
-        return out.reshape(values.shape)
-
     def profile_hessp(self, values: np.ndarray):
         """Hessian of ``energy_1d`` at one profile, as a function of a direction (m, n).
 
         The trapezoid-weighted density Hessian block plus the second-difference
         stencil of the kinetic term; like the gradient, a product is zero on
-        the edge rows.  On the free rows the Hessian is h * (B + L), with
-        B = D^2(density) and L the Dirichlet Laplacian of the stencil; the
-        product's ``shift`` holds, per component c, max(0, mean of B_cc over
-        the free rows), the shift of ``relax_profile``'s preconditioner.
+        the edge rows, and a half space's keeps its centre row.  On the free
+        rows the Hessian is h * (B + L), with B = D^2(density) and L the
+        Dirichlet Laplacian of the stencil; the product's ``shift`` holds,
+        per component c, max(0, mean of B_cc over the free rows, a half
+        space's whole mirrored profile's), the shift of ``relax_profile``'s
+        preconditioner.
         """
         hess = self._density_hessians(self._stack(values))[0]
         block = trapezoid_weights(self.m, self.h)[:, None, None] * hess
         h = self.h
+        first = 0 if self.x1_half else 1
 
         def hessp(d):
             out = np.einsum("mij,mj->mi", block, d)
             out[1:-1] += (2.0 * d[1:-1] - d[:-2] - d[2:]) / h
-            out[[0, -1]] = 0.0
+            if first:
+                out[0] = 0.0
+            else:
+                out[0] += (d[0] - d[1]) / h
+            out[-1] = 0.0
             return out
 
-        hessp.shift = np.maximum(np.einsum("mcc->c", hess[1:-1]) / (self.m - 2), 0.0)
+        if first:
+            mean = np.einsum("mcc->c", hess[1:-1]) / (self.m - 2)
+        else:
+            # the whole profile's free rows: the centre once, the others twice
+            diag = np.einsum("mcc->mc", hess[:-1])
+            mean = (diag[0] + 2.0 * np.sum(diag[1:], axis=0)) / (2 * self.m - 3)
+        hessp.shift = np.maximum(mean, 0.0)
         return hessp
 
     def relax_profile(self, values: np.ndarray, gtol: float = 1e-10):
@@ -765,28 +791,52 @@ class EffectivePotentialSpace:
 
         Used to turn sampled connection guesses into discrete minimizers;
         returns (values, energy).  The pinned Newton-CG on ``energy_1d``,
-        odd-projected in symmetry mode "odd_first" and preconditioned by the
-        shifted fast Poisson solve of ``poisson_preconditioner`` along x1,
-        with each Newton step's shift from ``profile_hessp``; raises
-        RuntimeError unless it converges to ``gtol``.
+        preconditioned by the shifted fast Poisson solve of
+        ``poisson_preconditioner`` along x1, with each Newton step's shift
+        from ``profile_hessp``; raises RuntimeError unless it converges to
+        ``gtol``.  An odd grid with an ``x1_parity`` is relaxed on its
+        ``half`` (odd components pinned at zero on the centre row, even ones
+        free there) and mirrored bit for bit; the stop test and the energy
+        are the whole profile's.
         """
         values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
-        project = self.symmetrize if self.symmetry == "odd_first" else None
+        space, parity, gscale = self, None, None
         pinned = np.zeros(values.shape, dtype=bool)
         pinned[[0, -1]] = True
-        poisson = poisson_preconditioner(values.shape, self.h)
+        if self.x1_parity is not None and self.m % 2:
+            space, parity = self.half(), self.x1_parity
+            values = values[self.m // 2:].copy()
+            values[0, parity < 0] = 0.0
+            pinned = pinned[self.m // 2:]
+            pinned[0] = parity < 0
+            if np.any(parity > 0):
+                gscale = np.ones(values.shape)
+                gscale[0] = 2.0
+        poisson = poisson_preconditioner(values.shape, self.h, parity=parity)
         out, info = pinned_newton_cg(
-            lambda v: (self.energy_1d(v)[0], self.energy_1d_grad(v)[0]),
-            self.profile_hessp, values if project is None else project(values), pinned,
-            project=project, gtol=gtol, max_steps=RELAX_STEPS,
-            precond=lambda hessp: poisson(hessp.shift),
+            lambda v: (space.energy_1d(v)[0], space.energy_1d_grad(v)[0]),
+            space.profile_hessp, values, pinned, gtol=gtol, max_steps=RELAX_STEPS,
+            precond=lambda hessp: poisson(hessp.shift), gscale=gscale,
+            norm_weights=None if parity is None else 2.0 * (1.0 if gscale is None else gscale),
         )
         if info.status != "converged":
             raise RuntimeError(
                 f"profile relaxation {info.status} after {info.steps} Newton steps: "
                 f"max free gradient {info.gmax:.3g} (tolerance {gtol:g})"
             )
-        return out, info.value
+        if parity is None:
+            return out, info.value
+        out = mirror_half(out, parity)
+        return out, float(self.energy_1d(out)[0])
+
+
+def mirror_half(half: np.ndarray, signs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``half``, from the centre on along ``axis``, after its mirror:
+    whole[c - j] = signs * whole[c + j] bit for bit (``signs`` (n,))."""
+    reflected = signs * half[(slice(None),) * axis + (slice(None, 0, -1),)]
+    # a negated +0.0 is -0.0; + 0.0 makes it +0.0, as 0.0 - x gives it
+    reflected += 0.0
+    return np.concatenate([reflected, half], axis=axis)
 
 
 # Newton steps of a profile relaxation before it reports max_iters, and the
@@ -798,6 +848,8 @@ CG_MAXITER = 2000
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
+# the relative rise of the value within which a step is judged by its slope
+FLAT = 1e-12
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -810,7 +862,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def poisson_preconditioner(shape, *steps, parity=None):
+def poisson_preconditioner(shape, *steps, parity=None, line_parity=None):
     """The shifted Dirichlet Poisson solves that precondition the Newton-CGs.
 
     For a profile of ``shape`` (M, n) on step h, returns a function of the
@@ -827,17 +879,20 @@ def poisson_preconditioner(shape, *steps, parity=None):
     sigma_c(x1) plus that eigenvalue, solved exactly by Thomas' algorithm,
     vectorised over the (k, c) columns, on a factor built once per shift.
 
-    A field's ``parity`` (n,) gives each component's reflection about its
-    first x2 column, the centre of a field solved on half its x2 window:
-    -1 (the default) pins it there (Dirichlet), +1 leaves it free and even
-    (Neumann).  An even component is solved as 2 D^-1 E^T P_w^-1 E D^-1,
-    with E the even extension to the whole window's 2P - 1 columns, P_w
-    that window's solve and D = E^T E (1 on the centre column, 2 elsewhere);
-    only the P - 1 odd x2 modes of P_w meet E.  One Thomas sweep runs over
-    the mode columns of all components.
+    ``parity`` (n,) gives each component's reflection about the first node
+    of the DST axis (a field's x2, a profile's x1), the centre of a half
+    solve: -1 (the default) pins it (Dirichlet), +1 leaves it free and even
+    (Neumann), solved as 2 D^-1 E^T P_w^-1 E D^-1 with E the even
+    extension to the whole axis' 2P - 1 nodes, P_w its solve and D = E^T E;
+    only the P - 1 odd modes of P_w meet E.  A field's ``line_parity`` does
+    the same about its first x1 row, with shifts (M-1, n) from that row on:
+    there an even component's band is the mirror's, diagonal (2/h^2 +
+    sigma_c + lam_k) / 2 and off-diagonal -1/h^2, and an odd one's diagonal
+    is infinite, which leaves the other rows' sweeps bit for bit.  One
+    Thomas sweep runs over the mode columns of all components.
 
-    P commutes with the pins, and with the odd-first projection where sigma
-    is even in x1.  A solve reads r on the free nodes only and returns a new
+    P commutes with the pins, and with the reflections where sigma is even
+    in them.  A solve reads r on the free nodes only and returns a new
     array, zero on the pins.  The solves at one shift share their transform
     buffers, so they must not run concurrently.
     """
@@ -847,6 +902,16 @@ def poisson_preconditioner(shape, *steps, parity=None):
     # DST-I squares to (nodes - 1) / 2
     scale = 2.0 / ((nodes - 1) * math.prod(steps))
     rows = grid[1] - 2 if len(grid) == 2 else 1
+    # the first x1 row of a field's sweep
+    lo = 1
+    if line_parity is not None:
+        rows, lo = rows + 1, 0
+    even = [parity is not None and parity[c] > 0 for c in range(n)]
+    if any(even):
+        # the whole axis' 2P - 1 nodes; P - 1 is their centre
+        whole = 2 * nodes - 1
+        lam_whole = (2.0 / steps[0] * np.sin(
+            0.5 * math.pi * np.arange(1, whole - 1, 2) / (whole - 1))) ** 2
 
     def transform(length):
         """(dst, pad): dst(x), the DST-I on ``length`` nodes of the rows of
@@ -866,28 +931,43 @@ def poisson_preconditioner(shape, *steps, parity=None):
 
     def at(shift):
         dst, _ = transform(nodes)
+        if any(even):
+            dst_whole, pad_whole = transform(whole)
+
+            def even_modes(x):
+                # the odd whole-axis modes of E D^-1 x, x each row's values
+                # from the centre on: the centre, then the rest halved and
+                # mirrored about it
+                pad_whole[:, nodes - 1:whole - 1] = x
+                pad_whole[:, nodes:whole - 1] *= 0.5
+                pad_whole[:, 1:nodes - 1] = pad_whole[:, whole - 2:nodes - 1:-1]
+                return dst_whole()[:, ::2]
+
+            def even_values(modes):
+                # the odd modes alone, back on the nodes from the centre on
+                pad_whole[:, 1:whole - 1] = 0.0
+                pad_whole[:, 1:whole - 1:2] = modes
+                return dst_whole()[:, nodes - 2:]
 
         if len(grid) == 1:
-            inv = lam + np.reshape(shift, (n, 1))
-            np.divide(scale, inv, out=inv)
+            inv = [np.divide(scale, (lam_whole if even[c] else lam) + shift[c])
+                   for c in range(n)]
 
             def psolve(r):
                 out = np.zeros(shape)
                 for c in range(n):
-                    x = dst(r[1:-1, c])
-                    np.multiply(x, inv[c], out=x)
-                    out[1:-1, c] = dst(x)[0]
+                    if even[c]:
+                        x = even_modes(r[:-1, c])
+                        x *= inv[c]
+                        out[:-1, c] = even_values(x)[0]
+                    else:
+                        x = dst(r[1:-1, c])
+                        np.multiply(x, inv[c], out=x)
+                        out[1:-1, c] = dst(x)[0]
                 return out
 
             return psolve
 
-        even = [parity is not None and parity[c] > 0 for c in range(n)]
-        if any(even):
-            # the whole window's 2P - 1 nodes; P - 1 is their centre
-            whole = 2 * nodes - 1
-            dst_whole, pad_whole = transform(whole)
-            lam_whole = (2.0 / steps[0] * np.sin(
-                0.5 * math.pi * np.arange(1, whole - 1, 2) / (whole - 1))) ** 2
         # each component's (first mode column, mode count) in the sweep
         blocks, width = [], 0
         for c in range(n):
@@ -903,8 +983,10 @@ def poisson_preconditioner(shape, *steps, parity=None):
         shift = np.asarray(shift)
         cp = np.empty((rows, width))
         for c, (first, modes) in enumerate(blocks):
-            np.add(shift[:, c:c + 1], (lam_whole if even[c] else lam) + 2.0 * off,
-                   out=cp[:, first:first + modes])
+            band = cp[:, first:first + modes]
+            np.add(shift[:, c:c + 1], (lam_whole if even[c] else lam) + 2.0 * off, out=band)
+            if line_parity is not None:
+                band[0] = 0.5 * band[0] if line_parity[c] > 0 else math.inf
         # row views made once: indexing cp in the loops costs as much as
         # the arithmetic on a row
         cps = list(cp)
@@ -927,14 +1009,9 @@ def poisson_preconditioner(shape, *steps, parity=None):
             for c, (first, modes) in enumerate(blocks):
                 cols = free[:, first:first + modes]
                 if even[c]:
-                    # E D^-1 r: the centre column, then the others halved
-                    # and mirrored about it
-                    pad_whole[:, nodes - 1:whole - 1] = r[:-1, 1:-1, c].T
-                    pad_whole[:, nodes:whole - 1] *= 0.5
-                    pad_whole[:, 1:nodes - 1] = pad_whole[:, whole - 2:nodes - 1:-1]
-                    cols[...] = dst_whole()[:, ::2]
+                    cols[...] = even_modes(r[:-1, lo:-1, c].T)
                 else:
-                    cols[...] = dst(r[1:-1, 1:-1, c].T)
+                    cols[...] = dst(r[1:-1, lo:-1, c].T)
             free *= cp
             # elimination down x1, then back substitution up it, in place,
             # one row of mode columns at a time (a list of free's row views
@@ -952,19 +1029,16 @@ def poisson_preconditioner(shape, *steps, parity=None):
             for c, (first, modes) in enumerate(blocks):
                 cols = free[:, first:first + modes]
                 if even[c]:
-                    # the odd modes alone, back on the half window's columns
-                    pad_whole[:, 1:whole - 1] = 0.0
-                    pad_whole[:, 1:whole - 1:2] = cols
-                    x = dst_whole()[:, nodes - 2:]
+                    x = even_values(cols)
                     x *= gain
-                    out[:-1, 1:-1, c] = x.T
+                    out[:-1, lo:-1, c] = x.T
                 else:
                     # scaled in place, then copied: a product written
                     # straight into the transposed columns took five times
                     # longer
                     x = dst(cols)
                     x *= gain
-                    out[1:-1, 1:-1, c] = x.T
+                    out[1:-1, lo:-1, c] = x.T
             return out
 
         return psolve
@@ -980,13 +1054,14 @@ class NewtonResult(NamedTuple):
     value: float          # fun at the returned point
 
 
-def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None):
+def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None, weights=None):
     """Inexact Newton direction: CG on H p = -g from p = 0 (Nocedal-Wright Alg. 7.1).
 
     ``psolve``, if given, applies M^-1 for a symmetric positive definite
     preconditioner M, and the recursion is then Alg. 5.3's preconditioned
     CG; without it M is the identity.  Stops once the residual norm
-    |H p + g| is at most ``tol`` or after ``maxiter`` products.  On a
+    |H p + g|, weighted as sqrt(sum weights r^2) if ``weights`` is given,
+    is at most ``tol`` or after ``maxiter`` products.  On a
     direction of nonpositive curvature it stops at once and returns the
     iterate so far, or the first direction -M^-1 g if there is none yet.
     Every returned step is a descent direction.  Returns (step, negative
@@ -1010,7 +1085,7 @@ def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None):
         r += alpha * bd
         # H d is spent; free it before the solve and the next product
         del bd
-        if math.sqrt(_dot(r, r)) <= tol:
+        if math.sqrt(_dot(r, r if weights is None else weights * r)) <= tol:
             return z, False, j + 1
         y = psolve(r)
         ry_next = _dot(r, y)
@@ -1022,34 +1097,37 @@ def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None):
     return z, False, maxiter
 
 
-def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps,
-                     precond=None, gscale=None):
+def pinned_newton_cg(fun, hessp_at, x0, pinned, *, gtol, max_steps,
+                     precond=None, gscale=None, norm_weights=None):
     """Truncated Newton-CG on ``fun`` with the ``pinned`` entries of ``x0`` held fixed.
 
     ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
     shape), and ``hessp_at(x)`` returns the Hessian-vector product at x as a
-    function of a direction; it is called once per Newton step.  The optional
-    ``project`` is linear: gradients and Hessian products are projected and
-    then zeroed on the pins, and so is every step, so iterates keep the
-    pinned values and stay in the projected subspace that ``x0`` must lie
-    in.  ``precond``, if given, maps the step's product (what ``hessp_at``
-    returned) to the solve r -> M^-1 r of a symmetric positive definite M
-    that commutes with the pins and with ``project``; the CG is then
-    preconditioned by it (see ``truncated_cg``).  The CG forcing term is
-    min(0.5, sqrt |g|), and Armijo backtracking guards each step.  Stops
+    function of a direction; it is called once per Newton step.  Gradients,
+    Hessian products and steps are zeroed on the pins, so iterates keep the
+    pinned values.  ``precond``, if given, maps the step's product (what
+    ``hessp_at`` returned) to the solve r -> M^-1 r of a symmetric positive
+    definite M that commutes with the pins; the CG is then preconditioned
+    by it (see ``truncated_cg``).  The CG forcing term is
+    min(0.5, sqrt |g|), and Armijo backtracking guards each step (within
+    ``FLAT`` |value|, where rounding hides a decrease, Hager and Zhang's
+    approximate Wolfe test on the slope).  Stops
     when the max-norm of the free gradient, times ``gscale`` (an array
     shaped like ``x0``) if given, is at most ``gtol``, after ``max_steps``
     steps, or when backtracking finds no decrease.  Returns (minimizer,
-    NewtonResult).
+    NewtonResult).  ``norm_weights`` (like ``x0``, or a scalar), if given,
+    weights the norm sqrt(sum norm_weights x^2) of the forcing term and the
+    CG's stop: 2 gscale on a mirrored half, whose gscale is 2 on its centre
+    line, gives the whole problem's norm and so its CG.
     """
     pinned = np.asarray(pinned, dtype=bool)
 
     def reduce(v):
-        # projected, then zeroed in place on the pins
-        v = v if project is None else project(v)
+        # zeroed in place on the pins
         v[pinned] = 0.0
         return v
 
+    weights = norm_weights
     x = np.asarray(x0, dtype=float).copy()
     e, g = fun(x)
     g = reduce(g)
@@ -1062,10 +1140,10 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
         if steps == max_steps:
             status = "max_iters"
             break
-        gnorm = math.sqrt(_dot(g, g))
+        gnorm = math.sqrt(_dot(g, g if weights is None else weights * g))
         hessp = hessp_at(x)
         p, _, used = truncated_cg(
-            lambda d: reduce(hessp(d)), g, min(0.5, math.sqrt(gnorm)) * gnorm,
+            lambda d: reduce(hessp(d)), g, min(0.5, math.sqrt(gnorm)) * gnorm, weights=weights,
             psolve=None if precond is None else precond(hessp),
         )
         products += used
@@ -1076,6 +1154,10 @@ def pinned_newton_cg(fun, hessp_at, x0, pinned, project=None, *, gtol, max_steps
             x_try = x + t * p
             e_try, g_try = fun(x_try)
             if e_try <= e + ARMIJO * t * slope:
+                break
+            # within rounding of e the slope still ranks the points
+            g_try = reduce(g_try)
+            if e_try <= e + FLAT * abs(e) and _dot(g_try, p) <= (2.0 * ARMIJO - 1.0) * slope:
                 break
             t *= BACKTRACK
         else:

@@ -1115,40 +1115,46 @@ def _shipped_config(name):
     return _load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
 
 
-# each double run and whether it is polished on half its x2 window: a field
-# with signed mirror wells z- = sigma z+ on an odd x2 grid is, the sine
-# fixture's (sigma = -1) and the planar one's (sigma = (1, -1)) alike
+# each double run, whether it is polished on half its x2 window and whether
+# on half its x1 rows: a field with signed mirror wells z- = sigma z+ on an
+# odd x2 grid is polished on x2 >= 0, the sine fixture's (sigma = -1) and the
+# planar one's (sigma = (1, -1)) alike, and a sym field on an odd x1 grid on
+# its rows from the centre on, with the fixture's x1 parity (+1 about pi/2
+# for the sine strip, (-1, +1) about 0 for the planar family)
 HALF_WINDOW_RUNS = {
-    "sin": (SIN_CFG, True),
-    "sin_even_n_out": (dict(SIN_CFG, opts={"n_out": 16, "t_max": 3.0}), False),
-    "planar_sym": (PLANAR_CFG, True),
-    "planar_asym": (dict(PLANAR_CFG, mode="asym"), True),
-    "shipped_planar_sym": ("planar_sym", True),
-    "shipped_planar_asym": ("planar_asym", True),
+    "sin": (SIN_CFG, True, True),
+    "sin_even_n_out": (dict(SIN_CFG, opts={"n_out": 16, "t_max": 3.0}), False, True),
+    "sin_even_m": (dict(SIN_CFG, m=32), True, False),
+    "planar_sym": (PLANAR_CFG, True, True),
+    "planar_sym_even_m": (dict(PLANAR_CFG, m=100), True, False),
+    "planar_asym": (dict(PLANAR_CFG, mode="asym"), True, False),
+    "shipped_sin": ("sin_example", True, True),
+    "shipped_planar_sym": ("planar_sym", True, True),
+    "shipped_planar_asym": ("planar_asym", True, False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HALF_WINDOW_RUNS))
-def test_only_an_odd_sin_field_is_polished_on_half_its_x2_window(tmp_path, monkeypatch,
-                                                                 name):
-    cfg, half = HALF_WINDOW_RUNS[name]
+def test_a_double_is_polished_on_half_of_each_axis_it_mirrors(tmp_path, monkeypatch, name):
+    cfg, half_columns, half_rows = HALF_WINDOW_RUNS[name]
     if isinstance(cfg, str):
         cfg = _shipped_config(cfg)
     polish = hetconn.double_connection._polish_field
-    columns = []
+    shapes = []
 
     def counted(space, u0, *args):
-        columns.append(u0.shape[0])
+        shapes.append(u0.shape[:2])
         return polish(space, u0, *args)
 
     monkeypatch.setattr(hetconn.double_connection, "_polish_field", counted)
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    p = cfg["opts"]["n_out"]
-    expected = p // 2 + 1 if half else p
-    assert columns == [expected]
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["results"]["polish_columns"] == expected
+    p, m = cfg["opts"]["n_out"], cfg["m"]
+    expected = (p // 2 + 1 if half_columns else p, (m + 1) // 2 if half_rows else m)
+    assert shapes == [expected]
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert (results["polish_columns"], results["polish_rows"]) == expected
+    assert results["x1_reflection"] == ([1] if cfg["example"] == "sin" else [-1, 1])
     assert main(["verify", str(out)]) == 0
 
 
@@ -1242,6 +1248,90 @@ def test_verify_rejects_a_polish_columns_that_is_not_an_integer(tmp_path, capsys
     capsys.readouterr()
     assert main(["verify", str(out)]) == 4
     assert "polish_columns must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["101", 51.0, False, None])
+def test_verify_rejects_a_polish_rows_that_is_not_an_integer(tmp_path, capsys, value):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["results"]["polish_rows"] = value
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert "polish_rows must be an integer" in capsys.readouterr().err
+
+
+X1_GATE = "(-u1, u2)(x1*, x2) - u(x1, x2)| of an x1-half solve"
+
+
+def test_verify_checks_the_x1_reflection_that_an_x1_half_run_claims(tmp_path, capsys):
+    # planar's quarter field is (-u1, u2) at the x1 mirror x1* = -x1
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert (results["polish_rows"], results["x1_reflection"]) == (51, [-1, 1])
+    capsys.readouterr()
+    assert main(["verify", "--verbose", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert f"max |{X1_GATE} 0 " in printed
+    assert "max |x1[0] + x1[-1] - x1 - x1 reversed| of an x1-half solve 0 " in printed
+    # u1 moved the same way at a node and its x2 mirror keeps the x2
+    # reflection; it breaks the x1 one
+    _nudge_field(out, (8, 3), 1e-9, column=2)
+    _nudge_field(out, (8, -4), 1e-9, column=2)
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert X1_GATE in err and "of a half-window solve" not in err
+
+
+def test_verify_checks_the_x1_reflection_of_the_sine_strip(tmp_path, capsys):
+    # the sine strip's field is even about x1 = pi / 2
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--verbose", str(out)]) == 0
+    assert ("max |u(x1*, x2) - u(x1, x2)| of an x1-half solve 0 "
+            in capsys.readouterr().out)
+    # a node and its x2 mirror moved so that the x2 reflection holds
+    _nudge_field(out, (5, 3), 1e-9)
+    _nudge_field(out, (5, -4), -1e-9)
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "u(x1*, x2) - u(x1, x2)| of an x1-half solve" in err
+    assert "of a half-window solve" not in err
+
+
+def test_verify_rejects_an_x1_half_run_whose_x1_is_not_a_mirror(tmp_path, capsys):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    path = out / "u.npy"
+    table = np.load(path)
+    # one x1 node, in every x2 column, moved by far less than the step: the
+    # planar density does not read x1, so only the mirror gate sees it
+    table[30, :, 0] += 1e-12
+    np.save(path, table)
+    _resign(out, "u.npy")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "max |x1[0] + x1[-1] - x1 - x1 reversed| of an x1-half solve" in err
+    assert "recomputed" not in err
+
+
+@pytest.mark.parametrize("value", [[1, 1], [1, -1], [-1], None])
+def test_verify_rejects_a_recorded_x1_reflection_the_fixture_does_not_have(tmp_path, capsys,
+                                                                          value):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["results"]["x1_reflection"] = value
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert "results.x1_reflection" in capsys.readouterr().err
 
 
 def test_main_builds_its_parser_once_per_process(tmp_path, capsys):

@@ -29,7 +29,12 @@ from hetconn.double_connection import (
     field_audit,
     planar_effective_space,
 )
-from hetconn.function_space import pinned_newton_cg, poisson_preconditioner, truncated_cg
+from hetconn.function_space import (
+    mirror_half,
+    pinned_newton_cg,
+    poisson_preconditioner,
+    truncated_cg,
+)
 from hetconn.metric import SampledCurve, WeightedSpace, k_length, trapezoid_weights
 
 SMALL = DoubleOptions(n_out=33, t_max=4.0)
@@ -79,8 +84,9 @@ def test_symmetric_solve_small(planar_space):
     assert result.c_minus == 0.0 and result.c_plus == 0.0
     assert result.diagnostics["polish_status"] == "converged"
     # at equipartition the excess action matches the weighted path length
-    assert result.energy == pytest.approx(assemble_and_verify(result).k_length, rel=5e-2)
-    assert result.energy > 0.0
+    report = assemble_and_verify(result)
+    assert report.energy_path == pytest.approx(report.k_length, rel=5e-2)
+    assert report.energy_path > 0.0
 
 
 def test_symmetric_solve_verifies(planar_space):
@@ -173,8 +179,7 @@ def test_double_solves_run_no_path_descent(monkeypatch):
 
 def test_planar_wells_are_discrete_minimizers(planar_space):
     zp = planar_space.z_plus.values
-    g = planar_space.symmetrize(planar_space.energy_1d_grad(zp)[0])
-    g[[0, -1]] = 0.0
+    g = planar_space.energy_1d_grad(zp)[0]
     assert np.max(np.abs(g)) <= 1e-10
 
 
@@ -396,7 +401,7 @@ def test_the_audit_residual_is_the_five_point_residual(field_space):
     u = _noisy_blend(space, p=17, seed=5)
     dt, margin = 0.1, 2
     h = space.h
-    audit = field_audit(space, u, dt, margin, "asym")
+    audit = field_audit(space, u, dt, margin)
     # the free gradient over its trapezoid weights h * dt
     res = _path_energy(space, u, dt, grad=True)[1][margin:-margin, margin:-margin] / (-h * dt)
     assert audit.residual_max == pytest.approx(np.max(np.linalg.norm(res, axis=2)), rel=1e-15)
@@ -424,7 +429,7 @@ def test_one_audit_reads_the_field_and_its_midpoints_once(monkeypatch):
 
     for name in seen:
         monkeypatch.setattr(EffectivePotentialSpace, name, counting(name))
-    field_audit(space, u, 0.1, 2, "sym")
+    field_audit(space, u, 0.1, 2)
     # the field's energy and gradient, the direct density sum and the midpoints
     assert [len(seen[name]) for name in seen] == [2, 1, 3, 1]
     field, mids = seen["energy_1d"]
@@ -441,13 +446,13 @@ def test_the_audit_recomputes_the_solve_bit_for_bit(planar_space, small_solves, 
     report = assemble_and_verify(result)
     # the polish's free gradient max and last energy
     assert report.gmax == result.diagnostics["polish_gmax"]
-    assert report.energy_path == result.energy
+    assert report.energy_path == _path_energy(planar_space, u, dt)
     # the midpoint K-length of the columns as a profile path, K = sqrt(2 W)
     wspace = WeightedSpace(space=planar_space.ambient(), weight=lambda pts: np.sqrt(
         2.0 * np.maximum(planar_space.effective_potential(pts), 0.0)))
     columns = SampledCurve(times=result.x2, nodes=u.reshape(u.shape[0], -1))
     assert report.k_length == k_length(columns, wspace, rule="midpoint")
-    assert report.reduction_gap == abs(result.energy - report.k_length)
+    assert report.reduction_gap == abs(report.energy_path - report.k_length)
     # the x2 kinetic term against the effective potential, segment by segment
     w1 = trapezoid_weights(u.shape[1], planar_space.h)[:, None]
     kinetic = 0.5 * np.sum(w1 * (np.diff(u, axis=0) / dt) ** 2, axis=(1, 2))
@@ -478,31 +483,43 @@ def test_path_energy_hessp_matches_central_differences_of_the_gradient(field_spa
 @pytest.fixture(scope="module")
 def planar_sym_field(planar_space):
     """The unpolished small planar sym field and its x2 step."""
-    u, x2 = _seed_field(planar_space, SMALL, True)
+    u, x2 = _seed_field(planar_space, SMALL)
     return u, float(np.diff(x2)[0])
 
 
 def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
                                                                    planar_sym_field):
+    # the rows from the centre on: u1 pinned at zero there, u2 free
     u0, dt = planar_sym_field
+    m = planar_space.m
+    half = planar_space.half()
     gtol = POLISH_GTOL
-    u, info = _polish_field(planar_space, u0, dt, True, gtol)
-    assert np.array_equal(u, planar_space.symmetrize(u))
-    pinned = _field_pins(u.shape)
-    assert np.array_equal(u[pinned], u0[pinned])
-    assert _path_energy(planar_space, u, dt) < _path_energy(planar_space, u0, dt)
+    u, info = _polish_field(half, u0[:, m // 2:], dt, gtol)
+    pinned = _field_pins(u.shape, x1_parity=half.x1_parity)
+    assert pinned[:, 0, 0].all() and not pinned[1:-1, 0, 1].any()
+    assert np.array_equal(u[pinned], u0[:, m // 2:][pinned])
+    whole = mirror_half(u, half.x1_parity, axis=1)
+    assert np.array_equal(whole[:, ::-1, 0], -whole[..., 0])
+    assert np.array_equal(whole[:, ::-1, 1], whole[..., 1])
+    assert _path_energy(planar_space, whole, dt) < _path_energy(planar_space, u0, dt)
     assert info.status == "converged" and 0 < info.steps
-    # the free gradient, recomputed here, meets the tolerance the run reports
-    g = planar_space.symmetrize(_path_energy(planar_space, u, dt, grad=True)[1])
+    # the stop test reads the whole field's free gradient: the half's, its
+    # centre row doubled
+    g = _path_energy(half, u, dt, grad=True)[1]
     g[pinned] = 0.0
+    g[:, 0] *= 2.0
     assert float(np.max(np.abs(g))) == info.gmax <= gtol
+    # which is the whole field's own, unprojected, to rounding
+    g = _path_energy(planar_space, whole, dt, grad=True)[1]
+    g[_field_pins(g.shape)] = 0.0
+    assert float(np.max(np.abs(g))) == pytest.approx(info.gmax, rel=1e-6)
 
 
 def test_polish_at_the_step_cap_says_so(planar_space, planar_sym_field, monkeypatch):
     u0, dt = planar_sym_field
     monkeypatch.setattr(double_connection, "POLISH_STEPS", 1)
     gtol = POLISH_GTOL
-    u, info = _polish_field(planar_space, u0, dt, True, gtol)
+    u, info = _polish_field(planar_space, u0, dt, gtol)
     assert info.status == "max_iters" and info.steps == 1
     assert info.gmax > gtol
     assert _path_energy(planar_space, u, dt) < _path_energy(planar_space, u0, dt)
@@ -514,7 +531,7 @@ def test_truncated_cg_stops_at_negative_curvature_with_a_descent_step(planar_spa
     free = (~_field_pins(u.shape)).astype(float)
 
     def reduce(v):
-        return planar_space.symmetrize(v) * free
+        return v * free
 
     hessp = _PathEnergyHessian(planar_space, u, dt)
     g = reduce(_path_energy(planar_space, u, dt, grad=True)[1])
@@ -587,6 +604,11 @@ def _even_rows(m, n, seed):
     return np.concatenate([half, half[::-1][(m - 2) % 2:]])
 
 
+def _odd_first(v):
+    """The projection of fields (P, M, 2) onto u1 odd and u2 even in x1."""
+    return 0.5 * (v + v[:, ::-1] * [-1.0, 1.0])
+
+
 def test_poisson_preconditioner_commutes_with_the_odd_projection():
     space = _flat_space()
     dt = 0.23
@@ -595,14 +617,14 @@ def test_poisson_preconditioner_commutes_with_the_odd_projection():
     assert np.array_equal(shift, shift[::-1])
     r = _free_noise(shape, 2)
     psolve = poisson_preconditioner(shape, dt, space.h)(shift)
-    lhs = psolve(space.symmetrize(r))
-    rhs = space.symmetrize(psolve(r))
+    lhs = psolve(_odd_first(r))
+    rhs = _odd_first(psolve(r))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # the check sees the shift: one that is not even in x1 breaks it
     shift[0] += 1.0
     psolve = poisson_preconditioner(shape, dt, space.h)(shift)
-    lhs = psolve(space.symmetrize(r))
-    rhs = space.symmetrize(psolve(r))
+    lhs = psolve(_odd_first(r))
+    rhs = _odd_first(psolve(r))
     assert np.max(np.abs(lhs - rhs)) > 1e-6 * np.max(np.abs(rhs))
 
 
@@ -614,11 +636,12 @@ def _shipped_config(name):
 def test_the_field_shift_is_per_row_and_even_on_the_planar_sym_seed(planar_space):
     cfg = _shipped_config("planar_sym")
     assert cfg["m"] == planar_space.m
-    u, x2 = _seed_field(planar_space, DoubleOptions(**cfg["opts"]), True)
+    u, x2 = _seed_field(planar_space, DoubleOptions(**cfg["opts"]))
     shift = _PathEnergyHessian(planar_space, u, float(np.diff(x2)[0])).shift
     assert shift.shape == (planar_space.m - 2, 2)
     assert np.all(shift >= 0.0)
-    # exactly even, so the line solve commutes with the odd projection
+    # exactly even, as the seed is its x1 mirror, so the line solve commutes
+    # with the x1 reflection
     assert np.array_equal(shift, shift[::-1])
     # and far from one shift per component: the row means of B_cc run from
     # 0 to about 16 (u1) and 3.2 (u2)
@@ -725,35 +748,32 @@ def test_preconditioned_cg_falls_back_to_a_descent_direction():
     assert float(np.dot(g, p)) < 0.0
 
 
-def test_the_preconditioner_cuts_the_polish_products(planar_space):
-    # the shipped planar sym and sin fields, each with its cap on the
-    # preconditioned products (11 and 9 with the line solve; 22 and 10 with
-    # one shift per component)
+def test_the_preconditioner_cuts_the_polish_products(planar_space, monkeypatch):
+    # the shipped planar sym and sin fields on their x1 rows from the centre
+    # on, each with its cap on the preconditioned products (11 and 9 with
+    # the line solve; 22 and 10 with one shift per component)
     planar, sin = _shipped_config("planar_sym"), _shipped_config("sin_example")
     assert planar["m"] == planar_space.m
-    fields = [(planar_space, planar["opts"], True, 12),
-              (sin_example_space(m=sin["m"]), sin["opts"], False, 10)]
-    for space, opts, symmetrize, cap in fields:
-        u0, x2 = _seed_field(space, DoubleOptions(**opts), symmetrize)
+    fields = [(planar_space, planar["opts"], 12),
+              (sin_example_space(m=sin["m"]), sin["opts"], 10)]
+    for space, opts, cap in fields:
+        u0, x2 = _seed_field(space, DoubleOptions(**opts))
         dt = float(np.diff(x2)[0])
-        poisson = poisson_preconditioner(u0.shape, dt, space.h)
+        half = space.half()
+        u0 = u0[:, space.m // 2:]
         runs = {}
-        for name, precond in (("plain", None), ("poisson", lambda hess: poisson(hess.shift))):
-            u, info = pinned_newton_cg(
-                lambda u: _path_energy(space, u, dt, grad=True),
-                lambda u: _PathEnergyHessian(space, u, dt), u0, _field_pins(u0.shape),
-                project=space.symmetrize if symmetrize else None,
-                gtol=POLISH_GTOL, max_steps=POLISH_STEPS, precond=precond,
-            )
+        for name in ("plain", "poisson"):
+            with monkeypatch.context() as patch:
+                if name == "plain":
+                    # no preconditioner: the CG's M is the identity
+                    patch.setattr(double_connection, "poisson_preconditioner",
+                                  lambda *args, **kwargs: lambda shift: None)
+                u, info = _polish_field(half, u0, dt, POLISH_GTOL)
             assert info.status == "converged"
-            runs[name] = (_path_energy(space, u, dt), info.products)
+            runs[name] = (_path_energy(half, u, dt), info.products)
         assert runs["poisson"][1] < runs["plain"][1]
         assert runs["poisson"][1] <= cap
         assert runs["poisson"][0] == pytest.approx(runs["plain"][0], rel=1e-10)
-        # the polish itself runs preconditioned
-        polish = _polish_field(space, u0, dt, symmetrize, POLISH_GTOL)[1]
-        assert polish.status == "converged"
-        assert polish.products == runs["poisson"][1]
 
 
 @pytest.mark.parametrize("m", [401, 2001])
@@ -802,23 +822,26 @@ def test_the_shipped_sin_field_is_odd_in_x2_bit_for_bit():
     assert result.diagnostics["polish_columns"] == p // 2 + 1 == 129
     assert np.array_equal(u[::-1], -u)
     assert not np.any(u[p // 2])
-    # the recorded energy and gradient max are the whole field's, as verify recomputes them
+    # and even about pi/2 in x1, polished on a quarter of the field
+    assert result.diagnostics["polish_rows"] == 129
+    assert np.array_equal(u[:, ::-1], u)
+    # the recorded gradient max is the whole field's, as verify recomputes it
     report = assemble_and_verify(result)
-    assert report.energy_path == result.energy
     assert report.gmax == result.diagnostics["polish_gmax"] <= POLISH_GTOL
 
 
 def test_the_half_window_solve_matches_the_full_window_polish():
     space = sin_example_space(m=65)
     opts = DoubleOptions(n_out=65, t_max=4.0)
-    u0, x2 = _seed_field(space, opts, False)
+    u0, x2 = _seed_field(space, opts)
     dt = float(np.diff(x2)[0])
-    full_u, full = _polish_field(space, u0, dt, False, POLISH_GTOL)
+    full_u, full = _polish_field(space, u0, dt, POLISH_GTOL)
     result = solve_symmetric(space, opts)
     assert result.diagnostics["polish_columns"] == 33
     assert full.status == result.diagnostics["polish_status"] == "converged"
     assert result.diagnostics["polish_steps"] == full.steps
-    assert result.energy == pytest.approx(full.value, rel=1e-12, abs=0.0)
+    energy = assemble_and_verify(result).energy_path
+    assert energy == pytest.approx(full.value, rel=1e-12, abs=0.0)
     assert np.max(np.abs(result.u - full_u)) <= 1e-7
 
 
@@ -873,19 +896,122 @@ def test_the_preconditioner_s_default_parity_is_dirichlet_bit_for_bit():
     assert np.array_equal(plain, odd)
 
 
+def test_the_free_centre_row_solve_is_the_whole_x1_solve_on_the_mirror():
+    rng = np.random.default_rng(9)
+    p, q, dt, h = 9, 19, 0.2, 0.05
+    rho = np.array([1.0, -1.0])
+    # one shift per row of the sweep: the centre row, then the q - 2 free ones
+    shift = rng.uniform(0.0, 3.0, (q - 1, 2))
+    half = poisson_preconditioner((p, q, 2), dt, h, line_parity=rho)(shift)
+    # the whole x1 rows' shifts, the mirror of the half's about the centre
+    whole = poisson_preconditioner((p, 2 * q - 1, 2), dt, h)(
+        np.concatenate([shift[:0:-1], shift]))
+    e = _even_extension(q)
+    d_inv = np.diag(1.0 / np.diag(e.T @ e))
+    free = ~_field_pins((p, q, 2), x1_parity=rho)
+    # u1 is free on the centre row, u2 pinned there
+    assert free[1:-1, 0, 0].all() and not free[:, 0, 1].any()
+    for _ in range(3):
+        r = rng.standard_normal((p, q, 2)) * free
+        got = half(r)
+        # the even u1: 2 D^-1 E^T M^-1 E D^-1 of the whole rows' solve
+        ext = np.zeros((p, 2 * q - 1, 2))
+        ext[..., 0] = r[..., 0] @ (e @ d_inv).T
+        want = 2.0 * whole(ext)[..., 0] @ (d_inv @ e.T).T
+        assert np.max(np.abs(got[..., 0] - want)) <= 1e-12 * np.max(np.abs(want))
+        # the odd u2: the Dirichlet solve on the half's free rows, bit for bit
+        dirichlet = poisson_preconditioner((p, q, 2), dt, h)(shift[1:])(r)[..., 1]
+        assert np.array_equal(got[..., 1], dirichlet)
+        assert not np.any(got[~free])
+        # symmetric
+        s = rng.standard_normal((p, q, 2)) * free
+        assert np.sum(s * got) == pytest.approx(np.sum(r * half(s)), rel=1e-12)
+
+
+def test_the_even_profile_solve_is_the_whole_profile_solve_on_the_mirror():
+    rng = np.random.default_rng(10)
+    q, h = 21, 0.07
+    shift = np.array([0.4, 2.5])
+    half = poisson_preconditioner((q, 2), h, parity=np.array([1.0, -1.0]))(shift)
+    whole = poisson_preconditioner((2 * q - 1, 2), h)(shift)
+    e = _even_extension(q)
+    d_inv = np.diag(1.0 / np.diag(e.T @ e))
+    for _ in range(3):
+        r = rng.standard_normal((q, 2))
+        r[-1] = 0.0
+        r[0, 1] = 0.0
+        got = half(r)
+        want = 2.0 * d_inv @ e.T @ whole(np.column_stack([e @ d_inv @ r[:, 0],
+                                                          np.zeros(2 * q - 1)]))[:, 0]
+        assert np.max(np.abs(got[:, 0] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got[:, 1], poisson_preconditioner((q, 2), h)(shift)(r)[:, 1])
+        assert got[-1, 0] == got[0, 1] == got[-1, 1] == 0.0
+
+
+def test_the_line_solve_s_default_parity_is_dirichlet_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shape, shift = (9, 13, 2), rng.uniform(0.0, 2.0, (11, 2))
+    r = rng.standard_normal(shape)
+    plain = poisson_preconditioner(shape, 0.3, 0.1)(shift)(r)
+    # an odd centre row is pinned, whatever its shift: the other rows keep
+    # their bits, the x2-even mixed parity's too
+    odd = poisson_preconditioner(shape, 0.3, 0.1, line_parity=[-1.0, -1.0])(
+        np.concatenate([[[5.0, 7.0]], shift]))(r)
+    assert np.array_equal(plain, odd)
+    mixed = dict(parity=[1.0, -1.0])
+    plain = poisson_preconditioner(shape, 0.3, 0.1, **mixed)(shift)(r)
+    odd = poisson_preconditioner(shape, 0.3, 0.1, line_parity=[-1.0, -1.0], **mixed)(
+        np.concatenate([[[5.0, 7.0]], shift]))(r)
+    assert np.array_equal(plain, odd)
+
+
+@pytest.mark.parametrize("name", ["sin", "planar"])
+def test_the_quarter_solve_matches_the_x2_half_polish(name):
+    if name == "sin":
+        space, opts = sin_example_space(m=65), DoubleOptions(n_out=65, t_max=4.0)
+    else:
+        space, opts = planar_effective_space(m=65), DoubleOptions(n_out=33, t_max=4.0)
+    u0, x2 = _seed_field(space, opts)
+    dt = float(np.diff(x2)[0])
+    # x2 >= 0 on every x1 row, its sigma = -1 components zero on the centre column
+    p = u0.shape[0]
+    sigma = double_connection.x2_reflection(u0[0], u0[-1])
+    half_u0 = u0[p // 2:].copy()
+    half_u0[0][:, sigma < 0] = 0.0
+    half_u, half = _polish_field(space, half_u0, dt, POLISH_GTOL, sigma)
+    result = solve_symmetric(space, opts)
+    assert result.diagnostics["polish_columns"] == p // 2 + 1
+    assert result.diagnostics["polish_rows"] == 33
+    assert half.status == result.diagnostics["polish_status"] == "converged"
+    assert result.diagnostics["polish_steps"] == half.steps
+    assert result.diagnostics["polish_cg_products"] == half.products
+    whole = mirror_half(half_u, sigma)
+    energy = assemble_and_verify(result).energy_path
+    assert energy == pytest.approx(_path_energy(space, whole, dt), rel=1e-12, abs=0.0)
+    assert np.max(np.abs(result.u - whole)) <= 1e-7
+    # the x1 mirror, bit for bit
+    rho = space.x1_parity
+    assert np.array_equal(result.u[:, ::-1] * rho, result.u)
+    assert np.array_equal(space.grid[0] + space.grid[-1] - space.grid, space.grid[::-1])
+
+
 def test_the_planar_half_window_solve_matches_the_full_window_polish():
     space = planar_effective_space(m=65)
     opts = DoubleOptions(n_out=33, t_max=4.0)
-    u0, x2 = _seed_field(space, opts, True)
+    u0, x2 = _seed_field(space, opts)
     dt = float(np.diff(x2)[0])
-    full_u, full = _polish_field(space, u0, dt, True, POLISH_GTOL)
+    # every x2 column, on the x1 rows from the centre on as the solve's
+    half = space.half()
+    full_u, full = _polish_field(half, u0[:, space.m // 2:], dt, POLISH_GTOL)
+    full_u = mirror_half(full_u, half.x1_parity, axis=1)
     result = solve_symmetric(space, opts)
     assert result.diagnostics["polish_columns"] == 17
     assert result.diagnostics["x2_reflection"] == [1, -1]
     assert full.status == result.diagnostics["polish_status"] == "converged"
     assert result.diagnostics["polish_steps"] == full.steps
     report = assemble_and_verify(result)
-    assert report.energy_path == pytest.approx(full.value, rel=1e-12, abs=0.0)
+    # the half space's energy is half the whole field's
+    assert report.energy_path == pytest.approx(2.0 * full.value, rel=1e-12, abs=0.0)
     assert np.max(np.abs(result.u - full_u)) <= 1e-7
     # the signed mirror, bit for bit, with the wells at the ends
     assert np.array_equal(result.u[::-1] * [1.0, -1.0], result.u)

@@ -467,7 +467,7 @@ def dw_space():
         tail_left=np.array([-1.0]),
         tail_right=np.array([1.0]),
         ref_value=4.0 / 3.0,
-        symmetry="odd_first",
+        x1_parity=(-1.0,),
     )
 
 
@@ -534,7 +534,7 @@ def test_relax_profile_reaches_the_connection():
     out, energy = eps.relax_profile(seed)
     assert energy == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert np.max(np.abs(out[:, 0] - np.tanh(S))) < 5e-3
-    # odd symmetry is projected, not just approximated
+    # the half is relaxed and mirrored: odd bit for bit, not just approximately
     assert np.array_equal(out[:, 0], -out[::-1, 0])
 
 
@@ -575,7 +575,6 @@ def _quadratic_space(sigma):
         density=lambda s, v: 0.5 * np.sum(sigma * v * v, axis=-1),
         density_grad=lambda s, v: sigma * v,
         density_hess=lambda s, v: np.broadcast_to(np.diag(sigma), v.shape + (sigma.size,)),
-        symmetry="odd_first",
     )
 
 
@@ -599,33 +598,43 @@ def test_poisson_preconditioner_inverts_the_free_profile_stencil():
     assert np.max(np.abs(hessp(back) - d)) <= 1e-12 * np.max(np.abs(d))
 
 
+def symmetrize(values):
+    """Project profiles (..., m, 2) onto the odd-first-component subspace."""
+    flipped = values[..., ::-1, :]
+    return 0.5 * (values + flipped * [-1.0, 1.0])
+
+
 def test_poisson_preconditioner_commutes_with_symmetrize():
     eps = _quadratic_space([0.3, 1.7])
     psolve = poisson_preconditioner((eps.m, 2), eps.h)(np.array([0.3, 1.7]))
     r = _free_rows_noise((eps.m, 2), 1)
-    lhs = psolve(eps.symmetrize(r))
-    rhs = eps.symmetrize(psolve(r))
+    lhs = psolve(symmetrize(r))
+    rhs = symmetrize(psolve(r))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
-def test_symmetrize_is_a_projection():
+@pytest.mark.parametrize("parity, grid", [
+    ((-1.0, 1.0), np.linspace(0.0, 1.0, 11)),
+    ((0.5,), np.linspace(0.0, 1.0, 11)),
+    ((-1.0,), np.array([0.0, 0.1, 0.3, 0.6, 1.0])),
+])
+def test_x1_parity_needs_a_sign_per_component_and_a_mirrored_grid(parity, grid):
+    with pytest.raises(ValueError, match="x1 parity|x1_parity"):
+        EffectivePotentialSpace(grid=grid, n_components=1, bc="fixed", potential=DW,
+                                x1_parity=parity)
+
+
+def test_only_an_odd_grid_with_a_parity_has_a_half_space():
     eps = dw_space()
-    rng = np.random.default_rng(7)
-    vals = rng.standard_normal((S.size, 1))
-    once = eps.symmetrize(vals)
-    assert np.array_equal(eps.symmetrize(once), once)
-    assert np.array_equal(once[:, 0], -once[::-1, 0])
-
-
-def test_symmetrize_needs_symmetric_grid():
-    with pytest.raises(ValueError):
-        EffectivePotentialSpace(
-            grid=np.linspace(0.0, 1.0, 11),
-            n_components=1,
-            bc="fixed",
-            potential=DW,
-            symmetry="odd_first",
-        )
+    half = eps.half()
+    assert half.x1_half and half.m == (S.size + 1) // 2
+    assert np.array_equal(half.grid, S[S.size // 2:])
+    assert half.ref_value == 0.5 * eps.ref_value
+    for space in (half, _quadratic_space([0.3]),
+                  EffectivePotentialSpace(grid=S[1:], n_components=1, bc="fixed",
+                                          potential=DW, x1_parity=(-1.0,))):
+        with pytest.raises(ValueError, match="centre row"):
+            space.half()
 
 
 def test_effective_potential_vanishes_on_stored_connections():

@@ -23,8 +23,6 @@ WITH_VALUES = "reached only through funnel_project and mollify"
 UNREACHED = {
     "counterexample.CounterexampleWeight.f": "the gradient test's finite-difference reference",
     "counterexample.dense_polyline_length": TRACED,
-    "double_connection.DoubleConnectionResult.energy":
-        "the tests' path energy of a solve, against its field audit's, which the run records",
     "function_space.GridFunction.with_values": WITH_VALUES,
     "function_space.FunnelProfile.__post_init__": FUNNEL,
     "function_space.FunnelProfile.alpha": FUNNEL,
