@@ -1,7 +1,7 @@
 """Command line front end: configs in, run directories out.
 
 Every run writes a manifest.json carrying the embedded config, library
-versions, every tolerance used, headline results, the column names of each
+versions, every tolerance used, the results, the column names of each
 artifact and sha256 checksums of the emitted artifacts.  Every artifact is
 one table: a C-ordered little-endian float64 ``.npy`` array written by
 ``np.save`` whose last axis holds the columns the manifest names; a double
@@ -9,29 +9,22 @@ run's field ``u.npy`` has three dimensions, every other table two.  The
 pipeline draws no random numbers, so reruns of the same config are
 bit-identical.  A connect run is a chain of legs, one per pair of adjacent
 wells on the line and one in higher dimensions, each with its own curve and
-defect tables.  ``verify`` reads every table through one validating reader,
-then recomputes each leg's equipartition defect, action and action gap from
-its curve with the same routines the run uses, and its d_K: on the line from
-its ends, in higher dimensions as the curve's midpoint K-length; each must
-equal the recorded one bit for bit, and so must their sums over the legs,
-each leg's defect table and the audits (Euler-Lagrange residual, second
-differences, largest speed and W) over the legs.  For a double run it
-builds no fixture: the effective space comes from the config on the field's
-x1 grid, and the reference is the 1D action of the field's last column, the
-z+ well profile, which must equal the ``ref_value`` the run recorded bit for
-bit.  Exit codes: 0 success, 1 run failure (a connect relaxation that does
-not converge, for one), 3 config error (raised before any run directory is
-made), 4 checksum, table or schema failure (verify), 5 failing check: a
-connect run's equipartition defect over its tolerance or a recomputed
-connect number or table not matching the recorded one, a double run's
-reference action not matching the recorded one, a double run whose x2
-equipartition defect, Newton-CG gradient, residual or energy two ways missed
-its tolerance or whose field, solved on half its x2 window, is not its
-signed mirror in x2 bit for bit, or a broken counterexample invariant.  A
-run writes its artifacts and manifest before it exits 5, and ``verify``
-gates the same checks, recomputed from the artifacts; a counterexample
-``verify`` also requires every recomputed candidate length and box bracket
-bit for bit.
+defect tables.
+
+Each run kind has one results function that maps what the run solved (the
+connect legs' ``ConnectionResult``s, the ``DoubleConnectionResult``, the
+``NonexistenceReport``) to its results, tables and gates, each gate a
+(name, value, tolerance) that passes when value <= tolerance.  The run
+records the results and tables and exits 5 on a failing gate.  ``verify``
+reads every table through one validating reader, rebuilds the solved
+object from the config and the artifacts (``_verify_*``), calls the same
+function on it and requires every result but ``SOLVER_ONLY`` and every
+table to equal the recorded one bit for bit, and every gate to pass.
+Exit codes: 0 success, 1 run failure (a connect relaxation that does not
+converge, for one), 3 config error (raised before any run directory is
+made), 4 checksum, table or schema failure (verify), 5 a failing gate or a
+recomputed result or table that is not the recorded one.  A run writes its
+artifacts and manifest before it exits 5.
 Every manifest also carries the command's ``profile`` (CPU seconds, minor
 page faults, the process's peak RSS), which ``verify`` does not read.  The
 first ``main`` of a process sets glibc's malloc thresholds so that freed
@@ -59,20 +52,18 @@ from .counterexample import CounterexampleWeight, nonexistence_report
 from .double_connection import (
     POLISH_GTOL,
     RESIDUAL_MARGIN,
+    DoubleConnectionResult,
     DoubleOptions,
-    FieldAudit,
     assemble_and_verify,
     audit_translation_speed,
-    field_audit,
     planar_effective_space,
     planar_shell,
+    polished_part,
     shift_track_summary,
     sin_example_space,
     sin_shell,
     solve_asymmetric,
     solve_symmetric,
-    x2_reflection,
-    x2_step,
 )
 from .geodesic import minimize_k_length
 from .heteroclinic import (
@@ -262,13 +253,22 @@ def _usage() -> tuple:
     return time.time(), time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _finish_manifest(out_dir, manifest, columns, start) -> None:
-    """Record the tables' ``columns`` and checksums, the runtime and the
-    ``profile`` of the command since ``start`` (a ``_usage()``), then write
-    the manifest."""
-    manifest["columns"] = columns
-    manifest["artifacts"] = {
-        name: _sha256(os.path.join(out_dir, name)) for name in columns
+def _write_run(out_dir, start, tables: dict, **fields) -> None:
+    """Write ``tables`` (``_save_tables``) and the manifest into ``out_dir``.
+
+    The manifest holds ``fields`` (kind, config, tolerances, results,
+    warnings, ...), the schema and library versions, the tables' ``columns``
+    and checksums, the runtime and the ``profile`` of the command since
+    ``start`` (a ``_usage()``).
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    columns = _save_tables(out_dir, tables)
+    manifest = {
+        "schema_version": MANIFEST_SCHEMA_VERSION,
+        **fields,
+        "versions": _versions(),
+        "columns": columns,
+        "artifacts": {name: _sha256(os.path.join(out_dir, name)) for name in columns},
     }
     t_start, cpu_start, faults_start = start
     manifest["runtime_seconds"] = time.time() - t_start
@@ -353,8 +353,7 @@ def _within(gates, verbose: bool) -> bool:
 
 
 def _leg_audits(conn: ConnectionResult, p, wspace):
-    """(report, audit row, defect table) of one connect leg, as the run and
-    ``verify`` take them.
+    """(report, audit row, defect table) of one connect leg.
 
     ``report`` is ``verify_connection``'s; the row holds the Euler-Lagrange
     residual (NaN if there is none), the two sides of the second-difference
@@ -390,11 +389,16 @@ def _audit_results(audits) -> dict:
     }
 
 
-def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
-    start = _usage()
+def _connect_setup(cfg: dict) -> tuple:
+    """(potential, weighted space, leg ends, n_samples, t_max, via points,
+    defect_tol) of a connect config; ConfigError if malformed.
+
+    The leg ends are each leg's (x_minus, x_plus) in the order of travel:
+    on the line one leg per pair of adjacent wells from the first end to
+    the second (``line_legs``), in higher dimensions the two ends.
+    """
     p = _build_potential(_require(cfg, "potential"))
-    dims = 1 if p.dim == 1 else 2
-    _known_keys(cfg, CONNECT_KEYS[dims], f"dimension-{p.dim} connect config")
+    _known_keys(cfg, CONNECT_KEYS[min(p.dim, 2)], f"dimension-{p.dim} connect config")
     defect_tol = _positive(cfg, "defect_tol", 1e-3)
     wells = _points(_require(cfg, "wells"), p.dim, "wells")
     if len(wells) != 2:
@@ -411,22 +415,22 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
         wells = list(refine_wells(p, wells))
     if len(wells) != 2 or np.array_equal(wells[0], wells[1]):
         raise ConfigError("config field 'wells' holds two guesses of the same well")
-    wspace = make_weight(p)
-    warnings = []
-    if dims == 1:
-        pairs = line_legs(wells[0], wells[1], p.wells)
-        conns = [line_connection(wspace, a, b, n_samples, t_max) for a, b in pairs]
-        if len(pairs) > 1:
-            warnings.append(
-                f"the wells {[b for _, b in pairs[:-1]]} lie between the ends: the "
-                f"connection is a chain of {len(pairs)} legs")
-    else:
-        # raises RuntimeError, and the run exits 1, unless the relaxation converges
-        conns = [minimize_k_length(p, wells[0], wells[1], n_samples, t_max, via_points)]
-    os.makedirs(out_dir, exist_ok=True)
-    # leg k (from 1, in the order of travel) writes curve_k.npy and plot_defect_k.npy
+    ends = line_legs(wells[0], wells[1], p.wells) if p.dim == 1 else [tuple(wells)]
+    return p, make_weight(p), ends, n_samples, t_max, via_points, defect_tol
+
+
+def _connect_results(conns, p, wspace, tolerances: dict) -> tuple:
+    """(results, tables, gates) of a chain of connect legs.
+
+    Leg k (from 1) writes curve_k.npy and its defect table plot_defect_k.npy
+    (``_leg_audits``), and ``results.legs`` holds its ends, action, d_K,
+    action gap, equipartition defect, window and curve.  The chain's
+    defect is the largest leg's, its action, d_K and gap the sums over the
+    legs, and its audits ``_audit_results``.  Each leg's defect is gated by
+    ``defect_tol``.
+    """
     curve_columns = ["t", *(f"u{j + 1}" for j in range(p.dim))]
-    legs, tables, audits = [], {}, []
+    legs, tables, audits, gates = [], {}, [], []
     for k, conn in enumerate(conns, 1):
         report, row, defects = _leg_audits(conn, p, wspace)
         curve = f"curve_{k}.npy"
@@ -443,32 +447,41 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
             "curve": curve,
         })
         audits.append(row)
-    columns = _save_tables(out_dir, tables)
-    defect = float(np.max([leg["equipartition_defect"] for leg in legs]))
-    action = float(np.sum([leg["action"] for leg in legs]))
-    manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "connect",
-        "config": cfg,
-        "versions": _versions(),
-        "tolerances": {"defect_tol": defect_tol},
-        "results": {
-            "action": action,
-            "dk_value": float(np.sum([leg["dk_value"] for leg in legs])),
-            "action_gap": float(np.sum([leg["action_gap"] for leg in legs])),
-            "equipartition_defect": defect,
-            "solver_status": "converged",
-            **_audit_results(audits),
-            "legs": legs,
-        },
-        "warnings": warnings,
+        gates.append((f"leg {k} equipartition defect", conn.equipartition_defect,
+                      tolerances["defect_tol"]))
+    results = {
+        "action": float(np.sum([leg["action"] for leg in legs])),
+        "dk_value": float(np.sum([leg["dk_value"] for leg in legs])),
+        "action_gap": float(np.sum([leg["action_gap"] for leg in legs])),
+        "equipartition_defect": float(np.max([leg["equipartition_defect"] for leg in legs])),
+        "solver_status": "converged",
+        **_audit_results(audits),
+        "legs": legs,
     }
-    _finish_manifest(out_dir, manifest, columns, start)
+    return results, tables, gates
+
+
+def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
+    start = _usage()
+    p, wspace, ends, n_samples, t_max, via_points, defect_tol = _connect_setup(cfg)
+    warnings = []
+    if p.dim == 1:
+        conns = [line_connection(wspace, a, b, n_samples, t_max) for a, b in ends]
+        if len(ends) > 1:
+            warnings.append(
+                f"the wells {[b for _, b in ends[:-1]]} lie between the ends: the "
+                f"connection is a chain of {len(ends)} legs")
+    else:
+        # raises RuntimeError, and the run exits 1, unless the relaxation converges
+        conns = [minimize_k_length(p, a, b, n_samples, t_max, via_points) for a, b in ends]
+    tolerances = {"defect_tol": defect_tol}
+    results, tables, gates = _connect_results(conns, p, wspace, tolerances)
+    _write_run(out_dir, start, tables, kind="connect", config=cfg, tolerances=tolerances,
+               results=results, warnings=warnings)
     if verbose:
-        print(f"wrote {out_dir}: {len(legs)} leg(s), action {action:.9g}, defect {defect:.3g}")
-    if not _within([("equipartition defect", defect, defect_tol)], verbose):
-        return EXIT_EQUIPARTITION
-    return EXIT_OK
+        print(f"wrote {out_dir}: {len(conns)} leg(s), action {results['action']:.9g}, "
+              f"defect {results['equipartition_defect']:.3g}")
+    return EXIT_OK if _within(gates, verbose) else EXIT_EQUIPARTITION
 
 
 # ---------------------------------------------------------------------------
@@ -504,48 +517,69 @@ def _double_shell(cfg: dict, grid: np.ndarray):
     raise ConfigError(f"unknown double example '{example}'")
 
 
-def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
-    start = _usage()
-    example = _require(cfg, "example")
-    if not isinstance(example, str) or example not in DOUBLE_KEYS:
-        raise ConfigError(f"unknown double example {example!r}")
-    _known_keys(cfg, DOUBLE_KEYS[example], f"{example} double config")
-    mode = cfg.get("mode", "sym")
-    if mode not in ("sym", "asym"):
-        raise ConfigError(f"config field 'mode' must be 'sym' or 'asym', got {mode!r}")
-    # translations act on whole-line profiles only
-    if mode == "asym" and example != "planar":
-        raise ConfigError("config field 'mode' is 'asym', which needs example 'planar'")
-    defect_tol = _positive(cfg, "defect_tol", 5e-2)
-    residual_tol = _positive(cfg, "residual_tol", 5e-2)
-    opts_cfg = _section(cfg, "opts", set(DoubleOptions.__dataclass_fields__))
-    default = DoubleOptions()
-    opts = DoubleOptions(
-        n_out=_integer(opts_cfg, "n_out", default.n_out, MIN_FIELD_NODES, "opts."),
-        t_max=_positive(opts_cfg, "t_max", default.t_max, "opts."),
-    )
-    space = _build_double_space(cfg)
-    if verbose:
-        print(f"solving {example} example, mode={mode}")
-    result = (
-        solve_asymmetric(space, opts) if mode == "asym"
-        else solve_symmetric(space, opts)
-    )
-    report = assemble_and_verify(result)
+def _reflection_name(signs: np.ndarray, at: str) -> str:
+    """A mirror gate's name for ``signs``, u taken ``at`` the mirrored
+    nodes, as "(u1, -u2)(x1, -x2) - u(x1, x2)"."""
+    if np.all(signs < 0):
+        return f"u{at} + u(x1, x2)"
+    if np.all(signs > 0):
+        return f"u{at} - u(x1, x2)"
+    signed = ", ".join(f"{'-' if v < 0 else ''}u{j + 1}" for j, v in enumerate(signs))
+    return f"({signed}){at} - u(x1, x2)"
+
+
+def _mirror_gates(u: np.ndarray, grid: np.ndarray, signs, axis: int, solve: str) -> list:
+    """The exact gates of a field solved on half its ``axis`` (0 for x2, 1
+    for x1) and mirrored: the grid's mirror and the field's, signs * u at
+    the mirrored nodes = u, both 0 bit for bit."""
+    if axis == 0:
+        at, grid_gate = "(x1, -x2)", ("x2 + x2 reversed", np.abs(grid + grid[::-1]))
+    else:
+        at = "(x1*, x2)"
+        grid_gate = ("x1[0] + x1[-1] - x1 - x1 reversed",
+                     np.abs((grid[0] + grid[-1] - grid) - grid[::-1]))
+    # in place: one field-sized array
+    reflected = signs * np.flip(u, axis)
+    reflected -= u
+    return [(f"max |{grid_gate[0]}| of {solve}", float(np.max(grid_gate[1])), 0.0),
+            (f"max |{_reflection_name(signs, at)}| of {solve}",
+             float(np.max(np.abs(reflected, out=reflected))), 0.0)]
+
+
+def _signs(signs) -> list | None:
+    return None if signs is None else [int(v) for v in signs]
+
+
+def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
+    """(results, tables, gates) of a double solve.
+
+    One ``assemble_and_verify`` gives the field audit and the limit gaps,
+    and ``polished_part`` the polished columns and rows and the two
+    reflections.  The field writes u.npy, x1-outer, and its end-column
+    gaps ``boundary_convergence.npy``; an asym solve adds its shift track
+    m_track.npy, the track's total variation and the translation-speed
+    audit.  The gates hold the x2 defect, the free gradient max, the
+    interior residual and the energy two ways against their tolerances,
+    and, for each axis polished on its half, its grid's and the field's
+    mirrors at 0 (``_mirror_gates``).
+    """
+    space, u, x2 = result.space, result.u, result.x2
+    report = assemble_and_verify(result, tolerances["residual_margin_cells"])
+    p, m, n = u.shape
+    part = polished_part(space, result.mode, p, m)
+    # the gaps before the field's table, so that their temporaries are freed first
+    gaps = np.column_stack([x2, space.l2_norms(u - space.z_minus.values),
+                            space.l2_norms(u - space.z_plus.values)])
     # x1-outer: [i, j] holds (x1_i, x2_j, u[j, i]) of the (P, M, n) field
-    p, m, n = result.u.shape
     table = np.empty((m, p, 2 + n), dtype="<f8")
     table[..., 0] = result.x1[:, None]
-    table[..., 1] = result.x2
-    table[..., 2:] = result.u.transpose(1, 0, 2)
+    table[..., 1] = x2
+    table[..., 2:] = u.transpose(1, 0, 2)
     tables = {
         FIELD: (["x1", "x2", *(f"u{j + 1}" for j in range(n))], table),
-        "boundary_convergence.npy": (
-            ["x2", "gap_minus_l2", "gap_plus_l2"],
-            np.column_stack([result.x2,
-                             space.l2_norms(result.u - space.z_minus.values),
-                             space.l2_norms(result.u - space.z_plus.values)])),
+        "boundary_convergence.npy": (["x2", "gap_minus_l2", "gap_plus_l2"], gaps),
     }
+    status = result.diagnostics["polish_status"]
     results = {
         "energy": report.energy_path,
         "energy_direct": report.energy_direct,
@@ -560,69 +594,78 @@ def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
         "c_plus": result.c_plus,
         "k_length": report.k_length,
         "reduction_gap": report.reduction_gap,
-        "solver_status": result.diagnostics["polish_status"],
-        "polish_columns": result.diagnostics["polish_columns"],
-        "polish_rows": result.diagnostics["polish_rows"],
-        "x2_reflection": result.diagnostics["x2_reflection"],
-        "x1_reflection": result.diagnostics["x1_reflection"],
+        "solver_status": status,
+        "polish_columns": part.columns,
+        "polish_rows": part.rows,
+        "x2_reflection": _signs(part.sigma),
+        "x1_reflection": _signs(part.rho),
         "polish_steps": result.diagnostics["polish_steps"],
         # the whole field's, as verify recomputes it
         "polish_gmax": report.gmax,
-        "polish_status": result.diagnostics["polish_status"],
+        "polish_status": status,
         "polish_cg_products": result.diagnostics["polish_cg_products"],
-        "window": result.diagnostics["window"],
+        "window": float(x2[-1]),
     }
+    if result.mode == "asym":
+        speed = audit_translation_speed(result.m_track, report)
+        results["m_total_variation"] = shift_track_summary(result.m_track)[2]
+        results["translation_speed_c_fit"] = speed.c_fit
+        results["translation_speed_max_ratio"] = speed.max_ratio
+        tables["m_track.npy"] = (["x2", "m"], np.column_stack([x2, result.m_track]))
+    two_ways = abs(report.energy_direct - report.energy_path) / max(abs(report.energy_path),
+                                                                      1e-300)
+    gates = [
+        ("x2 equipartition defect", report.equip_defect, tolerances["defect_tol"]),
+        (f"Newton-CG {status}: max free gradient", report.gmax, tolerances["polish_gtol"]),
+        ("interior residual max", report.residual_max, tolerances["residual_tol"]),
+        ("energy two ways, relative gap", two_ways, tolerances["energy_two_ways_rel"]),
+    ]
+    if part.columns < p:
+        gates += _mirror_gates(u, x2, part.sigma, 0, "a half-window solve")
+    if part.rows < m:
+        gates += _mirror_gates(u, result.x1, part.rho, 1, "an x1-half solve")
+    return results, tables, gates
+
+
+def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
+    start = _usage()
+    example = _require(cfg, "example")
+    if not isinstance(example, str) or example not in DOUBLE_KEYS:
+        raise ConfigError(f"unknown double example {example!r}")
+    _known_keys(cfg, DOUBLE_KEYS[example], f"{example} double config")
+    mode = cfg.get("mode", "sym")
+    if mode not in ("sym", "asym"):
+        raise ConfigError(f"config field 'mode' must be 'sym' or 'asym', got {mode!r}")
+    # translations act on whole-line profiles only
+    if mode == "asym" and example != "planar":
+        raise ConfigError("config field 'mode' is 'asym', which needs example 'planar'")
     tolerances = {
-        "defect_tol": defect_tol,
-        "residual_tol": residual_tol,
-        "residual_margin_cells": report.interior_margin,
+        "defect_tol": _positive(cfg, "defect_tol", 5e-2),
+        "residual_tol": _positive(cfg, "residual_tol", 5e-2),
+        "residual_margin_cells": RESIDUAL_MARGIN,
         "energy_two_ways_rel": 1e-6,
         "polish_gtol": POLISH_GTOL,
     }
-    if mode == "asym":
-        speed = audit_translation_speed(result.m_track, report)
-        results["m_total_variation"] = result.diagnostics["m_total_variation"]
-        results["translation_speed_c_fit"] = speed.c_fit
-        results["translation_speed_max_ratio"] = speed.max_ratio
-        tables["m_track.npy"] = (["x2", "m"], np.column_stack([result.x2, result.m_track]))
-    os.makedirs(out_dir, exist_ok=True)
-    columns = _save_tables(out_dir, tables)
-    manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "double",
-        "config": cfg,
-        "mode": mode,
-        "versions": _versions(),
-        "tolerances": tolerances,
-        "results": results,
-        "warnings": [],
-    }
-    _finish_manifest(out_dir, manifest, columns, start)
+    opts_cfg = _section(cfg, "opts", set(DoubleOptions.__dataclass_fields__))
+    default = DoubleOptions()
+    opts = DoubleOptions(
+        n_out=_integer(opts_cfg, "n_out", default.n_out, MIN_FIELD_NODES, "opts."),
+        t_max=_positive(opts_cfg, "t_max", default.t_max, "opts."),
+    )
+    space = _build_double_space(cfg)
     if verbose:
-        print(f"wrote {out_dir}: energy {report.energy_path:.9g}, "
-              f"residual {report.residual_max:.3g}")
-    if not _double_within_tolerance(report, results["polish_status"], tolerances, verbose):
-        return EXIT_EQUIPARTITION
-    return EXIT_OK
-
-
-def _double_within_tolerance(audit: FieldAudit, status: str, tolerances: dict,
-                             verbose: bool) -> bool:
-    """Whether a field audit's x2 equipartition defect, free gradient max,
-    interior residual and energy two ways meet a double run's tolerances
-    (NaN fails).
-
-    The run passes its ``DoubleReport``, verify its ``FieldAudit``;
-    ``status`` is the Newton-CG's, for the message.
-    """
-    two_ways = abs(audit.energy_direct - audit.energy_path) / max(abs(audit.energy_path), 1e-300)
-    return _within([
-        ("x2 equipartition defect", audit.equip_defect, tolerances["defect_tol"]),
-        (f"Newton-CG {status}: max free gradient",
-         audit.gmax, tolerances["polish_gtol"]),
-        ("interior residual max", audit.residual_max, tolerances["residual_tol"]),
-        ("energy two ways, relative gap", two_ways, tolerances["energy_two_ways_rel"]),
-    ], verbose)
+        print(f"solving {example} example, mode={mode}")
+    result = (
+        solve_asymmetric(space, opts) if mode == "asym"
+        else solve_symmetric(space, opts)
+    )
+    results, tables, gates = _double_results(result, tolerances)
+    _write_run(out_dir, start, tables, kind="double", config=cfg, mode=mode,
+               tolerances=tolerances, results=results, warnings=[])
+    if verbose:
+        print(f"wrote {out_dir}: energy {results['energy']:.9g}, "
+              f"residual {results['residual_max']:.3g}")
+    return EXIT_OK if _within(gates, verbose) else EXIT_EQUIPARTITION
 
 
 # ---------------------------------------------------------------------------
@@ -662,267 +705,193 @@ def _counterexample_setup(cfg: dict):
     return CounterexampleWeight(power=float(p)), tuple(float(r) for r in radii), n_max
 
 
-def _counterexample_tables(report) -> tuple:
-    """The candidates.npy and boxed.npy tables of a ``NonexistenceReport``."""
-    ns = np.asarray(report.candidate_ns, dtype=float)
-    return (np.column_stack([ns, 2.0 ** ns, report.candidate_lengths]),
-            np.column_stack([report.radii, report.box_candidates, report.bounds]))
+def _counterexample_results(w: CounterexampleWeight, report, tolerances: dict) -> tuple:
+    """(results, tables, gates) of a ``NonexistenceReport``.
 
-
-def _counterexample_checks(lengths, uppers, bounds, infimum: float, tolerances: dict) -> dict:
-    """Named verdicts of a counterexample run's invariants (NaN fails).
-
-    ``lengths`` are the candidates through x = 2^n, and ``uppers`` and
-    ``bounds`` the two ends of each box bracket.
+    The candidates through x = 2^n write candidates.npy, and the two ends
+    of each box bracket boxed.npy.  The gates hold the final candidate's
+    excess over the infimum against ``candidate_tail_tol`` and, at 0, the
+    count of entries failing each recorded invariant: candidates strictly
+    decreasing, box candidates above the crossing bound less
+    ``bound_slack``, bracket widths strictly decreasing (NaN fails each).
     """
-    widths = uppers - bounds
-    return {
-        "candidates strictly decreasing": bool(np.all(np.diff(lengths) < 0.0)),
-        "final candidate within candidate_tail_tol of the infimum": bool(
-            lengths[-1] - infimum <= tolerances["candidate_tail_tol"]),
-        "box candidates above the crossing bound": bool(
-            np.all(uppers >= bounds - tolerances["bound_slack"])),
-        "bracket widths strictly decreasing": bool(np.all(np.diff(widths) < 0.0)),
+    lengths, uppers, bounds = report.candidate_lengths, report.box_candidates, report.bounds
+    ns = np.asarray(report.candidate_ns, dtype=float)
+    tables = {
+        "candidates.npy": (["n", "x_n", "candidate_length"],
+                           np.column_stack([ns, 2.0 ** ns, lengths])),
+        "boxed.npy": (["radius", "candidate_at_radius", "crossing_bound"],
+                      np.column_stack([report.radii, uppers, bounds])),
     }
-
-
-def _all_pass(checks: dict, verbose: bool) -> bool:
-    for name, ok in checks.items():
-        if verbose or not ok:
-            print(f"{name}: {'ok' if ok else 'VIOLATED'}",
-                  file=sys.stdout if ok else sys.stderr)
-    return all(checks.values())
+    invariants = {
+        "candidates_strictly_decreasing": np.diff(lengths) < 0.0,
+        "boxed_above_bound": uppers >= bounds - tolerances["bound_slack"],
+        "bracket_widths_decreasing": np.diff(uppers - bounds) < 0.0,
+    }
+    results = {
+        "g_infinity": w.g_infinity,
+        "infimum": report.infimum,
+        "final_candidate": float(lengths[-1]),
+        **{key: bool(np.all(holds)) for key, holds in invariants.items()},
+        "bracket_rel_width": report.bracket_rel_widths.tolist(),
+        "conclusion": report.conclusion,
+    }
+    gates = [("final candidate - infimum (candidate_tail_tol)",
+              lengths[-1] - report.infimum, tolerances["candidate_tail_tol"])]
+    gates += [(f"entries failing {key}", int(np.sum(~holds)), 0)
+              for key, holds in invariants.items()]
+    return results, tables, gates
 
 
 def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
     start = _usage()
     w, radii, n_max = _counterexample_setup(cfg)
     report = nonexistence_report(w, radii=radii, n_candidates=n_max)
-    os.makedirs(out_dir, exist_ok=True)
-    cand, boxed = _counterexample_tables(report)
-    columns = _save_tables(out_dir, {
-        "candidates.npy": (["n", "x_n", "candidate_length"], cand),
-        "boxed.npy": (["radius", "candidate_at_radius", "crossing_bound"], boxed),
-    })
     tolerances = {"bound_slack": 1e-6, "candidate_tail_tol": 1e-2}
-    checks = _counterexample_checks(report.candidate_lengths, report.box_candidates,
-                                    report.bounds, report.infimum, tolerances)
-    manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "counterexample",
-        "config": cfg,
-        "versions": _versions(),
-        "tolerances": tolerances,
-        "results": {
-            "g_infinity": w.g_infinity,
-            "infimum": report.infimum,
-            "final_candidate": float(report.candidate_lengths[-1]),
-            "candidates_strictly_decreasing": checks["candidates strictly decreasing"],
-            "boxed_above_bound": checks["box candidates above the crossing bound"],
-            "bracket_widths_decreasing": checks["bracket widths strictly decreasing"],
-            "bracket_rel_width": report.bracket_rel_widths.tolist(),
-            "conclusion": report.conclusion,
-        },
-        "warnings": [
-            "the bump is C^1 only at |y| = 1 (second derivative jumps); the "
-            "construction tolerates this and the report notes it"
-        ],
-    }
-    _finish_manifest(out_dir, manifest, columns, start)
+    results, tables, gates = _counterexample_results(w, report, tolerances)
+    _write_run(out_dir, start, tables, kind="counterexample", config=cfg,
+               tolerances=tolerances, results=results, warnings=[
+                   "the bump is C^1 only at |y| = 1 (second derivative jumps); the "
+                   "construction tolerates this and the report notes it"])
     if verbose:
         print(f"wrote {out_dir}: final candidate "
-              f"{report.candidate_lengths[-1]:.6g} vs infimum {report.infimum:g}")
-    return EXIT_OK if _all_pass(checks, verbose) else EXIT_EQUIPARTITION
+              f"{results['final_candidate']:.6g} vs infimum {results['infimum']:g}")
+    return EXIT_OK if _within(gates, verbose) else EXIT_EQUIPARTITION
 
 
 # ---------------------------------------------------------------------------
 # verify
 
+# the results that only the solver determines, which verify takes as recorded
+SOLVER_ONLY = ("solver_status", "polish_status", "polish_steps", "polish_cg_products")
 
-def _verify_connect(tables: dict, manifest: dict, verbose: bool) -> int:
-    """Recompute each leg's equipartition defect, action, d_K, action gap,
-    audits and defect table from its curve.
 
-    The defect must meet ``defect_tol``.  The defect, the action, the gap
-    (the action with W at the midpoints, minus d_K), d_K itself (on the line
-    from the leg's recorded ends, as ``line_connection`` takes it, in higher
-    dimensions the curve's midpoint K-length, as ``minimize_k_length`` takes
-    it), the leg's ``plot_defect_k.npy``, the largest defect, the sums of
-    the others over the legs and the audit results (``_audit_results``)
-    must equal the recorded ones bit for bit.
+def _verify_connect(manifest: dict, tables: dict) -> tuple:
+    """``_connect_results`` of the legs rebuilt from the config and curves.
+
+    The leg ends come from the config as the run takes them
+    (``_connect_setup``), and each leg's curve from its curve_k.npy.  The
+    action and defect are recomputed with W = K^2 / 2 at the segment
+    midpoints and d_K as the run takes it: on the line the integral of K
+    between the leg's ends, in higher dimensions the curve's midpoint
+    K-length.  The window is the curve's last time.
     """
-    p = _build_potential(manifest["config"]["potential"])
-    wspace = make_weight(p)
-    results = manifest["results"]
-    tol = manifest["tolerances"]["defect_tol"]
-    keys = ("equipartition_defect", "action", "dk_value", "action_gap")
-    gates, recomputed, audits = [], [], []
-    for k, leg in enumerate(results["legs"], 1):
-        if leg["curve"] not in tables:
-            raise ValueError(f"leg {k} curve {leg['curve']} is not a checksummed artifact")
-        data = tables[leg["curve"]]
+    p, wspace, ends, *_ = _connect_setup(manifest["config"])
+    conns = []
+    for k, (a, b) in enumerate(ends, 1):
+        data = tables[f"curve_{k}.npy"]
         curve = SampledCurve(times=data[:, 0], nodes=data[:, 1:])
         kv = wspace.weight_at(midpoints(curve))
         action, defects = equipartition(curve, wspace.space, 0.5 * kv * kv)
+        x_minus, x_plus = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
         if p.dim == 1:
-            ends = np.array([leg["x_minus"], leg["x_plus"]], dtype=float)
-            dk = float(segment_k_lengths(wspace.weight_at, ends[:1], ends[1:], [[]])[0])
+            dk = float(segment_k_lengths(wspace.weight_at, x_minus[None], x_plus[None],
+                                         [[]])[0])
         else:
             dk = k_length(curve, wspace, rule="midpoint")
-        conn = ConnectionResult(
-            curve=curve, x_minus=np.asarray(leg["x_minus"], dtype=float),
-            x_plus=np.asarray(leg["x_plus"], dtype=float), action=action, dk_value=dk,
-            equipartition_defect=float(np.max(defects)), window=leg["window"], diagnostics={})
-        report, row, defect_table = _leg_audits(conn, p, wspace)
-        values = (conn.equipartition_defect, action, dk, report.action_gap)
-        gates.append((f"leg {k} equipartition defect", values[0], tol))
-        gates += [(f"leg {k} |recomputed - recorded {key}|", abs(value - leg[key]), 0.0)
-                  for key, value in zip(keys, values)]
-        name = f"plot_defect_{k}.npy"
-        if tables[name].shape != defect_table.shape:
-            raise ValueError(f"{name} has {tables[name].shape[0]} rows for the "
-                             f"{defect_table.shape[0]} segments of leg {k}")
-        gates.append((f"leg {k} max |recomputed - recorded {name}|",
-                      float(np.max(np.abs(defect_table - tables[name]))), 0.0))
-        recomputed.append(values)
-        audits.append(row)
-    columns = list(zip(*recomputed))
-    gates.append(("|max over the legs - recorded equipartition_defect|",
-                  abs(float(np.max(columns[0])) - results[keys[0]]), 0.0))
-    gates += [(f"|sum over the legs - recorded {key}|", abs(float(np.sum(v)) - results[key]), 0.0)
-              for key, v in zip(keys[1:], columns[1:])]
-    gates += [(f"|over the legs - recorded {key}|", abs(value - results[key]), 0.0)
-              for key, value in _audit_results(audits).items()]
-    return EXIT_OK if _within(gates, verbose) else EXIT_EQUIPARTITION
+        conns.append(ConnectionResult(
+            curve=curve, x_minus=x_minus, x_plus=x_plus, action=action, dk_value=dk,
+            equipartition_defect=float(np.max(defects)), window=float(curve.times[-1]),
+            diagnostics={}))
+    return _connect_results(conns, p, wspace, manifest["tolerances"])
 
 
-def _recorded_count(results: dict, key: str, default: int) -> int:
-    """An integer count of a double run's results; a manifest without the
-    key predates the half solve it counts, and reads ``default``."""
-    count = results.get(key, default)
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError(f"results.{key} must be an integer, got {count!r}")
-    return count
+def _verify_double(manifest: dict, tables: dict) -> tuple:
+    """``_double_results`` of the solve rebuilt from its field.
 
-
-def _reflection_name(signs: np.ndarray, at: str) -> str:
-    """A mirror gate's name for ``signs``, u taken ``at`` the mirrored
-    nodes, as "(u1, -u2)(x1, -x2) - u(x1, x2)"."""
-    if np.all(signs < 0):
-        return f"u{at} + u(x1, x2)"
-    if np.all(signs > 0):
-        return f"u{at} - u(x1, x2)"
-    signed = ", ".join(f"{'-' if v < 0 else ''}u{j + 1}" for j, v in enumerate(signs))
-    return f"({signed}){at} - u(x1, x2)"
-
-
-def _mirror_gates(u: np.ndarray, grid: np.ndarray, signs, axis: int, solve: str) -> list:
-    """The exact gates of a field solved on half its ``axis`` (0 for x2, 1
-    for x1) and mirrored: the grid's mirror and the field's, signs * u at
-    the mirrored nodes = u, both 0 bit for bit."""
-    if axis == 0:
-        at, grid_gate = "(x1, -x2)", ("x2 + x2 reversed", np.abs(grid + grid[::-1]))
-    else:
-        at = "(x1*, x2)"
-        grid_gate = ("x1[0] + x1[-1] - x1 - x1 reversed",
-                     np.abs((grid[0] + grid[-1] - grid) - grid[::-1]))
-    if signs is None:
-        field_gate = f"signs * u{at} - u(x1, x2), no reflection,", math.inf
-    else:
-        # in place: one field-sized array
-        reflected = signs * np.flip(u, axis)
-        reflected -= u
-        field_gate = (_reflection_name(signs, at),
-                      float(np.max(np.abs(reflected, out=reflected))))
-        del reflected
-    return [(f"max |{grid_gate[0]}| of {solve}", float(np.max(grid_gate[1])), 0.0),
-            (f"max |{field_gate[0]}| of {solve}", field_gate[1], 0.0)]
-
-
-def _verify_double(tables: dict, manifest: dict, verbose: bool) -> int:
-    """Recompute a double run's field audit and an asym run's shift track results.
-
-    One ``field_audit`` of the field gives the residuals (the free gradient
-    over its trapezoid weights: on interior nodes the 5-point Laplacian
-    minus grad W), the energy two ways, the free gradient max, the x2
-    defect, ``k_length`` and ``reduction_gap``.  Each must equal the
-    recorded one bit for bit (``energy`` is the path energy), and they must
-    meet the run's tolerances.  ``x2_reflection`` must be the signs sigma
-    that ``x2_reflection`` finds between the field's end columns, and
-    ``x1_reflection`` the fixture's x1 parity rho.  A run whose
-    ``polish_columns`` (``polish_rows``) is below the field's x2 (x1) node
-    count solved half that axis and mirrored it, so the axis' grid and the
-    field must be their mirrors bit for bit (``_mirror_gates``).  An asym run's ``m_track.npy`` must hold the field's
-    x2; ``c_minus``, ``c_plus`` and ``m_total_variation`` are recomputed
-    from its shifts, and the ``translation_speed_*`` audit from them and
-    the field audit.  The shift scan itself is not re-run.
+    No fixture is built: the effective space comes from the config on the
+    field's x1 grid, its wells are the field's end columns and its
+    reference the 1D action of the last.  An asym run's shift track is
+    m_track.npy's, and its limits c- and c+ come from
+    ``shift_track_summary``; the shift scan is not re-run.  The
+    Newton-CG's status and counts are taken as recorded.
     """
     x1, x2, u = _read_field(tables[FIELD])
     space = _double_shell(manifest["config"], x1)
-    # the last column is the z+ well profile, and its action the reference
+    space.z_minus, space.z_plus = space.grid_function(u[0]), space.grid_function(u[-1])
     space.ref_value = float(space.energy_1d(u[-1])[0])
-    recorded = manifest["results"].get("ref_value")
-    if verbose or space.ref_value != recorded:
-        print(f"reference action {space.ref_value!r} (recorded {recorded!r})")
-    if space.ref_value != recorded:
-        return EXIT_EQUIPARTITION
-    dt = x2_step(x2)
-    tolerances = manifest["tolerances"]
-    audit = field_audit(space, u, dt, tolerances["residual_margin_cells"])
-    results = manifest["results"]
-    recomputed = {"energy": audit.energy_path, "energy_direct": audit.energy_direct,
-                  "energy_path": audit.energy_path, "residual_max": audit.residual_max,
-                  "residual_l2": audit.residual_l2, "equip_defect": audit.equip_defect,
-                  "polish_gmax": audit.gmax, "k_length": audit.k_length,
-                  "reduction_gap": audit.reduction_gap}
-    if manifest["mode"] == "asym":
-        track = tables["m_track.npy"]
-        if not np.array_equal(track[:, 0], x2):
-            print("m_track.npy's x2 column is not the field's x2", file=sys.stderr)
-            return EXIT_EQUIPARTITION
-        m_track = track[:, 1]
-        c_minus, c_plus, variation = shift_track_summary(m_track)
-        speed = audit_translation_speed(m_track, audit)
-        recomputed.update(c_minus=c_minus, c_plus=c_plus, m_total_variation=variation,
-                          translation_speed_c_fit=speed.c_fit,
-                          translation_speed_max_ratio=speed.max_ratio)
-    gates = [(f"|recomputed - recorded {key}|", abs(value - results[key]), 0.0)
-             for key, value in recomputed.items()]
-    columns = _recorded_count(results, "polish_columns", u.shape[0])
-    rows = _recorded_count(results, "polish_rows", u.shape[1])
-    sigma = x2_reflection(u[0], u[-1])
-    rho = space.x1_parity
-    # a manifest without a key predates that reflection
-    for key, signs in (("x2_reflection", sigma), ("x1_reflection", rho)):
-        signs = None if signs is None else [int(v) for v in signs]
-        if results.get(key, signs) != signs:
-            source = "end columns'" if key == "x2_reflection" else "fixture's x1 parity"
-            print(f"results.{key} {results[key]!r} is not the {source} {signs!r}",
-                  file=sys.stderr)
-            return EXIT_EQUIPARTITION
-    if columns < u.shape[0]:
-        gates += _mirror_gates(u, x2, sigma, 0, "a half-window solve")
-    if rows < u.shape[1]:
-        gates += _mirror_gates(u, x1, rho, 1, "an x1-half solve")
-    exact = _within(gates, verbose)
-    if not (_double_within_tolerance(audit, results["polish_status"], tolerances, verbose)
-            and exact):
-        return EXIT_EQUIPARTITION
-    return EXIT_OK
+    mode = manifest["mode"]
+    m_track, c_minus, c_plus = None, 0.0, 0.0
+    if mode == "asym":
+        m_track = tables["m_track.npy"][:, 1]
+        c_minus, c_plus, _ = shift_track_summary(m_track)
+    recorded = manifest["results"]
+    diagnostics = {key: recorded[key]
+                   for key in ("polish_status", "polish_steps", "polish_cg_products")}
+    result = DoubleConnectionResult(space, mode, u, x1, x2, c_minus, c_plus, m_track,
+                                    diagnostics)
+    return _double_results(result, manifest["tolerances"])
 
 
-def _verify_counterexample(tables: dict, manifest: dict, verbose: bool) -> int:
-    cand, boxed = tables["candidates.npy"], tables["boxed.npy"]
+def _verify_counterexample(manifest: dict, tables: dict) -> tuple:
+    """``_counterexample_results`` of the report recomputed from the config."""
     w, radii, n_max = _counterexample_setup(manifest["config"])
-    ref_cand, ref_boxed = _counterexample_tables(
-        nonexistence_report(w, radii=radii, n_candidates=n_max))
-    checks = {
-        "candidates.npy recomputed bit for bit": np.array_equal(cand, ref_cand),
-        "boxed.npy recomputed bit for bit": np.array_equal(boxed, ref_boxed),
-        **_counterexample_checks(cand[:, 2], boxed[:, 1], boxed[:, 2], w.infimum,
-                                 manifest["tolerances"]),
-    }
-    return EXIT_OK if _all_pass(checks, verbose) else EXIT_EQUIPARTITION
+    report = nonexistence_report(w, radii=radii, n_candidates=n_max)
+    return _counterexample_results(w, report, manifest["tolerances"])
+
+
+def _differences(recomputed, recorded, path: str) -> list:
+    """One line for each value below ``path`` where ``recorded`` is not
+    ``recomputed``, compared by JSON text: numbers bit for bit, NaN equal
+    to NaN.  ValueError where a dict's keys differ or where an integer was
+    recomputed and ``recorded`` is not one."""
+    if isinstance(recomputed, int) and not isinstance(recomputed, bool) and (
+            isinstance(recorded, bool) or not isinstance(recorded, int)):
+        raise ValueError(f"{path} must be an integer, got {recorded!r}")
+    if isinstance(recomputed, dict) and isinstance(recorded, dict):
+        if recomputed.keys() != recorded.keys():
+            raise ValueError(f"{path} holds the keys {sorted(recorded)}, "
+                             f"not {sorted(recomputed)}")
+        return [line for key in recomputed
+                for line in _differences(recomputed[key], recorded[key], f"{path}.{key}")]
+    if (isinstance(recomputed, list) and isinstance(recorded, list)
+            and len(recomputed) == len(recorded)):
+        return [line for i, pair in enumerate(zip(recomputed, recorded))
+                for line in _differences(*pair, f"{path}[{i}]")]
+    ours, theirs = json.dumps(recomputed), json.dumps(recorded)
+    return [] if ours == theirs else [f"{path}: recomputed {ours}, recorded {theirs}"]
+
+
+def _table_differences(name: str, columns: list, table: np.ndarray, recorded_columns: list,
+                       recorded: np.ndarray) -> list:
+    """A line if the recorded table ``name`` or its columns are not the
+    recomputed ones bit for bit."""
+    if recorded_columns != columns:
+        return [f"{name}: recomputed columns {columns}, recorded {recorded_columns}"]
+    table = np.ascontiguousarray(table, dtype="<f8")
+    if table.shape != recorded.shape:
+        return [f"{name}: recomputed shape {table.shape}, recorded {recorded.shape}"]
+    # bit for bit, NaN and the sign of zero included, without a copy of either
+    if np.array_equal(table.view(np.uint64), recorded.view(np.uint64)):
+        return []
+    return [f"{name}: max |recomputed - recorded| {np.max(np.abs(table - recorded)):.3g}"]
+
+
+def _check(manifest: dict, tables: dict, rebuilt: tuple, verbose: bool) -> int:
+    """Compare a run's recorded results and tables with ``rebuilt``, its
+    results function's (results, tables, gates) of what verify rebuilt,
+    and gate the gates.
+
+    Every result but ``SOLVER_ONLY`` and every table must be the recorded
+    one bit for bit (each difference is printed to stderr), and the
+    artifacts must be the tables the function returns.
+    """
+    results, returned, gates = rebuilt
+    if sorted(returned) != sorted(tables):
+        raise ValueError(f"the artifacts {sorted(tables)} are not the tables "
+                         f"{sorted(returned)} of the run")
+    differences = _differences(
+        {key: value for key, value in results.items() if key not in SOLVER_ONLY},
+        {key: value for key, value in manifest["results"].items() if key not in SOLVER_ONLY},
+        "results")
+    for name, (columns, table) in returned.items():
+        differences += _table_differences(name, columns, table, manifest["columns"][name],
+                                          tables[name])
+    for line in differences:
+        print(line, file=sys.stderr)
+    if verbose and not differences:
+        print(f"results and tables {sorted(returned)} recomputed bit for bit")
+    return EXIT_OK if _within(gates, verbose) and not differences else EXIT_EQUIPARTITION
 
 
 def cmd_verify(run_dir: str, verbose: bool) -> int:
@@ -964,21 +933,19 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
     if verbose:
         print(f"checksums ok for {len(manifest['artifacts'])} artifacts")
     kind = manifest["kind"]
+    rebuild = {"connect": _verify_connect, "double": _verify_double,
+               "counterexample": _verify_counterexample}.get(kind)
+    if rebuild is None:
+        print(f"unknown run kind {kind!r}", file=sys.stderr)
+        return EXIT_CHECKSUM
     try:
         tables = {name: _read_table(os.path.join(run_dir, name), manifest["columns"][name],
                                     3 if name == FIELD else 2)
                   for name in manifest["artifacts"]}
-        if kind == "connect":
-            return _verify_connect(tables, manifest, verbose)
-        if kind == "double":
-            return _verify_double(tables, manifest, verbose)
-        if kind == "counterexample":
-            return _verify_counterexample(tables, manifest, verbose)
+        return _check(manifest, tables, rebuild(manifest, tables), verbose)
     except (OSError, EOFError, KeyError, ValueError) as exc:
         print(f"verification failed to re-run: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM
-    print(f"unknown run kind {kind!r}", file=sys.stderr)
-    return EXIT_CHECKSUM
 
 
 # ---------------------------------------------------------------------------

@@ -259,26 +259,46 @@ def shift_track_summary(m_track: np.ndarray) -> tuple[float, float, float]:
             float(np.sum(np.abs(np.diff(m_track)))))
 
 
+class PolishedPart(NamedTuple):
+    columns: int                 # x2 columns polished, from the centre on where < P
+    rows: int                    # x1 rows polished, from the centre on where < M
+    sigma: np.ndarray | None     # the wells' x2 reflection (``x2_reflection``)
+    rho: np.ndarray | None       # the fixture's x1 parity
+
+
+def polished_part(space: EffectivePotentialSpace, mode: str, p: int, m: int) -> PolishedPart:
+    """The part of a field (P, M, n) on ``space`` that a double solve polishes.
+
+    The one rule, read from mode, sigma, rho, P and M: where the wells are
+    signed mirrors, z- = sigma z+ bit for bit, and P is odd, the x2 columns
+    from the centre on, (P + 1) / 2; in mode "sym" where the space has an
+    ``x1_parity`` rho and M is odd, likewise the x1 rows from the centre on.
+    Every other axis is polished whole.
+    """
+    sigma = x2_reflection(space.z_minus.values, space.z_plus.values)
+    rho = space.x1_parity
+    columns = p // 2 + 1 if sigma is not None and p % 2 else p
+    rows = m // 2 + 1 if mode == "sym" and rho is not None and m % 2 else m
+    return PolishedPart(columns, rows, sigma, rho)
+
+
 def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
     """Seed, polish and, in mode "asym", shift-track the field of a double solve.
 
-    When the x2 grid has a centre column (``n_out`` odd) and the wells are
-    signed mirrors, z- = sigma z+ bit for bit (``x2_reflection``), the
-    Newton-CG polishes only the columns from the centre on.  There the
-    sigma = -1 components are zero and pinned and the sigma = +1 ones free:
-    the whole field's energy at the mirror of a half is twice the half's
-    with trapezoid weight dt / 2 on the centre column, so their natural
-    boundary condition is the mirror's Neumann one.  The field is that half
-    and its mirror, u(x1, -x2) = sigma u(x1, x2) bit for bit: the whole
-    window's minimizer where the density is invariant under sigma, as both
-    fixtures' are (the field audit's free gradient would show it if not).
-    In mode "sym" with an ``x1_parity`` rho and M odd, the rows from the
-    centre on likewise (``EffectivePotentialSpace.half``), mirrored to
+    The Newton-CG polishes the part of the field that ``polished_part``
+    names.  On an x2 half, the columns from the centre on, the sigma = -1
+    components of the centre column are zero and pinned and the sigma = +1
+    ones free: the whole field's energy at the mirror of a half is twice
+    the half's with trapezoid weight dt / 2 on the centre column, so their
+    natural boundary condition is the mirror's Neumann one.  The field is
+    that half and its mirror, u(x1, -x2) = sigma u(x1, x2) bit for bit: the
+    whole window's minimizer where the density is invariant under sigma, as
+    both fixtures' are (the field audit's free gradient would show it if
+    not).  An x1 half, the rows from the centre on
+    (``EffectivePotentialSpace.half``), is mirrored likewise to
     u(x1*, x2) = rho u(x1, x2): a quarter where both hold.  In mode "asym"
     the shift scan reads the x2 half and mirrors its track: each misfit is
-    invariant under sigma with the wells swapped.  ``diagnostics`` records
-    ``polish_columns``, ``polish_rows``, ``x2_reflection`` and
-    ``x1_reflection`` (sigma and rho as lists, or None).
+    invariant under sigma with the wells swapped.
     """
     if space.z_minus is None or space.z_plus is None:
         raise ValueError("the effective space carries no well profiles")
@@ -288,28 +308,22 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     u, x2 = _seed_field(space, opts)
     dt = x2_step(x2)
     p, m = u.shape[:2]
-    sigma = x2_reflection(space.z_minus.values, space.z_plus.values)
-    mirror = sigma if p % 2 == 1 else None
-    rho = space.x1_parity
+    part = polished_part(space, mode, p, m)
+    mirror = part.sigma if part.columns < p else None
     polished = space
-    if mode == "sym" and rho is not None and m % 2 == 1:
+    if part.rows < m:
         # x1 from the centre row on, its odd components zero
         polished = space.half()
         u = u[:, m // 2:]
-        u[:, 0, rho < 0] = 0.0
+        u[:, 0, part.rho < 0] = 0.0
     if mirror is not None:
         # x2 >= 0 only, from the centre column, its sigma = -1 components zero
         u = u[p // 2:]
         u[0][:, mirror < 0] = 0.0
-    part, polish = _polish_field(polished, u, dt, POLISH_GTOL, mirror)
-    half = part if polished is space else mirror_half(part, rho, axis=1)
+    field, polish = _polish_field(polished, u, dt, POLISH_GTOL, mirror)
+    half = field if polished is space else mirror_half(field, part.rho, axis=1)
     u = half if mirror is None else mirror_half(half, mirror)
     diagnostics = {
-        "window": opts.t_max,
-        "polish_columns": part.shape[0],
-        "polish_rows": part.shape[1],
-        "x2_reflection": None if sigma is None else [int(v) for v in sigma],
-        "x1_reflection": None if rho is None else [int(v) for v in rho],
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
         "polish_cg_products": polish.products,
@@ -324,7 +338,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         ).shift
         if mirror is not None:
             m_track = np.concatenate([m_track[:0:-1], m_track])
-        c_minus, c_plus, diagnostics["m_total_variation"] = shift_track_summary(m_track)
+        c_minus, c_plus, _ = shift_track_summary(m_track)
     return DoubleConnectionResult(
         space=space,
         mode=mode,
@@ -409,7 +423,6 @@ class FieldAudit:
 class DoubleReport(FieldAudit):
     x2_gap_minus_l2: float
     x2_gap_plus_l2: float
-    interior_margin: int
 
 
 def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
@@ -491,7 +504,6 @@ def assemble_and_verify(result: DoubleConnectionResult,
         **vars(audit),
         x2_gap_minus_l2=float(space.grid_function(u[0]).distance_l2(zm)),
         x2_gap_plus_l2=float(space.grid_function(u[-1]).distance_l2(zp)),
-        interior_margin=margin,
     )
 
 

@@ -431,24 +431,63 @@ def _nudged(value):
     return float(np.nextafter(value, np.inf))
 
 
-# one ulp up each recorded audit result of a two-leg chain, or one entry of
-# the second leg's defect table; verify recomputes each bit for bit
-AUDIT_EDITS = {
-    **{key: (key, f"|over the legs - recorded {key}|")
-       for key in ("el_residual", "second_difference_lhs", "second_difference_rhs",
-                   "second_difference_constant", "second_difference_c_fitted",
-                   "max_speed", "max_w")},
-    "plot_defect_2.npy": ("plot_defect_2.npy", "leg 2 max |recomputed - recorded plot_defect_2.npy|"),
+# small runs of each kind, by name
+SMALL_RUNS = {
+    "connect": ("connect", CONNECT_CFG),
+    "two_leg": ("connect", dict(CONNECT_CFG, potential={"name": "triple_well"})),
+    "sin": ("double", SIN_CFG),
+    "planar_sym": ("double", PLANAR_CFG),
+    "planar_asym": ("double", dict(PLANAR_CFG, mode="asym")),
+    "counterexample": ("counterexample", COUNTER_CFG),
+    "shipped_planar_sym": ("double", "planar_sym"),
 }
 
 
 @pytest.fixture(scope="module")
-def two_leg_run(tmp_path_factory):
-    base = tmp_path_factory.mktemp("chain")
-    out = base / "run"
-    cfg = dict(CONNECT_CFG, potential={"name": "triple_well"})
-    assert main(["connect", "--config", write_cfg(base, cfg), "--out", str(out)]) == 0
+def small_runs(tmp_path_factory):
+    """A run directory of each of ``SMALL_RUNS``, by name; each verifies."""
+    base = tmp_path_factory.mktemp("small")
+    runs = {}
+    for name, (command, cfg) in SMALL_RUNS.items():
+        path = (SHIPPED / f"{cfg}.json" if isinstance(cfg, str)
+                else write_cfg(base, cfg, f"{name}.json"))
+        runs[name] = base / name
+        assert main([command, "--config", str(path), "--out", str(runs[name])]) == 0
+        assert main(["verify", str(runs[name])]) == 0
+    return runs
+
+
+def _copied_run(tmp_path, small_runs, name):
+    out = tmp_path / "run"
+    shutil.copytree(small_runs[name], out)
     return out
+
+
+def _edit_result(run_dir, path, edit):
+    """Replace the result at ``path`` inside a run's ``results`` by ``edit`` of it."""
+    mpath = run_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    entry = manifest["results"]
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = edit(entry[path[-1]])
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+# one ulp up each recorded audit result of a two-leg chain, or one entry of
+# the second leg's defect table; verify recomputes each bit for bit
+AUDIT_EDITS = {
+    **{key: (key, f"results.{key}: recomputed")
+       for key in ("el_residual", "second_difference_lhs", "second_difference_rhs",
+                   "second_difference_constant", "second_difference_c_fitted",
+                   "max_speed", "max_w")},
+    "plot_defect_2.npy": ("plot_defect_2.npy", "plot_defect_2.npy: max |recomputed - recorded|"),
+}
+
+
+@pytest.fixture(scope="module")
+def two_leg_run(small_runs):
+    return small_runs["two_leg"]
 
 
 @pytest.mark.parametrize("edit", sorted(AUDIT_EDITS))
@@ -921,9 +960,9 @@ def test_verify_recomputes_the_second_leg(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path, value, gate", [
-    (("legs", 1, "dk_value"), 0.3, "leg 2 |recomputed - recorded dk_value|"),
-    (("dk_value",), 0.55, "|sum over the legs - recorded dk_value|"),
-    (("action_gap",), -0.05, "|sum over the legs - recorded action_gap|"),
+    (("legs", 1, "dk_value"), 0.3, "results.legs[1].dk_value: recomputed"),
+    (("dk_value",), 0.55, "results.dk_value: recomputed"),
+    (("action_gap",), -0.05, "results.action_gap: recomputed"),
 ])
 def test_verify_recomputes_the_legs_d_k_and_gaps(tmp_path, capsys, path, value, gate):
     # the manifest carries no checksum of its own, so an edited number there
@@ -937,6 +976,11 @@ def test_verify_recomputes_the_legs_d_k_and_gaps(tmp_path, capsys, path, value, 
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert gate in capsys.readouterr().err
+
+
+def _result_path(path):
+    """The name verify gives the result at ``path`` inside ``results``."""
+    return "results" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
 
 
 HEADLINE_EDITS = [
@@ -966,16 +1010,12 @@ def test_verify_gates_the_recorded_headline_results(tmp_path, capsys, command, p
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
-    assert f"recorded {path[-1]}|" in capsys.readouterr().err
+    assert f"{_result_path(path)}: recomputed" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
-def asym_run(tmp_path_factory):
-    base = tmp_path_factory.mktemp("asym")
-    out = base / "run"
-    cfg = write_cfg(base, dict(PLANAR_CFG, mode="asym"))
-    assert main(["double", "--config", cfg, "--out", str(out)]) == 0
-    return out
+def asym_run(small_runs):
+    return small_runs["planar_asym"]
 
 
 SHIFT_TRACK_KEYS = ("c_minus", "c_plus", "m_total_variation", "translation_speed_c_fit",
@@ -994,12 +1034,12 @@ def test_verify_recomputes_the_shift_track_results(tmp_path, capsys, asym_run, k
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
-    assert f"|recomputed - recorded {key}|" in capsys.readouterr().err
+    assert f"results.{key}: recomputed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column, gates", [
-    (0, ["m_track.npy's x2 column is not the field's x2"]),
-    (1, [f"|recomputed - recorded {key}|" for key in SHIFT_TRACK_KEYS if key != "c_plus"]),
+    (0, ["m_track.npy: max |recomputed - recorded|"]),
+    (1, [f"results.{key}: recomputed" for key in SHIFT_TRACK_KEYS if key != "c_plus"]),
 ], ids=["x2", "m"])
 def test_verify_reads_the_shift_track_from_m_track(tmp_path, capsys, asym_run, column, gates):
     # the second column's x2 or shift, re-signed: the shift lies in the
@@ -1011,6 +1051,113 @@ def test_verify_reads_the_shift_track_from_m_track(tmp_path, capsys, asym_run, c
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
     assert all(gate in err for gate in gates)
+
+
+@pytest.mark.parametrize("value", [401, 5000, -3])
+def test_verify_rejects_a_polish_rows_the_rule_does_not_give(tmp_path, capsys, small_runs,
+                                                             value):
+    # the shipped planar_sym polishes 201 of its 401 x1 rows, the count that
+    # polished_part gives from its mode, reflections and grid
+    out = _copied_run(tmp_path, small_runs, "shipped_planar_sym")
+    _edit_result(out, ("polish_rows",), lambda rows: value)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert f"results.polish_rows: recomputed 201, recorded {value}" in capsys.readouterr().err
+
+
+# each recorded counterexample result, edited
+COUNTER_EDITS = {
+    "final_candidate": lambda value: 2.0 * value,
+    "infimum": lambda value: 2.0 * value,
+    "g_infinity": lambda value: 2.0 * value,
+    "bracket_rel_width": lambda widths: [widths[0], _nudged(widths[1])],
+    "candidates_strictly_decreasing": lambda flag: not flag,
+    "boxed_above_bound": lambda flag: not flag,
+    "bracket_widths_decreasing": lambda flag: not flag,
+    "conclusion": lambda text: text.replace("not proven", "proven"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(COUNTER_EDITS))
+def test_verify_recomputes_every_counterexample_result(tmp_path, capsys, small_runs, key):
+    out = _copied_run(tmp_path, small_runs, "counterexample")
+    _edit_result(out, (key,), COUNTER_EDITS[key])
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert f"results.{key}" in capsys.readouterr().err
+
+
+# a recorded result or table entry of a small run, and its edit
+RECORD_EDITS = {
+    "sin-window": ("sin", ("window",), lambda value: 2.0 * value),
+    "sin-x2_gap_minus_l2": ("sin", ("x2_gap_minus_l2",), _nudged),
+    "sin-x2_gap_plus_l2": ("sin", ("x2_gap_plus_l2",), _nudged),
+    "planar_sym-c_minus": ("planar_sym", ("c_minus",), _nudged),
+    "planar_sym-c_plus": ("planar_sym", ("c_plus",), _nudged),
+    "sin-boundary_convergence.npy": ("sin", "boundary_convergence.npy", _nudged),
+    "connect-legs.0.window": ("connect", ("legs", 0, "window"), lambda value: 2.0 * value),
+    "two_leg-legs.1.window": ("two_leg", ("legs", 1, "window"), _nudged),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(RECORD_EDITS))
+def test_verify_recomputes_the_window_gaps_and_limits(tmp_path, capsys, small_runs, edit):
+    name, target, change = RECORD_EDITS[edit]
+    out = _copied_run(tmp_path, small_runs, name)
+    if isinstance(target, str):
+        _edit_table(out, target, (3, 1), change)
+        message = f"{target}: max |recomputed - recorded|"
+    else:
+        _edit_result(out, target, change)
+        message = f"{_result_path(target)}: recomputed"
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_verify_rejects_results_of_other_keys(tmp_path, capsys, small_runs, edit):
+    # a recorded result that verify does not recompute is refused, as is a missing one
+    out = _copied_run(tmp_path, small_runs, "sin")
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    if edit == "extra":
+        manifest["results"]["energy_limit"] = 2.55
+    else:
+        del manifest["results"]["k_length"]
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert "results holds the keys" in capsys.readouterr().err
+
+
+def _numeric_paths(value, path=()):
+    """The path of every number (not a bool) inside ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numeric_paths(item, path + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+@pytest.mark.parametrize("name", ["two_leg", "planar_sym", "planar_asym", "counterexample"])
+def test_verify_recomputes_every_recorded_number(tmp_path, small_runs, name):
+    # a result that a run kind gains must be recomputed by verify or be
+    # named solver-only: each number nudged alone fails verify
+    out = _copied_run(tmp_path, small_runs, name)
+    mpath = out / "manifest.json"
+    original = mpath.read_text()
+    paths = [path for path in _numeric_paths(json.loads(original)["results"])
+             if path[0] not in hetconn.cli.SOLVER_ONLY]
+    assert len(paths) >= 5
+    for path in paths:
+        mpath.write_text(original)
+        _edit_result(out, path, lambda value: value + 1 if isinstance(value, int)
+                     else _nudged(value))
+        assert main(["verify", str(out)]) == 5, path
 
 
 def test_planar_connect_relaxes_the_upper_channel(tmp_path):
@@ -1060,7 +1207,7 @@ def test_verify_recomputes_the_planar_d_k(tmp_path, capsys):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
-    assert "leg 1 |recomputed - recorded dk_value|" in capsys.readouterr().err
+    assert "results.legs[0].dk_value: recomputed" in capsys.readouterr().err
 
 
 def test_a_planar_connect_that_does_not_converge_exits_1(tmp_path, monkeypatch, capsys):

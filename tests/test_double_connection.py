@@ -28,6 +28,8 @@ from hetconn.double_connection import (
     _seed_field,
     field_audit,
     planar_effective_space,
+    polished_part,
+    shift_track_summary,
 )
 from hetconn.function_space import (
     mirror_half,
@@ -46,6 +48,11 @@ def small_solves(planar_space):
     """Small planar solves, one per mode."""
     return {"sym": solve_symmetric(planar_space, SMALL),
             "asym": solve_asymmetric(planar_space, SMALL)}
+
+
+def _polished(result):
+    """The part of a solve's field that ``polished_part`` says it polished."""
+    return polished_part(result.space, result.mode, *result.u.shape[:2])
 
 
 def test_planar_space_carries_mirror_profiles(planar_space):
@@ -112,7 +119,7 @@ def test_asymmetric_solve_tracks_shifts(planar_space):
     assert result.m_track is not None and result.m_track.size == 33
     assert abs(result.c_minus) < 0.1
     assert abs(result.c_plus) < 0.1
-    assert result.diagnostics["m_total_variation"] < 1.0
+    assert shift_track_summary(result.m_track)[2] < 1.0
     audit = audit_translation_speed(result.m_track, assemble_and_verify(result))
     assert audit.c_fit >= 0.0
     assert np.isfinite(audit.max_ratio)
@@ -123,7 +130,7 @@ def test_quotient_does_no_work_on_the_symmetric_fixture(planar_space):
     # no translation at all
     asym = solve_asymmetric(planar_space, SMALL)
     assert asym.c_minus == 0.0 and asym.c_plus == 0.0
-    assert asym.diagnostics["m_total_variation"] == 0.0
+    assert shift_track_summary(asym.m_track)[2] == 0.0
 
 
 def test_the_shipped_asym_field_needs_no_exact_scan_row(monkeypatch):
@@ -147,7 +154,7 @@ def test_the_shipped_asym_field_needs_no_exact_scan_row(monkeypatch):
     result = solve_asymmetric(_build_double_space(cfg), DoubleOptions(**cfg["opts"]))
     # at least one exact misfit per scanned column and template; the scan
     # reads the half window that the Newton-CG solved and mirrors its track
-    assert sum(scanned) >= 2 * result.diagnostics["polish_columns"]
+    assert sum(scanned) >= 2 * _polished(result).columns
 
 
 def test_double_solves_run_no_path_descent(monkeypatch):
@@ -819,11 +826,11 @@ def test_the_shipped_sin_field_is_odd_in_x2_bit_for_bit():
     result = solve_symmetric(sin_example_space(m=cfg["m"]), DoubleOptions(**cfg["opts"]))
     u = result.u
     p = u.shape[0]
-    assert result.diagnostics["polish_columns"] == p // 2 + 1 == 129
+    assert _polished(result).columns == p // 2 + 1 == 129
     assert np.array_equal(u[::-1], -u)
     assert not np.any(u[p // 2])
     # and even about pi/2 in x1, polished on a quarter of the field
-    assert result.diagnostics["polish_rows"] == 129
+    assert _polished(result).rows == 129
     assert np.array_equal(u[:, ::-1], u)
     # the recorded gradient max is the whole field's, as verify recomputes it
     report = assemble_and_verify(result)
@@ -837,7 +844,7 @@ def test_the_half_window_solve_matches_the_full_window_polish():
     dt = float(np.diff(x2)[0])
     full_u, full = _polish_field(space, u0, dt, POLISH_GTOL)
     result = solve_symmetric(space, opts)
-    assert result.diagnostics["polish_columns"] == 33
+    assert _polished(result).columns == 33
     assert full.status == result.diagnostics["polish_status"] == "converged"
     assert result.diagnostics["polish_steps"] == full.steps
     energy = assemble_and_verify(result).energy_path
@@ -980,8 +987,7 @@ def test_the_quarter_solve_matches_the_x2_half_polish(name):
     half_u0[0][:, sigma < 0] = 0.0
     half_u, half = _polish_field(space, half_u0, dt, POLISH_GTOL, sigma)
     result = solve_symmetric(space, opts)
-    assert result.diagnostics["polish_columns"] == p // 2 + 1
-    assert result.diagnostics["polish_rows"] == 33
+    assert _polished(result)[:2] == (p // 2 + 1, 33)
     assert half.status == result.diagnostics["polish_status"] == "converged"
     assert result.diagnostics["polish_steps"] == half.steps
     assert result.diagnostics["polish_cg_products"] == half.products
@@ -1005,8 +1011,9 @@ def test_the_planar_half_window_solve_matches_the_full_window_polish():
     full_u, full = _polish_field(half, u0[:, space.m // 2:], dt, POLISH_GTOL)
     full_u = mirror_half(full_u, half.x1_parity, axis=1)
     result = solve_symmetric(space, opts)
-    assert result.diagnostics["polish_columns"] == 17
-    assert result.diagnostics["x2_reflection"] == [1, -1]
+    part = _polished(result)
+    assert part.columns == 17
+    assert part.sigma.tolist() == [1, -1]
     assert full.status == result.diagnostics["polish_status"] == "converged"
     assert result.diagnostics["polish_steps"] == full.steps
     report = assemble_and_verify(result)
@@ -1027,7 +1034,7 @@ def test_the_half_translation_scan_matches_the_full_scan_bit_for_bit():
     cfg = _shipped_config("planar_asym")
     space = _build_double_space(cfg)
     result = solve_asymmetric(space, DoubleOptions(**cfg["opts"]))
-    assert result.diagnostics["polish_columns"] == 65
+    assert _polished(result).columns == 65
     span = float(space.grid[-1] - space.grid[0])
     full = optimal_translation(result.u, space.z_minus, space.z_plus,
                                m_max=0.25 * span, n_scan=129)
