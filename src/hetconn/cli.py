@@ -22,8 +22,9 @@ function on it and requires every result but ``SOLVER_ONLY`` and every
 table to equal the recorded one bit for bit, and every gate to pass.
 Exit codes: 0 success, 1 run failure (a connect relaxation that does not
 converge, for one), 3 config error (raised before any run directory is
-made), 4 checksum, table or schema failure (verify), 5 a failing gate or a
-recomputed result or table that is not the recorded one.  A run writes its
+made), 4 checksum, table or schema failure (verify), 5 a failing gate, a
+recomputed result or table that is not the recorded one, or a run whose
+grids or mode are not its config's.  A run writes its
 artifacts and manifest before it exits 5.
 Every manifest also carries the command's ``profile`` (CPU seconds, minor
 page faults, the process's peak RSS), which ``verify`` does not read.  The
@@ -56,6 +57,7 @@ from .double_connection import (
     DoubleOptions,
     assemble_and_verify,
     audit_translation_speed,
+    mirror_grid,
     planar_effective_space,
     planar_shell,
     polished_part,
@@ -120,6 +122,10 @@ def _keep_freed_heap() -> None:
 
 class ConfigError(ValueError):
     pass
+
+
+class Mismatch(Exception):
+    """A run directory that is not the run of its own config: ``verify`` exits 5."""
 
 
 def _load_config(path) -> dict:
@@ -309,9 +315,9 @@ def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
 
 
 def _read_field(table):
-    """(x1, x2, u) of a double run's field table (M, P, 2 + n), n >= 1.
+    """The field u of a double run's field table (M, P, 2 + n), n >= 1, as
+    the C-ordered (P, M, n) stack of x2 columns that the solve holds.
 
-    u is the C-ordered (P, M, n) stack of x2 columns that the solve holds.
     ValueError unless the table holds (x1_i, x2_j, u[j, i]) at [i, j] on a
     tensor grid with at least two strictly increasing x1 and x2 nodes each.
     """
@@ -322,7 +328,7 @@ def _read_field(table):
     if not (np.all(table[..., 0] == x1[:, None]) and np.all(table[..., 1] == x2)
             and np.all(x1[1:] > x1[:-1]) and np.all(x2[1:] > x2[:-1])):
         raise ValueError(f"{FIELD} is not a tensor grid with strictly increasing x1 and x2")
-    return x1, x2, np.ascontiguousarray(table[..., 2:].transpose(1, 0, 2))
+    return np.ascontiguousarray(table[..., 2:].transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -495,26 +501,48 @@ DOUBLE_KEYS["planar"] = DOUBLE_KEYS["sin"] | {"beta", "kappa", "s_max"}
 MIN_FIELD_NODES = 2 * RESIDUAL_MARGIN + 1
 
 
-def _build_double_space(cfg: dict):
-    if cfg["example"] == "sin":
-        return sin_example_space(m=_integer(cfg, "m", 257, MIN_FIELD_NODES))
-    return planar_effective_space(
-        beta=_positive(cfg, "beta", 1.0),
-        kappa=_positive(cfg, "kappa", 1.0),
-        s_max=_positive(cfg, "s_max", 8.0),
-        m=_integer(cfg, "m", 401, MIN_FIELD_NODES),
-    )
-
-
-def _double_shell(cfg: dict, grid: np.ndarray):
-    """The effective space of a double config on ``grid``, without its wells."""
+def _double_setup(cfg: dict) -> tuple:
+    """(mode, tolerances, opts, x1, x2, fixture, shell) of a double config;
+    ConfigError if malformed.  x1, the fixture's grid, and x2 are
+    ``mirror_grid``s; ``fixture()`` is the effective space with its wells,
+    and ``shell(x1)`` the space without them, which ``verify`` completes."""
     example = _require(cfg, "example")
+    if not isinstance(example, str) or example not in DOUBLE_KEYS:
+        raise ConfigError(f"unknown double example {example!r}")
+    _known_keys(cfg, DOUBLE_KEYS[example], f"{example} double config")
+    mode = cfg.get("mode", "sym")
+    if mode not in ("sym", "asym"):
+        raise ConfigError(f"config field 'mode' must be 'sym' or 'asym', got {mode!r}")
+    # translations act on whole-line profiles only
+    if mode == "asym" and example != "planar":
+        raise ConfigError("config field 'mode' is 'asym', which needs example 'planar'")
+    tolerances = {
+        "defect_tol": _positive(cfg, "defect_tol", 5e-2),
+        "residual_tol": _positive(cfg, "residual_tol", 5e-2),
+        "residual_margin_cells": RESIDUAL_MARGIN,
+        "energy_two_ways_rel": 1e-6,
+        "polish_gtol": POLISH_GTOL,
+    }
+    opts_cfg = _section(cfg, "opts", set(DoubleOptions.__dataclass_fields__))
+    default = DoubleOptions()
+    opts = DoubleOptions(
+        n_out=_integer(opts_cfg, "n_out", default.n_out, MIN_FIELD_NODES, "opts."),
+        t_max=_positive(opts_cfg, "t_max", default.t_max, "opts."),
+    )
     if example == "sin":
-        return sin_shell(grid)
-    if example == "planar":
-        return planar_shell(
-            grid, beta=_positive(cfg, "beta", 1.0), kappa=_positive(cfg, "kappa", 1.0))
-    raise ConfigError(f"unknown double example '{example}'")
+        m = _integer(cfg, "m", 257, MIN_FIELD_NODES)
+        x1 = mirror_grid(0.0, math.pi, m)
+        fixture, shell = functools.partial(sin_example_space, m=m), sin_shell
+    else:
+        beta, kappa = _positive(cfg, "beta", 1.0), _positive(cfg, "kappa", 1.0)
+        s_max = _positive(cfg, "s_max", 8.0)
+        m = _integer(cfg, "m", 401, MIN_FIELD_NODES)
+        x1 = mirror_grid(-s_max, s_max, m)
+        fixture = functools.partial(planar_effective_space, beta=beta, kappa=kappa,
+                                    s_max=s_max, m=m)
+        shell = functools.partial(planar_shell, beta=beta, kappa=kappa)
+    x2 = mirror_grid(-opts.t_max, opts.t_max, opts.n_out)
+    return mode, tolerances, opts, x1, x2, fixture, shell
 
 
 def _reflection_name(signs: np.ndarray, at: str) -> str:
@@ -528,22 +556,16 @@ def _reflection_name(signs: np.ndarray, at: str) -> str:
     return f"({signed}){at} - u(x1, x2)"
 
 
-def _mirror_gates(u: np.ndarray, grid: np.ndarray, signs, axis: int, solve: str) -> list:
-    """The exact gates of a field solved on half its ``axis`` (0 for x2, 1
-    for x1) and mirrored: the grid's mirror and the field's, signs * u at
-    the mirrored nodes = u, both 0 bit for bit."""
-    if axis == 0:
-        at, grid_gate = "(x1, -x2)", ("x2 + x2 reversed", np.abs(grid + grid[::-1]))
-    else:
-        at = "(x1*, x2)"
-        grid_gate = ("x1[0] + x1[-1] - x1 - x1 reversed",
-                     np.abs((grid[0] + grid[-1] - grid) - grid[::-1]))
+def _mirror_gate(u: np.ndarray, signs, axis: int, solve: str) -> tuple:
+    """The exact gate of a field solved on half its ``axis`` (0 for x2, 1
+    for x1) and mirrored: signs * u at the mirrored nodes = u, 0 bit for
+    bit.  Its grids are ``mirror_grid``s, exact mirrors by construction."""
+    at = "(x1, -x2)" if axis == 0 else "(x1*, x2)"
     # in place: one field-sized array
     reflected = signs * np.flip(u, axis)
     reflected -= u
-    return [(f"max |{grid_gate[0]}| of {solve}", float(np.max(grid_gate[1])), 0.0),
-            (f"max |{_reflection_name(signs, at)}| of {solve}",
-             float(np.max(np.abs(reflected, out=reflected))), 0.0)]
+    return (f"max |{_reflection_name(signs, at)}| of {solve}",
+            float(np.max(np.abs(reflected, out=reflected))), 0.0)
 
 
 def _signs(signs) -> list | None:
@@ -560,8 +582,8 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
     m_track.npy, the track's total variation and the translation-speed
     audit.  The gates hold the x2 defect, the free gradient max, the
     interior residual and the energy two ways against their tolerances,
-    and, for each axis polished on its half, its grid's and the field's
-    mirrors at 0 (``_mirror_gates``).
+    and, for each axis polished on its half, the field's mirror at 0
+    (``_mirror_gate``).
     """
     space, u, x2 = result.space, result.u, result.x2
     report = assemble_and_verify(result, tolerances["residual_margin_cells"])
@@ -621,40 +643,18 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
         ("energy two ways, relative gap", two_ways, tolerances["energy_two_ways_rel"]),
     ]
     if part.columns < p:
-        gates += _mirror_gates(u, x2, part.sigma, 0, "a half-window solve")
+        gates.append(_mirror_gate(u, part.sigma, 0, "a half-window solve"))
     if part.rows < m:
-        gates += _mirror_gates(u, result.x1, part.rho, 1, "an x1-half solve")
+        gates.append(_mirror_gate(u, part.rho, 1, "an x1-half solve"))
     return results, tables, gates
 
 
 def cmd_double(cfg: dict, out_dir: str, verbose: bool) -> int:
     start = _usage()
-    example = _require(cfg, "example")
-    if not isinstance(example, str) or example not in DOUBLE_KEYS:
-        raise ConfigError(f"unknown double example {example!r}")
-    _known_keys(cfg, DOUBLE_KEYS[example], f"{example} double config")
-    mode = cfg.get("mode", "sym")
-    if mode not in ("sym", "asym"):
-        raise ConfigError(f"config field 'mode' must be 'sym' or 'asym', got {mode!r}")
-    # translations act on whole-line profiles only
-    if mode == "asym" and example != "planar":
-        raise ConfigError("config field 'mode' is 'asym', which needs example 'planar'")
-    tolerances = {
-        "defect_tol": _positive(cfg, "defect_tol", 5e-2),
-        "residual_tol": _positive(cfg, "residual_tol", 5e-2),
-        "residual_margin_cells": RESIDUAL_MARGIN,
-        "energy_two_ways_rel": 1e-6,
-        "polish_gtol": POLISH_GTOL,
-    }
-    opts_cfg = _section(cfg, "opts", set(DoubleOptions.__dataclass_fields__))
-    default = DoubleOptions()
-    opts = DoubleOptions(
-        n_out=_integer(opts_cfg, "n_out", default.n_out, MIN_FIELD_NODES, "opts."),
-        t_max=_positive(opts_cfg, "t_max", default.t_max, "opts."),
-    )
-    space = _build_double_space(cfg)
+    mode, tolerances, opts, _, _, fixture, _ = _double_setup(cfg)
+    space = fixture()
     if verbose:
-        print(f"solving {example} example, mode={mode}")
+        print(f"solving {cfg['example']} example, mode={mode}")
     result = (
         solve_asymmetric(space, opts) if mode == "asym"
         else solve_symmetric(space, opts)
@@ -770,47 +770,63 @@ def _verify_connect(manifest: dict, tables: dict) -> tuple:
     """``_connect_results`` of the legs rebuilt from the config and curves.
 
     The leg ends come from the config as the run takes them
-    (``_connect_setup``), and each leg's curve from its curve_k.npy.  The
-    action and defect are recomputed with W = K^2 / 2 at the segment
-    midpoints and d_K as the run takes it: on the line the integral of K
-    between the leg's ends, in higher dimensions the curve's midpoint
-    K-length.  The window is the curve's last time.
+    (``_connect_setup``), each leg's nodes from its curve_k.npy, and its
+    times are linspace(-T, T, reparam.n_samples), T the curve's last time
+    (``Mismatch`` for another row count).  A gate holds T <= reparam.t_max
+    on the line and T = reparam.t_max above.  The action and defect are
+    recomputed with W = K^2 / 2 at the segment midpoints, and d_K as the
+    run takes it: on the line the integral of K between the leg's ends,
+    above the curve's midpoint K-length.
     """
-    p, wspace, ends, *_ = _connect_setup(manifest["config"])
-    conns = []
+    p, wspace, ends, n_samples, t_max, *_ = _connect_setup(manifest["config"])
+    conns, windows = [], []
     for k, (a, b) in enumerate(ends, 1):
-        data = tables[f"curve_{k}.npy"]
-        curve = SampledCurve(times=data[:, 0], nodes=data[:, 1:])
+        name = f"curve_{k}.npy"
+        data = tables[name]
+        if data.shape[0] != n_samples:
+            raise Mismatch(f"{name} has {data.shape[0]} rows, and the config's "
+                           f"reparam.n_samples is {n_samples}")
+        window = float(data[-1, 0])
+        curve = SampledCurve(times=np.linspace(-window, window, n_samples), nodes=data[:, 1:])
         kv = wspace.weight_at(midpoints(curve))
         action, defects = equipartition(curve, wspace.space, 0.5 * kv * kv)
         x_minus, x_plus = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
         if p.dim == 1:
             dk = float(segment_k_lengths(wspace.weight_at, x_minus[None], x_plus[None],
                                          [[]])[0])
+            windows.append((f"leg {k} window - reparam.t_max", window - t_max, 0.0))
         else:
             dk = k_length(curve, wspace, rule="midpoint")
+            windows.append((f"leg {k} |window - reparam.t_max|", abs(window - t_max), 0.0))
         conns.append(ConnectionResult(
             curve=curve, x_minus=x_minus, x_plus=x_plus, action=action, dk_value=dk,
-            equipartition_defect=float(np.max(defects)), window=float(curve.times[-1]),
-            diagnostics={}))
-    return _connect_results(conns, p, wspace, manifest["tolerances"])
+            equipartition_defect=float(np.max(defects)), window=window, diagnostics={}))
+    results, returned, gates = _connect_results(conns, p, wspace, manifest["tolerances"])
+    return results, returned, gates + windows
 
 
 def _verify_double(manifest: dict, tables: dict) -> tuple:
     """``_double_results`` of the solve rebuilt from its field.
 
-    No fixture is built: the effective space comes from the config on the
-    field's x1 grid, its wells are the field's end columns and its
-    reference the 1D action of the last.  An asym run's shift track is
-    m_track.npy's, and its limits c- and c+ come from
-    ``shift_track_summary``; the shift scan is not re-run.  The
-    Newton-CG's status and counts are taken as recorded.
+    The mode and the x1 and x2 grids come from the config as the run takes
+    them (``_double_setup``; ``Mismatch`` for another mode or field shape),
+    and the field table's comparison rejects a field on other grids.  The
+    effective space is the config's shell on x1, its wells the field's end
+    columns and its reference the 1D action of the last.  An asym run's
+    shift track is m_track.npy's, its c- and c+ from
+    ``shift_track_summary``.  The Newton-CG's status and counts are taken
+    as recorded.
     """
-    x1, x2, u = _read_field(tables[FIELD])
-    space = _double_shell(manifest["config"], x1)
+    mode, _, _, x1, x2, _, shell = _double_setup(manifest["config"])
+    if manifest["mode"] != mode:
+        raise Mismatch(f"the manifest's mode {manifest['mode']!r} is not the config's {mode!r}")
+    u = _read_field(tables[FIELD])
+    space = shell(x1)
+    if u.shape != (x2.size, x1.size, space.n_components):
+        raise Mismatch(f"{FIELD} holds a field (x2, x1, component) of shape {u.shape}, "
+                       f"and the config's is {(x2.size, x1.size, space.n_components)}")
     space.z_minus, space.z_plus = space.grid_function(u[0]), space.grid_function(u[-1])
     space.ref_value = float(space.energy_1d(u[-1])[0])
-    mode = manifest["mode"]
     m_track, c_minus, c_plus = None, 0.0, 0.0
     if mode == "asym":
         m_track = tables["m_track.npy"][:, 1]
@@ -943,6 +959,9 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
                                     3 if name == FIELD else 2)
                   for name in manifest["artifacts"]}
         return _check(manifest, tables, rebuild(manifest, tables), verbose)
+    except Mismatch as exc:
+        print(f"not the run of its config: {exc}", file=sys.stderr)
+        return EXIT_EQUIPARTITION
     except (OSError, EOFError, KeyError, ValueError) as exc:
         print(f"verification failed to re-run: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM

@@ -17,6 +17,9 @@ pi/2 for the sine strip, (-1, +1) about 0 for the planar family) where the
 x1 grid has a centre row, so it polishes a quarter of the field; the
 asymmetric one ("asym") keeps every x1 row, works in the quotient by
 x1-translations of whole-line profiles and tracks the per-column shift.
+Both axes fold by one rule, ``function_space.fold``: the Newton-CG takes
+(sigma, rho), each None where its axis is whole, and the kernels know
+nothing of halves.
 After the polish one ``field_audit`` evaluates the field, for the run and
 for ``hetconn verify`` alike: its residual is the free gradient over its
 trapezoid weights, on interior nodes the 5-point Laplacian minus grad W.
@@ -37,6 +40,8 @@ import numpy as np
 
 from .function_space import (
     EffectivePotentialSpace,
+    cut_half,
+    fold,
     mirror_half,
     optimal_translation,
     pinned_newton_cg,
@@ -112,55 +117,22 @@ def mirror_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.concatenate([(lo + hi) - half[::-1][:n // 2], half])
 
 
-def _field_pins(shape, x2_parity=None, x1_parity=None) -> np.ndarray:
-    """Pinned entries of a field (P, M, n): the end columns and the x1 edge rows.
+def _polish_field(space, u0, dt, gtol, parities=(None, None)):
+    """Truncated Newton-CG on the discrete 2D energy of a field u0 (P, M, n).
 
-    The signs ``x2_parity`` (n,) of a field solved on half its x2 window
-    free its first column's +1 components, and ``x1_parity`` those of its
-    first row.
+    ``parities`` (x2's, x1's) folds the field (``fold``): the end columns
+    and x1 edge rows stay pinned but on a folded axis's centre line, and the
+    stop test and the CG read the whole field's gradient; a field folded in
+    x1 lives on a ``half`` space.  The CG is preconditioned by the line
+    solve of ``poisson_preconditioner`` (a DST along x2, a tridiagonal solve
+    along x1), with each Newton step's per-row shift from its Hessian
+    block.  Returns (field, NewtonResult).
     """
-    p, m, n = shape
-    free2 = np.zeros((p, n), dtype=bool)
-    free2[1:-1] = True
-    if x2_parity is not None:
-        free2[0] = x2_parity > 0
-    free1 = np.zeros((m, n), dtype=bool)
-    free1[1:-1] = True
-    if x1_parity is not None:
-        free1[0] = x1_parity > 0
-    return ~(free2[:, None] & free1[None])
-
-
-def _polish_field(space, u0, dt, gtol, mirror=None):
-    """Truncated Newton-CG on the discrete 2D energy; end columns and x1 edges stay pinned.
-
-    The CG is preconditioned by the line solve of ``poisson_preconditioner``
-    (a DST along x2, a tridiagonal solve along x1), with each Newton step's
-    per-row shift from its Hessian block.  ``mirror``, the signs sigma of a
-    half-window field (see ``_solve_common``), frees its first column's
-    sigma = +1 components, even there for the preconditioner; a half space
-    (``EffectivePotentialSpace.half``) frees its first row's even
-    components alike.  The stop test and gmax read the whole field's
-    gradient, doubled on each centre line, and the CG a half space's in
-    the norm of all x1 rows (the x2 half keeps its own).  Returns (field,
-    NewtonResult).
-    """
-    rho = space.x1_parity if space.x1_half else None
-    pinned = _field_pins(u0.shape, mirror, rho)
-    gscale = weights = None
-    if rho is not None:
-        gscale = np.ones(u0.shape)
-        gscale[:, 0] = 2.0
-        weights = 2.0 * gscale
-    if mirror is not None and np.any(mirror > 0):
-        gscale = np.ones(u0.shape) if gscale is None else gscale.copy()
-        gscale[0] *= 2.0
-    poisson = poisson_preconditioner(u0.shape, dt, space.h, parity=mirror, line_parity=rho)
+    poisson = poisson_preconditioner(u0.shape, dt, space.h, parities=parities)
     return pinned_newton_cg(
         lambda u: _path_energy(space, u, dt, grad=True),
-        lambda u: _PathEnergyHessian(space, u, dt), u0, pinned,
-        gtol=gtol, max_steps=POLISH_STEPS,
-        precond=lambda hess: poisson(hess.shift), gscale=gscale, norm_weights=weights,
+        lambda u: _PathEnergyHessian(space, u, dt), u0, parities,
+        gtol=gtol, max_steps=POLISH_STEPS, precond=lambda hess: poisson(hess.shift),
     )
 
 
@@ -193,14 +165,12 @@ class _PathEnergyHessian:
 
     The pointwise block wt * w1 * D^2(density), shape (P, M, n, n), is built
     once here; each product is then stencil arithmetic on the (P, M, n)
-    direction.  Like the gradient, the profile part of a product vanishes on
-    the x1 edge rows, except a half space's first row, the centre.  On the
-    free nodes the Hessian is h * dt * (B + L), with B = D^2(density) and L
-    the Dirichlet Laplacian of the two stencils.  B varies most along x1,
-    so ``shift``, the per-row shift of the preconditioner's line solve,
-    holds for each x1 row of that solve and component c max(0, mean of B_cc
-    over the free x2 nodes of that row): shape (M-2, n), or (M-1, n) from
-    a half space's centre row on.
+    direction, on every node.  On the interior nodes the Hessian is
+    h * dt * (B + L), with B = D^2(density) and L the Dirichlet Laplacian of
+    the two stencils.  B varies most along x1, so ``shift``, the per-row
+    shift of the preconditioner's line solve, holds for each x1 row and
+    component c max(0, mean of B_cc over the interior x2 nodes of that
+    row): shape (M, n).
     """
 
     def __init__(self, space, u, dt):
@@ -209,9 +179,7 @@ class _PathEnergyHessian:
         w1 = trapezoid_weights(m, h)
         wt = trapezoid_weights(p, dt)
         block = space._density_hessians(u)
-        self.first = 0 if space.x1_half else 1
-        self.shift = np.maximum(
-            np.einsum("pmcc->mc", block[1:-1, self.first:-1]) / (p - 2), 0.0)
+        self.shift = np.maximum(np.einsum("pmcc->mc", block[1:-1]) / (p - 2), 0.0)
         block *= (wt[:, None] * w1[None, :])[:, :, None, None]
         self.block = block
         self.wt1 = wt[:, None, None] / h
@@ -223,9 +191,6 @@ class _PathEnergyHessian:
         flux *= self.wt1
         out[:, :-1] -= flux
         out[:, 1:] += flux
-        if self.first:
-            out[:, 0] = 0.0
-        out[:, -1] = 0.0
         # free the x1 flux before the x2 one
         del flux
         flux = np.diff(d, axis=0)
@@ -286,19 +251,16 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     """Seed, polish and, in mode "asym", shift-track the field of a double solve.
 
     The Newton-CG polishes the part of the field that ``polished_part``
-    names.  On an x2 half, the columns from the centre on, the sigma = -1
-    components of the centre column are zero and pinned and the sigma = +1
-    ones free: the whole field's energy at the mirror of a half is twice
-    the half's with trapezoid weight dt / 2 on the centre column, so their
-    natural boundary condition is the mirror's Neumann one.  The field is
-    that half and its mirror, u(x1, -x2) = sigma u(x1, x2) bit for bit: the
-    whole window's minimizer where the density is invariant under sigma, as
-    both fixtures' are (the field audit's free gradient would show it if
-    not).  An x1 half, the rows from the centre on
-    (``EffectivePotentialSpace.half``), is mirrored likewise to
-    u(x1*, x2) = rho u(x1, x2): a quarter where both hold.  In mode "asym"
-    the shift scan reads the x2 half and mirrors its track: each misfit is
-    invariant under sigma with the wells swapped.
+    names, cut by ``cut_half`` and folded by (sigma, rho) (``fold``): on a
+    centre line the odd components are zero and pinned and the even ones
+    free, whose natural boundary condition at half the trapezoid weight is
+    the mirror's Neumann one.  The field is that part and its mirrors,
+    u(x1, -x2) = sigma u(x1, x2) and u(x1*, x2) = rho u(x1, x2) bit for bit:
+    the whole field's minimizer where the density is invariant under both,
+    as the fixtures' are (the field audit's free gradient would show it if
+    not).  An x1 half lives on ``EffectivePotentialSpace.half``.  In mode
+    "asym" the shift scan reads the x2 half and mirrors its track: each
+    misfit is invariant under sigma with the wells swapped.
     """
     if space.z_minus is None or space.z_plus is None:
         raise ValueError("the effective space carries no well profiles")
@@ -309,20 +271,15 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     dt = x2_step(x2)
     p, m = u.shape[:2]
     part = polished_part(space, mode, p, m)
-    mirror = part.sigma if part.columns < p else None
-    polished = space
-    if part.rows < m:
-        # x1 from the centre row on, its odd components zero
-        polished = space.half()
-        u = u[:, m // 2:]
-        u[:, 0, part.rho < 0] = 0.0
-    if mirror is not None:
-        # x2 >= 0 only, from the centre column, its sigma = -1 components zero
-        u = u[p // 2:]
-        u[0][:, mirror < 0] = 0.0
-    field, polish = _polish_field(polished, u, dt, POLISH_GTOL, mirror)
-    half = field if polished is space else mirror_half(field, part.rho, axis=1)
-    u = half if mirror is None else mirror_half(half, mirror)
+    sigma = part.sigma if part.columns < p else None
+    rho = part.rho if part.rows < m else None
+    for axis, signs in enumerate((sigma, rho)):
+        if signs is not None:
+            u = cut_half(u, signs, axis)
+    field, polish = _polish_field(space if rho is None else space.half(), u, dt,
+                                  POLISH_GTOL, (sigma, rho))
+    half = field if rho is None else mirror_half(field, rho, axis=1)
+    u = half if sigma is None else mirror_half(half, sigma)
     diagnostics = {
         "polish_steps": polish.steps,
         "polish_gmax": polish.gmax,
@@ -336,7 +293,7 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         m_track = optimal_translation(
             half, space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
         ).shift
-        if mirror is not None:
+        if sigma is not None:
             m_track = np.concatenate([m_track[:0:-1], m_track])
         c_minus, c_plus, _ = shift_track_summary(m_track)
     return DoubleConnectionResult(
@@ -430,9 +387,9 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
 
     One ``_path_energy`` with its coordinate gradient g gives three things:
     the path energy; the free gradient max of the whole field, g zeroed on
-    its end columns and x1 edges (a field solved on a half or a quarter
-    reads its centre lines here, unprojected, as its polish's doubled stop
-    test does); and the interior residual -g / (h * dt), taken
+    its pins (a field solved on a half or a quarter reads its centre lines
+    here, as its polish's stop test does through ``fold``'s gscale); and
+    the interior residual -g / (h * dt), taken
     away from a boundary margin of ``margin`` cells.  On interior nodes g is
     h * dt * (grad W - L u), with L the 5-point Laplacian, so the residual
     is L u - grad W there.  The energy is also summed by direct 2D trapezoid
@@ -453,7 +410,7 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
     residual_l2 = math.sqrt(float(np.sum(inner)) * h * dt)
     # free each field-sized array before the next is made
     del inner
-    g[_field_pins(g.shape)] = 0.0
+    g[fold(g.shape, (None, None)).pinned] = 0.0
     gmax = float(np.max(np.abs(g)))
     del g
     w1 = trapezoid_weights(m, h)

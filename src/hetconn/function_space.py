@@ -20,7 +20,11 @@ the quotient by x1-translations (``mode`` "asym").
 One pinned truncated Newton-CG (``pinned_newton_cg``) relaxes the well
 profiles and the connect curves of dimension two and up
 (``EffectivePotentialSpace.relax_profile``) and polishes the 2D field
-assembled from a path of well profiles.
+assembled from a path of well profiles.  Where a profile or field is its
+signed mirror about an axis's centre, it is solved on the half from the
+centre on (``cut_half``, ``mirror_half``), and one rule, ``fold``, gives
+what that changes: pins, stop-test scale and norm.  The kernels return the
+whole gradient and Hessian product on every row and know nothing of halves.
 """
 
 from __future__ import annotations
@@ -604,8 +608,7 @@ class EffectivePotentialSpace:
     ``h`` is the grid step, grid[1] - grid[0] (a half's is its whole's).
     ``x1_parity`` (n,), a fact of the fixture, gives each component's
     reflection about the grid's centre (-1 odd, +1 even); ``half`` is then
-    the space of the rows from the centre on (``x1_half``), whose first row
-    is not an edge.
+    the space of the rows from the centre on.
     """
 
     grid: np.ndarray
@@ -619,7 +622,6 @@ class EffectivePotentialSpace:
     tail_right: np.ndarray | None = None
     ref_value: float = 0.0
     x1_parity: np.ndarray | None = None
-    x1_half: bool = False
     z_minus: GridFunction | None = None
     z_plus: GridFunction | None = None
     h: float = field(init=False)
@@ -635,26 +637,26 @@ class EffectivePotentialSpace:
                 np.abs(self.x1_parity) == 1.0
             ):
                 raise ValueError("x1_parity needs one sign +-1 per component")
-            if not self.x1_half and not np.allclose(
+            if not np.allclose(
                 self.grid + self.grid[::-1], self.grid[0] + self.grid[-1],
                 atol=1e-9 * max(1.0, float(np.max(np.abs(self.grid)))),
             ):
                 raise ValueError("x1 parity needs a grid mirrored about its centre")
-        elif self.x1_half:
-            raise ValueError("a half space needs an x1_parity")
 
     @property
     def m(self) -> int:
         return self.grid.size
 
     def half(self) -> "EffectivePotentialSpace":
-        """The rows from the centre on of an odd grid with an ``x1_parity``:
-        actions there are half the mirrored profile's, and so is the
-        reference; ``h`` is kept, so a row's arithmetic is the whole's."""
-        if self.x1_parity is None or self.x1_half or self.m % 2 == 0:
+        """The rows from the centre on of an odd grid with an ``x1_parity``,
+        as a space of its own with no parity: actions there are half the
+        mirrored profile's (the centre row has half its trapezoid weight),
+        and so is the reference; ``h`` is kept, so a row's arithmetic is the
+        whole's."""
+        if self.x1_parity is None or self.m % 2 == 0:
             raise ValueError("only an odd grid with an x1 parity has a centre row")
         half = replace(self, grid=self.grid[self.m // 2:], ref_value=0.5 * self.ref_value,
-                       x1_half=True, z_minus=None, z_plus=None)
+                       x1_parity=None, z_minus=None, z_plus=None)
         half.h = self.h
         return half
 
@@ -713,8 +715,7 @@ class EffectivePotentialSpace:
         return kinetic + potential
 
     def energy_1d_grad(self, values: np.ndarray) -> np.ndarray:
-        """Coordinate gradient of energy_1d, shape (k, m, n); edge rows are
-        zero, and a half space's first row, the centre, keeps its gradient."""
+        """Coordinate gradient of energy_1d on every row, shape (k, m, n)."""
         v = self._stack(values)
         h = self.h
         dv = v[:, 1:] - v[:, :-1]
@@ -723,17 +724,15 @@ class EffectivePotentialSpace:
         # broadcasts over the stack much faster than an (m, 1) column
         row_w = np.repeat(trapezoid_weights(self.m, h), self.n_components)
         grad = row_w.reshape(self.m, self.n_components) * self._density_grads(v)
-        # interior rows dv_(i-1) - dv_i + w_i grad W_i; the + 0.0 turns a -0
-        # difference into +0, as accumulating both terms into zeros does
+        # rows dv_(i-1) - dv_i + w_i grad W_i, with dv_(-1) = dv_(m-1) = 0; the
+        # + 0.0 turns a -0 difference into +0, as accumulating both terms
+        # into zeros does
         inner = dv[:, :-1] - dv[:, 1:]
         inner += 0.0
         inner += grad[:, 1:-1]
         grad[:, 1:-1] = inner
-        if self.x1_half:
-            grad[:, 0] -= dv[:, 0]
-        else:
-            grad[:, 0] = 0.0
-        grad[:, -1] = 0.0
+        grad[:, 0] += 0.0 - dv[:, 0]
+        grad[:, -1] += dv[:, -1] + 0.0
         return grad
 
     def l2_norms(self, values: np.ndarray) -> np.ndarray:
@@ -754,36 +753,23 @@ class EffectivePotentialSpace:
         """Hessian of ``energy_1d`` at one profile, as a function of a direction (m, n).
 
         The trapezoid-weighted density Hessian block plus the second-difference
-        stencil of the kinetic term; like the gradient, a product is zero on
-        the edge rows, and a half space's keeps its centre row.  On the free
-        rows the Hessian is h * (B + L), with B = D^2(density) and L the
-        Dirichlet Laplacian of the stencil; the product's ``shift`` holds,
-        per component c, max(0, mean of B_cc over the free rows, a half
-        space's whole mirrored profile's), the shift of ``relax_profile``'s
-        preconditioner.
+        stencil of the kinetic term, on every row.  On the interior rows the
+        Hessian is h * (B + L), with B = D^2(density) and L the Dirichlet
+        Laplacian of the stencil; the product's ``diag`` (m, n) holds B_cc
+        on every row, for ``relax_profile``'s preconditioner.
         """
         hess = self._density_hessians(self._stack(values))[0]
         block = trapezoid_weights(self.m, self.h)[:, None, None] * hess
         h = self.h
-        first = 0 if self.x1_half else 1
 
         def hessp(d):
             out = np.einsum("mij,mj->mi", block, d)
             out[1:-1] += (2.0 * d[1:-1] - d[:-2] - d[2:]) / h
-            if first:
-                out[0] = 0.0
-            else:
-                out[0] += (d[0] - d[1]) / h
-            out[-1] = 0.0
+            out[0] += (d[0] - d[1]) / h
+            out[-1] += (d[-1] - d[-2]) / h
             return out
 
-        if first:
-            mean = np.einsum("mcc->c", hess[1:-1]) / (self.m - 2)
-        else:
-            # the whole profile's free rows: the centre once, the others twice
-            diag = np.einsum("mcc->mc", hess[:-1])
-            mean = (diag[0] + 2.0 * np.sum(diag[1:], axis=0)) / (2 * self.m - 3)
-        hessp.shift = np.maximum(mean, 0.0)
+        hessp.diag = np.einsum("mcc->mc", hess)
         return hessp
 
     def relax_profile(self, values: np.ndarray, gtol: float = 1e-10):
@@ -792,32 +778,30 @@ class EffectivePotentialSpace:
         Used to turn sampled connection guesses into discrete minimizers;
         returns (values, energy).  The pinned Newton-CG on ``energy_1d``,
         preconditioned by the shifted fast Poisson solve of
-        ``poisson_preconditioner`` along x1, with each Newton step's shift
-        from ``profile_hessp``; raises RuntimeError unless it converges to
-        ``gtol``.  An odd grid with an ``x1_parity`` is relaxed on its
-        ``half`` (odd components pinned at zero on the centre row, even ones
-        free there) and mirrored bit for bit; the stop test and the energy
-        are the whole profile's.
+        ``poisson_preconditioner`` along x1, each Newton step's shift
+        max(0, mean of B_cc (``profile_hessp``) over the whole profile's
+        free rows); RuntimeError unless it converges to ``gtol``.  An odd
+        grid with an ``x1_parity`` is relaxed on its ``half``, folded
+        (``fold``), and mirrored bit for bit.
         """
         values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
-        space, parity, gscale = self, None, None
-        pinned = np.zeros(values.shape, dtype=bool)
-        pinned[[0, -1]] = True
+        space, parity = self, None
         if self.x1_parity is not None and self.m % 2:
             space, parity = self.half(), self.x1_parity
-            values = values[self.m // 2:].copy()
-            values[0, parity < 0] = 0.0
-            pinned = pinned[self.m // 2:]
-            pinned[0] = parity < 0
-            if np.any(parity > 0):
-                gscale = np.ones(values.shape)
-                gscale[0] = 2.0
-        poisson = poisson_preconditioner(values.shape, self.h, parity=parity)
+            values = cut_half(values, parity)
+        poisson = poisson_preconditioner(values.shape, self.h, parities=(parity,))
+
+        def precond(hessp):
+            # the whole profile's free rows: a half's centre once, its others twice
+            diag, m = hessp.diag, space.m
+            mean = (np.einsum("mc->c", diag[1:-1]) / (m - 2) if parity is None
+                    else (diag[0] + 2.0 * np.sum(diag[1:-1], axis=0)) / (2 * m - 3))
+            return poisson(np.maximum(mean, 0.0))
+
         out, info = pinned_newton_cg(
             lambda v: (space.energy_1d(v)[0], space.energy_1d_grad(v)[0]),
-            space.profile_hessp, values, pinned, gtol=gtol, max_steps=RELAX_STEPS,
-            precond=lambda hessp: poisson(hessp.shift), gscale=gscale,
-            norm_weights=None if parity is None else 2.0 * (1.0 if gscale is None else gscale),
+            space.profile_hessp, values, (parity,), gtol=gtol, max_steps=RELAX_STEPS,
+            precond=precond,
         )
         if info.status != "converged":
             raise RuntimeError(
@@ -837,6 +821,49 @@ def mirror_half(half: np.ndarray, signs: np.ndarray, axis: int = 0) -> np.ndarra
     # a negated +0.0 is -0.0; + 0.0 makes it +0.0, as 0.0 - x gives it
     reflected += 0.0
     return np.concatenate([reflected, half], axis=axis)
+
+
+def cut_half(whole: np.ndarray, signs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The inverse of ``mirror_half``: a copy of ``whole`` from the centre
+    node on along ``axis``, an odd axis, with the odd (-1) components of
+    ``signs`` (n,) zero on the centre line."""
+    centre = whole.shape[axis] // 2
+    half = whole[(slice(None),) * axis + (slice(centre, None),)].copy()
+    half[(slice(None),) * axis + (0, ..., np.asarray(signs) < 0)] = 0.0
+    return half
+
+
+class Fold(NamedTuple):
+    pinned: np.ndarray    # bool, the array's shape: the entries held fixed
+    gscale: np.ndarray    # broadcasts to it: 2 on each centre line
+    weights: np.ndarray   # broadcasts to it: the whole problem's norm weight
+
+
+def fold(shape, parities) -> Fold:
+    """The one fold rule: what a Newton-CG on an array (*grid, n) pins and
+    how it measures.  ``parities`` holds one entry per grid axis: None, or
+    the signs (n,) of each component's reflection (-1 odd, +1 even) about
+    the axis's first node, for an axis folded to the nodes from its centre on.
+
+    Both ends of every axis are pinned, except a folded axis's first node,
+    its centre, where only the odd components are.  The whole problem's
+    energy is twice the folded one's (whose centre line has half its
+    trapezoid weight), so its gradient is the folded one times ``gscale``,
+    2 on each centre line; a node off that line stands for two of the
+    whole's, so the whole's Euclidean norm is sqrt(sum weights g^2),
+    ``weights`` the product of 2 ``gscale`` over the folded axes.
+    """
+    pinned = np.zeros(shape, dtype=bool)
+    gscale = weights = np.ones((1,) * len(shape))
+    for axis, signs in enumerate(parities):
+        line = (slice(None),) * axis
+        pinned[line + (-1,)] = True
+        pinned[line + (0,)] |= True if signs is None else np.asarray(signs) < 0
+        if signs is not None:
+            scale = np.ones((shape[axis],) + (1,) * (len(shape) - axis - 1))
+            scale[0] = 2.0
+            gscale, weights = gscale * scale, weights * (2.0 * scale)
+    return Fold(pinned, gscale, weights)
 
 
 # Newton steps of a profile relaxation before it reports max_iters, and the
@@ -862,14 +889,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def poisson_preconditioner(shape, *steps, parity=None, line_parity=None):
+def poisson_preconditioner(shape, *steps, parities=None):
     """The shifted Dirichlet Poisson solves that precondition the Newton-CGs.
 
     For a profile of ``shape`` (M, n) on step h, returns a function of the
     per-component shifts sigma (n,) that gives the solve r -> P^-1 r with
     P_c = h (L + sigma_c); for a field (P, M, n), a stack of x2 columns, on
-    steps dt (x2) and h (x1), a function of the per-row shifts sigma
-    (M-2, n), one for each free x1 row and component, with
+    steps dt (x2) and h (x1), a function of the Hessian's per-row shifts
+    sigma (M, n), read on the sweep's rows, with
     P_c = h * dt * (L + sigma_c(x1)).  L is the Dirichlet Laplacian on the
     free interior grid, the stencil part of the Hessian there.  A DST-I
     along the first grid axis diagonalises its part of L, with eigenvalues
@@ -879,17 +906,16 @@ def poisson_preconditioner(shape, *steps, parity=None, line_parity=None):
     sigma_c(x1) plus that eigenvalue, solved exactly by Thomas' algorithm,
     vectorised over the (k, c) columns, on a factor built once per shift.
 
-    ``parity`` (n,) gives each component's reflection about the first node
-    of the DST axis (a field's x2, a profile's x1), the centre of a half
-    solve: -1 (the default) pins it (Dirichlet), +1 leaves it free and even
-    (Neumann), solved as 2 D^-1 E^T P_w^-1 E D^-1 with E the even
-    extension to the whole axis' 2P - 1 nodes, P_w its solve and D = E^T E;
-    only the P - 1 odd modes of P_w meet E.  A field's ``line_parity`` does
-    the same about its first x1 row, with shifts (M-1, n) from that row on:
-    there an even component's band is the mirror's, diagonal (2/h^2 +
-    sigma_c + lam_k) / 2 and off-diagonal -1/h^2, and an odd one's diagonal
-    is infinite, which leaves the other rows' sweeps bit for bit.  One
-    Thomas sweep runs over the mode columns of all components.
+    ``parities`` folds the axes as ``fold`` reads it.  On a folded DST axis
+    (a field's x2, a profile's x1) an odd component is pinned at the centre
+    (Dirichlet) and an even one free (Neumann), solved as
+    2 D^-1 E^T P_w^-1 E D^-1 with E the even extension to the whole axis'
+    2P - 1 nodes, P_w its solve and D = E^T E; only the P - 1 odd modes of
+    P_w meet E.  On a folded x1 the sweep starts at the centre row: there
+    an even component's band is the mirror's, diagonal
+    (2/h^2 + sigma_c + lam_k) / 2 and off-diagonal -1/h^2, and an odd one's
+    diagonal is infinite, which leaves the other rows' sweeps bit for bit.
+    One Thomas sweep runs over the mode columns of all components.
 
     P commutes with the pins, and with the reflections where sigma is even
     in them.  A solve reads r on the free nodes only and returns a new
@@ -897,15 +923,15 @@ def poisson_preconditioner(shape, *steps, parity=None, line_parity=None):
     buffers, so they must not run concurrently.
     """
     *grid, n = shape
+    # the DST axis' parity and a field's x1 parity
+    parity, sweep_parity = (tuple(parities or ()) + (None, None))[:2]
     nodes = grid[0]
     lam = (2.0 / steps[0] * np.sin(0.5 * math.pi * np.arange(1, nodes - 1) / (nodes - 1))) ** 2
     # DST-I squares to (nodes - 1) / 2
     scale = 2.0 / ((nodes - 1) * math.prod(steps))
-    rows = grid[1] - 2 if len(grid) == 2 else 1
-    # the first x1 row of a field's sweep
-    lo = 1
-    if line_parity is not None:
-        rows, lo = rows + 1, 0
+    # the first x1 row of a field's sweep, and its row count
+    lo = 1 if sweep_parity is None else 0
+    rows = grid[1] - 1 - lo if len(grid) == 2 else 1
     even = [parity is not None and parity[c] > 0 for c in range(n)]
     if any(even):
         # the whole axis' 2P - 1 nodes; P - 1 is their centre
@@ -980,13 +1006,13 @@ def poisson_preconditioner(shape, *steps, parity=None, line_parity=None):
         # the reciprocal pivots 1 / (a_i - 1 / (h^4 (pivot i-1))), then the
         # multipliers cp = -(reciprocal pivot) / h^2 in their place
         off = steps[1] ** -2
-        shift = np.asarray(shift)
+        shift = np.asarray(shift)[lo:-1]
         cp = np.empty((rows, width))
         for c, (first, modes) in enumerate(blocks):
             band = cp[:, first:first + modes]
             np.add(shift[:, c:c + 1], (lam_whole if even[c] else lam) + 2.0 * off, out=band)
-            if line_parity is not None:
-                band[0] = 0.5 * band[0] if line_parity[c] > 0 else math.inf
+            if sweep_parity is not None:
+                band[0] = 0.5 * band[0] if sweep_parity[c] > 0 else math.inf
         # row views made once: indexing cp in the loops costs as much as
         # the arithmetic on a row
         cps = list(cp)
@@ -1097,50 +1123,46 @@ def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None, weights=None):
     return z, False, maxiter
 
 
-def pinned_newton_cg(fun, hessp_at, x0, pinned, *, gtol, max_steps,
-                     precond=None, gscale=None, norm_weights=None):
-    """Truncated Newton-CG on ``fun`` with the ``pinned`` entries of ``x0`` held fixed.
+def pinned_newton_cg(fun, hessp_at, x0, parities, *, gtol, max_steps, precond=None):
+    """Truncated Newton-CG on ``fun`` with the pinned entries of ``x0`` held fixed.
 
     ``fun`` maps an array shaped like ``x0`` to (value, gradient of that
     shape), and ``hessp_at(x)`` returns the Hessian-vector product at x as a
-    function of a direction; it is called once per Newton step.  Gradients,
-    Hessian products and steps are zeroed on the pins, so iterates keep the
-    pinned values.  ``precond``, if given, maps the step's product (what
-    ``hessp_at`` returned) to the solve r -> M^-1 r of a symmetric positive
-    definite M that commutes with the pins; the CG is then preconditioned
-    by it (see ``truncated_cg``).  The CG forcing term is
-    min(0.5, sqrt |g|), and Armijo backtracking guards each step (within
+    function of a direction; it is called once per Newton step.  ``fold``
+    of ``parities``, one entry per grid axis of ``x0`` (*grid, n), gives
+    the pins, on which gradients, Hessian products and steps are zeroed, so
+    iterates keep the pinned values.  ``precond``, if given, maps the
+    step's product (what ``hessp_at`` returned) to the solve r -> M^-1 r of
+    a symmetric positive definite M that commutes with the pins; the CG is
+    then preconditioned by it (see ``truncated_cg``).  The CG forcing term
+    is min(0.5, sqrt |g|), and Armijo backtracking guards each step (within
     ``FLAT`` |value|, where rounding hides a decrease, Hager and Zhang's
-    approximate Wolfe test on the slope).  Stops
-    when the max-norm of the free gradient, times ``gscale`` (an array
-    shaped like ``x0``) if given, is at most ``gtol``, after ``max_steps``
-    steps, or when backtracking finds no decrease.  Returns (minimizer,
-    NewtonResult).  ``norm_weights`` (like ``x0``, or a scalar), if given,
-    weights the norm sqrt(sum norm_weights x^2) of the forcing term and the
-    CG's stop: 2 gscale on a mirrored half, whose gscale is 2 on its centre
-    line, gives the whole problem's norm and so its CG.
+    approximate Wolfe test on the slope); |g| and the CG's stop read the
+    whole problem's norm (``fold``'s weights).  Stops when the max-norm of
+    the whole problem's free gradient (times ``fold``'s gscale) is at most
+    ``gtol``, after ``max_steps`` steps, or when backtracking finds no
+    decrease.  Returns (minimizer, NewtonResult).
     """
-    pinned = np.asarray(pinned, dtype=bool)
+    pinned, gscale, weights = fold(np.shape(x0), parities)
 
     def reduce(v):
         # zeroed in place on the pins
         v[pinned] = 0.0
         return v
 
-    weights = norm_weights
     x = np.asarray(x0, dtype=float).copy()
     e, g = fun(x)
     g = reduce(g)
     steps = products = 0
     while True:
-        gmax = float(np.max(np.abs(g if gscale is None else gscale * g)))
+        gmax = float(np.max(np.abs(gscale * g)))
         if gmax <= gtol:
             status = "converged"
             break
         if steps == max_steps:
             status = "max_iters"
             break
-        gnorm = math.sqrt(_dot(g, g if weights is None else weights * g))
+        gnorm = math.sqrt(_dot(g, weights * g))
         hessp = hessp_at(x)
         p, _, used = truncated_cg(
             lambda d: reduce(hessp(d)), g, min(0.5, math.sqrt(gnorm)) * gnorm, weights=weights,

@@ -15,7 +15,7 @@ import hetconn.cli
 import hetconn.counterexample
 import hetconn.double_connection
 from hetconn.cli import _load_config, main
-from hetconn.double_connection import planar_shell
+from hetconn.double_connection import mirror_grid, planar_shell
 
 CONNECT_CFG = {
     "schema_version": 1,
@@ -1322,7 +1322,13 @@ def test_verify_checks_the_x2_reflection_that_a_half_window_run_claims(tmp_path,
     assert main(["verify", "--verbose", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "max |(u1, -u2)(x1, -x2) - u(x1, x2)| of a half-window solve 0 " in printed
-    assert "max |x2 + x2 reversed| of a half-window solve 0 " in printed
+    # the x2 grid is the config's mirror_grid, which verify compares bit for
+    # bit: its mirror needs no gate of its own
+    x2 = np.load(out / "u.npy")[0, :, 1]
+    opts = PLANAR_CFG["opts"]
+    assert np.array_equal(x2, mirror_grid(-opts["t_max"], opts["t_max"], opts["n_out"]))
+    assert np.array_equal(x2, -x2[::-1])
+    assert "x2 + x2 reversed" not in printed
     # u1 moved the same way at a node and its mirror keeps the reflection
     # (the recomputed energies fail); u2 moved so breaks it
     _nudge_field(out, (8, 3), 1e-9, column=2)
@@ -1351,13 +1357,14 @@ def test_verify_rejects_a_half_window_run_whose_x2_is_not_antisymmetric(tmp_path
     assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
     path = out / "u.npy"
     table = np.load(path)
-    # one x2 node, in every x1 row, moved by less than the step
+    # one x2 node, in every x1 row, moved by less than the step: the field
+    # table is no longer on the config's x2 grid
     table[:, 3, 1] += 1e-9
     np.save(path, table)
     _resign(out, "u.npy")
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
-    assert "max |x2 + x2 reversed| of a half-window solve" in capsys.readouterr().err
+    assert "u.npy: max |recomputed - recorded| 1e-09" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [[1, 1], [-1, 1], None])
@@ -1423,7 +1430,12 @@ def test_verify_checks_the_x1_reflection_that_an_x1_half_run_claims(tmp_path, ca
     assert main(["verify", "--verbose", str(out)]) == 0
     printed = capsys.readouterr().out
     assert f"max |{X1_GATE} 0 " in printed
-    assert "max |x1[0] + x1[-1] - x1 - x1 reversed| of an x1-half solve 0 " in printed
+    # the x1 grid is the fixture's mirror_grid, compared bit for bit
+    x1 = np.load(out / "u.npy")[:, 0, 0]
+    # on the default window s_max = 8
+    assert np.array_equal(x1, mirror_grid(-8.0, 8.0, PLANAR_CFG["m"]))
+    assert np.array_equal(x1[0] + x1[-1] - x1, x1[::-1])
+    assert "x1 reversed" not in printed
     # u1 moved the same way at a node and its x2 mirror keeps the x2
     # reflection; it breaks the x1 one
     _nudge_field(out, (8, 3), 1e-9, column=2)
@@ -1456,15 +1468,78 @@ def test_verify_rejects_an_x1_half_run_whose_x1_is_not_a_mirror(tmp_path, capsys
     path = out / "u.npy"
     table = np.load(path)
     # one x1 node, in every x2 column, moved by far less than the step: the
-    # planar density does not read x1, so only the mirror gate sees it
+    # planar density does not read x1, so only the field table's x1 column,
+    # compared with the config's grid, sees it
     table[30, :, 0] += 1e-12
     np.save(path, table)
     _resign(out, "u.npy")
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
-    assert "max |x1[0] + x1[-1] - x1 - x1 reversed| of an x1-half solve" in err
-    assert "recomputed" not in err
+    assert "u.npy: max |recomputed - recorded| 1e-12" in err
+    assert err.count("recomputed") == 1
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """A run directory of the shipped configs that ``NOT_THE_CONFIGS_RUN`` edits."""
+    runs = {}
+    for command, name in (("double", "sin_example"), ("double", "planar_sym"),
+                          ("connect", "double_well"), ("connect", "planar_connect")):
+        out = tmp_path_factory.mktemp(name) / "run"
+        assert main([command, "--config", str(SHIPPED / f"{name}.json"), "--out",
+                     str(out)]) == 0
+        runs[name] = out
+    return runs
+
+
+def _set_sin_grids(cfg):
+    cfg["m"] = 33
+    cfg["opts"].update(n_out=17, t_max=3.0)
+
+
+# each edits the config that a shipped run records, so that it gives other
+# grids or another mode than the run's, and names what verify reports
+NOT_THE_CONFIGS_RUN = {
+    "sin_grids": ("sin_example", _set_sin_grids,
+                  "u.npy holds a field (x2, x1, component) of shape (257, 257, 1), and "
+                  "the config's is (17, 33, 1)"),
+    "sin_m": ("sin_example", lambda cfg: cfg.update(m=255), "the config's is (257, 255, 1)"),
+    "sin_n_out": ("sin_example", lambda cfg: cfg["opts"].update(n_out=255),
+                  "the config's is (255, 257, 1)"),
+    "sin_t_max": ("sin_example", lambda cfg: cfg["opts"].update(t_max=4.5),
+                  "u.npy: max |recomputed - recorded|"),
+    "planar_sym_mode": ("planar_sym", lambda cfg: cfg.update(mode="asym"),
+                        "the manifest's mode 'sym' is not the config's 'asym'"),
+    "double_well_reparam": ("double_well",
+                            lambda cfg: cfg["reparam"].update(n_samples=11, t_max=2.0),
+                            "curve_1.npy has 2001 rows, and the config's "
+                            "reparam.n_samples is 11"),
+    "double_well_t_max": ("double_well", lambda cfg: cfg["reparam"].update(t_max=2.0),
+                          "leg 1 window - reparam.t_max 8 (tolerance 0)"),
+    "planar_connect_t_max": ("planar_connect",
+                             lambda cfg: cfg["reparam"].update(t_max=17.0),
+                             "leg 1 |window - reparam.t_max| 1 (tolerance 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_THE_CONFIGS_RUN))
+def test_verify_rejects_a_run_whose_grids_or_mode_are_not_its_config_s(
+        tmp_path, capsys, shipped_runs, case):
+    name, edit, message = NOT_THE_CONFIGS_RUN[case]
+    out = tmp_path / "run"
+    shutil.copytree(shipped_runs[name], out)
+    assert main(["verify", str(out)]) == 0
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["config"])
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [[1, 1], [1, -1], [-1], None])

@@ -21,17 +21,19 @@ from hetconn import double_connection, function_space
 from hetconn.double_connection import (
     POLISH_GTOL,
     POLISH_STEPS,
-    _field_pins,
     _path_energy,
     _PathEnergyHessian,
     _polish_field,
     _seed_field,
     field_audit,
+    mirror_grid,
     planar_effective_space,
     polished_part,
     shift_track_summary,
 )
 from hetconn.function_space import (
+    cut_half,
+    fold,
     mirror_half,
     pinned_newton_cg,
     poisson_preconditioner,
@@ -137,7 +139,7 @@ def test_the_shipped_asym_field_needs_no_exact_scan_row(monkeypatch):
     # the Gram screen settles every column of planar_asym.json's field with
     # exact misfits at single shifts; a full exact row there would bring back
     # the cost of the exhaustive scan unseen
-    from hetconn.cli import _build_double_space
+    from hetconn.cli import _double_setup
 
     cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
                       / "planar_asym.json").read_text())
@@ -151,7 +153,8 @@ def test_the_shipped_asym_field_needs_no_exact_scan_row(monkeypatch):
         return exact(values, z, shifts)
 
     monkeypatch.setattr(function_space, "translation_misfits", single_shifts_only)
-    result = solve_asymmetric(_build_double_space(cfg), DoubleOptions(**cfg["opts"]))
+    _, _, opts, _, _, fixture, _ = _double_setup(cfg)
+    result = solve_asymmetric(fixture(), opts)
     # at least one exact misfit per scanned column and template; the scan
     # reads the half window that the Newton-CG solved and mirrors its track
     assert sum(scanned) >= 2 * _polished(result).columns
@@ -187,7 +190,11 @@ def test_double_solves_run_no_path_descent(monkeypatch):
 def test_planar_wells_are_discrete_minimizers(planar_space):
     zp = planar_space.z_plus.values
     g = planar_space.energy_1d_grad(zp)[0]
-    assert np.max(np.abs(g)) <= 1e-10
+    # the free rows; the edge rows are the tails' boundary data
+    free = ~fold(zp.shape, (None,)).pinned
+    assert free[1:-1].all() and not free[[0, -1]].any()
+    assert np.max(np.abs(g[free])) <= 1e-10
+    assert np.max(np.abs(g[~free])) > 1e-3
 
 
 def test_speed_audit_rejects_symmetric_runs(planar_space):
@@ -474,17 +481,20 @@ def test_the_audit_recomputes_the_solve_bit_for_bit(planar_space, small_solves, 
 def test_path_energy_hessp_matches_central_differences_of_the_gradient(field_space):
     u = _noisy_blend(field_space, seed=2)
     dt = 0.1
-    hessp = _PathEnergyHessian(field_space, u, dt)
     rng = np.random.default_rng(4)
     hh = 1e-6
-    for _ in range(3):
-        d = rng.standard_normal(u.shape)
-        d[_field_pins(u.shape)] = 0.0
-        fd = (_path_energy(field_space, u + hh * d, dt, grad=True)[1]
-              - _path_energy(field_space, u - hh * d, dt, grad=True)[1]) / (2 * hh)
-        hd = hessp(d)
-        assert hd.shape == u.shape
-        assert np.max(np.abs(hd - fd)) <= 1e-6 * np.max(np.abs(fd))
+    m = field_space.m
+    # every node, the edges and the half's first x1 row, the centre, included
+    for space, x in ((field_space, u), (field_space.half(), u[:, m // 2:])):
+        hessp = _PathEnergyHessian(space, x, dt)
+        for _ in range(3):
+            d = rng.standard_normal(x.shape)
+            fd = (_path_energy(space, x + hh * d, dt, grad=True)[1]
+                  - _path_energy(space, x - hh * d, dt, grad=True)[1]) / (2 * hh)
+            hd = hessp(d)
+            assert hd.shape == x.shape
+            assert np.all(hd[:, [0, -1]] != 0.0)
+            assert np.max(np.abs(hd - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 @pytest.fixture(scope="module")
@@ -500,12 +510,15 @@ def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
     u0, dt = planar_sym_field
     m = planar_space.m
     half = planar_space.half()
+    rho = planar_space.x1_parity
     gtol = POLISH_GTOL
-    u, info = _polish_field(half, u0[:, m // 2:], dt, gtol)
-    pinned = _field_pins(u.shape, x1_parity=half.x1_parity)
+    # the seed's centre row is already odd in u1
+    assert np.array_equal(cut_half(u0, rho, 1), u0[:, m // 2:])
+    u, info = _polish_field(half, cut_half(u0, rho, 1), dt, gtol, (None, rho))
+    pinned = fold(u.shape, (None, rho)).pinned
     assert pinned[:, 0, 0].all() and not pinned[1:-1, 0, 1].any()
     assert np.array_equal(u[pinned], u0[:, m // 2:][pinned])
-    whole = mirror_half(u, half.x1_parity, axis=1)
+    whole = mirror_half(u, rho, axis=1)
     assert np.array_equal(whole[:, ::-1, 0], -whole[..., 0])
     assert np.array_equal(whole[:, ::-1, 1], whole[..., 1])
     assert _path_energy(planar_space, whole, dt) < _path_energy(planar_space, u0, dt)
@@ -518,7 +531,7 @@ def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
     assert float(np.max(np.abs(g))) == info.gmax <= gtol
     # which is the whole field's own, unprojected, to rounding
     g = _path_energy(planar_space, whole, dt, grad=True)[1]
-    g[_field_pins(g.shape)] = 0.0
+    g[fold(g.shape, (None, None)).pinned] = 0.0
     assert float(np.max(np.abs(g))) == pytest.approx(info.gmax, rel=1e-6)
 
 
@@ -535,7 +548,7 @@ def test_polish_at_the_step_cap_says_so(planar_space, planar_sym_field, monkeypa
 def test_truncated_cg_stops_at_negative_curvature_with_a_descent_step(planar_space,
                                                                       planar_sym_field):
     u, dt = planar_sym_field
-    free = (~_field_pins(u.shape)).astype(float)
+    free = (~fold(u.shape, (None, None)).pinned).astype(float)
 
     def reduce(v):
         return v * free
@@ -564,7 +577,7 @@ def test_truncated_cg_falls_back_to_the_negative_gradient():
 
 def _free_noise(shape, seed):
     d = np.random.default_rng(seed).standard_normal(shape)
-    d[_field_pins(shape)] = 0.0
+    d[fold(shape, (None, None)).pinned] = 0.0
     return d
 
 
@@ -594,10 +607,10 @@ def test_poisson_preconditioner_inverts_the_free_stencil():
     dt = 0.23
     u = _free_noise((6, space.m, 2), 0)
     hess = _PathEnergyHessian(space, u, dt)
-    # one shift per free x1 row and component
-    assert np.array_equal(hess.shift, np.zeros((space.m - 2, 2)))
+    # one shift per x1 row and component
+    assert np.array_equal(hess.shift, np.zeros((space.m, 2)))
     psolve = poisson_preconditioner(u.shape, dt, space.h)(hess.shift)
-    free = ~_field_pins(u.shape)
+    free = ~fold(u.shape, (None, None)).pinned
     d = _free_noise(u.shape, 1)
     assert np.max(np.abs(psolve(hess(d)) - d)) <= 1e-12 * np.max(np.abs(d))
     back = psolve(d)
@@ -606,9 +619,9 @@ def test_poisson_preconditioner_inverts_the_free_stencil():
 
 
 def _even_rows(m, n, seed):
-    """A random positive per-row shift (m - 2, n), even in x1."""
-    half = np.random.default_rng(seed).uniform(0.1, 5.0, ((m - 1) // 2, n))
-    return np.concatenate([half, half[::-1][(m - 2) % 2:]])
+    """A random positive per-row shift (m, n), even in x1."""
+    half = np.random.default_rng(seed).uniform(0.1, 5.0, ((m + 1) // 2, n))
+    return np.concatenate([half, half[::-1][m % 2:]])
 
 
 def _odd_first(v):
@@ -627,8 +640,9 @@ def test_poisson_preconditioner_commutes_with_the_odd_projection():
     lhs = psolve(_odd_first(r))
     rhs = _odd_first(psolve(r))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
-    # the check sees the shift: one that is not even in x1 breaks it
-    shift[0] += 1.0
+    # the check sees the shift: one that is not even in x1 on the free rows
+    # breaks it
+    shift[1] += 1.0
     psolve = poisson_preconditioner(shape, dt, space.h)(shift)
     lhs = psolve(_odd_first(r))
     rhs = _odd_first(psolve(r))
@@ -645,7 +659,7 @@ def test_the_field_shift_is_per_row_and_even_on_the_planar_sym_seed(planar_space
     assert cfg["m"] == planar_space.m
     u, x2 = _seed_field(planar_space, DoubleOptions(**cfg["opts"]))
     shift = _PathEnergyHessian(planar_space, u, float(np.diff(x2)[0])).shift
-    assert shift.shape == (planar_space.m - 2, 2)
+    assert shift.shape == (planar_space.m, 2)
     assert np.all(shift >= 0.0)
     # exactly even, as the seed is its x1 mirror, so the line solve commutes
     # with the x1 reflection
@@ -670,7 +684,7 @@ def _reference_field_solve(shape, dt, h, shift, r):
     for c in range(n):
         x = dst(r[1:-1, 1:-1, c], type=1, axis=0)
         for k in range(p - 2):
-            bands[1] = 2.0 / h**2 + shift[:, c] + lam[k]
+            bands[1] = 2.0 / h**2 + shift[1:-1, c] + lam[k]
             x[k] = solve_banded((1, 1), bands, x[k])
         # DST-I squares to 2 (p - 1) in scipy's normalisation
         out[1:-1, 1:-1, c] = dst(x, type=1, axis=0) / (2.0 * (p - 1) * h * dt)
@@ -680,9 +694,9 @@ def _reference_field_solve(shape, dt, h, shift, r):
 @pytest.mark.parametrize("shape", [(6, 17, 2), (257, 257, 1), (129, 401, 2)])
 def test_poisson_preconditioner_inverts_the_shifted_field_stencil(shape):
     rng = np.random.default_rng(6)
-    shift = rng.uniform(0.0, 20.0, (shape[1] - 2, shape[-1]))
+    shift = rng.uniform(0.0, 20.0, (shape[1], shape[-1]))
     psolve = poisson_preconditioner(shape, 0.23, 0.04)(shift)
-    pins = _field_pins(shape)
+    pins = fold(shape, (None, None)).pinned
     for _ in range(2):
         # twice through the same buffers
         r = rng.standard_normal(shape)
@@ -728,7 +742,7 @@ def test_preconditioned_cg_with_an_exact_inverse_takes_one_product():
     g = _free_noise((6, space.m, 2), 3)
     hess = _PathEnergyHessian(space, g, dt)
     assert np.ptp(hess.shift) > 1.0
-    free = (~_field_pins(g.shape)).astype(float)
+    free = (~fold(g.shape, (None, None)).pinned).astype(float)
     psolve = poisson_preconditioner(g.shape, dt, space.h)(hess.shift)
     d = _free_noise(g.shape, 4)
     assert np.max(np.abs(psolve(hess(d)) - d)) <= 1e-12 * np.max(np.abs(d))
@@ -767,7 +781,8 @@ def test_the_preconditioner_cuts_the_polish_products(planar_space, monkeypatch):
         u0, x2 = _seed_field(space, DoubleOptions(**opts))
         dt = float(np.diff(x2)[0])
         half = space.half()
-        u0 = u0[:, space.m // 2:]
+        rho = space.x1_parity
+        u0 = cut_half(u0, rho, 1)
         runs = {}
         for name in ("plain", "poisson"):
             with monkeypatch.context() as patch:
@@ -775,7 +790,7 @@ def test_the_preconditioner_cuts_the_polish_products(planar_space, monkeypatch):
                     # no preconditioner: the CG's M is the identity
                     patch.setattr(double_connection, "poisson_preconditioner",
                                   lambda *args, **kwargs: lambda shift: None)
-                u, info = _polish_field(half, u0, dt, POLISH_GTOL)
+                u, info = _polish_field(half, u0, dt, POLISH_GTOL, (None, rho))
             assert info.status == "converged"
             runs[name] = (_path_energy(half, u, dt), info.products)
         assert runs["poisson"][1] < runs["plain"][1]
@@ -815,6 +830,72 @@ def test_a_small_double_solve_leaves_scipy_fft_out():
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+# ---------------------------------------------------------------------------
+# one fold rule for both mirrored axes
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (-8.0, 8.0, 401), (0.0, math.pi, 257), (-6.0, 6.0, 129),
+    (-4.738781121298126, 4.738781121298126, 257), (-6.0, 6.0, 128),
+])
+def test_mirror_grid_is_its_own_mirror_bit_for_bit(lo, hi, n):
+    # the shipped x1 and x2 windows, and one even node count
+    g = mirror_grid(lo, hi, n)
+    assert g.size == n and g[0] == lo and g[-1] == hi
+    assert np.array_equal((g[0] + g[-1]) - g, g[::-1])
+    assert g[0] + g[-1] == lo + hi
+    assert np.all(g[1:] > g[:-1])
+
+
+SIGMA, RHO = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
+
+
+@pytest.mark.parametrize("parities", [(None, None), (SIGMA, None), (None, RHO), (SIGMA, RHO)],
+                         ids=["whole", "x2_half", "x1_half", "quarter"])
+def test_fold_reads_the_whole_field_on_its_part(parities):
+    # a planar field (9, 11, 2) that is its signed mirror on each folded axis
+    space = double_connection.planar_shell(mirror_grid(-4.0, 4.0, 11))
+    dt = 0.3
+    rng = np.random.default_rng(12)
+    part = np.tanh(rng.standard_normal((9, 11, 2)))
+    for axis, signs in enumerate(parities):
+        if signs is not None:
+            part = cut_half(part, signs, axis)
+    whole = part
+    for axis, signs in reversed(list(enumerate(parities))):
+        if signs is not None:
+            whole = mirror_half(whole, signs, axis)
+    assert whole.shape == (9, 11, 2)
+    # cut_half inverts mirror_half
+    sigma, rho = parities
+    again = whole if rho is None else cut_half(whole, rho, 1)
+    assert np.array_equal(again if sigma is None else cut_half(again, sigma), part)
+    # the part's nodes in the whole field
+    at = (slice(4 if sigma is not None else 0, None), slice(5 if rho is not None else 0, None))
+    pins = fold(part.shape, parities)
+    whole_pins = fold(whole.shape, (None, None)).pinned
+    # the whole field's pins on the part, and the odd components of a centre line
+    odd = np.zeros(part.shape, dtype=bool)
+    if sigma is not None:
+        odd[0] |= sigma < 0
+    if rho is not None:
+        odd[:, 0] |= rho < 0
+    assert np.array_equal(pins.pinned, whole_pins[at] | odd)
+    # the part's free gradient, scaled, is the whole field's: its max and,
+    # in the fold's weights, its Euclidean norm
+    g = _path_energy(space if rho is None else space.half(), part, dt, grad=True)[1]
+    g[pins.pinned] = 0.0
+    gw = _path_energy(space, whole, dt, grad=True)[1]
+    gw[whole_pins] = 0.0
+    scale = float(np.max(np.abs(gw)))
+    assert np.max(np.abs(pins.gscale * g - np.where(odd, 0.0, gw[at]))) <= 1e-13 * scale
+    assert float(np.max(np.abs(pins.gscale * g))) == pytest.approx(scale, rel=1e-13)
+    assert math.sqrt(float(np.sum(pins.weights * g * g))) == pytest.approx(
+        float(np.linalg.norm(gw)), rel=1e-13)
+    # the factors broadcast: none is an array the size of the field
+    assert pins.gscale.size * 2 <= part.size and pins.weights.size * 2 <= part.size
 
 
 # ---------------------------------------------------------------------------
@@ -869,12 +950,12 @@ def test_the_mixed_parity_solve_is_the_whole_window_solve_on_the_mirror():
     rng = np.random.default_rng(7)
     q, m, dt, h = 17, 23, 0.2, 0.05
     sigma = np.array([1.0, -1.0])
-    shift = rng.uniform(0.0, 3.0, (m - 2, 2))
-    half = poisson_preconditioner((q, m, 2), dt, h, parity=sigma)(shift)
+    shift = rng.uniform(0.0, 3.0, (m, 2))
+    half = poisson_preconditioner((q, m, 2), dt, h, parities=(sigma, None))(shift)
     whole = poisson_preconditioner((2 * q - 1, m, 2), dt, h)(shift)
     e = _even_extension(q)
     d_inv = np.diag(1.0 / np.diag(e.T @ e))
-    free = ~double_connection._field_pins((q, m, 2), sigma)
+    free = ~fold((q, m, 2), (sigma, None)).pinned
     # u1 is free on the centre column, u2 pinned there
     assert free[0, 1:-1, 0].all() and not free[0, :, 1].any()
     for _ in range(3):
@@ -896,10 +977,10 @@ def test_the_mixed_parity_solve_is_the_whole_window_solve_on_the_mirror():
 
 def test_the_preconditioner_s_default_parity_is_dirichlet_bit_for_bit():
     rng = np.random.default_rng(8)
-    shape, shift = (9, 13, 2), rng.uniform(0.0, 2.0, (11, 2))
+    shape, shift = (9, 13, 2), rng.uniform(0.0, 2.0, (13, 2))
     r = rng.standard_normal(shape)
     plain = poisson_preconditioner(shape, 0.3, 0.1)(shift)(r)
-    odd = poisson_preconditioner(shape, 0.3, 0.1, parity=[-1.0, -1.0])(shift)(r)
+    odd = poisson_preconditioner(shape, 0.3, 0.1, parities=([-1.0, -1.0], None))(shift)(r)
     assert np.array_equal(plain, odd)
 
 
@@ -907,15 +988,15 @@ def test_the_free_centre_row_solve_is_the_whole_x1_solve_on_the_mirror():
     rng = np.random.default_rng(9)
     p, q, dt, h = 9, 19, 0.2, 0.05
     rho = np.array([1.0, -1.0])
-    # one shift per row of the sweep: the centre row, then the q - 2 free ones
-    shift = rng.uniform(0.0, 3.0, (q - 1, 2))
-    half = poisson_preconditioner((p, q, 2), dt, h, line_parity=rho)(shift)
+    # one shift per row; the sweep reads the centre row and the q - 2 free ones
+    shift = rng.uniform(0.0, 3.0, (q, 2))
+    half = poisson_preconditioner((p, q, 2), dt, h, parities=(None, rho))(shift)
     # the whole x1 rows' shifts, the mirror of the half's about the centre
     whole = poisson_preconditioner((p, 2 * q - 1, 2), dt, h)(
         np.concatenate([shift[:0:-1], shift]))
     e = _even_extension(q)
     d_inv = np.diag(1.0 / np.diag(e.T @ e))
-    free = ~_field_pins((p, q, 2), x1_parity=rho)
+    free = ~fold((p, q, 2), (None, rho)).pinned
     # u1 is free on the centre row, u2 pinned there
     assert free[1:-1, 0, 0].all() and not free[:, 0, 1].any()
     for _ in range(3):
@@ -927,7 +1008,7 @@ def test_the_free_centre_row_solve_is_the_whole_x1_solve_on_the_mirror():
         want = 2.0 * whole(ext)[..., 0] @ (d_inv @ e.T).T
         assert np.max(np.abs(got[..., 0] - want)) <= 1e-12 * np.max(np.abs(want))
         # the odd u2: the Dirichlet solve on the half's free rows, bit for bit
-        dirichlet = poisson_preconditioner((p, q, 2), dt, h)(shift[1:])(r)[..., 1]
+        dirichlet = poisson_preconditioner((p, q, 2), dt, h)(shift)(r)[..., 1]
         assert np.array_equal(got[..., 1], dirichlet)
         assert not np.any(got[~free])
         # symmetric
@@ -939,7 +1020,7 @@ def test_the_even_profile_solve_is_the_whole_profile_solve_on_the_mirror():
     rng = np.random.default_rng(10)
     q, h = 21, 0.07
     shift = np.array([0.4, 2.5])
-    half = poisson_preconditioner((q, 2), h, parity=np.array([1.0, -1.0]))(shift)
+    half = poisson_preconditioner((q, 2), h, parities=(np.array([1.0, -1.0]),))(shift)
     whole = poisson_preconditioner((2 * q - 1, 2), h)(shift)
     e = _even_extension(q)
     d_inv = np.diag(1.0 / np.diag(e.T @ e))
@@ -957,18 +1038,18 @@ def test_the_even_profile_solve_is_the_whole_profile_solve_on_the_mirror():
 
 def test_the_line_solve_s_default_parity_is_dirichlet_bit_for_bit():
     rng = np.random.default_rng(11)
-    shape, shift = (9, 13, 2), rng.uniform(0.0, 2.0, (11, 2))
+    shape, shift = (9, 13, 2), rng.uniform(0.0, 2.0, (13, 2))
     r = rng.standard_normal(shape)
     plain = poisson_preconditioner(shape, 0.3, 0.1)(shift)(r)
     # an odd centre row is pinned, whatever its shift: the other rows keep
     # their bits, the x2-even mixed parity's too
-    odd = poisson_preconditioner(shape, 0.3, 0.1, line_parity=[-1.0, -1.0])(
-        np.concatenate([[[5.0, 7.0]], shift]))(r)
+    centre = shift.copy()
+    centre[0] = [5.0, 7.0]
+    odd = poisson_preconditioner(shape, 0.3, 0.1, parities=(None, [-1.0, -1.0]))(centre)(r)
     assert np.array_equal(plain, odd)
-    mixed = dict(parity=[1.0, -1.0])
-    plain = poisson_preconditioner(shape, 0.3, 0.1, **mixed)(shift)(r)
-    odd = poisson_preconditioner(shape, 0.3, 0.1, line_parity=[-1.0, -1.0], **mixed)(
-        np.concatenate([[[5.0, 7.0]], shift]))(r)
+    sigma = [1.0, -1.0]
+    plain = poisson_preconditioner(shape, 0.3, 0.1, parities=(sigma, None))(shift)(r)
+    odd = poisson_preconditioner(shape, 0.3, 0.1, parities=(sigma, [-1.0, -1.0]))(centre)(r)
     assert np.array_equal(plain, odd)
 
 
@@ -983,9 +1064,9 @@ def test_the_quarter_solve_matches_the_x2_half_polish(name):
     # x2 >= 0 on every x1 row, its sigma = -1 components zero on the centre column
     p = u0.shape[0]
     sigma = double_connection.x2_reflection(u0[0], u0[-1])
-    half_u0 = u0[p // 2:].copy()
-    half_u0[0][:, sigma < 0] = 0.0
-    half_u, half = _polish_field(space, half_u0, dt, POLISH_GTOL, sigma)
+    half_u0 = cut_half(u0, sigma)
+    assert not np.any(half_u0[0][:, sigma < 0])
+    half_u, half = _polish_field(space, half_u0, dt, POLISH_GTOL, (sigma, None))
     result = solve_symmetric(space, opts)
     assert _polished(result)[:2] == (p // 2 + 1, 33)
     assert half.status == result.diagnostics["polish_status"] == "converged"
@@ -1007,9 +1088,10 @@ def test_the_planar_half_window_solve_matches_the_full_window_polish():
     u0, x2 = _seed_field(space, opts)
     dt = float(np.diff(x2)[0])
     # every x2 column, on the x1 rows from the centre on as the solve's
-    half = space.half()
-    full_u, full = _polish_field(half, u0[:, space.m // 2:], dt, POLISH_GTOL)
-    full_u = mirror_half(full_u, half.x1_parity, axis=1)
+    rho = space.x1_parity
+    full_u, full = _polish_field(space.half(), cut_half(u0, rho, 1), dt, POLISH_GTOL,
+                                 (None, rho))
+    full_u = mirror_half(full_u, rho, axis=1)
     result = solve_symmetric(space, opts)
     part = _polished(result)
     assert part.columns == 17
@@ -1029,11 +1111,12 @@ def test_the_planar_half_window_solve_matches_the_full_window_polish():
 
 
 def test_the_half_translation_scan_matches_the_full_scan_bit_for_bit():
-    from hetconn.cli import _build_double_space
+    from hetconn.cli import _double_setup
 
     cfg = _shipped_config("planar_asym")
-    space = _build_double_space(cfg)
-    result = solve_asymmetric(space, DoubleOptions(**cfg["opts"]))
+    _, _, opts, _, _, fixture, _ = _double_setup(cfg)
+    space = fixture()
+    result = solve_asymmetric(space, opts)
     assert _polished(result).columns == 65
     span = float(space.grid[-1] - space.grid[0])
     full = optimal_translation(result.u, space.z_minus, space.z_plus,

@@ -480,30 +480,30 @@ def test_energy_of_tanh_profile():
 
 
 def test_energy_grad_matches_finite_differences():
-    eps = dw_space()
+    whole = dw_space()
     rng = np.random.default_rng(5)
     vals = np.tanh(S)[:, None] + 0.05 * rng.standard_normal((S.size, 1))
-    g = eps.energy_1d_grad(vals)[0]
-    assert np.all(g[0] == 0.0) and np.all(g[-1] == 0.0)
     hh = 1e-6
-    for j in (1, 40, 80, 159):
-        bump = np.zeros_like(vals)
-        bump[j, 0] = hh
-        fd = (eps.energy_1d(vals + bump)[0] - eps.energy_1d(vals - bump)[0]) / (2 * hh)
-        assert g[j, 0] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    # every row, the edges and the half's first row, the centre, included
+    for eps, v in ((whole, vals), (whole.half(), vals[S.size // 2:])):
+        g = eps.energy_1d_grad(v)[0]
+        assert np.all(g[[0, -1]] != 0.0)
+        for j in range(eps.m):
+            bump = np.zeros_like(v)
+            bump[j, 0] = hh
+            fd = (eps.energy_1d(v + bump)[0] - eps.energy_1d(v - bump)[0]) / (2 * hh)
+            assert g[j, 0] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def _all_rows_energy_grad(space, values):
-    # the gradient accumulated over whole rows before the edge rows were
-    # zeroed, kept as the bitwise reference
+    # the gradient accumulated over whole rows, edges included, kept as the
+    # bitwise reference
     v = np.ascontiguousarray(values, dtype=float).reshape(-1, space.m, space.n_components)
     grad = np.zeros_like(v)
     dv = np.diff(v, axis=1) / space.h
     grad[:, :-1] -= dv
     grad[:, 1:] += dv
     grad += trapezoid_weights(space.m, space.h)[:, None] * space._density_grads(v)
-    grad[:, 0] = 0.0
-    grad[:, -1] = 0.0
     return grad
 
 
@@ -523,9 +523,14 @@ def test_energy_grad_equals_the_all_rows_accumulation_bitwise():
     ])
     got = eps.energy_1d_grad(stack)
     assert got.tobytes() == _all_rows_energy_grad(eps, stack).tobytes()
+    # the signed zeros of the edge rows too: -0 + -0 there would keep a -0
+    assert np.signbit(stack[1, -1, 0]) and not np.signbit(got[1, -1, 0])
     dw = dw_space()
     vals = np.tanh(S)[None, :, None] + 0.05 * rng.standard_normal((4, S.size, 1))
     assert dw.energy_1d_grad(vals).tobytes() == _all_rows_energy_grad(dw, vals).tobytes()
+    half = dw.half()
+    vals = vals[:, S.size // 2:]
+    assert half.energy_1d_grad(vals).tobytes() == _all_rows_energy_grad(half, vals).tobytes()
 
 
 def test_relax_profile_reaches_the_connection():
@@ -554,14 +559,19 @@ def test_profile_hessp_matches_central_differences(name):
     rng = np.random.default_rng(17)
     m, n = eps.m, eps.n_components
     v = rng.uniform(-1.2, 1.2, (m, n))
-    hessp = eps.profile_hessp(v)
     hh = 1e-6
-    for _ in range(3):
-        d = rng.standard_normal((m, n))
-        hd = hessp(d)
-        assert np.all(hd[[0, -1]] == 0.0)
-        fd = (eps.energy_1d_grad(v + hh * d)[0] - eps.energy_1d_grad(v - hh * d)[0]) / (2 * hh)
-        assert np.allclose(hd, fd, rtol=1e-6, atol=1e-7 * np.max(np.abs(fd)))
+    # every row, the edges and the half's first row, the centre, included
+    for space, x in ((eps, v), (eps.half(), v[m // 2:])):
+        hessp = space.profile_hessp(x)
+        assert np.array_equal(hessp.diag,
+                              np.einsum("mcc->mc", space._density_hessians(x[None])[0]))
+        for _ in range(3):
+            d = rng.standard_normal(x.shape)
+            hd = hessp(d)
+            assert np.all(hd[[0, -1]] != 0.0)
+            fd = (space.energy_1d_grad(x + hh * d)[0]
+                  - space.energy_1d_grad(x - hh * d)[0]) / (2 * hh)
+            assert np.allclose(hd, fd, rtol=1e-6, atol=1e-7 * np.max(np.abs(fd)))
 
 
 def _quadratic_space(sigma):
@@ -588,14 +598,15 @@ def test_poisson_preconditioner_inverts_the_free_profile_stencil():
     eps = _quadratic_space([0.3, 1.7])
     shape = (eps.m, 2)
     hessp = eps.profile_hessp(np.zeros(shape))
-    # the mean of sigma_c over the free rows, to rounding
-    assert np.allclose(hessp.shift, [0.3, 1.7], rtol=1e-14, atol=0.0)
-    psolve = poisson_preconditioner(shape, eps.h)(hessp.shift)
+    # B_cc = sigma_c on every row
+    assert np.array_equal(hessp.diag, np.broadcast_to([0.3, 1.7], shape))
+    psolve = poisson_preconditioner(shape, eps.h)(np.array([0.3, 1.7]))
     d = _free_rows_noise(shape, 0)
     assert np.max(np.abs(psolve(hessp(d)) - d)) <= 1e-12 * np.max(np.abs(d))
     back = psolve(d)
     assert np.all(back[[0, -1]] == 0.0)
-    assert np.max(np.abs(hessp(back) - d)) <= 1e-12 * np.max(np.abs(d))
+    # on the free rows; the pins zero the edge rows of a product
+    assert np.max(np.abs(hessp(back)[1:-1] - d[1:-1])) <= 1e-12 * np.max(np.abs(d))
 
 
 def symmetrize(values):
@@ -627,7 +638,9 @@ def test_x1_parity_needs_a_sign_per_component_and_a_mirrored_grid(parity, grid):
 def test_only_an_odd_grid_with_a_parity_has_a_half_space():
     eps = dw_space()
     half = eps.half()
-    assert half.x1_half and half.m == (S.size + 1) // 2
+    # a space of its own: no parity, the whole grid's step
+    assert half.x1_parity is None and half.m == (S.size + 1) // 2
+    assert half.h == eps.h
     assert np.array_equal(half.grid, S[S.size // 2:])
     assert half.ref_value == 0.5 * eps.ref_value
     for space in (half, _quadratic_space([0.3]),
