@@ -57,16 +57,18 @@ from .double_connection import (
     DoubleOptions,
     assemble_and_verify,
     audit_translation_speed,
-    mirror_grid,
     planar_effective_space,
+    planar_grid,
     planar_shell,
     polished_part,
     shift_track_summary,
     sin_example_space,
+    sin_grid,
     sin_shell,
     solve_asymmetric,
     solve_symmetric,
 )
+from .function_space import signed_flip
 from .geodesic import minimize_k_length
 from .heteroclinic import (
     ConnectionResult,
@@ -294,6 +296,25 @@ def _write_run(out_dir, start, tables: dict, **fields) -> None:
 FIELD = "u.npy"
 
 
+class FieldTable:
+    """The field table (M, P, 2 + n) of a field u (P, M, n) on the grids x1
+    (M,) and x2 (P,), held as those three parts: its [i, j] is (x1_i, x2_j,
+    u[j, i]), x1-outer.  ``np.asarray`` builds the table, which the run
+    writes; ``verify`` compares a read one (``_read_field``) part by part
+    and builds none."""
+
+    def __init__(self, x1: np.ndarray, x2: np.ndarray, u: np.ndarray):
+        self.x1, self.x2, self.u = x1, x2, u
+        self.shape = (x1.size, x2.size, 2 + u.shape[2])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        table = np.empty(self.shape, dtype="<f8")
+        table[..., 0] = self.x1[:, None]
+        table[..., 1] = self.x2
+        table[..., 2:] = self.u.transpose(1, 0, 2)
+        return table
+
+
 def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
     """The table at ``path``, read with ``allow_pickle=False``.
 
@@ -314,9 +335,10 @@ def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
     return table
 
 
-def _read_field(table):
-    """The field u of a double run's field table (M, P, 2 + n), n >= 1, as
-    the C-ordered (P, M, n) stack of x2 columns that the solve holds.
+def _read_field(table) -> FieldTable:
+    """The ``FieldTable`` of a double run's field table (M, P, 2 + n), n >=
+    1, its field u the C-ordered (P, M, n) stack of x2 columns that the
+    solve holds.
 
     ValueError unless the table holds (x1_i, x2_j, u[j, i]) at [i, j] on a
     tensor grid with at least two strictly increasing x1 and x2 nodes each.
@@ -328,7 +350,7 @@ def _read_field(table):
     if not (np.all(table[..., 0] == x1[:, None]) and np.all(table[..., 1] == x2)
             and np.all(x1[1:] > x1[:-1]) and np.all(x2[1:] > x2[:-1])):
         raise ValueError(f"{FIELD} is not a tensor grid with strictly increasing x1 and x2")
-    return np.ascontiguousarray(table[..., 2:].transpose(1, 0, 2))
+    return FieldTable(x1, x2, np.ascontiguousarray(table[..., 2:].transpose(1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +525,11 @@ MIN_FIELD_NODES = 2 * RESIDUAL_MARGIN + 1
 
 def _double_setup(cfg: dict) -> tuple:
     """(mode, tolerances, opts, x1, x2, fixture, shell) of a double config;
-    ConfigError if malformed.  x1, the fixture's grid, and x2 are
-    ``mirror_grid``s; ``fixture()`` is the effective space with its wells,
-    and ``shell(x1)`` the space without them, which ``verify`` completes."""
+    ConfigError if malformed.  x1 is the example's grid (``sin_grid`` or
+    ``planar_grid``), which its fixture builds too, and x2 the seed's
+    (``DoubleOptions.x2_grid``); ``fixture()`` is the effective space with
+    its wells, and ``shell(x1)`` the space without them, which ``verify``
+    completes."""
     example = _require(cfg, "example")
     if not isinstance(example, str) or example not in DOUBLE_KEYS:
         raise ConfigError(f"unknown double example {example!r}")
@@ -531,17 +555,17 @@ def _double_setup(cfg: dict) -> tuple:
     )
     if example == "sin":
         m = _integer(cfg, "m", 257, MIN_FIELD_NODES)
-        x1 = mirror_grid(0.0, math.pi, m)
+        x1 = sin_grid(m)
         fixture, shell = functools.partial(sin_example_space, m=m), sin_shell
     else:
         beta, kappa = _positive(cfg, "beta", 1.0), _positive(cfg, "kappa", 1.0)
         s_max = _positive(cfg, "s_max", 8.0)
         m = _integer(cfg, "m", 401, MIN_FIELD_NODES)
-        x1 = mirror_grid(-s_max, s_max, m)
+        x1 = planar_grid(s_max, m)
         fixture = functools.partial(planar_effective_space, beta=beta, kappa=kappa,
                                     s_max=s_max, m=m)
         shell = functools.partial(planar_shell, beta=beta, kappa=kappa)
-    x2 = mirror_grid(-opts.t_max, opts.t_max, opts.n_out)
+    x2 = opts.x2_grid()
     return mode, tolerances, opts, x1, x2, fixture, shell
 
 
@@ -559,10 +583,11 @@ def _reflection_name(signs: np.ndarray, at: str) -> str:
 def _mirror_gate(u: np.ndarray, signs, axis: int, solve: str) -> tuple:
     """The exact gate of a field solved on half its ``axis`` (0 for x2, 1
     for x1) and mirrored: signs * u at the mirrored nodes = u, 0 bit for
-    bit.  Its grids are ``mirror_grid``s, exact mirrors by construction."""
+    bit.  Its grids are ``mirror_grid``s, exact mirrors by construction.
+    The reflection is ``signed_flip``'s, one component plane at a time, and
+    the rest is in place: one field-sized array."""
     at = "(x1, -x2)" if axis == 0 else "(x1*, x2)"
-    # in place: one field-sized array
-    reflected = signs * np.flip(u, axis)
+    reflected = signed_flip(u, signs, axis)
     reflected -= u
     return (f"max |{_reflection_name(signs, at)}| of {solve}",
             float(np.max(np.abs(reflected, out=reflected))), 0.0)
@@ -592,13 +617,8 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
     # the gaps before the field's table, so that their temporaries are freed first
     gaps = np.column_stack([x2, space.l2_norms(u - space.z_minus.values),
                             space.l2_norms(u - space.z_plus.values)])
-    # x1-outer: [i, j] holds (x1_i, x2_j, u[j, i]) of the (P, M, n) field
-    table = np.empty((m, p, 2 + n), dtype="<f8")
-    table[..., 0] = result.x1[:, None]
-    table[..., 1] = x2
-    table[..., 2:] = u.transpose(1, 0, 2)
     tables = {
-        FIELD: (["x1", "x2", *(f"u{j + 1}" for j in range(n))], table),
+        FIELD: (["x1", "x2", *(f"u{j + 1}" for j in range(n))], FieldTable(result.x1, x2, u)),
         "boundary_convergence.npy": (["x2", "gap_minus_l2", "gap_plus_l2"], gaps),
     }
     status = result.diagnostics["polish_status"]
@@ -810,7 +830,8 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
 
     The mode and the x1 and x2 grids come from the config as the run takes
     them (``_double_setup``; ``Mismatch`` for another mode or field shape),
-    and the field table's comparison rejects a field on other grids.  The
+    and the field table's x1 and x2 columns, compared with them part by
+    part (``FieldTable``), reject a field on other grids.  The
     effective space is the config's shell on x1, its wells the field's end
     columns and its reference the 1D action of the last.  An asym run's
     shift track is m_track.npy's, its c- and c+ from
@@ -820,7 +841,7 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
     mode, _, _, x1, x2, _, shell = _double_setup(manifest["config"])
     if manifest["mode"] != mode:
         raise Mismatch(f"the manifest's mode {manifest['mode']!r} is not the config's {mode!r}")
-    u = _read_field(tables[FIELD])
+    u = tables[FIELD].u
     space = shell(x1)
     if u.shape != (x2.size, x1.size, space.n_components):
         raise Mismatch(f"{FIELD} holds a field (x2, x1, component) of shape {u.shape}, "
@@ -868,19 +889,24 @@ def _differences(recomputed, recorded, path: str) -> list:
     return [] if ours == theirs else [f"{path}: recomputed {ours}, recorded {theirs}"]
 
 
-def _table_differences(name: str, columns: list, table: np.ndarray, recorded_columns: list,
-                       recorded: np.ndarray) -> list:
+def _table_differences(name: str, columns: list, table, recorded_columns: list,
+                       recorded) -> list:
     """A line if the recorded table ``name`` or its columns are not the
-    recomputed ones bit for bit."""
+    recomputed ones bit for bit; a ``FieldTable`` is compared part by part."""
     if recorded_columns != columns:
         return [f"{name}: recomputed columns {columns}, recorded {recorded_columns}"]
-    table = np.ascontiguousarray(table, dtype="<f8")
+    if isinstance(table, FieldTable):
+        pairs = [(table.x1, recorded.x1), (table.x2, recorded.x2), (table.u, recorded.u)]
+    else:
+        table = np.ascontiguousarray(table, dtype="<f8")
+        pairs = [(table, recorded)]
     if table.shape != recorded.shape:
         return [f"{name}: recomputed shape {table.shape}, recorded {recorded.shape}"]
     # bit for bit, NaN and the sign of zero included, without a copy of either
-    if np.array_equal(table.view(np.uint64), recorded.view(np.uint64)):
+    if all(np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)) for ours, theirs in pairs):
         return []
-    return [f"{name}: max |recomputed - recorded| {np.max(np.abs(table - recorded)):.3g}"]
+    gap = max(np.max(np.abs(ours - theirs)) for ours, theirs in pairs)
+    return [f"{name}: max |recomputed - recorded| {gap:.3g}"]
 
 
 def _check(manifest: dict, tables: dict, rebuilt: tuple, verbose: bool) -> int:
@@ -958,6 +984,8 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
         tables = {name: _read_table(os.path.join(run_dir, name), manifest["columns"][name],
                                     3 if name == FIELD else 2)
                   for name in manifest["artifacts"]}
+        if FIELD in tables:
+            tables[FIELD] = _read_field(tables[FIELD])
         return _check(manifest, tables, rebuild(manifest, tables), verbose)
     except Mismatch as exc:
         print(f"not the run of its config: {exc}", file=sys.stderr)

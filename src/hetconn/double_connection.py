@@ -40,6 +40,8 @@ import numpy as np
 
 from .function_space import (
     EffectivePotentialSpace,
+    component_sum,
+    component_weights,
     cut_half,
     fold,
     mirror_half,
@@ -66,6 +68,11 @@ SPEED_FLOOR_FRAC = 1e-6
 class DoubleOptions:
     n_out: int = 257
     t_max: float = 6.0
+
+    def x2_grid(self) -> np.ndarray:
+        """The x2 grid of the field's columns: ``n_out`` nodes on [-t_max,
+        t_max] (``mirror_grid``), for the seed and for ``hetconn verify``."""
+        return mirror_grid(-self.t_max, self.t_max, self.n_out)
 
 
 @dataclass
@@ -142,8 +149,8 @@ def _path_energy(space, u, dt, grad=False):
     u is a field (P, M, n); with grad=True also returns the coordinate
     gradient, shape of u.
     """
-    p, m, _ = u.shape
-    w1 = trapezoid_weights(m, space.h)[:, None]
+    p, m, n = u.shape
+    w1 = component_weights(trapezoid_weights(m, space.h), n)
     wt = trapezoid_weights(p, dt)
     d2 = np.diff(u, axis=0) / dt
     kin = 0.5 * dt * np.sum(w1 * d2 * d2)
@@ -163,30 +170,41 @@ def _path_energy(space, u, dt, grad=False):
 class _PathEnergyHessian:
     """Hessian of ``_path_energy`` at a field u (P, M, n); call it on a direction.
 
-    The pointwise block wt * w1 * D^2(density), shape (P, M, n, n), is built
-    once here; each product is then stencil arithmetic on the (P, M, n)
-    direction, on every node.  On the interior nodes the Hessian is
-    h * dt * (B + L), with B = D^2(density) and L the Dirichlet Laplacian of
-    the two stencils.  B varies most along x1, so ``shift``, the per-row
-    shift of the preconditioner's line solve, holds for each x1 row and
-    component c max(0, mean of B_cc over the interior x2 nodes of that
-    row): shape (M, n).
+    The pointwise block wt * w1 * D^2(density) is built once here and held
+    as its n^2 contiguous (P, M) planes, ``planes[i][j]``, each weighted as
+    it is cut from the block, which is then dropped; each product is then
+    arithmetic on the planes and the stencils of the (P, M, n) direction,
+    on every node, to the bits of np.einsum("pmij,pmj->pmi", block, d) plus
+    the stencils.  On the interior nodes the Hessian is h * dt * (B + L),
+    with B = D^2(density) and L the Dirichlet Laplacian of the two stencils.
+    B varies most along x1, so ``shift``, the per-row shift of the
+    preconditioner's line solve, holds for each x1 row and component c
+    max(0, mean of B_cc over the interior x2 nodes of that row): shape
+    (M, n).
     """
 
     def __init__(self, space, u, dt):
-        p, m, _ = u.shape
+        p, m, n = u.shape
         h = space.h
         w1 = trapezoid_weights(m, h)
         wt = trapezoid_weights(p, dt)
         block = space._density_hessians(u)
         self.shift = np.maximum(np.einsum("pmcc->mc", block[1:-1]) / (p - 2), 0.0)
-        block *= (wt[:, None] * w1[None, :])[:, :, None, None]
-        self.block = block
+        weight = wt[:, None] * w1[None, :]
+        self.planes = [[block[..., i, j] * weight for j in range(n)] for i in range(n)]
         self.wt1 = wt[:, None, None] / h
-        self.w2 = w1[:, None] / dt
+        self.w2 = component_weights(w1, n) / dt
 
     def __call__(self, d):
-        out = np.einsum("pmij,pmj->pmi", self.block, d)
+        out = np.empty(d.shape)
+        term = np.empty(d.shape[:2])
+        for i, row in enumerate(self.planes):
+            # the einsum's sum: from +0.0, the components left to right
+            o = np.multiply(row[0], d[..., 0], out=out[..., i])
+            o += 0.0
+            for j in range(1, len(row)):
+                o += np.multiply(row[j], d[..., j], out=term)
+        del term
         flux = np.diff(d, axis=1)
         flux *= self.wt1
         out[:, :-1] -= flux
@@ -208,7 +226,7 @@ def _seed_field(space: EffectivePotentialSpace, opts: DoubleOptions):
     bit, with a centre node 0.0 where ``n_out`` is odd.  The end columns are
     the wells.  Returns (field, x2).
     """
-    x2 = mirror_grid(-opts.t_max, opts.t_max, opts.n_out)
+    x2 = opts.x2_grid()
     lam = (0.5 * (1.0 + np.tanh(x2)))[:, None, None]
     u = (1.0 - lam) * space.z_minus.values + lam * space.z_plus.values
     u[0] = space.z_minus.values
@@ -401,12 +419,12 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
     keeps that midpoint potential and the squared lengths for
     ``audit_translation_speed``.
     """
-    p, m, _ = u.shape
+    p, m, n = u.shape
     h = space.h
     energy_path, g = _path_energy(space, u, dt, grad=True)
     inner = g[margin:-margin, margin:-margin] / (-h * dt)
     inner *= inner
-    residual_max = math.sqrt(float(np.max(np.sum(inner, axis=2))))
+    residual_max = math.sqrt(float(np.max(component_sum(inner))))
     residual_l2 = math.sqrt(float(np.sum(inner)) * h * dt)
     # free each field-sized array before the next is made
     del inner
@@ -424,7 +442,7 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
     step2 = np.sum(space.ambient().coord_weights * flat * flat, axis=1)
     del flat
     d2 /= dt
-    kin2 = 0.5 * dt * np.sum(w1[:, None] * d2 * d2)
+    kin2 = 0.5 * dt * np.sum(component_weights(w1, n) * d2 * d2)
     del d2
     dens = space._density_values(u)
     pot = np.sum(wt[:, None] * w1[None, :] * dens) - space.ref_value * np.sum(wt)
@@ -484,7 +502,7 @@ def planar_effective_space(
     grid is the exact mirror of its half (``mirror_grid``), so where m is
     odd both wells are their x1 mirrors bit for bit.
     """
-    grid = mirror_grid(-s_max, s_max, m)
+    grid = planar_grid(s_max, m)
     space = planar_shell(grid, beta=beta, kappa=kappa)
     vals = np.column_stack([np.tanh(grid), math.sqrt(kappa) / np.cosh(grid)])
     vals[0], vals[-1] = space.tail_left, space.tail_right
@@ -496,6 +514,12 @@ def planar_effective_space(
     space.z_plus = space.grid_function(z_plus_vals)
     space.z_minus = space.grid_function(z_minus_vals)
     return space
+
+
+def planar_grid(s_max: float, m: int) -> np.ndarray:
+    """The planar family's x1 grid: ``m`` nodes on [-s_max, s_max]
+    (``mirror_grid``), for its fixture and for ``hetconn verify``."""
+    return mirror_grid(-s_max, s_max, m)
 
 
 def planar_shell(grid: np.ndarray, beta: float = 1.0,
@@ -529,7 +553,7 @@ def sin_example_space(m: int = 257) -> EffectivePotentialSpace:
     half about pi/2 (``mirror_grid``), so where m is odd both wells are
     their x1 mirrors bit for bit.
     """
-    grid = mirror_grid(0.0, math.pi, m)
+    grid = sin_grid(m)
     space = sin_shell(grid)
     seed = np.sin(grid)[:, None]
     seed[[0, -1]] = 0.0
@@ -539,6 +563,12 @@ def sin_example_space(m: int = 257) -> EffectivePotentialSpace:
     # 0.0 - x, not -x: the zero edges stay +0.0, which the polish's steps keep
     space.z_minus = space.grid_function(0.0 - z_plus_vals)
     return space
+
+
+def sin_grid(m: int) -> np.ndarray:
+    """The sine strip's x1 grid: ``m`` nodes on [0, pi] (``mirror_grid``),
+    for its fixture and for ``hetconn verify``."""
+    return mirror_grid(0.0, math.pi, m)
 
 
 def sin_shell(grid: np.ndarray) -> EffectivePotentialSpace:

@@ -25,6 +25,13 @@ signed mirror about an axis's centre, it is solved on the half from the
 centre on (``cut_half``, ``mirror_half``), and one rule, ``fold``, gives
 what that changes: pins, stop-test scale and norm.  The kernels return the
 whole gradient and Hessian product on every row and know nothing of halves.
+
+A stack of profiles or a field holds its components on the last, contiguous
+axis, and that axis is short: one or two entries.  Numpy loops over it
+several times slower than over a contiguous plane, so the field-sized
+kernels never make it loop there: they work one component plane at a time
+(``component_sum``, ``signed_flip``) or with a contiguous (m, n) weight
+(``component_weights``), each to the bits of its one-line numpy form.
 """
 
 from __future__ import annotations
@@ -113,9 +120,8 @@ class GridFunction:
         return ov.reshape(self.m, self.n_components) if ov.ndim == 1 else ov
 
     def distance_l2(self, other: "GridFunction | np.ndarray") -> float:
-        w = self.quad_weights()
         d = self.values - self._values_of(other)
-        return float(np.sqrt(np.sum(w * np.sum(d * d, axis=1))))
+        return float(np.sqrt(_weighted_dot(self.quad_weights(), d, d)))
 
     def derivative(self) -> np.ndarray:
         """Centered differences with ghost values from the extension."""
@@ -297,24 +303,47 @@ def _profile_stack(values, z: GridFunction) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, z.m, z.n_components)
 
 
+def component_weights(w: np.ndarray, n: int) -> np.ndarray:
+    """A per-node weight ``w`` (m,) repeated for each of ``n`` components,
+    as a contiguous (m, n) factor: w[:, None] to the bit, and several times
+    faster to broadcast over a (..., m, n) stack."""
+    return np.repeat(w, n).reshape(w.size, n)
+
+
+def component_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.sum(a, axis=-1) to the bit, for a last (component) axis of fewer
+    than eight entries: np.sum adds those left to right from +0.0, and so
+    does this, one component plane at a time, several times faster than
+    numpy's loop over so short an axis.  ``out`` (a's shape without the
+    last axis) is an optional buffer."""
+    out = np.add(a[..., 0], 0.0, out=out)
+    for c in range(1, a.shape[-1]):
+        np.add(out, a[..., c], out=out)
+    return out
+
+
+def signed_flip(a: np.ndarray, signs, axis: int) -> np.ndarray:
+    """signs * np.flip(a, axis) to the bit, ``signs`` (n,) along a's last
+    axis, as a new array made one component plane at a time."""
+    flipped = np.flip(a, axis)
+    out = np.empty(a.shape)
+    for c, s in enumerate(np.asarray(signs, dtype=float)):
+        np.multiply(s, flipped[..., c], out=out[..., c])
+    return out
+
+
 def _weighted_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray,
                   prod: np.ndarray | None = None,
                   total: np.ndarray | None = None) -> np.ndarray:
     """sum_j w_j sum_c a[..., j, c] b[..., j, c] over the last two axes.
 
-    The components are added left to right, as np.sum adds fewer than eight
-    terms, so a misfit keeps the bits of GridFunction.distance_l2 squared;
-    np.sum over so short an axis is several times slower than this loop.
-    ``prod`` (a's shape, and it may be a) and ``total`` (a's shape without
-    the last axis) are optional buffers for the products and their sum.
+    The components are added by ``component_sum``, so a misfit keeps the
+    bits of GridFunction.distance_l2 squared.  ``prod`` (a's shape, and it
+    may be a) and ``total`` (a's shape without the last axis) are optional
+    buffers for the products and their sum.
     """
     prod = np.multiply(a, b, out=prod)
-    if total is None:
-        total = prod[..., 0].copy()
-    else:
-        np.copyto(total, prod[..., 0])
-    for c in range(1, prod.shape[-1]):
-        np.add(total, prod[..., c], out=total)
+    total = component_sum(prod, out=total)
     np.multiply(w, total, out=total)
     return np.sum(total, axis=-1)
 
@@ -415,7 +444,7 @@ def _screened_scan(stack: np.ndarray, z: GridFunction, m_grid: np.ndarray):
     shifted = _translate_values(z, m_grid)
     w = z.quad_weights()
     # w folded into the profiles: one weighted copy, freed before the exact pass
-    weighted = (stack * w[:, None]).reshape(k, n_terms)
+    weighted = (stack * component_weights(w, z.n_components)).reshape(k, n_terms)
     gram = weighted @ shifted.reshape(n_shifts, n_terms).T
     a = np.einsum("ij,ij->i", weighted, stack.reshape(k, n_terms))
     del weighted
@@ -720,10 +749,8 @@ class EffectivePotentialSpace:
         h = self.h
         dv = v[:, 1:] - v[:, :-1]
         dv /= h
-        # trapezoid weight per (node, component): a contiguous (m, n) factor
-        # broadcasts over the stack much faster than an (m, 1) column
-        row_w = np.repeat(trapezoid_weights(self.m, h), self.n_components)
-        grad = row_w.reshape(self.m, self.n_components) * self._density_grads(v)
+        w = component_weights(trapezoid_weights(self.m, h), self.n_components)
+        grad = w * self._density_grads(v)
         # rows dv_(i-1) - dv_i + w_i grad W_i, with dv_(-1) = dv_(m-1) = 0; the
         # + 0.0 turns a -0 difference into +0, as accumulating both terms
         # into zeros does
@@ -738,12 +765,12 @@ class EffectivePotentialSpace:
     def l2_norms(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid L2 norm of every profile of a stack (k, m, n), shape (k,).
 
-        The reduction of ``GridFunction.distance_l2``, so a profile gives
-        the same bits here as there.
+        The reduction of ``GridFunction.distance_l2`` (``_weighted_dot``:
+        the components added left to right, one plane at a time), so a
+        profile gives the same bits here as there.
         """
         v = self._stack(values)
-        w = trapezoid_weights(self.m, self.h)
-        return np.sqrt(np.sum(w * np.sum(v * v, axis=2), axis=1))
+        return np.sqrt(_weighted_dot(trapezoid_weights(self.m, self.h), v, v))
 
     def effective_potential(self, values: np.ndarray) -> np.ndarray:
         """1D action minus the reference distance (zero on minimal connections), shape (k,)."""
@@ -817,7 +844,7 @@ class EffectivePotentialSpace:
 def mirror_half(half: np.ndarray, signs: np.ndarray, axis: int = 0) -> np.ndarray:
     """``half``, from the centre on along ``axis``, after its mirror:
     whole[c - j] = signs * whole[c + j] bit for bit (``signs`` (n,))."""
-    reflected = signs * half[(slice(None),) * axis + (slice(None, 0, -1),)]
+    reflected = signed_flip(half[(slice(None),) * axis + (slice(1, None),)], signs, axis)
     # a negated +0.0 is -0.0; + 0.0 makes it +0.0, as 0.0 - x gives it
     reflected += 0.0
     return np.concatenate([reflected, half], axis=axis)

@@ -19,6 +19,7 @@ ball and reports its margins: an estimate, not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +39,8 @@ class Potential:
     to arrays of shape (k,), (k, dim) and (k, dim, dim); the ``*_at`` entry
     points take a single point as a batch of one.  ``hessian_lower_bound``
     is a number lam with Hess W >= lam * Id on the region of interest
-    (user-declared; the built-ins compute or state it).
+    (user-declared; the built-ins compute or state it).  ``lower_bound``
+    is that number, or a function computing it, called on the first read.
     """
 
     dim: int
@@ -46,8 +48,13 @@ class Potential:
     gradients: Callable[[np.ndarray], np.ndarray]
     hessians: Callable[[np.ndarray], np.ndarray]
     wells: tuple
-    hessian_lower_bound: float
+    lower_bound: float | Callable[[], float]
     name: str = "potential"
+
+    @cached_property
+    def hessian_lower_bound(self) -> float:
+        bound = self.lower_bound
+        return float(bound() if callable(bound) else bound)
 
     def values_at(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.values(np.atleast_2d(np.asarray(pts, dtype=float))), dtype=float)
@@ -80,7 +87,7 @@ def double_well() -> Potential:
         gradients=gradients,
         hessians=hessians,
         wells=(np.array([-1.0]), np.array([1.0])),
-        hessian_lower_bound=-2.0,
+        lower_bound=-2.0,
         name="double_well",
     )
 
@@ -112,7 +119,7 @@ def triple_well() -> Potential:
         gradients=gradients,
         hessians=hessians,
         wells=(np.array([-1.0]), np.array([0.0]), np.array([1.0])),
-        hessian_lower_bound=-1.4,
+        lower_bound=-1.4,
         name="triple_well",
     )
 
@@ -149,11 +156,12 @@ def planar_two_well(beta: float = 1.0, kappa: float = 1.0) -> Potential:
         h[:, 1, 1] = 4.0 * beta * a + 8.0 * beta * u2 * u2
         return h
 
-    # Sampled convexity bound over the working box; the Hessian is polynomial
-    # so a moderate grid is adequate for a declared bound.
-    xs = np.linspace(-1.6, 1.6, 33)
-    box = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    lam = np.min(np.linalg.eigvalsh(hessians(box))[:, 0])
+    def lower_bound():
+        # sampled over the working box; the Hessian is polynomial, so a
+        # moderate grid is adequate for a declared bound
+        xs = np.linspace(-1.6, 1.6, 33)
+        box = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        return np.min(np.linalg.eigvalsh(hessians(box))[:, 0])
 
     return Potential(
         dim=2,
@@ -161,7 +169,7 @@ def planar_two_well(beta: float = 1.0, kappa: float = 1.0) -> Potential:
         gradients=gradients,
         hessians=hessians,
         wells=(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
-        hessian_lower_bound=float(lam),
+        lower_bound=lower_bound,
         name="planar_two_well",
     )
 

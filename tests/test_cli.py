@@ -1480,7 +1480,30 @@ def test_verify_rejects_an_x1_half_run_whose_x1_is_not_a_mirror(tmp_path, capsys
     assert err.count("recomputed") == 1
 
 
-SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+def test_verify_compares_the_field_table_without_building_it(tmp_path, monkeypatch):
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
+
+    def build(*args, **kwargs):
+        raise AssertionError("verify built the field table")
+
+    monkeypatch.setattr(hetconn.cli.FieldTable, "__array__", build)
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("cfg", [dict(SIN_CFG, m=35),
+                                 dict(PLANAR_CFG, m=33, s_max=5.5, opts={"n_out": 19,
+                                                                         "t_max": 2.5})],
+                         ids=["sin", "planar"])
+def test_the_fixture_solves_on_the_grids_that_verify_takes(cfg):
+    _, _, opts, x1, x2, fixture, shell = hetconn.cli._double_setup(cfg)
+    space = fixture()
+    assert space.grid.tobytes() == x1.tobytes() == shell(x1).grid.tobytes()
+    result = hetconn.double_connection.solve_symmetric(space, opts)
+    assert result.x1.tobytes() == x1.tobytes() and result.x2.tobytes() == x2.tobytes()
+
+
+SHIPPED =Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")

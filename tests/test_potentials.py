@@ -74,6 +74,19 @@ def test_planar_hessian_lower_bound_holds(x, y):
     assert lo >= p.hessian_lower_bound - 1e-8
 
 
+def test_planar_hessian_lower_bound_is_sampled_on_first_read(monkeypatch):
+    """Only connect's leg audits read the bound: a planar double never
+    samples it, and a read samples the 33x33 box's eigenvalues once."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    p = planar_two_well()
+    assert calls == []
+    assert p.hessian_lower_bound == -8.0
+    assert p.hessian_lower_bound == -8.0
+    assert calls == [(33 * 33, 2, 2)]
+
+
 def test_make_weight_is_sqrt_2w():
     p = double_well()
     ws = make_weight(p)
