@@ -10,9 +10,10 @@ per difference and exits 1 if there is any, 0 otherwise.  When two numbers
 differ, the line also gives their relative difference.  Every artifact is
 an NPY table; when the checksum of one differs, its line also gives the
 largest absolute and relative difference between the two tables, read as
-rows of their last axis, or says that their shapes differ; an entry's
-relative difference is taken against the largest magnitude of its column,
-so rounding noise in entries near zero reads as small as it is.
+rows of their last axis (a double run's (P, M, n) ``u.npy`` as one row of
+its n components per node, x2 outer), or says that their shapes differ;
+an entry's relative difference is taken against the largest magnitude of
+its column, so rounding noise in entries near zero reads as small as it is.
 """
 
 import json
@@ -40,7 +41,7 @@ def _leaves(value, path):
 
 def _numeric_table(path):
     """The NPY table at ``path`` as a 2D array, its last axis the columns
-    (a double run's u.npy reads as rows of (x1, x2, u))."""
+    (a double run's (P, M, n) u.npy reads as rows of u, x2 outer)."""
     table = np.load(path, allow_pickle=False)
     return table.reshape(-1, table.shape[-1])
 

@@ -33,7 +33,7 @@ def run(out="runs/sin_example"):
           f"{results['polish_rows']} of {manifest['config']['m']} x1 rows")
     print(f"end-column gaps  {results['x2_gap_minus_l2']:.2e} / "
           f"{results['x2_gap_plus_l2']:.2e}")
-    print(f"artifacts     {out}  (u.npy, boundary_convergence.npy)")
+    print(f"artifacts     {out}  (u.npy, x1.npy, boundary_convergence.npy)")
     return main(["verify", out])
 
 

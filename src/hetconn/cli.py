@@ -5,7 +5,8 @@ versions, every tolerance used, the results, the column names of each
 artifact and sha256 checksums of the emitted artifacts.  Every artifact is
 one table: a C-ordered little-endian float64 ``.npy`` array written by
 ``np.save`` whose last axis holds the columns the manifest names; a double
-run's field ``u.npy`` has three dimensions, every other table two.  The
+run's field ``u.npy`` is the solve's (P, M, n) stack of x2 columns, its
+x1 grid ``x1.npy``, and every table but the field has two dimensions.  The
 pipeline draws no random numbers, so reruns of the same config are
 bit-identical.  A connect run is a chain of legs, one per pair of adjacent
 wells on the line and one in higher dimensions, each with its own curve and
@@ -94,7 +95,7 @@ EXIT_EQUIPARTITION = 5
 
 # configs and run manifests carry separate schema versions
 CONFIG_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 4
+MANIFEST_SCHEMA_VERSION = 5
 
 # glibc's mallopt parameters (malloc.h) and the values ``main`` sets
 M_TRIM_THRESHOLD = -1
@@ -292,27 +293,9 @@ def _write_run(out_dir, start, tables: dict, **fields) -> None:
         fh.write("\n")
 
 
-# the one table of three dimensions: a double run's field on its (x1, x2) grid
+# the one table of three dimensions: a double run's field, the (P, M, n)
+# stack of its x2 columns that the solve holds
 FIELD = "u.npy"
-
-
-class FieldTable:
-    """The field table (M, P, 2 + n) of a field u (P, M, n) on the grids x1
-    (M,) and x2 (P,), held as those three parts: its [i, j] is (x1_i, x2_j,
-    u[j, i]), x1-outer.  ``np.asarray`` builds the table, which the run
-    writes; ``verify`` compares a read one (``_read_field``) part by part
-    and builds none."""
-
-    def __init__(self, x1: np.ndarray, x2: np.ndarray, u: np.ndarray):
-        self.x1, self.x2, self.u = x1, x2, u
-        self.shape = (x1.size, x2.size, 2 + u.shape[2])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        table = np.empty(self.shape, dtype="<f8")
-        table[..., 0] = self.x1[:, None]
-        table[..., 1] = self.x2
-        table[..., 2:] = self.u.transpose(1, 0, 2)
-        return table
 
 
 def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
@@ -324,7 +307,7 @@ def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
     """
     table = np.load(path, allow_pickle=False)
     if table.dtype != np.dtype("<f8") or table.ndim != ndim:
-        layout = "(M, P, 2 + n)" if ndim == 3 else "(rows, columns)"
+        layout = "(P, M, n)" if ndim == 3 else "(rows, columns)"
         raise ValueError(f"{path} holds a {table.dtype} array of shape {table.shape}, "
                          f"not a float64 {layout} table")
     if not table.flags.c_contiguous:
@@ -333,24 +316,6 @@ def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
         raise ValueError(f"{path} has {table.shape[-1]} columns, and the manifest names "
                          f"{len(columns)}: {columns}")
     return table
-
-
-def _read_field(table) -> FieldTable:
-    """The ``FieldTable`` of a double run's field table (M, P, 2 + n), n >=
-    1, its field u the C-ordered (P, M, n) stack of x2 columns that the
-    solve holds.
-
-    ValueError unless the table holds (x1_i, x2_j, u[j, i]) at [i, j] on a
-    tensor grid with at least two strictly increasing x1 and x2 nodes each.
-    """
-    if min(table.shape[:2]) < 2 or table.shape[2] < 3:
-        raise ValueError(f"{FIELD} of shape {table.shape} is not a tensor grid of at least "
-                         "two x1 and two x2 nodes with a field component")
-    x1, x2 = table[:, 0, 0], table[0, :, 1]
-    if not (np.all(table[..., 0] == x1[:, None]) and np.all(table[..., 1] == x2)
-            and np.all(x1[1:] > x1[:-1]) and np.all(x2[1:] > x2[:-1])):
-        raise ValueError(f"{FIELD} is not a tensor grid with strictly increasing x1 and x2")
-    return FieldTable(x1, x2, np.ascontiguousarray(table[..., 2:].transpose(1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +567,9 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
 
     One ``assemble_and_verify`` gives the field audit and the limit gaps,
     and ``polished_part`` the polished columns and rows and the two
-    reflections.  The field writes u.npy, x1-outer, and its end-column
-    gaps ``boundary_convergence.npy``; an asym solve adds its shift track
+    reflections.  The field u writes u.npy as it is, the space's grid
+    x1.npy and the end-column gaps ``boundary_convergence.npy``, whose x2
+    column is the x2 grid; an asym solve adds its shift track
     m_track.npy, the track's total variation and the translation-speed
     audit.  The gates hold the x2 defect, the free gradient max, the
     interior residual and the energy two ways against their tolerances,
@@ -614,11 +580,11 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
     report = assemble_and_verify(result, tolerances["residual_margin_cells"])
     p, m, n = u.shape
     part = polished_part(space, result.mode, p, m)
-    # the gaps before the field's table, so that their temporaries are freed first
     gaps = np.column_stack([x2, space.l2_norms(u - space.z_minus.values),
                             space.l2_norms(u - space.z_plus.values)])
     tables = {
-        FIELD: (["x1", "x2", *(f"u{j + 1}" for j in range(n))], FieldTable(result.x1, x2, u)),
+        FIELD: ([f"u{j + 1}" for j in range(n)], u),
+        "x1.npy": (["x1"], space.grid[:, None]),
         "boundary_convergence.npy": (["x2", "gap_minus_l2", "gap_plus_l2"], gaps),
     }
     status = result.diagnostics["polish_status"]
@@ -820,7 +786,7 @@ def _verify_connect(manifest: dict, tables: dict) -> tuple:
             windows.append((f"leg {k} |window - reparam.t_max|", abs(window - t_max), 0.0))
         conns.append(ConnectionResult(
             curve=curve, x_minus=x_minus, x_plus=x_plus, action=action, dk_value=dk,
-            equipartition_defect=float(np.max(defects)), window=window, diagnostics={}))
+            equipartition_defect=float(np.max(defects)), window=window))
     results, returned, gates = _connect_results(conns, p, wspace, manifest["tolerances"])
     return results, returned, gates + windows
 
@@ -830,8 +796,8 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
 
     The mode and the x1 and x2 grids come from the config as the run takes
     them (``_double_setup``; ``Mismatch`` for another mode or field shape),
-    and the field table's x1 and x2 columns, compared with them part by
-    part (``FieldTable``), reject a field on other grids.  The
+    and the comparison of x1.npy and boundary_convergence.npy's x2 column
+    with them rejects a field on other grids.  The
     effective space is the config's shell on x1, its wells the field's end
     columns and its reference the 1D action of the last.  An asym run's
     shift track is m_track.npy's, its c- and c+ from
@@ -841,7 +807,7 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
     mode, _, _, x1, x2, _, shell = _double_setup(manifest["config"])
     if manifest["mode"] != mode:
         raise Mismatch(f"the manifest's mode {manifest['mode']!r} is not the config's {mode!r}")
-    u = tables[FIELD].u
+    u = tables[FIELD]
     space = shell(x1)
     if u.shape != (x2.size, x1.size, space.n_components):
         raise Mismatch(f"{FIELD} holds a field (x2, x1, component) of shape {u.shape}, "
@@ -855,8 +821,7 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
     recorded = manifest["results"]
     diagnostics = {key: recorded[key]
                    for key in ("polish_status", "polish_steps", "polish_cg_products")}
-    result = DoubleConnectionResult(space, mode, u, x1, x2, c_minus, c_plus, m_track,
-                                    diagnostics)
+    result = DoubleConnectionResult(space, mode, u, x2, c_minus, c_plus, m_track, diagnostics)
     return _double_results(result, manifest["tolerances"])
 
 
@@ -892,21 +857,16 @@ def _differences(recomputed, recorded, path: str) -> list:
 def _table_differences(name: str, columns: list, table, recorded_columns: list,
                        recorded) -> list:
     """A line if the recorded table ``name`` or its columns are not the
-    recomputed ones bit for bit; a ``FieldTable`` is compared part by part."""
+    recomputed ones bit for bit."""
     if recorded_columns != columns:
         return [f"{name}: recomputed columns {columns}, recorded {recorded_columns}"]
-    if isinstance(table, FieldTable):
-        pairs = [(table.x1, recorded.x1), (table.x2, recorded.x2), (table.u, recorded.u)]
-    else:
-        table = np.ascontiguousarray(table, dtype="<f8")
-        pairs = [(table, recorded)]
+    table = np.ascontiguousarray(table, dtype="<f8")
     if table.shape != recorded.shape:
         return [f"{name}: recomputed shape {table.shape}, recorded {recorded.shape}"]
     # bit for bit, NaN and the sign of zero included, without a copy of either
-    if all(np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)) for ours, theirs in pairs):
+    if np.array_equal(table.view(np.uint64), recorded.view(np.uint64)):
         return []
-    gap = max(np.max(np.abs(ours - theirs)) for ours, theirs in pairs)
-    return [f"{name}: max |recomputed - recorded| {gap:.3g}"]
+    return [f"{name}: max |recomputed - recorded| {np.max(np.abs(table - recorded)):.3g}"]
 
 
 def _check(manifest: dict, tables: dict, rebuilt: tuple, verbose: bool) -> int:
@@ -944,6 +904,9 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot load manifest: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM
+    if not isinstance(manifest, dict):
+        print("manifest root must be a JSON object", file=sys.stderr)
+        return EXIT_CHECKSUM
     required = {"schema_version", "kind", "config", "artifacts", "columns", "results",
                 "tolerances"}
     missing = required - set(manifest)
@@ -956,8 +919,13 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
         print(f"manifest schema_version {version!r} is not supported "
               f"(this hetconn reads version {MANIFEST_SCHEMA_VERSION})", file=sys.stderr)
         return EXIT_CHECKSUM
-    if not (isinstance(manifest["artifacts"], dict) and isinstance(manifest["columns"], dict)):
-        print("manifest artifacts and columns must be JSON objects", file=sys.stderr)
+    if not all(isinstance(manifest[key], dict)
+               for key in ("config", "results", "tolerances", "artifacts", "columns")):
+        print("manifest config, results, tolerances, artifacts and columns must be JSON "
+              "objects", file=sys.stderr)
+        return EXIT_CHECKSUM
+    if not isinstance(manifest["kind"], str):
+        print(f"manifest kind must be a string, got {manifest['kind']!r}", file=sys.stderr)
         return EXIT_CHECKSUM
     for name, columns in manifest["columns"].items():
         if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
@@ -984,8 +952,6 @@ def cmd_verify(run_dir: str, verbose: bool) -> int:
         tables = {name: _read_table(os.path.join(run_dir, name), manifest["columns"][name],
                                     3 if name == FIELD else 2)
                   for name in manifest["artifacts"]}
-        if FIELD in tables:
-            tables[FIELD] = _read_field(tables[FIELD])
         return _check(manifest, tables, rebuild(manifest, tables), verbose)
     except Mismatch as exc:
         print(f"not the run of its config: {exc}", file=sys.stderr)

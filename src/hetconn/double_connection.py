@@ -80,7 +80,6 @@ class DoubleConnectionResult:
     space: EffectivePotentialSpace
     mode: str
     u: np.ndarray            # (P, M, n): the x2 columns, a C-ordered profile stack
-    x1: np.ndarray           # (M,)
     x2: np.ndarray           # (P,)
     c_minus: float
     c_plus: float
@@ -318,7 +317,6 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         space=space,
         mode=mode,
         u=u,
-        x1=space.grid.copy(),
         x2=x2,
         c_minus=c_minus,
         c_plus=c_plus,

@@ -58,5 +58,4 @@ def minimize_k_length(p: Potential, x_minus, x_plus, n_samples: int, t_max: floa
         dk_value=k_length(curve, wspace, rule="midpoint"),
         equipartition_defect=float(np.max(defects)),
         window=float(t_max),
-        diagnostics={},
     )

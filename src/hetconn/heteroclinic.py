@@ -67,7 +67,6 @@ class ConnectionResult:
     dk_value: float
     equipartition_defect: float
     window: float
-    diagnostics: dict
 
 
 # The time map is integrated on a graded grid of the polyline parameter s in
@@ -209,7 +208,6 @@ def _equipartition_along(nodes, wspace: WeightedSpace, n_samples: int,
         dk_value=dk,
         equipartition_defect=float(np.max(defects)),
         window=T,
-        diagnostics={"g_range": (float(t_grid[0]), float(t_grid[-1]))},
     )
 
 

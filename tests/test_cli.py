@@ -79,7 +79,7 @@ def test_connect_run_and_verify(tmp_path):
     for name in (*CONNECT_ARTIFACTS, "manifest.json"):
         assert (tmp_path / "run" / name).exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["schema_version"] == 4
+    assert manifest["schema_version"] == 5
     assert manifest["kind"] == "connect"
     assert manifest["results"]["action"] == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert manifest["results"]["dk_value"] == pytest.approx(4.0 / 3.0, abs=1e-3)
@@ -137,7 +137,7 @@ def _poison_one_value(run_dir, artifact):
     """Replace one interior field value of an artifact by nan and re-sign it."""
     path = run_dir / artifact
     table = np.load(path)
-    # the middle row of the table read as rows of its last axis (x1 outer in u.npy)
+    # the middle row of the table read as rows of its last axis (x2 outer in u.npy)
     rows = table.reshape(-1, table.shape[-1])
     rows[len(rows) // 2, -1] = np.nan
     np.save(path, table)
@@ -153,12 +153,12 @@ def _edit_table(run_dir, artifact, index, edit):
     _resign(run_dir, artifact)
 
 
-def _nudge_field(run_dir, index, delta, column=-1):
-    """Add ``delta`` to u.npy's ``column`` (by default the last component of
-    u) at ``index`` = (i, j) and re-sign u.npy."""
+def _nudge_field(run_dir, index, delta, component=-1):
+    """Add ``delta`` to u.npy's ``component`` (by default the last) at
+    ``index`` = (j, i), x2 node j and x1 node i, and re-sign u.npy."""
     path = run_dir / "u.npy"
     table = np.load(path)
-    table[index + (column,)] += delta
+    table[index + (component,)] += delta
     np.save(path, table)
     _resign(run_dir, "u.npy")
 
@@ -207,7 +207,7 @@ def test_verify_rejects_a_changed_well_column(tmp_path):
     assert main(["double", "--config", cfg, "--out", str(out)]) == 0
     # one interior node of the last x2 column, the z+ well profile; the
     # defect tolerance of SIN_CFG is loose, so only the reference can fail
-    _nudge_field(out, (8, -1), 1e-3)
+    _nudge_field(out, (-1, 8), 1e-3)
     assert main(["verify", str(out)]) == 5
 
 
@@ -216,15 +216,16 @@ def test_verify_rejects_a_changed_well_column(tmp_path):
 TABLE_COLUMNS = {
     "curve_1.npy": ["t", "u1"],
     "plot_defect_1.npy": ["t", "equipartition_defect"],
-    "u.npy": ["x1", "x2", "u1"],
+    "u.npy": ["u1"],
+    "x1.npy": ["x1"],
     "boundary_convergence.npy": ["x2", "gap_minus_l2", "gap_plus_l2"],
     "candidates.npy": ["n", "x_n", "candidate_length"],
     "boxed.npy": ["radius", "candidate_at_radius", "crossing_bound"],
 }
 ARTIFACT_RUNS = {
     "connect": ("connect", CONNECT_CFG, ["curve_1.npy", "plot_defect_1.npy"]),
-    "double": ("double", SIN_CFG, ["u.npy", "boundary_convergence.npy"]),
-    "double_planar": ("double", PLANAR_CFG, ["u.npy", "boundary_convergence.npy"]),
+    "double": ("double", SIN_CFG, ["u.npy", "x1.npy", "boundary_convergence.npy"]),
+    "double_planar": ("double", PLANAR_CFG, ["u.npy", "x1.npy", "boundary_convergence.npy"]),
     "counterexample": ("counterexample", COUNTER_CFG, ["candidates.npy", "boxed.npy"]),
 }
 
@@ -280,21 +281,21 @@ def test_field_table_is_the_solver_field_bit_for_bit(tmp_path, monkeypatch, cfg)
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     (result,) = results
-    # the solver holds x2 columns (P, M, n); the table is x1-outer
+    # the table is the solver's stack of x2 columns (P, M, n) as it is
     p, m, n = result.u.shape
+    assert result.u.flags.c_contiguous and result.u.dtype.str == "<f8"
     with open(out / "u.npy", "rb") as fh:
         assert np.lib.format.read_magic(fh) == (1, 0)
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    assert (shape, fortran_order, dtype.str) == ((m, p, 2 + n), False, "<f8")
-    table = np.load(out / "u.npy", allow_pickle=False)
-    assert table[..., 0].tobytes() == np.repeat(result.x1, p).tobytes()
-    assert table[..., 1].tobytes() == np.tile(result.x2, m).tobytes()
-    x1_outer = np.ascontiguousarray(result.u.transpose(1, 0, 2))
-    assert table[..., 2:].tobytes() == x1_outer.tobytes()
-    # read as rows, the table is the (x1, x2, u) row table of the old u.csv
-    rows = np.column_stack([np.repeat(result.x1, p), np.tile(result.x2, m),
-                            x1_outer.reshape(-1, n)])
-    assert table.reshape(-1, 2 + n).tobytes() == rows.tobytes()
+        payload = fh.read()
+    assert (shape, fortran_order, dtype.str) == ((p, m, n), False, "<f8")
+    assert payload == result.u.tobytes()
+    # the x1 grid is the config's mirror_grid, the x2 grid the gaps' x2 column
+    lo, hi = (0.0, np.pi) if cfg["example"] == "sin" else (-8.0, 8.0)
+    x1 = np.load(out / "x1.npy", allow_pickle=False)
+    assert x1.shape == (m, 1) and x1[:, 0].tobytes() == mirror_grid(lo, hi, m).tobytes()
+    x2 = np.load(out / "boundary_convergence.npy", allow_pickle=False)[:, 0]
+    assert x2.tobytes() == result.x2.tobytes()
 
 
 def test_double_runs_write_byte_identical_fields(tmp_path):
@@ -314,35 +315,31 @@ def test_a_double_field_keeps_the_x2_reflection(tmp_path, cfg):
     # (u1, -u2) at -x2
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    table = np.load(out / "u.npy", allow_pickle=False)
-    x2, u = table[0, :, 1], table[..., 2:]
+    u = np.load(out / "u.npy", allow_pickle=False)
+    x2 = np.load(out / "boundary_convergence.npy", allow_pickle=False)[:, 0]
     assert np.max(np.abs(x2 + x2[::-1])) <= 1e-12
-    mirror = u[:, ::-1] * ([-1.0] if u.shape[2] == 1 else [1.0, -1.0])
+    mirror = u[::-1] * ([-1.0] if u.shape[2] == 1 else [1.0, -1.0])
     assert np.max(np.abs(u - mirror)) <= 1e-12
 
 
-def _shifted_x1_in_one_row(table):
-    # x1 stays strictly increasing down the first x2 column
-    table[3, 5, 0] += 0.5 * (table[4, 0, 0] - table[3, 0, 0])
-    return table
-
-
 # each makes the new u.npy, an array or raw bytes, from the run's table and
-# names what verify reports
+# names verify's exit code and what it reports: 4 for a table that is not
+# the format's, 5 for a field of another shape than the config's
 BAD_FIELDS = {
-    "not_a_tensor_grid": (_shifted_x1_in_one_row, "not a tensor grid"),
-    "one_x2_node": (lambda table: table[:, :1], "not a tensor grid"),
-    "float32": (lambda table: table.astype(np.float32), "float32 array"),
-    "ndim_2": (lambda table: table.reshape(-1, table.shape[-1]),
-               "not a float64 (M, P, 2 + n) table"),
-    "object_array": (lambda table: table.astype(object), "allow_pickle=False"),
-    "empty_file": (lambda table: b"", "No data left in file"),
+    "one_x2_node": (lambda table: table[:1], 5,
+                    "u.npy holds a field (x2, x1, component) of shape (1, 33, 1), and "
+                    "the config's is (17, 33, 1)"),
+    "float32": (lambda table: table.astype(np.float32), 4, "float32 array"),
+    "ndim_2": (lambda table: table.reshape(-1, table.shape[-1]), 4,
+               "not a float64 (P, M, n) table"),
+    "object_array": (lambda table: table.astype(object), 4, "allow_pickle=False"),
+    "empty_file": (lambda table: b"", 4, "No data left in file"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
 def test_verify_rejects_a_malformed_field_table(tmp_path, capsys, case):
-    transform, message = BAD_FIELDS[case]
+    transform, code, message = BAD_FIELDS[case]
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
     bad = transform(np.load(out / "u.npy"))
@@ -352,7 +349,7 @@ def test_verify_rejects_a_malformed_field_table(tmp_path, capsys, case):
         np.save(out / "u.npy", bad, allow_pickle=bad.dtype == object)
     _resign(out, "u.npy")
     capsys.readouterr()
-    assert main(["verify", str(out)]) == 4
+    assert main(["verify", str(out)]) == code
     assert message in capsys.readouterr().err
 
 
@@ -398,17 +395,23 @@ def test_verify_rejects_a_table_of_the_wrong_kind(tmp_path, capsys, table_runs, 
     assert message in err and name in err
 
 
-# each makes a manifest whose artifacts or columns are not the maps verify
-# reads, and names what verify reports
+# each makes a manifest whose root or sections are not of the type verify
+# reads from the run's manifest, and names what verify reports
+OBJECTS = "config, results, tolerances, artifacts and columns must be JSON objects"
 BAD_MANIFEST_MAPS = {
-    "artifacts_list": (lambda m: m.update(artifacts=sorted(m["artifacts"])),
-                       "artifacts and columns must be JSON objects"),
-    "columns_list": (lambda m: m.update(columns=sorted(m["columns"])),
-                     "artifacts and columns must be JSON objects"),
-    "columns_entry_string": (lambda m: m["columns"].update({"boxed.npy": "radius"}),
+    "artifacts_list": (lambda m: {**m, "artifacts": sorted(m["artifacts"])}, OBJECTS),
+    "columns_list": (lambda m: {**m, "columns": sorted(m["columns"])}, OBJECTS),
+    "columns_entry_string": (lambda m: {**m, "columns": {**m["columns"], "boxed.npy": "radius"}},
                              "columns of boxed.npy must be a list of strings"),
-    "columns_entry_numbers": (lambda m: m["columns"].update({"boxed.npy": [0, 1, 2]}),
+    "columns_entry_numbers": (lambda m: {**m, "columns": {**m["columns"],
+                                                          "boxed.npy": [0, 1, 2]}},
                               "columns of boxed.npy must be a list of strings"),
+    "config_list": (lambda m: {**m, "config": []}, OBJECTS),
+    "results_list": (lambda m: {**m, "results": []}, OBJECTS),
+    "tolerances_list": (lambda m: {**m, "tolerances": []}, OBJECTS),
+    "kind_list": (lambda m: {**m, "kind": []}, "manifest kind must be a string, got []"),
+    # a list that names every key the manifest must have
+    "root_list": (sorted, "manifest root must be a JSON object"),
 }
 
 
@@ -419,8 +422,7 @@ def test_verify_rejects_artifacts_or_columns_of_the_wrong_type(tmp_path, capsys,
     out = tmp_path / "run"
     shutil.copytree(table_runs["boxed.npy"], out)
     mpath = out / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    edit(manifest)
+    manifest = edit(json.loads(mpath.read_text()))
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 4
@@ -772,12 +774,12 @@ def test_compare_runs_reports_the_field_table_difference(tmp_path, capsys):
     capsys.readouterr()
     assert compare_runs.main([str(run_a), str(run_b)]) == 0
     assert capsys.readouterr().out.startswith("0 difference(s)")
-    old = float(np.load(run_b / "u.npy")[16, 8, -1])
-    _nudge_field(run_b, (16, 8), 3e-12)
-    new = float(np.load(run_b / "u.npy")[16, 8, -1])
+    old = float(np.load(run_b / "u.npy")[8, 16, -1])
+    _nudge_field(run_b, (8, 16), 3e-12)
+    new = float(np.load(run_b / "u.npy")[8, 16, -1])
     # an entry at rounding level near zero flips its sign: 1e-14 in a, -1e-14 in b
     for run, tiny in ((run_a, 1e-14), (run_b, -1e-14)):
-        _nudge_field(run, (1, 8), tiny - float(np.load(run / "u.npy")[1, 8, -1]))
+        _nudge_field(run, (8, 1), tiny - float(np.load(run / "u.npy")[8, 1, -1]))
     assert compare_runs.main([str(run_a), str(run_b)]) == 1
     out = capsys.readouterr().out.splitlines()
     # each change is relative to the largest |u| of the column in either table,
@@ -1250,7 +1252,7 @@ def test_double_sin_run_and_verify(tmp_path):
     cfg = write_cfg(tmp_path, SIN_CFG)
     out = str(tmp_path / "dbl")
     assert main(["double", "--config", cfg, "--out", out]) == 0
-    for name in ("u.npy", "boundary_convergence.npy", "manifest.json"):
+    for name in ("u.npy", "x1.npy", "boundary_convergence.npy", "manifest.json"):
         assert (tmp_path / "dbl" / name).exists()
     manifest = json.loads((tmp_path / "dbl" / "manifest.json").read_text())
     assert manifest["kind"] == "double"
@@ -1324,19 +1326,19 @@ def test_verify_checks_the_x2_reflection_that_a_half_window_run_claims(tmp_path,
     assert "max |(u1, -u2)(x1, -x2) - u(x1, x2)| of a half-window solve 0 " in printed
     # the x2 grid is the config's mirror_grid, which verify compares bit for
     # bit: its mirror needs no gate of its own
-    x2 = np.load(out / "u.npy")[0, :, 1]
+    x2 = np.load(out / "boundary_convergence.npy")[:, 0]
     opts = PLANAR_CFG["opts"]
     assert np.array_equal(x2, mirror_grid(-opts["t_max"], opts["t_max"], opts["n_out"]))
     assert np.array_equal(x2, -x2[::-1])
     assert "x2 + x2 reversed" not in printed
     # u1 moved the same way at a node and its mirror keeps the reflection
     # (the recomputed energies fail); u2 moved so breaks it
-    _nudge_field(out, (8, 3), 1e-9, column=2)
-    _nudge_field(out, (8, -4), 1e-9, column=2)
+    _nudge_field(out, (3, 8), 1e-9, component=0)
+    _nudge_field(out, (-4, 8), 1e-9, component=0)
     assert main(["verify", str(out)]) == 5
     assert "of a half-window solve" not in capsys.readouterr().err
-    _nudge_field(out, (8, 3), 1e-9)
-    _nudge_field(out, (8, -4), 1e-9)
+    _nudge_field(out, (3, 8), 1e-9)
+    _nudge_field(out, (-4, 8), 1e-9)
     assert main(["verify", str(out)]) == 5
     assert "(u1, -u2)(x1, -x2) - u(x1, x2)| of a half-window solve" in capsys.readouterr().err
 
@@ -1346,7 +1348,7 @@ def test_verify_rejects_a_planar_half_window_field_with_one_u1_node_moved(tmp_pa
     assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
     # u1 is free on the centre column; move it there, at one node only
     centre = PLANAR_CFG["opts"]["n_out"] // 2
-    _nudge_field(out, (8, centre + 1), 1e-9, column=2)
+    _nudge_field(out, (centre + 1, 8), 1e-9, component=0)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert "(u1, -u2)(x1, -x2) - u(x1, x2)| of a half-window solve" in capsys.readouterr().err
@@ -1355,16 +1357,17 @@ def test_verify_rejects_a_planar_half_window_field_with_one_u1_node_moved(tmp_pa
 def test_verify_rejects_a_half_window_run_whose_x2_is_not_antisymmetric(tmp_path, capsys):
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
-    path = out / "u.npy"
+    path = out / "boundary_convergence.npy"
     table = np.load(path)
-    # one x2 node, in every x1 row, moved by less than the step: the field
-    # table is no longer on the config's x2 grid
-    table[:, 3, 1] += 1e-9
+    # one x2 node moved by less than the step: the run's x2 grid is no
+    # longer the config's
+    table[3, 0] += 1e-9
     np.save(path, table)
-    _resign(out, "u.npy")
+    _resign(out, "boundary_convergence.npy")
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
-    assert "u.npy: max |recomputed - recorded| 1e-09" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "boundary_convergence.npy: max |recomputed - recorded| 1e-09" in err
 
 
 @pytest.mark.parametrize("value", [[1, 1], [-1, 1], None])
@@ -1388,8 +1391,8 @@ def test_verify_rejects_a_half_window_field_that_is_not_odd(tmp_path, capsys):
     assert main(["verify", "--verbose", str(out)]) == 0
     assert "max |u(x1, -x2) + u(x1, x2)| of a half-window solve 0 " in capsys.readouterr().out
     # one interior node and its mirror moved the same way
-    _nudge_field(out, (8, 3), 1e-9)
-    _nudge_field(out, (8, -4), 1e-9)
+    _nudge_field(out, (3, 8), 1e-9)
+    _nudge_field(out, (-4, 8), 1e-9)
     assert main(["verify", str(out)]) == 5
     assert "of a half-window solve" in capsys.readouterr().err
 
@@ -1431,15 +1434,15 @@ def test_verify_checks_the_x1_reflection_that_an_x1_half_run_claims(tmp_path, ca
     printed = capsys.readouterr().out
     assert f"max |{X1_GATE} 0 " in printed
     # the x1 grid is the fixture's mirror_grid, compared bit for bit
-    x1 = np.load(out / "u.npy")[:, 0, 0]
+    x1 = np.load(out / "x1.npy")[:, 0]
     # on the default window s_max = 8
     assert np.array_equal(x1, mirror_grid(-8.0, 8.0, PLANAR_CFG["m"]))
     assert np.array_equal(x1[0] + x1[-1] - x1, x1[::-1])
     assert "x1 reversed" not in printed
     # u1 moved the same way at a node and its x2 mirror keeps the x2
     # reflection; it breaks the x1 one
-    _nudge_field(out, (8, 3), 1e-9, column=2)
-    _nudge_field(out, (8, -4), 1e-9, column=2)
+    _nudge_field(out, (3, 8), 1e-9, component=0)
+    _nudge_field(out, (-4, 8), 1e-9, component=0)
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
     assert X1_GATE in err and "of a half-window solve" not in err
@@ -1454,8 +1457,8 @@ def test_verify_checks_the_x1_reflection_of_the_sine_strip(tmp_path, capsys):
     assert ("max |u(x1*, x2) - u(x1, x2)| of an x1-half solve 0 "
             in capsys.readouterr().out)
     # a node and its x2 mirror moved so that the x2 reflection holds
-    _nudge_field(out, (5, 3), 1e-9)
-    _nudge_field(out, (5, -4), -1e-9)
+    _nudge_field(out, (3, 5), 1e-9)
+    _nudge_field(out, (-4, 5), -1e-9)
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
     assert "u(x1*, x2) - u(x1, x2)| of an x1-half solve" in err
@@ -1465,30 +1468,18 @@ def test_verify_checks_the_x1_reflection_of_the_sine_strip(tmp_path, capsys):
 def test_verify_rejects_an_x1_half_run_whose_x1_is_not_a_mirror(tmp_path, capsys):
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, PLANAR_CFG), "--out", str(out)]) == 0
-    path = out / "u.npy"
+    path = out / "x1.npy"
     table = np.load(path)
-    # one x1 node, in every x2 column, moved by far less than the step: the
-    # planar density does not read x1, so only the field table's x1 column,
-    # compared with the config's grid, sees it
-    table[30, :, 0] += 1e-12
+    # one x1 node moved by far less than the step: the planar density does
+    # not read x1, so only x1.npy, compared with the config's grid, sees it
+    table[30, 0] += 1e-12
     np.save(path, table)
-    _resign(out, "u.npy")
+    _resign(out, "x1.npy")
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
-    assert "u.npy: max |recomputed - recorded| 1e-12" in err
+    assert "x1.npy: max |recomputed - recorded| 1e-12" in err
     assert err.count("recomputed") == 1
-
-
-def test_verify_compares_the_field_table_without_building_it(tmp_path, monkeypatch):
-    out = tmp_path / "dbl"
-    assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 0
-
-    def build(*args, **kwargs):
-        raise AssertionError("verify built the field table")
-
-    monkeypatch.setattr(hetconn.cli.FieldTable, "__array__", build)
-    assert main(["verify", str(out)]) == 0
 
 
 @pytest.mark.parametrize("cfg", [dict(SIN_CFG, m=35),
@@ -1500,7 +1491,7 @@ def test_the_fixture_solves_on_the_grids_that_verify_takes(cfg):
     space = fixture()
     assert space.grid.tobytes() == x1.tobytes() == shell(x1).grid.tobytes()
     result = hetconn.double_connection.solve_symmetric(space, opts)
-    assert result.x1.tobytes() == x1.tobytes() and result.x2.tobytes() == x2.tobytes()
+    assert result.space.grid.tobytes() == x1.tobytes() and result.x2.tobytes() == x2.tobytes()
 
 
 SHIPPED =Path(__file__).resolve().parent.parent / "configs"
@@ -1534,7 +1525,7 @@ NOT_THE_CONFIGS_RUN = {
     "sin_n_out": ("sin_example", lambda cfg: cfg["opts"].update(n_out=255),
                   "the config's is (255, 257, 1)"),
     "sin_t_max": ("sin_example", lambda cfg: cfg["opts"].update(t_max=4.5),
-                  "u.npy: max |recomputed - recorded|"),
+                  "boundary_convergence.npy: max |recomputed - recorded|"),
     "planar_sym_mode": ("planar_sym", lambda cfg: cfg.update(mode="asym"),
                         "the manifest's mode 'sym' is not the config's 'asym'"),
     "double_well_reparam": ("double_well",
@@ -1687,7 +1678,7 @@ def test_polish_over_its_tolerance_fails_run_and_verify(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["polish_status"] == "max_iters"
     assert manifest["results"]["polish_gmax"] > manifest["tolerances"]["polish_gtol"]
-    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.npy"}
+    assert set(manifest["artifacts"]) == {"u.npy", "x1.npy", "boundary_convergence.npy"}
     assert main(["verify", str(out)]) == 5
 
 
@@ -1708,7 +1699,7 @@ def test_double_run_over_its_defect_tol_fails_run_and_verify(tmp_path, capsys):
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
     assert "x2 equipartition defect" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["artifacts"]) == {"u.npy", "boundary_convergence.npy"}
+    assert set(manifest["artifacts"]) == {"u.npy", "x1.npy", "boundary_convergence.npy"}
     assert manifest["results"]["equip_defect"] > manifest["tolerances"]["defect_tol"]
     assert main(["verify", str(out)]) == 5
     assert "x2 equipartition defect" in capsys.readouterr().err
@@ -1743,7 +1734,7 @@ def test_verify_recomputes_the_double_residual(tmp_path, capsys):
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
     # the node at x1 index 16, x2 index 8: inside the residual margin
-    _nudge_field(out, (16, 8), 1e-3)
+    _nudge_field(out, (8, 16), 1e-3)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert "interior residual max" in capsys.readouterr().err
@@ -1754,7 +1745,7 @@ def test_verify_recomputes_the_free_gradient(tmp_path, capsys):
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     # an interior node; a 1e-6 nudge moves the residual far less than residual_tol
-    _nudge_field(out, (16, 8), 1e-6)
+    _nudge_field(out, (8, 16), 1e-6)
     capsys.readouterr()
     assert main(["verify", "--verbose", str(out)]) == 5
     captured = capsys.readouterr()

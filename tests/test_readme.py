@@ -86,5 +86,5 @@ def test_artifact_list_names_the_recorded_artifacts(tmp_path):
         assert set(manifest["columns"]) == set(manifest["artifacts"])
         recorded |= {(command, re.sub(r"_\d+\.npy$", "_k.npy", name), _components_elided(columns))
                      for name, columns in manifest["columns"].items()}
-    assert len(rows) == len(listed) == 7
+    assert len(rows) == len(listed) == 8
     assert listed == recorded
