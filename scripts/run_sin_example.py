@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hetconn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,14 +27,16 @@ def run(out="runs/sin_example"):
     results = manifest["results"]
     print(f"energy        {results['energy']:.9f}")
     print(f"residual max  {results['residual_max']:.3e}")
-    print(f"polish        {results['polish_status']} after {results['polish_steps']} "
+    print(f"polish        {results['solver_status']} after {results['polish_steps']} "
           f"Newton steps ({results['polish_cg_products']} CG products), "
           f"free gradient max {results['polish_gmax']:.2e}")
     print(f"              on {results['polish_columns']} of "
           f"{manifest['config']['opts']['n_out']} x2 columns and "
           f"{results['polish_rows']} of {manifest['config']['m']} x1 rows")
-    print(f"end-column gaps  {results['x2_gap_minus_l2']:.2e} / "
-          f"{results['x2_gap_plus_l2']:.2e}")
+    # columns x2, gap_minus_l2, gap_plus_l2: the first column's gap to the
+    # minus well and the last one's to the plus well
+    gaps = np.load(Path(out) / "boundary_convergence.npy")
+    print(f"end-column gaps  {gaps[0, 1]:.2e} / {gaps[-1, 2]:.2e}")
     print(f"artifacts     {out}  (u.npy, x1.npy, boundary_convergence.npy)")
     return main(["verify", out])
 

@@ -25,7 +25,6 @@ from .counterexample import (
 from .double_connection import (
     DoubleConnectionResult,
     DoubleOptions,
-    DoubleReport,
     TranslationSpeedAudit,
     assemble_and_verify,
     audit_translation_speed,
@@ -39,7 +38,6 @@ from .function_space import (
     FunnelEntryError,
     FunnelProfile,
     GridFunction,
-    TranslationFit,
     funnel_profile,
     funnel_project,
     gauge_fix_translations,
@@ -99,7 +97,6 @@ __all__ = [
     "DivergentTailError",
     "DoubleConnectionResult",
     "DoubleOptions",
-    "DoubleReport",
     "EffectivePotentialSpace",
     "EuclideanSpace",
     "FunnelEntryError",
@@ -114,7 +111,6 @@ __all__ = [
     "SampledCurve",
     "SecondDifferenceReport",
     "SpectralReport",
-    "TranslationFit",
     "TranslationSpeedAudit",
     "UniformBoundsReport",
     "WeightedSpace",

@@ -95,7 +95,7 @@ EXIT_EQUIPARTITION = 5
 
 # configs and run manifests carry separate schema versions
 CONFIG_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 5
+MANIFEST_SCHEMA_VERSION = 6
 
 # glibc's mallopt parameters (malloc.h) and the values ``main`` sets
 M_TRIM_THRESHOLD = -1
@@ -565,12 +565,13 @@ def _signs(signs) -> list | None:
 def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
     """(results, tables, gates) of a double solve.
 
-    One ``assemble_and_verify`` gives the field audit and the limit gaps,
-    and ``polished_part`` the polished columns and rows and the two
+    One ``assemble_and_verify`` gives the field audit, and
+    ``polished_part`` the polished columns and rows and the two
     reflections.  The field u writes u.npy as it is, the space's grid
-    x1.npy and the end-column gaps ``boundary_convergence.npy``, whose x2
-    column is the x2 grid; an asym solve adds its shift track
-    m_track.npy, the track's total variation and the translation-speed
+    x1.npy and every column's gaps to the wells
+    ``boundary_convergence.npy``, whose x2 column is the x2 grid; an asym
+    solve adds its shift track m_track.npy, the track's limit shifts and
+    total variation (``shift_track_summary``) and the translation-speed
     audit.  The gates hold the x2 defect, the free gradient max, the
     interior residual and the energy two ways against their tolerances,
     and, for each axis polished on its half, the field's mirror at 0
@@ -596,10 +597,6 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
         "residual_max": report.residual_max,
         "residual_l2": report.residual_l2,
         "equip_defect": report.equip_defect,
-        "x2_gap_minus_l2": report.x2_gap_minus_l2,
-        "x2_gap_plus_l2": report.x2_gap_plus_l2,
-        "c_minus": result.c_minus,
-        "c_plus": result.c_plus,
         "k_length": report.k_length,
         "reduction_gap": report.reduction_gap,
         "solver_status": status,
@@ -610,13 +607,12 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
         "polish_steps": result.diagnostics["polish_steps"],
         # the whole field's, as verify recomputes it
         "polish_gmax": report.gmax,
-        "polish_status": status,
         "polish_cg_products": result.diagnostics["polish_cg_products"],
-        "window": float(x2[-1]),
     }
     if result.mode == "asym":
         speed = audit_translation_speed(result.m_track, report)
-        results["m_total_variation"] = shift_track_summary(result.m_track)[2]
+        results["c_minus"], results["c_plus"], results["m_total_variation"] = (
+            shift_track_summary(result.m_track))
         results["translation_speed_c_fit"] = speed.c_fit
         results["translation_speed_max_ratio"] = speed.max_ratio
         tables["m_track.npy"] = (["x2", "m"], np.column_stack([x2, result.m_track]))
@@ -749,7 +745,7 @@ def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
 # verify
 
 # the results that only the solver determines, which verify takes as recorded
-SOLVER_ONLY = ("solver_status", "polish_status", "polish_steps", "polish_cg_products")
+SOLVER_ONLY = ("solver_status", "polish_steps", "polish_cg_products")
 
 
 def _verify_connect(manifest: dict, tables: dict) -> tuple:
@@ -800,9 +796,8 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
     with them rejects a field on other grids.  The
     effective space is the config's shell on x1, its wells the field's end
     columns and its reference the 1D action of the last.  An asym run's
-    shift track is m_track.npy's, its c- and c+ from
-    ``shift_track_summary``.  The Newton-CG's status and counts are taken
-    as recorded.
+    shift track is m_track.npy's.  The Newton-CG's status (``solver_status``)
+    and counts are taken as recorded.
     """
     mode, _, _, x1, x2, _, shell = _double_setup(manifest["config"])
     if manifest["mode"] != mode:
@@ -814,14 +809,12 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
                        f"and the config's is {(x2.size, x1.size, space.n_components)}")
     space.z_minus, space.z_plus = space.grid_function(u[0]), space.grid_function(u[-1])
     space.ref_value = float(space.energy_1d(u[-1])[0])
-    m_track, c_minus, c_plus = None, 0.0, 0.0
-    if mode == "asym":
-        m_track = tables["m_track.npy"][:, 1]
-        c_minus, c_plus, _ = shift_track_summary(m_track)
+    m_track = tables["m_track.npy"][:, 1] if mode == "asym" else None
     recorded = manifest["results"]
-    diagnostics = {key: recorded[key]
-                   for key in ("polish_status", "polish_steps", "polish_cg_products")}
-    result = DoubleConnectionResult(space, mode, u, x2, c_minus, c_plus, m_track, diagnostics)
+    diagnostics = {"polish_status": recorded["solver_status"],
+                   "polish_steps": recorded["polish_steps"],
+                   "polish_cg_products": recorded["polish_cg_products"]}
+    result = DoubleConnectionResult(space, mode, u, x2, m_track, diagnostics)
     return _double_results(result, manifest["tolerances"])
 
 

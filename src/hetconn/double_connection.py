@@ -81,8 +81,6 @@ class DoubleConnectionResult:
     mode: str
     u: np.ndarray            # (P, M, n): the x2 columns, a C-ordered profile stack
     x2: np.ndarray           # (P,)
-    c_minus: float
-    c_plus: float
     m_track: np.ndarray | None
     diagnostics: dict
 
@@ -304,22 +302,17 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         "polish_status": polish.status,
     }
     m_track = None
-    c_minus = c_plus = 0.0
     if mode == "asym":
         span = float(space.grid[-1] - space.grid[0])
-        m_track = optimal_translation(
-            half, space.z_minus, space.z_plus, m_max=0.25 * span, n_scan=129
-        ).shift
+        m_track = optimal_translation(half, space.z_minus, space.z_plus,
+                                      m_max=0.25 * span, n_scan=129)
         if sigma is not None:
             m_track = np.concatenate([m_track[:0:-1], m_track])
-        c_minus, c_plus, _ = shift_track_summary(m_track)
     return DoubleConnectionResult(
         space=space,
         mode=mode,
         u=u,
         x2=x2,
-        c_minus=c_minus,
-        c_plus=c_plus,
         m_track=m_track,
         diagnostics=diagnostics,
     )
@@ -342,7 +335,7 @@ def solve_asymmetric(space: EffectivePotentialSpace, opts: DoubleOptions | None 
     Translations act only on whole-line profiles, so the space must have
     ``bc`` "tails".  The pipeline is the symmetric one without the x1
     reflection; the per-column optimal shift m(x2) is tracked on the final
-    field, and its end averages estimate the limit shifts c-, c+.
+    field (``shift_track_summary`` reads its limit shifts c-, c+).
     """
     if space.bc != "tails":
         raise ValueError(f"asymmetric solve needs a whole-line space, not bc {space.bc!r}")
@@ -390,12 +383,6 @@ class FieldAudit:
     reduction_gap: float
     mid_potential: np.ndarray   # (P-1,): effective potential at the x2 midpoints
     step2: np.ndarray           # (P-1,): squared L2 lengths of the x2 steps
-
-
-@dataclass(frozen=True)
-class DoubleReport(FieldAudit):
-    x2_gap_minus_l2: float
-    x2_gap_plus_l2: float
 
 
 def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
@@ -458,26 +445,10 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
 
 
 def assemble_and_verify(result: DoubleConnectionResult,
-                        margin: int = RESIDUAL_MARGIN) -> DoubleReport:
-    """The field audit of a solve and its limit gaps.
-
-    The residual, energies, free gradient max, x2 defect and K-length come
-    from one ``field_audit``.  Limit gaps compare the end columns against
-    the stored well profiles, shifted by the tracked limits in the
-    asymmetric mode.
-    """
-    space = result.space
-    u = result.u
-    audit = field_audit(space, u, x2_step(result.x2), margin)
-    zm, zp = space.z_minus, space.z_plus
-    if result.mode == "asym":
-        zm = zm.translate(result.c_minus)
-        zp = zp.translate(result.c_plus)
-    return DoubleReport(
-        **vars(audit),
-        x2_gap_minus_l2=float(space.grid_function(u[0]).distance_l2(zm)),
-        x2_gap_plus_l2=float(space.grid_function(u[-1]).distance_l2(zp)),
-    )
+                        margin: int = RESIDUAL_MARGIN) -> FieldAudit:
+    """The ``field_audit`` of a solve's field on its x2 grid, under the one
+    name that the benchmark's layer trace times (``perfbench/tracing.py``)."""
+    return field_audit(result.space, result.u, x2_step(result.x2), margin)
 
 
 # ---------------------------------------------------------------------------

@@ -401,15 +401,6 @@ def translation_objective(values, z: GridFunction, shifts):
     return F, dF, d2F
 
 
-class TranslationFit(NamedTuple):
-    """Per-profile fits of a stack; every field has shape (k,)."""
-
-    shift: np.ndarray
-    which: np.ndarray     # -1 for the first template, +1 for the second
-    misfit: np.ndarray    # squared L2 distance at the optimum
-    unique: np.ndarray
-
-
 # The Gram screen's rounding bound E = SCREEN_BOUND (N + 8) eps (sqrt a +
 # sqrt c)^2 between G = a - 2 x + c and the exact kernel's computed misfit V^,
 # where a = |v|^2, c = |z_m|^2 and x = (v, z_m), weighted, are dot products of
@@ -428,8 +419,8 @@ SCREEN_BOUND = 2.0
 
 
 def _screened_scan(stack: np.ndarray, z: GridFunction, m_grid: np.ndarray):
-    """Row argmins of translation_misfits(stack, z, m_grid), and a lower bound
-    of every one of its entries, from few exact misfits.
+    """Row argmins of translation_misfits(stack, z, m_grid), from few exact
+    misfits.
 
     The Gram form G = a - 2 x + c of every misfit takes one matmul for the
     whole scan; it is within E (SCREEN_BOUND) of the exact kernel's bits.  A
@@ -437,8 +428,7 @@ def _screened_scan(stack: np.ndarray, z: GridFunction, m_grid: np.ndarray):
     that row's best, so the exact kernel runs only on the other shifts,
     grouped by shift, and np.argmin over those finds the first minimum of
     the whole exact row.  Rows whose screen or candidate misfits are not all
-    finite are scanned exactly in full.  Returns (argmins, (k, shifts)
-    lower bounds: G - E, or the exact misfits of a full row).
+    finite are scanned exactly in full.
     """
     k, n_shifts, n_terms = stack.shape[0], m_grid.size, z.m * z.n_components
     shifted = _translate_values(z, m_grid)
@@ -467,15 +457,8 @@ def _screened_scan(stack: np.ndarray, z: GridFunction, m_grid: np.ndarray):
     settled &= np.all(np.isfinite(exact) | ~cand, axis=1)
     doubt = np.flatnonzero(~settled)
     if doubt.size:
-        exact[doubt] = lower[doubt] = translation_misfits(stack[doubt], z, m_grid)
-    return np.argmin(exact, axis=1), lower
-
-
-def _far_interior(m_grid: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """Interior scan shifts more than two grid steps from each argmin m_grid[i],
-    shape (len(i), len(m_grid) - 2)."""
-    step = float(m_grid[1] - m_grid[0])
-    return np.abs(m_grid[None, 1:-1] - m_grid[i][:, None]) > 2 * step
+        exact[doubt] = translation_misfits(stack[doubt], z, m_grid)
+    return np.argmin(exact, axis=1)
 
 
 def _scan_and_polish(values: np.ndarray, z: GridFunction, m_grid: np.ndarray,
@@ -486,11 +469,9 @@ def _scan_and_polish(values: np.ndarray, z: GridFunction, m_grid: np.ndarray,
     every profile whose curvature is positive and whose step is still above
     1e-14, all such profiles together; a profile's misfit is its last
     Newton evaluation unless its last step moved it.  Returns (shifts,
-    misfits, scan argmins, and a lower bound of the misfits at the scan's
-    interior shifts more than two grid steps from the argmin), each (k,).
+    misfits), each (k,).
     """
-    i, floor = _screened_scan(values, z, m_grid)
-    m = m_grid[i]
+    m = m_grid[_screened_scan(values, z, m_grid)]
     halfstep = float(m_grid[1] - m_grid[0])
     F = np.empty(m.size)
     live = np.ones(m.size, dtype=bool)
@@ -508,9 +489,7 @@ def _scan_and_polish(values: np.ndarray, z: GridFunction, m_grid: np.ndarray,
     idx = np.flatnonzero(live)
     if idx.size:
         F[idx] = translation_objective(values[idx], z, m[idx])[0]
-    far = _far_interior(m_grid, i)
-    low = np.min(np.where(far, floor[:, 1:-1], np.inf), axis=1, initial=np.inf)
-    return m, F, i, low
+    return m, F
 
 
 def optimal_translation(
@@ -519,20 +498,18 @@ def optimal_translation(
     z_plus: GridFunction,
     m_max: float | None = None,
     n_scan: int = 0,
-    unique_margin: float = 1e-6,
-) -> TranslationFit:
-    """Best translate of either template in L2 for every profile of a stack.
+) -> np.ndarray:
+    """Best shift of either template in L2 for every profile of a stack, (k,).
 
     ``values`` is reshapeable to (k, m, n) on the templates' grid; a single
     profile is a stack of one.  Coarse scan plus Newton, each template's
-    scan translates interpolated once for the whole stack.  The scan
-    bracket defaults to the grid span (the misfit is coercive in the shift,
-    growing like the well gap times sqrt |m|, so optima beyond the span are
-    not competitive for profiles supported in the window).  ``unique`` is
-    False when a second scan minimum comes within ``unique_margin`` of the
-    best, or when the two templates tie.  Every field has the bits of the
-    exhaustive scan: the Gram screen only decides where exact misfits are
-    needed.
+    scan translates interpolated once for the whole stack; each profile
+    takes the shift of the template it fits better, the first on a tie.
+    The scan bracket defaults to the grid span (the misfit is coercive in
+    the shift, growing like the well gap times sqrt |m|, so optima beyond
+    the span are not competitive for profiles supported in the window).
+    The shifts have the bits of the exhaustive scan: the Gram screen only
+    decides where exact misfits are needed.
     """
     v = _profile_stack(values, z_minus)
     span = float(z_minus.s[-1] - z_minus.s[0])
@@ -541,33 +518,9 @@ def optimal_translation(
     if n_scan <= 0:
         n_scan = max(2 * z_minus.m + 1, 129)
     m_grid = np.linspace(-m_max, m_max, n_scan)
-    m_m, f_m, i_m, low_m = _scan_and_polish(v, z_minus, m_grid)
-    m_p, f_p, i_p, low_p = _scan_and_polish(v, z_plus, m_grid)
-    first = f_m <= f_p
-    f = np.where(first, f_m, f_p)
-    other = np.where(first, f_p, f_m)
-    bar = unique_margin * np.maximum(1.0, f)
-    # unique is min(second, other) - f > bar, with second the chosen
-    # template's best far interior scan minimum (a local minimum of its
-    # scan).  Where the screen's lower bound of second clears the bar,
-    # second does too; where other - f does not, nothing does.  Only the
-    # other profiles take second from their exact scan rows.
-    second = np.where(first, low_m, low_p)
-    doubt = ~(second - f > bar) & (other - f > bar)
-    for z, i, mine in ((z_minus, i_m, first), (z_plus, i_p, ~first)):
-        rows = np.flatnonzero(doubt & mine)
-        if rows.size:
-            vals = translation_misfits(v[rows], z, m_grid)
-            inner = vals[:, 1:-1]
-            loc = (inner <= vals[:, :-2]) & (inner <= vals[:, 2:])
-            far = loc & _far_interior(m_grid, i[rows])
-            second[rows] = np.min(np.where(far, inner, np.inf), axis=1, initial=np.inf)
-    return TranslationFit(
-        shift=np.where(first, m_m, m_p),
-        which=np.where(first, -1, 1),
-        misfit=f,
-        unique=np.minimum(second, other) - f > bar,
-    )
+    m_m, f_m = _scan_and_polish(v, z_minus, m_grid)
+    m_p, f_p = _scan_and_polish(v, z_plus, m_grid)
+    return np.where(f_m <= f_p, m_m, m_p)
 
 
 def gauge_fix_translations(nodes: list[GridFunction],

@@ -79,7 +79,7 @@ def test_connect_run_and_verify(tmp_path):
     for name in (*CONNECT_ARTIFACTS, "manifest.json"):
         assert (tmp_path / "run" / name).exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["schema_version"] == 5
+    assert manifest["schema_version"] == 6
     assert manifest["kind"] == "connect"
     assert manifest["results"]["action"] == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert manifest["results"]["dk_value"] == pytest.approx(4.0 / 3.0, abs=1e-3)
@@ -1091,11 +1091,6 @@ def test_verify_recomputes_every_counterexample_result(tmp_path, capsys, small_r
 
 # a recorded result or table entry of a small run, and its edit
 RECORD_EDITS = {
-    "sin-window": ("sin", ("window",), lambda value: 2.0 * value),
-    "sin-x2_gap_minus_l2": ("sin", ("x2_gap_minus_l2",), _nudged),
-    "sin-x2_gap_plus_l2": ("sin", ("x2_gap_plus_l2",), _nudged),
-    "planar_sym-c_minus": ("planar_sym", ("c_minus",), _nudged),
-    "planar_sym-c_plus": ("planar_sym", ("c_plus",), _nudged),
     "sin-boundary_convergence.npy": ("sin", "boundary_convergence.npy", _nudged),
     "connect-legs.0.window": ("connect", ("legs", 0, "window"), lambda value: 2.0 * value),
     "two_leg-legs.1.window": ("two_leg", ("legs", 1, "window"), _nudged),
@@ -1117,14 +1112,17 @@ def test_verify_recomputes_the_window_gaps_and_limits(tmp_path, capsys, small_ru
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["extra", "missing"])
+@pytest.mark.parametrize("edit", ["extra", "missing", "sym_c_minus"])
 def test_verify_rejects_results_of_other_keys(tmp_path, capsys, small_runs, edit):
-    # a recorded result that verify does not recompute is refused, as is a missing one
+    # a recorded result that verify does not recompute is refused, as is a
+    # missing one; a sym run has no shift track, so no limit shift either
     out = _copied_run(tmp_path, small_runs, "sin")
     mpath = out / "manifest.json"
     manifest = json.loads(mpath.read_text())
     if edit == "extra":
         manifest["results"]["energy_limit"] = 2.55
+    elif edit == "sym_c_minus":
+        manifest["results"]["c_minus"] = 0.0
     else:
         del manifest["results"]["k_length"]
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -1256,7 +1254,8 @@ def test_double_sin_run_and_verify(tmp_path):
         assert (tmp_path / "dbl" / name).exists()
     manifest = json.loads((tmp_path / "dbl" / "manifest.json").read_text())
     assert manifest["kind"] == "double"
-    assert manifest["results"]["c_minus"] == 0.0
+    # a sym solve tracks no shift, so it records no limit shifts
+    assert not {"c_minus", "c_plus"} & set(manifest["results"])
     assert main(["verify", out]) == 0
 
 
@@ -1662,8 +1661,8 @@ def test_double_manifest_always_records_the_polish(tmp_path):
     assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", out]) == 0
     manifest = json.loads((tmp_path / "dbl" / "manifest.json").read_text())
     results = manifest["results"]
-    assert {"polish_steps", "polish_gmax", "polish_status", "polish_cg_products"} <= set(results)
-    assert results["polish_status"] == results["solver_status"] == "converged"
+    assert {"polish_steps", "polish_gmax", "solver_status", "polish_cg_products"} <= set(results)
+    assert results["solver_status"] == "converged"
     assert results["polish_cg_products"] >= results["polish_steps"] > 0
     assert results["polish_gmax"] <= manifest["tolerances"]["polish_gtol"]
     # the geodesic certificate: the field's columns as a profile path
@@ -1676,7 +1675,7 @@ def test_polish_over_its_tolerance_fails_run_and_verify(tmp_path, monkeypatch):
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, SIN_CFG), "--out", str(out)]) == 5
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["results"]["polish_status"] == "max_iters"
+    assert manifest["results"]["solver_status"] == "max_iters"
     assert manifest["results"]["polish_gmax"] > manifest["tolerances"]["polish_gtol"]
     assert set(manifest["artifacts"]) == {"u.npy", "x1.npy", "boundary_convergence.npy"}
     assert main(["verify", str(out)]) == 5

@@ -229,19 +229,9 @@ def test_optimal_translation_recovers_shift():
     z_minus = tanh_gf()
     z_plus = z_minus.with_values(-z_minus.values)
     v = z_minus.translate(0.7374)
-    fit = optimal_translation(v.values, z_minus, z_plus)
-    assert fit.which == -1
-    assert fit.shift == pytest.approx(0.7374, abs=1e-3)
-    assert fit.misfit < 1e-4
-    assert fit.unique
-
-
-def test_optimal_translation_flags_tie():
-    z_minus = tanh_gf()
-    z_plus = z_minus.with_values(-z_minus.values)
-    flat = z_minus.with_values(np.zeros_like(z_minus.values))
-    fit = optimal_translation(flat.values, z_minus, z_plus)
-    assert not fit.unique
+    shift = optimal_translation(v.values, z_minus, z_plus)
+    assert shift.shape == (1,)
+    assert shift[0] == pytest.approx(0.7374, abs=1e-3)
 
 
 def _misfit_by_translate(v, z, shift):
@@ -278,15 +268,15 @@ def test_batched_misfits_equal_per_shift_translates(n_components):
         assert np.array_equal(row, [_misfit_by_translate(p, z, m) for m in shifts])
 
 
-def _exhaustive_fit(values, z_minus, z_plus, m_max=None, n_scan=0, unique_margin=1e-6):
+def _exhaustive_fit(values, z_minus, z_plus, m_max=None, n_scan=0):
     """optimal_translation without the Gram screen, profile by profile:
     translation_misfits over every scan shift, then the same Newton polish
-    and uniqueness verdict."""
+    and choice of template."""
     m_max = float(z_minus.s[-1] - z_minus.s[0]) if m_max is None else m_max
     n_scan = n_scan if n_scan > 0 else max(2 * z_minus.m + 1, 129)
     m_grid = np.linspace(-m_max, m_max, n_scan)
     step = m_grid[1] - m_grid[0]
-    rows = []
+    shifts = []
     for v in np.asarray(values, dtype=float).reshape(-1, z_minus.m, z_minus.n_components):
         per_template = []
         for z in (z_minus, z_plus):
@@ -301,17 +291,10 @@ def _exhaustive_fit(values, z_minus, z_plus, m_max=None, n_scan=0, unique_margin
                 if np.abs(s) < 1e-14:
                     break
                 m += s
-            loc = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
-            far = loc[np.abs(m_grid[loc] - m_grid[i]) > 2 * step]
-            f = translation_objective(v, z, [m])[0][0]
-            per_template.append((m, f, np.min(vals[far], initial=np.inf)))
-        (m_m, f_m, second_m), (m_p, f_p, second_p) = per_template
-        if f_m <= f_p:
-            m, which, f, second = m_m, -1, f_m, np.minimum(second_m, f_p)
-        else:
-            m, which, f, second = m_p, 1, f_p, np.minimum(second_p, f_m)
-        rows.append((m, which, f, second - f > unique_margin * np.maximum(1.0, f)))
-    return [np.array(column) for column in zip(*rows)]
+            per_template.append((m, translation_objective(v, z, [m])[0][0]))
+        (m_m, f_m), (m_p, f_p) = per_template
+        shifts.append(m_m if f_m <= f_p else m_p)
+    return np.array(shifts)
 
 
 def _bump_gf(values):
@@ -333,11 +316,11 @@ def _two_bumps(delta):
 # each: (templates, stack, optimal_translation keywords, whether some scan
 # row must be exact in full)
 SCREEN_CASES = {
-    # a lower bound within the margin of the best cannot settle uniqueness;
-    # delta 0 ties the two minima to rounding, so both are candidates
+    # minima within rounding of each other are both candidates, and delta 0
+    # ties them to rounding: the first is the exact row's argmin
     "two_far_minima": (
         "bump", np.stack([_two_bumps(d) for d in (1e-8, 0.0, -1e-8, 1e-2)]),
-        dict(m_max=4.0, n_scan=129), True),
+        dict(m_max=4.0, n_scan=129), False),
     "all_nan": ("tanh", np.full((1, S.size, 1), np.nan), {}, True),
     "nan_among_finite": (
         "tanh", np.stack([tanh_gf(0.4).values, np.full((S.size, 1), np.nan),
@@ -367,22 +350,19 @@ def test_screened_fit_is_the_exhaustive_scan_bitwise(monkeypatch, case):
 
     monkeypatch.setattr(function_space, "translation_misfits", spy)
     with np.errstate(invalid="ignore"):
-        fit = optimal_translation(stack, z_minus, z_plus, **kwargs)
+        shift = optimal_translation(stack, z_minus, z_plus, **kwargs)
         monkeypatch.undo()
         ref = _exhaustive_fit(stack, z_minus, z_plus, **kwargs)
-    for got, want in zip(fit, ref):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want, equal_nan=True)
+    assert shift.dtype == ref.dtype
+    assert np.array_equal(shift, ref, equal_nan=True)
     n_scan = kwargs.get("n_scan", 2 * S.size + 1)
     assert (n_scan in scanned) == full_rows
-    if case == "two_far_minima":
-        assert list(fit.unique) == [False, False, False, True]
 
 
 def test_optimal_translation_of_an_empty_stack():
     z = tanh_gf()
-    fit = optimal_translation(np.empty((0, S.size, 1)), z, z.with_values(-z.values))
-    assert all(np.shape(f) == (0,) for f in fit)
+    shift = optimal_translation(np.empty((0, S.size, 1)), z, z.with_values(-z.values))
+    assert shift.shape == (0,)
 
 
 @pytest.mark.parametrize("newton_iters", [0, 1, 2, 12])
@@ -393,8 +373,8 @@ def test_polished_misfit_is_the_misfit_at_the_returned_shift(newton_iters):
     rng = np.random.default_rng(5)
     stack = np.stack([tanh_gf(s).values + 0.1 * rng.standard_normal((S.size, 1))
                       for s in (-1.3, 0.2, 2.9)])
-    m, misfit, _, _ = function_space._scan_and_polish(stack, z, np.linspace(-4.0, 4.0, 129),
-                                                      newton_iters)
+    m, misfit = function_space._scan_and_polish(stack, z, np.linspace(-4.0, 4.0, 129),
+                                                newton_iters)
     assert np.array_equal(misfit, translation_objective(stack, z, m)[0])
 
 

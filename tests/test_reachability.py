@@ -24,6 +24,7 @@ UNREACHED = {
     "counterexample.CounterexampleWeight.f": "the gradient test's finite-difference reference",
     "counterexample.dense_polyline_length": TRACED,
     "function_space.GridFunction.with_values": WITH_VALUES,
+    "function_space.GridFunction.translate": "reached only through gauge_fix_translations",
     "function_space.FunnelProfile.__post_init__": FUNNEL,
     "function_space.FunnelProfile.alpha": FUNNEL,
     "function_space.FunnelProfile.amplitude": FUNNEL,
