@@ -71,14 +71,8 @@ from .double_connection import (
 )
 from .function_space import signed_flip
 from .geodesic import minimize_k_length
-from .heteroclinic import (
-    ConnectionResult,
-    equipartition,
-    line_connection,
-    line_legs,
-    verify_connection,
-)
-from .metric import SampledCurve, k_length, midpoints, segment_k_lengths
+from .heteroclinic import connection_on, line_connection, line_legs, verify_connection
+from .metric import SampledCurve, k_length, segment_k_lengths
 from .potentials import (
     double_well,
     make_weight,
@@ -86,7 +80,6 @@ from .potentials import (
     refine_wells,
     triple_well,
 )
-from .regularity import second_difference_bound, uniform_bounds_audit
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -95,7 +88,7 @@ EXIT_EQUIPARTITION = 5
 
 # configs and run manifests carry separate schema versions
 CONFIG_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 6
+MANIFEST_SCHEMA_VERSION = 7
 
 # glibc's mallopt parameters (malloc.h) and the values ``main`` sets
 M_TRIM_THRESHOLD = -1
@@ -303,9 +296,12 @@ def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
 
     ValueError unless it is a C-ordered little-endian float64 array of
     ``ndim`` dimensions whose last axis has one entry per name in
-    ``columns``.
+    ``columns``, and not an ``.npz`` archive of arrays.
     """
     table = np.load(path, allow_pickle=False)
+    if not isinstance(table, np.ndarray):
+        table.close()
+        raise ValueError(f"{path} is an .npz archive, not one .npy table")
     if table.dtype != np.dtype("<f8") or table.ndim != ndim:
         layout = "(P, M, n)" if ndim == 3 else "(rows, columns)"
         raise ValueError(f"{path} holds a {table.dtype} array of shape {table.shape}, "
@@ -324,8 +320,7 @@ def _read_table(path, columns, ndim: int = 2) -> np.ndarray:
 # the settable keys of a connect config, per dimension: on the line every
 # path passes through the wells between the ends, so only dimension 2 and up
 # reads via points; and of its reparam object
-CONNECT_KEYS = {1: {"schema_version", "potential", "wells", "refine_wells", "reparam",
-                    "defect_tol"}}
+CONNECT_KEYS = {1: {"schema_version", "potential", "wells", "reparam", "defect_tol"}}
 CONNECT_KEYS[2] = CONNECT_KEYS[1] | {"via_points"}
 REPARAM_KEYS = {"n_samples", "t_max"}
 
@@ -345,90 +340,54 @@ def _within(gates, verbose: bool) -> bool:
     return ok
 
 
-def _leg_audits(conn: ConnectionResult, p, wspace):
-    """(report, audit row, defect table) of one connect leg.
-
-    ``report`` is ``verify_connection``'s; the row holds the Euler-Lagrange
-    residual (NaN if there is none), the two sides of the second-difference
-    audit, the largest speed and W, and the audit's constant C(lambda); the
-    table holds each segment's time midpoint and equipartition defect.
-    """
-    curve = conn.curve
-    report = verify_connection(conn, potential=p, wspace=wspace)
-    sd = second_difference_bound(curve, p.hessian_lower_bound)
-    bounds = uniform_bounds_audit(curve, wspace)
-    residual = math.nan if report.el_residual is None else report.el_residual
-    mids = 0.5 * (curve.times[:-1] + curve.times[1:])
-    return (report, (residual, sd.lhs, sd.rhs, bounds.max_speed, bounds.max_w, sd.c_constant),
-            np.column_stack([mids, bounds.equip_profile]))
-
-
-def _audit_results(audits) -> dict:
-    """A chain's audit results from its legs' audit rows (``_leg_audits``):
-    NaN-propagating maxima and sums over the legs."""
-    residual, _, _, max_speed, max_w, c_constant = np.max(audits, axis=0).tolist()
-    _, sd_lhs, sd_rhs, _, _, _ = np.sum(audits, axis=0).tolist()
-    return {
-        "el_residual": residual,
-        "second_difference_lhs": sd_lhs,
-        "second_difference_rhs": sd_rhs,
-        # C(lambda) = max(1, 4 |lambda|) stands in for the constant of the
-        # semiconvexity argument, so the audit's lhs <= rhs gates nothing
-        "second_difference_constant": c_constant,
-        # the fitted constant of the whole chain: lhs over the summed kinetic terms
-        "second_difference_c_fitted": c_constant * sd_lhs / sd_rhs if sd_rhs else 0.0,
-        "max_speed": max_speed,
-        "max_w": max_w,
-    }
-
-
 def _connect_setup(cfg: dict) -> tuple:
     """(potential, weighted space, leg ends, n_samples, t_max, via points,
-    defect_tol) of a connect config; ConfigError if malformed.
+    tolerances) of a connect config; ConfigError if malformed.
 
-    The leg ends are each leg's (x_minus, x_plus) in the order of travel:
-    on the line one leg per pair of adjacent wells from the first end to
-    the second (``line_legs``), in higher dimensions the two ends.
+    The wells are refined (``refine_wells``), which merges guesses that
+    converge to one well.  The leg ends are each leg's (x_minus, x_plus) in
+    the order of travel: on the line one leg per pair of adjacent wells
+    from the first end to the second (``line_legs``), in higher dimensions
+    the two ends.
     """
     p = _build_potential(_require(cfg, "potential"))
     _known_keys(cfg, CONNECT_KEYS[min(p.dim, 2)], f"dimension-{p.dim} connect config")
-    defect_tol = _positive(cfg, "defect_tol", 1e-3)
+    tolerances = {"defect_tol": _positive(cfg, "defect_tol", 1e-3)}
     wells = _points(_require(cfg, "wells"), p.dim, "wells")
     if len(wells) != 2:
         raise ConfigError("config field 'wells' must list exactly two points")
-    refine = cfg.get("refine_wells", True)
-    if not isinstance(refine, bool):
-        raise ConfigError(f"config field 'refine_wells' must be true or false, got {refine!r}")
     rep_cfg = _section(cfg, "reparam", REPARAM_KEYS)
     n_samples = _integer(rep_cfg, "n_samples", 2001, 3, "reparam.")
     t_max = _positive(rep_cfg, "t_max", 10.0, "reparam.")
     via_points = _points(cfg.get("via_points", []), p.dim, "via_points")
-    if refine:
-        # refinement merges guesses that converge to one well
-        wells = list(refine_wells(p, wells))
-    if len(wells) != 2 or np.array_equal(wells[0], wells[1]):
+    wells = refine_wells(p, wells)
+    if len(wells) != 2:
         raise ConfigError("config field 'wells' holds two guesses of the same well")
     ends = line_legs(wells[0], wells[1], p.wells) if p.dim == 1 else [tuple(wells)]
-    return p, make_weight(p), ends, n_samples, t_max, via_points, defect_tol
+    return p, make_weight(p), ends, n_samples, t_max, via_points, tolerances
 
 
 def _connect_results(conns, p, wspace, tolerances: dict) -> tuple:
     """(results, tables, gates) of a chain of connect legs.
 
-    Leg k (from 1) writes curve_k.npy and its defect table plot_defect_k.npy
-    (``_leg_audits``), and ``results.legs`` holds its ends, action, d_K,
-    action gap, equipartition defect, window and curve.  The chain's
-    defect is the largest leg's, its action, d_K and gap the sums over the
-    legs, and its audits ``_audit_results``.  Each leg's defect is gated by
-    ``defect_tol``.
+    Leg k (from 1) writes curve_k.npy and plot_defect_k.npy, each
+    segment's time midpoint and equipartition defect, and ``results.legs``
+    holds its ends, action, d_K, action gap, equipartition defect, window
+    and curve.  The action gap and the Euler-Lagrange residual are
+    ``verify_connection``'s.  The chain's defect and residual are the
+    largest leg's (NaN if any is; a leg with no residual reads NaN), its
+    action, d_K and gap the sums over the legs.  Each leg's defect is gated
+    by ``defect_tol``.
     """
     curve_columns = ["t", *(f"u{j + 1}" for j in range(p.dim))]
-    legs, tables, audits, gates = [], {}, [], []
+    legs, tables, residuals, gates = [], {}, [], []
     for k, conn in enumerate(conns, 1):
-        report, row, defects = _leg_audits(conn, p, wspace)
+        report = verify_connection(conn, potential=p, wspace=wspace)
+        times = conn.curve.times
         curve = f"curve_{k}.npy"
-        tables[curve] = (curve_columns, np.column_stack([conn.curve.times, conn.curve.nodes]))
-        tables[f"plot_defect_{k}.npy"] = (["t", "equipartition_defect"], defects)
+        tables[curve] = (curve_columns, np.column_stack([times, conn.curve.nodes]))
+        tables[f"plot_defect_{k}.npy"] = (["t", "equipartition_defect"], np.column_stack(
+            [0.5 * (times[:-1] + times[1:]), conn.defects]))
         legs.append({
             "x_minus": conn.x_minus.tolist(),
             "x_plus": conn.x_plus.tolist(),
@@ -439,7 +398,7 @@ def _connect_results(conns, p, wspace, tolerances: dict) -> tuple:
             "window": conn.window,
             "curve": curve,
         })
-        audits.append(row)
+        residuals.append(math.nan if report.el_residual is None else report.el_residual)
         gates.append((f"leg {k} equipartition defect", conn.equipartition_defect,
                       tolerances["defect_tol"]))
     results = {
@@ -448,7 +407,7 @@ def _connect_results(conns, p, wspace, tolerances: dict) -> tuple:
         "action_gap": float(np.sum([leg["action_gap"] for leg in legs])),
         "equipartition_defect": float(np.max([leg["equipartition_defect"] for leg in legs])),
         "solver_status": "converged",
-        **_audit_results(audits),
+        "el_residual": float(np.max(residuals)),
         "legs": legs,
     }
     return results, tables, gates
@@ -456,7 +415,7 @@ def _connect_results(conns, p, wspace, tolerances: dict) -> tuple:
 
 def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     start = _usage()
-    p, wspace, ends, n_samples, t_max, via_points, defect_tol = _connect_setup(cfg)
+    p, wspace, ends, n_samples, t_max, via_points, tolerances = _connect_setup(cfg)
     warnings = []
     if p.dim == 1:
         conns = [line_connection(wspace, a, b, n_samples, t_max) for a, b in ends]
@@ -467,7 +426,6 @@ def cmd_connect(cfg: dict, out_dir: str, verbose: bool) -> int:
     else:
         # raises RuntimeError, and the run exits 1, unless the relaxation converges
         conns = [minimize_k_length(p, a, b, n_samples, t_max, via_points) for a, b in ends]
-    tolerances = {"defect_tol": defect_tol}
     results, tables, gates = _connect_results(conns, p, wspace, tolerances)
     _write_run(out_dir, start, tables, kind="connect", config=cfg, tolerances=tolerances,
                results=results, warnings=warnings)
@@ -662,7 +620,8 @@ N_MAX = 20
 
 
 def _counterexample_setup(cfg: dict):
-    """(weight, radii, n_max) of a counterexample config; ConfigError if malformed.
+    """(weight, radii, n_max, tolerances) of a counterexample config;
+    ConfigError if malformed.
 
     ``radii`` must be a non-empty, strictly increasing list of finite
     numbers > 0, ``n_max`` an integer from 1 to ``N_MAX`` and ``g.p``
@@ -684,7 +643,8 @@ def _counterexample_setup(cfg: dict):
     n_max = _integer(cfg, "n_max", 12, 1)
     if n_max > N_MAX:
         raise ConfigError(f"config field 'n_max' must be at most {N_MAX}, got {n_max!r}")
-    return CounterexampleWeight(power=float(p)), tuple(float(r) for r in radii), n_max
+    tolerances = {"bound_slack": 1e-6, "candidate_tail_tol": 1e-2}
+    return CounterexampleWeight(power=float(p)), tuple(float(r) for r in radii), n_max, tolerances
 
 
 def _counterexample_results(w: CounterexampleWeight, report, tolerances: dict) -> tuple:
@@ -727,9 +687,8 @@ def _counterexample_results(w: CounterexampleWeight, report, tolerances: dict) -
 
 def cmd_counterexample(cfg: dict, out_dir: str, verbose: bool) -> int:
     start = _usage()
-    w, radii, n_max = _counterexample_setup(cfg)
+    w, radii, n_max, tolerances = _counterexample_setup(cfg)
     report = nonexistence_report(w, radii=radii, n_candidates=n_max)
-    tolerances = {"bound_slack": 1e-6, "candidate_tail_tol": 1e-2}
     results, tables, gates = _counterexample_results(w, report, tolerances)
     _write_run(out_dir, start, tables, kind="counterexample", config=cfg,
                tolerances=tolerances, results=results, warnings=[
@@ -749,18 +708,19 @@ SOLVER_ONLY = ("solver_status", "polish_steps", "polish_cg_products")
 
 
 def _verify_connect(manifest: dict, tables: dict) -> tuple:
-    """``_connect_results`` of the legs rebuilt from the config and curves.
+    """The config's tolerances and ``_connect_results`` of the legs rebuilt
+    from the config and curves.
 
     The leg ends come from the config as the run takes them
     (``_connect_setup``), each leg's nodes from its curve_k.npy, and its
     times are linspace(-T, T, reparam.n_samples), T the curve's last time
     (``Mismatch`` for another row count).  A gate holds T <= reparam.t_max
-    on the line and T = reparam.t_max above.  The action and defect are
-    recomputed with W = K^2 / 2 at the segment midpoints, and d_K as the
-    run takes it: on the line the integral of K between the leg's ends,
-    above the curve's midpoint K-length.
+    on the line and T = reparam.t_max above.  Each leg's record is
+    ``connection_on``'s, with d_K as the run takes it: on the line the
+    integral of K between the leg's ends, above the curve's midpoint
+    K-length.
     """
-    p, wspace, ends, n_samples, t_max, *_ = _connect_setup(manifest["config"])
+    p, wspace, ends, n_samples, t_max, _, tolerances = _connect_setup(manifest["config"])
     conns, windows = [], []
     for k, (a, b) in enumerate(ends, 1):
         name = f"curve_{k}.npy"
@@ -770,25 +730,21 @@ def _verify_connect(manifest: dict, tables: dict) -> tuple:
                            f"reparam.n_samples is {n_samples}")
         window = float(data[-1, 0])
         curve = SampledCurve(times=np.linspace(-window, window, n_samples), nodes=data[:, 1:])
-        kv = wspace.weight_at(midpoints(curve))
-        action, defects = equipartition(curve, wspace.space, 0.5 * kv * kv)
-        x_minus, x_plus = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
         if p.dim == 1:
-            dk = float(segment_k_lengths(wspace.weight_at, x_minus[None], x_plus[None],
+            dk = float(segment_k_lengths(wspace.weight_at, np.array([[a]]), np.array([[b]]),
                                          [[]])[0])
             windows.append((f"leg {k} window - reparam.t_max", window - t_max, 0.0))
         else:
             dk = k_length(curve, wspace, rule="midpoint")
             windows.append((f"leg {k} |window - reparam.t_max|", abs(window - t_max), 0.0))
-        conns.append(ConnectionResult(
-            curve=curve, x_minus=x_minus, x_plus=x_plus, action=action, dk_value=dk,
-            equipartition_defect=float(np.max(defects)), window=window))
-    results, returned, gates = _connect_results(conns, p, wspace, manifest["tolerances"])
-    return results, returned, gates + windows
+        conns.append(connection_on(curve, wspace, a, b, dk, window))
+    results, returned, gates = _connect_results(conns, p, wspace, tolerances)
+    return tolerances, results, returned, gates + windows
 
 
 def _verify_double(manifest: dict, tables: dict) -> tuple:
-    """``_double_results`` of the solve rebuilt from its field.
+    """The config's tolerances and ``_double_results`` of the solve rebuilt
+    from its field.
 
     The mode and the x1 and x2 grids come from the config as the run takes
     them (``_double_setup``; ``Mismatch`` for another mode or field shape),
@@ -799,7 +755,7 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
     shift track is m_track.npy's.  The Newton-CG's status (``solver_status``)
     and counts are taken as recorded.
     """
-    mode, _, _, x1, x2, _, shell = _double_setup(manifest["config"])
+    mode, tolerances, _, x1, x2, _, shell = _double_setup(manifest["config"])
     if manifest["mode"] != mode:
         raise Mismatch(f"the manifest's mode {manifest['mode']!r} is not the config's {mode!r}")
     u = tables[FIELD]
@@ -815,14 +771,15 @@ def _verify_double(manifest: dict, tables: dict) -> tuple:
                    "polish_steps": recorded["polish_steps"],
                    "polish_cg_products": recorded["polish_cg_products"]}
     result = DoubleConnectionResult(space, mode, u, x2, m_track, diagnostics)
-    return _double_results(result, manifest["tolerances"])
+    return (tolerances, *_double_results(result, tolerances))
 
 
 def _verify_counterexample(manifest: dict, tables: dict) -> tuple:
-    """``_counterexample_results`` of the report recomputed from the config."""
-    w, radii, n_max = _counterexample_setup(manifest["config"])
+    """The config's tolerances and ``_counterexample_results`` of the report
+    recomputed from the config."""
+    w, radii, n_max, tolerances = _counterexample_setup(manifest["config"])
     report = nonexistence_report(w, radii=radii, n_candidates=n_max)
-    return _counterexample_results(w, report, manifest["tolerances"])
+    return (tolerances, *_counterexample_results(w, report, tolerances))
 
 
 def _differences(recomputed, recorded, path: str) -> list:
@@ -863,19 +820,21 @@ def _table_differences(name: str, columns: list, table, recorded_columns: list,
 
 
 def _check(manifest: dict, tables: dict, rebuilt: tuple, verbose: bool) -> int:
-    """Compare a run's recorded results and tables with ``rebuilt``, its
-    results function's (results, tables, gates) of what verify rebuilt,
-    and gate the gates.
+    """Compare a run's recorded tolerances, results and tables with
+    ``rebuilt``, the config's tolerances and its results function's
+    (results, tables, gates) of what verify rebuilt, and gate the gates.
 
-    Every result but ``SOLVER_ONLY`` and every table must be the recorded
-    one bit for bit (each difference is printed to stderr), and the
-    artifacts must be the tables the function returns.
+    The tolerances, every result but ``SOLVER_ONLY`` and every table must
+    be the recorded ones bit for bit (each difference is printed to
+    stderr), and the artifacts must be the tables the function returns.
+    The gates read the config's tolerances, never the manifest's.
     """
-    results, returned, gates = rebuilt
+    tolerances, results, returned, gates = rebuilt
     if sorted(returned) != sorted(tables):
         raise ValueError(f"the artifacts {sorted(tables)} are not the tables "
                          f"{sorted(returned)} of the run")
-    differences = _differences(
+    differences = _differences(tolerances, manifest["tolerances"], "tolerances")
+    differences += _differences(
         {key: value for key, value in results.items() if key not in SOLVER_ONLY},
         {key: value for key, value in manifest["results"].items() if key not in SOLVER_ONLY},
         "results")

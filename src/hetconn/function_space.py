@@ -1060,14 +1060,14 @@ class NewtonResult(NamedTuple):
     value: float          # fun at the returned point
 
 
-def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None, weights=None):
+def truncated_cg(hessp, g, tol, psolve=None, weights=None):
     """Inexact Newton direction: CG on H p = -g from p = 0 (Nocedal-Wright Alg. 7.1).
 
     ``psolve``, if given, applies M^-1 for a symmetric positive definite
     preconditioner M, and the recursion is then Alg. 5.3's preconditioned
     CG; without it M is the identity.  Stops once the residual norm
     |H p + g|, weighted as sqrt(sum weights r^2) if ``weights`` is given,
-    is at most ``tol`` or after ``maxiter`` products.  On a
+    is at most ``tol`` or after ``CG_MAXITER`` products.  On a
     direction of nonpositive curvature it stops at once and returns the
     iterate so far, or the first direction -M^-1 g if there is none yet.
     Every returned step is a descent direction.  Returns (step, negative
@@ -1081,7 +1081,7 @@ def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None, weights=None):
     r = g.copy()
     d = -psolve(r)
     ry = -_dot(r, d)
-    for j in range(maxiter):
+    for j in range(CG_MAXITER):
         bd = hessp(d)
         curv = _dot(d, bd)
         if curv <= 0.0:
@@ -1100,7 +1100,7 @@ def truncated_cg(hessp, g, tol, maxiter=CG_MAXITER, psolve=None, weights=None):
         # M^-1 r is spent; free it before the next product
         del y
         ry = ry_next
-    return z, False, maxiter
+    return z, False, CG_MAXITER
 
 
 def pinned_newton_cg(fun, hessp_at, x0, parities, *, gtol, max_steps, precond=None):

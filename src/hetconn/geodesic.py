@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .function_space import EffectivePotentialSpace
-from .heteroclinic import ConnectionResult, equipartition
-from .metric import SampledCurve, interp_columns, k_length, midpoints
+from .heteroclinic import ConnectionResult, connection_on
+from .metric import SampledCurve, interp_columns, k_length
 from .potentials import Potential, make_weight
 
 
@@ -37,9 +37,8 @@ def minimize_k_length(p: Potential, x_minus, x_plus, n_samples: int, t_max: floa
 
     Seeds the polyline through ``via_points`` (``_seed_nodes``) and relaxes
     its discrete action with the end rows pinned; RuntimeError unless the
-    relaxation converges.  As in ``line_connection``, the action and the
-    equipartition defect come from ``equipartition`` with W = K^2 / 2 at the
-    segment midpoints; ``dk_value`` is the curve's midpoint K-length.
+    relaxation converges.  As in ``line_connection``, ``connection_on``
+    makes the record; ``dk_value`` is the curve's midpoint K-length.
     """
     x_minus, x_plus = (np.asarray(x, dtype=float).reshape(-1) for x in (x_minus, x_plus))
     times = np.linspace(-t_max, t_max, n_samples)
@@ -48,14 +47,5 @@ def minimize_k_length(p: Potential, x_minus, x_plus, n_samples: int, t_max: floa
     nodes, _ = space.relax_profile(_seed_nodes(x_minus, x_plus, via_points, times))
     curve = SampledCurve(times=times, nodes=nodes)
     wspace = make_weight(p)
-    k_mid = wspace.weight_at(midpoints(curve))
-    action, defects = equipartition(curve, wspace.space, 0.5 * k_mid * k_mid)
-    return ConnectionResult(
-        curve=curve,
-        x_minus=x_minus.copy(),
-        x_plus=x_plus.copy(),
-        action=action,
-        dk_value=k_length(curve, wspace, rule="midpoint"),
-        equipartition_defect=float(np.max(defects)),
-        window=float(t_max),
-    )
+    return connection_on(curve, wspace, x_minus, x_plus,
+                         k_length(curve, wspace, rule="midpoint"), float(t_max))

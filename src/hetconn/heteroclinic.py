@@ -58,15 +58,35 @@ def equipartition(curve: SampledCurve, space: AmbientSpace, w_mid: np.ndarray):
 
 @dataclass(frozen=True)
 class ConnectionResult:
-    """A connection sampled on a symmetric window [-T, T]."""
+    """A connection sampled on a symmetric window [-T, T], with the
+    equipartition defect of each of its segments."""
 
     curve: SampledCurve
     x_minus: np.ndarray
     x_plus: np.ndarray
     action: float
     dk_value: float
-    equipartition_defect: float
+    defects: np.ndarray
     window: float
+
+    @property
+    def equipartition_defect(self) -> float:
+        """The largest segment defect (NaN if any is)."""
+        return float(np.max(self.defects))
+
+
+def connection_on(curve: SampledCurve, wspace: WeightedSpace, x_minus, x_plus, dk: float,
+                  window: float) -> ConnectionResult:
+    """The connection from x_minus to x_plus sampled as ``curve``, with d_K ``dk``.
+
+    Its action and segment defects come from one ``equipartition`` call with
+    W = K^2 / 2 at the segment midpoints, K evaluated there once.
+    """
+    k_mid = wspace.weight_at(midpoints(curve))
+    action, defects = equipartition(curve, wspace.space, 0.5 * k_mid * k_mid)
+    return ConnectionResult(curve=curve, x_minus=np.array(x_minus, dtype=float, ndmin=1),
+                            x_plus=np.array(x_plus, dtype=float, ndmin=1), action=action,
+                            dk_value=dk, defects=defects, window=window)
 
 
 # The time map is integrated on a graded grid of the polyline parameter s in
@@ -133,7 +153,8 @@ def _equipartition_along(nodes, wspace: WeightedSpace, n_samples: int,
     starts Newton steps whose t is integrated afresh from the grid node below
     by the same rule, until no step moves a sample by more than a few ulps.
     Near a well the rule sees K through the rounding of the points, which
-    limits t's accuracy there to what that rounding moves them by.
+    limits t's accuracy there to what that rounding moves them by.  The
+    record is ``connection_on``'s.
     """
     space = wspace.space
     if not isinstance(space, EuclideanSpace):
@@ -198,17 +219,7 @@ def _equipartition_along(nodes, wspace: WeightedSpace, n_samples: int,
     s = _newton(lambda s: t_grid[i] + time_between(grid[i], s, seg[i]) - times,
                 s, lambda s: speed[seg[i]] / k_at(s, seg[i]))
     curve = SampledCurve(times=times, nodes=point(s, seg[i])[:, 0, :])
-    k_mid = wspace.weight_at(midpoints(curve))
-    action, defects = equipartition(curve, space, 0.5 * k_mid * k_mid)
-    return ConnectionResult(
-        curve=curve,
-        x_minus=nodes[0].copy(),
-        x_plus=nodes[-1].copy(),
-        action=action,
-        dk_value=dk,
-        equipartition_defect=float(np.max(defects)),
-        window=T,
-    )
+    return connection_on(curve, wspace, nodes[0], nodes[-1], dk, T)
 
 
 def line_connection(wspace: WeightedSpace, a: float, b: float, n_samples: int = 2001,

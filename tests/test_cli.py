@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import shutil
 import subprocess
@@ -79,7 +80,7 @@ def test_connect_run_and_verify(tmp_path):
     for name in (*CONNECT_ARTIFACTS, "manifest.json"):
         assert (tmp_path / "run" / name).exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["schema_version"] == 6
+    assert manifest["schema_version"] == 7
     assert manifest["kind"] == "connect"
     assert manifest["results"]["action"] == pytest.approx(4.0 / 3.0, abs=1e-3)
     assert manifest["results"]["dk_value"] == pytest.approx(4.0 / 3.0, abs=1e-3)
@@ -113,7 +114,10 @@ def test_connect_run_with_a_nan_defect_fails(tmp_path, monkeypatch, capsys):
     leg = hetconn.cli.line_connection
 
     def nan_defect(*args, **kwargs):
-        return dataclasses.replace(leg(*args, **kwargs), equipartition_defect=float("nan"))
+        conn = leg(*args, **kwargs)
+        defects = conn.defects.copy()
+        defects[len(defects) // 2] = float("nan")
+        return dataclasses.replace(conn, defects=defects)
 
     monkeypatch.setattr(hetconn.cli, "line_connection", nan_defect)
     out = tmp_path / "run"
@@ -131,6 +135,26 @@ def test_verify_rechecks_the_defect(tmp_path):
     manifest["tolerances"]["defect_tol"] = 1e-12
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     assert main(["verify", out]) == 5
+
+
+@pytest.mark.parametrize("command, cfg, key, gate", [
+    ("connect", dict(CONNECT_CFG, defect_tol=1e-12), "defect_tol", "leg 1 equipartition defect"),
+    ("double", dict(SIN_CFG, residual_tol=1e-9), "residual_tol", "interior residual max"),
+], ids=["connect-defect_tol", "double-residual_tol"])
+def test_verify_gates_with_the_configs_tolerances(tmp_path, capsys, command, cfg, key, gate):
+    # a failing run whose manifest tolerance is loosened still fails verify:
+    # the tolerance is not the config's, and the gate reads the config's
+    out = tmp_path / "run"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 5
+    mpath = out / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["tolerances"][key] = 1.0
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert f"tolerances.{key}: recomputed {cfg[key]!r}, recorded 1.0" in err
+    assert gate in err
 
 
 def _poison_one_value(run_dir, artifact):
@@ -353,6 +377,13 @@ def test_verify_rejects_a_malformed_field_table(tmp_path, capsys, case):
     assert message in capsys.readouterr().err
 
 
+def _npz_bytes(table) -> bytes:
+    """The bytes of an .npz archive holding ``table``, which np.load opens as an NpzFile."""
+    buffer = io.BytesIO()
+    np.savez(buffer, table=table)
+    return buffer.getvalue()
+
+
 # each makes a table of the wrong kind from a run's table, and names what verify reports
 BAD_TABLES = {
     "float32": (lambda table: table.astype(np.float32), "holds a float32 array"),
@@ -360,6 +391,7 @@ BAD_TABLES = {
     "fortran_order": (np.asfortranarray, "stored in Fortran order, not C order"),
     "ndim": (lambda table: table[None], "not a float64 (rows, columns) table"),
     "one_column_less": (lambda table: table[..., :-1], "and the manifest names"),
+    "npz_archive": (lambda table: _npz_bytes(table), "is an .npz archive, not one .npy table"),
 }
 # a table of each run kind, and the run that writes it
 TABLE_RUNS = {"curve_1.npy": ("connect", CONNECT_CFG),
@@ -387,7 +419,10 @@ def test_verify_rejects_a_table_of_the_wrong_kind(tmp_path, capsys, table_runs, 
     shutil.copytree(table_runs[name], out)
     assert main(["verify", str(out)]) == 0
     bad = transform(np.load(out / name))
-    np.save(out / name, bad)
+    if isinstance(bad, bytes):
+        (out / name).write_bytes(bad)
+    else:
+        np.save(out / name, bad)
     _resign(out, name)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 4
@@ -476,13 +511,10 @@ def _edit_result(run_dir, path, edit):
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-# one ulp up each recorded audit result of a two-leg chain, or one entry of
-# the second leg's defect table; verify recomputes each bit for bit
+# one ulp up the recorded Euler-Lagrange residual of a two-leg chain, or one
+# entry of the second leg's defect table; verify recomputes each bit for bit
 AUDIT_EDITS = {
-    **{key: (key, f"results.{key}: recomputed")
-       for key in ("el_residual", "second_difference_lhs", "second_difference_rhs",
-                   "second_difference_constant", "second_difference_c_fitted",
-                   "max_speed", "max_w")},
+    "el_residual": ("el_residual", "results.el_residual: recomputed"),
     "plot_defect_2.npy": ("plot_defect_2.npy", "plot_defect_2.npy: max |recomputed - recorded|"),
 }
 
@@ -501,7 +533,6 @@ def test_verify_recomputes_the_connect_audits(tmp_path, capsys, two_leg_run, edi
     mpath = out / "manifest.json"
     manifest = json.loads(mpath.read_text())
     assert len(manifest["results"]["legs"]) == 2
-    assert "second_difference_constant" not in manifest["tolerances"]
     if key.endswith(".npy"):
         _edit_table(out, key, (100, 1), _nudged)
     else:
@@ -642,7 +673,7 @@ def test_bad_tolerances_and_keys_exit_before_any_work(tmp_path, command, key, va
 ])
 def test_coincident_wells_exit_before_any_work(tmp_path, capsys, potential, wells):
     base = CONNECT_CFG if potential == "double_well" else PLANAR_CONNECT_CFG
-    cfg = dict(base, potential={"name": potential}, wells=wells, refine_wells=False)
+    cfg = dict(base, potential={"name": potential}, wells=wells)
     out = tmp_path / "run"
     assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
     assert "the same well" in capsys.readouterr().err
@@ -944,6 +975,11 @@ def test_triple_well_connect_is_a_chain_of_two_legs(tmp_path):
     assert "chain of 2 legs" in manifest["warnings"][0]
     assert set(manifest["artifacts"]) == {f"{stem}_{k}.npy" for k in (1, 2)
                                           for stem in ("curve", "plot_defect")}
+    # a leg's defect is the largest of the segment defects its table holds
+    for k, leg in enumerate(legs, 1):
+        defects = np.load(out / f"plot_defect_{k}.npy")[:, 1]
+        assert defects.size == np.load(out / leg["curve"]).shape[0] - 1
+        assert np.max(defects) == leg["equipartition_defect"]
     # the leg toward the middle well is u = -(1 + c e^(2t))^(-1/2), c fixed by
     # the centre, where the K-length from -1 reaches 1/8
     data = np.load(out / legs[0]["curve"])
@@ -1112,17 +1148,21 @@ def test_verify_recomputes_the_window_gaps_and_limits(tmp_path, capsys, small_ru
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["extra", "missing", "sym_c_minus"])
+@pytest.mark.parametrize("edit", ["extra", "missing", "sym_c_minus", "connect_max_speed"])
 def test_verify_rejects_results_of_other_keys(tmp_path, capsys, small_runs, edit):
     # a recorded result that verify does not recompute is refused, as is a
-    # missing one; a sym run has no shift track, so no limit shift either
-    out = _copied_run(tmp_path, small_runs, "sin")
+    # missing one; a sym run has no shift track, so no limit shift either,
+    # and a connect chain records no speed audit
+    out = _copied_run(tmp_path, small_runs, "two_leg" if edit.startswith("connect") else "sin")
     mpath = out / "manifest.json"
     manifest = json.loads(mpath.read_text())
     if edit == "extra":
         manifest["results"]["energy_limit"] = 2.55
     elif edit == "sym_c_minus":
         manifest["results"]["c_minus"] = 0.0
+    elif edit == "connect_max_speed":
+        assert len(manifest["results"]["legs"]) == 2
+        manifest["results"]["max_speed"] = 1.0
     else:
         del manifest["results"]["k_length"]
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -40,9 +40,13 @@ UNREACHED = {
     "function_space.gauge_fix_translations": TRACED,
     "heteroclinic.reparam_equipartition": TRACED,
     "metric.a_k_functional": "criterion 3: the subdivision functional",
+    "metric.metric_derivative": "reached only through uniform_bounds_audit",
+    "potentials.Potential.hessian_lower_bound": "criteria 5 and 9: the convexity bound lambda",
     "potentials._unit_directions": "criterion 4: the sample directions of check_a4",
     "potentials.check_a4": "criterion 4: the growth exponent at a well",
     "regularity.parallelogram_defect": "criterion 9: the parallelogram law of the L2 norm",
+    "regularity.second_difference_bound": TRACED + "; criterion 9: the second-difference audit",
+    "regularity.uniform_bounds_audit": TRACED,
     "regularity.spectral_audit": "criterion 10: the kernel residual and spectral gap",
 }
 
