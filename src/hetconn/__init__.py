@@ -69,12 +69,10 @@ from .metric import (
 from .potentials import (
     A4Fit,
     Potential,
-    WellRefinementError,
     check_a4,
     double_well,
     make_weight,
     planar_two_well,
-    refine_wells,
     triple_well,
 )
 from .regularity import (
@@ -114,7 +112,6 @@ __all__ = [
     "TranslationSpeedAudit",
     "UniformBoundsReport",
     "WeightedSpace",
-    "WellRefinementError",
     "a_k_functional",
     "assemble_and_verify",
     "audit_translation_speed",
@@ -138,7 +135,6 @@ __all__ = [
     "parallelogram_defect",
     "planar_effective_space",
     "planar_two_well",
-    "refine_wells",
     "reparam_equipartition",
     "second_difference_bound",
     "segment_lengths",

@@ -77,7 +77,6 @@ from .potentials import (
     double_well,
     make_weight,
     planar_two_well,
-    refine_wells,
     triple_well,
 )
 
@@ -344,11 +343,10 @@ def _connect_setup(cfg: dict) -> tuple:
     """(potential, weighted space, leg ends, n_samples, t_max, via points,
     tolerances) of a connect config; ConfigError if malformed.
 
-    The wells are refined (``refine_wells``), which merges guesses that
-    converge to one well.  The leg ends are each leg's (x_minus, x_plus) in
-    the order of travel: on the line one leg per pair of adjacent wells
-    from the first end to the second (``line_legs``), in higher dimensions
-    the two ends.
+    The two wells must be two distinct wells of ``p.wells``, equal in value.
+    The leg ends are each leg's (x_minus, x_plus) in the order of travel:
+    on the line one leg per pair of adjacent wells from the first end to
+    the second (``line_legs``), in higher dimensions the two ends.
     """
     p = _build_potential(_require(cfg, "potential"))
     _known_keys(cfg, CONNECT_KEYS[min(p.dim, 2)], f"dimension-{p.dim} connect config")
@@ -356,13 +354,17 @@ def _connect_setup(cfg: dict) -> tuple:
     wells = _points(_require(cfg, "wells"), p.dim, "wells")
     if len(wells) != 2:
         raise ConfigError("config field 'wells' must list exactly two points")
+    declared = [w.tolist() for w in p.wells]
+    for well in wells:
+        if well.tolist() not in declared:
+            raise ConfigError(f"config field 'wells' lists {well.tolist()}, which is not a "
+                              f"well of {p.name}; its wells are {declared}")
+    if wells[0].tolist() == wells[1].tolist():
+        raise ConfigError("config field 'wells' lists the same well twice")
     rep_cfg = _section(cfg, "reparam", REPARAM_KEYS)
     n_samples = _integer(rep_cfg, "n_samples", 2001, 3, "reparam.")
     t_max = _positive(rep_cfg, "t_max", 10.0, "reparam.")
     via_points = _points(cfg.get("via_points", []), p.dim, "via_points")
-    wells = refine_wells(p, wells)
-    if len(wells) != 2:
-        raise ConfigError("config field 'wells' holds two guesses of the same well")
     ends = line_legs(wells[0], wells[1], p.wells) if p.dim == 1 else [tuple(wells)]
     return p, make_weight(p), ends, n_samples, t_max, via_points, tolerances
 
@@ -375,9 +377,8 @@ def _connect_results(conns, p, wspace, tolerances: dict) -> tuple:
     holds its ends, action, d_K, action gap, equipartition defect, window
     and curve.  The action gap and the Euler-Lagrange residual are
     ``verify_connection``'s.  The chain's defect and residual are the
-    largest leg's (NaN if any is; a leg with no residual reads NaN), its
-    action, d_K and gap the sums over the legs.  Each leg's defect is gated
-    by ``defect_tol``.
+    largest leg's (NaN if any is), its action, d_K and gap the sums over
+    the legs.  Each leg's defect is gated by ``defect_tol``.
     """
     curve_columns = ["t", *(f"u{j + 1}" for j in range(p.dim))]
     legs, tables, residuals, gates = [], {}, [], []
@@ -398,7 +399,7 @@ def _connect_results(conns, p, wspace, tolerances: dict) -> tuple:
             "window": conn.window,
             "curve": curve,
         })
-        residuals.append(math.nan if report.el_residual is None else report.el_residual)
+        residuals.append(report.el_residual)
         gates.append((f"leg {k} equipartition defect", conn.equipartition_defect,
                       tolerances["defect_tol"]))
     results = {

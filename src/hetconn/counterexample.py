@@ -54,24 +54,20 @@ class CounterexampleWeight:
             )
         self._g_inf = 0.5 + 1.0 / (self.power - 1.0)
 
-    # -- scalar building blocks -------------------------------------------
+    # -- building blocks, elementwise on arrays (0-d in, 0-d out) -----------
+    # each np.where branch is clamped to its side of 1, so the branch it
+    # discards stays finite (no 0 ** -p, no overflowing square)
 
     def g(self, s):
         s = np.abs(np.asarray(s, dtype=float))
-        out = np.atleast_1d(s).copy()
-        far = out > 1.0
-        out[far] = out[far] ** (-self.power)
-        return out.reshape(s.shape) if s.shape else float(out[0])
+        return np.where(s > 1.0, np.maximum(s, 1.0) ** (-self.power), s)
 
     def big_g(self, t):
         """Cumulative integral G(t) = int_0^t g."""
         t = np.abs(np.asarray(t, dtype=float))
         p = self.power
-        out = np.atleast_1d(t).astype(float)
-        far = out > 1.0
-        out[far] = 0.5 + (1.0 - out[far] ** (1.0 - p)) / (p - 1.0)
-        out[~far] = 0.5 * out[~far] ** 2
-        return out.reshape(t.shape) if t.shape else float(out[0])
+        return np.where(t > 1.0, 0.5 + (1.0 - np.maximum(t, 1.0) ** (1.0 - p)) / (p - 1.0),
+                        0.5 * np.minimum(t, 1.0) ** 2)
 
     @property
     def g_infinity(self) -> float:
@@ -85,25 +81,21 @@ class CounterexampleWeight:
     @staticmethod
     def bump(y):
         y = np.asarray(y, dtype=float)
-        out = np.where(np.abs(y) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * y)), 0.0)
-        return out if y.shape else float(out)
+        return np.where(np.abs(y) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * y)), 0.0)
 
     @staticmethod
     def bump_deriv(y):
         # strict mask: sin(pi) is not exactly zero in floats, and the weight
         # must vanish exactly at (0, +-1)
         y = np.asarray(y, dtype=float)
-        out = np.where(np.abs(y) < 1.0, -0.5 * np.pi * np.sin(np.pi * y), 0.0)
-        return out if y.shape else float(out)
+        return np.where(np.abs(y) < 1.0, -0.5 * np.pi * np.sin(np.pi * y), 0.0)
 
     # -- the construction --------------------------------------------------
 
     def f(self, x, y):
-        x = np.asarray(x, dtype=float)
         h = self.bump(y)
         gg = self.big_g(x)
-        out = h * (2.0 * self._g_inf - gg) + (1.0 - h) * gg
-        return out if getattr(out, "shape", ()) else float(out)
+        return h * (2.0 * self._g_inf - gg) + (1.0 - h) * gg
 
     def grad_f(self, x, y):
         """Closed-form (df/dx, df/dy)."""
@@ -121,14 +113,14 @@ class CounterexampleWeight:
         return np.hypot(fx, fy)
 
 
-def crossing_lower_bound(x0: float, w: CounterexampleWeight) -> float:
-    """Length bound 2(2G(inf) - G(|x0|)) for curves crossing {y=0} at x0.
+def crossing_lower_bound(x0: np.ndarray, w: CounterexampleWeight) -> np.ndarray:
+    """Length bounds 2(2G(inf) - G(|x0|)) for curves crossing {y=0} at each x0.
 
     Strictly above the infimum 2G(inf) for every finite x0: splitting a
     P- to P+ curve at the crossing and using length >= |f variation| on
     each piece gives 2 f(x0, 0) - f(P+) - f(P-).
     """
-    return 2.0 * (2.0 * w.g_infinity - w.big_g(abs(x0)))
+    return 2.0 * (2.0 * w.g_infinity - w.big_g(x0))
 
 
 def _segment_lengths(w: CounterexampleWeight, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,32 +154,21 @@ def _quad_breaks(a, b):
     return sorted(breaks)
 
 
-def candidate_length(n_index: int | np.ndarray | None, w: CounterexampleWeight,
-                     x_n: float | np.ndarray | None = None, legs: bool = False):
-    """Weighted length of the three-leg candidate through x = 2**n_index, or x_n.
+def candidate_length(x_n: np.ndarray, w: CounterexampleWeight) -> np.ndarray:
+    """Weighted lengths of the three-leg candidates through each x = x_n, shape (k,).
 
     Top horizontal P+ to (x_n, 1), vertical drop to (x_n, -1), bottom
-    horizontal back to P-.  ``n_index`` (or ``x_n``) may be an array: the
-    legs of every abscissa, three each, are integrated in one batch of
-    ``_segment_lengths``, and each total is top + vertical + bottom, so an
-    abscissa gets the same bits alone and in any batch.  A scalar argument
-    returns a float, an array one total per abscissa.  With legs=True the
-    per-leg breakdown is returned alongside the total.
+    horizontal back to P-.  The legs of every abscissa of the 1-d array
+    ``x_n``, three each, are integrated in one batch of ``_segment_lengths``,
+    and each total is top + vertical + bottom, so an abscissa gets the same
+    bits alone and in any batch.
     """
-    if x_n is None:
-        x_n = np.ldexp(1.0, n_index)
-    scalar = np.ndim(x_n) == 0
-    x = np.atleast_1d(np.asarray(x_n, dtype=float))
+    x = np.asarray(x_n, dtype=float)
     corners = np.array([P_PLUS, [0.0, 1.0], [0.0, -1.0], P_MINUS])[None].repeat(x.size, axis=0)
     corners[:, 1:3, 0] = x[:, None]
     top, vertical, bottom = _segment_lengths(
         w, corners[:, :-1].reshape(-1, 2), corners[:, 1:].reshape(-1, 2)).reshape(-1, 3).T
-    total = top + vertical + bottom
-    parts = {"top": top, "vertical": vertical, "bottom": bottom, "x_n": x}
-    if scalar:
-        total = float(total[0])
-        parts = {key: float(value[0]) for key, value in parts.items()}
-    return (total, parts) if legs else total
+    return top + vertical + bottom
 
 
 def dense_polyline_length(nodes: np.ndarray, w: CounterexampleWeight) -> float:
@@ -244,11 +225,11 @@ def nonexistence_report(
     # a box wall at R = 2^n is a candidate abscissa: each abscissa is
     # integrated once, all of them in one batch
     abscissae = sorted_unique(np.concatenate([radii, powers]))
-    lengths = candidate_length(None, w, x_n=abscissae)
+    lengths = candidate_length(abscissae, w)
     return NonexistenceReport(
         radii=radii,
         box_candidates=lengths[np.searchsorted(abscissae, radii)],
-        bounds=np.array([crossing_lower_bound(r, w) for r in radii]),
+        bounds=crossing_lower_bound(radii, w),
         candidate_ns=ns,
         candidate_lengths=lengths[np.searchsorted(abscissae, powers)],
         infimum=w.infimum,

@@ -496,27 +496,20 @@ def optimal_translation(
     values,
     z_minus: GridFunction,
     z_plus: GridFunction,
-    m_max: float | None = None,
-    n_scan: int = 0,
+    m_max: float,
+    n_scan: int,
 ) -> np.ndarray:
     """Best shift of either template in L2 for every profile of a stack, (k,).
 
     ``values`` is reshapeable to (k, m, n) on the templates' grid; a single
-    profile is a stack of one.  Coarse scan plus Newton, each template's
-    scan translates interpolated once for the whole stack; each profile
-    takes the shift of the template it fits better, the first on a tie.
-    The scan bracket defaults to the grid span (the misfit is coercive in
-    the shift, growing like the well gap times sqrt |m|, so optima beyond
-    the span are not competitive for profiles supported in the window).
-    The shifts have the bits of the exhaustive scan: the Gram screen only
-    decides where exact misfits are needed.
+    profile is a stack of one.  Coarse scan of ``n_scan`` shifts over
+    [-m_max, m_max] plus Newton, each template's scan translates
+    interpolated once for the whole stack; each profile takes the shift of
+    the template it fits better, the first on a tie.  The shifts have the
+    bits of the exhaustive scan: the Gram screen only decides where exact
+    misfits are needed.
     """
     v = _profile_stack(values, z_minus)
-    span = float(z_minus.s[-1] - z_minus.s[0])
-    if m_max is None:
-        m_max = span
-    if n_scan <= 0:
-        n_scan = max(2 * z_minus.m + 1, 129)
     m_grid = np.linspace(-m_max, m_max, n_scan)
     m_m, f_m = _scan_and_polish(v, z_minus, m_grid)
     m_p, f_p = _scan_and_polish(v, z_plus, m_grid)

@@ -238,10 +238,7 @@ def reparam_equipartition(geodesic: SampledCurve, wspace: WeightedSpace, n_sampl
 
 class ConnectionReport(NamedTuple):
     action_gap: float
-    equipartition_defect: float
-    endpoint_gap_minus: float
-    endpoint_gap_plus: float
-    el_residual: float | None
+    el_residual: float
 
 
 def verify_connection(
@@ -249,32 +246,23 @@ def verify_connection(
     potential: Potential,
     wspace: WeightedSpace,
 ) -> ConnectionReport:
-    """Independent checks on a connection: action gap, defect, ends, residual.
+    """Independent checks on a connection: action gap and Euler-Lagrange residual.
 
-    W comes from the potential, distances from the weighted space's ambient
-    space.  The Euler-Lagrange residual max |gamma'' - grad W(gamma)| is
-    evaluated by second differences on a uniform time grid of at least three
-    nodes; otherwise it is None.
+    The action takes W from the potential and distances from the weighted
+    space's ambient space.  The residual max |gamma'' - grad W(gamma)| is
+    evaluated by second differences on the curve's time grid, which must be
+    uniform with at least three nodes (ValueError otherwise).
     """
     curve = result.curve
-    space = wspace.space
-    action, defects = equipartition(curve, space, potential.values_at(midpoints(curve)))
-    defect = float(np.max(defects))
-    gap_minus = space.distance(curve.nodes[0], result.x_minus)
-    gap_plus = space.distance(curve.nodes[-1], result.x_plus)
-    residual = None
     dts = np.diff(curve.times)
+    if curve.n_nodes < 3 or not np.allclose(dts, dts[0], rtol=1e-9):
+        raise ValueError("the Euler-Lagrange residual needs a uniform time grid "
+                         "of at least three nodes")
+    action, _ = equipartition(curve, wspace.space, potential.values_at(midpoints(curve)))
     h = float(dts[0])
-    if np.allclose(dts, h, rtol=1e-9) and curve.n_nodes >= 3:
-        second = (
-            curve.nodes[2:] - 2.0 * curve.nodes[1:-1] + curve.nodes[:-2]
-        ) / h**2
-        gradw = potential.gradients_at(curve.nodes[1:-1])
-        residual = float(np.max(np.linalg.norm(second - gradw, axis=1)))
+    second = (curve.nodes[2:] - 2.0 * curve.nodes[1:-1] + curve.nodes[:-2]) / h**2
+    gradw = potential.gradients_at(curve.nodes[1:-1])
     return ConnectionReport(
         action_gap=action - result.dk_value,
-        equipartition_defect=defect,
-        endpoint_gap_minus=float(gap_minus),
-        endpoint_gap_plus=float(gap_plus),
-        el_residual=residual,
+        el_residual=float(np.max(np.linalg.norm(second - gradw, axis=1))),
     )

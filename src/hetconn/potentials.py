@@ -20,15 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .metric import EuclideanSpace, WeightedSpace
-
-
-class WellRefinementError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -37,10 +33,12 @@ class Potential:
 
     ``values``, ``gradients`` and ``hessians`` map points of shape (k, dim)
     to arrays of shape (k,), (k, dim) and (k, dim, dim); the ``*_at`` entry
-    points take a single point as a batch of one.  ``hessian_lower_bound``
-    is a number lam with Hess W >= lam * Id on the region of interest
-    (user-declared; the built-ins compute or state it).  ``lower_bound``
-    is that number, or a function computing it, called on the first read.
+    points take a single point as a batch of one.  ``wells`` are the zeros
+    of W, each a (dim,) array, declared exactly: a connect run's ends must
+    be two of them.  ``hessian_lower_bound`` is a number lam with
+    Hess W >= lam * Id on the region of interest (user-declared; the
+    built-ins compute or state it).  ``lower_bound`` is that number, or a
+    function computing it, called on the first read.
     """
 
     dim: int
@@ -191,54 +189,6 @@ def make_weight(p: Potential) -> WeightedSpace:
         return np.sqrt(2.0 * np.maximum(v, 0.0))
 
     return WeightedSpace(space=EuclideanSpace(p.dim), weight=weight)
-
-
-# Newton steps of a well guess, the gradient tolerance of a converged well
-# (its value must fall below the square), and the distance within which two
-# refined wells are one
-_REFINE_ITERS = 100
-_REFINE_TOL = 1e-10
-_DEDUP_TOL = 1e-6
-
-
-def refine_wells(p: Potential, guesses: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Polish well guesses by damped Newton on the gradient, then dedupe.
-
-    Convergence means |grad W| < 1e-10 and W < 1e-20 at the iterate; failing
-    that after 100 steps raises WellRefinementError.
-    """
-    out: list[np.ndarray] = []
-    for guess in guesses:
-        x = np.asarray(guess, dtype=float).copy()
-        ok = False
-        for _ in range(_REFINE_ITERS):
-            g = p.gradients_at(x)[0]
-            if np.linalg.norm(g) < _REFINE_TOL and p.values_at(x)[0] < _REFINE_TOL**2:
-                ok = True
-                break
-            h = p.hessians_at(x)[0]
-            try:
-                step = np.linalg.solve(h, -g)
-            except np.linalg.LinAlgError:
-                step = -g
-            t = 1.0
-            gn = np.linalg.norm(g)
-            for _ in range(30):
-                if np.linalg.norm(p.gradients_at(x + t * step)[0]) < gn:
-                    break
-                t *= 0.5
-            x = x + t * step
-        else:
-            g = p.gradients_at(x)[0]
-            if np.linalg.norm(g) < _REFINE_TOL and p.values_at(x)[0] < _REFINE_TOL**2:
-                ok = True
-        if not ok:
-            raise WellRefinementError(
-                f"well guess {np.asarray(guess)} did not converge in {_REFINE_ITERS} iterations"
-            )
-        if not any(np.linalg.norm(x - w) < _DEDUP_TOL for w in out):
-            out.append(x)
-    return out
 
 
 def _unit_directions(dim: int, count: int) -> np.ndarray:

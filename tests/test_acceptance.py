@@ -34,7 +34,6 @@ from hetconn import (
     solve_asymmetric,
     solve_symmetric,
     spectral_audit,
-    verify_connection,
 )
 from hetconn.double_connection import shift_track_summary
 from hetconn.metric import EuclideanSpace, GridL2Space
@@ -96,13 +95,12 @@ def test_criterion_1_double_well_connection_matches_tanh():
 
 
 def test_criterion_2_equipartition_defect(golden):
-    rep = verify_connection(golden.conn, golden.potential, golden.wspace)
-    d1 = rep.equipartition_defect
+    d1 = golden.conn.equipartition_defect
 
     p2 = planar_two_well()
     conn2 = minimize_k_length(p2, np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
                               n_samples=2001, t_max=6.0, via_points=(np.array([0.0, 1.0]),))
-    d2 = verify_connection(conn2, p2, make_weight(p2)).equipartition_defect
+    d2 = conn2.equipartition_defect
 
     ok = d1 < 1e-3 and d2 < 5e-2
     assert _line(2, ok, f"defect 1d {d1:.3e} (<1e-3)  planar {d2:.3e} (<5e-2)")

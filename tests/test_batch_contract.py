@@ -16,6 +16,7 @@ from hetconn import (
     CounterexampleWeight,
     EffectivePotentialSpace,
     candidate_length,
+    crossing_lower_bound,
     double_well,
     make_weight,
     nonexistence_report,
@@ -203,21 +204,16 @@ def test_nonexistence_report_equals_lone_candidates(power, radii, n_max):
     w = CounterexampleWeight(power=power)
     report = nonexistence_report(w, radii=radii, n_candidates=n_max)
     assert report.candidate_lengths.tolist() == [
-        candidate_length(n, w) for n in range(1, n_max + 1)]
+        candidate_length(np.array([2.0**n]), w)[0] for n in range(1, n_max + 1)]
     assert report.box_candidates.tolist() == [
-        candidate_length(None, w, x_n=r) for r in radii]
+        candidate_length(np.array([r]), w)[0] for r in radii]
+    assert report.bounds.tolist() == [crossing_lower_bound(np.array([r]), w)[0] for r in radii]
 
 
 def test_candidate_length_on_an_array_equals_scalar_calls():
+    # each abscissa alone, as an array of one
     w = CounterexampleWeight()
-    ns = np.array([3, 1, 7, 5])
-    total, legs = candidate_length(ns, w, legs=True)
-    assert total.shape == (4,)
-    for i, n in enumerate(ns.tolist()):
-        one_total, one_legs = candidate_length(n, w, legs=True)
-        assert total[i] == one_total
-        assert {key: value[i] for key, value in legs.items()} == one_legs
-    x = np.array([2.5, 40.0])
-    assert candidate_length(None, w, x_n=x).tolist() == [
-        candidate_length(None, w, x_n=v) for v in x.tolist()]
-    assert isinstance(candidate_length(3, w), float)
+    x = np.array([8.0, 2.0, 128.0, 32.0, 2.5, 40.0])
+    total = candidate_length(x, w)
+    assert total.shape == (6,)
+    assert total.tolist() == [candidate_length(np.array([v]), w)[0] for v in x.tolist()]

@@ -126,15 +126,21 @@ def test_connect_run_with_a_nan_defect_fails(tmp_path, monkeypatch, capsys):
     assert (out / "manifest.json").exists()
 
 
-def test_verify_rechecks_the_defect(tmp_path):
+def test_verify_rechecks_the_defect(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CONNECT_CFG)
     out = str(tmp_path / "run")
     assert main(["connect", "--config", cfg, "--out", out]) == 0
     mpath = tmp_path / "run" / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    manifest["tolerances"]["defect_tol"] = 1e-12
+    # the embedded config and the recorded tolerance agree, so verify
+    # reaches the defect gate itself
+    manifest["config"]["defect_tol"] = manifest["tolerances"]["defect_tol"] = 1e-12
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
     assert main(["verify", out]) == 5
+    err = capsys.readouterr().err
+    assert "leg 1 equipartition defect" in err and "(tolerance 1e-12)" in err
+    assert "tolerances." not in err
 
 
 @pytest.mark.parametrize("command, cfg, key, gate", [
@@ -680,6 +686,21 @@ def test_coincident_wells_exit_before_any_work(tmp_path, capsys, potential, well
     assert not out.exists()
 
 
+@pytest.mark.parametrize("potential, wells, declared", [
+    ("double_well", [[-1.001], [1.0]], "[[-1.0], [1.0]]"),
+    ("planar_two_well", [[0.0, 5.0], [1.0, 0.0]], "[[-1.0, 0.0], [1.0, 0.0]]"),
+])
+def test_undeclared_wells_exit_before_any_work(tmp_path, capsys, potential, wells, declared):
+    base = CONNECT_CFG if potential == "double_well" else PLANAR_CONNECT_CFG
+    cfg = dict(base, wells=wells)
+    out = tmp_path / "run"
+    assert main(["connect", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"lists {wells[0]}, which is not a well of {potential}" in err
+    assert f"its wells are {declared}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("solver", None, {"n_nodes": 101}),
     ("reparam", "resample", 4096),
@@ -737,14 +758,19 @@ def test_counterexample_verify_recomputes_the_candidates(tmp_path):
     assert main(["verify", str(out)]) == 5
 
 
-def test_counterexample_verify_enforces_the_tail_tolerance(tmp_path):
-    out = _counterexample_run(tmp_path)
-    mpath = out / "manifest.json"
-    manifest = json.loads(mpath.read_text())
+def test_counterexample_verify_enforces_the_tail_tolerance(tmp_path, capsys):
+    # the candidate through x = 2^4 exceeds the infimum by about 2 / 2^4,
+    # over the tail tolerance 1e-2
+    out = tmp_path / "ce"
+    cfg = write_cfg(tmp_path, dict(COUNTER_CFG, n_max=4))
+    assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 5
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tolerances"]["candidate_tail_tol"] == 1e-2
-    manifest["tolerances"]["candidate_tail_tol"] = 1e-5
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    capsys.readouterr()
     assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("final candidate - infimum (candidate_tail_tol) 0.12")
+    assert err.count("\n") == 1
 
 
 def test_counterexample_verify_recomputes_the_crossing_bounds(tmp_path):
@@ -754,17 +780,26 @@ def test_counterexample_verify_recomputes_the_crossing_bounds(tmp_path):
     assert main(["verify", str(out)]) == 5
 
 
-def test_counterexample_verify_reads_the_bound_slack(tmp_path):
-    out = _counterexample_run(tmp_path)
-    boxed = np.load(out / "boxed.npy")
-    gap = float(np.min(boxed[:, 1] - boxed[:, 2]))
-    mpath = out / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    # a negative slack demands the boxed lengths clear the bound by more
-    # than they do
-    manifest["tolerances"]["bound_slack"] = -2.0 * gap
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    assert main(["verify", str(out)]) == 5
+def test_counterexample_verify_reads_the_bound_slack(tmp_path, monkeypatch, capsys):
+    # the last crossing bound is lifted above its box candidate by a multiple
+    # of the slack 1e-6, in the run and in verify alike: within the slack
+    # both pass, past it both fail the gate
+    counterexample = hetconn.counterexample
+    crossing = counterexample.crossing_lower_bound
+    cfg = write_cfg(tmp_path, COUNTER_CFG)
+    for lift, code in ((0.5, 0), (2.0, 5)):
+        def lifted(radii, w, lift=lift):
+            bounds = crossing(radii, w)
+            bounds[-1] = counterexample.candidate_length(radii[-1:], w)[0] + lift * 1e-6
+            return bounds
+
+        monkeypatch.setattr(counterexample, "crossing_lower_bound", lifted)
+        out = tmp_path / f"ce_{lift}"
+        assert main(["counterexample", "--config", cfg, "--out", str(out)]) == code
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "entries failing boxed_above_bound 1 (tolerance 0)\n")
 
 
 def _compare_runs():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hetconn import (
+    P_MINUS,
+    P_PLUS,
     CounterexampleWeight,
     DivergentTailError,
     candidate_length,
@@ -59,6 +61,13 @@ def test_bump_is_c1_at_the_edges():
     assert W.bump(1.2) == 0.0 and W.bump_deriv(1.2) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_building_blocks_keep_the_input_shape(shape):
+    x = np.full(shape, 2.5)
+    for value in (W.g(x), W.big_g(x), W.bump(x), W.bump_deriv(x), W.f(x, x)):
+        assert np.shape(value) == shape
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     x=st.floats(-40.0, 40.0),
@@ -82,13 +91,14 @@ def test_gradient_matches_finite_differences(x, y):
 
 
 def test_crossing_bound_decreases_from_six_to_three():
-    assert crossing_lower_bound(0.0, W) == 6.0
-    values = [crossing_lower_bound(x, W) for x in (0.0, 1.0, 4.0, 64.0, 4096.0)]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    values = crossing_lower_bound(np.array([0.0, 1.0, 4.0, 64.0, 4096.0]), W)
+    assert values[0] == 6.0
+    assert np.all(np.diff(values) < 0.0)
     assert values[-1] == pytest.approx(3.0, abs=1e-3)
-    assert all(v > 3.0 for v in values)
+    assert np.all(values > 3.0)
     # closed form at the family default: 6 - 2 G(x) = 3 + 2/x beyond the kink
-    assert crossing_lower_bound(8.0, W) == pytest.approx(3.0 + 2.0 / 8.0, rel=1e-14)
+    assert crossing_lower_bound(np.array([8.0]), W)[0] == pytest.approx(3.0 + 2.0 / 8.0,
+                                                                          rel=1e-14)
 
 
 def test_dense_length_of_an_axis_parallel_segment():
@@ -102,22 +112,22 @@ def test_dense_length_of_an_axis_parallel_segment():
 
 def test_candidate_asymptotics():
     ns = np.arange(1, 13)
-    lengths = np.array([candidate_length(int(n), W) for n in ns])
+    lengths = candidate_length(np.ldexp(1.0, ns), W)
     assert np.all(np.diff(lengths) < 0.0)
     assert np.all(lengths > 3.0)
     for n in (8, 10, 12):
-        gap = candidate_length(n, W) - 3.0
+        gap = lengths[n - 1] - 3.0
         assert gap == pytest.approx(2.0 / 2.0**n, rel=1e-2)
 
 
 def test_candidate_leg_breakdown():
-    total, legs = candidate_length(10, W, legs=True)
-    x_n = legs["x_n"]
-    assert x_n == 1024.0
-    assert legs["top"] == pytest.approx(W.big_g(x_n), rel=1e-8)
-    assert legs["bottom"] == pytest.approx(W.big_g(x_n), rel=1e-8)
-    assert legs["vertical"] == pytest.approx(4.0 / x_n, rel=1e-2)
-    assert total == pytest.approx(legs["top"] + legs["vertical"] + legs["bottom"], rel=1e-14)
+    x_n = 1024.0
+    corners = np.array([P_PLUS, [x_n, 1.0], [x_n, -1.0], P_MINUS])
+    top, vertical, bottom = _segment_lengths(W, corners[:-1], corners[1:])
+    assert top == pytest.approx(W.big_g(x_n), rel=1e-8)
+    assert bottom == pytest.approx(W.big_g(x_n), rel=1e-8)
+    assert vertical == pytest.approx(4.0 / x_n, rel=1e-2)
+    assert candidate_length(np.array([x_n]), W).tolist() == [top + vertical + bottom]
 
 
 def test_divergent_tails_are_rejected():
@@ -136,7 +146,7 @@ def test_small_boxed_report():
     # the upper end at R = 2^n is the candidate through x = 2^n, bit for bit:
     # the report integrates that abscissa once for both
     assert report.box_candidates[:2].tolist() == report.candidate_lengths[1:3].tolist()
-    assert report.box_candidates[2] == candidate_length(None, W, x_n=12.0)
+    assert report.box_candidates[2] == candidate_length(np.array([12.0]), W)[0]
     widths = report.box_candidates - report.bounds
     assert np.all(widths > 0.0) and np.all(np.diff(widths) < 0.0)
     assert np.array_equal(report.bracket_rel_widths, widths / (report.bounds - 3.0))
@@ -194,11 +204,11 @@ def test_boxed_seed_lengths_match_quad(radius, boxed_seed):
 
 
 def test_candidate_lengths_match_quad():
-    for n in range(1, 13):
-        x = 2.0**n
+    xs = np.ldexp(1.0, np.arange(1, 13))
+    for x, length in zip(xs, candidate_length(xs, W)):
         corners = ([0.0, 1.0], [x, 1.0], [x, -1.0], [0.0, -1.0])
         ref = sum(_quad_leg(W, a, b) for a, b in zip(corners[:-1], corners[1:]))
-        assert abs(candidate_length(n, W) - ref) <= 1e-10
+        assert abs(length - ref) <= 1e-10
 
 
 def test_segments_across_the_kinks_match_quad():
@@ -236,7 +246,7 @@ def test_leg_rule_evaluates_the_weight_once_per_round(boxed_seed):
     dense_polyline_length(boxed_seed(64.0, 48), wc)
     assert 1 <= wc.calls <= 5
     wc.calls = 0
-    candidate_length(12, wc)
+    candidate_length(np.array([4096.0]), wc)
     assert 1 <= wc.calls <= 20
 
 

@@ -225,7 +225,8 @@ def test_sin_small_solve_assembles():
 
 def test_optimal_translation_recovers_shift_of_a_planar_well(planar_space):
     zm, zp = planar_space.z_minus, planar_space.z_plus
-    shift = optimal_translation(zp.translate(-0.4137).values, zm, zp)
+    shift = optimal_translation(zp.translate(-0.4137).values, zm, zp,
+                                m_max=float(zm.s[-1] - zm.s[0]), n_scan=2 * zm.m + 1)
     assert shift.shape == (1,)
     assert shift[0] == pytest.approx(-0.4137, abs=1e-3)
 

@@ -25,6 +25,8 @@ from hetconn.metric import trapezoid_weights
 
 S = np.linspace(-8.0, 8.0, 161)
 TAILS = dict(tail_left=np.array([-1.0]), tail_right=np.array([1.0]))
+# a translation scan over the whole span, one shift per half grid step
+WHOLE_SPAN = dict(m_max=float(S[-1] - S[0]), n_scan=2 * S.size + 1)
 
 
 def tanh_gf(shift=0.0):
@@ -229,7 +231,7 @@ def test_optimal_translation_recovers_shift():
     z_minus = tanh_gf()
     z_plus = z_minus.with_values(-z_minus.values)
     v = z_minus.translate(0.7374)
-    shift = optimal_translation(v.values, z_minus, z_plus)
+    shift = optimal_translation(v.values, z_minus, z_plus, **WHOLE_SPAN)
     assert shift.shape == (1,)
     assert shift[0] == pytest.approx(0.7374, abs=1e-3)
 
@@ -268,12 +270,10 @@ def test_batched_misfits_equal_per_shift_translates(n_components):
         assert np.array_equal(row, [_misfit_by_translate(p, z, m) for m in shifts])
 
 
-def _exhaustive_fit(values, z_minus, z_plus, m_max=None, n_scan=0):
+def _exhaustive_fit(values, z_minus, z_plus, m_max, n_scan):
     """optimal_translation without the Gram screen, profile by profile:
     translation_misfits over every scan shift, then the same Newton polish
     and choice of template."""
-    m_max = float(z_minus.s[-1] - z_minus.s[0]) if m_max is None else m_max
-    n_scan = n_scan if n_scan > 0 else max(2 * z_minus.m + 1, 129)
     m_grid = np.linspace(-m_max, m_max, n_scan)
     step = m_grid[1] - m_grid[0]
     shifts = []
@@ -321,14 +321,14 @@ SCREEN_CASES = {
     "two_far_minima": (
         "bump", np.stack([_two_bumps(d) for d in (1e-8, 0.0, -1e-8, 1e-2)]),
         dict(m_max=4.0, n_scan=129), False),
-    "all_nan": ("tanh", np.full((1, S.size, 1), np.nan), {}, True),
+    "all_nan": ("tanh", np.full((1, S.size, 1), np.nan), WHOLE_SPAN, True),
     "nan_among_finite": (
         "tanh", np.stack([tanh_gf(0.4).values, np.full((S.size, 1), np.nan),
                           tanh_gf(-1.3).values]), dict(m_max=4.0, n_scan=129), True),
     # the two templates tie at every shift
-    "zero": ("tanh", np.zeros((1, S.size, 1)), {}, False),
+    "zero": ("tanh", np.zeros((1, S.size, 1)), WHOLE_SPAN, False),
     "single_at_default_n_scan": (
-        "tanh", tanh_gf(0.7374).values + 0.01 * np.sin(3.0 * S)[:, None], {}, False),
+        "tanh", tanh_gf(0.7374).values + 0.01 * np.sin(3.0 * S)[:, None], WHOLE_SPAN, False),
 }
 
 
@@ -355,13 +355,13 @@ def test_screened_fit_is_the_exhaustive_scan_bitwise(monkeypatch, case):
         ref = _exhaustive_fit(stack, z_minus, z_plus, **kwargs)
     assert shift.dtype == ref.dtype
     assert np.array_equal(shift, ref, equal_nan=True)
-    n_scan = kwargs.get("n_scan", 2 * S.size + 1)
-    assert (n_scan in scanned) == full_rows
+    assert (kwargs["n_scan"] in scanned) == full_rows
 
 
 def test_optimal_translation_of_an_empty_stack():
     z = tanh_gf()
-    shift = optimal_translation(np.empty((0, S.size, 1)), z, z.with_values(-z.values))
+    shift = optimal_translation(np.empty((0, S.size, 1)), z, z.with_values(-z.values),
+                                **WHOLE_SPAN)
     assert shift.shape == (0,)
 
 

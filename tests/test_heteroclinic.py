@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,9 +136,17 @@ def test_verify_connection_report(golden):
                             wspace=golden.wspace)
     assert rep.action_gap < 1e-3
     assert rep.el_residual < 1e-3
-    assert rep.equipartition_defect < 1e-3
-    assert rep.endpoint_gap_minus < 1e-3
-    assert rep.endpoint_gap_plus < 1e-3
+
+
+def test_verify_connection_needs_a_uniform_grid_of_three_nodes(golden):
+    conn = golden.conn
+    times = conn.curve.times.copy()
+    times[1] += 0.25 * (times[2] - times[1])
+    for curve in (SampledCurve(times=times, nodes=conn.curve.nodes),
+                  SampledCurve(times=times[[0, -1]], nodes=conn.curve.nodes[[0, -1]])):
+        with pytest.raises(ValueError, match="uniform time grid"):
+            verify_connection(dataclasses.replace(conn, curve=curve), golden.potential,
+                              golden.wspace)
 
 
 def test_endpoints_near_wells(golden):

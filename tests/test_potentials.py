@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetconn import (
-    WellRefinementError,
     check_a4,
     double_well,
     make_weight,
     planar_two_well,
-    refine_wells,
     triple_well,
 )
 
@@ -95,26 +93,15 @@ def test_make_weight_is_sqrt_2w():
     assert ws.weight_at(np.array([1.0])) == pytest.approx(0.0)
 
 
-def test_refine_wells_newton():
-    p = double_well()
-    refined = refine_wells(p, [np.array([-1.001]), np.array([0.999])])
-    assert np.linalg.norm(refined[0] - np.array([-1.0])) < 1e-10
-    assert np.linalg.norm(refined[1] - np.array([1.0])) < 1e-10
-
-
-def test_refine_wells_degenerate_direction():
-    # the planar well is quartic-flat in u2: convergence is judged on the
-    # gradient, and the position error stays within the flat tolerance
-    p = planar_two_well()
-    refined = refine_wells(p, [p.wells[0] + np.array([1e-3, 1e-3])])
-    assert p.values_at(refined[0])[0] < 1e-15
-    assert np.linalg.norm(p.gradients_at(refined[0])[0]) < 1e-10
-    assert np.linalg.norm(refined[0] - p.wells[0]) < 1e-4
-
-
-def test_refine_wells_rejects_non_well():
-    with pytest.raises(WellRefinementError):
-        refine_wells(planar_two_well(), [np.array([0.0, 5.0])])
+@pytest.mark.parametrize("p", [
+    double_well(), triple_well(), planar_two_well(), planar_two_well(beta=2.0, kappa=0.5)],
+    ids=["double_well", "triple_well", "planar_two_well", "planar_two_well_b2_k05"])
+def test_declared_wells_are_exact_zeros(p):
+    # a connect run takes its ends from the declared wells as they are, so
+    # W and grad W vanish there exactly (a gradient may read -0.0)
+    for well in p.wells:
+        assert p.values_at(well).tolist() == [0.0]
+        assert p.gradients_at(well).tolist() == [[0.0] * p.dim]
 
 
 def test_check_a4_quadratic_and_quartic():

@@ -39,6 +39,8 @@ UNREACHED = {
     "function_space.mollify": "criterion 5: the mollifier energy bound",
     "function_space.gauge_fix_translations": TRACED,
     "heteroclinic.reparam_equipartition": TRACED,
+    "metric._WeightedNorm.distance": "criterion 3: the chordal gaps of a_k_functional",
+    "metric._WeightedNorm.norm": "criteria 3 and 9: a_k_functional and parallelogram_defect",
     "metric.a_k_functional": "criterion 3: the subdivision functional",
     "metric.metric_derivative": "reached only through uniform_bounds_audit",
     "potentials.Potential.hessian_lower_bound": "criteria 5 and 9: the convexity bound lambda",
