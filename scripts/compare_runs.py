@@ -6,17 +6,19 @@ Compares the manifest sections ``results``, ``tolerances``, ``config`` and
 ``warnings`` and the artifact sha256 checksums; ``runtime_seconds``,
 ``profile`` and the library versions are not compared.  Every value is compared by its JSON
 text, so floats must agree bit for bit and NaN equals NaN.  Prints one line
-per difference and exits 1 if there is any, 0 otherwise.  When two numbers
-differ, the line also gives their relative difference.  Every artifact is
-an NPY table; when the checksum of one differs, its line also gives the
-largest absolute and relative difference between the two tables, read as
-rows of their last axis (a double run's (P, M, n) ``u.npy`` as one row of
+per difference and exits 1 if there is any, 0 otherwise, also when the
+reader closes the output early (``| head``).  When two numbers differ, the
+line also gives their relative difference.  Every artifact is an NPY
+table; when the checksum of one differs, its line also gives the largest
+absolute and relative difference between the two tables, read as rows of
+their last axis (a double run's (P, M, n) ``u.npy`` as one row of
 its n components per node, x2 outer), or says that their shapes differ;
 an entry's relative difference is taken against the largest magnitude of
 its column, so rounding noise in entries near zero reads as small as it is.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -111,9 +113,17 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     diffs = differences(*argv)
-    for line in diffs:
-        print(line)
-    print(f"{len(diffs)} difference(s) between {argv[0]} and {argv[1]}")
+    try:
+        for line in diffs:
+            print(line)
+        print(f"{len(diffs)} difference(s) between {argv[0]} and {argv[1]}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has stopped (``| head``), so the output ends here; the
+        # null device takes what is left, and the flush at exit succeeds
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     return 1 if diffs else 0
 
 

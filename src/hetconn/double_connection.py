@@ -7,7 +7,8 @@ u(x1, x2) = path(x2)(x1) that solves the Euler-Lagrange system of the summed
 energy.  The solve seeds the field with the closed-form blend
 (1 - lam) z- + lam z+, lam = (1 + tanh x2) / 2, on the x2 window
 [-t_max, t_max], and minimizes the discrete 2D energy of the field by a
-pinned Newton-CG.  Where the wells are signed mirrors of each other,
+pinned Newton-CG, whose Hessian is the columns' ``energy_1d_hessp`` plus
+the x2 stencil.  Where the wells are signed mirrors of each other,
 z- = sigma z+ bit for bit with one sign per component (sigma = -1 for the
 sine fixture, (+1, -1) for the planar one), and the x2 grid has a centre
 column, the Newton-CG solves only x2 >= 0 and the field is its signed
@@ -129,23 +130,20 @@ def _polish_field(space, u0, dt, gtol, parities=(None, None)):
     stop test and the CG read the whole field's gradient; a field folded in
     x1 lives on a ``half`` space.  The CG is preconditioned by the line
     solve of ``poisson_preconditioner`` (a DST along x2, a tridiagonal solve
-    along x1), with each Newton step's per-row shift from its Hessian
-    block.  Returns (field, NewtonResult).
+    along x1), with each Newton step's per-row shift from its Hessian's
+    diagonal.  Returns (field, NewtonResult).
     """
     poisson = poisson_preconditioner(u0.shape, dt, space.h, parities=parities)
     return pinned_newton_cg(
-        lambda u: _path_energy(space, u, dt, grad=True),
+        lambda u: _path_energy(space, u, dt),
         lambda u: _PathEnergyHessian(space, u, dt), u0, parities,
         gtol=gtol, max_steps=POLISH_STEPS, precond=lambda hess: poisson(hess.shift),
     )
 
 
-def _path_energy(space, u, dt, grad=False):
-    """Sum of x2-kinetic and effective-potential terms (trapezoid in x2).
-
-    u is a field (P, M, n); with grad=True also returns the coordinate
-    gradient, shape of u.
-    """
+def _path_energy(space, u, dt):
+    """Sum of x2-kinetic and effective-potential terms (trapezoid in x2) of
+    a field u (P, M, n), and its coordinate gradient, shape of u."""
     p, m, n = u.shape
     w1 = component_weights(trapezoid_weights(m, space.h), n)
     wt = trapezoid_weights(p, dt)
@@ -154,8 +152,6 @@ def _path_energy(space, u, dt, grad=False):
     # a left-to-right sum over x2, not a pairwise one: the polish iterates
     # depend on its rounding
     pot = np.cumsum(wt * (space.energy_1d(u) - space.ref_value))[-1]
-    if not grad:
-        return float(kin + pot)
     g = space.energy_1d_grad(u)
     g *= wt[:, None, None]
     flux = w1 * d2
@@ -167,14 +163,11 @@ def _path_energy(space, u, dt, grad=False):
 class _PathEnergyHessian:
     """Hessian of ``_path_energy`` at a field u (P, M, n); call it on a direction.
 
-    The pointwise block wt * w1 * D^2(density) is built once here and held
-    as its n^2 contiguous (P, M) planes, ``planes[i][j]``, each weighted as
-    it is cut from the block, which is then dropped; each product is then
-    arithmetic on the planes and the stencils of the (P, M, n) direction,
-    on every node, to the bits of np.einsum("pmij,pmj->pmi", block, d) plus
-    the stencils.  On the interior nodes the Hessian is h * dt * (B + L),
-    with B = D^2(density) and L the Dirichlet Laplacian of the two stencils.
-    B varies most along x1, so ``shift``, the per-row shift of the
+    The columns' part is ``energy_1d_hessp`` of the stack scaled by the x2
+    trapezoid weights wt; the x2 stencil is added to each of its products.
+    On the interior nodes the Hessian is h * dt * (B + L), with B =
+    D^2(density) and L the Dirichlet Laplacian of the two stencils.  B
+    varies most along x1, so ``shift``, the per-row shift of the
     preconditioner's line solve, holds for each x1 row and component c
     max(0, mean of B_cc over the interior x2 nodes of that row): shape
     (M, n).
@@ -182,32 +175,15 @@ class _PathEnergyHessian:
 
     def __init__(self, space, u, dt):
         p, m, n = u.shape
-        h = space.h
-        w1 = trapezoid_weights(m, h)
-        wt = trapezoid_weights(p, dt)
-        block = space._density_hessians(u)
-        self.shift = np.maximum(np.einsum("pmcc->mc", block[1:-1]) / (p - 2), 0.0)
-        weight = wt[:, None] * w1[None, :]
-        self.planes = [[block[..., i, j] * weight for j in range(n)] for i in range(n)]
-        self.wt1 = wt[:, None, None] / h
-        self.w2 = component_weights(w1, n) / dt
+        self.columns = space.energy_1d_hessp(u, trapezoid_weights(p, dt))
+        # the shift is all the polish reads of B_cc: dropping the kernel's
+        # diag frees the (P, M, n, n) block before the first product
+        interior = vars(self.columns).pop("diag")[1:-1]
+        self.shift = np.maximum(np.einsum("pmc->mc", interior) / (p - 2), 0.0)
+        self.w2 = component_weights(trapezoid_weights(m, space.h), n) / dt
 
     def __call__(self, d):
-        out = np.empty(d.shape)
-        term = np.empty(d.shape[:2])
-        for i, row in enumerate(self.planes):
-            # the einsum's sum: from +0.0, the components left to right
-            o = np.multiply(row[0], d[..., 0], out=out[..., i])
-            o += 0.0
-            for j in range(1, len(row)):
-                o += np.multiply(row[j], d[..., j], out=term)
-        del term
-        flux = np.diff(d, axis=1)
-        flux *= self.wt1
-        out[:, :-1] -= flux
-        out[:, 1:] += flux
-        # free the x1 flux before the x2 one
-        del flux
+        out = self.columns(d)
         flux = np.diff(d, axis=0)
         flux *= self.w2
         out[:-1] -= flux
@@ -406,7 +382,7 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
     """
     p, m, n = u.shape
     h = space.h
-    energy_path, g = _path_energy(space, u, dt, grad=True)
+    energy_path, g = _path_energy(space, u, dt)
     inner = g[margin:-margin, margin:-margin] / (-h * dt)
     inner *= inner
     residual_max = math.sqrt(float(np.max(component_sum(inner))))

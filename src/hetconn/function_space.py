@@ -577,8 +577,7 @@ class EffectivePotentialSpace:
     ``density_grad(grid, stack)`` (k, m, n) and ``density_hess(grid, stack)``
     (k, m, n, n) for a (k, m, n) stack; in potential mode the same three come
     from one ``values_at``, ``gradients_at`` or ``hessians_at`` call on all
-    k*m nodes.  ``density_hess`` is needed only by the Newton-CG
-    (``relax_profile`` and the field polish).
+    k*m nodes.  ``density_hess`` is read only by ``energy_1d_hessp``.
 
     ``h`` is the grid step, grid[1] - grid[0] (a half's is its whole's).
     ``x1_parity`` (n,), a fact of the fixture, gives each component's
@@ -722,27 +721,42 @@ class EffectivePotentialSpace:
         """1D action minus the reference distance (zero on minimal connections), shape (k,)."""
         return self.energy_1d(values) - self.ref_value
 
-    def profile_hessp(self, values: np.ndarray):
-        """Hessian of ``energy_1d`` at one profile, as a function of a direction (m, n).
+    def energy_1d_hessp(self, values: np.ndarray, scale: np.ndarray | None = None):
+        """Hessian of ``energy_1d`` at a profile (m, n), or of the sum of
+        scale_k * energy_1d(v_k) at a stack (k, m, n) (``scale`` (k,): the
+        x2 trapezoid weights), as a function of a direction shaped alike.
 
-        The trapezoid-weighted density Hessian block plus the second-difference
-        stencil of the kinetic term, on every row.  On the interior rows the
-        Hessian is h * (B + L), with B = D^2(density) and L the Dirichlet
-        Laplacian of the stencil; the product's ``diag`` (m, n) holds B_cc
-        on every row, for ``relax_profile``'s preconditioner.
+        D^2(density) times w1 (scale ⊗ w1 on a stack) is held as n^2
+        contiguous planes; a product is arithmetic on them, to the bits of
+        np.einsum("...mij,...mj->...mi", weighted block, d), plus the x1 flux
+        stencil times scale / h.  ``diag``, shaped like ``values``, holds
+        B_cc = D^2(density)_cc for the callers' preconditioner shifts; a
+        view, it keeps the block alive until it is dropped.
         """
-        hess = self._density_hessians(self._stack(values))[0]
-        block = trapezoid_weights(self.m, self.h)[:, None, None] * hess
-        h = self.h
+        n = self.n_components
+        hess = self._density_hessians(self._stack(values)).reshape(np.shape(values) + (n,))
+        weight, flux_scale = trapezoid_weights(self.m, self.h), 1.0 / self.h
+        if scale is not None:
+            weight, flux_scale = scale[:, None] * weight, scale[:, None, None] / self.h
+        planes = [[hess[..., i, j] * weight for j in range(n)] for i in range(n)]
 
         def hessp(d):
-            out = np.einsum("mij,mj->mi", block, d)
-            out[1:-1] += (2.0 * d[1:-1] - d[:-2] - d[2:]) / h
-            out[0] += (d[0] - d[1]) / h
-            out[-1] += (d[-1] - d[-2]) / h
+            out = np.empty(d.shape)
+            term = np.empty(d.shape[:-1])
+            for i, row in enumerate(planes):
+                # the einsum's sum: from +0.0, the components left to right
+                o = np.multiply(row[0], d[..., 0], out=out[..., i])
+                o += 0.0
+                for j in range(1, n):
+                    o += np.multiply(row[j], d[..., j], out=term)
+            del term
+            flux = np.diff(d, axis=-2)
+            flux *= flux_scale
+            out[..., :-1, :] -= flux
+            out[..., 1:, :] += flux
             return out
 
-        hessp.diag = np.einsum("mcc->mc", hess)
+        hessp.diag = np.einsum("...cc->...c", hess)
         return hessp
 
     def relax_profile(self, values: np.ndarray, gtol: float = 1e-10):
@@ -752,9 +766,9 @@ class EffectivePotentialSpace:
         returns (values, energy).  The pinned Newton-CG on ``energy_1d``,
         preconditioned by the shifted fast Poisson solve of
         ``poisson_preconditioner`` along x1, each Newton step's shift
-        max(0, mean of B_cc (``profile_hessp``) over the whole profile's
-        free rows); RuntimeError unless it converges to ``gtol``.  An odd
-        grid with an ``x1_parity`` is relaxed on its ``half``, folded
+        max(0, mean of B_cc (``energy_1d_hessp``'s ``diag``) over the whole
+        profile's free rows); RuntimeError unless it converges to ``gtol``.
+        An odd grid with an ``x1_parity`` is relaxed on its ``half``, folded
         (``fold``), and mirrored bit for bit.
         """
         values = np.asarray(values, dtype=float).reshape(self.m, self.n_components)
@@ -773,7 +787,7 @@ class EffectivePotentialSpace:
 
         out, info = pinned_newton_cg(
             lambda v: (space.energy_1d(v)[0], space.energy_1d_grad(v)[0]),
-            space.profile_hessp, values, (parity,), gtol=gtol, max_steps=RELAX_STEPS,
+            space.energy_1d_hessp, values, (parity,), gtol=gtol, max_steps=RELAX_STEPS,
             precond=precond,
         )
         if info.status != "converged":

@@ -117,7 +117,7 @@ def spectral_audit(z: GridFunction, p: Potential) -> SpectralReport:
 
     A(z) is the second variation of the 1D action along z, -d^2/ds^2 plus
     the Hessian of W, Dirichlet on the interior nodes: the interior rows of
-    ``EffectivePotentialSpace.profile_hessp`` divided by h.  Its kernel
+    ``EffectivePotentialSpace.energy_1d_hessp`` divided by h.  Its kernel
     direction is z' (translations); the residual measures how well the
     discrete operator annihilates it.  c0_est is the smallest eigenvalue of
     A restricted to the orthogonal complement of z' (all of A when z'
@@ -126,7 +126,7 @@ def spectral_audit(z: GridFunction, p: Potential) -> SpectralReport:
     """
     hessp = EffectivePotentialSpace(
         grid=z.s, n_components=z.n_components, bc=z.bc, potential=p,
-    ).profile_hessp(z.values)
+    ).energy_1d_hessp(z.values)
     h = z.h
     shape = z.values.shape
     # A on every interior unit direction; A is symmetric, so these rows are A

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -829,6 +830,25 @@ def test_compare_runs_reports_the_numeric_artifact_difference(tmp_path, capsys):
     assert out[0].endswith(f"(max abs difference {new - old:.3g}, "
                            f"max rel difference {(new - old) / scale:.3g})")
     assert out[1].startswith("1 difference(s)")
+
+
+@pytest.mark.parametrize("edit", [False, True])
+def test_compare_runs_ends_quietly_when_its_reader_stops(tmp_path, monkeypatch, edit):
+    compare_runs = _compare_runs()
+    run_a = _counterexample_run(tmp_path)
+    run_b = tmp_path / "ce_b"
+    shutil.copytree(run_a, run_b)
+    if edit:
+        _edit_table(run_b, "boxed.npy", (1, 1), lambda v: v + 3e-12)
+    # stdout on a pipe whose reader has gone, as ``| head`` leaves it
+    read, write = os.pipe()
+    os.close(read)
+    closed = open(write, "w")
+    monkeypatch.setattr(sys, "stdout", closed)
+    # no BrokenPipeError, and the status is the comparison's
+    assert compare_runs.main([str(run_a), str(run_b)]) == int(edit)
+    # what the pipe did not take goes to the null device
+    closed.close()
 
 
 def test_compare_runs_reports_the_field_table_difference(tmp_path, capsys):

@@ -3,6 +3,7 @@ their one-line numpy forms, and never reduce over the component axis."""
 
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hetconn.double_connection import (
     sin_shell,
 )
 from hetconn.function_space import (
+    EffectivePotentialSpace,
     component_sum,
     component_weights,
     mirror_half,
@@ -72,6 +74,18 @@ def test_l2_norms_keep_the_bits_of_the_axis_sum_and_of_distance_l2(n):
         [space.grid_function(profile).distance_l2(zero) for profile in v]))
 
 
+def _block_space(block):
+    """A fixed-boundary space on a grid of step 0.25 whose density Hessian
+    at a stack of k profiles is the first k entries of ``block``."""
+    n = block.shape[-1]
+    return EffectivePotentialSpace(
+        grid=np.linspace(0.0, 0.25 * (block.shape[1] - 1), block.shape[1]),
+        n_components=n, bc="fixed",
+        density=lambda s, stack: np.zeros(stack.shape[:2]),
+        density_hess=lambda s, stack: block[:len(stack)].copy(),
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_the_hessian_planes_keep_the_einsum_bits(n):
     u = _field(n)
@@ -79,45 +93,74 @@ def test_the_hessian_planes_keep_the_einsum_bits(n):
     block = rng.standard_normal(u.shape + (n,))
     block[::2, ::3] = -block[::2, ::3]
     block[1::3, ::2] = -0.0
-
-    class Space:
-        h = 0.25
-
-        @staticmethod
-        def _density_hessians(stack):
-            return block.copy()
-
-    hess = _PathEnergyHessian(Space, u, 0.5)
+    space = _block_space(block)
     p, m = u.shape[:2]
-    weight = trapezoid_weights(p, 0.5)[:, None] * trapezoid_weights(m, 0.25)[None, :]
-    weighted = block * weight[:, :, None, None]
-    # a direction constant along both axes leaves the stencils' fluxes zero
-    d = np.ones(u.shape) * np.arange(1, n + 1)
-    assert np.array_equal(_bits(hess(d)), _bits(np.einsum("pmij,pmj->pmi", weighted, d)))
-    planes = [[weighted[..., i, j] for j in range(n)] for i in range(n)]
-    assert all(np.array_equal(_bits(a), _bits(b))
-               for row, ref in zip(hess.planes, planes) for a, b in zip(row, ref))
+    wt = trapezoid_weights(p, 0.5)
+    w1 = trapezoid_weights(m, space.h)
+    # a direction constant along x1 leaves the kernel's fluxes zero
+    d = np.repeat(rng.standard_normal((p, 1, n)), m, axis=1)
+    d[2] = -0.0
+    stack = block * (wt[:, None] * w1[None, :])[:, :, None, None]
+    for values, scale, weighted, dir_ in ((u[0], None, block[0] * w1[:, None, None], d[0]),
+                                          (u, wt, stack, d)):
+        hessp = space.energy_1d_hessp(values, scale)
+        assert np.array_equal(_bits(hessp(dir_)),
+                              _bits(np.einsum("...mij,...mj->...mi", weighted, dir_)))
+        diag = np.einsum("...cc->...c", block if scale is not None else block[0])
+        assert np.array_equal(_bits(hessp.diag), _bits(diag))
+    # the polish adds the x2 stencil, zero on a direction constant in both axes
+    hess = _PathEnergyHessian(space, u, 0.5)
+    const = np.ones(u.shape) * np.arange(1, n + 1)
+    assert np.array_equal(_bits(hess(const)), _bits(np.einsum("pmij,pmj->pmi", stack, const)))
     assert np.array_equal(_bits(hess.shift), _bits(
         np.maximum(np.einsum("pmcc->mc", block[1:-1]) / (p - 2), 0.0)))
 
 
+def _held_arrays(value, seen=None):
+    """Every array that ``value`` keeps alive: through the attributes of an
+    object of this package, a function's closure and attributes, lists,
+    tuples and dicts, and each array's chain of bases."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+        if isinstance(value.base, np.ndarray):
+            yield from _held_arrays(value.base, seen)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held_arrays(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _held_arrays(item, seen)
+    elif isinstance(value, types.FunctionType):
+        for cell in value.__closure__ or ():
+            yield from _held_arrays(cell.cell_contents, seen)
+        yield from _held_arrays(vars(value), seen)
+    elif type(value).__module__.startswith("hetconn."):
+        yield from _held_arrays(vars(value), seen)
+
+
 def test_the_path_hessian_holds_no_block():
+    # the scan finds a block kept through a closure
+    block = np.zeros((9, 33, 2, 2))
+
+    def keeps(d):
+        return block[..., 0, 0] * d
+
+    assert [a.ndim for a in _held_arrays(keeps)] == [4]
     space = planar_effective_space(m=33)
     rng = np.random.default_rng(0)
     u = rng.standard_normal((9, 33, 2))
+    # and through a view: the kernel's diag keeps its block until dropped
+    kernel = space.energy_1d_hessp(u, trapezoid_weights(9, 0.5))
+    assert any(a.size == block.size for a in _held_arrays(kernel))
     hess = _PathEnergyHessian(space, u, 0.5)
-
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                yield from arrays(item)
-
-    held = [a for value in vars(hess).values() for a in arrays(value)]
-    assert held and all(a.ndim <= 3 for a in held)
-    assert all(plane.shape == (9, 33) and plane.flags.c_contiguous
-               for row in hess.planes for plane in row)
+    held = list(_held_arrays(hess))
+    # the kernel's four planes and flux weights, the x2 weights and the shift
+    assert sorted(a.shape for a in held) == [(9, 1, 1)] + [(9, 33)] * 4 + [(33, 2)] * 2
+    assert all(a.flags.c_contiguous for a in held if a.shape == (9, 33))
 
 
 def test_no_field_sized_reduction_over_the_component_axis(tmp_path, monkeypatch):

@@ -333,25 +333,24 @@ def _path_energy_by_columns(space, u, dt):
 
 def test_path_energy_equals_the_per_column_sum_bitwise(field_space):
     u = _noisy_blend(field_space)
-    energy, grad = _path_energy(field_space, u, 0.1, grad=True)
+    energy, grad = _path_energy(field_space, u, 0.1)
     ref_energy, ref_grad = _path_energy_by_columns(field_space, u, 0.1)
     assert energy == ref_energy
-    assert _path_energy(field_space, u, 0.1) == ref_energy
     assert np.array_equal(grad, ref_grad)
 
 
 def test_path_energy_grad_matches_central_differences(field_space):
     u = _noisy_blend(field_space, seed=1)
     dt = 0.1
-    _, g = _path_energy(field_space, u, dt, grad=True)
+    _, g = _path_energy(field_space, u, dt)
     rng = np.random.default_rng(3)
     hh = 1e-6
     for _ in range(3):
         d = rng.standard_normal(u.shape)
         # the profile gradient pins the x1 edge rows, as the polish does
         d[:, [0, -1]] = 0.0
-        fd = (_path_energy(field_space, u + hh * d, dt)
-              - _path_energy(field_space, u - hh * d, dt)) / (2 * hh)
+        fd = (_path_energy(field_space, u + hh * d, dt)[0]
+              - _path_energy(field_space, u - hh * d, dt)[0]) / (2 * hh)
         assert float(np.sum(g * d)) == pytest.approx(fd, rel=1e-6)
 
 
@@ -368,7 +367,7 @@ def test_field_and_weight_evaluations_call_the_kernel_once(monkeypatch, planar_s
 
     monkeypatch.setattr(EffectivePotentialSpace, "energy_1d", counted)
     # the field is the profile stack the kernel reads: no copy of it
-    _path_energy(space, u, 0.1, grad=True)
+    _path_energy(space, u, 0.1)
     assert len(calls) == 1 and np.shares_memory(calls[0], u)
     calls.clear()
     k = u.shape[0]
@@ -405,7 +404,7 @@ def test_the_audit_residual_is_the_five_point_residual(field_space):
     h = space.h
     audit = field_audit(space, u, dt, margin)
     # the free gradient over its trapezoid weights h * dt
-    res = _path_energy(space, u, dt, grad=True)[1][margin:-margin, margin:-margin] / (-h * dt)
+    res = _path_energy(space, u, dt)[1][margin:-margin, margin:-margin] / (-h * dt)
     assert audit.residual_max == pytest.approx(np.max(np.linalg.norm(res, axis=2)), rel=1e-15)
     assert audit.residual_l2 == pytest.approx(np.sqrt(np.sum(res**2) * h * dt), rel=1e-15)
     oracle = _five_point_residual(space, u, dt, margin)
@@ -448,7 +447,7 @@ def test_the_audit_recomputes_the_solve_bit_for_bit(planar_space, small_solves, 
     report = assemble_and_verify(result)
     # the polish's free gradient max and last energy
     assert report.gmax == result.diagnostics["polish_gmax"]
-    assert report.energy_path == _path_energy(planar_space, u, dt)
+    assert report.energy_path == _path_energy(planar_space, u, dt)[0]
     # the midpoint K-length of the columns as a profile path, K = sqrt(2 W)
     wspace = WeightedSpace(space=planar_space.ambient(), weight=lambda pts: np.sqrt(
         2.0 * np.maximum(planar_space.effective_potential(pts), 0.0)))
@@ -477,8 +476,8 @@ def test_path_energy_hessp_matches_central_differences_of_the_gradient(field_spa
         hessp = _PathEnergyHessian(space, x, dt)
         for _ in range(3):
             d = rng.standard_normal(x.shape)
-            fd = (_path_energy(space, x + hh * d, dt, grad=True)[1]
-                  - _path_energy(space, x - hh * d, dt, grad=True)[1]) / (2 * hh)
+            fd = (_path_energy(space, x + hh * d, dt)[1]
+                  - _path_energy(space, x - hh * d, dt)[1]) / (2 * hh)
             hd = hessp(d)
             assert hd.shape == x.shape
             assert np.all(hd[:, [0, -1]] != 0.0)
@@ -509,16 +508,16 @@ def test_polish_keeps_a_planar_sym_field_odd_and_lowers_its_energy(planar_space,
     whole = mirror_half(u, rho, axis=1)
     assert np.array_equal(whole[:, ::-1, 0], -whole[..., 0])
     assert np.array_equal(whole[:, ::-1, 1], whole[..., 1])
-    assert _path_energy(planar_space, whole, dt) < _path_energy(planar_space, u0, dt)
+    assert _path_energy(planar_space, whole, dt)[0] < _path_energy(planar_space, u0, dt)[0]
     assert info.status == "converged" and 0 < info.steps
     # the stop test reads the whole field's free gradient: the half's, its
     # centre row doubled
-    g = _path_energy(half, u, dt, grad=True)[1]
+    g = _path_energy(half, u, dt)[1]
     g[pinned] = 0.0
     g[:, 0] *= 2.0
     assert float(np.max(np.abs(g))) == info.gmax <= gtol
     # which is the whole field's own, unprojected, to rounding
-    g = _path_energy(planar_space, whole, dt, grad=True)[1]
+    g = _path_energy(planar_space, whole, dt)[1]
     g[fold(g.shape, (None, None)).pinned] = 0.0
     assert float(np.max(np.abs(g))) == pytest.approx(info.gmax, rel=1e-6)
 
@@ -530,7 +529,7 @@ def test_polish_at_the_step_cap_says_so(planar_space, planar_sym_field, monkeypa
     u, info = _polish_field(planar_space, u0, dt, gtol)
     assert info.status == "max_iters" and info.steps == 1
     assert info.gmax > gtol
-    assert _path_energy(planar_space, u, dt) < _path_energy(planar_space, u0, dt)
+    assert _path_energy(planar_space, u, dt)[0] < _path_energy(planar_space, u0, dt)[0]
 
 
 def test_truncated_cg_stops_at_negative_curvature_with_a_descent_step(planar_space,
@@ -542,7 +541,7 @@ def test_truncated_cg_stops_at_negative_curvature_with_a_descent_step(planar_spa
         return v * free
 
     hessp = _PathEnergyHessian(planar_space, u, dt)
-    g = reduce(_path_energy(planar_space, u, dt, grad=True)[1])
+    g = reduce(_path_energy(planar_space, u, dt)[1])
     # zero tolerance: CG runs on until it meets the indefinite direction
     p, negative, products = truncated_cg(lambda d: reduce(hessp(d)), g, 0.0)
     assert negative and products > 1
@@ -780,7 +779,7 @@ def test_the_preconditioner_cuts_the_polish_products(planar_space, monkeypatch):
                                   lambda *args, **kwargs: lambda shift: None)
                 u, info = _polish_field(half, u0, dt, POLISH_GTOL, (None, rho))
             assert info.status == "converged"
-            runs[name] = (_path_energy(half, u, dt), info.products)
+            runs[name] = (_path_energy(half, u, dt)[0], info.products)
         assert runs["poisson"][1] < runs["plain"][1]
         assert runs["poisson"][1] <= cap
         assert runs["poisson"][0] == pytest.approx(runs["plain"][0], rel=1e-10)
@@ -873,9 +872,9 @@ def test_fold_reads_the_whole_field_on_its_part(parities):
     assert np.array_equal(pins.pinned, whole_pins[at] | odd)
     # the part's free gradient, scaled, is the whole field's: its max and,
     # in the fold's weights, its Euclidean norm
-    g = _path_energy(space if rho is None else space.half(), part, dt, grad=True)[1]
+    g = _path_energy(space if rho is None else space.half(), part, dt)[1]
     g[pins.pinned] = 0.0
-    gw = _path_energy(space, whole, dt, grad=True)[1]
+    gw = _path_energy(space, whole, dt)[1]
     gw[whole_pins] = 0.0
     scale = float(np.max(np.abs(gw)))
     assert np.max(np.abs(pins.gscale * g - np.where(odd, 0.0, gw[at]))) <= 1e-13 * scale
@@ -1062,7 +1061,7 @@ def test_the_quarter_solve_matches_the_x2_half_polish(name):
     assert result.diagnostics["polish_cg_products"] == half.products
     whole = mirror_half(half_u, sigma)
     energy = assemble_and_verify(result).energy_path
-    assert energy == pytest.approx(_path_energy(space, whole, dt), rel=1e-12, abs=0.0)
+    assert energy == pytest.approx(_path_energy(space, whole, dt)[0], rel=1e-12, abs=0.0)
     assert np.max(np.abs(result.u - whole)) <= 1e-7
     # the x1 mirror, bit for bit
     rho = space.x1_parity

@@ -531,7 +531,7 @@ def test_relax_profile_raises_unless_converged():
 
 
 @pytest.mark.parametrize("name", ["double_well", "planar_shell"])
-def test_profile_hessp_matches_central_differences(name):
+def test_energy_1d_hessp_matches_central_differences(name):
     if name == "double_well":
         eps = dw_space()
     else:
@@ -542,7 +542,7 @@ def test_profile_hessp_matches_central_differences(name):
     hh = 1e-6
     # every row, the edges and the half's first row, the centre, included
     for space, x in ((eps, v), (eps.half(), v[m // 2:])):
-        hessp = space.profile_hessp(x)
+        hessp = space.energy_1d_hessp(x)
         assert np.array_equal(hessp.diag,
                               np.einsum("mcc->mc", space._density_hessians(x[None])[0]))
         for _ in range(3):
@@ -577,7 +577,7 @@ def _free_rows_noise(shape, seed):
 def test_poisson_preconditioner_inverts_the_free_profile_stencil():
     eps = _quadratic_space([0.3, 1.7])
     shape = (eps.m, 2)
-    hessp = eps.profile_hessp(np.zeros(shape))
+    hessp = eps.energy_1d_hessp(np.zeros(shape))
     # B_cc = sigma_c on every row
     assert np.array_equal(hessp.diag, np.broadcast_to([0.3, 1.7], shape))
     psolve = poisson_preconditioner(shape, eps.h)(np.array([0.3, 1.7]))
