@@ -524,17 +524,19 @@ def _signs(signs) -> list | None:
 def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
     """(results, tables, gates) of a double solve.
 
-    One ``assemble_and_verify`` gives the field audit, and
-    ``polished_part`` the polished columns and rows and the two
-    reflections.  The field u writes u.npy as it is, the space's grid
-    x1.npy and every column's gaps to the wells
-    ``boundary_convergence.npy``, whose x2 column is the x2 grid; an asym
-    solve adds its shift track m_track.npy, the track's limit shifts and
-    total variation (``shift_track_summary``) and the translation-speed
-    audit.  The gates hold the x2 defect, the free gradient max, the
-    interior residual and the energy two ways against their tolerances,
-    and, for each axis polished on its half, the field's mirror at 0
-    (``_mirror_gate``).
+    ``polished_part`` gives the polished columns and rows and the two
+    reflections, and one ``assemble_and_verify`` the field audit of that
+    part, cut from u and read through its fold, in the whole field's
+    numbers.  The field u writes u.npy as it is, the space's grid x1.npy
+    and every column's gaps to the wells ``boundary_convergence.npy``,
+    whose x2 column is the x2 grid; an asym solve adds its shift track
+    m_track.npy, the track's limit shifts and total variation
+    (``shift_track_summary``) and the translation-speed audit, on the
+    track's polished columns.  The gates hold the x2 defect, the free
+    gradient max, the interior residual and the energy two ways against
+    their tolerances, and, for each axis polished on its half, the whole
+    field's mirror at 0 (``_mirror_gate``), which covers what the audit
+    does not read.
     """
     space, u, x2 = result.space, result.u, result.x2
     report = assemble_and_verify(result, tolerances["residual_margin_cells"])
@@ -569,7 +571,7 @@ def _double_results(result: DoubleConnectionResult, tolerances: dict) -> tuple:
         "polish_cg_products": result.diagnostics["polish_cg_products"],
     }
     if result.mode == "asym":
-        speed = audit_translation_speed(result.m_track, report)
+        speed = audit_translation_speed(result.m_track[p - part.columns:], report)
         results["c_minus"], results["c_plus"], results["m_total_variation"] = (
             shift_track_summary(result.m_track))
         results["translation_speed_c_fit"] = speed.c_fit

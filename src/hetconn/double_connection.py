@@ -22,7 +22,9 @@ Both axes fold by one rule, ``function_space.fold``: the Newton-CG takes
 (sigma, rho), each None where its axis is whole, and the kernels know
 nothing of halves.
 After the polish one ``field_audit`` evaluates the field, for the run and
-for ``hetconn verify`` alike: its residual is the free gradient over its
+for ``hetconn verify`` alike.  It reads the part that was polished, through
+the same fold, and gives the whole field's numbers: maxima over the part,
+sums in the fold's weights.  Its residual is the free gradient over its
 trapezoid weights, on interior nodes the 5-point Laplacian minus grad W.
 
 The module also carries the two stock fixtures: the planar two-well family
@@ -238,6 +240,22 @@ def polished_part(space: EffectivePotentialSpace, mode: str, p: int, m: int) -> 
     return PolishedPart(columns, rows, sigma, rho)
 
 
+def folded_part(space: EffectivePotentialSpace, mode: str, u: np.ndarray) -> tuple:
+    """(space, part, parities) of a field u (P, M, n) on ``space``: the part
+    that ``polished_part`` names, cut by ``cut_half``, the space it lives on
+    (``half`` where x1 is folded) and its fold (sigma, rho) (``fold``), each
+    None where its axis is whole.  The polish solves this part and the
+    audit reads it."""
+    p, m = u.shape[:2]
+    part = polished_part(space, mode, p, m)
+    parities = (part.sigma if part.columns < p else None,
+                part.rho if part.rows < m else None)
+    for axis, signs in enumerate(parities):
+        if signs is not None:
+            u = cut_half(u, signs, axis)
+    return (space if parities[1] is None else space.half()), u, parities
+
+
 def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str):
     """Seed, polish and, in mode "asym", shift-track the field of a double solve.
 
@@ -248,8 +266,9 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
     the mirror's Neumann one.  The field is that part and its mirrors,
     u(x1, -x2) = sigma u(x1, x2) and u(x1*, x2) = rho u(x1, x2) bit for bit:
     the whole field's minimizer where the density is invariant under both,
-    as the fixtures' are (the field audit's free gradient would show it if
-    not).  An x1 half lives on ``EffectivePotentialSpace.half``.  In mode
+    as the fixtures' are.  The run's audit reads the part and cannot see
+    that; a ``field_audit`` of the whole field, with no fold, would show it
+    in its free gradient.  An x1 half lives on ``EffectivePotentialSpace.half``.  In mode
     "asym" the shift scan reads the x2 half and mirrors its track: each
     misfit is invariant under sigma with the wells swapped.
     """
@@ -260,15 +279,8 @@ def _solve_common(space: EffectivePotentialSpace, opts: DoubleOptions, mode: str
         raise ValueError("well profiles coincide; nothing to connect")
     u, x2 = _seed_field(space, opts)
     dt = x2_step(x2)
-    p, m = u.shape[:2]
-    part = polished_part(space, mode, p, m)
-    sigma = part.sigma if part.columns < p else None
-    rho = part.rho if part.rows < m else None
-    for axis, signs in enumerate((sigma, rho)):
-        if signs is not None:
-            u = cut_half(u, signs, axis)
-    field, polish = _polish_field(space if rho is None else space.half(), u, dt,
-                                  POLISH_GTOL, (sigma, rho))
+    part_space, u, (sigma, rho) = folded_part(space, mode, u)
+    field, polish = _polish_field(part_space, u, dt, POLISH_GTOL, (sigma, rho))
     half = field if rho is None else mirror_half(field, rho, axis=1)
     u = half if sigma is None else mirror_half(half, sigma)
     diagnostics = {
@@ -329,13 +341,20 @@ def audit_translation_speed(m_track: np.ndarray | None,
     """Fit |dm per step| <= C * kappa * L2 step along a tracked shift track.
 
     kappa, the root of the nonnegative part of the x2 midpoint effective
-    potential, and the step lengths come from the field's ``field_audit``.
-    C comes from a least-squares fit through the origin over steps whose
-    budget kappa * step clears a floor (``SPEED_FLOOR_FRAC`` of the largest
-    budget); the max ratio over those steps is reported alongside.
+    potential, and the step lengths come from the field's ``field_audit``,
+    one per x2 segment of the part it read: ``m_track`` is the track on the
+    same columns, from the centre on where the audit read an x2 half (the
+    other half is its mirror), and a track of another length is a
+    ValueError.  C comes from a least-squares fit through the origin over
+    steps whose budget kappa * step clears a floor (``SPEED_FLOOR_FRAC`` of
+    the largest budget); the max ratio over those steps is reported
+    alongside.
     """
     if m_track is None:
         raise ValueError("no shift track; run the asymmetric solver")
+    if m_track.size != audit.step2.size + 1:
+        raise ValueError(f"a shift track of {m_track.size} columns, and the audit read "
+                         f"{audit.step2.size + 1}")
     dm = np.abs(np.diff(m_track))
     budget = np.sqrt(np.maximum(audit.mid_potential, 0.0)) * np.sqrt(audit.step2)
     floor = SPEED_FLOOR_FRAC * max(float(np.max(budget)), 1e-300)
@@ -357,41 +376,63 @@ class FieldAudit:
     equip_defect: float
     k_length: float
     reduction_gap: float
-    mid_potential: np.ndarray   # (P-1,): effective potential at the x2 midpoints
-    step2: np.ndarray           # (P-1,): squared L2 lengths of the x2 steps
+    mid_potential: np.ndarray   # (columns - 1,): effective potential at the part's x2 midpoints
+    step2: np.ndarray           # (columns - 1,): squared L2 lengths of the part's x2 steps
 
 
-def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
-    """Every check of a field (P, M, n) in one pass; run and verify both use this.
+def field_audit(space, u: np.ndarray, dt: float, margin: int,
+                parities=(None, None)) -> FieldAudit:
+    """Every check of a field in one pass, from the part (P, M, n) that was
+    solved; run and verify both use this.
+
+    ``parities`` is the part's fold (``fold``): (sigma, rho), each None
+    where its axis is whole, and ``space`` the space the part lives on
+    (``half`` where x1 is folded).  The whole field is the part and its
+    mirrors, and every number is the whole field's: maxima are taken over
+    the part, and sums count each node off a centre line once per mirror
+    image, the fold's weights.  Each folded axis doubles an energy, since a
+    centre line has half its trapezoid weight.  Without a fold the part is
+    the whole field.
 
     One ``_path_energy`` with its coordinate gradient g gives three things:
-    the path energy; the free gradient max of the whole field, g zeroed on
-    its pins (a field solved on a half or a quarter reads its centre lines
-    here, as its polish's stop test does through ``fold``'s gscale); and
-    the interior residual -g / (h * dt), taken
-    away from a boundary margin of ``margin`` cells.  On interior nodes g is
-    h * dt * (grad W - L u), with L the 5-point Laplacian, so the residual
-    is L u - grad W there.  The energy is also summed by direct 2D trapezoid
-    quadrature; the two must agree to rounding.  One ``energy_1d`` on the x2
-    segment midpoints gives, with the squared L2 segment lengths, the
-    equipartition defect (the max over segments of |x2 kinetic term -
-    effective potential|) and the midpoint K-length of the columns as a
-    path of profiles, which equals the energy at equipartition.  The audit
-    keeps that midpoint potential and the squared lengths for
+    the path energy; the free gradient max, g zeroed on the fold's pins and
+    times its gscale, which is the polish's stop test; and the interior
+    residual, that free gradient over -(h * dt), taken away from a margin
+    of ``margin`` cells at the part's outer edges, never at a centre line.
+    On interior nodes the whole field's g is h * dt * (grad W - L u), with L
+    the 5-point Laplacian, so the residual is L u - grad W there.  A centre
+    line's odd components are pinned at 0 and reflect to minus themselves,
+    so their residual reads 0.  The energy is also summed by direct 2D
+    trapezoid quadrature; the two must agree to rounding.  One
+    ``energy_1d`` on the x2 segment midpoints gives, with the squared L2
+    segment lengths, the equipartition defect (the max over segments of |x2
+    kinetic term - effective potential|) and the midpoint K-length of the
+    columns as a path of profiles, which equals the energy at
+    equipartition.  The audit keeps that midpoint potential and the squared
+    lengths, the whole x1 rows' on the part's segments, for
     ``audit_translation_speed``.
     """
     p, m, n = u.shape
     h = space.h
+    pinned, gscale, weights = fold(u.shape, parities)
+    x2_copies, x1_copies = (1.0 if signs is None else 2.0 for signs in parities)
+    whole = x2_copies * x1_copies
     energy_path, g = _path_energy(space, u, dt)
-    inner = g[margin:-margin, margin:-margin] / (-h * dt)
-    inner *= inner
-    residual_max = math.sqrt(float(np.max(component_sum(inner))))
-    residual_l2 = math.sqrt(float(np.sum(inner)) * h * dt)
-    # free each field-sized array before the next is made
-    del inner
-    g[fold(g.shape, (None, None)).pinned] = 0.0
+    g[pinned] = 0.0
+    g *= gscale
     gmax = float(np.max(np.abs(g)))
+    # the part's outer edges less the margin; a centre line stays
+    inner = tuple(slice(margin if signs is None else 0, size - margin)
+                  for signs, size in zip(parities, (p, m)))
+    res = g[inner] / (-h * dt)
+    # free each field-sized array before the next is made
     del g
+    res *= res
+    residual_max = math.sqrt(float(np.max(component_sum(res))))
+    # a node's mirror images: the fold's weights over gscale^2
+    copies = np.broadcast_to(weights / (gscale * gscale), u.shape)[inner]
+    residual_l2 = math.sqrt(float(np.sum(copies * res)) * h * dt)
+    del res
     w1 = trapezoid_weights(m, h)
     wt = trapezoid_weights(p, dt)
     d1 = np.diff(u, axis=1) / h
@@ -408,23 +449,31 @@ def field_audit(space, u: np.ndarray, dt: float, margin: int) -> FieldAudit:
     dens = space._density_values(u)
     pot = np.sum(wt[:, None] * w1[None, :] * dens) - space.ref_value * np.sum(wt)
     del dens
-    energy_direct = float(kin1 + kin2 + pot)
     mids = u[:-1] + u[1:]
     mids *= 0.5
     potential = space.effective_potential(mids)
     del mids
+    # a whole x1 row's profile, twice its half's
+    potential *= x1_copies
+    step2 *= x1_copies
     equip_defect = float(np.max(np.abs(0.5 * step2 / dt**2 - potential)))
     weight = np.sqrt(2.0 * np.maximum(potential, 0.0))
-    k_len = math.inf if np.any(np.isinf(weight)) else float(np.sum(weight * np.sqrt(step2)))
+    k_len = math.inf if np.any(np.isinf(weight)) else x2_copies * float(
+        np.sum(weight * np.sqrt(step2)))
+    energy_path *= whole
+    energy_direct = whole * float(kin1 + kin2 + pot)
     return FieldAudit(energy_path, energy_direct, residual_max, residual_l2, gmax,
                       equip_defect, k_len, abs(energy_path - k_len), potential, step2)
 
 
 def assemble_and_verify(result: DoubleConnectionResult,
                         margin: int = RESIDUAL_MARGIN) -> FieldAudit:
-    """The ``field_audit`` of a solve's field on its x2 grid, under the one
-    name that the benchmark's layer trace times (``perfbench/tracing.py``)."""
-    return field_audit(result.space, result.u, x2_step(result.x2), margin)
+    """The ``field_audit`` of the part of a solve's field that its polish
+    solved (``folded_part``), on its x2 grid, under the one name that the
+    benchmark's layer trace times (``perfbench/tracing.py``).  The rest of
+    the field is the part's mirror, which the run's mirror gates check."""
+    space, part, parities = folded_part(result.space, result.mode, result.u)
+    return field_audit(space, part, x2_step(result.x2), margin, parities)
 
 
 # ---------------------------------------------------------------------------

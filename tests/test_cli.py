@@ -16,7 +16,7 @@ import hetconn
 import hetconn.cli
 import hetconn.counterexample
 import hetconn.double_connection
-from hetconn.cli import _load_config, main
+from hetconn.cli import MIN_FIELD_NODES, _load_config, main
 from hetconn.double_connection import mirror_grid, planar_shell
 
 CONNECT_CFG = {
@@ -1130,16 +1130,18 @@ def test_verify_recomputes_the_shift_track_results(tmp_path, capsys, asym_run, k
     assert f"results.{key}: recomputed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column, gates", [
-    (0, ["m_track.npy: max |recomputed - recorded|"]),
-    (1, [f"results.{key}: recomputed" for key in SHIFT_TRACK_KEYS if key != "c_plus"]),
-], ids=["x2", "m"])
-def test_verify_reads_the_shift_track_from_m_track(tmp_path, capsys, asym_run, column, gates):
-    # the second column's x2 or shift, re-signed: the shift lies in the
-    # c_minus average and moves the speed audit
+@pytest.mark.parametrize("index, gates", [
+    ((1, 0), ["m_track.npy: max |recomputed - recorded|"]),
+    ((1, 1), [f"results.{key}: recomputed" for key in ("c_minus", "m_total_variation")]),
+    ((-2, 1), [f"results.{key}: recomputed" for key in SHIFT_TRACK_KEYS if key != "c_minus"]),
+], ids=["x2", "m", "m_polished"])
+def test_verify_reads_the_shift_track_from_m_track(tmp_path, capsys, asym_run, index, gates):
+    # the second or last but one column's x2 or shift, re-signed: the
+    # second's shift lies in the c_minus average; the last but one's lies in
+    # c_plus and on the polished columns, whose track the speed audit reads
     out = tmp_path / "run"
     shutil.copytree(asym_run, out)
-    _edit_table(out, "m_track.npy", (1, column), lambda value: value + 1e-3)
+    _edit_table(out, "m_track.npy", index, lambda value: value + 1e-3)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     err = capsys.readouterr().err
@@ -1827,19 +1829,38 @@ def test_verify_recomputes_the_double_residual(tmp_path, capsys):
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
-    # the node at x1 index 16, x2 index 8: inside the residual margin
-    _nudge_field(out, (8, 16), 1e-3)
+    # the node at x1 index 20, x2 index 10: on the polished quarter, x2 and
+    # x1 from their centre nodes 8 and 16 on, and inside the residual margin
+    _nudge_field(out, (10, 20), 1e-3)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert "interior residual max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [SIN_CFG, PLANAR_CFG, dict(PLANAR_CFG, mode="asym")],
+                         ids=["sin", "planar_sym", "planar_asym"])
+def test_the_smallest_double_field_runs_and_verifies(tmp_path, cfg):
+    # MIN_FIELD_NODES on each axis: the residual margin leaves the field's
+    # centre node alone, which the audit reads on the polished part's
+    # centre lines; the coarse field's defect needs a loose tolerance
+    n = MIN_FIELD_NODES
+    cfg = dict(cfg, m=n, opts={"n_out": n, "t_max": 3.0}, defect_tol=10.0)
+    out = tmp_path / "dbl"
+    assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    rows = n if cfg.get("mode") == "asym" else n // 2 + 1
+    assert (results["polish_columns"], results["polish_rows"]) == (n // 2 + 1, rows)
+    assert np.isfinite(results["residual_max"])
+    assert main(["verify", str(out)]) == 0
 
 
 def test_verify_recomputes_the_free_gradient(tmp_path, capsys):
     cfg = dict(SIN_CFG, residual_tol=0.05)
     out = tmp_path / "dbl"
     assert main(["double", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    # an interior node; a 1e-6 nudge moves the residual far less than residual_tol
-    _nudge_field(out, (8, 16), 1e-6)
+    # an interior node of the polished quarter; a 1e-6 nudge moves the
+    # residual far less than residual_tol
+    _nudge_field(out, (10, 20), 1e-6)
     capsys.readouterr()
     assert main(["verify", "--verbose", str(out)]) == 5
     captured = capsys.readouterr()

@@ -21,15 +21,18 @@ from hetconn import double_connection, function_space
 from hetconn.double_connection import (
     POLISH_GTOL,
     POLISH_STEPS,
+    RESIDUAL_MARGIN,
     _path_energy,
     _PathEnergyHessian,
     _polish_field,
     _seed_field,
     field_audit,
+    folded_part,
     mirror_grid,
     planar_effective_space,
     polished_part,
     shift_track_summary,
+    x2_step,
 )
 from hetconn.function_space import (
     cut_half,
@@ -121,9 +124,30 @@ def test_asymmetric_solve_tracks_shifts(planar_space):
     assert abs(c_minus) < 0.1
     assert abs(c_plus) < 0.1
     assert variation < 1.0
-    audit = audit_translation_speed(result.m_track, assemble_and_verify(result))
+    # the audit reads the polished x2 half, and the track from the centre on
+    audit = audit_translation_speed(result.m_track[16:], assemble_and_verify(result))
     assert audit.c_fit >= 0.0
     assert np.isfinite(audit.max_ratio)
+
+
+def test_the_speed_audit_pairs_the_track_with_the_audited_columns(small_solves):
+    result = small_solves["asym"]
+    report = assemble_and_verify(result)
+    # the x2 half from the centre node 16 on: 17 columns, 16 segments
+    assert _polished(result).columns == 17 and report.step2.shape == (16,)
+    half = audit_translation_speed(result.m_track[16:], report)
+    # a track of other columns than the audit's is refused, the whole one too
+    for track in (result.m_track, result.m_track[15:], result.m_track[17:]):
+        with pytest.raises(ValueError, match="a shift track of"):
+            audit_translation_speed(track, report)
+    # the whole field's audit with the whole track: the same fit, to rounding,
+    # on twice the steps
+    whole = audit_translation_speed(
+        result.m_track, field_audit(result.space, result.u, x2_step(result.x2),
+                                    RESIDUAL_MARGIN))
+    assert half.c_fit == pytest.approx(whole.c_fit, rel=1e-13, abs=0.0)
+    assert half.max_ratio == pytest.approx(whole.max_ratio, rel=1e-13, abs=0.0)
+    assert 2 * half.n_used == whole.n_used > 0
 
 
 def test_quotient_does_no_work_on_the_symmetric_fixture(planar_space):
@@ -416,7 +440,6 @@ def test_the_audit_residual_is_the_five_point_residual(field_space):
 
 def test_one_audit_reads_the_field_and_its_midpoints_once(monkeypatch):
     space = sin_example_space(m=33)
-    u = _noisy_blend(space)
     seen = {name: [] for name in ("energy_1d", "energy_1d_grad", "_density_values",
                                   "_density_grads")}
 
@@ -430,35 +453,128 @@ def test_one_audit_reads_the_field_and_its_midpoints_once(monkeypatch):
 
     for name in seen:
         monkeypatch.setattr(EffectivePotentialSpace, name, counting(name))
-    field_audit(space, u, 0.1, 2)
-    # the field's energy and gradient, the direct density sum and the midpoints
-    assert [len(seen[name]) for name in seen] == [2, 1, 3, 1]
-    field, mids = seen["energy_1d"]
-    assert np.shares_memory(field, u) and np.shares_memory(seen["energy_1d_grad"][0], u)
-    # the segment midpoints, a C-ordered stack of their own
-    assert mids.shape == (u.shape[0] - 1,) + u.shape[1:] and mids.flags.c_contiguous
-    assert not np.shares_memory(mids, u)
+    # the whole field, its x2 half, its x1 half and its quarter: the sine
+    # field is odd in x2 and even in x1
+    for parities in ((None, None), ([-1.0], None), (None, [1.0]), ([-1.0], [1.0])):
+        part = _noisy_blend(space)
+        for axis, signs in enumerate(parities):
+            if signs is not None:
+                part = cut_half(part, signs, axis)
+        for calls in seen.values():
+            calls.clear()
+        field_audit(space if parities[1] is None else space.half(), part, 0.1, 2, parities)
+        # the part's energy and gradient, the direct density sum and the midpoints
+        assert [len(seen[name]) for name in seen] == [2, 1, 3, 1]
+        field, mids = seen["energy_1d"]
+        assert np.shares_memory(field, part)
+        assert np.shares_memory(seen["energy_1d_grad"][0], part)
+        # the part's segment midpoints, a C-ordered stack of their own
+        assert mids.shape == (part.shape[0] - 1,) + part.shape[1:] and mids.flags.c_contiguous
+        assert not np.shares_memory(mids, part)
+
+
+def _rerun_polish(result, opts):
+    """The field and NewtonResult of the polish that made a solve's field,
+    run again from the seed on the part that ``folded_part`` cuts."""
+    u0, x2 = _seed_field(result.space, opts)
+    space, part, parities = folded_part(result.space, result.mode, u0)
+    return _polish_field(space, part, x2_step(x2), POLISH_GTOL, parities)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_the_audit_recomputes_the_solve_bit_for_bit(planar_space, small_solves, mode):
     result = small_solves[mode]
-    u, dt = result.u, float(result.x2[1] - result.x2[0])
+    u, dt = result.u, x2_step(result.x2)
+    _, part, parities = folded_part(planar_space, mode, u)
+    # the audit reads the part the polish returned, bit for bit
+    field, polish = _rerun_polish(result, SMALL)
+    assert np.array_equal(part, field)
     report = assemble_and_verify(result)
-    # the polish's free gradient max and last energy
-    assert report.gmax == result.diagnostics["polish_gmax"]
-    assert report.energy_path == _path_energy(planar_space, u, dt)[0]
-    # the midpoint K-length of the columns as a profile path, K = sqrt(2 W)
+    # the polish's free gradient max, and its last energy times 2 per folded
+    # axis: x2 in both modes, x1 in mode "sym"
+    assert report.gmax == polish.gmax == result.diagnostics["polish_gmax"]
+    folds = 2 if mode == "sym" else 1
+    assert sum(signs is not None for signs in parities) == folds
+    assert report.energy_path == 2.0**folds * polish.value
+    assert report.energy_path == pytest.approx(_path_energy(planar_space, u, dt)[0],
+                                               rel=1e-14, abs=0.0)
+    # the midpoint K-length of the whole columns as a profile path, K = sqrt(2 W)
     wspace = WeightedSpace(space=planar_space.ambient(), weight=lambda pts: np.sqrt(
         2.0 * np.maximum(planar_space.effective_potential(pts), 0.0)))
     columns = SampledCurve(times=result.x2, nodes=u.reshape(u.shape[0], -1))
-    assert report.k_length == k_length(columns, wspace, rule="midpoint")
+    assert report.k_length == pytest.approx(k_length(columns, wspace, rule="midpoint"),
+                                            rel=1e-14, abs=0.0)
     assert report.reduction_gap == abs(report.energy_path - report.k_length)
-    # the x2 kinetic term against the effective potential, segment by segment
+    # the x2 kinetic term against the effective potential, segment by
+    # segment, on the segments from the centre on
     w1 = trapezoid_weights(u.shape[1], planar_space.h)[:, None]
     kinetic = 0.5 * np.sum(w1 * (np.diff(u, axis=0) / dt) ** 2, axis=(1, 2))
-    defect = np.abs(kinetic - planar_space.effective_potential(0.5 * (u[:-1] + u[1:])))
+    potential = planar_space.effective_potential(0.5 * (u[:-1] + u[1:]))
+    centre = u.shape[0] // 2
+    assert (np.max(np.abs(report.mid_potential - potential[centre:]))
+            <= 1e-13 * np.max(np.abs(potential)))
+    defect = np.abs(kinetic - potential)
+    assert np.max(defect[centre:]) == np.max(defect)
     assert report.equip_defect == pytest.approx(np.max(defect), abs=1e-13 * np.max(kinetic))
+    if mode == "asym":
+        # every x1 row: the part's segments are the whole field's bit for bit
+        assert np.array_equal(report.mid_potential, potential[centre:])
+        assert np.array_equal(report.step2, field_audit(
+            planar_space, u, dt, RESIDUAL_MARGIN).step2[centre:])
+
+
+FOLD_CASES = {
+    # (example, mode, m, n_out): the fold the solve polishes under
+    "sin_quarter": ("sin", "sym", 33, 17),
+    "sin_x1_half": ("sin", "sym", 33, 16),
+    "sin_x2_half": ("sin", "sym", 32, 17),
+    "sin_whole": ("sin", "sym", 32, 16),
+    "planar_sym_quarter": ("planar", "sym", 41, 17),
+    "planar_asym_x2_half": ("planar", "asym", 41, 17),
+    "planar_asym_whole": ("planar", "asym", 41, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_the_folded_audit_is_the_whole_field_audit(case):
+    example, mode, m, n_out = FOLD_CASES[case]
+    space = sin_example_space(m=m) if example == "sin" else planar_effective_space(m=m)
+    opts = DoubleOptions(n_out=n_out, t_max=4.0)
+    result = (solve_asymmetric if mode == "asym" else solve_symmetric)(space, opts)
+    _, _, parities = folded_part(space, mode, result.u)
+    folds = [signs is not None for signs in parities]
+    assert folds == [n_out % 2 == 1, mode == "sym" and m % 2 == 1]
+    dt = x2_step(result.x2)
+    polish = _rerun_polish(result, opts)[1]
+    for margin in (2, RESIDUAL_MARGIN):
+        part = assemble_and_verify(result, margin)
+        whole = field_audit(space, result.u, dt, margin)
+        # the polish's own numbers, bit for bit
+        assert part.gmax == polish.gmax == result.diagnostics["polish_gmax"]
+        assert part.energy_path == 2.0 ** sum(folds) * polish.value
+        for key in ("energy_path", "energy_direct", "residual_max", "gmax", "equip_defect",
+                    "k_length"):
+            assert getattr(part, key) == pytest.approx(getattr(whole, key), rel=1e-13,
+                                                       abs=0.0), key
+        # each node's residual cancels terms of up to |u| (4 / h^2 + 4 / dt^2)
+        # and |grad W| to far less than their size, and the whole field
+        # rounds them in another order on the mirror images: the L2 norms
+        # agree within the rounding of those terms over the window
+        u = result.u
+        terms = (np.max(np.abs(u)) * (4.0 / space.h**2 + 4.0 / dt**2)
+                 + np.max(np.abs(space._density_grads(u))))
+        window = (space.grid[-1] - space.grid[0]) * (result.x2[-1] - result.x2[0])
+        bound = 8.0 * np.finfo(float).eps * terms * math.sqrt(window)
+        assert abs(part.residual_l2 - whole.residual_l2) <= bound
+        assert part.residual_l2 == pytest.approx(whole.residual_l2, rel=1e-8)
+        # a difference of close numbers
+        assert part.reduction_gap == pytest.approx(
+            whole.reduction_gap, rel=0.0, abs=1e-13 * whole.energy_path)
+        # the whole field's segments from the centre on, where x2 is folded
+        centre = result.u.shape[0] // 2 if folds[0] else 0
+        for key in ("mid_potential", "step2"):
+            got, want = getattr(part, key), getattr(whole, key)[centre:]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), key
 
 
 # ---------------------------------------------------------------------------
